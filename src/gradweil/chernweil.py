@@ -21,7 +21,7 @@ from fractions import Fraction
 from .connections import ConnectionUpToHomotopy, cuth_difference
 from .errors import InternalCheckError, MismatchError, NotClosedError
 from .forms import Form, TotalForm, gtr, tr
-from .linalg import independent_columns, nullspace, solve
+from .linalg import independent_columns, nullspace, solve, solve_sparse
 from .ring import Poly
 
 
@@ -289,12 +289,55 @@ def default_bound(algebroid, forms=()):
 
 
 def _monomials(nvars, bound):
+    """Exponent tuples of total degree <= bound, in lexicographic order."""
     if nvars == 0:
         yield ()
         return
-    for expo in itertools.product(range(bound + 1), repeat=nvars):
-        if sum(expo) <= bound:
-            yield expo
+    for first in range(bound + 1):
+        for rest in _monomials(nvars - 1, bound - first):
+            yield (first,) + rest
+
+
+def _entries(form):
+    """((frame index, exponent), coefficient) for each term of a scalar form."""
+    for (mi, _), poly in form.coeffs.items():
+        for expo, val in poly.terms.items():
+            yield (mi, expo), val
+
+
+def _exactness_system(algebroid, form, bound):
+    """The ansatz d(sum_u c_u u) = form as a sparse linear system in the c_u.
+
+    The unknowns u are the (k-1)-forms (frame index, monomial of total degree
+    <= bound) with a nonzero image; their order fixes the free-variables-zero
+    solution.  Returns (unknowns, rows, rhs): `rows` are {unknown: value}
+    dicts, one per (frame index, exponent) that occurs, and `rhs` is a
+    {row: value} dict.
+    """
+    variables = algebroid.variables
+    unknowns = []
+    rows = []
+    row_index = {}
+
+    def row(key):
+        if key not in row_index:
+            row_index[key] = len(rows)
+            rows.append({})
+        return row_index[key]
+
+    for j_idx in itertools.combinations(range(algebroid.rank), form.degree - 1):
+        for expo in _monomials(len(variables), bound):
+            candidate = Form(variables, algebroid.rank, form.degree - 1, 1,
+                             {(j_idx, 0): Poly(variables, {expo: Fraction(1)})})
+            image = algebroid.d(candidate)
+            if image.is_zero():
+                continue
+            col = len(unknowns)
+            unknowns.append((j_idx, expo))
+            for key, val in _entries(image):
+                rows[row(key)][col] = val
+    rhs = {row(key): val for key, val in _entries(form)}
+    return unknowns, rows, rhs
 
 
 def is_exact(algebroid, form, bound=None):
@@ -321,41 +364,8 @@ def is_exact(algebroid, form, bound=None):
     if point:
         bound = 0
     variables = algebroid.variables
-    unknowns = []
-    columns = []
-    row_index = {}
-
-    def vectorize(g):
-        entries = {}
-        for (mi, _), poly in g.coeffs.items():
-            for expo, val in poly.terms.items():
-                entries[(mi, expo)] = val
-        return entries
-
-    for j_idx in itertools.combinations(range(algebroid.rank), k - 1):
-        for expo in _monomials(len(variables), bound):
-            candidate = Form(variables, algebroid.rank, k - 1, 1,
-                             {(j_idx, 0): Poly(variables, {expo: Fraction(1)})})
-            image = algebroid.d(candidate)
-            if image.is_zero():
-                continue
-            unknowns.append((j_idx, expo))
-            vec = vectorize(image)
-            columns.append(vec)
-            for key in vec:
-                row_index.setdefault(key, len(row_index))
-    rhs_entries = vectorize(form)
-    for key in rhs_entries:
-        row_index.setdefault(key, len(row_index))
-    nrows = len(row_index)
-    matrix = [[Fraction(0)] * len(unknowns) for _ in range(nrows)]
-    for c, vec in enumerate(columns):
-        for key, val in vec.items():
-            matrix[row_index[key]][c] = val
-    rhs = [Fraction(0)] * nrows
-    for key, val in rhs_entries.items():
-        rhs[row_index[key]] = val
-    sol = solve(matrix, rhs) if nrows else [Fraction(0)] * len(unknowns)
+    unknowns, rows, rhs = _exactness_system(algebroid, form, bound)
+    sol = solve_sparse(rows, rhs, len(unknowns))
     if sol is None:
         return ExactnessResult("not_exact" if point else "undecided", None)
     coeffs = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InternalCheckError, MismatchError
+from .errors import InternalCheckError, MismatchError, ParseError
 from .forms import (
     Form,
     GradedBundle,
@@ -251,6 +251,9 @@ class LinearConnection:
                  for _ in range(algebroid.rank)]
         for entry in data.get("christoffel", []):
             i = entry["frame"]
+            if i >= algebroid.rank:
+                raise ParseError(f"christoffel frame {i} is out of range for "
+                                 f"an algebroid of rank {algebroid.rank}")
             matrix = entry["matrix"]
             if len(matrix) != rank or any(len(row) != rank for row in matrix):
                 raise MismatchError(f"christoffel matrix at frame {i} has wrong shape")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import MismatchError
+from .errors import MismatchError, ParseError
 from .ring import Poly
 
 # ----------------------------------------------------------------------
@@ -799,7 +799,11 @@ class TotalForm:
                 mat = [[Poly.zero(variables) for _ in range(src.rank(l))]
                        for _ in range(dst.rank(j))]
                 entries[mi] = mat
-            mat[term["row"]][term["col"]] = Poly.parse(term["coeff"], variables)
+            row, col = term["row"], term["col"]
+            if row >= dst.rank(j) or col >= src.rank(l):
+                raise ParseError(f"term ({row}, {col}) of block {[i, l, j]} is out of "
+                                 f"range for a {dst.rank(j)} x {src.rank(l)} block")
+            mat[row][col] = Poly.parse(term["coeff"], variables)
         frozen = {key: {mi: tuple(tuple(row) for row in m) for mi, m in v.items()}
                   for key, v in blocks.items()}
         return cls(variables, frame_rank, src, dst, data["total_degree"], frozen)

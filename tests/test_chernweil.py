@@ -9,6 +9,7 @@ import pytest
 from gradweil import catalog
 from gradweil.algebroid import Chart, tangent_algebroid
 from gradweil.chernweil import (
+    _monomials,
     anchor_pullback_character,
     ce_cohomology,
     class_status,
@@ -212,6 +213,15 @@ def test_is_exact_chart_base():
     assert low.status == "undecided"
     assert class_status(t, w, bound=0)[0] == "undecided"
     assert default_bound(t, [w]) >= 2
+
+
+def test_monomials_match_the_filtered_product():
+    for nvars in range(6):
+        for bound in range(7):
+            expected = [expo for expo in itertools.product(range(bound + 1),
+                                                           repeat=nvars)
+                        if sum(expo) <= bound]
+            assert list(_monomials(nvars, bound)) == expected
 
 
 def test_is_exact_rejects_non_closed():

@@ -188,3 +188,29 @@ def test_corpus_goldens_match_run_problem():
         payload = json.loads((CORPUS / f"{name}.json").read_text())
         golden = (CORPUS / f"{name}.golden.json").read_bytes()
         assert canonical_json(run_problem(payload)).encode() == golden
+
+
+# --- out-of-range indices ------------------------------------------------------
+
+
+def _corpus_payload(name):
+    return json.loads((CORPUS / f"{name}.json").read_text())
+
+
+def test_christoffel_frame_out_of_range_exits_two(tmp_path, capsys):
+    payload = _corpus_payload("transgression_aff1_scalar")
+    payload["connections"]["new"]["christoffel"][0]["frame"] = 5
+    assert main([write_problem(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "frame 5" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["row", "col"])
+def test_total_form_term_out_of_range_exits_two(tmp_path, capsys, field):
+    payload = _corpus_payload("graded_bott_5dim")
+    payload["d_part"]["terms"][0][field] = 2  # the block is 2 x 2
+    assert main([write_problem(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "out of range" in err
+    assert "Traceback" not in err

@@ -1,16 +1,98 @@
-"""Exact linear algebra checked against postcondition oracles."""
+"""Exact linear algebra checked against postcondition oracles.
+
+The sparse elimination in `gradweil.linalg` is also compared, exactly,
+against a textbook dense Gauss-Jordan kept here as the reference.
+"""
 
 import random
 from fractions import Fraction
 
+import pytest
+
+from gradweil import chernweil
+from gradweil.algebroid import Chart, tangent_algebroid
 from gradweil.linalg import (
     independent_columns,
     nullspace,
     rank,
     rref,
     solve,
+    solve_sparse,
     transpose,
 )
+from gradweil.randgen import random_linear_connection
+
+
+# --- dense reference ---------------------------------------------------------
+
+
+def dense_rref(matrix):
+    """Gauss-Jordan with the first nonzero row as pivot: (RREF, pivots)."""
+    rows = [list(r) for r in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def dense_solve(matrix, rhs):
+    """The free-variables-zero solution, or None if inconsistent."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    if nrows == 0:
+        return [Fraction(0)] * ncols
+    aug = [list(row) + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    reduced, pivots = dense_rref(aug)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = reduced[i][ncols]
+    return x
+
+
+def dense_nullspace(matrix):
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    if ncols == 0:
+        return []
+    if nrows == 0:
+        return [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
+                for i in range(ncols)]
+    reduced, pivots = dense_rref(matrix)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -reduced[i][free]
+        basis.append(vec)
+    return basis
+
+
+# --- generators ----------------------------------------------------------------
 
 
 def random_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -20,8 +102,45 @@ def random_matrix(rng, rows, cols, lo=-4, hi=4):
     ]
 
 
+def random_sparse_matrix(rng, rows, cols):
+    """Mostly zero, with non-integer entries, planted zero rows and columns,
+    and sometimes a row that repeats a multiple of another."""
+    density = rng.choice((0.05, 0.15, 0.3, 0.6))
+    dead_rows = {i for i in range(rows) if rng.random() < 0.15}
+    dead_cols = {j for j in range(cols) if rng.random() < 0.15}
+    m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+          if i not in dead_rows and j not in dead_cols and rng.random() < density
+          else Fraction(0) for j in range(cols)] for i in range(rows)]
+    if rows > 1 and rng.random() < 0.5:
+        src, dst = rng.randrange(rows), rng.randrange(rows)
+        factor = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        m[dst] = [factor * v for v in m[src]]
+    return m
+
+
+EDGE_SHAPES = [(0, 0), (3, 0), (1, 1), (1, 7), (7, 1)]
+
+
+def sparse_cases(seed):
+    """(rng, matrix) for the edge shapes, then tall, wide and square ones."""
+    rng = random.Random(seed)
+    shapes = list(EDGE_SHAPES)
+    for _ in range(20):
+        cols = rng.randint(1, 8)
+        shapes.append((rng.randint(cols + 1, 16), cols))
+        rows = rng.randint(1, 8)
+        shapes.append((rows, rng.randint(rows + 1, 16)))
+        n = rng.randint(1, 12)
+        shapes.append((n, n))
+    for rows, cols in shapes:
+        yield rng, random_sparse_matrix(rng, rows, cols)
+
+
 def mat_vec(m, v):
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m]
+
+
+# --- postcondition oracles ---------------------------------------------------------
 
 
 def test_rref_shape_and_pivots():
@@ -53,6 +172,16 @@ def test_solve_by_substitution():
         assert mat_vec(m, sol) == rhs
         solved += 1
     assert solved == 60
+
+
+def test_solve_sparse_edge_cases():
+    assert solve_sparse([], {}, 3) == [Fraction(0)] * 3
+    assert solve_sparse([{}, {}], {1: Fraction(1, 2)}, 2) is None
+    assert solve_sparse([{}, {1: Fraction(2)}], {1: Fraction(1, 2)}, 2) == [
+        Fraction(0), Fraction(1, 4)]
+    # explicit zeros in the rows are the same as absent entries
+    assert solve_sparse([{0: Fraction(0), 1: Fraction(2)}, {0: Fraction(0)}],
+                        {0: Fraction(1)}, 2) == [Fraction(0), Fraction(1, 2)]
 
 
 def test_solve_inconsistent():
@@ -96,3 +225,67 @@ def test_transpose():
     m = [[Fraction(1), Fraction(2), Fraction(3)]]
     assert transpose(m) == [[Fraction(1)], [Fraction(2)], [Fraction(3)]]
     assert transpose(transpose(m)) == m
+
+
+# --- sparse elimination against the dense reference ---------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sparse_elimination_matches_dense_reference(seed):
+    for rng, m in sparse_cases(seed):
+        nrows, ncols = len(m), (len(m[0]) if m else 0)
+        assert rref(m) == dense_rref(m)
+        assert nullspace(m) == dense_nullspace(m)
+        assert rank(m) == len(dense_rref(m)[1])
+        consistent = mat_vec(m, [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                 for _ in range(ncols)])
+        arbitrary = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                     for _ in range(nrows)]
+        for rhs in (consistent, arbitrary):
+            expected = dense_solve(m, rhs)
+            assert solve(m, rhs) == expected
+            rows = [{j: v for j, v in enumerate(row) if v} for row in m]
+            sparse_rhs = {i: v for i, v in enumerate(rhs) if v}
+            assert solve_sparse(rows, sparse_rhs, ncols) == expected
+        assert dense_solve(m, consistent) is not None
+
+
+def test_sparse_cases_cover_the_edge_shapes():
+    shapes = [(len(m), len(m[0]) if m else 0) for _, m in sparse_cases(1)]
+    assert (0, 0) in shapes and (3, 0) in shapes
+    assert any(r > c > 0 for r, c in shapes) and any(c > r > 0 for r, c in shapes)
+    cases = [m for _, m in sparse_cases(1)]
+    assert any(any(not any(row) for row in m) for m in cases if m)
+    assert any(any(not any(col) for col in zip(*m)) for m in cases if m and m[0])
+    assert any(v.denominator > 1 for m in cases for row in m for v in row)
+
+
+def test_sympy_rank_oracle():
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    for _, m in sparse_cases(4):
+        shape = (len(m), len(m[0]) if m else 0)
+        entries = [[QQ(v.numerator, v.denominator) for v in row] for row in m]
+        assert rank(m) == DomainMatrix(entries, shape, QQ).rank()
+
+
+def test_exactness_system_matches_dense_reference():
+    """One TR^4 exactness system: sparse solve and dense reference agree."""
+    algebroid = tangent_algebroid(Chart(tuple(f"x{i}" for i in range(4))))
+    rng = random.Random(2024)
+    connection = random_linear_connection(rng, algebroid, 2, 1)
+    form = chernweil.sigma_character(connection, 2).form
+    bound = chernweil.default_bound(algebroid, [form])
+    unknowns, rows, rhs = chernweil._exactness_system(algebroid, form, bound)
+    ncols = len(unknowns)
+    assert (len(rows), ncols) == (126, 504)
+    dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+    dense_rhs = [rhs.get(i, Fraction(0)) for i in range(len(rows))]
+    expected = dense_solve(dense, dense_rhs)
+    assert expected is not None and any(expected)
+    assert solve_sparse(rows, rhs, ncols) == expected
+    result = chernweil.is_exact(algebroid, form, bound)
+    assert result.status == "exact"
+    assert algebroid.d(result.primitive) == form
