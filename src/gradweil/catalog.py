@@ -6,8 +6,6 @@ comments (e1, e2, ...) are 1-based.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebroid import Algebroid, Chart, tangent_algebroid
 from .ring import Poly
 
@@ -125,12 +123,3 @@ def flat_borel_module():
     one = Poly.one(())
     zero = Poly.zero(())
     return [[[one]], [[zero]]]  # christoffel [frame][source][target] over (h, e)
-
-
-def scale_structure(algebroid, factor):
-    """A copy with every structure function multiplied by a rational factor."""
-    factor = Fraction(factor)
-    structure = tuple(
-        tuple(tuple(c * factor for c in vec) for vec in row)
-        for row in algebroid.structure)
-    return Algebroid(algebroid.chart, algebroid.rank, algebroid.anchor, structure)

@@ -24,6 +24,8 @@ from .forms import Form, TotalForm, gtr, tr
 from .linalg import independent_columns, nullspace, solve, solve_sparse
 from .ring import Poly
 
+_ONE = Fraction(1)
+
 
 # ----------------------------------------------------------------------
 # characters
@@ -166,19 +168,13 @@ class CohomologyBasis:
             mat = ([[Fraction(0)] * len(self.bases[k]) for _ in rows] if rows
                    else [[Fraction(0)] * len(self.bases[k])])
             for col, mi in enumerate(self.bases[k]):
-                image = algebroid.d(self._basis_form(k, col))
-                for (out_mi, _), poly in image.coeffs.items():
-                    mat[rows[out_mi]][col] = poly.constant_value()
+                for (out_mi, _), val in algebroid.d_sparse({(mi, ()): _ONE}).items():
+                    mat[rows[out_mi]][col] = val
             self.d_mats[k] = mat
         self.rep_vectors = {}
         self.representatives = {}
         for k in range(r + 1):
             self._pick_representatives(k)
-
-    def _basis_form(self, k, col):
-        mi = self.bases[k][col]
-        return Form(self.algebroid.variables, self.algebroid.rank, k, 1,
-                    {(mi, 0): Poly.one(self.algebroid.variables)})
 
     def form_to_vector(self, form):
         return [form.get(mi).constant_value() for mi in self.bases[form.degree]]
@@ -298,23 +294,16 @@ def _monomials(nvars, bound):
             yield (first,) + rest
 
 
-def _entries(form):
-    """((frame index, exponent), coefficient) for each term of a scalar form."""
-    for (mi, _), poly in form.coeffs.items():
-        for expo, val in poly.terms.items():
-            yield (mi, expo), val
-
-
 def _exactness_system(algebroid, form, bound):
     """The ansatz d(sum_u c_u u) = form as a sparse linear system in the c_u.
 
-    The unknowns u are the (k-1)-forms (frame index, monomial of total degree
-    <= bound) with a nonzero image; their order fixes the free-variables-zero
-    solution.  Returns (unknowns, rows, rhs): `rows` are {unknown: value}
-    dicts, one per (frame index, exponent) that occurs, and `rhs` is a
-    {row: value} dict.
+    The unknowns u are the (k-1)-forms x^exponent e^J (J a frame multi-index,
+    exponent of total degree <= bound) with a nonzero image; their order
+    fixes the free-variables-zero solution.  Each column is the image of one
+    unknown under `Algebroid.d_sparse`.  Returns (unknowns, rows, rhs):
+    `rows` are {unknown: value} dicts, one per (J, exponent) that occurs,
+    and `rhs` is a {row: value} dict.
     """
-    variables = algebroid.variables
     unknowns = []
     rows = []
     row_index = {}
@@ -326,17 +315,17 @@ def _exactness_system(algebroid, form, bound):
         return row_index[key]
 
     for j_idx in itertools.combinations(range(algebroid.rank), form.degree - 1):
-        for expo in _monomials(len(variables), bound):
-            candidate = Form(variables, algebroid.rank, form.degree - 1, 1,
-                             {(j_idx, 0): Poly(variables, {expo: Fraction(1)})})
-            image = algebroid.d(candidate)
-            if image.is_zero():
+        for expo in _monomials(len(algebroid.variables), bound):
+            image = algebroid.d_sparse({(j_idx, expo): _ONE})
+            if not image:
                 continue
             col = len(unknowns)
             unknowns.append((j_idx, expo))
-            for key, val in _entries(image):
+            for key, val in image.items():
                 rows[row(key)][col] = val
-    rhs = {row(key): val for key, val in _entries(form)}
+    rhs = {row((mi, expo)): val
+           for (mi, _), poly in form.coeffs.items()
+           for expo, val in poly.terms.items()}
     return unknowns, rows, rhs
 
 
@@ -358,7 +347,7 @@ def is_exact(algebroid, form, bound=None):
         if form.is_zero():
             return ExactnessResult("exact", Form.zero(algebroid.variables,
                                                       algebroid.rank, 0))
-        return ExactnessResult("not_exact" if point else "not_exact", None)
+        return ExactnessResult("not_exact", None)
     if bound is None:
         bound = default_bound(algebroid, [form])
     if point:

@@ -7,7 +7,9 @@ Usage::
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the report
 names it), 2 input error (unreadable file, invalid JSON, schema violation,
-or an object that cannot be built from its payload).
+or an object that cannot be built from its payload), 3 an internal check
+failed: two computation routes disagreed, which is an engine bug rather
+than a problem with the input.
 
 The machine-readable report is canonical JSON: sorted keys, no whitespace,
 ASCII only, one trailing newline — byte-identical across runs and platforms.
@@ -23,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .constructions import report_passed
-from .errors import MismatchError, NotClosedError, ParseError
+from .errors import InternalCheckError, MismatchError, NotClosedError, ParseError
 from .problems import TASKS, run_problem, validate_problem
 
 _INPUT_ERRORS = (ParseError, MismatchError, NotClosedError)
@@ -113,6 +115,9 @@ def run_file(path, task=None, json_path=None, bound=None, seed=None,
     except _INPUT_ERRORS as exc:
         err(str(exc))
         return 2
+    except InternalCheckError as exc:
+        err(f"internal check failed: {exc}")
+        return 3
     print(render_report(report), file=out)
     if json_path:
         Path(json_path).write_text(canonical_json(report))
@@ -149,6 +154,9 @@ def _corpus_status(path):
         produced = canonical_json(run_problem(data))
     except _INPUT_ERRORS as exc:
         print(f"error: {path.name}: {exc}", file=sys.stderr)
+        return "error"
+    except InternalCheckError as exc:
+        print(f"error: {path.name}: internal check failed: {exc}", file=sys.stderr)
         return "error"
     golden = path.with_name(path.stem + ".golden.json")
     if not golden.exists():

@@ -294,11 +294,6 @@ def hom_flatten(matrix, variables):
     return [p for row in matrix for p in row]
 
 
-def hom_unflatten(vector, rows, cols):
-    return tuple(tuple(vector[mu * cols + alpha] for alpha in range(cols))
-                 for mu in range(rows))
-
-
 def d_hom_blockwise(total_form, nablas):
     """Blockwise Hom-connection differential of a TotalForm.
 
@@ -434,9 +429,6 @@ class ConnectionUpToHomotopy:
             out = out + GradedElement.single(self.bundle, self.nablas[z].d(form), z)
         return out + self.D.apply(element)
 
-    def apply_form(self, form, summand):
-        return self.apply(GradedElement.single(self.bundle, form, summand))
-
     def basis_element(self, summand, alpha):
         return GradedElement.basis_section(self.variables, self.algebroid.rank,
                                            self.bundle, summand, alpha)
@@ -504,13 +496,6 @@ class ConnectionUpToHomotopy:
         return unhat_from_sections(action, self.variables, self.algebroid.rank,
                                    self.bundle, self.bundle,
                                    total_form.total_degree + 1)
-
-    def d_end_blockwise(self, total_form):
-        """d_nabla^End K + [D, K]; equal to d_end by the decomposition identity."""
-        from .forms import graded_commutator
-
-        return d_hom_blockwise(total_form, self.nablas) + graded_commutator(
-            self.D, total_form)
 
     def __eq__(self, other):
         return (isinstance(other, ConnectionUpToHomotopy)

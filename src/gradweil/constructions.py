@@ -56,13 +56,6 @@ def _block_json(total_form, key):
     return single.to_json()
 
 
-def _wedge_power(total_form, power):
-    out = total_form
-    for _ in range(power - 1):
-        out = out.wedge(total_form)
-    return out
-
-
 def _basis(variables, rank, index):
     one = Poly.one(variables)
     zero = Poly.zero(variables)

@@ -9,6 +9,8 @@ import pytest
 from gradweil import catalog
 from gradweil.algebroid import Chart, tangent_algebroid
 from gradweil.chernweil import (
+    CohomologyBasis,
+    _exactness_system,
     _monomials,
     anchor_pullback_character,
     ce_cohomology,
@@ -28,6 +30,7 @@ from gradweil.errors import MismatchError, NotClosedError
 from gradweil.forms import Form, GradedBundle, render_form
 from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
+from test_algebroid import koszul_reference
 
 
 def scalar_aff1_connection():
@@ -330,3 +333,73 @@ def test_massey_chart_base_representative_only():
 
 def h3_closed(algebroid, form):
     return algebroid.d(form).is_zero()
+
+
+# --- the exactness and cohomology systems against the Koszul formula ---------
+
+
+def reference_exactness_system(algebroid, form, bound):
+    """Unknowns, and per row key {unknown: value}, from the Koszul formula."""
+    variables = algebroid.variables
+    unknowns = []
+    rows = {}
+    for j_idx in itertools.combinations(range(algebroid.rank), form.degree - 1):
+        for expo in _monomials(len(variables), bound):
+            candidate = Form(variables, algebroid.rank, form.degree - 1, 1,
+                             {(j_idx, 0): Poly(variables, {expo: Fraction(1)})})
+            image = koszul_reference(algebroid, candidate)
+            if image.is_zero():
+                continue
+            col = len(unknowns)
+            unknowns.append((j_idx, expo))
+            for (mi, _), poly in image.coeffs.items():
+                for e, val in poly.terms.items():
+                    rows.setdefault((mi, e), {})[col] = val
+    return unknowns, rows
+
+
+def _row_multiset(rows, rhs_of):
+    """Rows with their right-hand sides, forgetting the row order."""
+    return sorted((sorted(row.items()), rhs_of(i)) for i, row in enumerate(rows))
+
+
+@pytest.mark.parametrize("case", ["tr4", "aff1_action_line"])
+def test_exactness_system_matches_the_koszul_columns(case):
+    if case == "tr4":
+        algebroid = tangent_algebroid(Chart(tuple(f"x{i}" for i in range(4))))
+        connection = random_linear_connection(random.Random(2024), algebroid, 2, 1)
+        form = sigma_character(connection, 2).form
+    else:
+        algebroid = catalog.aff1_action_line()
+        x = Poly.variable(("x",), 0)
+        # closed: every 2-form is closed at top degree on a rank-2 frame
+        form = Form(("x",), 2, 2, 1, {((0, 1), 0): x * x + Poly.constant(("x",), 3)})
+    bound = default_bound(algebroid, [form])
+    unknowns, rows, rhs = _exactness_system(algebroid, form, bound)
+    ref_unknowns, ref_rows = reference_exactness_system(algebroid, form, bound)
+    assert unknowns == ref_unknowns and unknowns
+    form_terms = {(mi, e): val for (mi, _), poly in form.coeffs.items()
+                  for e, val in poly.terms.items()}
+    for key in form_terms:
+        ref_rows.setdefault(key, {})
+    ref_keys = list(ref_rows)
+    assert len(rows) == len(ref_keys)
+    got = _row_multiset(rows, lambda i: rhs.get(i, 0))
+    expected = _row_multiset([ref_rows[key] for key in ref_keys],
+                             lambda i: form_terms.get(ref_keys[i], 0))
+    assert got == expected
+
+
+@pytest.mark.parametrize("maker", [catalog.sl2, catalog.heisenberg3, catalog.solvable5])
+def test_cohomology_matrices_match_the_koszul_formula(maker):
+    a = maker()
+    basis = CohomologyBasis(a)
+    for k in range(a.rank + 1):
+        rows = {mi: idx for idx, mi in enumerate(basis.bases[k + 1])}
+        mat = ([[Fraction(0)] * len(basis.bases[k]) for _ in rows] if rows
+               else [[Fraction(0)] * len(basis.bases[k])])
+        for col, mi in enumerate(basis.bases[k]):
+            cochain = Form((), a.rank, k, 1, {(mi, 0): Poly.one(())})
+            for (out_mi, _), poly in koszul_reference(a, cochain).coeffs.items():
+                mat[rows[out_mi]][col] = poly.constant_value()
+        assert basis.d_mats[k] == mat

@@ -8,6 +8,7 @@ import pytest
 
 from gradweil import catalog
 from gradweil.cli import canonical_json, main
+from gradweil.errors import InternalCheckError
 from gradweil.problems import TASKS, run_problem, validate_problem
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -214,3 +215,30 @@ def test_total_form_term_out_of_range_exits_two(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert "error:" in err and "out of range" in err
     assert "Traceback" not in err
+
+
+# --- internal check failures -------------------------------------------------
+
+
+def _raise_internal(*args, **kwargs):
+    raise InternalCheckError("blockwise and operator curvature disagree")
+
+
+def test_internal_check_failure_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("gradweil.cli.run_problem", _raise_internal)
+    assert main([write_problem(tmp_path, check_sl2_payload())]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("error: internal check failed: blockwise and "
+                            "operator curvature disagree\n")
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_corpus_counts_internal_check_failure_as_error(tmp_path, capsys, monkeypatch):
+    for suffix in (".json", ".golden.json"):
+        shutil.copy(CORPUS / f"check_sl2{suffix}", tmp_path / f"check_sl2{suffix}")
+    monkeypatch.setattr("gradweil.cli.run_problem", _raise_internal)
+    assert main(["corpus", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "1 entries: 0 ok, 0 new, 0 diff, 1 error" in captured.out
+    assert "internal check failed" in captured.err
+    assert "Traceback" not in captured.err
