@@ -15,7 +15,10 @@ term through the derivation rule
 
 where d(e^J) expands by the Leibniz rule.  This agrees with the Koszul
 formula evaluated on frame elements; the tests keep that formula as the
-oracle for `Algebroid.d`.
+oracle for `Algebroid.d`.  `d_sparse` is the only code that applies the
+anchor and the structure functions to forms: `d` runs it on each fiber
+component of a vector-valued Form and `d_total` on each matrix entry of a
+TotalForm, and the connection differentials build on those two.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import MismatchError
-from .forms import Form, sort_with_sign
+from .forms import Form, TotalForm, sort_with_sign
 from .ring import Poly
 
 _add = operator.add
@@ -93,10 +96,6 @@ class AxiomReport:
     anchor_ok: bool
     jacobi_ok: bool
     failures: tuple = field(default_factory=tuple)
-
-    @property
-    def all_ok(self):
-        return self.antisymmetry_ok and self.anchor_ok and self.jacobi_ok
 
 
 class Algebroid:
@@ -322,26 +321,68 @@ class Algebroid:
         return {key: val for key, val in out.items() if val}
 
     def d(self, form):
-        """d_A on a scalar Form by the derivation rule of `d_sparse`.
+        """d_A on each fiber component of a Form, by the rule of `d_sparse`.
 
-        The image is packed back into a Form with its multi-indices in
-        ascending order.  The Koszul formula on frame elements is kept in
-        the tests as the oracle this must match.
+        The image is packed back into a Form with its (multi-index, fiber)
+        keys in ascending order.  The Koszul formula on frame elements is
+        kept in the tests as the oracle this must match.
         """
         if form.frame_rank != self.rank or form.variables != self.variables:
             raise MismatchError("form does not live over this algebroid's frame")
-        if form.fiber_dim != 1:
-            raise MismatchError("d_A acts on scalar forms; use a connection "
-                                "differential for bundle-valued forms")
-        image = self.d_sparse({(mi, expo): val
-                               for (mi, _), poly in form.coeffs.items()
-                               for expo, val in poly.terms.items()})
-        grouped = {}
-        for (mi, expo), val in sorted(image.items()):
-            grouped.setdefault(mi, {})[expo] = val
-        return Form(self.variables, self.rank, form.degree + 1, 1,
-                    {(mi, 0): Poly(self.variables, terms)
-                     for mi, terms in grouped.items()})
+        components = {}
+        for (mi, alpha), poly in form.coeffs.items():
+            components.setdefault(alpha, {})[mi] = poly
+        coeffs = {(mi, alpha): poly for (alpha, mi), poly
+                  in self._d_components(components).items()}
+        return Form(self.variables, self.rank, form.degree + 1, form.fiber_dim,
+                    dict(sorted(coeffs.items())))
+
+    def d_total(self, total_form):
+        """d_A on every matrix entry of a TotalForm.
+
+        Block (i, l, j) goes to block (i + 1, l, j), so the total degree
+        rises by one; no sign enters, the entries are scalar forms.  With
+        the connection form Gamma this gives d_nabla^End K = d_A K +
+        [Gamma, K] and R_nabla = d_A Gamma + Gamma ^ Gamma.
+        """
+        if (total_form.frame_rank != self.rank
+                or total_form.variables != self.variables):
+            raise MismatchError("total form does not live over this algebroid's frame")
+        components = {}
+        for block, entries in total_form.blocks.items():
+            for mi, mat in entries.items():
+                for b, row in enumerate(mat):
+                    for a, poly in enumerate(row):
+                        if poly.terms:
+                            components.setdefault((block, b, a), {})[mi] = poly
+        zero = Poly.zero(self.variables)
+        src, dst = total_form.src, total_form.dst
+        blocks = {}
+        for (((i, l, j), b, a), mi), poly in self._d_components(components).items():
+            entries = blocks.setdefault((i + 1, l, j), {})
+            mat = entries.get(mi)
+            if mat is None:
+                mat = entries[mi] = [[zero] * src.rank(l) for _ in range(dst.rank(j))]
+            mat[b][a] = poly
+        return TotalForm(self.variables, self.rank, src, dst,
+                         total_form.total_degree + 1, blocks)
+
+    def _d_components(self, components):
+        """d_sparse on each of several scalar forms, {key: {multi-index: Poly}}.
+
+        Returns {(key, multi-index): Poly} for the nonzero image coefficients.
+        """
+        out = {}
+        for key, coeffs in components.items():
+            image = self.d_sparse({(mi, expo): val
+                                   for mi, poly in coeffs.items()
+                                   for expo, val in poly.terms.items()})
+            grouped = {}
+            for (mi, expo), val in sorted(image.items()):
+                grouped.setdefault(mi, {})[expo] = val
+            for mi, terms in grouped.items():
+                out[(key, mi)] = Poly(self.variables, terms)
+        return out
 
     def coframe(self, index):
         return Form.coframe(self.variables, self.rank, index)

@@ -5,6 +5,19 @@ sum_beta Gamma[i][alpha][beta] f_beta.  Internally the per-frame matrices
 are kept target-major (G_i[beta][alpha] = that coefficient) so that a
 covariant derivative acts on coefficient vectors as rho_i + G_i.
 
+Every differential here is the scalar kernel `Algebroid.d_sparse` on each
+coefficient plus a wedge with the connection form Gamma = sum_i e^i (x) G_i,
+the TotalForm block (1, z, z) taken straight from the matrices:
+
+    d_nabla w   = d_A w + hat(Gamma)(w),
+    R_nabla     = d_A Gamma + Gamma ^ Gamma,
+    d^End K     = d_A K + [Gamma, K],
+
+with d_A acting on each fiber component (`Algebroid.d`) or matrix entry
+(`Algebroid.d_total`), and Gamma holding every summand's connection form on
+the diagonal in the last identity.  The Koszul formula on frame elements
+stays in the tests as the oracle for all three.
+
 A `ConnectionUpToHomotopy` is a family of grading-preserving connections
 (one per summand) plus a total-degree-1 TotalForm D; the operator is
 cal_D = d_nabla + hat(D).  Its curvature is the unique total form R with
@@ -23,12 +36,12 @@ from .forms import (
     GradedBundle,
     GradedElement,
     TotalForm,
+    graded_commutator,
     mat_add,
     mat_is_zero,
-    mat_mul,
+    mat_mul,  # noqa: F401  perfbench/test_perfbench.py patches it through this module
     mat_neg,
     mat_zero,
-    sort_with_sign,
 )
 from .ring import Poly
 
@@ -114,46 +127,20 @@ class LinearConnection:
 
     # -- connection differential -------------------------------------------
 
+    def connection_form(self, degree_label=0):
+        """Gamma = sum_i e^i (x) G_i as a TotalForm with the single block (1, z, z)."""
+        bundle = GradedBundle([(degree_label, self.rank)])
+        entries = {(i,): m for i, m in enumerate(self.mats)}
+        return TotalForm(self.variables, self.algebroid.rank, bundle, bundle, 1,
+                         {(1, degree_label, degree_label): entries})
+
     def d(self, form):
-        """Koszul differential twisted by this connection."""
-        if form.frame_rank != self.algebroid.rank or form.variables != self.variables:
-            raise MismatchError("form does not live over this algebroid's frame")
+        """d_nabla w = d_A w + hat(Gamma)(w), d_A acting on each fiber component."""
         if form.fiber_dim != self.rank:
             raise MismatchError("form fiber does not match the bundle rank")
-        A = self.algebroid
-        k = form.degree
-        coeffs = {}
-        for out_idx in itertools.combinations(range(A.rank), k + 1):
-            acc = [Poly.zero(self.variables) for _ in range(self.rank)]
-            for t in range(k + 1):
-                rest = out_idx[:t] + out_idx[t + 1:]
-                vec = form.fiber_vector(rest)
-                if all(p.is_zero() for p in vec):
-                    continue
-                step = self.apply(out_idx[t], vec)
-                if t % 2:
-                    step = [-p for p in step]
-                acc = [a + s for a, s in zip(acc, step)]
-            for s in range(k + 1):
-                for t in range(s + 1, k + 1):
-                    rest = tuple(x for idx, x in enumerate(out_idx)
-                                 if idx != s and idx != t)
-                    sign_st = -1 if (s + t) % 2 else 1
-                    for m, c in enumerate(A.structure[out_idx[s]][out_idx[t]]):
-                        if c.is_zero():
-                            continue
-                        sgn, mi = sort_with_sign((m,) + rest)
-                        if sgn == 0:
-                            continue
-                        vec = form.fiber_vector(mi)
-                        if all(p.is_zero() for p in vec):
-                            continue
-                        factor = c if sign_st * sgn == 1 else -c
-                        acc = [a + factor * v for a, v in zip(acc, vec)]
-            for beta, p in enumerate(acc):
-                if not p.is_zero():
-                    coeffs[(out_idx, beta)] = p
-        return Form(self.variables, A.rank, k + 1, self.rank, coeffs)
+        out = self.algebroid.d(form)
+        twist = self.connection_form().apply_part(form, 0).parts
+        return out + twist[(form.degree + 1, 0)] if twist else out
 
     def basis_section(self, alpha):
         comps = [Poly.one(self.variables) if a == alpha else Poly.zero(self.variables)
@@ -162,39 +149,16 @@ class LinearConnection:
 
     # -- curvature -----------------------------------------------------------
 
-    def curvature_matrix(self, i, j):
-        """R(e_i, e_j) as a target-major matrix, by the direct frame formula."""
-        A = self.algebroid
-        gi, gj = self.mats[i], self.mats[j]
-        out = [[Poly.zero(self.variables) for _ in range(self.rank)]
-               for _ in range(self.rank)]
-        for b in range(self.rank):
-            for a in range(self.rank):
-                acc = A.anchor_apply(i, gj[b][a]) - A.anchor_apply(j, gi[b][a])
-                for m in range(self.rank):
-                    acc = acc + gi[b][m] * gj[m][a] - gj[b][m] * gi[m][a]
-                for m, c in enumerate(A.structure[i][j]):
-                    if not c.is_zero():
-                        acc = acc - c * self.mats[m][b][a]
-                out[b][a] = acc
-        return tuple(tuple(row) for row in out)
-
     def curvature(self, degree_label=0):
-        """R_nabla as a TotalForm with the single block (2, z, z).
+        """R_nabla = d_A Gamma + Gamma ^ Gamma, a TotalForm with the block (2, z, z).
 
-        Computed by the direct frame formula and cross-checked against the
-        squared connection differential on every basis section; any
-        disagreement is an engine bug and raises InternalCheckError.
+        Cross-checked against the squared connection differential on every
+        basis section; any disagreement is an engine bug and raises
+        InternalCheckError.
         """
         A = self.algebroid
-        bundle = GradedBundle([(degree_label, self.rank)])
-        entries = {}
-        for i, j in itertools.combinations(range(A.rank), 2):
-            mat = self.curvature_matrix(i, j)
-            if not mat_is_zero(mat):
-                entries[(i, j)] = mat
-        blocks = {(2, degree_label, degree_label): entries} if entries else {}
-        direct = TotalForm(self.variables, A.rank, bundle, bundle, 2, blocks)
+        gamma = self.connection_form(degree_label)
+        direct = A.d_total(gamma) + gamma.wedge(gamma)
         # independent route: d_nabla twice on basis sections
         for alpha in range(self.rank):
             image = self.d(self.d(self.basis_section(alpha)))
@@ -206,7 +170,8 @@ class LinearConnection:
                     if got[beta] != expected[beta][alpha]:
                         raise InternalCheckError(
                             "curvature routes disagree: operator square vs "
-                            f"frame formula at (e_{i}, e_{j}), fiber ({beta},{alpha})")
+                            f"d_A Gamma + Gamma^Gamma at (e_{i}, e_{j}), "
+                            f"fiber ({beta},{alpha})")
         return direct
 
     def is_flat(self):
@@ -290,79 +255,6 @@ def induced_hom_connection(src, dst):
     return LinearConnection(A, hom_rank, mats)
 
 
-def hom_flatten(matrix, variables):
-    return [p for row in matrix for p in row]
-
-
-def d_hom_blockwise(total_form, nablas):
-    """Blockwise Hom-connection differential of a TotalForm.
-
-    `nablas` maps each summand degree to its LinearConnection.  Block
-    (i, l, j) is differentiated with the Hom connection of the pair
-    (nabla^l source, nabla^j target); no Koszul factor appears here (the
-    graded hat signs cancel against the commutator convention).
-    """
-    A = nablas[next(iter(nablas))].algebroid
-    variables = A.variables
-    blocks: dict = {}
-    for (i, l, j), entries in total_form.blocks.items():
-        g_src = nablas[l].mats
-        g_dst = nablas[j].mats
-        rows = total_form.dst.rank(j)
-        cols = total_form.src.rank(l)
-
-        def block_matrix(mi, _entries=entries, _rows=rows, _cols=cols):
-            mat = _entries.get(mi)
-            return mat if mat is not None else mat_zero(_rows, _cols, variables)
-
-        out_entries = blocks.setdefault((i + 1, l, j), {})
-        for out_idx in itertools.combinations(range(A.rank), i + 1):
-            acc = [[Poly.zero(variables) for _ in range(cols)] for _ in range(rows)]
-            nonzero = False
-            for t in range(i + 1):
-                rest = out_idx[:t] + out_idx[t + 1:]
-                mat = block_matrix(rest)
-                if mat_is_zero(mat):
-                    continue
-                nonzero = True
-                frame = out_idx[t]
-                step = [[A.anchor_apply(frame, mat[b][a]) for a in range(cols)]
-                        for b in range(rows)]
-                gm = mat_mul(g_dst[frame], mat)
-                mg = mat_mul(mat, g_src[frame])
-                for b in range(rows):
-                    for a in range(cols):
-                        val = step[b][a] + gm[b][a] - mg[b][a]
-                        if t % 2:
-                            val = -val
-                        acc[b][a] = acc[b][a] + val
-            for s in range(i + 1):
-                for t in range(s + 1, i + 1):
-                    rest = tuple(x for idx, x in enumerate(out_idx)
-                                 if idx != s and idx != t)
-                    sign_st = -1 if (s + t) % 2 else 1
-                    for m, c in enumerate(A.structure[out_idx[s]][out_idx[t]]):
-                        if c.is_zero():
-                            continue
-                        sgn, mi = sort_with_sign((m,) + rest)
-                        if sgn == 0:
-                            continue
-                        mat = block_matrix(mi)
-                        if mat_is_zero(mat):
-                            continue
-                        nonzero = True
-                        factor = c if sign_st * sgn == 1 else -c
-                        for b in range(rows):
-                            for a in range(cols):
-                                acc[b][a] = acc[b][a] + factor * mat[b][a]
-            if nonzero and not mat_is_zero(acc):
-                out_entries[out_idx] = tuple(tuple(row) for row in acc)
-        if not out_entries:
-            blocks.pop((i + 1, l, j), None)
-    return TotalForm(variables, total_form.frame_rank, total_form.src,
-                     total_form.dst, total_form.total_degree + 1, blocks)
-
-
 class ConnectionUpToHomotopy:
     """cal_D = d_nabla + hat(D) on forms valued in a graded bundle."""
 
@@ -435,16 +327,27 @@ class ConnectionUpToHomotopy:
 
     # -- curvature ------------------------------------------------------------
 
+    def connection_form(self):
+        """Gamma of every summand's connection, in the diagonal (1, z, z) blocks."""
+        blocks = {(1, z, z): {(i,): m for i, m in enumerate(self.nablas[z].mats)}
+                  for z in self.bundle.degrees()}
+        return TotalForm(self.variables, self.algebroid.rank, self.bundle,
+                         self.bundle, 1, blocks)
+
     def curvature_blockwise(self):
-        """R = R_nabla + d_nabla^End D + D ^ D (one route)."""
+        """R = R_nabla + d_nabla^End D + D ^ D (one route).
+
+        R_nabla is each summand's curvature on its diagonal block, and
+        d_nabla^End D = d_A D + [Gamma, D] with Gamma the connection form.
+        """
         A = self.algebroid
-        acc = TotalForm.zero(self.variables, A.rank, self.bundle, self.bundle, 2)
+        acc = (A.d_total(self.D) + graded_commutator(self.connection_form(), self.D)
+               + self.D.wedge(self.D))
         for z, _ in self.bundle.summands:
             r_z = self.nablas[z].curvature(degree_label=z)
             acc = acc + TotalForm(self.variables, A.rank, self.bundle,
                                   self.bundle, 2, r_z.blocks)
-        acc = acc + d_hom_blockwise(self.D, self.nablas)
-        return acc + self.D.wedge(self.D)
+        return acc
 
     def curvature(self):
         """The unique total form R with hat(R) = cal_D squared.

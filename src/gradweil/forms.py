@@ -181,9 +181,6 @@ class GradedBundle:
                 return r
         return 0
 
-    def total_rank(self):
-        return sum(r for _, r in self.summands)
-
     def __eq__(self, other):
         return isinstance(other, GradedBundle) and self.summands == other.summands
 
@@ -811,11 +808,6 @@ class TotalForm:
 
 # ----------------------------------------------------------------------
 # derived operations
-
-
-def wedge_apply(total_form, form, source_degree=0):
-    """Shuffle action of hat(total_form) on a summand-labelled Form."""
-    return total_form.apply_part(form, source_degree)
 
 
 def graded_commutator(k1, k2):

@@ -25,27 +25,12 @@ from .algebroid import Algebroid, Subframe, tangent_algebroid
 from .chernweil import (class_status, massey_triple,
                         pontryagin_class, sigma_character, transgression)
 from .connections import ConnectionUpToHomotopy, LinearConnection
-from .constructions import (adjoint_rep, atiyah_form, bott_report, check_morphism,
-                            double_rep, graded_bott_report, iis_check,
-                            iis_obstruction, morphism_rep, report_passed,
-                            square_zero_check)
+from .constructions import (_check, adjoint_rep, atiyah_form, bott_report,
+                            check_morphism, double_rep, graded_bott_report,
+                            iis_check, iis_obstruction, morphism_rep,
+                            report_passed, square_zero_check)
 from .errors import MismatchError, MorphismError, ParseError
 from .forms import Form, GradedBundle, TotalForm, render_form
-
-TASKS = (
-    "check-algebroid",
-    "pontryagin",
-    "obstruct-nrep",
-    "bott",
-    "graded-bott",
-    "atiyah",
-    "massey",
-    "iis",
-    "adjoint",
-    "double",
-    "morphism",
-    "transgression",
-)
 
 _POLY = {"type": "string"}
 _POLY_MATRIX = {"type": "array",
@@ -154,48 +139,6 @@ _BUNDLE = {
     },
 }
 
-SCHEMA = {
-    "type": "object",
-    "required": ["task"],
-    "properties": {
-        "task": {"enum": list(TASKS)},
-        "comment": {"type": "string"},
-        "algebroid": _ALGEBROID,
-        "source_algebroid": _ALGEBROID,
-        "bundle": _BUNDLE,
-        "rank": {"type": "integer", "minimum": 1},
-        "connection": _CONNECTION,
-        "connections": {"type": "object", "additionalProperties": _CONNECTION},
-        "tangent_connection": _CONNECTION,
-        "extension": _CONNECTION,
-        "subframe": _INDEX_LIST,
-        "field_subframe": _INDEX_LIST,
-        "complement": {"type": "object", "additionalProperties": _POLY_MATRIX},
-        "partial": _POLY_MATRIX,
-        "d_part": _TOTAL_FORM,
-        "alpha": _FORM,
-        "beta": _FORM,
-        "gamma": _FORM,
-        "index": {"type": "integer", "minimum": 1},
-        "indices": {"type": "array",
-                    "items": {"type": "integer", "minimum": 1}},
-        "bound": {"type": "integer", "minimum": 0},
-        "seed": {"type": "integer"},
-    },
-    "additionalProperties": False,
-}
-
-
-def validate_problem(data):
-    """Schema diagnostics for a problem payload; an empty list means valid."""
-    validator = jsonschema.Draft7Validator(SCHEMA)
-    out = []
-    for err in sorted(validator.iter_errors(data),
-                      key=lambda e: [str(p) for p in e.absolute_path]):
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        out.append(f"{where}: {err.message}")
-    return out
-
 
 # ----------------------------------------------------------------------
 # builders
@@ -240,27 +183,79 @@ def _subframe(data, task, rank, key="subframe"):
     return Subframe(rank, _need(data, task, key))
 
 
-def _complement_mats(data, algebroid, rank):
-    """Optional complement Christoffels; wire format is source-major per frame."""
+def _complement_mats(data, algebroid, subframe, rank):
+    """Optional complement Christoffels; wire format is source-major per frame.
+
+    Each key must name a frame index outside the subframe, written as a
+    plain decimal integer.
+    """
     raw = data.get("complement")
     if raw is None:
         return None
     out = {}
     for key, matrix in raw.items():
+        try:
+            index = int(key)
+        except ValueError:
+            index = None
+        if index is None or str(index) != key:
+            raise ParseError(f"complement key {key!r} is not a frame index")
+        if not 0 <= index < algebroid.rank:
+            raise ParseError(f"complement frame {index} is out of range for an "
+                             f"algebroid of rank {algebroid.rank}")
+        if index in subframe.indices:
+            raise ParseError(f"complement frame {index} lies in the subframe "
+                             f"{list(subframe.indices)}")
         gamma = [[algebroid.chart.poly(p) for p in row] for row in matrix]
         if len(gamma) != rank or any(len(row) != rank for row in gamma):
             raise MismatchError(f"complement matrix for frame {key} has wrong shape")
         # internal connection matrices are target-major
-        out[int(key)] = tuple(tuple(gamma[b][a] for b in range(rank))
-                              for a in range(rank))
+        out[index] = tuple(tuple(gamma[b][a] for b in range(rank))
+                           for a in range(rank))
     return out
 
 
-def _check(name, ok, witness=None):
-    entry = {"name": name, "pass": bool(ok)}
-    if witness is not None:
-        entry["witness"] = witness
-    return entry
+def _restricted(data, task, algebroid):
+    """The task's subframe and the algebroid restricted to it.
+
+    Returns (subframe, restricted, None) when the subframe is bracket
+    closed, else (subframe, None, report) with the failed closure check.
+    """
+    sub = _subframe(data, task, algebroid.rank)
+    bad = algebroid.subalgebroid_failures(sub)
+    if bad:
+        witness = [f"[e_{i}, e_{j}] has an e_{k} component" for i, j, k in bad]
+        return sub, None, {"construction": task,
+                           "checks": [_check("subframe_bracket_closed", False, witness)]}
+    return sub, algebroid.restrict(sub), None
+
+
+def _flat_on_subframe(data, task, algebroid):
+    """Subframe, flat connection and complement Christoffels of a Bott-type task.
+
+    The complement is read before the checks, so a malformed one is
+    refused as input whatever they find.  Returns (subframe, connection,
+    complement, None), else (subframe, None, None, report) with the failed
+    closure or flatness check.
+    """
+    sub, restricted, failed = _restricted(data, task, algebroid)
+    spec = _need(data, task, "connection")
+    rank = spec.get("rank", sub.rank)
+    complement = _complement_mats(data, algebroid, sub, rank)
+    if failed is not None:
+        return sub, None, None, failed
+    nabla_sub = _build_connection(spec, restricted, rank=rank)
+    if not nabla_sub.is_flat():
+        return sub, None, None, {"construction": task,
+                                 "checks": [_check("subframe_bracket_closed", True),
+                                            _check("flat_on_subframe", False)]}
+    return sub, nabla_sub, complement, None
+
+
+def _closed_first(report):
+    """Lead a subframe task's report with its passed closure check."""
+    report["checks"].insert(0, _check("subframe_bracket_closed", True))
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -358,75 +353,41 @@ def _task_obstruct_nrep(data, bound, seed):
 
 def _task_bott(data, bound, seed):
     algebroid = _build_algebroid(data, "bott")
-    sub = _subframe(data, "bott", algebroid.rank)
-    bad = algebroid.subalgebroid_failures(sub)
-    if bad:
-        witness = [f"[e_{i}, e_{j}] has an e_{k} component" for i, j, k in bad]
-        return {"construction": "bott",
-                "checks": [_check("subframe_bracket_closed", False, witness)]}
-    restricted = algebroid.restrict(sub)
-    spec = _need(data, "bott", "connection")
-    nabla_sub = _build_connection(spec, restricted,
-                                  rank=spec.get("rank", sub.rank))
-    if not nabla_sub.is_flat():
-        return {"construction": "bott",
-                "checks": [_check("subframe_bracket_closed", True),
-                           _check("flat_on_subframe", False)]}
-    report = bott_report(algebroid, sub, nabla_sub,
-                         complement=_complement_mats(data, algebroid,
-                                                     nabla_sub.rank))
-    report["checks"].insert(0, _check("subframe_bracket_closed", True))
-    return report
+    sub, nabla_sub, complement, failed = _flat_on_subframe(data, "bott", algebroid)
+    if failed is not None:
+        return failed
+    return _closed_first(bott_report(algebroid, sub, nabla_sub,
+                                     complement=complement))
 
 
 def _task_graded_bott(data, bound, seed):
     algebroid = _build_algebroid(data, "graded-bott")
-    rng = _rng(data, seed)
-    sub = _subframe(data, "graded-bott", algebroid.rank)
-    bad = algebroid.subalgebroid_failures(sub)
-    if bad:
-        witness = [f"[e_{i}, e_{j}] has an e_{k} component" for i, j, k in bad]
-        return {"construction": "graded-bott",
-                "checks": [_check("subframe_bracket_closed", False, witness)]}
-    restricted = algebroid.restrict(sub)
-    conn_sub = _build_cuth(data, "graded-bott", restricted, rng)
+    sub, restricted, failed = _restricted(data, "graded-bott", algebroid)
+    if failed is not None:
+        return failed
+    conn_sub = _build_cuth(data, "graded-bott", restricted, _rng(data, seed))
     square = square_zero_check(conn_sub)
     if not report_passed(square):
-        square["checks"].insert(0, _check("subframe_bracket_closed", True))
         square["construction"] = "graded-bott"
-        return square
-    report = graded_bott_report(algebroid, sub, conn_sub)
-    report["checks"].insert(0, _check("subframe_bracket_closed", True))
-    return report
+        return _closed_first(square)
+    return _closed_first(graded_bott_report(algebroid, sub, conn_sub))
 
 
 def _task_atiyah(data, bound, seed):
     algebroid = _build_algebroid(data, "atiyah")
-    sub = _subframe(data, "atiyah", algebroid.rank)
-    bad = algebroid.subalgebroid_failures(sub)
-    if bad:
-        witness = [f"[e_{i}, e_{j}] has an e_{k} component" for i, j, k in bad]
-        return {"construction": "atiyah",
-                "checks": [_check("subframe_bracket_closed", False, witness)]}
-    restricted = algebroid.restrict(sub)
-    spec = _need(data, "atiyah", "connection")
-    nabla_sub = _build_connection(spec, restricted,
-                                  rank=spec.get("rank", sub.rank))
-    if not nabla_sub.is_flat():
-        return {"construction": "atiyah",
-                "checks": [_check("subframe_bracket_closed", True),
-                           _check("flat_on_subframe", False)]}
+    sub, nabla_sub, complement, failed = _flat_on_subframe(data, "atiyah",
+                                                           algebroid)
+    if failed is not None:
+        return failed
     extension = None
     if "extension" in data:
         extension = _build_connection(data["extension"], algebroid,
                                       rank=nabla_sub.rank)
-    omega, report = atiyah_form(
-        algebroid, sub, nabla_sub, extension=extension,
-        complement=_complement_mats(data, algebroid, nabla_sub.rank))
-    report["checks"].insert(0, _check("subframe_bracket_closed", True))
+    omega, report = atiyah_form(algebroid, sub, nabla_sub, extension=extension,
+                                complement=complement)
     report["results"] = {"pairing_form": _form_json(omega),
                          "rendered": render_form(omega)}
-    return report
+    return _closed_first(report)
 
 
 def _task_massey(data, bound, seed):
@@ -584,6 +545,51 @@ _DISPATCH = {
     "morphism": _task_morphism,
     "transgression": _task_transgression,
 }
+
+# the one list of tasks: the schema enum and the CLI choices derive from it
+TASKS = tuple(_DISPATCH)
+
+SCHEMA = {
+    "type": "object",
+    "required": ["task"],
+    "properties": {
+        "task": {"enum": list(TASKS)},
+        "comment": {"type": "string"},
+        "algebroid": _ALGEBROID,
+        "source_algebroid": _ALGEBROID,
+        "bundle": _BUNDLE,
+        "rank": {"type": "integer", "minimum": 1},
+        "connection": _CONNECTION,
+        "connections": {"type": "object", "additionalProperties": _CONNECTION},
+        "tangent_connection": _CONNECTION,
+        "extension": _CONNECTION,
+        "subframe": _INDEX_LIST,
+        "field_subframe": _INDEX_LIST,
+        "complement": {"type": "object", "additionalProperties": _POLY_MATRIX},
+        "partial": _POLY_MATRIX,
+        "d_part": _TOTAL_FORM,
+        "alpha": _FORM,
+        "beta": _FORM,
+        "gamma": _FORM,
+        "index": {"type": "integer", "minimum": 1},
+        "indices": {"type": "array",
+                    "items": {"type": "integer", "minimum": 1}},
+        "bound": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer"},
+    },
+    "additionalProperties": False,
+}
+
+
+def validate_problem(data):
+    """Schema diagnostics for a problem payload; an empty list means valid."""
+    validator = jsonschema.Draft7Validator(SCHEMA)
+    out = []
+    for err in sorted(validator.iter_errors(data),
+                      key=lambda e: [str(p) for p in e.absolute_path]):
+        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
+        out.append(f"{where}: {err.message}")
+    return out
 
 
 def run_problem(data, task=None, bound=None, seed=None):

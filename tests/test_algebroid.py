@@ -9,8 +9,9 @@ import pytest
 from gradweil import catalog
 from gradweil.algebroid import Algebroid, Chart, Subframe, tangent_algebroid
 from gradweil.errors import MismatchError
-from gradweil.forms import Form, sort_with_sign
-from gradweil.randgen import random_form, random_poly, random_structure_perturbation
+from gradweil.forms import Form, GradedBundle, sort_with_sign
+from gradweil.randgen import (random_form, random_poly, random_structure_perturbation,
+                              random_total_form)
 from gradweil.ring import Poly
 
 POINT = Chart(())
@@ -287,6 +288,42 @@ def test_d_matches_the_koszul_formula(name):
                 image = a.d(form)
                 assert image == koszul_reference(a, form)
                 assert list(image.coeffs) == sorted(image.coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_d_acts_on_each_fiber_component_and_matrix_entry(name):
+    a = PRESENTATIONS[name]()
+    rng = random.Random(sum(map(ord, name)) + 5)
+    bundle = GradedBundle([(0, 2), (1, 1)])
+    for degree in range(a.rank + 1):
+        form = random_form(rng, a.variables, a.rank, degree, fiber_dim=3,
+                           max_poly_degree=2, density=4)
+        image = a.d(form)
+        assert image.fiber_dim == 3 and image.degree == degree + 1
+        assert list(image.coeffs) == sorted(image.coeffs)
+        for alpha in range(3):
+            component = Form(a.variables, a.rank, degree, 1,
+                             {(mi, 0): p for (mi, b), p in form.coeffs.items()
+                              if b == alpha})
+            expected = koszul_reference(a, component)
+            assert {mi: p for (mi, b), p in image.coeffs.items() if b == alpha} \
+                == {mi: p for (mi, _), p in expected.coeffs.items()}
+    for total_degree in range(-1, a.rank + 1):
+        K = random_total_form(rng, a.variables, a.rank, bundle, total_degree,
+                              max_poly_degree=2)
+        dK = a.d_total(K)
+        assert dK.total_degree == total_degree + 1
+        for (i, l, j), entries in K.blocks.items():
+            for b in range(bundle.rank(j)):
+                for c in range(bundle.rank(l)):
+                    entry = Form(a.variables, a.rank, i, 1,
+                                 {(mi, 0): mat[b][c] for mi, mat in entries.items()})
+                    expected = koszul_reference(a, entry)
+                    got = {mi: mat[b][c]
+                           for mi, mat in dK.block(i + 1, l, j).items()
+                           if not mat[b][c].is_zero()}
+                    assert got == {mi: p for (mi, _), p in expected.coeffs.items()}
+        assert set(dK.blocks) <= {(i + 1, l, j) for (i, l, j) in K.blocks}
 
 
 def test_d_sparse_on_aff1_action_line():

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, canonical output, corpus runner."""
 
+import importlib.util
 import json
 import pathlib
 import shutil
@@ -127,6 +128,17 @@ def test_all_tasks_have_dispatchers():
         assert diags == []  # schema-wise only "task" is required
 
 
+def test_task_registry_drives_schema_and_cli(tmp_path, capsys):
+    import gradweil.problems as problems
+    assert TASKS == tuple(problems._DISPATCH)
+    assert problems.SCHEMA["properties"]["task"]["enum"] == list(TASKS)
+    with pytest.raises(SystemExit) as exc:
+        main([write_problem(tmp_path, check_sl2_payload()), "--task", "frobnicate"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and all(repr(t) in err for t in TASKS)
+
+
 def test_run_problem_unknown_task():
     from gradweil.errors import ParseError
     with pytest.raises(ParseError):
@@ -191,6 +203,20 @@ def test_corpus_goldens_match_run_problem():
         assert canonical_json(run_problem(payload)).encode() == golden
 
 
+def test_corpus_is_exactly_what_the_regen_tool_writes():
+    spec = importlib.util.spec_from_file_location(
+        "regen_corpus", REPO / "tools" / "regen_corpus.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    names = [name for name, _ in tool.ENTRIES]
+    assert len(set(names)) == len(names)
+    managed = {f"{n}.json" for n in names} | {f"{n}.golden.json" for n in names}
+    assert {p.name for p in CORPUS.iterdir()} == managed
+    for name, payload in tool.ENTRIES:
+        expected = (json.dumps(payload, indent=1) + "\n").encode()
+        assert (CORPUS / f"{name}.json").read_bytes() == expected, name
+
+
 # --- out-of-range indices ------------------------------------------------------
 
 
@@ -242,3 +268,52 @@ def test_corpus_counts_internal_check_failure_as_error(tmp_path, capsys, monkeyp
     assert "1 entries: 0 ok, 0 new, 0 diff, 1 error" in captured.out
     assert "internal check failed" in captured.err
     assert "Traceback" not in captured.err
+
+
+# --- complement keys -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, key, message", [
+    ("bott_sl2_borel", "a", "not a frame index"),
+    ("bott_sl2_borel", "02", "not a frame index"),
+    ("bott_sl2_borel", "3", "frame 3 is out of range"),
+    ("bott_sl2_borel", "-1", "frame -1 is out of range"),
+    ("bott_sl2_borel", "1", "frame 1 lies in the subframe"),
+    ("atiyah_sl2_borel", "0", "frame 0 lies in the subframe"),
+])
+def test_bad_complement_key_exits_two(tmp_path, capsys, name, key, message):
+    payload = _corpus_payload(name)
+    payload["complement"] = {key: [["0"]]}
+    assert main([write_problem(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert "Traceback" not in err
+
+
+def test_bad_complement_key_exits_two_before_the_closure_check(tmp_path, capsys):
+    payload = _corpus_payload("bott_sl2_borel")
+    payload["subframe"] = [1, 2]  # [e_1, e_2] = e_0 leaves it
+    assert main([write_problem(tmp_path, payload)]) == 1
+    capsys.readouterr()
+    payload["complement"] = {"a": [["0"]]}
+    assert main([write_problem(tmp_path, payload)]) == 2
+    assert "not a frame index" in capsys.readouterr().err
+
+
+def test_complement_key_outside_the_subframe_is_used(tmp_path, capsys, monkeypatch):
+    import gradweil.problems as problems
+    seen = []
+
+    def spy(*args, complement=None):
+        seen.append(complement)
+        return original(*args, complement=complement)
+
+    original = problems.bott_report
+    monkeypatch.setattr(problems, "bott_report", spy)
+    payload = _corpus_payload("bott_sl2_borel")
+    payload["complement"] = {"2": [["1/2"]]}
+    assert main([write_problem(tmp_path, payload)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    [complement] = seen
+    assert list(complement) == [2]
+    assert str(complement[2][0][0]) == "1/2"

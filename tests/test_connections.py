@@ -1,5 +1,6 @@
 """Connections, twisted differentials, connections up to homotopy."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,21 +12,31 @@ from gradweil.connections import (
     LinearConnection,
     cuth_difference,
     extend_connection,
-    hom_flatten,
     induced_hom_connection,
     restrict_connection,
     two_term_connection,
 )
 from gradweil.errors import MismatchError
 from gradweil.algebroid import Subframe
-from gradweil.forms import Form, GradedBundle, GradedElement, TotalForm
+from gradweil.forms import (
+    Form,
+    GradedBundle,
+    GradedElement,
+    TotalForm,
+    graded_commutator,
+    mat_mul,
+    mat_zero,
+    sort_with_sign,
+)
 from gradweil.randgen import (
     random_cuth,
     random_form,
     random_linear_connection,
     random_matrix,
+    random_total_form,
 )
 from gradweil.ring import Poly
+from test_algebroid import PRESENTATIONS
 
 
 def scalar_aff1_connection():
@@ -53,7 +64,6 @@ def test_scalar_curvature_value():
     assert set(entries) == {(0, 1)}
     assert entries[(0, 1)][0][0].constant_value() == Fraction(-3)
     assert not nab.is_flat()
-    assert nab.curvature_matrix(0, 1)[0][0].constant_value() == Fraction(-3)
 
 
 def test_curvature_is_d_squared():
@@ -101,7 +111,7 @@ def test_hom_connection_leibniz():
         s = [p for (p,) in random_matrix(rng, 2, 1, a.variables)]
         for i in range(a.rank):
             # (nabla^Hom phi)(s) + phi(nabla s) == nabla'(phi s)
-            dphi_flat = hom.apply(i, hom_flatten(phi, a.variables))
+            dphi_flat = hom.apply(i, [p for row in phi for p in row])
             dphi = [dphi_flat[my * 2:(my + 1) * 2] for my in range(2)]
             phi_s = [sum((phi[m][al] * s[al] for al in range(2)),
                          Poly.zero(a.variables)) for m in range(2)]
@@ -271,3 +281,186 @@ def test_cuth_json_roundtrip():
     R = ConnectionUpToHomotopy(a, E, rebuilt_nablas, rebuilt_D)
     x = GradedElement.basis_section(a.variables, a.rank, E, 0, 0)
     assert (D.apply(x) + R.apply(x).scale(-1)).is_zero()
+
+
+# --- the Koszul formula as the oracle for the connection differentials ----------
+
+
+def koszul_linear_d(nabla, form):
+    """d_nabla of a bundle-valued form by the Koszul formula on frame elements.
+
+        (d w)(a_0..a_k) = sum_t (-1)^t nabla_{a_t} w(.. a_t ..)
+                        + sum_{s<t} (-1)^{s+t} w([a_s,a_t], .. a_s .. a_t ..)
+
+    It shares no code with `Algebroid.d_sparse` or the connection form.
+    """
+    A = nabla.algebroid
+    k = form.degree
+    coeffs = {}
+    for out_idx in itertools.combinations(range(A.rank), k + 1):
+        acc = [Poly.zero(A.variables) for _ in range(nabla.rank)]
+        for t in range(k + 1):
+            rest = out_idx[:t] + out_idx[t + 1:]
+            vec = form.fiber_vector(rest)
+            if all(p.is_zero() for p in vec):
+                continue
+            step = nabla.apply(out_idx[t], vec)
+            if t % 2:
+                step = [-p for p in step]
+            acc = [a + s for a, s in zip(acc, step)]
+        for s in range(k + 1):
+            for t in range(s + 1, k + 1):
+                rest = tuple(x for idx, x in enumerate(out_idx)
+                             if idx != s and idx != t)
+                sign_st = -1 if (s + t) % 2 else 1
+                for m, c in enumerate(A.structure[out_idx[s]][out_idx[t]]):
+                    if c.is_zero():
+                        continue
+                    sgn, mi = sort_with_sign((m,) + rest)
+                    if sgn == 0:
+                        continue
+                    factor = c if sign_st * sgn == 1 else -c
+                    acc = [a + factor * v
+                           for a, v in zip(acc, form.fiber_vector(mi))]
+        for beta, p in enumerate(acc):
+            if not p.is_zero():
+                coeffs[(out_idx, beta)] = p
+    return Form(A.variables, A.rank, k + 1, nabla.rank, coeffs)
+
+
+def curvature_matrix_reference(nabla, i, j):
+    """R(e_i, e_j) = rho_i G_j - rho_j G_i + [G_i, G_j] - G_[e_i, e_j], target-major."""
+    A = nabla.algebroid
+    gi, gj = nabla.mats[i], nabla.mats[j]
+    out = [[Poly.zero(A.variables) for _ in range(nabla.rank)]
+           for _ in range(nabla.rank)]
+    for b in range(nabla.rank):
+        for a in range(nabla.rank):
+            acc = A.anchor_apply(i, gj[b][a]) - A.anchor_apply(j, gi[b][a])
+            for m in range(nabla.rank):
+                acc = acc + gi[b][m] * gj[m][a] - gj[b][m] * gi[m][a]
+            for m, c in enumerate(A.structure[i][j]):
+                if not c.is_zero():
+                    acc = acc - c * nabla.mats[m][b][a]
+            out[b][a] = acc
+    return tuple(tuple(row) for row in out)
+
+
+def d_hom_reference(total_form, nablas):
+    """d_nabla^End of a TotalForm by the Koszul formula, block by block.
+
+    Block (i, l, j) is differentiated with the Hom connection of the pair
+    (nabla^l source, nabla^j target): the frame term acts on a matrix M as
+    rho(M) + G^j M - M G^l, with no graded sign.
+    """
+    A = next(iter(nablas.values())).algebroid
+    variables = A.variables
+    blocks = {}
+    for (i, l, j), entries in total_form.blocks.items():
+        g_src, g_dst = nablas[l].mats, nablas[j].mats
+        rows, cols = total_form.dst.rank(j), total_form.src.rank(l)
+
+        def block_matrix(mi, _entries=entries, _rows=rows, _cols=cols):
+            mat = _entries.get(mi)
+            return mat if mat is not None else mat_zero(_rows, _cols, variables)
+
+        out_entries = blocks.setdefault((i + 1, l, j), {})
+        for out_idx in itertools.combinations(range(A.rank), i + 1):
+            acc = [[Poly.zero(variables) for _ in range(cols)] for _ in range(rows)]
+            for t in range(i + 1):
+                rest = out_idx[:t] + out_idx[t + 1:]
+                mat = block_matrix(rest)
+                frame = out_idx[t]
+                gm = mat_mul(g_dst[frame], mat)
+                mg = mat_mul(mat, g_src[frame])
+                for b in range(rows):
+                    for a in range(cols):
+                        val = A.anchor_apply(frame, mat[b][a]) + gm[b][a] - mg[b][a]
+                        acc[b][a] = acc[b][a] + (-val if t % 2 else val)
+            for s in range(i + 1):
+                for t in range(s + 1, i + 1):
+                    rest = tuple(x for idx, x in enumerate(out_idx)
+                                 if idx != s and idx != t)
+                    sign_st = -1 if (s + t) % 2 else 1
+                    for m, c in enumerate(A.structure[out_idx[s]][out_idx[t]]):
+                        if c.is_zero():
+                            continue
+                        sgn, mi = sort_with_sign((m,) + rest)
+                        if sgn == 0:
+                            continue
+                        mat = block_matrix(mi)
+                        factor = c if sign_st * sgn == 1 else -c
+                        for b in range(rows):
+                            for a in range(cols):
+                                acc[b][a] = acc[b][a] + factor * mat[b][a]
+            out_entries[out_idx] = acc
+    return TotalForm(variables, total_form.frame_rank, total_form.src,
+                     total_form.dst, total_form.total_degree + 1, blocks)
+
+
+# bundles with summands of odd fiber degree, which the commutator sign sees
+ODD_BUNDLES = (
+    GradedBundle([(0, 1), (1, 2)]),
+    GradedBundle([(-1, 1), (0, 2), (1, 1)]),
+    GradedBundle([(0, 1), (1, 1), (2, 1), (3, 1)]),
+)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_linear_d_matches_the_koszul_formula(name):
+    a = PRESENTATIONS[name]()
+    rng = random.Random(sum(map(ord, name)) + 1)
+    for rank in (1, 2, 3):
+        nab = random_linear_connection(rng, a, rank, max_poly_degree=2)
+        for degree in range(a.rank + 1):
+            for _ in range(2):
+                form = random_form(rng, a.variables, a.rank, degree,
+                                   fiber_dim=rank, max_poly_degree=2, density=3)
+                assert nab.d(form) == koszul_linear_d(nab, form)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_curvature_matches_the_frame_formula(name):
+    a = PRESENTATIONS[name]()
+    rng = random.Random(sum(map(ord, name)) + 2)
+    for rank, label in ((1, 0), (2, -1), (3, 2)):
+        nab = random_linear_connection(rng, a, rank, max_poly_degree=2)
+        R = nab.curvature(degree_label=label)
+        assert set(R.blocks) <= {(2, label, label)}
+        for i, j in itertools.combinations(range(a.rank), 2):
+            assert (R.block_matrix((2, label, label), (i, j))
+                    == curvature_matrix_reference(nab, i, j))
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_d_end_is_d_a_plus_commutator_with_the_connection_form(name):
+    a = PRESENTATIONS[name]()
+    rng = random.Random(sum(map(ord, name)) + 3)
+    nonzero = 0
+    for bundle in ODD_BUNDLES:
+        conn = random_cuth(rng, a, bundle)
+        gamma = conn.connection_form()
+        for total_degree in range(-1, 4):
+            K = random_total_form(rng, a.variables, a.rank, bundle, total_degree)
+            expected = d_hom_reference(K, conn.nablas)
+            assert a.d_total(K) + graded_commutator(gamma, K) == expected
+            nonzero += not expected.is_zero()
+    assert nonzero
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_curvature_blockwise_matches_the_koszul_route(name):
+    a = PRESENTATIONS[name]()
+    rng = random.Random(sum(map(ord, name)) + 4)
+    nonzero = 0
+    for bundle in ODD_BUNDLES:
+        conn = random_cuth(rng, a, bundle)
+        expected = d_hom_reference(conn.D, conn.nablas) + conn.D.wedge(conn.D)
+        for z in bundle.degrees():
+            entries = {(i, j): curvature_matrix_reference(conn.nablas[z], i, j)
+                       for i, j in itertools.combinations(range(a.rank), 2)}
+            expected = expected + TotalForm(a.variables, a.rank, bundle, bundle,
+                                            2, {(2, z, z): entries})
+        assert conn.curvature_blockwise() == expected
+        nonzero += not expected.is_zero()
+    assert nonzero
