@@ -23,7 +23,10 @@ A `ConnectionUpToHomotopy` is a family of grading-preserving connections
 cal_D = d_nabla + hat(D).  Its curvature is the unique total form R with
 hat(R) = cal_D^2; the engine computes R both by squaring the operator on
 basis sections and by the blockwise formula R_nabla + d_nabla^End D +
-D wedge D, and raises InternalCheckError if the two routes ever disagree.
+D wedge D, and raises InternalCheckError, naming the first block where
+they differ, if the two routes ever disagree.  Its End differential
+[cal_D, -] is d_A K + [Gamma + D, K].  Connections do not change after
+construction, so each keeps its checked curvature.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .forms import (
     mat_mul,  # noqa: F401  perfbench/test_perfbench.py patches it through this module
     mat_neg,
     mat_zero,
+    unhat_from_sections,
 )
 from .ring import Poly
 
@@ -49,7 +53,7 @@ from .ring import Poly
 class LinearConnection:
     """An A-connection on a trivialized bundle, given by Christoffel matrices."""
 
-    __slots__ = ("algebroid", "rank", "mats")
+    __slots__ = ("algebroid", "rank", "mats", "_curvatures")
 
     def __init__(self, algebroid, rank, mats):
         self.algebroid = algebroid
@@ -64,6 +68,7 @@ class LinearConnection:
             if len(m) != self.rank or any(len(row) != self.rank for row in m):
                 raise MismatchError("Christoffel matrices must be rank x rank")
         self.mats = mats
+        self._curvatures = {}   # degree label -> curvature, computed once
 
     def _as_poly(self, p):
         if isinstance(p, Poly):
@@ -154,8 +159,12 @@ class LinearConnection:
 
         Cross-checked against the squared connection differential on every
         basis section; any disagreement is an engine bug and raises
-        InternalCheckError.
+        InternalCheckError.  A connection does not change after
+        construction, so the checked result is kept per degree label.
         """
+        cached = self._curvatures.get(degree_label)
+        if cached is not None:
+            return cached
         A = self.algebroid
         gamma = self.connection_form(degree_label)
         direct = A.d_total(gamma) + gamma.wedge(gamma)
@@ -172,6 +181,7 @@ class LinearConnection:
                             "curvature routes disagree: operator square vs "
                             f"d_A Gamma + Gamma^Gamma at (e_{i}, e_{j}), "
                             f"fiber ({beta},{alpha})")
+        self._curvatures[degree_label] = direct
         return direct
 
     def is_flat(self):
@@ -258,7 +268,7 @@ def induced_hom_connection(src, dst):
 class ConnectionUpToHomotopy:
     """cal_D = d_nabla + hat(D) on forms valued in a graded bundle."""
 
-    __slots__ = ("algebroid", "bundle", "nablas", "D")
+    __slots__ = ("algebroid", "bundle", "nablas", "D", "_curvature")
 
     def __init__(self, algebroid, bundle, nablas, D=None):
         self.algebroid = algebroid
@@ -282,6 +292,7 @@ class ConnectionUpToHomotopy:
         if D.variables != algebroid.variables or D.frame_rank != algebroid.rank:
             raise MismatchError("D lives over the wrong frame")
         self.D = D
+        self._curvature = None   # computed and cross-checked once
 
     @classmethod
     def from_linear(cls, nabla, degree_label=0):
@@ -354,17 +365,21 @@ class ConnectionUpToHomotopy:
 
         Computed by unhatting the squared operator on basis sections and
         cross-checked against the blockwise route; disagreement raises
-        InternalCheckError.
+        InternalCheckError naming the first block and multi-index where the
+        routes differ.  The checked result is kept on the instance.
         """
-        from .forms import unhat_from_sections
-
+        if self._curvature is not None:
+            return self._curvature
         operator_route = unhat_from_sections(
             lambda z, alpha: self.apply(self.apply(self.basis_element(z, alpha))),
             self.variables, self.algebroid.rank, self.bundle, self.bundle, 2)
         blockwise = self.curvature_blockwise()
         if operator_route != blockwise:
+            block, mi = _first_difference(operator_route, blockwise)
             raise InternalCheckError(
-                "curvature routes disagree: operator squaring vs blockwise formula")
+                "curvature routes disagree: operator squaring vs blockwise "
+                f"formula at block {block}, multi-index {mi}")
+        self._curvature = operator_route
         return operator_route
 
     def curvature_power(self, power):
@@ -383,22 +398,11 @@ class ConnectionUpToHomotopy:
     # -- induced End differential ------------------------------------------------
 
     def d_end(self, total_form):
-        """Unhat of [cal_D, hat(K)]: the degree-1 derivation on End-valued forms."""
+        """Unhat of [cal_D, hat(K)]: d_A K + [Gamma + D, K], Gamma the connection form."""
         if total_form.src != self.bundle or total_form.dst != self.bundle:
             raise MismatchError("d_end expects an End-valued total form")
-        from .forms import unhat_from_sections
-
-        sign = -1 if total_form.total_degree % 2 else 1
-
-        def action(z, alpha):
-            e = self.basis_element(z, alpha)
-            first = self.apply(total_form.apply(e))
-            second = total_form.apply(self.apply(e))
-            return first - second if sign == 1 else first + second
-
-        return unhat_from_sections(action, self.variables, self.algebroid.rank,
-                                   self.bundle, self.bundle,
-                                   total_form.total_degree + 1)
+        return (self.algebroid.d_total(total_form)
+                + graded_commutator(self.connection_form() + self.D, total_form))
 
     def __eq__(self, other):
         return (isinstance(other, ConnectionUpToHomotopy)
@@ -416,6 +420,16 @@ class ConnectionUpToHomotopy:
             ],
             "D": self.D.to_json(),
         }
+
+
+def _first_difference(left, right):
+    """The first (block, multi-index), in sorted order, where two total forms differ."""
+    for block in sorted(set(left.blocks) | set(right.blocks)):
+        entries = left.block(*block).keys() | right.block(*block).keys()
+        for mi in sorted(entries):
+            if left.block_matrix(block, mi) != right.block_matrix(block, mi):
+                return block, mi
+    return None, None
 
 
 def cuth_difference(new, old):

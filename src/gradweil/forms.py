@@ -21,11 +21,26 @@ Sign conventions (load-bearing, do not change casually):
 
 The explicit shuffle enumeration (`shuffles`) is kept around so tests can
 evaluate the textbook formula independently of the merge implementation.
+
+`TotalForm.wedge` and `TotalForm.apply_part` share one private matrix
+kernel, `_accumulate`.  Every output matrix entry is a single term dict
+{exponent: (numerator, denominator)}; sign * p * q of two Poly entries is
+added into it with integer arithmetic, zero entries are skipped, and on the
+point base (no chart variables) no exponents are added.  Each entry becomes
+a Poly, one reduced Fraction per term, only at the end, and cancelled terms,
+zero matrices and empty blocks are dropped, so results are structurally
+equal to the Poly-matrix product.  The small Poly-matrix helpers (`mat_mul`,
+`mat_add`, ...) stay public: the rest of the engine does matrix algebra on
+Christoffel data with them, and the tests build their wedge and hat
+references from `mat_mul`.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import gcd
+from operator import add
 
 from .errors import MismatchError, ParseError
 from .ring import Poly
@@ -127,17 +142,6 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            piece = x * y
-            acc = piece if acc is None else acc + piece
-        out.append(acc)
-    return out
-
-
 def mat_trace(a):
     t = None
     for i, row in enumerate(a):
@@ -147,6 +151,56 @@ def mat_trace(a):
 
 def mat_is_zero(a):
     return all(x.is_zero() for row in a for x in row)
+
+
+# ----------------------------------------------------------------------
+# the matrix kernel of TotalForm.wedge and TotalForm.apply_part
+
+
+def _terms(poly):
+    """The terms of a Poly as (exponent, numerator, denominator) triples."""
+    return tuple((e, q.numerator, q.denominator) for e, q in poly.terms.items())
+
+
+def _sparse_rows(mat):
+    """The nonzero entries of a Poly matrix, row by row: (column, terms) pairs."""
+    return tuple(tuple((c, _terms(p)) for c, p in enumerate(row) if p.terms)
+                 for row in mat)
+
+
+def _accumulate(cells, sign, left, right, point):
+    """cells += sign * (left @ right) for sparse rows `left` and `right`.
+
+    cells[r][c] maps an exponent to an unreduced (numerator, denominator)
+    pair with the denominator the lcm of those added, so a product of two
+    entries costs a few integer operations and no Poly or Fraction; on the
+    point base every exponent is (), so no exponents are added.
+    """
+    for r, row in enumerate(left):
+        out = cells[r]
+        for k, lterms in row:
+            for c, rterms in right[k]:
+                cell = out[c]
+                for e1, n1, d1 in lterms:
+                    n1 *= sign
+                    for e2, n2, d2 in rterms:
+                        e = e1 if point else tuple(map(add, e1, e2))
+                        n, d = n1 * n2, d1 * d2
+                        acc = cell.get(e)
+                        if acc is None:
+                            cell[e] = (n, d)
+                        elif acc[1] == d:
+                            cell[e] = (acc[0] + n, d)
+                        else:   # over the lcm, so denominators stay small
+                            an, ad = acc
+                            g = gcd(ad, d)
+                            cell[e] = (an * (d // g) + n * (ad // g), ad // g * d)
+
+
+def _cell_poly(cell, variables):
+    """The Poly of one accumulated cell; cancelled terms are dropped."""
+    return Poly._unchecked(
+        variables, {e: Fraction(n, d) for e, (n, d) in cell.items() if n})
 
 
 # ----------------------------------------------------------------------
@@ -642,58 +696,40 @@ class TotalForm:
             raise MismatchError("blocks do not compose: src != other.dst")
         if self.variables != other.variables or self.frame_rank != other.frame_rank:
             raise MismatchError("total forms live over different frames")
-        blocks: dict = {}
-        for (i1, m1, j), entries1 in self.blocks.items():
+        point = not self.variables
+        left_rows = {key: {mi: _sparse_rows(m) for mi, m in entries.items()}
+                     for key, entries in self.blocks.items()}
+        right_rows = left_rows if other is self else {
+            key: {mi: _sparse_rows(m) for mi, m in entries.items()}
+            for key, entries in other.blocks.items()}
+        cells: dict = {}
+        for (i1, m1, j), entries1 in left_rows.items():
             f1 = j - m1
-            for (i2, l, m2), entries2 in other.blocks.items():
+            rows = self.dst.rank(j)
+            for (i2, l, m2), entries2 in right_rows.items():
                 if m2 != m1:
                     continue
                 koszul = -1 if (f1 * i2) % 2 else 1
                 key = (i1 + i2, l, j)
-                for mi1, mat1 in entries1.items():
-                    for mi2, mat2 in entries2.items():
+                cols = other.src.rank(l)
+                for mi1, left in entries1.items():
+                    for mi2, right in entries2.items():
                         sign, merged = merge_indices(mi1, mi2)
                         if sign == 0:
                             continue
-                        prod = mat_mul(mat1, mat2)
-                        if sign * koszul == -1:
-                            prod = mat_neg(prod)
-                        tgt = blocks.setdefault(key, {})
+                        tgt = cells.setdefault(key, {})
                         acc = tgt.get(merged)
-                        tgt[merged] = prod if acc is None else mat_add(acc, prod)
-        for key in list(blocks):
-            for mi in list(blocks[key]):
-                if mat_is_zero(blocks[key][mi]):
-                    del blocks[key][mi]
-            if not blocks[key]:
-                del blocks[key]
+                        if acc is None:
+                            acc = tgt[merged] = [[{} for _ in range(cols)]
+                                                 for _ in range(rows)]
+                        _accumulate(acc, sign * koszul, left, right, point)
+        # the constructor drops zero matrices and empty blocks
+        blocks = {key: {merged: [[_cell_poly(cell, self.variables) for cell in row]
+                                 for row in acc]
+                        for merged, acc in tgt.items()}
+                  for key, tgt in cells.items()}
         return TotalForm(self.variables, self.frame_rank, other.src, self.dst,
                          self.total_degree + other.total_degree, blocks)
-
-    def wedge_scalar(self, form):
-        """Left wedge by a scalar Form (no Koszul factor: scalars are even)."""
-        if form.fiber_dim != 1:
-            raise MismatchError("wedge_scalar expects a scalar form")
-        blocks: dict = {}
-        for (i, l, j), entries in self.blocks.items():
-            key = (i + form.degree, l, j)
-            for mi1, mat in entries.items():
-                for (mi2, _), poly in form.coeffs.items():
-                    sign, merged = merge_indices(mi2, mi1)
-                    if sign == 0:
-                        continue
-                    scaled = mat_scale(poly if sign == 1 else -poly, mat)
-                    tgt = blocks.setdefault(key, {})
-                    acc = tgt.get(merged)
-                    tgt[merged] = scaled if acc is None else mat_add(acc, scaled)
-        for key in list(blocks):
-            for mi in list(blocks[key]):
-                if mat_is_zero(blocks[key][mi]):
-                    del blocks[key][mi]
-            if not blocks[key]:
-                del blocks[key]
-        return TotalForm(self.variables, self.frame_rank, self.src, self.dst,
-                         self.total_degree + form.degree, blocks)
 
     # -- operator action -----------------------------------------------------
 
@@ -708,37 +744,37 @@ class TotalForm:
             raise MismatchError("form fiber does not match the source summand")
         out = GradedElement(self.variables, self.frame_rank, self.dst)
         t = form.degree
+        point = not self.variables
+        # the form as one sparse column per multi-index, rows = fiber index
+        columns: dict = {}
+        for (mi, alpha), poly in form.coeffs.items():
+            column = columns.setdefault(mi, [()] * form.fiber_dim)
+            column[alpha] = ((0, _terms(poly)),)
         for (i, bl, j), entries in self.blocks.items():
             if bl != l:
                 continue
             koszul = -1 if ((j - l) * t) % 2 else 1
             rows = self.dst.rank(j)
-            coeffs: dict = {}
+            cells: dict = {}
             for mi1, mat in entries.items():
-                for mi2 in {mi for mi, _ in form.coeffs}:
+                left = _sparse_rows(mat)
+                for mi2, column in columns.items():
                     sign, merged = merge_indices(mi1, mi2)
                     if sign == 0:
                         continue
-                    vec = form.fiber_vector(mi2)
-                    total_sign = sign * koszul
-                    for beta in range(rows):
-                        val = None
-                        for a, v in enumerate(vec):
-                            piece = mat[beta][a] * v
-                            val = piece if val is None else val + piece
-                        if val is None or val.is_zero():
-                            continue
-                        if total_sign == -1:
-                            val = -val
-                        key = (merged, beta)
-                        acc = coeffs.get(key)
-                        acc = val if acc is None else acc + val
-                        if acc.is_zero():
-                            coeffs.pop(key, None)
-                        else:
-                            coeffs[key] = acc
-            part = Form(self.variables, self.frame_rank, t + i, rows, coeffs)
-            out = out + GradedElement.single(self.dst, part, j)
+                    acc = cells.get(merged)
+                    if acc is None:
+                        acc = cells[merged] = [[{}] for _ in range(rows)]
+                    _accumulate(acc, sign * koszul, left, column, point)
+            coeffs = {}
+            for merged, acc in cells.items():
+                for beta, (cell,) in enumerate(acc):
+                    poly = _cell_poly(cell, self.variables)
+                    if poly.terms:
+                        coeffs[(merged, beta)] = poly
+            if coeffs:
+                out.parts[(t + i, j)] = Form(self.variables, self.frame_rank,
+                                             t + i, rows, coeffs)
         return out
 
     def apply(self, element):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import MismatchError, ParseError
 
@@ -57,6 +58,15 @@ class Poly:
 
     # ------------------------------------------------------------------
     # constructors
+
+    @classmethod
+    def _unchecked(cls, variables, terms):
+        """A Poly on terms that are already clean: fitting exponents, nonzero
+        Fraction coefficients, and `variables` already a tuple.  No checks."""
+        out = cls.__new__(cls)
+        out.variables = variables
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, variables):
@@ -170,23 +180,21 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
-            acc = terms.get(expo, Fraction(0)) + coeff
+            acc = terms.get(expo)
+            if acc is None:
+                terms[expo] = coeff
+                continue
+            acc += coeff
             if acc:
                 terms[expo] = acc
-            elif expo in terms:
+            else:
                 del terms[expo]
-        out = Poly.__new__(Poly)
-        out.variables = self.variables
-        out.terms = terms
-        return out
+        return Poly._unchecked(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.variables = self.variables
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Poly._unchecked(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -207,16 +215,17 @@ class Poly:
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(expo, Fraction(0)) + c1 * c2
+                expo = tuple(map(add, e1, e2))
+                acc = terms.get(expo)
+                if acc is None:
+                    terms[expo] = c1 * c2
+                    continue
+                acc += c1 * c2
                 if acc:
                     terms[expo] = acc
-                elif expo in terms:
+                else:
                     del terms[expo]
-        out = Poly.__new__(Poly)
-        out.variables = self.variables
-        out.terms = terms
-        return out
+        return Poly._unchecked(self.variables, terms)
 
     __rmul__ = __mul__
 

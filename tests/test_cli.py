@@ -270,6 +270,21 @@ def test_corpus_counts_internal_check_failure_as_error(tmp_path, capsys, monkeyp
     assert "Traceback" not in captured.err
 
 
+def test_disagreeing_curvature_routes_exit_three_naming_the_block(tmp_path, capsys,
+                                                                  monkeypatch):
+    from gradweil.connections import ConnectionUpToHomotopy
+
+    original = ConnectionUpToHomotopy.curvature_blockwise
+    monkeypatch.setattr(ConnectionUpToHomotopy, "curvature_blockwise",
+                        lambda self: original(self).scale(2))
+    assert main([str(CORPUS / "obstruct_aff1_mixed.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: internal check failed: curvature routes disagree: operator "
+        "squaring vs blockwise formula at block (2, 0, 0), multi-index (0, 1)\n")
+    assert "Traceback" not in captured.err + captured.out
+
+
 # --- complement keys -----------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from gradweil.connections import (
     restrict_connection,
     two_term_connection,
 )
-from gradweil.errors import MismatchError
+from gradweil.errors import InternalCheckError, MismatchError
 from gradweil.algebroid import Subframe
 from gradweil.forms import (
     Form,
@@ -27,6 +27,7 @@ from gradweil.forms import (
     mat_mul,
     mat_zero,
     sort_with_sign,
+    unhat_from_sections,
 )
 from gradweil.randgen import (
     random_cuth,
@@ -464,3 +465,134 @@ def test_curvature_blockwise_matches_the_koszul_route(name):
         assert conn.curvature_blockwise() == expected
         nonzero += not expected.is_zero()
     assert nonzero
+
+
+# --- d^End from the kernel against the operator commutator -----------------------
+
+
+def d_end_reference(conn, K):
+    """Unhat of [cal_D, hat(K)] = cal_D hat(K) - (-1)^|K| hat(K) cal_D.
+
+    Squares operators on basis sections; it shares no code with
+    `Algebroid.d_total` or `graded_commutator`.
+    """
+    sign = -1 if K.total_degree % 2 else 1
+
+    def action(z, alpha):
+        e = conn.basis_element(z, alpha)
+        first = conn.apply(K.apply(e))
+        second = K.apply(conn.apply(e))
+        return first - second if sign == 1 else first + second
+
+    return unhat_from_sections(action, conn.variables, conn.algebroid.rank,
+                               conn.bundle, conn.bundle, K.total_degree + 1)
+
+
+D_END_BUNDLES = (
+    GradedBundle([(0, 2), (1, 2), (2, 1)]),
+    GradedBundle([(-1, 1), (0, 2), (1, 1)]),
+)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_d_end_matches_the_operator_commutator(name):
+    a = PRESENTATIONS[name]()
+    rng = random.Random(sum(map(ord, name)) + 6)
+    nonzero = 0
+    for bundle in D_END_BUNDLES:
+        conn = random_cuth(rng, a, bundle)
+        for total_degree in (-1, 0, 1, 2):
+            K = random_total_form(rng, a.variables, a.rank, bundle, total_degree)
+            dK = conn.d_end(K)
+            assert dK.total_degree == total_degree + 1
+            assert dK == d_end_reference(conn, K)
+            nonzero += not dK.is_zero()
+    assert nonzero
+
+
+def test_d_end_does_not_square_operators(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("d_end called unhat_from_sections")
+
+    monkeypatch.setattr("gradweil.forms.unhat_from_sections", refuse)
+    monkeypatch.setattr("gradweil.connections.unhat_from_sections", refuse)
+    rng = random.Random(71)
+    a = catalog.sl2()
+    conn = random_cuth(rng, a, D_END_BUNDLES[0])
+    K = random_total_form(rng, a.variables, a.rank, D_END_BUNDLES[0], 1)
+    conn.d_end(K)
+
+
+# --- the curvature is computed, and cross-checked, once per connection -----------
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def test_cuth_curvature_runs_each_route_once_per_instance(monkeypatch):
+    import gradweil.connections as connections
+
+    counts = {}
+    _count_calls(monkeypatch, connections, "unhat_from_sections", counts)
+    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_blockwise", counts)
+    rng = random.Random(73)
+    a = catalog.sl2()
+    conn = random_cuth(rng, a, D_END_BUNDLES[0])
+    R = conn.curvature()
+    assert counts == {"unhat_from_sections": 1, "curvature_blockwise": 1}
+    assert conn.curvature() is R
+    assert conn.curvature_power(2) == R.wedge(R)
+    assert conn.curvature_power(1) is R
+    assert counts == {"unhat_from_sections": 1, "curvature_blockwise": 1}
+    # a second instance with the same data computes, and checks, afresh
+    twin = ConnectionUpToHomotopy(a, conn.bundle, conn.nablas, conn.D)
+    assert twin.curvature() == R
+    assert counts == {"unhat_from_sections": 2, "curvature_blockwise": 2}
+
+
+def test_linear_curvature_runs_each_route_once_per_label(monkeypatch):
+    counts = {}
+    rng = random.Random(79)
+    a = catalog.aff1_action_line()
+    nab = random_linear_connection(rng, a, 2)
+    _count_calls(monkeypatch, type(a), "d_total", counts)
+    _count_calls(monkeypatch, LinearConnection, "d", counts)
+    R = nab.curvature()
+    # direct route: one d_A Gamma; operator route: d_nabla twice per basis section
+    assert counts == {"d_total": 1, "d": 4}
+    assert nab.curvature() is R
+    assert nab.is_flat() is R.is_zero()
+    assert counts == {"d_total": 1, "d": 4}
+    shifted = nab.curvature(degree_label=1)
+    assert set(shifted.blocks) == {(2, 1, 1)}
+    assert nab.curvature(degree_label=1) is shifted
+    assert counts == {"d_total": 2, "d": 8}
+
+
+# --- a disagreement names where the two curvature routes differ ----------------------
+
+
+def test_curvature_disagreement_names_the_block_and_multi_index(monkeypatch):
+    rng = random.Random(83)
+    a = catalog.sl2()
+    bundle = D_END_BUNDLES[0]
+    conn = random_cuth(rng, a, bundle)
+    one = Poly.one(a.variables)
+    bump = TotalForm(a.variables, a.rank, bundle, bundle, 2,
+                     {(1, 1, 2): {(2,): [[one, one]]},
+                      (2, 1, 1): {(0, 2): [[one, -one], [one, one]]}})
+    original = ConnectionUpToHomotopy.curvature_blockwise
+    monkeypatch.setattr(ConnectionUpToHomotopy, "curvature_blockwise",
+                        lambda self: original(self) + bump)
+    with pytest.raises(InternalCheckError) as caught:
+        conn.curvature()
+    assert str(caught.value) == (
+        "curvature routes disagree: operator squaring vs blockwise formula "
+        "at block (1, 1, 2), multi-index (2,)")

@@ -11,6 +11,7 @@ from gradweil.errors import MismatchError
 from gradweil.forms import (
     Form,
     GradedBundle,
+    GradedElement,
     TotalForm,
     extend_form,
     extend_total_form,
@@ -18,6 +19,10 @@ from gradweil.forms import (
     gtr,
     hat_roundtrip,
     ideal_membership,
+    mat_add,
+    mat_is_zero,
+    mat_mul,
+    mat_neg,
     merge_indices,
     render_form,
     restrict_form,
@@ -299,3 +304,178 @@ def test_degree_mismatch_rejected():
         TotalForm(VS, 2, TWO_TERM, TWO_TERM, 1, {(0, 0, 0): {(): [[one]]}})
     with pytest.raises(MismatchError):
         Form(VS, 2, 1, 1, {((0, 1), 0): one})
+
+
+# --- the matrix kernel against the Poly-matrix references -------------------
+
+
+def wedge_reference(K, L):
+    """K.wedge(L) by Poly matrices: shuffle sign times Koszul factor times mat_mul.
+
+    The block product as it stood before the term-dict kernel; it shares
+    only `merge_indices` and the Poly arithmetic with `TotalForm.wedge`.
+    """
+    blocks = {}
+    for (i1, m1, j), entries1 in K.blocks.items():
+        f1 = j - m1
+        for (i2, l, m2), entries2 in L.blocks.items():
+            if m2 != m1:
+                continue
+            koszul = -1 if (f1 * i2) % 2 else 1
+            key = (i1 + i2, l, j)
+            for mi1, mat1 in entries1.items():
+                for mi2, mat2 in entries2.items():
+                    sign, merged = merge_indices(mi1, mi2)
+                    if sign == 0:
+                        continue
+                    prod = mat_mul(mat1, mat2)
+                    if sign * koszul == -1:
+                        prod = mat_neg(prod)
+                    tgt = blocks.setdefault(key, {})
+                    acc = tgt.get(merged)
+                    tgt[merged] = prod if acc is None else mat_add(acc, prod)
+    return TotalForm(K.variables, K.frame_rank, L.src, K.dst,
+                     K.total_degree + L.total_degree, blocks)
+
+
+def apply_part_reference(K, form, l):
+    """hat(K) on an E_l-valued form, one Poly product per matrix entry."""
+    out = GradedElement(K.variables, K.frame_rank, K.dst)
+    t = form.degree
+    for (i, bl, j), entries in K.blocks.items():
+        if bl != l:
+            continue
+        koszul = -1 if ((j - l) * t) % 2 else 1
+        coeffs = {}
+        for mi1, mat in entries.items():
+            for mi2 in {mi for mi, _ in form.coeffs}:
+                sign, merged = merge_indices(mi1, mi2)
+                if sign == 0:
+                    continue
+                vec = form.fiber_vector(mi2)
+                for beta in range(K.dst.rank(j)):
+                    val = Poly.zero(K.variables)
+                    for a, v in enumerate(vec):
+                        val = val + mat[beta][a] * v
+                    if sign * koszul == -1:
+                        val = -val
+                    key = (merged, beta)
+                    coeffs[key] = coeffs.get(key, Poly.zero(K.variables)) + val
+        part = Form(K.variables, K.frame_rank, t + i, K.dst.rank(j), coeffs)
+        out = out + GradedElement.single(K.dst, part, j)
+    return out
+
+
+def kernel_poly(rng, variables):
+    """A Poly with non-integer coefficients, zero a quarter of the time."""
+    if rng.random() < 0.25:
+        return Poly.zero(variables)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        expo = tuple(rng.randint(0, 1) for _ in variables)
+        terms[expo] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))
+    return Poly(variables, terms)
+
+
+def kernel_total_form(rng, variables, frame_rank, bundle, total_degree):
+    """Random blocks in every admissible slot, with zero entries and Fractions."""
+    blocks = {}
+    for l in bundle.degrees():
+        for j in bundle.degrees():
+            i = total_degree + l - j
+            if not 0 <= i <= frame_rank:
+                continue
+            entries = {mi: [[kernel_poly(rng, variables)
+                             for _ in range(bundle.rank(l))]
+                            for _ in range(bundle.rank(j))]
+                       for mi in itertools.combinations(range(frame_rank), i)
+                       if rng.random() < 0.6}
+            if entries:
+                blocks[(i, l, j)] = entries
+    return TotalForm(variables, frame_rank, bundle, bundle, total_degree, blocks)
+
+
+def assert_nothing_zero_stored(K):
+    for entries in K.blocks.values():
+        assert entries
+        for mat in entries.values():
+            assert not mat_is_zero(mat)
+            assert all(c != 0 for row in mat for p in row for c in p.terms.values())
+
+
+# odd and negative summand degrees, on the point base and on TR^2
+KERNEL_BUNDLES = (
+    GradedBundle([(0, 2), (1, 2), (2, 1)]),
+    GradedBundle([(-1, 1), (0, 2), (1, 1)]),
+    GradedBundle([(-2, 1), (1, 2), (3, 1)]),
+)
+KERNEL_BASES = ((), ("x", "y"))
+
+
+@pytest.mark.parametrize("variables", KERNEL_BASES)
+def test_kernel_wedge_matches_the_reference(variables):
+    rng = random.Random(59 + len(variables))
+    nonzero = 0
+    for bundle in KERNEL_BUNDLES:
+        for _ in range(6):
+            K = kernel_total_form(rng, variables, 3, bundle, rng.randint(-1, 3))
+            L = kernel_total_form(rng, variables, 3, bundle, rng.randint(-1, 3))
+            W = K.wedge(L)
+            assert W == wedge_reference(K, L)
+            assert W.total_degree == K.total_degree + L.total_degree
+            assert_nothing_zero_stored(W)
+            assert K.wedge(K) == wedge_reference(K, K)
+            nonzero += not W.is_zero()
+    assert nonzero > 6
+
+
+def test_kernel_wedge_drops_cancelled_entries_and_matrices():
+    # [[1, 1]] @ [[1], [-1]] cancels to a zero matrix, which is not stored
+    for variables in KERNEL_BASES:
+        one = Poly.one(variables)
+        bundle = GradedBundle([(0, 2)])
+        line = GradedBundle([(0, 1)])
+        K = TotalForm(variables, 2, bundle, line, 0, {(0, 0, 0): {(): [[one, one]]}})
+        L = TotalForm(variables, 2, line, bundle, 1, {(1, 0, 0): {(0,): [[one], [-one]]}})
+        assert K.wedge(L).is_zero()
+        # eps1 (x) M and eps2 (x) M wedge to opposite signs on eps1^eps2
+        M = TotalForm(variables, 2, bundle, bundle, 1,
+                      {(1, 0, 0): {(0,): [[one, one], [one, one]],
+                                   (1,): [[one, one], [one, one]]}})
+        assert M.wedge(M).is_zero()
+
+
+@pytest.mark.parametrize("variables", KERNEL_BASES)
+def test_kernel_apply_part_matches_the_reference(variables):
+    rng = random.Random(61 + len(variables))
+    nonzero = 0
+    for bundle in KERNEL_BUNDLES:
+        for _ in range(12):
+            K = kernel_total_form(rng, variables, 3, bundle, rng.randint(-1, 3))
+            l, t = rng.choice(bundle.degrees()), rng.randint(0, 2)
+            coeffs = {(mi, a): kernel_poly(rng, variables)
+                      for mi in itertools.combinations(range(3), t)
+                      for a in range(bundle.rank(l)) if rng.random() < 0.7}
+            form = Form(variables, 3, t, bundle.rank(l), coeffs)
+            image = K.apply_part(form, l)
+            assert image == apply_part_reference(K, form, l)
+            for part in image.parts.values():
+                assert not part.is_zero()
+                assert all(not p.is_zero() for p in part.coeffs.values())
+                assert all(c != 0 for p in part.coeffs.values() for c in p.terms.values())
+            nonzero += not image.is_zero()
+    assert nonzero > 12
+
+
+@pytest.mark.parametrize("variables", KERNEL_BASES)
+def test_kernel_wedge_is_composition_on_basis_sections(variables):
+    rng = random.Random(67 + len(variables))
+    for bundle in KERNEL_BUNDLES:
+        for _ in range(4):
+            K = kernel_total_form(rng, variables, 3, bundle, rng.randint(-1, 2))
+            L = kernel_total_form(rng, variables, 3, bundle, rng.randint(-1, 2))
+            W = K.wedge(L)
+            for z, r in bundle.summands:
+                for alpha in range(r):
+                    e = GradedElement.basis_section(variables, 3, bundle, z, alpha)
+                    assert W.apply(e) == K.apply(L.apply(e))

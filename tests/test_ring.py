@@ -112,3 +112,56 @@ def test_variable_mismatch():
     q = Poly.variable(("t",), 0)
     with pytest.raises(Exception):
         p + q
+
+
+# --- cancellation: no zero coefficient is ever stored ------------------------
+
+POINT = ()
+point_polys = poly_strategy(variables=POINT)
+
+
+def assert_clean(p):
+    assert all(c != 0 for c in p.terms.values())
+    assert all(len(e) == len(p.variables) for e in p.terms)
+
+
+def test_sum_cancels_to_zero_on_both_bases():
+    for variables in (POINT, VARS):
+        p = Poly.constant(variables, Fraction(5, 6))
+        q = Poly.constant(variables, Fraction(-5, 6))
+        assert (p + q).terms == {}
+        assert (p - p).terms == {}
+        assert (p + Fraction(-5, 6)).terms == {}
+    x = Poly.variable(VARS, 0)
+    s = (x + Fraction(1, 3)) + (Fraction(-1, 3) - x * 2)
+    assert s.terms == {(1, 0): Fraction(-1)}
+
+
+def test_product_cancels_to_zero_on_both_bases():
+    for variables in (POINT, VARS):
+        c = Poly.constant(variables, Fraction(-7, 4))
+        zero = Poly.zero(variables)
+        assert (c * zero).terms == {} and (zero * c).terms == {}
+        assert (c * 0).terms == {}
+        assert (c * Fraction(-4, 7)).terms == {(0,) * len(variables): Fraction(1)}
+    x, y = Poly.variable(VARS, 0), Poly.variable(VARS, 1)
+    # the x*y terms cancel inside one product
+    p = (x + y * Fraction(1, 2)) * (x - y * Fraction(1, 2))
+    assert p.terms == {(2, 0): Fraction(1), (0, 2): Fraction(-1, 4)}
+
+
+@given(point_polys, point_polys)
+@settings(max_examples=60, deadline=None)
+def test_point_base_arithmetic_is_rational_arithmetic(p, q):
+    a, b = p.constant_value(), q.constant_value()
+    for result, value in ((p + q, a + b), (p - q, a - b), (p * q, a * b)):
+        assert_clean(result)
+        assert result.constant_value() == value
+        assert result.terms == ({(): value} if value else {})
+
+
+@given(polys, polys)
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_stores_no_zero_coefficient(p, q):
+    for result in (p + q, p - q, p * q, p * (-q), (p + q) * (p - q)):
+        assert_clean(result)
