@@ -21,7 +21,7 @@ from fractions import Fraction
 from .connections import ConnectionUpToHomotopy, cuth_difference
 from .errors import InternalCheckError, MismatchError, NotClosedError
 from .forms import Form, TotalForm, gtr, tr
-from .linalg import independent_columns, nullspace, solve, solve_sparse
+from .linalg import nullspace, rref, solve, transpose
 from .ring import Poly
 
 _ONE = Fraction(1)
@@ -147,9 +147,12 @@ def anchor_pullback_character(algebroid, base_connection, index):
 class CohomologyBasis:
     """Exact Chevalley-Eilenberg cohomology of a point-base algebroid.
 
-    Stores, per degree, the coboundary matrices, chosen representative
-    cocycles, and enough data to decompose any closed form into class
-    coefficients plus an explicit primitive.
+    Stores, per degree, the coboundary as sparse columns, chosen
+    representative cocycles, and enough data to decompose any closed form
+    into class coefficients plus an explicit primitive.  `d_cols[k]` holds
+    the image of each basis cochain of `bases[k]` under `Algebroid.d_sparse`
+    as a {index in bases[k + 1]: value} dict; cochains and representatives
+    are sparse vectors {index in bases[k]: value} of the same kind.
     """
 
     def __init__(self, algebroid):
@@ -160,47 +163,36 @@ class CohomologyBasis:
         r = algebroid.rank
         self.bases = {k: list(itertools.combinations(range(r), k))
                       for k in range(r + 2)}
-        self.d_mats = {}
+        self.d_cols = {}
         for k in range(r + 1):
-            rows = {mi: idx for idx, mi in enumerate(self.bases[k + 1])}
-            # keep one explicit zero row at the top degree so the kernel
-            # computation still sees the right number of columns
-            mat = ([[Fraction(0)] * len(self.bases[k]) for _ in rows] if rows
-                   else [[Fraction(0)] * len(self.bases[k])])
-            for col, mi in enumerate(self.bases[k]):
-                for (out_mi, _), val in algebroid.d_sparse({(mi, ()): _ONE}).items():
-                    mat[rows[out_mi]][col] = val
-            self.d_mats[k] = mat
+            index = {mi: i for i, mi in enumerate(self.bases[k + 1])}
+            self.d_cols[k] = [
+                {index[out_mi]: val for (out_mi, _), val
+                 in algebroid.d_sparse({(mi, ()): _ONE}).items()}
+                for mi in self.bases[k]]
         self.rep_vectors = {}
         self.representatives = {}
         for k in range(r + 1):
             self._pick_representatives(k)
 
     def form_to_vector(self, form):
-        return [form.get(mi).constant_value() for mi in self.bases[form.degree]]
+        index = {mi: i for i, mi in enumerate(self.bases[form.degree])}
+        return {index[mi]: poly.constant_value()
+                for (mi, _), poly in form.coeffs.items()}
 
     def vector_to_form(self, k, vec):
-        coeffs = {}
-        for mi, val in zip(self.bases[k], vec):
-            if val:
-                coeffs[(mi, 0)] = Poly.constant(self.algebroid.variables, val)
-        return Form(self.algebroid.variables, self.algebroid.rank, k, 1, coeffs)
+        variables = self.algebroid.variables
+        coeffs = {(self.bases[k][i], 0): Poly.constant(variables, val)
+                  for i, val in sorted(vec.items()) if val}
+        return Form(variables, self.algebroid.rank, k, 1, coeffs)
 
     def _pick_representatives(self, k):
-        cocycles = nullspace(self.d_mats[k]) if self.bases[k] else []
-        boundary_cols = []
-        if k > 0 and self.bases[k - 1]:
-            mat = self.d_mats[k - 1]
-            boundary_cols = [[row[c] for row in mat]
-                             for c in range(len(self.bases[k - 1]))]
-        columns = boundary_cols + cocycles
-        if not columns:
-            self.rep_vectors[k] = []
-            self.representatives[k] = []
-            return
-        stacked = [[col[r] for col in columns] for r in range(len(self.bases[k]))]
-        pivots = independent_columns(stacked)
-        reps = [columns[p] for p in pivots if p >= len(boundary_cols)]
+        n = len(self.bases[k])
+        cocycles = nullspace(transpose(self.d_cols[k], len(self.bases[k + 1])), n)
+        boundaries = self.d_cols[k - 1] if k > 0 else []
+        columns = boundaries + cocycles
+        pivots = rref(transpose(columns, n), len(columns))[1]
+        reps = [columns[p] for p in pivots if p >= len(boundaries)]
         self.rep_vectors[k] = reps
         self.representatives[k] = [self.vector_to_form(k, v) for v in reps]
 
@@ -223,23 +215,12 @@ class CohomologyBasis:
             return [], Form.zero(self.algebroid.variables, self.algebroid.rank,
                                  max(k - 1, 0))
         reps = self.rep_vectors[k]
-        n_prim = len(self.bases[k - 1]) if k > 0 else 0
-        columns = list(reps)
-        if k > 0:
-            mat = self.d_mats[k - 1]
-            columns += [[row[c] for row in mat] for c in range(n_prim)]
-        vec = self.form_to_vector(form)
-        if not columns:
-            if any(vec):
-                raise InternalCheckError("closed form outside the cocycle space")
-            return [], Form.zero(self.algebroid.variables, self.algebroid.rank,
-                                 max(k - 1, 0))
-        stacked = [[col[r] for col in columns] for r in range(len(vec))]
-        sol = solve(stacked, vec)
+        columns = reps + (self.d_cols[k - 1] if k > 0 else [])
+        rows = transpose(columns, len(self.bases[k]))
+        sol = solve(rows, self.form_to_vector(form), len(columns))
         if sol is None:
             raise InternalCheckError("closed form failed to decompose")
-        coeffs = sol[:len(reps)]
-        prim_vec = sol[len(reps):]
+        coeffs, prim_vec = sol[:len(reps)], dict(enumerate(sol[len(reps):]))
         primitive = (self.vector_to_form(k - 1, prim_vec) if k > 0
                      else Form.zero(self.algebroid.variables,
                                     self.algebroid.rank, 0))
@@ -354,7 +335,7 @@ def is_exact(algebroid, form, bound=None):
         bound = 0
     variables = algebroid.variables
     unknowns, rows, rhs = _exactness_system(algebroid, form, bound)
-    sol = solve_sparse(rows, rhs, len(unknowns))
+    sol = solve(rows, rhs, len(unknowns))
     if sol is None:
         return ExactnessResult("not_exact" if point else "undecided", None)
     coeffs = {}
@@ -476,16 +457,11 @@ def massey_triple(algebroid, alpha, beta, gamma, bound=None):
         ideal_vectors.append(cohomology.class_vector(alpha.wedge(h)))
     for h in cohomology.representatives.get(target - gamma.degree, []):
         ideal_vectors.append(cohomology.class_vector(h.wedge(gamma)))
-    dim_target = cohomology.dim(target)
-    basis = []
-    if ideal_vectors and dim_target:
-        stacked = [[vec[r] for vec in ideal_vectors] for r in range(dim_target)]
-        basis = [ideal_vectors[p] for p in independent_columns(stacked)]
+    # the ideal's class vectors as sparse columns over H^target
+    columns = [{i: c for i, c in enumerate(vec) if c} for vec in ideal_vectors]
+    rows = transpose(columns, cohomology.dim(target))
+    basis = [ideal_vectors[p] for p in rref(rows, len(ideal_vectors))[1]]
     cls = cohomology.class_vector(representative)
-    if basis:
-        stacked = [[vec[r] for vec in basis] for r in range(dim_target)]
-        in_ideal = solve(stacked, cls) is not None
-    else:
-        in_ideal = all(c == 0 for c in cls)
+    in_ideal = solve(rows, dict(enumerate(cls)), len(ideal_vectors)) is not None
     return MasseyReport(True, "ok", representative, w, eta, cls, basis,
                         not in_ideal)

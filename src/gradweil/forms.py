@@ -607,11 +607,6 @@ class TotalForm:
         return cls(variables, frame_rank, src, dst, total_degree)
 
     @classmethod
-    def single_block(cls, variables, frame_rank, src, dst, block, entries):
-        i, l, j = block
-        return cls(variables, frame_rank, src, dst, i + j - l, {block: entries})
-
-    @classmethod
     def identity(cls, variables, frame_rank, bundle):
         blocks = {}
         for z, r in bundle.summands:
@@ -938,17 +933,6 @@ def unhat_from_sections(action, variables, frame_rank, src, dst, total_degree):
     return TotalForm(variables, frame_rank, src, dst, total_degree, frozen)
 
 
-def hat_roundtrip(total_form):
-    """Reconstruct a TotalForm through its operator action; must be identity."""
-    return unhat_from_sections(
-        lambda l, alpha: total_form.apply(
-            GradedElement.basis_section(total_form.variables,
-                                        total_form.frame_rank,
-                                        total_form.src, l, alpha)),
-        total_form.variables, total_form.frame_rank,
-        total_form.src, total_form.dst, total_form.total_degree)
-
-
 # ----------------------------------------------------------------------
 # annihilator ideals and adapted-frame restriction
 
@@ -971,35 +955,6 @@ def ideal_membership(form, indices, p):
             for mi in entries
         )
     return all(outside_count(mi, inside) >= p for (mi, _) in form.coeffs)
-
-
-def restrict_form(form, indices):
-    """Pull a Form back along the inclusion of an adapted subframe.
-
-    Keeps only multi-indices inside `indices` and renumbers them 0..len-1.
-    """
-    indices = tuple(sorted(indices))
-    lookup = {g: i for i, g in enumerate(indices)}
-    coeffs = {}
-    for (mi, a), poly in form.coeffs.items():
-        if all(i in lookup for i in mi):
-            coeffs[(tuple(lookup[i] for i in mi), a)] = poly
-    return Form(form.variables, len(indices), form.degree, form.fiber_dim, coeffs)
-
-
-def extend_form(form, indices, frame_rank):
-    """Push a Form on a subframe to the full frame (zero outside the subframe).
-
-    This is the complement-dependent extension: coefficients are reindexed
-    through `indices`, everything else is zero.
-    """
-    indices = tuple(sorted(indices))
-    if len(indices) != form.frame_rank:
-        raise MismatchError("subframe size does not match the form's frame rank")
-    coeffs = {}
-    for (mi, a), poly in form.coeffs.items():
-        coeffs[(tuple(indices[i] for i in mi), a)] = poly
-    return Form(form.variables, frame_rank, form.degree, form.fiber_dim, coeffs)
 
 
 def restrict_total_form(total_form, indices):

@@ -1,21 +1,24 @@
-"""Exact sparse linear algebra over Fraction: RREF, solve, nullspace, rank.
+"""Exact sparse linear algebra over Fraction: rref, solve, nullspace, transpose.
 
-All elimination goes through one routine, `_eliminate`, on sparse rows:
-dicts {column: value} that hold only the nonzero entries.  The systems that
-matter are mostly zero; the bounded polynomial ansatz of an exactness solve
-over a chart has well under 1% nonzero cells.  Columns are taken left to
-right.  At each column the pivot is the remaining row with a nonzero there
-and the fewest nonzeros overall, which keeps fill-in low.  Entries below the
-pivot are cleared first; a back substitution then clears above the pivots.
+Every matrix is a list of sparse rows: dicts {column: value} that hold only
+the nonzero entries, with columns below an explicit `ncols`.  The systems
+that matter are mostly zero: the bounded polynomial ansatz of an exactness
+solve over a chart has well under 1% nonzero cells, and a Chevalley-Eilenberg
+differential has at most a few entries per column.  A sparse vector is a
+dict {index: value} of the same kind, and `transpose` turns a list of them,
+taken as columns, into rows.
+
+All elimination goes through one routine, `_eliminate`.  Columns are taken
+left to right.  At each column the pivot is the remaining row with a nonzero
+there and the fewest nonzeros overall, which keeps fill-in low.  Entries
+below the pivot are cleared first; a back substitution then clears above the
+pivots.
 
 The pivot choice changes only the order in which rows are used.  For a fixed
 column order the reduced row echelon form of a matrix is unique, so the
-result equals that of textbook Gauss-Jordan, and `solve` returns the one
-solution with every free variable set to zero.
-
-`solve_sparse` takes sparse rows directly.  The dense list-of-rows functions
-(`rref`, `solve`, `nullspace`, `rank`, `independent_columns`) are thin entry
-points for small callers; every entry is a `fractions.Fraction`.
+result equals that of textbook Gauss-Jordan: `rref` returns its pivot
+columns, `nullspace` the kernel vector of each free column, and `solve` the
+one solution with every free variable set to zero.
 """
 
 from __future__ import annotations
@@ -73,34 +76,24 @@ def _subtract(row, factor, other):
             del row[c]
 
 
-def _sparse(row):
-    return {c: v for c, v in enumerate(row) if v}
+def rref(rows, ncols):
+    """(reduced rows, pivot columns) of sparse rows over `ncols` columns.
+
+    The input rows are left unchanged; explicit zeros count as absent.  The
+    reduced rows are the nonzero rows of the RREF in pivot order, each with
+    a 1 at its pivot column.
+    """
+    return _eliminate([{c: v for c, v in row.items() if v} for row in rows],
+                      ncols)
 
 
-def _shape(matrix):
-    return len(matrix), (len(matrix[0]) if matrix else 0)
-
-
-def rref(matrix):
-    """Return (reduced row echelon form, pivot column list)."""
-    nrows, ncols = _shape(matrix)
-    reduced, pivots = _eliminate([_sparse(row) for row in matrix], ncols)
-    zero = Fraction(0)
-    dense = [[row.get(c, zero) for c in range(ncols)] for row in reduced]
-    dense += [[zero] * ncols for _ in range(nrows - len(reduced))]
-    return dense, pivots
-
-
-def rank(matrix):
-    return len(rref(matrix)[1])
-
-
-def solve_sparse(rows, rhs, ncols):
+def solve(rows, rhs, ncols):
     """One exact solution x of rows @ x = rhs, or None if inconsistent.
 
     `rows` are {column: value} dicts over `ncols` unknowns and `rhs` is a
     {row index: value} dict; absent entries are zero.  Free variables are
-    set to zero.  With no rows the system is vacuous and x = 0 is returned.
+    set to zero, and x is returned as a list of `ncols` values.  With no
+    rows the system is vacuous and x = 0 is returned.
     """
     augmented = [{c: v for c, v in row.items() if v} for row in rows]
     for i, value in rhs.items():
@@ -116,41 +109,30 @@ def solve_sparse(rows, rhs, ncols):
     return x
 
 
-def solve(matrix, rhs):
-    """`solve_sparse` for a dense m x n matrix (list of rows) and rhs of length m."""
-    _, ncols = _shape(matrix)
-    return solve_sparse([_sparse(row) for row in matrix], dict(enumerate(rhs)),
-                        ncols)
+def nullspace(rows, ncols):
+    """Basis of the kernel of sparse rows, as sparse vectors.
 
-
-def nullspace(matrix):
-    """Basis of the kernel of matrix (acting on column vectors)."""
-    nrows, ncols = _shape(matrix)
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-                for i in range(ncols)]
-    reduced, pivots = rref(matrix)
+    One vector per free column f, in increasing order of f: 1 at f and, at
+    each pivot column, minus the reduced row's entry in column f.
+    """
+    reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -reduced[i][free]
-        basis.append(vec)
-    return basis
+    one = Fraction(1)
+    basis = {f: {f: one} for f in range(ncols) if f not in pivot_set}
+    for row, pivot in zip(reduced, pivots):
+        for c, v in row.items():
+            if c != pivot:
+                basis[c][pivot] = -v
+    return list(basis.values())
 
 
-def independent_columns(matrix):
-    """Indices of a maximal independent subset of columns, left to right."""
-    return rref(matrix)[1]
+def transpose(vectors, nrows):
+    """Sparse rows of the matrix whose columns are the sparse `vectors`.
 
-
-def transpose(matrix):
-    if not matrix:
-        return []
-    return [list(col) for col in zip(*matrix)]
+    Each vector is a {row index: value} dict with indices below `nrows`.
+    """
+    rows = [{} for _ in range(nrows)]
+    for j, vec in enumerate(vectors):
+        for i, v in vec.items():
+            rows[i][j] = v
+    return rows

@@ -116,8 +116,10 @@ class Poly:
             for factor in body.split("*"):
                 m = _COEFF_RE.match(factor)
                 if m:
-                    num, den = m.group(1), m.group(2)
-                    coeff *= Fraction(int(num), int(den) if den else 1)
+                    num, den = int(m.group(1)), int(m.group(2) or 1)
+                    if not den:
+                        raise ParseError(f"zero denominator in {text!r}")
+                    coeff *= Fraction(num, den)
                     continue
                 m = _VAR_RE.match(factor)
                 if m:

@@ -233,6 +233,15 @@ def test_christoffel_frame_out_of_range_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_zero_denominator_exits_two(tmp_path, capsys):
+    payload = _corpus_payload("adjoint_action_line_poly")
+    payload["tangent_connection"]["christoffel"][0]["matrix"][0][1] = "1/0"
+    assert main([write_problem(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zero denominator" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field", ["row", "col"])
 def test_total_form_term_out_of_range_exits_two(tmp_path, capsys, field):
     payload = _corpus_payload("graded_bott_5dim")

@@ -38,6 +38,7 @@ from gradweil.randgen import (
 )
 from gradweil.ring import Poly
 from test_algebroid import PRESENTATIONS
+from test_forms import single_block
 
 
 def scalar_aff1_connection():
@@ -193,7 +194,7 @@ def test_cuth_normalize_preserves_operator():
         D = random_cuth(rng, a, E)
         if D.is_normalized():
             # force a grading-preserving 1-form part, then renormalize
-            shift = TotalForm.single_block(
+            shift = single_block(
                 a.variables, a.rank, E, E, (1, 0, 0),
                 {(0,): random_matrix(rng, 2, 2, a.variables)})
             D = ConnectionUpToHomotopy(a, E, D.nablas, D.D + shift)

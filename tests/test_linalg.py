@@ -1,7 +1,8 @@
-"""Exact linear algebra checked against postcondition oracles.
+"""Exact sparse linear algebra checked against postcondition oracles.
 
-The sparse elimination in `gradweil.linalg` is also compared, exactly,
-against a textbook dense Gauss-Jordan kept here as the reference.
+The sparse API in `gradweil.linalg` works on rows {column: value}.  It is
+compared, exactly, against a textbook dense Gauss-Jordan kept here as the
+reference.
 """
 
 import random
@@ -11,15 +12,7 @@ import pytest
 
 from gradweil import chernweil
 from gradweil.algebroid import Chart, tangent_algebroid
-from gradweil.linalg import (
-    independent_columns,
-    nullspace,
-    rank,
-    rref,
-    solve,
-    solve_sparse,
-    transpose,
-)
+from gradweil.linalg import nullspace, rref, solve, transpose
 from gradweil.randgen import random_linear_connection
 
 
@@ -140,6 +133,23 @@ def mat_vec(m, v):
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m]
 
 
+def shape(m):
+    return len(m), (len(m[0]) if m else 0)
+
+
+def sparse_rows(m):
+    return [{j: v for j, v in enumerate(row) if v} for row in m]
+
+
+def to_dense(vec, n):
+    """A sparse vector {index: value} as a list of length n."""
+    return [vec.get(i, Fraction(0)) for i in range(n)]
+
+
+def dense_rank(m):
+    return len(dense_rref(m)[1])
+
+
 # --- postcondition oracles ---------------------------------------------------------
 
 
@@ -148,14 +158,17 @@ def test_rref_shape_and_pivots():
     for _ in range(30):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = random_matrix(rng, rows, cols)
-        red, pivots = rref(m)
-        assert len(red) == rows and all(len(r) == cols for r in red)
+        sparse = sparse_rows(m)
+        red, pivots = rref(sparse, cols)
+        assert sparse == sparse_rows(m)  # the input rows are left unchanged
+        assert len(red) == len(pivots) <= rows
+        assert all(0 <= c < cols for row in red for c in row)
         # each pivot column holds a unit vector
         for k, c in enumerate(pivots):
-            col = [red[i][c] for i in range(rows)]
+            col = [row.get(c, 0) for row in red]
             assert col[k] == 1
-            assert all(col[i] == 0 for i in range(rows) if i != k)
-        assert len(pivots) == rank(m)
+            assert all(col[i] == 0 for i in range(len(red)) if i != k)
+        assert len(pivots) == dense_rank(m)
 
 
 def test_solve_by_substitution():
@@ -167,7 +180,7 @@ def test_solve_by_substitution():
         # build a guaranteed-consistent rhs from a random preimage
         v = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
         rhs = mat_vec(m, v)
-        sol = solve(m, rhs)
+        sol = solve(sparse_rows(m), dict(enumerate(rhs)), cols)
         assert sol is not None
         assert mat_vec(m, sol) == rhs
         solved += 1
@@ -175,19 +188,22 @@ def test_solve_by_substitution():
 
 
 def test_solve_sparse_edge_cases():
-    assert solve_sparse([], {}, 3) == [Fraction(0)] * 3
-    assert solve_sparse([{}, {}], {1: Fraction(1, 2)}, 2) is None
-    assert solve_sparse([{}, {1: Fraction(2)}], {1: Fraction(1, 2)}, 2) == [
+    assert solve([], {}, 3) == [Fraction(0)] * 3
+    assert solve([{}, {}], {1: Fraction(1, 2)}, 2) is None
+    assert solve([{}, {1: Fraction(2)}], {1: Fraction(1, 2)}, 2) == [
         Fraction(0), Fraction(1, 4)]
     # explicit zeros in the rows are the same as absent entries
-    assert solve_sparse([{0: Fraction(0), 1: Fraction(2)}, {0: Fraction(0)}],
-                        {0: Fraction(1)}, 2) == [Fraction(0), Fraction(1, 2)]
+    assert solve([{0: Fraction(0), 1: Fraction(2)}, {0: Fraction(0)}],
+                 {0: Fraction(1)}, 2) == [Fraction(0), Fraction(1, 2)]
+    assert rref([{0: Fraction(0)}, {}], 2) == ([], [])
+    assert nullspace([{0: Fraction(0)}], 2) == [{0: 1}, {1: 1}]
+    assert nullspace([], 0) == [] and transpose([], 2) == [{}, {}]
 
 
 def test_solve_inconsistent():
-    m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert solve(m, [Fraction(1), Fraction(3)]) is None
-    assert solve(m, [Fraction(1), Fraction(2)]) == [Fraction(1), Fraction(0)]
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
+    assert solve(rows, {0: Fraction(1), 1: Fraction(3)}, 2) is None
+    assert solve(rows, {0: Fraction(1), 1: Fraction(2)}, 2) == [Fraction(1), Fraction(0)]
 
 
 def test_nullspace_oracle():
@@ -195,36 +211,39 @@ def test_nullspace_oracle():
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = random_matrix(rng, rows, cols)
-        basis = nullspace(m)
-        assert len(basis) == cols - rank(m)
+        basis = nullspace(sparse_rows(m), cols)
+        assert len(basis) == cols - dense_rank(m)
         zero = [Fraction(0)] * rows
         for v in basis:
-            assert mat_vec(m, v) == zero
+            assert all(v.values()) and all(0 <= c < cols for c in v)
+            assert mat_vec(m, to_dense(v, cols)) == zero
         # basis vectors are independent
         if basis:
-            assert rank(transpose(basis)) == len(basis)
+            assert dense_rank([to_dense(v, cols) for v in basis]) == len(basis)
 
 
 def test_independent_columns_oracle():
+    """The pivot columns of `rref` are a maximal independent set of columns."""
     rng = random.Random(19)
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         m = random_matrix(rng, rows, cols, -2, 2)
-        chosen = independent_columns(m)
+        chosen = rref(sparse_rows(m), cols)[1]
         sub = [[m[i][j] for j in chosen] for i in range(rows)]
-        assert rank(sub) == len(chosen) == rank(m)
+        assert dense_rank(sub) == len(chosen) == dense_rank(m)
         # every unchosen column is a combination of the chosen ones
         for j in range(cols):
             if j in chosen:
                 continue
-            rhs = [m[i][j] for i in range(rows)]
-            assert solve(sub, rhs) is not None
+            rhs = {i: m[i][j] for i in range(rows)}
+            assert solve(sparse_rows(sub), rhs, len(chosen)) is not None
 
 
 def test_transpose():
-    m = [[Fraction(1), Fraction(2), Fraction(3)]]
-    assert transpose(m) == [[Fraction(1)], [Fraction(2)], [Fraction(3)]]
-    assert transpose(transpose(m)) == m
+    columns = [{0: Fraction(1)}, {0: Fraction(2), 2: Fraction(5)}, {}]
+    rows = transpose(columns, 3)
+    assert rows == [{0: Fraction(1), 1: Fraction(2)}, {}, {1: Fraction(5)}]
+    assert transpose(rows, 3) == columns
 
 
 # --- sparse elimination against the dense reference ---------------------------------
@@ -233,20 +252,23 @@ def test_transpose():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sparse_elimination_matches_dense_reference(seed):
     for rng, m in sparse_cases(seed):
-        nrows, ncols = len(m), (len(m[0]) if m else 0)
-        assert rref(m) == dense_rref(m)
-        assert nullspace(m) == dense_nullspace(m)
-        assert rank(m) == len(dense_rref(m)[1])
+        nrows, ncols = shape(m)
+        rows = sparse_rows(m)
+        expected_rref, expected_pivots = dense_rref(m)
+        reduced, pivots = rref(rows, ncols)
+        assert pivots == expected_pivots
+        assert [to_dense(row, ncols) for row in reduced] == expected_rref[:len(pivots)]
+        assert not any(any(row) for row in expected_rref[len(pivots):])
+        assert [to_dense(v, ncols) for v in nullspace(rows, ncols)] == dense_nullspace(m)
+        columns = [{i: m[i][j] for i in range(nrows) if m[i][j]} for j in range(ncols)]
+        assert transpose(columns, nrows) == rows
         consistent = mat_vec(m, [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                                  for _ in range(ncols)])
         arbitrary = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                      for _ in range(nrows)]
         for rhs in (consistent, arbitrary):
-            expected = dense_solve(m, rhs)
-            assert solve(m, rhs) == expected
-            rows = [{j: v for j, v in enumerate(row) if v} for row in m]
             sparse_rhs = {i: v for i, v in enumerate(rhs) if v}
-            assert solve_sparse(rows, sparse_rhs, ncols) == expected
+            assert solve(rows, sparse_rhs, ncols) == dense_solve(m, rhs)
         assert dense_solve(m, consistent) is not None
 
 
@@ -266,9 +288,9 @@ def test_sympy_rank_oracle():
     from sympy.polys.matrices import DomainMatrix
 
     for _, m in sparse_cases(4):
-        shape = (len(m), len(m[0]) if m else 0)
         entries = [[QQ(v.numerator, v.denominator) for v in row] for row in m]
-        assert rank(m) == DomainMatrix(entries, shape, QQ).rank()
+        expected = DomainMatrix(entries, shape(m), QQ).rank()
+        assert len(rref(sparse_rows(m), shape(m)[1])[1]) == expected
 
 
 def test_exactness_system_matches_dense_reference():
@@ -285,7 +307,7 @@ def test_exactness_system_matches_dense_reference():
     dense_rhs = [rhs.get(i, Fraction(0)) for i in range(len(rows))]
     expected = dense_solve(dense, dense_rhs)
     assert expected is not None and any(expected)
-    assert solve_sparse(rows, rhs, ncols) == expected
+    assert solve(rows, rhs, ncols) == expected
     result = chernweil.is_exact(algebroid, form, bound)
     assert result.status == "exact"
     assert algebroid.d(result.primitive) == form

@@ -94,7 +94,7 @@ def test_total_degree():
 
 
 @pytest.mark.parametrize(
-    "text", ["", "x +", "x^-2", "2x", "x*", "z", "x**2"]
+    "text", ["", "x +", "x^-2", "2x", "x*", "z", "x**2", "1/0", "x*3/0"]
 )
 def test_parse_failures(text):
     with pytest.raises(ParseError):
