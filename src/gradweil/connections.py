@@ -5,37 +5,35 @@ sum_beta Gamma[i][alpha][beta] f_beta.  Internally the per-frame matrices
 are kept target-major (G_i[beta][alpha] = that coefficient) so that a
 covariant derivative acts on coefficient vectors as rho_i + G_i.
 
-Every differential here is the scalar kernel `Algebroid.d_sparse` on each
-coefficient plus a wedge with the connection form Gamma = sum_i e^i (x) G_i,
-the TotalForm block (1, z, z) taken straight from the matrices:
+A `ConnectionUpToHomotopy` is a family of grading-preserving connections
+(one per summand) plus a total-degree-1 TotalForm D.  Write Gamma =
+sum_i e^i (x) G_i for every summand's connection form, the diagonal
+(1, z, z) TotalForm blocks taken straight from the matrices, and
+Omega = Gamma + D.  Every differential here is the scalar kernel
+`Algebroid.d_sparse` on each coefficient plus a wedge with Omega:
 
-    d_nabla w   = d_A w + hat(Gamma)(w),
-    R_nabla     = d_A Gamma + Gamma ^ Gamma,
-    d^End K     = d_A K + [Gamma, K],
+    cal_D    = d_A + hat(Omega),
+    R        = d_A Omega + Omega ^ Omega,
+    d^End K  = d_A K + [Omega, K],
 
 with d_A acting on each fiber component (`Algebroid.d`) or matrix entry
-(`Algebroid.d_total`), and Gamma holding every summand's connection form on
-the diagonal in the last identity.  The Koszul formula on frame elements
+(`Algebroid.d_total`).  A linear connection is the one-summand case with
+D = 0: its d_nabla is cal_D and its curvature is that of
+`ConnectionUpToHomotopy.from_linear`.  The Koszul formula on frame elements
 stays in the tests as the oracle for all three.
 
-A `ConnectionUpToHomotopy` is a family of grading-preserving connections
-(one per summand) plus a total-degree-1 TotalForm D; the operator is
-cal_D = d_nabla + hat(D).  Its curvature is the unique total form R with
-hat(R) = cal_D^2; the engine computes R both by squaring the operator on
-basis sections and by the blockwise formula R_nabla + d_nabla^End D +
-D wedge D, and raises InternalCheckError, naming the first block where
-they differ, if the two routes ever disagree.  Its End differential
-[cal_D, -] is d_A K + [Gamma + D, K].  Connections do not change after
-construction, so each keeps its checked curvature.
+The curvature R is the unique total form with hat(R) = cal_D^2.  The first
+curvature call on a connection runs both routes exactly once: squaring the
+operator on basis sections, and the formula above.  If they ever disagree
+it raises InternalCheckError naming the first block and multi-index where
+they differ.  Connections do not change after construction, so each keeps
+its checked curvature.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import InternalCheckError, MismatchError, ParseError
 from .forms import (
-    Form,
     GradedBundle,
     GradedElement,
     TotalForm,
@@ -43,7 +41,6 @@ from .forms import (
     mat_add,
     mat_is_zero,
     mat_mul,  # noqa: F401  perfbench/test_perfbench.py patches it through this module
-    mat_neg,
     mat_zero,
     unhat_from_sections,
 )
@@ -147,42 +144,20 @@ class LinearConnection:
         twist = self.connection_form().apply_part(form, 0).parts
         return out + twist[(form.degree + 1, 0)] if twist else out
 
-    def basis_section(self, alpha):
-        comps = [Poly.one(self.variables) if a == alpha else Poly.zero(self.variables)
-                 for a in range(self.rank)]
-        return Form.section(self.variables, self.algebroid.rank, comps)
-
     # -- curvature -----------------------------------------------------------
 
     def curvature(self, degree_label=0):
         """R_nabla = d_A Gamma + Gamma ^ Gamma, a TotalForm with the block (2, z, z).
 
-        Cross-checked against the squared connection differential on every
-        basis section; any disagreement is an engine bug and raises
-        InternalCheckError.  A connection does not change after
-        construction, so the checked result is kept per degree label.
+        The curvature of the one-summand connection up to homotopy on this
+        bundle placed in degree `degree_label`, checked there once; the
+        result is kept per degree label.
         """
         cached = self._curvatures.get(degree_label)
-        if cached is not None:
-            return cached
-        A = self.algebroid
-        gamma = self.connection_form(degree_label)
-        direct = A.d_total(gamma) + gamma.wedge(gamma)
-        # independent route: d_nabla twice on basis sections
-        for alpha in range(self.rank):
-            image = self.d(self.d(self.basis_section(alpha)))
-            for i, j in itertools.combinations(range(A.rank), 2):
-                expected = direct.block_matrix((2, degree_label, degree_label),
-                                               (i, j))
-                got = image.fiber_vector((i, j))
-                for beta in range(self.rank):
-                    if got[beta] != expected[beta][alpha]:
-                        raise InternalCheckError(
-                            "curvature routes disagree: operator square vs "
-                            f"d_A Gamma + Gamma^Gamma at (e_{i}, e_{j}), "
-                            f"fiber ({beta},{alpha})")
-        self._curvatures[degree_label] = direct
-        return direct
+        if cached is None:
+            cached = ConnectionUpToHomotopy.from_linear(self, degree_label).curvature()
+            self._curvatures[degree_label] = cached
+        return cached
 
     def is_flat(self):
         return self.curvature().is_zero()
@@ -346,19 +321,9 @@ class ConnectionUpToHomotopy:
                          self.bundle, 1, blocks)
 
     def curvature_blockwise(self):
-        """R = R_nabla + d_nabla^End D + D ^ D (one route).
-
-        R_nabla is each summand's curvature on its diagonal block, and
-        d_nabla^End D = d_A D + [Gamma, D] with Gamma the connection form.
-        """
-        A = self.algebroid
-        acc = (A.d_total(self.D) + graded_commutator(self.connection_form(), self.D)
-               + self.D.wedge(self.D))
-        for z, _ in self.bundle.summands:
-            r_z = self.nablas[z].curvature(degree_label=z)
-            acc = acc + TotalForm(self.variables, A.rank, self.bundle,
-                                  self.bundle, 2, r_z.blocks)
-        return acc
+        """R = d_A Omega + Omega ^ Omega with Omega = Gamma + D (the formula route)."""
+        omega = self.connection_form() + self.D
+        return self.algebroid.d_total(omega) + omega.wedge(omega)
 
     def curvature(self):
         """The unique total form R with hat(R) = cal_D squared.
@@ -433,26 +398,14 @@ def _first_difference(left, right):
 
 
 def cuth_difference(new, old):
-    """The degree-1 total form cal_D' - cal_D of two cuths on one bundle.
+    """The degree-1 total form cal_D' - cal_D = Omega' - Omega of two cuths on one bundle.
 
     The difference of two connections is tensorial, so this is an honest
-    TotalForm: per-summand Christoffel differences in the (1, z, z) blocks
-    plus the difference of the D parts.
+    TotalForm.
     """
     if new.bundle != old.bundle or new.algebroid != old.algebroid:
         raise MismatchError("cuth difference needs matching bundles")
-    blocks: dict = {}
-    for z, r in new.bundle.summands:
-        entries = {}
-        for i in range(new.algebroid.rank):
-            delta = mat_add(new.nablas[z].mats[i], mat_neg(old.nablas[z].mats[i]))
-            if not mat_is_zero(delta):
-                entries[(i,)] = delta
-        if entries:
-            blocks[(1, z, z)] = entries
-    shift = TotalForm(new.variables, new.algebroid.rank, new.bundle,
-                      new.bundle, 1, blocks)
-    return shift + (new.D - old.D)
+    return (new.connection_form() + new.D) - (old.connection_form() + old.D)
 
 
 def extend_connection(algebroid, subframe, nabla_sub, complement=None):

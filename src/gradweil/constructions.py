@@ -36,6 +36,20 @@ def _check(name, ok, witness=None):
     return entry
 
 
+def _trace_power_checks(curvature, trace_fn, prefix, first, top):
+    """One vanishing check per power l in [first, top] of trace_fn(R^l)."""
+    checks = []
+    power = curvature
+    for l in range(1, top + 1):
+        if l > 1:
+            power = power.wedge(curvature)
+        if l >= first:
+            trace = trace_fn(power)
+            checks.append(_check(f"{prefix}_{l}_vanishes", trace.is_zero(),
+                                 None if trace.is_zero() else trace.to_json()))
+    return checks
+
+
 def _report(construction, checks, thresholds=None, note=None):
     out = {"construction": construction, "checks": checks}
     if thresholds is not None:
@@ -375,15 +389,8 @@ def bott_report(algebroid, subframe, nabla_sub, complement=None):
         _check("curvature_in_ideal",
                ideal_membership(curvature, subframe.indices, 1)),
     ]
-    top = max(q + 1, algebroid.rank // 2)
-    power = None
-    for l in range(1, top + 1):
-        power = curvature if power is None else power.wedge(curvature)
-        if l <= q:
-            continue
-        trace = tr(power)
-        checks.append(_check(f"trace_power_{l}_vanishes", trace.is_zero(),
-                             None if trace.is_zero() else trace.to_json()))
+    checks += _trace_power_checks(curvature, tr, "trace_power", q + 1,
+                                  max(q + 1, algebroid.rank // 2))
     return _report("bott", checks, thresholds={"q": q, "vanish_above": 2 * q})
 
 
@@ -462,15 +469,8 @@ def atiyah_form(algebroid, subframe, nabla_sub, extension=None,
     ]
     vanish_above = q if zero_form else 2 * q
     if zero_form:
-        top = max(q // 2 + 1, algebroid.rank // 2)
-        power = None
-        for l in range(1, top + 1):
-            power = curvature if power is None else power.wedge(curvature)
-            if 2 * l <= q:
-                continue
-            trace = tr(power)
-            checks.append(_check(f"trace_power_{l}_vanishes", trace.is_zero(),
-                                 None if trace.is_zero() else trace.to_json()))
+        checks += _trace_power_checks(curvature, tr, "trace_power", q // 2 + 1,
+                                      max(q // 2 + 1, algebroid.rank // 2))
     report = _report("atiyah", checks,
                      thresholds={"q": q, "vanish_above": vanish_above})
     return omega, report
@@ -510,15 +510,8 @@ def graded_bott_report(algebroid, subframe, conn_sub, extensions=None):
         _check("curvature_in_ideal",
                ideal_membership(curvature, subframe.indices, 1)),
     ]
-    top = max(q + 1, algebroid.rank // 2)
-    power = None
-    for l in range(1, top + 1):
-        power = curvature if power is None else power.wedge(curvature)
-        if l <= q:
-            continue
-        trace = gtr(power)
-        checks.append(_check(f"gtr_power_{l}_vanishes", trace.is_zero(),
-                             None if trace.is_zero() else trace.to_json()))
+    checks += _trace_power_checks(curvature, gtr, "gtr_power", q + 1,
+                                  max(q + 1, algebroid.rank // 2))
     return _report("graded-bott", checks,
                    thresholds={"q": q, "vanish_above": 2 * q})
 

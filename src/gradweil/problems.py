@@ -171,10 +171,6 @@ def _connection_or_random(data, task, algebroid, rank, rng, key="connection"):
     return randgen.random_linear_connection(rng, algebroid, rank)
 
 
-def _form_json(form):
-    return form.to_json()
-
-
 def _bound(data, bound):
     return bound if bound is not None else data.get("bound")
 
@@ -297,12 +293,12 @@ def _task_pontryagin(data, bound, seed):
             "index": cls.index,
             "prefactor": str(cls.prefactor),
             "two_pi_exponent": cls.two_pi_exponent,
-            "representative": _form_json(cls.representative),
+            "representative": cls.representative.to_json(),
             "rendered": render_form(cls.representative),
             "status": status,
         }
         if primitive is not None:
-            entry["primitive"] = _form_json(primitive)
+            entry["primitive"] = primitive.to_json()
         classes.append(entry)
     return {"construction": "pontryagin", "checks": checks,
             "results": {"classes": classes}}
@@ -340,10 +336,10 @@ def _task_obstruct_nrep(data, bound, seed):
         checks.append(_check(f"sigma{l}_closed", char.closed))
         checks.append(_check(f"sigma{l}_vanishes_in_cohomology",
                              status == "zero", {"status": status}))
-        entry = {"index": l, "form": _form_json(char.form),
+        entry = {"index": l, "form": char.form.to_json(),
                  "rendered": render_form(char.form), "status": status}
         if primitive is not None:
-            entry["primitive"] = _form_json(primitive)
+            entry["primitive"] = primitive.to_json()
         characters.append(entry)
     note = ("a mixed-degree character with a nonzero class obstructs the "
             "existence of an n-representation on this graded bundle")
@@ -385,7 +381,7 @@ def _task_atiyah(data, bound, seed):
                                       rank=nabla_sub.rank)
     omega, report = atiyah_form(algebroid, sub, nabla_sub, extension=extension,
                                 complement=complement)
-    report["results"] = {"pairing_form": _form_json(omega),
+    report["results"] = {"pairing_form": omega.to_json(),
                          "rendered": render_form(omega)}
     return _closed_first(report)
 
@@ -414,10 +410,10 @@ def _task_massey(data, bound, seed):
     if not report.defined:
         return out
     results = {
-        "representative": _form_json(report.representative),
+        "representative": report.representative.to_json(),
         "rendered": render_form(report.representative),
-        "primitive_ab": _form_json(report.primitive_ab),
-        "primitive_bc": _form_json(report.primitive_bc),
+        "primitive_ab": report.primitive_ab.to_json(),
+        "primitive_bc": report.primitive_bc.to_json(),
     }
     if report.class_vector is not None:
         results["class_vector"] = [str(c) for c in report.class_vector]
@@ -524,9 +520,9 @@ def _task_transgression(data, bound, seed):
             - sigma_character(nablas["old"], index).form)
     matches = (algebroid.d(t_form) - diff).is_zero()
     checks = [_check("differential_matches_character_difference", matches)]
-    results = {"transgression": _form_json(t_form),
+    results = {"transgression": t_form.to_json(),
                "rendered": render_form(t_form),
-               "character_difference": _form_json(diff)}
+               "character_difference": diff.to_json()}
     return {"construction": "transgression", "checks": checks,
             "results": results}
 

@@ -21,8 +21,9 @@ from .errors import MismatchError, ParseError
 
 Rational = Fraction
 
-_COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
-_VAR_RE = re.compile(r"^([A-Za-z_]\w*)(?:\^(\d+))?$")
+_COEFF_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+_VAR_RE = re.compile(r"([A-Za-z_]\w*)(?:\^([0-9]+))?")
+_SPLIT_WORD_RE = re.compile(r"\w[ \t]+\w")
 _TERM_SPLIT_RE = re.compile(r"[+-]?[^+-]+")
 
 
@@ -95,6 +96,8 @@ class Poly:
     def parse(cls, text, variables):
         """Parse the canonical grammar; raises ParseError on bad input."""
         variables = tuple(variables)
+        if _SPLIT_WORD_RE.search(text):
+            raise ParseError(f"whitespace inside a number or name in {text!r}")
         compact = text.replace(" ", "").replace("\t", "")
         if not compact:
             raise ParseError("empty polynomial string")
@@ -114,14 +117,14 @@ class Poly:
             coeff = sign
             expo = [0] * len(variables)
             for factor in body.split("*"):
-                m = _COEFF_RE.match(factor)
+                m = _COEFF_RE.fullmatch(factor)
                 if m:
                     num, den = int(m.group(1)), int(m.group(2) or 1)
                     if not den:
                         raise ParseError(f"zero denominator in {text!r}")
                     coeff *= Fraction(num, den)
                     continue
-                m = _VAR_RE.match(factor)
+                m = _VAR_RE.fullmatch(factor)
                 if m:
                     name, power = m.group(1), m.group(2)
                     try:

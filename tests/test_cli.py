@@ -242,6 +242,15 @@ def test_zero_denominator_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_whitespace_inside_a_number_exits_two(tmp_path, capsys):
+    payload = _corpus_payload("adjoint_action_line_poly")
+    payload["tangent_connection"]["christoffel"][0]["matrix"][0][1] = "1 2/3"
+    assert main([write_problem(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "whitespace inside a number" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field", ["row", "col"])
 def test_total_form_term_out_of_range_exits_two(tmp_path, capsys, field):
     payload = _corpus_payload("graded_bott_5dim")
@@ -286,12 +295,14 @@ def test_disagreeing_curvature_routes_exit_three_naming_the_block(tmp_path, caps
     original = ConnectionUpToHomotopy.curvature_blockwise
     monkeypatch.setattr(ConnectionUpToHomotopy, "curvature_blockwise",
                         lambda self: original(self).scale(2))
-    assert main([str(CORPUS / "obstruct_aff1_mixed.json")]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "error: internal check failed: curvature routes disagree: operator "
-        "squaring vs blockwise formula at block (2, 0, 0), multi-index (0, 1)\n")
-    assert "Traceback" not in captured.err + captured.out
+    # a connection up to homotopy, and a problem with linear connections only
+    for name, mi in (("obstruct_aff1_mixed", (0, 1)), ("bott_sl2_borel", (1, 2))):
+        assert main([str(CORPUS / f"{name}.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: internal check failed: curvature routes disagree: operator "
+            f"squaring vs blockwise formula at block (2, 0, 0), multi-index {mi}\n")
+        assert "Traceback" not in captured.err + captured.out
 
 
 # --- complement keys -----------------------------------------------------------

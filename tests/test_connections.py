@@ -49,9 +49,16 @@ def scalar_aff1_connection():
     return LinearConnection(a, 1, [[[two]], [[three]]])
 
 
+def basis_section(nab, alpha):
+    """The constant section f_alpha of a linear connection's bundle, as a 0-form."""
+    comps = [Poly.one(nab.variables) if a == alpha else Poly.zero(nab.variables)
+             for a in range(nab.rank)]
+    return Form.section(nab.variables, nab.algebroid.rank, comps)
+
+
 def test_twisted_differential_on_basis_section():
     nab = scalar_aff1_connection()
-    e = nab.basis_section(0)
+    e = basis_section(nab, 0)
     de = nab.d(e)
     two, three = Poly.constant((), 2), Poly.constant((), 3)
     assert de == Form((), 2, 1, 1, {((0,), 0): two, ((1,), 0): three})

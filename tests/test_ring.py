@@ -94,7 +94,8 @@ def test_total_degree():
 
 
 @pytest.mark.parametrize(
-    "text", ["", "x +", "x^-2", "2x", "x*", "z", "x**2", "1/0", "x*3/0"]
+    "text", ["", "x +", "x^-2", "2x", "x*", "z", "x**2", "1/0", "x*3/0",
+             "3 4", "1 2/3", "\u0661"]
 )
 def test_parse_failures(text):
     with pytest.raises(ParseError):
