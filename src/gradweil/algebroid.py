@@ -18,7 +18,10 @@ formula evaluated on frame elements; the tests keep that formula as the
 oracle for `Algebroid.d`.  `d_sparse` is the only code that applies the
 anchor and the structure functions to forms: `d` runs it on each fiber
 component of a vector-valued Form and `d_total` on each matrix entry of a
-TotalForm, and the connection differentials build on those two.
+TotalForm, and the connection differentials build on those two.  Its
+transpose, `d_sparse_sources`, reads the same tables backwards: it lists the
+monomial forms whose image can reach a given term, which is how the
+exactness solve grows only the part of its system that a form touches.
 """
 
 from __future__ import annotations
@@ -319,6 +322,35 @@ class Algebroid:
                     acc = out.get(key)
                     out[key] = val if acc is None else acc + val
         return {key: val for key, val in out.items() if val}
+
+    def d_sparse_sources(self, key, bound):
+        """The transpose of `d_sparse`: columns whose image can hold a row.
+
+        For a row key (M, b) lists every column key (J, a), a >= 0 with
+        |a| <= bound, whose `d_sparse` image can have a term at (M, b),
+        read off the same anchor and coframe tables backwards.  Columns
+        whose contributions cancel may be listed; none is left out.
+        """
+        mi, expo = key
+        out = set()
+        for t, i in enumerate(mi):
+            rest = mi[:t] + mi[t + 1:]
+            for m, shift, _ in self._anchor_terms[i]:
+                source = tuple(e - s for e, s in zip(expo, shift))
+                if source[m] >= 1 and min(source) >= 0 and sum(source) <= bound:
+                    out.add((rest, source))
+        for p, q in itertools.combinations(mi, 2):
+            rest = tuple(x for x in mi if x != p and x != q)
+            for j in range(self.rank):
+                if j in rest:
+                    continue
+                for pair, beta, _ in self._d_coframe[j]:
+                    if pair != (p, q):
+                        continue
+                    source = tuple(e - s for e, s in zip(expo, beta))
+                    if min(source, default=0) >= 0 and sum(source) <= bound:
+                        out.add((tuple(sorted(rest + (j,))), source))
+        return out
 
     def d(self, form):
         """d_A on each fiber component of a Form, by the rule of `d_sparse`.

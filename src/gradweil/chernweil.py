@@ -265,27 +265,41 @@ def default_bound(algebroid, forms=()):
     return 2 * max(degrees) + 2
 
 
-def _monomials(nvars, bound):
-    """Exponent tuples of total degree <= bound, in lexicographic order."""
-    if nvars == 0:
-        yield ()
-        return
-    for first in range(bound + 1):
-        for rest in _monomials(nvars - 1, bound - first):
-            yield (first,) + rest
-
-
 def _exactness_system(algebroid, form, bound):
-    """The ansatz d(sum_u c_u u) = form as a sparse linear system in the c_u.
+    """The ansatz d(sum_u c_u u) = form, cut down to what the form reaches.
 
-    The unknowns u are the (k-1)-forms x^exponent e^J (J a frame multi-index,
-    exponent of total degree <= bound) with a nonzero image; their order
-    fixes the free-variables-zero solution.  Each column is the image of one
-    unknown under `Algebroid.d_sparse`.  Returns (unknowns, rows, rhs):
+    The candidate unknowns u are the (k-1)-forms x^exponent e^J (J a frame
+    multi-index, exponent of total degree <= bound).  Starting from the rows
+    the form touches, the closure alternates `Algebroid.d_sparse_sources`
+    (the columns that can reach a row) and `Algebroid.d_sparse` (the rows a
+    column reaches) until nothing new appears, so it is a union of connected
+    components of the full ansatz system.  The full system is block
+    diagonal over its components, and a component with a zero right-hand
+    side solves to zero when the free variables are zero, so solving the
+    closure gives the full ansatz's solution.  The unknowns are the closure's
+    columns with a nonzero image, in the global (J, exponent) order, which
+    fixes the free-variables-zero solution.  Returns (unknowns, rows, rhs):
     `rows` are {unknown: value} dicts, one per (J, exponent) that occurs,
     and `rhs` is a {row: value} dict.
     """
-    unknowns = []
+    targets = {(mi, expo): val for (mi, _), poly in form.coeffs.items()
+               for expo, val in poly.terms.items()}
+    images = {}
+    seen = set(targets)
+    frontier = list(targets)
+    while frontier:
+        reached = []
+        for key in frontier:
+            for col in algebroid.d_sparse_sources(key, bound):
+                if col in images:
+                    continue
+                image = images[col] = algebroid.d_sparse({col: _ONE})
+                for row_key in image:
+                    if row_key not in seen:
+                        seen.add(row_key)
+                        reached.append(row_key)
+        frontier = reached
+    unknowns = sorted(col for col, image in images.items() if image)
     rows = []
     row_index = {}
 
@@ -295,18 +309,10 @@ def _exactness_system(algebroid, form, bound):
             rows.append({})
         return row_index[key]
 
-    for j_idx in itertools.combinations(range(algebroid.rank), form.degree - 1):
-        for expo in _monomials(len(algebroid.variables), bound):
-            image = algebroid.d_sparse({(j_idx, expo): _ONE})
-            if not image:
-                continue
-            col = len(unknowns)
-            unknowns.append((j_idx, expo))
-            for key, val in image.items():
-                rows[row(key)][col] = val
-    rhs = {row((mi, expo)): val
-           for (mi, _), poly in form.coeffs.items()
-           for expo, val in poly.terms.items()}
+    for col, unknown in enumerate(unknowns):
+        for key, val in images[unknown].items():
+            rows[row(key)][col] = val
+    rhs = {row(key): val for key, val in targets.items()}
     return unknowns, rows, rhs
 
 
@@ -316,7 +322,11 @@ def is_exact(algebroid, form, bound=None):
     Over a point base the answer is decisive.  Over a chart base the solver
     looks for a primitive with polynomial coefficients of total degree at
     most `bound`; failure within the bound reports "undecided" since a
-    higher-degree primitive is not ruled out.
+    higher-degree primitive is not ruled out.  The linear system is only the
+    closure of the form's terms in the ansatz (see `_exactness_system`), and
+    its solution is the free-variables-zero solution of the full ansatz.
+    The form's closedness is checked first, and d_A of the primitive is
+    checked against the form before it is returned.
     """
     if form.fiber_dim != 1:
         raise MismatchError("exactness applies to scalar forms")

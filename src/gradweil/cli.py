@@ -164,6 +164,17 @@ def _corpus_status(path):
     return "ok" if golden.read_bytes() == produced.encode() else "diff"
 
 
+def _bound(text):
+    """An argparse type: a degree bound, refused below 0 as in the schema."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "corpus":
@@ -182,8 +193,8 @@ def main(argv=None):
                         help="override the task named in the file")
     parser.add_argument("--json", dest="json_path", metavar="PATH",
                         help="also write the canonical JSON report here")
-    parser.add_argument("--bound", type=int,
-                        help="polynomial degree bound for exactness solves")
+    parser.add_argument("--bound", type=_bound,
+                        help="polynomial degree bound for exactness solves (>= 0)")
     parser.add_argument("--seed", type=int,
                         help="seed for randomized fallback objects")
     args = parser.parse_args(argv)

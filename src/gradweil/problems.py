@@ -482,7 +482,8 @@ def _task_double(data, bound, seed):
 def _task_morphism(data, bound, seed):
     algebroid_a = _build_algebroid(data, "morphism")
     algebroid_b = _build_algebroid(data, "morphism", key="source_algebroid")
-    partial = _need(data, "morphism", "partial")
+    partial = [[algebroid_a.chart.poly(p) for p in row]
+               for row in _need(data, "morphism", "partial")]
     rng = _rng(data, seed)
     try:
         check_morphism(algebroid_b, algebroid_a, partial)

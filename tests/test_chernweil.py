@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from gradweil.algebroid import Chart, tangent_algebroid
 from gradweil.chernweil import (
     CohomologyBasis,
     _exactness_system,
-    _monomials,
     anchor_pullback_character,
     ce_cohomology,
     class_status,
@@ -29,9 +29,10 @@ from gradweil.chernweil import (
 from gradweil.connections import LinearConnection
 from gradweil.errors import MismatchError, NotClosedError
 from gradweil.forms import Form, GradedBundle, render_form
+from gradweil.linalg import solve
 from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
-from test_algebroid import koszul_reference
+from test_algebroid import PRESENTATIONS, koszul_reference
 
 
 def scalar_aff1_connection():
@@ -340,7 +341,72 @@ def h3_closed(algebroid, form):
 # --- the exactness and cohomology systems against the Koszul formula ---------
 
 
-def reference_exactness_system(algebroid, form, bound):
+def _monomials(nvars, bound):
+    """Exponent tuples of total degree <= bound, in lexicographic order."""
+    if nvars == 0:
+        yield ()
+        return
+    for first in range(bound + 1):
+        for rest in _monomials(nvars - 1, bound - first):
+            yield (first,) + rest
+
+
+def exactness_system_reference(algebroid, form, bound):
+    """The full ansatz system: one column per monomial within the bound.
+
+    Every (k-1)-form x^exponent e^J with |exponent| <= bound and a nonzero
+    `d_sparse` image is an unknown, in the global (J, exponent) order, and
+    every (J, exponent) that occurs is a row.  Returns the (unknowns, rows,
+    rhs) shape of `chernweil._exactness_system`, which must solve the same.
+    """
+    unknowns = []
+    rows = []
+    row_index = {}
+
+    def row(key):
+        if key not in row_index:
+            row_index[key] = len(rows)
+            rows.append({})
+        return row_index[key]
+
+    for j_idx in itertools.combinations(range(algebroid.rank), form.degree - 1):
+        for expo in _monomials(len(algebroid.variables), bound):
+            image = algebroid.d_sparse({(j_idx, expo): Fraction(1)})
+            if not image:
+                continue
+            col = len(unknowns)
+            unknowns.append((j_idx, expo))
+            for key, val in image.items():
+                rows[row(key)][col] = val
+    rhs = {row((mi, expo)): val
+           for (mi, _), poly in form.coeffs.items()
+           for expo, val in poly.terms.items()}
+    return unknowns, rows, rhs
+
+
+def assert_union_of_components(system, reference):
+    """The closure is whole connected components of the reference system.
+
+    Its unknowns keep the reference order, and its rows are exactly the
+    reference rows that touch one of its unknowns or carry a right-hand
+    side, each with all of its entries: no row is cut, so no component is.
+    """
+    unknowns, rows, rhs = system
+    ref_unknowns, ref_rows, ref_rhs = reference
+    chosen = set(unknowns)
+    assert unknowns == [u for u in ref_unknowns if u in chosen]
+
+    def keyed(names, row, value):
+        return frozenset((names[c], v) for c, v in row.items()), value
+
+    expected = Counter(keyed(ref_unknowns, row, ref_rhs.get(i, 0))
+                       for i, row in enumerate(ref_rows)
+                       if ref_rhs.get(i) or any(ref_unknowns[c] in chosen for c in row))
+    assert Counter(keyed(unknowns, row, rhs.get(i, 0))
+                   for i, row in enumerate(rows)) == expected
+
+
+def koszul_exactness_system(algebroid, form, bound):
     """Unknowns, and per row key {unknown: value}, from the Koszul formula."""
     variables = algebroid.variables
     unknowns = []
@@ -377,8 +443,8 @@ def test_exactness_system_matches_the_koszul_columns(case):
         # closed: every 2-form is closed at top degree on a rank-2 frame
         form = Form(("x",), 2, 2, 1, {((0, 1), 0): x * x + Poly.constant(("x",), 3)})
     bound = default_bound(algebroid, [form])
-    unknowns, rows, rhs = _exactness_system(algebroid, form, bound)
-    ref_unknowns, ref_rows = reference_exactness_system(algebroid, form, bound)
+    unknowns, rows, rhs = exactness_system_reference(algebroid, form, bound)
+    ref_unknowns, ref_rows = koszul_exactness_system(algebroid, form, bound)
     assert unknowns == ref_unknowns and unknowns
     form_terms = {(mi, e): val for (mi, _), poly in form.coeffs.items()
                   for e, val in poly.terms.items()}
@@ -390,6 +456,104 @@ def test_exactness_system_matches_the_koszul_columns(case):
     expected = _row_multiset([ref_rows[key] for key in ref_keys],
                              lambda i: form_terms.get(ref_keys[i], 0))
     assert got == expected
+    assert_union_of_components(_exactness_system(algebroid, form, bound),
+                               (unknowns, rows, rhs))
+
+
+def reference_answer(algebroid, degree, reference):
+    """is_exact's (status, primitive) from a solve of a reference system."""
+    unknowns, rows, rhs = reference
+    sol = solve(rows, rhs, len(unknowns))
+    if sol is None:
+        return "not_exact" if algebroid.chart.dim == 0 else "undecided", None
+    variables = algebroid.variables
+    coeffs = {}
+    for (j_idx, expo), val in zip(unknowns, sol):
+        if val:
+            poly = Poly(variables, {expo: val})
+            coeffs[(j_idx, 0)] = coeffs.get((j_idx, 0), Poly.zero(variables)) + poly
+    return "exact", Form(variables, algebroid.rank, degree - 1, 1, coeffs)
+
+
+EXACTNESS_PRESENTATIONS = {
+    **PRESENTATIONS,
+    **{f"tr{n}": (lambda n=n: tangent_algebroid(Chart(tuple(f"x{i}" for i in range(n)))))
+       for n in range(1, 6)},
+}
+
+
+def closed_forms(algebroid, rng, tangent):
+    """Nonzero closed forms of positive degree drawn for one presentation.
+
+    Coboundaries d(w) and top-degree forms everywhere; on a point base also
+    a cohomology representative plus a coboundary (not exact); on a tangent
+    algebroid the characters of a random connection.  Candidates that are
+    not closed (presentations that break the axioms) are dropped.
+    """
+    a = algebroid
+    out = [random_form(rng, a.variables, a.rank, a.rank, max_poly_degree=2, density=3)]
+    for degree in range(1, a.rank + 1):
+        w = random_form(rng, a.variables, a.rank, degree - 1, max_poly_degree=2,
+                        density=3)
+        out.append(a.d(w))
+    if a.chart.dim == 0:
+        for k, reps in CohomologyBasis(a).representatives.items():
+            if k and reps:
+                out.append(reps[0] + a.d(random_form(rng, (), a.rank, k - 1)))
+    if tangent:
+        connection = random_linear_connection(rng, a, 2, 1)
+        out.extend(sigma_character(connection, i).form
+                   for i in range(1, a.rank // 2 + 1))
+    return [f for f in out if not f.is_zero() and a.d(f).is_zero()]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_is_exact_matches_a_solve_of_the_full_system(seed):
+    statuses = Counter()
+    for name in sorted(EXACTNESS_PRESENTATIONS):
+        a = EXACTNESS_PRESENTATIONS[name]()
+        rng = random.Random(f"{seed}:{name}")
+        for form in closed_forms(a, rng, tangent=name.startswith("tr")):
+            for bound in sorted({0, 1, default_bound(a, [form])}):
+                result = is_exact(a, form, bound=bound)
+                if a.chart.dim == 0:
+                    bound = 0  # as is_exact does over a point
+                reference = exactness_system_reference(a, form, bound)
+                assert_union_of_components(_exactness_system(a, form, bound), reference)
+                status, primitive = reference_answer(a, form.degree, reference)
+                assert (result.status, result.primitive) == (status, primitive), \
+                    (name, bound, render_form(form))
+                statuses[status] += 1
+    assert set(statuses) == {"exact", "not_exact", "undecided"}
+
+
+@pytest.mark.parametrize("name", ["aff1", "sl2", "solvable5", "broken_jacobi",
+                                  "non_antisymmetric", "tangent_line", "tangent3",
+                                  "aff1_action_line", "polynomial"])
+def test_sources_are_the_transpose_of_d_sparse(name):
+    a = PRESENTATIONS[name]()
+    bound = 3
+    for degree in range(a.rank + 1):
+        for j_idx in itertools.combinations(range(a.rank), degree):
+            for expo in _monomials(len(a.variables), bound):
+                column = (j_idx, expo)
+                for row in a.d_sparse({column: Fraction(1)}):
+                    sources = a.d_sparse_sources(row, bound)
+                    assert column in sources, (column, row)
+                    for mi, source in sources:
+                        assert len(mi) == degree and list(mi) == sorted(set(mi))
+                        assert min(source, default=0) >= 0 and sum(source) <= bound
+
+
+def test_closure_of_the_tr5_sigma2_system_is_small():
+    algebroid = tangent_algebroid(Chart(tuple(f"x{i}" for i in range(5))))
+    connection = random_linear_connection(random.Random(201), algebroid, 2, 2)
+    form = sigma_character(connection, 2).form
+    unknowns, rows, _ = _exactness_system(algebroid, form,
+                                          default_bound(algebroid, [form]))
+    assert len(rows) <= 100 and len(unknowns) <= 300
+    result = is_exact(algebroid, form)
+    assert result.status == "exact" and algebroid.d(result.primitive) == form
 
 
 @pytest.mark.parametrize("maker", [catalog.sl2, catalog.heisenberg3, catalog.solvable5])

@@ -251,6 +251,29 @@ def test_whitespace_inside_a_number_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry, message", [("1/0", "zero denominator"),
+                                            ("x", "unknown variable"),
+                                            ("3 4", "whitespace inside a number")])
+def test_bad_morphism_entry_exits_two(tmp_path, capsys, entry, message):
+    payload = _corpus_payload("morphism_ideal_aff1")
+    payload["partial"][0][1] = entry
+    assert main([write_problem(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound", ["-1", "two"])
+def test_negative_or_non_integer_bound_flag_exits_two(tmp_path, capsys, bound):
+    path = write_problem(tmp_path, _corpus_payload("iis_action_line"))
+    with pytest.raises(SystemExit) as exit_info:
+        main([path, "--bound", bound])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--bound: must be an integer >= 0" in err and "Traceback" not in err
+    assert main([path, "--bound", "0"]) == 0
+
+
 @pytest.mark.parametrize("field", ["row", "col"])
 def test_total_form_term_out_of_range_exits_two(tmp_path, capsys, field):
     payload = _corpus_payload("graded_bott_5dim")

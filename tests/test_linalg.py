@@ -14,6 +14,7 @@ from gradweil import chernweil
 from gradweil.algebroid import Chart, tangent_algebroid
 from gradweil.linalg import nullspace, rref, solve, transpose
 from gradweil.randgen import random_linear_connection
+from test_chernweil import assert_union_of_components, exactness_system_reference
 
 
 # --- dense reference ---------------------------------------------------------
@@ -294,13 +295,17 @@ def test_sympy_rank_oracle():
 
 
 def test_exactness_system_matches_dense_reference():
-    """One TR^4 exactness system: sparse solve and dense reference agree."""
+    """One full TR^4 exactness system: sparse solve and dense reference agree.
+
+    The solve of `is_exact` runs on the closure of the right-hand side, a
+    union of components of this system, and must give the same primitive.
+    """
     algebroid = tangent_algebroid(Chart(tuple(f"x{i}" for i in range(4))))
     rng = random.Random(2024)
     connection = random_linear_connection(rng, algebroid, 2, 1)
     form = chernweil.sigma_character(connection, 2).form
     bound = chernweil.default_bound(algebroid, [form])
-    unknowns, rows, rhs = chernweil._exactness_system(algebroid, form, bound)
+    unknowns, rows, rhs = exactness_system_reference(algebroid, form, bound)
     ncols = len(unknowns)
     assert (len(rows), ncols) == (126, 504)
     dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
@@ -311,3 +316,9 @@ def test_exactness_system_matches_dense_reference():
     result = chernweil.is_exact(algebroid, form, bound)
     assert result.status == "exact"
     assert algebroid.d(result.primitive) == form
+    closure_unknowns, closure_rows, closure_rhs = closure = \
+        chernweil._exactness_system(algebroid, form, bound)
+    assert_union_of_components(closure, (unknowns, rows, rhs))
+    closure_sol = solve(closure_rows, closure_rhs, len(closure_unknowns))
+    assert {u: v for u, v in zip(closure_unknowns, closure_sol) if v} \
+        == {u: v for u, v in zip(unknowns, expected) if v}
