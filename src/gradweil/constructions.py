@@ -4,11 +4,12 @@ Double/adjoint/morphism 2-representations, basic connections and basic
 curvature, Bott-style vanishing reports (ordinary, Atiyah-refined, graded),
 and the four-condition infinitesimal ideal system checker.
 
-Curvature-like objects are assembled by evaluating the defining section-level
-formulas on frames, reusing the Leibniz-correct bracket and connection
-primitives instead of hand-expanded Christoffel formulas.  Reports are plain
-dicts shaped {"construction", "checks": [{"name", "pass", "witness"?}],
-"thresholds"?} ready for canonical JSON serialization.
+One builder makes the two-term representation of a map B -> A, with the
+five-term curvature written once; the adjoint representation over a chart is
+the one of the anchor A -> TM, and the basic connections and the basic
+curvature are read off it.  Reports are plain dicts shaped {"construction",
+"checks": [{"name", "pass", "witness"?}], "thresholds"?} ready for canonical
+JSON serialization.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .connections import (ConnectionUpToHomotopy, LinearConnection,
                           extend_connection, induced_hom_connection,
                           restrict_connection, two_term_connection)
 from .errors import InternalCheckError, MismatchError, MorphismError
-from .forms import (Form, GradedBundle, TotalForm, gtr, ideal_membership,
+from .forms import (Form, TotalForm, gtr, ideal_membership,
                     mat_identity, mat_is_zero, mat_neg, restrict_total_form,
                     extend_total_form, tr)
 from .ring import Poly
@@ -142,7 +143,7 @@ def double_rep(nabla):
 
 
 # ----------------------------------------------------------------------
-# basic connections, basic curvature, adjoint representation
+# morphism representation; the adjoint representation is the one of the anchor
 
 
 def _rho_of_section(algebroid, coeffs):
@@ -153,114 +154,6 @@ def _rho_of_section(algebroid, coeffs):
         for p in range(n):
             out[p] = out[p] + c * algebroid.anchor[k][p]
     return out
-
-
-def _require_tm_connection(algebroid, nabla_tm):
-    tangent = tangent_algebroid(algebroid.chart)
-    if nabla_tm.algebroid != tangent or nabla_tm.rank != algebroid.rank:
-        raise MismatchError("expected a tangent-frame connection on the algebroid's module of sections")
-
-
-def basic_connections(algebroid, nabla_tm=None):
-    """The two basic connections induced by a tangent-frame connection.
-
-    Returns (on the algebroid sections, on vector fields); over a point base
-    the second member is None and the first is the bracket action.
-    """
-    variables = algebroid.variables
-    r = algebroid.rank
-    if algebroid.chart.dim == 0:
-        gamma = [[list(algebroid.bracket_vector(i, j)) for j in range(r)]
-                 for i in range(r)]
-        return LinearConnection.from_christoffel(algebroid, gamma), None
-    if nabla_tm is None:
-        raise MismatchError("a tangent-frame connection is required over a chart base")
-    _require_tm_connection(algebroid, nabla_tm)
-    n = algebroid.chart.dim
-    gamma_a = []
-    for i in range(r):
-        rows = []
-        for j in range(r):
-            rows.append(_vec_add(
-                algebroid.bracket_vector(i, j),
-                nabla_tm.apply_section(algebroid.anchor[j],
-                                       _basis(variables, r, i))))
-        gamma_a.append(rows)
-    gamma_tm = []
-    christoffel = nabla_tm.christoffel()
-    for i in range(r):
-        rows = []
-        for m in range(n):
-            rows.append(_vec_add(
-                algebroid.vector_field_bracket(algebroid.anchor[i],
-                                               _basis(variables, n, m)),
-                _rho_of_section(algebroid, christoffel[m][i])))
-        gamma_tm.append(rows)
-    return (LinearConnection.from_christoffel(algebroid, gamma_a),
-            LinearConnection.from_christoffel(algebroid, gamma_tm))
-
-
-def basic_curvature_sections(algebroid, nabla_tm, a, b, x, basics=None):
-    """The five-term basic-curvature formula at section level.
-
-    `a`, `b` are coefficient vectors over the algebroid frame, `x` over the
-    coordinate frame; the result is a coefficient vector over the algebroid
-    frame.  Kept section-level so tensoriality is a checkable property
-    rather than an assumption.
-    """
-    _, bas_tm = basics if basics is not None else basic_connections(algebroid, nabla_tm)
-    bracket = algebroid.section_bracket(a, b)
-    t1 = _vec_neg(nabla_tm.apply_section(x, bracket))
-    t2 = algebroid.section_bracket(nabla_tm.apply_section(x, a), b)
-    t3 = algebroid.section_bracket(a, nabla_tm.apply_section(x, b))
-    t4 = nabla_tm.apply_section(bas_tm.apply_section(b, x), a)
-    t5 = _vec_neg(nabla_tm.apply_section(bas_tm.apply_section(a, x), b))
-    return _vec_add(t1, t2, t3, t4, t5)
-
-
-def basic_curvature(algebroid, nabla_tm, basics=None):
-    """Basic curvature as the (2, 1, 0) block on sections[0] + fields[1]."""
-    if basics is None:
-        basics = basic_connections(algebroid, nabla_tm)
-    variables = algebroid.variables
-    r, n = algebroid.rank, algebroid.chart.dim
-    bundle = GradedBundle([(0, r), (1, n)])
-    entries = {}
-    for i in range(r):
-        for j in range(i + 1, r):
-            mat = [[Poly.zero(variables) for _ in range(n)] for _ in range(r)]
-            for m in range(n):
-                vec = basic_curvature_sections(
-                    algebroid, nabla_tm, _basis(variables, r, i),
-                    _basis(variables, r, j), _basis(variables, n, m), basics)
-                for k in range(r):
-                    mat[k][m] = vec[k]
-            if not mat_is_zero(mat):
-                entries[(i, j)] = mat
-    return TotalForm(variables, r, bundle, bundle, 1, {(2, 1, 0): entries})
-
-
-def adjoint_rep(algebroid, nabla_tm=None):
-    """The adjoint 2-representation on sections[0] + fields[1].
-
-    The chain map is the anchor and the omega part is minus the basic
-    curvature.  Over a point base the fields summand is trivial and the
-    construction degenerates to the bracket action on sections, whose
-    square-zero is the Jacobi identity.
-    """
-    if algebroid.chart.dim == 0:
-        bas_a, _ = basic_connections(algebroid)
-        return ConnectionUpToHomotopy.from_linear(bas_a)
-    bas_a, bas_tm = basic_connections(algebroid, nabla_tm)
-    r, n = algebroid.rank, algebroid.chart.dim
-    partial = [[algebroid.anchor[i][m] for i in range(r)] for m in range(n)]
-    rbas = basic_curvature(algebroid, nabla_tm, basics=(bas_a, bas_tm))
-    omega = {mi: mat_neg(mat) for mi, mat in rbas.block(2, 1, 0).items()}
-    return two_term_connection(algebroid, bas_a, bas_tm, partial, omega)
-
-
-# ----------------------------------------------------------------------
-# morphism representation
 
 
 def check_morphism(algebroid_b, algebroid_a, partial):
@@ -302,9 +195,19 @@ def morphism_rep(algebroid_b, algebroid_a, partial, nabla):
 
     `nabla` is a target-frame connection on the sections of B.  The two
     induced connections combine the brackets with `nabla` through the
-    morphism, and omega is minus the five-term curvature of the pair.
+    morphism, and omega is minus the five-term curvature of the pair.  The
+    map is run through check_morphism first.
     """
     partial = check_morphism(algebroid_b, algebroid_a, partial)
+    return _morphism_rep(algebroid_b, algebroid_a, partial, nabla)
+
+
+def _morphism_rep(algebroid_b, algebroid_a, partial, nabla):
+    """morphism_rep without check_morphism.
+
+    For a map that is no morphism the result still exists; its square-zero
+    report is where the failure shows up.
+    """
     if nabla.algebroid != algebroid_a or nabla.rank != algebroid_b.rank:
         raise MismatchError("expected a target-frame connection on the source sections")
     variables = algebroid_a.variables
@@ -362,6 +265,53 @@ def morphism_rep(algebroid_b, algebroid_a, partial, nabla):
     partial_block = [[partial[i][a] for i in range(rb)] for a in range(ra)]
     return two_term_connection(algebroid_b, nabla0, nabla1,
                                partial_block, omega)
+
+
+def adjoint_rep(algebroid, nabla_tm=None):
+    """The adjoint 2-representation on sections[0] + fields[1].
+
+    Over a chart it is the morphism representation of the anchor
+    rho: A -> TM for the tangent-frame connection `nabla_tm`: the chain map
+    is rho, the connections are the basic connections and omega is minus
+    the basic curvature.  The anchor is not run through check_morphism, so
+    a presentation that breaks the anchor axiom still gets a connection up
+    to homotopy, and its square-zero report names the failure.  Over a
+    point base the fields summand is trivial and the construction
+    degenerates to the bracket action on sections, whose square-zero is
+    the Jacobi identity.
+    """
+    if algebroid.chart.dim == 0:
+        r = algebroid.rank
+        gamma = [[list(algebroid.bracket_vector(i, j)) for j in range(r)]
+                 for i in range(r)]
+        return ConnectionUpToHomotopy.from_linear(
+            LinearConnection.from_christoffel(algebroid, gamma))
+    if nabla_tm is None:
+        raise MismatchError("a tangent-frame connection is required over a chart base")
+    return _morphism_rep(algebroid, tangent_algebroid(algebroid.chart),
+                         algebroid.anchor, nabla_tm)
+
+
+def basic_connections(algebroid, nabla_tm=None):
+    """The two basic connections: the connections of adjoint_rep.
+
+    Returns (on the algebroid sections, on vector fields); over a point base
+    the second member is None and the first is the bracket action.
+    """
+    nablas = adjoint_rep(algebroid, nabla_tm).nablas
+    return nablas[0], nablas.get(1)
+
+
+def basic_curvature(algebroid, nabla_tm):
+    """Basic curvature as the (2, 1, 0) block on sections[0] + fields[1].
+
+    It is minus the omega of adjoint_rep.
+    """
+    adjoint = adjoint_rep(algebroid, nabla_tm)
+    blocks = {key: {mi: mat_neg(mat) for mi, mat in entries.items()}
+              for key, entries in adjoint.D.blocks.items() if key == (2, 1, 0)}
+    return TotalForm(algebroid.variables, algebroid.rank, adjoint.bundle,
+                     adjoint.bundle, 1, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -547,6 +497,18 @@ def _quotient_connection_flat(algebroid, j_sub, fm_sub, nabla_tilde):
     return quotient.is_flat()
 
 
+def _first_nonzero(name, cells):
+    """A failed check witnessing the first nonzero cell, else a pass.
+
+    `cells` yields (witness, Poly) pairs in scan order; the failing witness
+    gains the cell's value.
+    """
+    for witness, value in cells:
+        if not value.is_zero():
+            return _check(name, False, {**witness, "value": str(value)})
+    return _check(name, True)
+
+
 def iis_check(algebroid, j_subframe, fm_subframe, nabla_tilde=None):
     """The four-condition characterization of an infinitesimal ideal system.
 
@@ -554,20 +516,21 @@ def iis_check(algebroid, j_subframe, fm_subframe, nabla_tilde=None):
     the field subframe; (2) the basic connection on sections preserves the
     section subframe; (3) the basic connection on fields preserves the field
     subframe; (4) the basic curvature pairs the field subframe into the
-    section subframe.  The equivalence of these conditions with the quotient
+    section subframe.  Conditions 2-4 are read off one adjoint
+    representation.  The equivalence of these conditions with the quotient
     definition is cited by the source material, not re-derived here.
     """
-    variables = algebroid.variables
     r, n = algebroid.rank, algebroid.chart.dim
     if fm_subframe.frame_rank != n or j_subframe.frame_rank != r:
         raise MismatchError("subframes not adapted to the algebroid's frames")
     point = n == 0
+    if not point and nabla_tilde is None:
+        nabla_tilde = iis_default_extension(algebroid)
+    adjoint = adjoint_rep(algebroid, nabla_tilde)
+    j_set = set(j_subframe.indices)
+    fm_set = set(fm_subframe.indices)
     if not point:
-        if nabla_tilde is None:
-            nabla_tilde = iis_default_extension(algebroid)
-        _require_tm_connection(algebroid, nabla_tilde)
         christoffel = nabla_tilde.christoffel()
-        j_set = set(j_subframe.indices)
         for m in fm_subframe.indices:
             for i in j_subframe.indices:
                 for k in range(r):
@@ -576,75 +539,29 @@ def iis_check(algebroid, j_subframe, fm_subframe, nabla_tilde=None):
                             "the tangent-frame connection does not preserve "
                             "the section subframe along the field subframe")
 
-    j_set = set(j_subframe.indices)
-    fm_set = set(fm_subframe.indices)
-
-    witness = None
-    ok1 = True
-    for i in j_subframe.indices:
-        for m in range(n):
-            if m not in fm_set and not algebroid.anchor[i][m].is_zero():
-                ok1, witness = False, {"section": i, "field": m,
-                                       "value": str(algebroid.anchor[i][m])}
-                break
-        if not ok1:
-            break
-    checks = [_check("anchor_maps_into_fields", ok1, witness)]
-
-    basics = basic_connections(algebroid, None if point else nabla_tilde)
-    bas_a, bas_tm = basics
-    gamma_a = bas_a.christoffel()
-    witness = None
-    ok2 = True
-    for i in range(r):
-        for j in j_subframe.indices:
-            for k in range(r):
-                if k not in j_set and not gamma_a[i][j][k].is_zero():
-                    ok2, witness = False, {"frame": i, "section": j,
-                                           "target": k,
-                                           "value": str(gamma_a[i][j][k])}
-                    break
-            if not ok2:
-                break
-        if not ok2:
-            break
-    checks.append(_check("basic_connection_preserves_sections", ok2, witness))
-
-    witness = None
-    ok3 = True
-    if not point:
-        gamma_tm = bas_tm.christoffel()
-        for i in range(r):
-            for m in fm_subframe.indices:
-                for p in range(n):
-                    if p not in fm_set and not gamma_tm[i][m][p].is_zero():
-                        ok3, witness = False, {"frame": i, "field": m,
-                                               "target": p,
-                                               "value": str(gamma_tm[i][m][p])}
-                        break
-                if not ok3:
-                    break
-            if not ok3:
-                break
-    checks.append(_check("basic_connection_preserves_fields", ok3, witness))
-
-    witness = None
-    ok4 = True
-    if not point:
-        rbas = basic_curvature(algebroid, nabla_tilde, basics=basics)
-        for mi, mat in rbas.block(2, 1, 0).items():
-            for m in fm_subframe.indices:
-                for k in range(r):
-                    if k not in j_set and not mat[k][m].is_zero():
-                        ok4, witness = False, {"index": list(mi), "field": m,
-                                               "target": k,
-                                               "value": str(mat[k][m])}
-                        break
-                if not ok4:
-                    break
-            if not ok4:
-                break
-    checks.append(_check("basic_curvature_pairs_into_sections", ok4, witness))
+    gamma_a = adjoint.nablas[0].christoffel()
+    # over a point the field subframe is empty, so gamma_tm is never read
+    gamma_tm = [] if point else adjoint.nablas[1].christoffel()
+    omega = adjoint.D.block(2, 1, 0)
+    checks = [
+        _first_nonzero("anchor_maps_into_fields", (
+            ({"section": i, "field": m}, algebroid.anchor[i][m])
+            for i in j_subframe.indices for m in range(n)
+            if m not in fm_set)),
+        _first_nonzero("basic_connection_preserves_sections", (
+            ({"frame": i, "section": j, "target": k}, gamma_a[i][j][k])
+            for i in range(r) for j in j_subframe.indices for k in range(r)
+            if k not in j_set)),
+        _first_nonzero("basic_connection_preserves_fields", (
+            ({"frame": i, "field": m, "target": p}, gamma_tm[i][m][p])
+            for i in range(r) for m in fm_subframe.indices for p in range(n)
+            if p not in fm_set)),
+        # the basic curvature is minus omega
+        _first_nonzero("basic_curvature_pairs_into_sections", (
+            ({"index": list(mi), "field": m, "target": k}, -mat[k][m])
+            for mi, mat in omega.items() for m in fm_subframe.indices
+            for k in range(r) if k not in j_set)),
+    ]
 
     flat = True if point else _quotient_connection_flat(
         algebroid, j_subframe, fm_subframe, nabla_tilde)

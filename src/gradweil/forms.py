@@ -820,6 +820,9 @@ class TotalForm:
         blocks: dict = {}
         for term in data.get("terms", []):
             i, l, j = term["block"]
+            if not 0 <= i <= frame_rank:
+                raise ParseError(f"block {[i, l, j]} has form degree {i}, outside "
+                                 f"0..{frame_rank}")
             mi = tuple(term["index"])
             entries = blocks.setdefault((i, l, j), {})
             mat = entries.get(mi)

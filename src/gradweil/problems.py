@@ -25,9 +25,9 @@ from .algebroid import Algebroid, Subframe, tangent_algebroid
 from .chernweil import (class_status, massey_triple,
                         pontryagin_class, sigma_character, transgression)
 from .connections import ConnectionUpToHomotopy, LinearConnection
-from .constructions import (_check, adjoint_rep, atiyah_form, bott_report,
-                            check_morphism, double_rep, graded_bott_report,
-                            iis_check, iis_obstruction, morphism_rep,
+from .constructions import (_check, _morphism_rep, adjoint_rep, atiyah_form,
+                            bott_report, check_morphism, double_rep,
+                            graded_bott_report, iis_check, iis_obstruction,
                             report_passed, square_zero_check)
 from .errors import MismatchError, MorphismError, ParseError
 from .forms import Form, GradedBundle, TotalForm, render_form
@@ -308,6 +308,11 @@ def _build_cuth(data, task, algebroid, rng):
     """Graded bundle + per-degree connections (+ optional D block data)."""
     bundle = GradedBundle.from_json(_need(data, task, "bundle"))
     specs = data.get("connections", {})
+    degrees = [str(z) for z in bundle.degrees()]
+    for key in specs:
+        if key not in degrees:
+            raise ParseError(f"connections key {key!r} is not the degree of a "
+                             f"bundle summand; expected one of {degrees}")
     nablas = {}
     for z, r in bundle.summands:
         spec = specs.get(str(z))
@@ -486,7 +491,7 @@ def _task_morphism(data, bound, seed):
                for row in _need(data, "morphism", "partial")]
     rng = _rng(data, seed)
     try:
-        check_morphism(algebroid_b, algebroid_a, partial)
+        partial = check_morphism(algebroid_b, algebroid_a, partial)
     except MorphismError as err:
         witness = {"message": str(err)}
         if err.pair is not None:
@@ -495,7 +500,7 @@ def _task_morphism(data, bound, seed):
                 "checks": [_check("is_morphism", False, witness)]}
     nabla = _connection_or_random(data, "morphism", algebroid_a,
                                   algebroid_b.rank, rng)
-    conn = morphism_rep(algebroid_b, algebroid_a, partial, nabla)
+    conn = _morphism_rep(algebroid_b, algebroid_a, partial, nabla)
     report = _square_zero_report(conn, "morphism")
     report["checks"].insert(0, _check("is_morphism", True))
     return report
@@ -505,6 +510,9 @@ def _task_transgression(data, bound, seed):
     algebroid = _build_algebroid(data, "transgression")
     rng = _rng(data, seed)
     specs = _need(data, "transgression", "connections")
+    for key in specs:
+        if key not in ("old", "new"):
+            raise ParseError(f"connections key {key!r} is neither 'old' nor 'new'")
     index = data.get("index", 1)
     rank = data.get("rank", algebroid.rank)
     if "old" in specs:

@@ -284,6 +284,63 @@ def test_total_form_term_out_of_range_exits_two(tmp_path, capsys, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("block", [[-1, 0, 0], [7, 0, 1]])
+def test_total_form_term_form_degree_out_of_range_exits_two(tmp_path, capsys, block):
+    # the subframe restricts the rank-5 algebroid to frame rank 4
+    payload = _corpus_payload("graded_bott_5dim")
+    payload["d_part"]["terms"].append({"block": block, "index": [], "row": 0,
+                                       "col": 0, "coeff": "1"})
+    assert main([write_problem(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"form degree {block[0]}, outside 0..4" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# --- connection keys -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", ["7", "01"])
+def test_connections_key_naming_no_summand_exits_two(tmp_path, capsys, key):
+    payload = _corpus_payload("graded_bott_5dim")
+    payload["connections"][key] = payload["connections"].pop("1")
+    assert main([write_problem(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"connections key {key!r} is not the degree of a bundle summand" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_transgression_connections_key_other_than_old_or_new_exits_two(tmp_path,
+                                                                       capsys):
+    payload = _corpus_payload("transgression_aff1_scalar")
+    payload["connections"]["older"] = payload["connections"].pop("old")
+    assert main([write_problem(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "connections key 'older' is neither 'old' nor 'new'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# --- the morphism task -----------------------------------------------------------
+
+
+def test_morphism_task_checks_the_morphism_once(monkeypatch):
+    import gradweil.constructions as constructions
+    import gradweil.problems as problems
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    original = constructions.check_morphism
+    monkeypatch.setattr(constructions, "check_morphism", spy)
+    monkeypatch.setattr(problems, "check_morphism", spy)
+    report = run_problem(_corpus_payload("morphism_ideal_aff1"))
+    assert report["checks"][0] == {"name": "is_morphism", "pass": True}
+    assert len(calls) == 1
+
+
 # --- internal check failures -------------------------------------------------
 
 

@@ -1,13 +1,17 @@
 """Canonical 2-representations, vanishing reports, ideal systems."""
 
+import functools
+import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from gradweil import catalog
-from gradweil.algebroid import Chart, Subframe, tangent_algebroid
-from gradweil.connections import ConnectionUpToHomotopy, LinearConnection
+from gradweil.algebroid import Algebroid, Chart, Subframe, tangent_algebroid
+from gradweil.connections import (ConnectionUpToHomotopy, LinearConnection,
+                                  two_term_connection)
 from gradweil.constructions import (
     adjoint_rep,
     atiyah_form,
@@ -25,9 +29,12 @@ from gradweil.constructions import (
     square_zero_check,
 )
 from gradweil.errors import MismatchError, MorphismError
-from gradweil.forms import GradedBundle, TotalForm, render_form
+from gradweil.forms import GradedBundle, TotalForm, mat_is_zero, mat_neg, render_form
+from gradweil.problems import run_problem
 from gradweil.randgen import random_linear_connection
 from gradweil.ring import Poly
+
+from test_algebroid import polynomial_presentation
 
 X = ("x",)
 
@@ -147,6 +154,138 @@ def test_basic_connection_leibniz_in_direction():
         rho_f = al.anchor_apply(i, f)
         rhs = [f * step[k] + rho_f * v[k] for k in range(2)]
         assert lhs == rhs
+
+
+# --- reference basic connections and basic curvature ---------------------------
+# The section-level formulas, kept as oracles for adjoint_rep, which builds
+# the same objects as the morphism representation of the anchor.
+
+
+def _unit(variables, rank, index):
+    return [Poly.one(variables) if k == index else Poly.zero(variables)
+            for k in range(rank)]
+
+
+def _add(*vectors):
+    return [functools.reduce(operator.add, parts) for parts in zip(*vectors)]
+
+
+def _neg(vector):
+    return [-p for p in vector]
+
+
+def _rho(algebroid, coeffs):
+    """Vector-field components of rho applied to a coefficient vector."""
+    zero = Poly.zero(algebroid.variables)
+    return [functools.reduce(operator.add,
+                             (c * algebroid.anchor[k][p]
+                              for k, c in enumerate(coeffs)), zero)
+            for p in range(algebroid.chart.dim)]
+
+
+def basic_connections_reference(algebroid, nabla_tm):
+    """(nabla^bas on sections, nabla^bas on vector fields) over a chart.
+
+    nabla^bas_{e_i} e_j = [e_i, e_j] + nabla_{rho(e_j)} e_i and
+    nabla^bas_{e_i} d_m = [rho(e_i), d_m] + rho(nabla_{d_m} e_i).
+    """
+    variables = algebroid.variables
+    r, n = algebroid.rank, algebroid.chart.dim
+    gamma_a = [[_add(algebroid.bracket_vector(i, j),
+                     nabla_tm.apply_section(algebroid.anchor[j],
+                                            _unit(variables, r, i)))
+                for j in range(r)] for i in range(r)]
+    christoffel = nabla_tm.christoffel()
+    gamma_tm = [[_add(algebroid.vector_field_bracket(algebroid.anchor[i],
+                                                     _unit(variables, n, m)),
+                      _rho(algebroid, christoffel[m][i]))
+                 for m in range(n)] for i in range(r)]
+    return (LinearConnection.from_christoffel(algebroid, gamma_a),
+            LinearConnection.from_christoffel(algebroid, gamma_tm))
+
+
+def basic_curvature_reference(algebroid, nabla_tm):
+    """The five-term formula R(a, b) x evaluated on frames, as block (2, 1, 0).
+
+    R(a, b) x = -nabla_x [a, b] + [nabla_x a, b] + [a, nabla_x b]
+                + nabla_{nabla^bas_b x} a - nabla_{nabla^bas_a x} b.
+    """
+    _, bas_tm = basic_connections_reference(algebroid, nabla_tm)
+    variables = algebroid.variables
+    r, n = algebroid.rank, algebroid.chart.dim
+    entries = {}
+    for i, j in itertools.combinations(range(r), 2):
+        a, b = _unit(variables, r, i), _unit(variables, r, j)
+        mat = [[Poly.zero(variables) for _ in range(n)] for _ in range(r)]
+        for m in range(n):
+            x = _unit(variables, n, m)
+            vec = _add(
+                _neg(nabla_tm.apply_section(x, algebroid.section_bracket(a, b))),
+                algebroid.section_bracket(nabla_tm.apply_section(x, a), b),
+                algebroid.section_bracket(a, nabla_tm.apply_section(x, b)),
+                nabla_tm.apply_section(bas_tm.apply_section(b, x), a),
+                _neg(nabla_tm.apply_section(bas_tm.apply_section(a, x), b)))
+            for k in range(r):
+                mat[k][m] = vec[k]
+        if not mat_is_zero(mat):
+            entries[(i, j)] = mat
+    bundle = GradedBundle([(0, r), (1, n)])
+    return TotalForm(variables, r, bundle, bundle, 1, {(2, 1, 0): entries})
+
+
+def broken_anchor_line():
+    """rho(e1) = d/dx, rho(e2) = 0 and [e1, e2] = e1: only the anchor axiom fails."""
+    return Algebroid.from_brackets(Chart(X), 2, [["1"], ["0"]],
+                                   {(0, 1): ["1", "0"]})
+
+
+ADJOINT_CASES = {
+    "aff1_action_line": catalog.aff1_action_line,
+    "tangent_line": catalog.tangent_line,
+    "tangent_plane": catalog.tangent_plane,
+    "polynomial": polynomial_presentation,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJOINT_CASES))
+def test_adjoint_is_the_morphism_representation_of_the_anchor(name):
+    algebroid = ADJOINT_CASES[name]()
+    tangent = tangent_algebroid(algebroid.chart)
+    r, n = algebroid.rank, algebroid.chart.dim
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(4):
+        ntm = random_linear_connection(rng, tangent, r, max_poly_degree=2)
+        bas_a, bas_tm = basic_connections_reference(algebroid, ntm)
+        rbas = basic_curvature_reference(algebroid, ntm)
+        assert basic_connections(algebroid, ntm) == (bas_a, bas_tm)
+        assert basic_curvature(algebroid, ntm) == rbas
+        partial = [[algebroid.anchor[i][m] for i in range(r)] for m in range(n)]
+        omega = {mi: mat_neg(mat) for mi, mat in rbas.block(2, 1, 0).items()}
+        adjoint = adjoint_rep(algebroid, ntm)
+        assert adjoint == two_term_connection(algebroid, bas_a, bas_tm,
+                                              partial, omega)
+        if name == "polynomial":
+            # no axiom holds, so the anchor is no morphism
+            with pytest.raises(MorphismError):
+                morphism_rep(algebroid, tangent, algebroid.anchor, ntm)
+        else:
+            assert adjoint == morphism_rep(algebroid, tangent,
+                                           algebroid.anchor, ntm)
+
+
+def test_adjoint_of_a_broken_anchor_reports_square_zero():
+    algebroid = broken_anchor_line()
+    assert not algebroid.check_axioms().anchor_ok
+    tangent = tangent_algebroid(algebroid.chart)
+    ntm = LinearConnection.zero(tangent, 2)
+    with pytest.raises(MorphismError):
+        check_morphism(algebroid, tangent, algebroid.anchor)
+    adjoint = adjoint_rep(algebroid, ntm)
+    assert isinstance(adjoint, ConnectionUpToHomotopy)
+    assert "square_zero" in failing(square_zero_check(adjoint))
+    # the adjoint task reports it as a failed check (exit 1)
+    report = run_problem({"task": "adjoint", "algebroid": algebroid.to_json()})
+    assert "square_zero" in failing(report)
 
 
 # --- morphisms ---------------------------------------------------------------
@@ -375,3 +514,159 @@ def test_iis_default_extension_exists():
     report = iis_check(al, Subframe(2, [0]), Subframe(1, [0]),
                        nabla_tilde=ext)
     assert report_passed(report)
+
+
+def iis_witness_reference(algebroid, j_subframe, fm_subframe, nabla_tilde):
+    """Conditions 1-4 of iis_check, each scanned by nested loops to its first
+    nonzero cell, with the basic connections and curvature of the references."""
+    r, n = algebroid.rank, algebroid.chart.dim
+    point = n == 0
+    if point:
+        gamma = [[list(algebroid.bracket_vector(i, j)) for j in range(r)]
+                 for i in range(r)]
+        bas_a = LinearConnection.from_christoffel(algebroid, gamma)
+    else:
+        bas_a, bas_tm = basic_connections_reference(algebroid, nabla_tilde)
+    j_set = set(j_subframe.indices)
+    fm_set = set(fm_subframe.indices)
+
+    witness = None
+    ok1 = True
+    for i in j_subframe.indices:
+        for m in range(n):
+            if m not in fm_set and not algebroid.anchor[i][m].is_zero():
+                ok1, witness = False, {"section": i, "field": m,
+                                       "value": str(algebroid.anchor[i][m])}
+                break
+        if not ok1:
+            break
+    checks = [("anchor_maps_into_fields", ok1, witness)]
+
+    gamma_a = bas_a.christoffel()
+    witness = None
+    ok2 = True
+    for i in range(r):
+        for j in j_subframe.indices:
+            for k in range(r):
+                if k not in j_set and not gamma_a[i][j][k].is_zero():
+                    ok2, witness = False, {"frame": i, "section": j,
+                                           "target": k,
+                                           "value": str(gamma_a[i][j][k])}
+                    break
+            if not ok2:
+                break
+        if not ok2:
+            break
+    checks.append(("basic_connection_preserves_sections", ok2, witness))
+
+    witness = None
+    ok3 = True
+    if not point:
+        gamma_tm = bas_tm.christoffel()
+        for i in range(r):
+            for m in fm_subframe.indices:
+                for p in range(n):
+                    if p not in fm_set and not gamma_tm[i][m][p].is_zero():
+                        ok3, witness = False, {"frame": i, "field": m,
+                                               "target": p,
+                                               "value": str(gamma_tm[i][m][p])}
+                        break
+                if not ok3:
+                    break
+            if not ok3:
+                break
+    checks.append(("basic_connection_preserves_fields", ok3, witness))
+
+    witness = None
+    ok4 = True
+    if not point:
+        rbas = basic_curvature_reference(algebroid, nabla_tilde)
+        for mi, mat in rbas.block(2, 1, 0).items():
+            for m in fm_subframe.indices:
+                for k in range(r):
+                    if k not in j_set and not mat[k][m].is_zero():
+                        ok4, witness = False, {"index": list(mi), "field": m,
+                                               "target": k,
+                                               "value": str(mat[k][m])}
+                        break
+                if not ok4:
+                    break
+            if not ok4:
+                break
+    checks.append(("basic_curvature_pairs_into_sections", ok4, witness))
+    return [{"name": name, "pass": ok, **({} if w is None else {"witness": w})}
+            for name, ok, w in checks]
+
+
+def _subsets(size):
+    return [c for k in range(size + 1)
+            for c in itertools.combinations(range(size), k)]
+
+
+def _sparse_extensions(algebroid):
+    """Every tangent-frame connection with one or two Christoffel entries x_0.
+
+    Their basic curvatures have few nonzero cells, so which cell a scan
+    meets first depends on the scan order.
+    """
+    r, n = algebroid.rank, algebroid.chart.dim
+    x, zero = Poly.variable(algebroid.variables, 0), Poly.zero(algebroid.variables)
+    tangent = tangent_algebroid(algebroid.chart)
+    cells = list(itertools.product(range(n), range(r), range(r)))
+    for chosen in itertools.chain(itertools.combinations(cells, 1),
+                                  itertools.combinations(cells, 2)):
+        gamma = [[[x if (m, i, k) in chosen else zero for k in range(r)]
+                  for i in range(r)] for m in range(n)]
+        yield LinearConnection.from_christoffel(tangent, gamma)
+
+
+def _preserves(nabla_tilde, j_subframe, fm_subframe):
+    christoffel = nabla_tilde.christoffel()
+    return all(christoffel[m][i][k].is_zero()
+               for m in fm_subframe.indices for i in j_subframe.indices
+               for k in j_subframe.complement())
+
+
+def swapped_plane():
+    """TM of the chart (x, y) in the frame (d/dy, d/dx).
+
+    Its anchor has a zero first entry, so the anchor scan's order shows.
+    """
+    chart = Chart(("x", "y"))
+    return Algebroid.from_brackets(chart, 2, [["0", "1"], ["1", "0"]], {})
+
+
+IIS_CASES = {
+    "aff1": catalog.aff1,
+    "heisenberg3": catalog.heisenberg3,
+    "aff1_action_line": catalog.aff1_action_line,
+    "tangent_plane": catalog.tangent_plane,
+    "swapped_plane": swapped_plane,
+}
+
+
+@pytest.mark.parametrize("name", list(IIS_CASES))
+def test_iis_checks_match_the_cell_scans(name):
+    algebroid = IIS_CASES[name]()
+    r, n = algebroid.rank, algebroid.chart.dim
+    extensions = [None]
+    if n:
+        # the default extension, then random dense and sparse ones, each
+        # wherever it preserves J along FM
+        tangent = tangent_algebroid(algebroid.chart)
+        rng = random.Random(sum(map(ord, name)))
+        extensions = [iis_default_extension(algebroid)]
+        extensions += [random_linear_connection(rng, tangent, r) for _ in range(2)]
+        extensions += _sparse_extensions(algebroid)
+    failed = 0
+    for k, ext in enumerate(extensions):
+        for j_indices in _subsets(r):
+            for fm_indices in _subsets(n):
+                j_sub, fm_sub = Subframe(r, j_indices), Subframe(n, fm_indices)
+                if k and not _preserves(ext, j_sub, fm_sub):
+                    continue
+                report = iis_check(algebroid, j_sub, fm_sub, nabla_tilde=ext)
+                assert report["checks"][:4] == iis_witness_reference(
+                    algebroid, j_sub, fm_sub, ext)
+                failed += len(failing(report))
+    assert failed
