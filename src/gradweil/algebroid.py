@@ -366,8 +366,8 @@ class Algebroid:
             components.setdefault(alpha, {})[mi] = poly
         coeffs = {(mi, alpha): poly for (alpha, mi), poly
                   in self._d_components(components).items()}
-        return Form(self.variables, self.rank, form.degree + 1, form.fiber_dim,
-                    dict(sorted(coeffs.items())))
+        return Form._unchecked(self.variables, self.rank, form.degree + 1,
+                               form.fiber_dim, dict(sorted(coeffs.items())))
 
     def d_total(self, total_form):
         """d_A on every matrix entry of a TotalForm.
@@ -396,8 +396,10 @@ class Algebroid:
             if mat is None:
                 mat = entries[mi] = [[zero] * src.rank(l) for _ in range(dst.rank(j))]
             mat[b][a] = poly
-        return TotalForm(self.variables, self.rank, src, dst,
-                         total_form.total_degree + 1, blocks)
+        blocks = {key: {mi: tuple(map(tuple, mat)) for mi, mat in entries.items()}
+                  for key, entries in blocks.items()}
+        return TotalForm._unchecked(self.variables, self.rank, src, dst,
+                                    total_form.total_degree + 1, blocks)
 
     def _d_components(self, components):
         """d_sparse on each of several scalar forms, {key: {multi-index: Poly}}.

@@ -26,8 +26,9 @@ The curvature R is the unique total form with hat(R) = cal_D^2.  The first
 curvature call on a connection runs both routes exactly once: squaring the
 operator on basis sections, and the formula above.  If they ever disagree
 it raises InternalCheckError naming the first block and multi-index where
-they differ.  Connections do not change after construction, so each keeps
-its checked curvature.
+they differ.  Connections do not change after construction, so each builds
+its connection form Gamma once, on first use, and keeps its checked
+curvature.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .ring import Poly
 class LinearConnection:
     """An A-connection on a trivialized bundle, given by Christoffel matrices."""
 
-    __slots__ = ("algebroid", "rank", "mats", "_curvatures")
+    __slots__ = ("algebroid", "rank", "mats", "_forms", "_curvatures")
 
     def __init__(self, algebroid, rank, mats):
         self.algebroid = algebroid
@@ -65,6 +66,7 @@ class LinearConnection:
             if len(m) != self.rank or any(len(row) != self.rank for row in m):
                 raise MismatchError("Christoffel matrices must be rank x rank")
         self.mats = mats
+        self._forms = {}        # degree label -> connection form, built once
         self._curvatures = {}   # degree label -> curvature, computed once
 
     def _as_poly(self, p):
@@ -130,11 +132,18 @@ class LinearConnection:
     # -- connection differential -------------------------------------------
 
     def connection_form(self, degree_label=0):
-        """Gamma = sum_i e^i (x) G_i as a TotalForm with the single block (1, z, z)."""
-        bundle = GradedBundle([(degree_label, self.rank)])
-        entries = {(i,): m for i, m in enumerate(self.mats)}
-        return TotalForm(self.variables, self.algebroid.rank, bundle, bundle, 1,
-                         {(1, degree_label, degree_label): entries})
+        """Gamma = sum_i e^i (x) G_i as a TotalForm with the single block (1, z, z).
+
+        Built once per degree label and kept.
+        """
+        gamma = self._forms.get(degree_label)
+        if gamma is None:
+            bundle = GradedBundle([(degree_label, self.rank)])
+            entries = {(i,): m for i, m in enumerate(self.mats)}
+            gamma = self._forms[degree_label] = TotalForm(
+                self.variables, self.algebroid.rank, bundle, bundle, 1,
+                {(1, degree_label, degree_label): entries})
+        return gamma
 
     def d(self, form):
         """d_nabla w = d_A w + hat(Gamma)(w), d_A acting on each fiber component."""
@@ -243,7 +252,7 @@ def induced_hom_connection(src, dst):
 class ConnectionUpToHomotopy:
     """cal_D = d_nabla + hat(D) on forms valued in a graded bundle."""
 
-    __slots__ = ("algebroid", "bundle", "nablas", "D", "_curvature")
+    __slots__ = ("algebroid", "bundle", "nablas", "D", "_gamma", "_curvature")
 
     def __init__(self, algebroid, bundle, nablas, D=None):
         self.algebroid = algebroid
@@ -267,6 +276,7 @@ class ConnectionUpToHomotopy:
         if D.variables != algebroid.variables or D.frame_rank != algebroid.rank:
             raise MismatchError("D lives over the wrong frame")
         self.D = D
+        self._gamma = None       # the connection form, built once
         self._curvature = None   # computed and cross-checked once
 
     @classmethod
@@ -314,11 +324,16 @@ class ConnectionUpToHomotopy:
     # -- curvature ------------------------------------------------------------
 
     def connection_form(self):
-        """Gamma of every summand's connection, in the diagonal (1, z, z) blocks."""
-        blocks = {(1, z, z): {(i,): m for i, m in enumerate(self.nablas[z].mats)}
-                  for z in self.bundle.degrees()}
-        return TotalForm(self.variables, self.algebroid.rank, self.bundle,
-                         self.bundle, 1, blocks)
+        """Gamma of every summand's connection, in the diagonal (1, z, z) blocks.
+
+        Built once and kept.
+        """
+        if self._gamma is None:
+            blocks = {(1, z, z): {(i,): m for i, m in enumerate(self.nablas[z].mats)}
+                      for z in self.bundle.degrees()}
+            self._gamma = TotalForm(self.variables, self.algebroid.rank,
+                                    self.bundle, self.bundle, 1, blocks)
+        return self._gamma
 
     def curvature_blockwise(self):
         """R = d_A Omega + Omega ^ Omega with Omega = Gamma + D (the formula route)."""

@@ -25,14 +25,19 @@ evaluate the textbook formula independently of the merge implementation.
 `TotalForm.wedge` and `TotalForm.apply_part` share one private matrix
 kernel, `_accumulate`.  Every output matrix entry is a single term dict
 {exponent: (numerator, denominator)}; sign * p * q of two Poly entries is
-added into it with integer arithmetic, zero entries are skipped, and on the
-point base (no chart variables) no exponents are added.  Each entry becomes
-a Poly, one reduced Fraction per term, only at the end, and cancelled terms,
-zero matrices and empty blocks are dropped, so results are structurally
-equal to the Poly-matrix product.  The small Poly-matrix helpers (`mat_mul`,
-`mat_add`, ...) stay public: the rest of the engine does matrix algebra on
-Christoffel data with them, and the tests build their wedge and hat
-references from `mat_mul`.
+added into it with integer arithmetic, and on the point base (no chart
+variables) no exponents are added.  Each entry becomes a Poly only at the
+end.  A TotalForm does not change after construction, so the kernel reads
+it through a view built once, on first use: per block, each multi-index as
+a bitmask (bit k for frame index k) with its matrix as sparse term rows.
+Overlapping indices are skipped by `m1 & m2` and the merge sign is a parity
+of popcounts (`_merge_sign`); stored keys stay ascending tuples.  Results
+the engine builds itself (wedge, sums, negation, `apply_part`, d_A) go
+through `Form._unchecked` and `TotalForm._unchecked`, which trust keys and
+shapes and only drop zero coefficients, zero matrices and empty blocks, so
+results stay structurally equal to the checked Poly-matrix product.  The
+Poly-matrix helpers (`mat_mul`, `mat_add`, ...) stay public for Christoffel
+algebra and the tests' references.
 """
 
 from __future__ import annotations
@@ -66,17 +71,40 @@ def merge_indices(left, right):
     return (-1 if inversions % 2 else 1), merged
 
 
+def _mask(indices):
+    """The bitmask of a multi-index: bit k is set when k is in it."""
+    return sum(1 << k for k in indices)
+
+
+def _indices(mask):
+    """The ascending multi-index of a bitmask, lowest bit first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _merge_sign(left, right):
+    """The sign of `merge_indices` on bitmasks, 0 when they overlap: each bit
+    `low` of `right` passes the bits of `left` above it, left & -low."""
+    if left & right:
+        return 0
+    inversions = 0
+    while right:
+        low = right & -right
+        inversions += (left & -low).bit_count()
+        right ^= low
+    return -1 if inversions & 1 else 1
+
+
 def sort_with_sign(indices):
     """Sort an index tuple, returning (sign, sorted) or (0, None) on repeats."""
     indices = tuple(indices)
     if len(set(indices)) != len(indices):
         return 0, None
-    inversions = sum(
-        1
-        for a in range(len(indices))
-        for b in range(a + 1, len(indices))
-        if indices[a] > indices[b]
-    )
+    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
     return (-1 if inversions % 2 else 1), tuple(sorted(indices))
 
 
@@ -222,10 +250,6 @@ class GradedBundle:
             raise MismatchError("a graded bundle needs at least one summand")
         self.summands = summands
 
-    @classmethod
-    def ungraded(cls, rank):
-        return cls([(0, rank)])
-
     def degrees(self):
         return tuple(z for z, _ in self.summands)
 
@@ -299,6 +323,16 @@ class Form:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _unchecked(cls, variables, frame_rank, degree, fiber_dim, coeffs):
+        """A Form on engine-built coefficients (valid keys, Poly values on the
+        `variables` tuple): zero ones are dropped, nothing is checked."""
+        out = cls.__new__(cls)
+        out.variables, out.frame_rank = variables, frame_rank
+        out.degree, out.fiber_dim = degree, fiber_dim
+        out.coeffs = {key: poly for key, poly in coeffs.items() if poly.terms}
+        return out
+
+    @classmethod
     def zero(cls, variables, frame_rank, degree, fiber_dim=1):
         return cls(variables, frame_rank, degree, fiber_dim)
 
@@ -360,23 +394,14 @@ class Form:
         coeffs = dict(self.coeffs)
         for key, poly in other.coeffs.items():
             acc = coeffs.get(key)
-            acc = poly if acc is None else acc + poly
-            if acc.is_zero():
-                coeffs.pop(key, None)
-            else:
-                coeffs[key] = acc
-        out = Form.__new__(Form)
-        out.variables, out.frame_rank = self.variables, self.frame_rank
-        out.degree, out.fiber_dim = self.degree, self.fiber_dim
-        out.coeffs = coeffs
-        return out
+            coeffs[key] = poly if acc is None else acc + poly
+        return Form._unchecked(self.variables, self.frame_rank, self.degree,
+                               self.fiber_dim, coeffs)
 
     def __neg__(self):
-        out = Form.__new__(Form)
-        out.variables, out.frame_rank = self.variables, self.frame_rank
-        out.degree, out.fiber_dim = self.degree, self.fiber_dim
-        out.coeffs = {k: -p for k, p in self.coeffs.items()}
-        return out
+        return Form._unchecked(self.variables, self.frame_rank, self.degree,
+                               self.fiber_dim,
+                               {k: -p for k, p in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -387,16 +412,9 @@ class Form:
         """Multiply by a Poly or rational scalar."""
         if not isinstance(scalar, Poly):
             scalar = Poly.constant(self.variables, scalar)
-        coeffs = {}
-        for key, poly in self.coeffs.items():
-            q = scalar * poly
-            if not q.is_zero():
-                coeffs[key] = q
-        out = Form.__new__(Form)
-        out.variables, out.frame_rank = self.variables, self.frame_rank
-        out.degree, out.fiber_dim = self.degree, self.fiber_dim
-        out.coeffs = coeffs
-        return out
+        return Form._unchecked(self.variables, self.frame_rank, self.degree,
+                               self.fiber_dim,
+                               {k: scalar * p for k, p in self.coeffs.items()})
 
     def wedge(self, other):
         """Wedge product; at least one factor must be scalar (fiber_dim 1).
@@ -422,12 +440,9 @@ class Form:
                 prod = p1 * p2 if sign == 1 else -(p1 * p2)
                 key = (merged, alpha)
                 acc = coeffs.get(key)
-                acc = prod if acc is None else acc + prod
-                if acc.is_zero():
-                    coeffs.pop(key, None)
-                else:
-                    coeffs[key] = acc
-        return Form(self.variables, self.frame_rank, degree, fiber_dim, coeffs)
+                coeffs[key] = prod if acc is None else acc + prod
+        return Form._unchecked(self.variables, self.frame_rank, degree, fiber_dim,
+                               coeffs)
 
     # -- comparison / io --------------------------------------------------
 
@@ -566,7 +581,8 @@ class TotalForm:
     every block.
     """
 
-    __slots__ = ("variables", "frame_rank", "src", "dst", "total_degree", "blocks")
+    __slots__ = ("variables", "frame_rank", "src", "dst", "total_degree", "blocks",
+                 "_kernel")
 
     def __init__(self, variables, frame_rank, src, dst, total_degree, blocks=None):
         self.variables = tuple(variables)
@@ -599,8 +615,25 @@ class TotalForm:
                 if block_clean:
                     clean[(i, l, j)] = block_clean
         self.blocks = clean
+        self._kernel = None
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _unchecked(cls, variables, frame_rank, src, dst, total_degree, blocks):
+        """A TotalForm on engine-built blocks (valid keys, tuple-of-tuple Poly
+        matrices): zero matrices and empty blocks are dropped, nothing else."""
+        out = cls.__new__(cls)
+        out.variables, out.frame_rank = variables, frame_rank
+        out.src, out.dst, out.total_degree = src, dst, total_degree
+        out.blocks = {}
+        for key, entries in blocks.items():
+            kept = {mi: mat for mi, mat in entries.items()
+                    if any(p.terms for row in mat for p in row)}
+            if kept:
+                out.blocks[key] = kept
+        out._kernel = None
+        return out
 
     @classmethod
     def zero(cls, variables, frame_rank, src, dst, total_degree):
@@ -630,6 +663,15 @@ class TotalForm:
     def block(self, i, l, j):
         return self.blocks.get((i, l, j), {})
 
+    def _kernel_view(self):
+        """Per block, the (bitmask, sparse rows) pair of each multi-index,
+        built on first use and kept in `_kernel`."""
+        if self._kernel is None:
+            self._kernel = {key: tuple((_mask(mi), _sparse_rows(mat))
+                                       for mi, mat in entries.items())
+                            for key, entries in self.blocks.items()}
+        return self._kernel
+
     def block_matrix(self, block, mi):
         i, l, j = block
         entries = self.blocks.get(block)
@@ -649,21 +691,15 @@ class TotalForm:
             tgt = blocks.setdefault(key, {})
             for mi, mat in entries.items():
                 acc = tgt.get(mi)
-                acc = mat if acc is None else mat_add(acc, mat)
-                if mat_is_zero(acc):
-                    tgt.pop(mi, None)
-                else:
-                    tgt[mi] = acc
-            if not tgt:
-                del blocks[key]
-        return TotalForm(self.variables, self.frame_rank, self.src, self.dst,
-                         self.total_degree, blocks)
+                tgt[mi] = mat if acc is None else mat_add(acc, mat)
+        return TotalForm._unchecked(self.variables, self.frame_rank, self.src,
+                                    self.dst, self.total_degree, blocks)
 
     def __neg__(self):
         blocks = {k: {mi: mat_neg(m) for mi, m in v.items()}
                   for k, v in self.blocks.items()}
-        return TotalForm(self.variables, self.frame_rank, self.src, self.dst,
-                         self.total_degree, blocks)
+        return TotalForm._unchecked(self.variables, self.frame_rank, self.src,
+                                    self.dst, self.total_degree, blocks)
 
     def __sub__(self, other):
         if not isinstance(other, TotalForm):
@@ -675,8 +711,8 @@ class TotalForm:
             scalar = Poly.constant(self.variables, scalar)
         blocks = {k: {mi: mat_scale(scalar, m) for mi, m in v.items()}
                   for k, v in self.blocks.items()}
-        return TotalForm(self.variables, self.frame_rank, self.src, self.dst,
-                         self.total_degree, blocks)
+        return TotalForm._unchecked(self.variables, self.frame_rank, self.src,
+                                    self.dst, self.total_degree, blocks)
 
     def wedge(self, other):
         """Composition product: hat(self.wedge(other)) == hat(self) o hat(other).
@@ -692,39 +728,35 @@ class TotalForm:
         if self.variables != other.variables or self.frame_rank != other.frame_rank:
             raise MismatchError("total forms live over different frames")
         point = not self.variables
-        left_rows = {key: {mi: _sparse_rows(m) for mi, m in entries.items()}
-                     for key, entries in self.blocks.items()}
-        right_rows = left_rows if other is self else {
-            key: {mi: _sparse_rows(m) for mi, m in entries.items()}
-            for key, entries in other.blocks.items()}
+        right_view = other._kernel_view()
         cells: dict = {}
-        for (i1, m1, j), entries1 in left_rows.items():
+        for (i1, m1, j), entries1 in self._kernel_view().items():
             f1 = j - m1
             rows = self.dst.rank(j)
-            for (i2, l, m2), entries2 in right_rows.items():
+            for (i2, l, m2), entries2 in right_view.items():
                 if m2 != m1:
                     continue
                 koszul = -1 if (f1 * i2) % 2 else 1
-                key = (i1 + i2, l, j)
+                tgt = cells.setdefault((i1 + i2, l, j), {})
                 cols = other.src.rank(l)
-                for mi1, left in entries1.items():
-                    for mi2, right in entries2.items():
-                        sign, merged = merge_indices(mi1, mi2)
-                        if sign == 0:
+                for mask1, left in entries1:
+                    for mask2, right in entries2:
+                        if mask1 & mask2:
                             continue
-                        tgt = cells.setdefault(key, {})
+                        merged = mask1 | mask2
                         acc = tgt.get(merged)
                         if acc is None:
                             acc = tgt[merged] = [[{} for _ in range(cols)]
                                                  for _ in range(rows)]
-                        _accumulate(acc, sign * koszul, left, right, point)
+                        _accumulate(acc, koszul * _merge_sign(mask1, mask2),
+                                    left, right, point)
         # the constructor drops zero matrices and empty blocks
-        blocks = {key: {merged: [[_cell_poly(cell, self.variables) for cell in row]
-                                 for row in acc]
-                        for merged, acc in tgt.items()}
-                  for key, tgt in cells.items()}
-        return TotalForm(self.variables, self.frame_rank, other.src, self.dst,
-                         self.total_degree + other.total_degree, blocks)
+        blocks = {key: {_indices(merged): tuple(tuple(_cell_poly(c, self.variables)
+                                                      for c in row) for row in acc)
+                        for merged, acc in tgt.items()} for key, tgt in cells.items()}
+        return TotalForm._unchecked(self.variables, self.frame_rank, other.src,
+                                    self.dst, self.total_degree + other.total_degree,
+                                    blocks)
 
     # -- operator action -----------------------------------------------------
 
@@ -743,33 +775,33 @@ class TotalForm:
         # the form as one sparse column per multi-index, rows = fiber index
         columns: dict = {}
         for (mi, alpha), poly in form.coeffs.items():
-            column = columns.setdefault(mi, [()] * form.fiber_dim)
+            column = columns.setdefault(_mask(mi), [()] * form.fiber_dim)
             column[alpha] = ((0, _terms(poly)),)
-        for (i, bl, j), entries in self.blocks.items():
+        for (i, bl, j), entries in self._kernel_view().items():
             if bl != l:
                 continue
             koszul = -1 if ((j - l) * t) % 2 else 1
             rows = self.dst.rank(j)
             cells: dict = {}
-            for mi1, mat in entries.items():
-                left = _sparse_rows(mat)
-                for mi2, column in columns.items():
-                    sign, merged = merge_indices(mi1, mi2)
-                    if sign == 0:
+            for mask1, left in entries:
+                for mask2, column in columns.items():
+                    if mask1 & mask2:
                         continue
+                    merged = mask1 | mask2
                     acc = cells.get(merged)
                     if acc is None:
                         acc = cells[merged] = [[{}] for _ in range(rows)]
-                    _accumulate(acc, sign * koszul, left, column, point)
+                    _accumulate(acc, koszul * _merge_sign(mask1, mask2),
+                                left, column, point)
             coeffs = {}
             for merged, acc in cells.items():
+                mi = _indices(merged)
                 for beta, (cell,) in enumerate(acc):
-                    poly = _cell_poly(cell, self.variables)
-                    if poly.terms:
-                        coeffs[(merged, beta)] = poly
-            if coeffs:
-                out.parts[(t + i, j)] = Form(self.variables, self.frame_rank,
-                                             t + i, rows, coeffs)
+                    coeffs[(mi, beta)] = _cell_poly(cell, self.variables)
+            part = Form._unchecked(self.variables, self.frame_rank, t + i, rows,
+                                   coeffs)
+            if part.coeffs:
+                out.parts[(t + i, j)] = part
         return out
 
     def apply(self, element):
@@ -835,9 +867,7 @@ class TotalForm:
                 raise ParseError(f"term ({row}, {col}) of block {[i, l, j]} is out of "
                                  f"range for a {dst.rank(j)} x {src.rank(l)} block")
             mat[row][col] = Poly.parse(term["coeff"], variables)
-        frozen = {key: {mi: tuple(tuple(row) for row in m) for mi, m in v.items()}
-                  for key, v in blocks.items()}
-        return cls(variables, frame_rank, src, dst, data["total_degree"], frozen)
+        return cls(variables, frame_rank, src, dst, data["total_degree"], blocks)
 
 
 # ----------------------------------------------------------------------
@@ -855,54 +885,32 @@ def graded_commutator(k1, k2):
 
 def gtr(total_form):
     """Graded trace: (-1)^l tr on each diagonal block; returns a scalar Form."""
-    if not total_form.is_end():
-        raise MismatchError("graded trace needs an endomorphism-valued form")
-    s = total_form.total_degree
-    coeffs: dict = {}
-    variables = total_form.variables
-    for (i, l, j), entries in total_form.blocks.items():
-        if l != j:
-            continue
-        # i == s on diagonal blocks by the total degree invariant
-        sign = -1 if l % 2 else 1
-        for mi, mat in entries.items():
-            val = mat_trace(mat)
-            if val is None or val.is_zero():
-                continue
-            if sign == -1:
-                val = -val
-            key = (mi, 0)
-            acc = coeffs.get(key)
-            acc = val if acc is None else acc + val
-            if acc.is_zero():
-                coeffs.pop(key, None)
-            else:
-                coeffs[key] = acc
-    # a negative total degree admits no diagonal blocks: the trace is zero
-    return Form(variables, total_form.frame_rank, max(s, 0), 1, coeffs)
+    return _trace(total_form, graded=True)
 
 
 def tr(total_form):
     """Plain fiberwise trace (no degree signs); scalar Form output."""
+    return _trace(total_form, graded=False)
+
+
+def _trace(total_form, graded):
+    """The sum of the diagonal blocks' traces, times (-1)^l when graded."""
     if not total_form.is_end():
-        raise MismatchError("trace needs an endomorphism-valued form")
+        name = "graded trace" if graded else "trace"
+        raise MismatchError(f"{name} needs an endomorphism-valued form")
     coeffs: dict = {}
     for (i, l, j), entries in total_form.blocks.items():
         if l != j:
             continue
+        # i == s on diagonal blocks by the total degree invariant
+        negate = graded and l % 2
         for mi, mat in entries.items():
-            val = mat_trace(mat)
-            if val is None or val.is_zero():
-                continue
-            key = (mi, 0)
-            acc = coeffs.get(key)
-            acc = val if acc is None else acc + val
-            if acc.is_zero():
-                coeffs.pop(key, None)
-            else:
-                coeffs[key] = acc
-    return Form(total_form.variables, total_form.frame_rank,
-                max(total_form.total_degree, 0), 1, coeffs)
+            val = -mat_trace(mat) if negate else mat_trace(mat)
+            acc = coeffs.get((mi, 0))
+            coeffs[(mi, 0)] = val if acc is None else acc + val
+    # a negative total degree admits no diagonal blocks: the trace is zero
+    return Form._unchecked(total_form.variables, total_form.frame_rank,
+                           max(total_form.total_degree, 0), 1, coeffs)
 
 
 def unhat_from_sections(action, variables, frame_rank, src, dst, total_degree):
@@ -931,17 +939,11 @@ def unhat_from_sections(action, variables, frame_rank, src, dst, total_degree):
                                for _ in range(dst.rank(j))]
                         entries[mi] = mat
                     mat[beta][alpha] = mat[beta][alpha] + poly
-    frozen = {key: {mi: tuple(tuple(row) for row in m) for mi, m in v.items()}
-              for key, v in blocks.items()}
-    return TotalForm(variables, frame_rank, src, dst, total_degree, frozen)
+    return TotalForm(variables, frame_rank, src, dst, total_degree, blocks)
 
 
 # ----------------------------------------------------------------------
 # annihilator ideals and adapted-frame restriction
-
-
-def outside_count(mi, inside):
-    return sum(1 for i in mi if i not in inside)
 
 
 def ideal_membership(form, indices, p):
@@ -951,13 +953,9 @@ def ideal_membership(form, indices, p):
     subbundle spanned by the listed frame elements.
     """
     inside = set(indices)
-    if isinstance(form, TotalForm):
-        return all(
-            outside_count(mi, inside) >= p
-            for entries in form.blocks.values()
-            for mi in entries
-        )
-    return all(outside_count(mi, inside) >= p for (mi, _) in form.coeffs)
+    keys = ([mi for entries in form.blocks.values() for mi in entries]
+            if isinstance(form, TotalForm) else [mi for mi, _ in form.coeffs])
+    return all(sum(i not in inside for i in mi) >= p for mi in keys)
 
 
 def restrict_total_form(total_form, indices):

@@ -461,14 +461,14 @@ def _square_zero_report(conn, construction):
 def _task_adjoint(data, bound, seed):
     algebroid = _build_algebroid(data, "adjoint")
     nabla_tm = None
-    if algebroid.chart.dim:
-        tm = tangent_algebroid(algebroid.chart)
-        rng = _rng(data, seed)
-        if "tangent_connection" in data:
-            nabla_tm = _build_connection(data["tangent_connection"], tm,
-                                         rank=algebroid.rank)
-        else:
-            nabla_tm = randgen.random_linear_connection(rng, tm, algebroid.rank)
+    if "tangent_connection" in data:
+        # over a point this refuses the field: a point has no tangent algebroid
+        nabla_tm = _build_connection(data["tangent_connection"],
+                                     tangent_algebroid(algebroid.chart),
+                                     rank=algebroid.rank)
+    elif algebroid.chart.dim:
+        nabla_tm = randgen.random_linear_connection(
+            _rng(data, seed), tangent_algebroid(algebroid.chart), algebroid.rank)
     conn = adjoint_rep(algebroid, nabla_tm=nabla_tm)
     return _square_zero_report(conn, "adjoint")
 

@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, canonical output, corpus runner."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import pathlib
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradweil import catalog
 from gradweil.cli import canonical_json, main
@@ -251,6 +256,23 @@ def test_whitespace_inside_a_number_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+POINT_TANGENT_CONNECTION = {"rank": 99,
+                            "christoffel": [{"frame": 7, "matrix": [["1/0"]]}]}
+
+
+@pytest.mark.parametrize("name", ["adjoint_sl2", "iis_naive_ideal"])
+def test_tangent_connection_over_a_point_exits_two(tmp_path, capsys, name):
+    # both tasks read the field over a point base and refuse it the same way
+    payload = _corpus_payload(name)
+    payload["tangent_connection"] = POINT_TANGENT_CONNECTION
+    assert main([write_problem(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "the tangent algebroid of a point is empty" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("entry, message", [("1/0", "zero denominator"),
                                             ("x", "unknown variable"),
                                             ("3 4", "whitespace inside a number")])
@@ -432,3 +454,56 @@ def test_complement_key_outside_the_subframe_is_used(tmp_path, capsys, monkeypat
     [complement] = seen
     assert list(complement) == [2]
     assert str(complement[2][0][0]) == "1/2"
+
+
+# --- the exit-code contract under one mutated field -----------------------------
+
+
+def _sites(value, path=()):
+    """Every node of a payload, as a path of dict keys and list positions."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _sites(item, path + (key,))
+    elif isinstance(value, list):
+        for position, item in enumerate(value):
+            yield from _sites(item, path + (position,))
+
+
+CORPUS_NAMES = sorted(p.stem for p in CORPUS.glob("*.json")
+                      if not p.name.endswith(".golden.json"))
+MUTATION_SITES = [(name, path) for name in CORPUS_NAMES
+                  for path in _sites(_corpus_payload(name)) if path]
+SMALL_VALUES = ["1/0", "x", "3 4", "", "-1/2", 0, 1, 2, -1, [], [0], {}, None, True]
+
+
+def _run_cli(path, json_path):
+    """cli.main in-process: its exit code, stdout, stderr and --json bytes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path), "--json", str(json_path)])
+    written = json_path.read_bytes() if json_path.exists() else None
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(SMALL_VALUES))
+@example(site=("adjoint_action_line_poly",
+               ("tangent_connection", "christoffel", 0, "matrix", 0, 1)), value="1/0")
+@example(site=("adjoint_sl2", ("tangent_connection",)), value=POINT_TANGENT_CONNECTION)
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_one_mutated_field_keeps_the_exit_code_contract(site, value):
+    # 3 is reserved for failed internal checks, which no input should reach
+    name, path = site
+    payload = _corpus_payload(name)
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = pathlib.Path(tmp) / "problem.json"
+        problem.write_text(json.dumps(payload))
+        first = _run_cli(problem, pathlib.Path(tmp) / "first.json")
+        second = _run_cli(problem, pathlib.Path(tmp) / "second.json")
+    assert first[0] in (0, 1, 2)
+    assert "Traceback" not in first[2]
+    assert first == second

@@ -7,12 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from gradweil import catalog
 from gradweil.errors import MismatchError
 from gradweil.forms import (
     Form,
     GradedBundle,
     GradedElement,
     TotalForm,
+    _indices,
+    _mask,
+    _merge_sign,
     extend_total_form,
     graded_commutator,
     gtr,
@@ -29,7 +33,7 @@ from gradweil.forms import (
     tr,
     unhat_from_sections,
 )
-from gradweil.randgen import random_form, random_total_form
+from gradweil.randgen import random_cuth, random_form, random_total_form
 from gradweil.ring import Poly
 
 VS = ("x",)
@@ -522,3 +526,129 @@ def test_kernel_wedge_is_composition_on_basis_sections(variables):
                 for alpha in range(r):
                     e = GradedElement.basis_section(variables, 3, bundle, z, alpha)
                     assert W.apply(e) == K.apply(L.apply(e))
+
+
+# --- the kernel view: bitmasks, popcount signs, trusted results ---------------
+
+
+def test_mask_sign_equals_merge_indices_on_every_pair_of_subsets():
+    subsets = [mi for k in range(7) for mi in itertools.combinations(range(6), k)]
+    assert len(subsets) == 64
+    for left in subsets:
+        assert _indices(_mask(left)) == left
+        for right in subsets:
+            sign, merged = merge_indices(left, right)
+            assert _merge_sign(_mask(left), _mask(right)) == sign
+            if sign:
+                assert _indices(_mask(left) | _mask(right)) == merged
+
+
+def sparse_total_form(rng, variables, frame_rank, bundle, total_degree):
+    """Random blocks with at most four multi-indices each, at any frame rank."""
+    blocks = {}
+    for l in bundle.degrees():
+        for j in bundle.degrees():
+            i = total_degree + l - j
+            if not 0 <= i <= frame_rank:
+                continue
+            every = list(itertools.combinations(range(frame_rank), i))
+            entries = {mi: [[kernel_poly(rng, variables) for _ in range(bundle.rank(l))]
+                            for _ in range(bundle.rank(j))]
+                       for mi in rng.sample(every, min(len(every), rng.randint(0, 4)))}
+            if entries:
+                blocks[(i, l, j)] = entries
+    return TotalForm(variables, frame_rank, bundle, bundle, total_degree, blocks)
+
+
+def count_index_pairs(K, L, seen):
+    """Tally disjoint and overlapping multi-index pairs of composable blocks."""
+    for (_, m1, _), entries1 in K.blocks.items():
+        for (_, _, m2), entries2 in L.blocks.items():
+            if m1 == m2:
+                for mi1 in entries1:
+                    for mi2 in entries2:
+                        seen[merge_indices(mi1, mi2)[0] != 0] += 1
+
+
+@pytest.mark.parametrize("frame_rank", range(1, 9))
+@pytest.mark.parametrize("variables", KERNEL_BASES)
+def test_kernel_matches_the_references_at_every_frame_rank(variables, frame_rank):
+    # KERNEL_BUNDLES have summands of odd and even degree, so blocks of odd
+    # and even fiber degree j - l meet in every product
+    rng = random.Random(1000 * frame_rank + len(variables))
+    seen = {True: 0, False: 0}    # disjoint pairs, overlapping pairs
+    nonzero = 0
+    for bundle in KERNEL_BUNDLES:
+        for _ in range(2):
+            K = sparse_total_form(rng, variables, frame_rank, bundle, rng.randint(0, 2))
+            L = sparse_total_form(rng, variables, frame_rank, bundle, rng.randint(0, 2))
+            count_index_pairs(K, L, seen)
+            W = K.wedge(L)
+            assert W == wedge_reference(K, L)
+            assert L.wedge(K) == wedge_reference(L, K)
+            nonzero += not W.is_zero()
+            l, t = rng.choice(bundle.degrees()), rng.randint(0, min(2, frame_rank))
+            coeffs = {(mi, a): kernel_poly(rng, variables)
+                      for mi in itertools.combinations(range(frame_rank), t)
+                      for a in range(bundle.rank(l)) if rng.random() < 0.5}
+            form = Form(variables, frame_rank, t, bundle.rank(l), coeffs)
+            assert K.apply_part(form, l) == apply_part_reference(K, form, l)
+    assert seen[True] > 0 and seen[False] > 0
+    assert nonzero >= 3
+
+
+def assert_trusted(result):
+    """An engine-built result equals the checked constructor on its own data."""
+    if isinstance(result, TotalForm):
+        rebuilt = TotalForm(result.variables, result.frame_rank, result.src,
+                            result.dst, result.total_degree, result.blocks)
+        assert_nothing_zero_stored(result)
+    else:
+        rebuilt = Form(result.variables, result.frame_rank, result.degree,
+                       result.fiber_dim, result.coeffs)
+        assert all(not p.is_zero() for p in result.coeffs.values())
+    assert result == rebuilt
+    assert type(result.variables) is tuple
+
+
+@pytest.mark.parametrize("algebroid", [catalog.sl2(), catalog.aff1_action_line()],
+                         ids=["point", "chart"])
+def test_engine_built_results_equal_their_checked_rebuild(algebroid):
+    rng = random.Random(71)
+    variables, rank = algebroid.variables, algebroid.rank
+    bundle = KERNEL_BUNDLES[0]
+    for _ in range(3):
+        K = kernel_total_form(rng, variables, rank, bundle, 1)
+        L = kernel_total_form(rng, variables, rank, bundle, 1)
+        alpha = random_form(rng, variables, rank, 1, fiber_dim=2, density=3)
+        beta = random_form(rng, variables, rank, 1, density=3)
+        results = [K.wedge(L), K + L, K - L, K - K, -K, K.scale(Fraction(-2, 3)),
+                   K.scale(0), algebroid.d_total(K), algebroid.d_total(K - K),
+                   alpha + alpha, alpha - alpha, -alpha, alpha.scale(3), alpha.scale(0),
+                   beta.wedge(alpha), beta.wedge(beta), algebroid.d(alpha),
+                   algebroid.d(beta), gtr(K.wedge(L)), tr(K.wedge(L))]
+        results += list(K.apply_part(alpha, 0).parts.values())
+        assert any(not r.is_zero() for r in results)
+        for result in results:
+            assert_trusted(result)
+        assert (K - K).is_zero() and not (K - K).blocks
+        assert K.scale(0).is_zero() and not K.scale(0).blocks
+
+
+def test_kernel_view_and_connection_form_are_built_once():
+    rng = random.Random(73)
+    algebroid = catalog.sl2()
+    bundle = KERNEL_BUNDLES[0]
+    cuth = random_cuth(rng, algebroid, bundle)
+    assert cuth.connection_form() is cuth.connection_form()
+    nabla = cuth.nablas[0]
+    assert nabla.connection_form() is nabla.connection_form()
+    assert nabla.connection_form(1) is nabla.connection_form(1)
+    assert nabla.connection_form(1) is not nabla.connection_form()
+    K = kernel_total_form(rng, (), 3, bundle, 1)
+    L = kernel_total_form(rng, (), 3, bundle, 2)
+    first, again = K.wedge(L), K.wedge(L)
+    assert first == again == wedge_reference(K, L)
+    assert K.wedge(K) == K.wedge(K) == wedge_reference(K, K)
+    form = random_form(rng, (), 3, 1, fiber_dim=2, density=4)
+    assert K.apply_part(form, 0) == K.apply_part(form, 0) == apply_part_reference(K, form, 0)
