@@ -5,6 +5,12 @@ are decided by exact rank computations on the frame cochain complex, and
 over a chart base by a bounded linear solve for polynomial primitives
 (status "undecided" when the bound is exhausted).
 
+Every trace of a curvature power in the engine comes from one loop,
+`power_traces`: the characters gtr(R^i), the power traces behind the
+invariant polynomials and Pontryagin classes, and the vanishing reports of
+`constructions`.  `ConnectionUpToHomotopy.curvature_power` keeps the full
+product R^i as the tests' oracle for it.
+
 Scaled classes keep the normalization symbolic: the representative is the
 unnormalized invariant polynomial of the curvature, the rational prefactor
 (-1)^i comes from the (imaginary unit / 2 pi)^(2i) rescaling, and the
@@ -33,41 +39,76 @@ _ONE = Fraction(1)
 
 @dataclass
 class CharacterForm:
-    """gtr(R^i): a closed scalar form of degree 2i."""
+    """gtr(R^i): a scalar form of degree 2i, closed when d_A^2 = 0 holds."""
 
     index: int
     form: Form
     closed: bool
 
 
+def power_traces(curvature, top, trace, first=1):
+    """trace(R^j) for j = first..top, with `trace` one of tr and gtr.
+
+    The one loop that multiplies a curvature by itself: top - 1 wedges and
+    top - first + 1 traces.
+    """
+    if first < 1:
+        raise MismatchError("curvature power traces start at the first power")
+    traces = []
+    power = curvature
+    for j in range(1, top + 1):
+        if j > 1:
+            power = power.wedge(curvature)
+        if j >= first:
+            traces.append(trace(power))
+    return traces
+
+
 def sigma_character(conn, index):
-    """The degree-2i character of a connection (up to homotopy)."""
-    if not isinstance(conn, ConnectionUpToHomotopy):
-        conn = ConnectionUpToHomotopy.from_linear(conn)
-    power = conn.curvature_power(index)
-    form = gtr(power)
-    closed = conn.algebroid.d(form).is_zero()
-    if not closed:
-        # closedness is a theorem here; failing it means broken input data
-        # (an algebroid that does not satisfy its axioms) or an engine bug
+    """The degree-2i character gtr(R^i) of a connection (up to homotopy).
+
+    Closedness is a theorem once d_A^2 = 0 holds, so a character that is not
+    closed comes back with closed=False over an algebroid that fails
+    `d_squared_check`, and raises InternalCheckError over one that passes it.
+    """
+    form = power_traces(conn.curvature(), index, gtr, first=index)[0]
+    algebroid = conn.algebroid
+    term = nonclosed_term(algebroid, form)
+    if term is not None and algebroid.d_squared_check()[0]:
         raise InternalCheckError(
-            f"character gtr(R^{index}) is not closed; check the algebroid axioms")
-    return CharacterForm(index, form, closed)
+            f"character gtr(R^{index}) is not closed although d_A^2 = 0 holds: "
+            + _where(term))
+    return CharacterForm(index, form, term is None)
+
+
+def nonclosed_term(algebroid, form):
+    """None for a closed form, else the first nonzero term of d_A(form).
+
+    The term is {"index": multi-index, "fiber": fiber index, "value": its
+    coefficient}, the first in the sorted order of `Form.to_json`.
+    """
+    image = algebroid.d(form)
+    if image.is_zero():
+        return None
+    mi, fiber = min(image.coeffs)
+    return {"index": list(mi), "fiber": fiber,
+            "value": str(image.coeffs[(mi, fiber)])}
+
+
+def _where(term):
+    return (f"d_A of it is {term['value']} at multi-index "
+            f"{tuple(term['index'])}, fiber {term['fiber']}")
+
+
+def _require_closed(algebroid, form, message):
+    """Raise NotClosedError(message) naming where d_A(form) is nonzero."""
+    term = nonclosed_term(algebroid, form)
+    if term is not None:
+        raise NotClosedError(f"{message}: {_where(term)}")
 
 
 # ----------------------------------------------------------------------
 # invariant polynomials and scaled classes
-
-
-def _power_traces(curvature, up_to):
-    """tr(R^j) for j = 1..up_to as scalar forms (plain trace)."""
-    traces = []
-    power = curvature
-    for j in range(1, up_to + 1):
-        traces.append(tr(power))
-        if j < up_to:
-            power = power.wedge(curvature)
-    return traces
 
 
 def invariant_polys(curvature, up_to):
@@ -83,7 +124,7 @@ def invariant_polys(curvature, up_to):
     frame_rank = curvature.frame_rank
     ones = Form.function(variables, frame_rank, Poly.one(variables))
     out = [ones]
-    traces = _power_traces(curvature, up_to)
+    traces = power_traces(curvature, up_to, tr)
     for i in range(1, up_to + 1):
         acc = Form.zero(variables, frame_rank, 2 * i)
         for j in range(1, i + 1):
@@ -199,17 +240,13 @@ class CohomologyBasis:
     def dim(self, k):
         return len(self.rep_vectors.get(k, []))
 
-    def is_closed(self, form):
-        return self.algebroid.d(form).is_zero()
-
     def decompose(self, form):
         """Write a closed form as sum(c_i rep_i) + d(primitive).
 
         Returns (coefficients, primitive Form).  Raises NotClosedError on a
         non-cocycle.
         """
-        if not self.is_closed(form):
-            raise NotClosedError("cannot decompose a non-closed form")
+        _require_closed(self.algebroid, form, "cannot decompose a non-closed form")
         k = form.degree
         if k > self.algebroid.rank:
             return [], Form.zero(self.algebroid.variables, self.algebroid.rank,
@@ -330,8 +367,7 @@ def is_exact(algebroid, form, bound=None):
     """
     if form.fiber_dim != 1:
         raise MismatchError("exactness applies to scalar forms")
-    if not algebroid.d(form).is_zero():
-        raise NotClosedError("is_exact requires a closed form")
+    _require_closed(algebroid, form, "is_exact requires a closed form")
     point = algebroid.chart.dim == 0
     k = form.degree
     if k == 0:
@@ -438,8 +474,7 @@ def massey_triple(algebroid, alpha, beta, gamma, bound=None):
     only the representative and primitives are reported.
     """
     for name, form in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not algebroid.d(form).is_zero():
-            raise NotClosedError(f"{name} is not closed")
+        _require_closed(algebroid, form, f"{name} is not closed")
     ab = alpha.wedge(beta)
     res_ab = is_exact(algebroid, ab, bound=bound)
     if not res_ab.is_exact:

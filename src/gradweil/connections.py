@@ -28,7 +28,9 @@ operator on basis sections, and the formula above.  If they ever disagree
 it raises InternalCheckError naming the first block and multi-index where
 they differ.  Connections do not change after construction, so each builds
 its connection form Gamma once, on first use, and keeps its checked
-curvature.
+curvature.  Powers of the curvature are traced in `chernweil.power_traces`,
+so a character of either kind of connection reuses the kept curvature;
+`curvature_power` is the full product R^i, the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -363,7 +365,11 @@ class ConnectionUpToHomotopy:
         return operator_route
 
     def curvature_power(self, power):
-        """R^i as an iterated composition wedge; hat of it equals cal_D^(2i)."""
+        """R^i as an iterated composition wedge; hat of it equals cal_D^(2i).
+
+        The full product, kept as the tests' oracle: the engine takes traces
+        of curvature powers only through `chernweil.power_traces`.
+        """
         if power < 0:
             raise MismatchError("curvature powers must be nonnegative")
         if power == 0:

@@ -15,7 +15,7 @@ JSON serialization.
 from __future__ import annotations
 
 from .algebroid import Subframe, tangent_algebroid
-from .chernweil import class_status, invariant_poly_f
+from .chernweil import class_status, invariant_poly_f, power_traces
 from .connections import (ConnectionUpToHomotopy, LinearConnection,
                           extend_connection, induced_hom_connection,
                           restrict_connection, two_term_connection)
@@ -39,16 +39,10 @@ def _check(name, ok, witness=None):
 
 def _trace_power_checks(curvature, trace_fn, prefix, first, top):
     """One vanishing check per power l in [first, top] of trace_fn(R^l)."""
-    checks = []
-    power = curvature
-    for l in range(1, top + 1):
-        if l > 1:
-            power = power.wedge(curvature)
-        if l >= first:
-            trace = trace_fn(power)
-            checks.append(_check(f"{prefix}_{l}_vanishes", trace.is_zero(),
-                                 None if trace.is_zero() else trace.to_json()))
-    return checks
+    return [_check(f"{prefix}_{l}_vanishes", trace.is_zero(),
+                   None if trace.is_zero() else trace.to_json())
+            for l, trace in enumerate(power_traces(curvature, top, trace_fn,
+                                                   first=first), start=first)]
 
 
 def _report(construction, checks, thresholds=None, note=None):

@@ -22,7 +22,7 @@ import jsonschema
 
 from . import randgen
 from .algebroid import Algebroid, Subframe, tangent_algebroid
-from .chernweil import (class_status, massey_triple,
+from .chernweil import (class_status, massey_triple, nonclosed_term,
                         pontryagin_class, sigma_character, transgression)
 from .connections import ConnectionUpToHomotopy, LinearConnection
 from .constructions import (_check, _morphism_rep, adjoint_rep, atiyah_form,
@@ -336,9 +336,14 @@ def _task_obstruct_nrep(data, bound, seed):
     characters = []
     for l in indices:
         char = sigma_character(conn, l)
+        if not char.closed:
+            # only over an algebroid that breaks d_A^2 = 0: no class to decide
+            checks.append(_check(f"sigma{l}_closed", False,
+                                 nonclosed_term(algebroid, char.form)))
+            return {"construction": "obstruct-nrep", "checks": checks}
         status, primitive = class_status(algebroid, char.form,
                                          bound=_bound(data, bound))
-        checks.append(_check(f"sigma{l}_closed", char.closed))
+        checks.append(_check(f"sigma{l}_closed", True))
         checks.append(_check(f"sigma{l}_vanishes_in_cohomology",
                              status == "zero", {"status": status}))
         entry = {"index": l, "form": char.form.to_json(),

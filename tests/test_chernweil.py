@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from gradweil import catalog
-from gradweil.algebroid import Chart, tangent_algebroid
+from gradweil import catalog, chernweil, forms
+from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
 from gradweil.chernweil import (
     CohomologyBasis,
     _exactness_system,
@@ -22,17 +22,19 @@ from gradweil.chernweil import (
     is_exact,
     massey_triple,
     pontryagin_class,
+    power_traces,
     sigma_character,
     total_pontryagin,
     transgression,
 )
-from gradweil.connections import LinearConnection
-from gradweil.errors import MismatchError, NotClosedError
-from gradweil.forms import Form, GradedBundle, render_form
+from gradweil.connections import ConnectionUpToHomotopy, LinearConnection
+from gradweil.errors import InternalCheckError, MismatchError, NotClosedError
+from gradweil.forms import Form, GradedBundle, TotalForm, gtr, render_form, tr
 from gradweil.linalg import solve
 from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
 from test_algebroid import PRESENTATIONS, koszul_reference
+from test_connections import _count_calls
 
 
 def scalar_aff1_connection():
@@ -55,6 +57,110 @@ def test_sigma_closed_for_random_cuths():
         D = random_cuth(rng, a, E)
         for i in (1, 2):
             assert sigma_character(D, i).closed
+
+
+def test_sigma_index_below_one_is_refused():
+    rng = random.Random(29)
+    a = catalog.sl2()
+    for conn in (random_linear_connection(rng, a, 2),
+                 random_cuth(rng, a, GradedBundle([(0, 1), (1, 1)]))):
+        with pytest.raises(MismatchError):
+            sigma_character(conn, 0)
+
+
+def test_characters_of_a_linear_connection_reuse_its_curvature(monkeypatch):
+    import gradweil.connections as connections
+
+    counts = {}
+    _count_calls(monkeypatch, connections, "unhat_from_sections", counts)
+    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_blockwise", counts)
+    nab = random_linear_connection(random.Random(31), catalog.abelian(4), 2)
+    sigma_character(nab, 1)
+    sigma_character(nab, 2)
+    assert counts == {"unhat_from_sections": 1, "curvature_blockwise": 1}
+
+
+def test_unclosed_character_over_a_lie_algebra_is_an_internal_failure(monkeypatch):
+    # d_A^2 = 0 holds on aff(1) + aff(1) + R, so closedness is a theorem there;
+    # a trace that adds eps2^eps4 breaks it: d_A(eps2^eps4) =
+    # -eps1^eps2^eps4 + eps2^eps3^eps4, first at (0, 1, 3) with value -1
+    a = catalog.two_aff1_plus_center()
+    assert a.d_squared_check()[0]
+    bump = a.coframe(1).wedge(a.coframe(3))
+    monkeypatch.setattr(chernweil, "gtr", lambda power: forms.gtr(power) + bump)
+    with pytest.raises(InternalCheckError) as caught:
+        sigma_character(LinearConnection.zero(a, 1), 1)
+    assert str(caught.value) == (
+        "character gtr(R^1) is not closed although d_A^2 = 0 holds: d_A of it "
+        "is -1 at multi-index (0, 1, 3), fiber 0")
+
+
+def test_unclosed_character_over_a_broken_algebroid_is_reported():
+    # Gamma = eps3 on a line over the broken-Jacobi bracket: sigma1 =
+    # d eps3 = -eps1^eps2 and d_A sigma1 = -2 eps1^eps2^eps3 (hand expansion)
+    a = catalog.broken_jacobi()
+    one, zero = Poly.one(()), Poly.zero(())
+    nab = LinearConnection(a, 1, [[[zero]], [[zero]], [[one]]])
+    char = sigma_character(nab, 1)
+    assert not char.closed
+    assert render_form(char.form) == "-1*eps1^eps2"
+    assert render_form(a.d(char.form)) == "-2*eps1^eps2^eps3"
+    assert chernweil.nonclosed_term(a, char.form) == {
+        "index": [0, 1, 2], "fiber": 0, "value": "-2"}
+    assert chernweil.nonclosed_term(a, a.d(char.form)) is None
+
+
+# --- the one power-trace path ----------------------------------------------
+
+
+def three_aff1():
+    """aff(1) + aff(1) + aff(1) over a point: frame rank 6, so R^3 has a trace."""
+    return Algebroid.from_brackets(
+        catalog.POINT, 6, [[] for _ in range(6)],
+        {(0, 1): [0, 1, 0, 0, 0, 0], (2, 3): [0, 0, 0, 1, 0, 0],
+         (4, 5): [0, 0, 0, 0, 0, 1]})
+
+
+def tangent4():
+    return tangent_algebroid(Chart(("x", "y", "z", "w")))
+
+
+POWER_TRACE_CASES = [
+    # (algebroid, bundle summands, the powers j whose traces are nonzero):
+    # ranks 1-4 over a point and over a chart, even and odd summands
+    (three_aff1, [(0, 1)], (1, 2, 3)),
+    (three_aff1, [(1, 2)], (1, 2, 3)),
+    (three_aff1, [(0, 3)], (1, 2, 3)),
+    (three_aff1, [(0, 2), (1, 1), (2, 1)], (1, 2, 3)),
+    (tangent4, [(0, 1)], (1,)),
+    (tangent4, [(0, 1), (1, 1)], (1, 2)),
+    (tangent4, [(1, 3)], (1, 2)),
+    (tangent4, [(0, 2), (1, 2)], (1, 2)),
+]
+
+
+@pytest.mark.parametrize("maker, summands, nonzero", POWER_TRACE_CASES)
+def test_power_traces_match_traces_of_the_full_product(monkeypatch, maker,
+                                                       summands, nonzero):
+    rng = random.Random(37)
+    conn = random_cuth(rng, maker(), GradedBundle(summands))
+    R = conn.curvature()
+    top = 3
+    for trace in (tr, gtr):
+        oracle = [trace(conn.curvature_power(j)) for j in range(1, top + 1)]
+        assert tuple(j for j in range(1, top + 1)
+                     if not oracle[j - 1].is_zero()) == nonzero
+        for first in range(1, top + 1):
+            counts = {}
+            _count_calls(monkeypatch, TotalForm, "wedge", counts)
+
+            def counted(power):
+                counts["trace"] = counts.get("trace", 0) + 1
+                return trace(power)
+
+            assert power_traces(R, top, counted, first=first) == oracle[first - 1:]
+            assert counts == {"wedge": top - 1, "trace": top - first + 1}
+            monkeypatch.undo()
 
 
 # --- invariant polynomials -------------------------------------------------
@@ -230,10 +336,24 @@ def test_monomials_match_the_filtered_product():
             assert list(_monomials(nvars, bound)) == expected
 
 
+# over aff(1), d eps2 = -eps1^eps2: the refusal names where d_A is nonzero
+AFF1_EPS2_WHERE = "d_A of it is -1 at multi-index (0, 1), fiber 0"
+
+
 def test_is_exact_rejects_non_closed():
     a = catalog.aff1()
-    with pytest.raises(NotClosedError):
+    with pytest.raises(NotClosedError) as caught:
         is_exact(a, Form.coframe((), 2, 1))
+    assert str(caught.value) == (
+        f"is_exact requires a closed form: {AFF1_EPS2_WHERE}")
+
+
+def test_decompose_rejects_non_closed():
+    a = catalog.aff1()
+    with pytest.raises(NotClosedError) as caught:
+        CohomologyBasis(a).decompose(Form.coframe((), 2, 1))
+    assert str(caught.value) == (
+        f"cannot decompose a non-closed form: {AFF1_EPS2_WHERE}")
 
 
 # --- anchor pullback --------------------------------------------------------
@@ -318,8 +438,13 @@ def test_massey_rejects_non_closed_input():
     h3 = catalog.heisenberg3()
     eps1 = Form.coframe((), 3, 0)
     eps3 = Form.coframe((), 3, 2)  # d eps3 = -eps1^eps2 != 0
-    with pytest.raises(NotClosedError):
+    with pytest.raises(NotClosedError) as caught:
         massey_triple(h3, eps3, eps1, eps1)
+    assert str(caught.value) == (
+        "alpha is not closed: d_A of it is -1 at multi-index (0, 1), fiber 0")
+    with pytest.raises(NotClosedError) as caught:
+        massey_triple(h3, eps1, eps1, eps3)
+    assert str(caught.value).startswith("gamma is not closed: ")
 
 
 def test_massey_chart_base_representative_only():

@@ -507,3 +507,27 @@ def test_one_mutated_field_keeps_the_exit_code_contract(site, value):
     assert first[0] in (0, 1, 2)
     assert "Traceback" not in first[2]
     assert first == second
+
+
+# --- the exit-code contract over an algebroid that breaks Jacobi ----------------
+
+
+BROKEN_JACOBI = catalog.broken_jacobi().to_json()
+ALGEBROID_PAYLOADS = [name for name in CORPUS_NAMES
+                      if "algebroid" in _corpus_payload(name)]
+
+
+@pytest.mark.parametrize("name", ALGEBROID_PAYLOADS)
+def test_broken_jacobi_algebroid_keeps_the_exit_code_contract(tmp_path, name):
+    # a broken axiom is a failed math check (1) or unusable input (2), never 3;
+    # with no connection given, the seeded random fallback fills them
+    payload = _corpus_payload(name)
+    payload["algebroid"] = BROKEN_JACOBI
+    if "source_algebroid" in payload:
+        payload["source_algebroid"] = BROKEN_JACOBI
+    payload.pop("connection", None)
+    payload["connections"] = {}
+    code, _, err, _ = _run_cli(write_problem(tmp_path, payload),
+                               tmp_path / "report.json")
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err

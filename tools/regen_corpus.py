@@ -127,6 +127,22 @@ ENTRIES = [
         "connections": {"0": SCALAR_23, "1": {"rank": 1, "christoffel": []}},
         "indices": [1, 2],
     }),
+    ("obstruct_broken_jacobi", {
+        "task": "obstruct-nrep",
+        "comment": "the line bundle R[0] with Gamma = eps3 over the algebroid "
+                   "of check_broken_jacobi, which breaks Jacobi; oracle: "
+                   "Gamma^Gamma = 0 on a line, so sigma1 = R = d eps3 = "
+                   "-eps1^eps2, and d eps1 = -eps1^eps3, d eps2 = "
+                   "-eps2^eps3 give d sigma1 = -2 eps1^eps2^eps3 != 0.  "
+                   "sigma1 is not closed because d^2 != 0: a failed math "
+                   "check (exit 1) whose witness names multi-index "
+                   "[0,1,2] with value -2, not an internal check failure.",
+        "algebroid": broken_jacobi().to_json(),
+        "bundle": {"summands": [{"degree": 0, "rank": 1}]},
+        "connections": {"0": {"rank": 1, "christoffel": [
+            {"frame": 2, "matrix": [["1"]]}]}},
+        "indices": [1],
+    }),
     ("bott_sl2_borel", {
         "task": "bott",
         "comment": "B = span(e1,e2) in sl2 with the rank-1 module "
