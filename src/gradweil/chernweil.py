@@ -417,6 +417,7 @@ def transgression(old, new, index):
     R_t = R + t (d_End D) + t^2 (D wedge D) as a polynomial in t with total
     form coefficients, and integrates the graded trace exactly.
     """
+    curvature = old.curvature()   # a LinearConnection's kept one
     if not isinstance(old, ConnectionUpToHomotopy):
         old = ConnectionUpToHomotopy.from_linear(old)
     if not isinstance(new, ConnectionUpToHomotopy):
@@ -424,7 +425,7 @@ def transgression(old, new, index):
     if old.bundle != new.bundle or old.algebroid != new.algebroid:
         raise MismatchError("transgression needs two cuths on the same bundle")
     diff = cuth_difference(new, old)
-    r_t = [old.curvature(), old.d_end(diff), diff.wedge(diff)]
+    r_t = [curvature, old.d_end(diff), diff.wedge(diff)]
 
     def poly_mul(a, b):
         out = [None] * (len(a) + len(b) - 1)

@@ -26,10 +26,12 @@ The curvature R is the unique total form with hat(R) = cal_D^2.  The first
 curvature call on a connection runs both routes exactly once: squaring the
 operator on basis sections, and the formula above.  If they ever disagree
 it raises InternalCheckError naming the first block and multi-index where
-they differ.  Connections do not change after construction, so each builds
-its connection form Gamma once, on first use, and keeps its checked
-curvature.  Powers of the curvature are traced in `chernweil.power_traces`,
-so a character of either kind of connection reuses the kept curvature;
+they differ.  Connections do not change after construction, so a
+connection up to homotopy builds Omega once, on first use, and all three
+formulas read that one TotalForm; it also keeps its checked curvature.  A
+linear connection keeps no form of its own, only its curvature per degree
+label.  Powers of the curvature are traced in `chernweil.power_traces`, so
+a character of either kind of connection reuses the kept curvature;
 `curvature_power` is the full product R^i, the tests' oracle for it.
 """
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from .errors import InternalCheckError, MismatchError, ParseError
 from .forms import (
+    Form,
     GradedBundle,
     GradedElement,
     TotalForm,
@@ -53,7 +56,7 @@ from .ring import Poly
 class LinearConnection:
     """An A-connection on a trivialized bundle, given by Christoffel matrices."""
 
-    __slots__ = ("algebroid", "rank", "mats", "_forms", "_curvatures")
+    __slots__ = ("algebroid", "rank", "mats", "_curvatures")
 
     def __init__(self, algebroid, rank, mats):
         self.algebroid = algebroid
@@ -68,7 +71,6 @@ class LinearConnection:
             if len(m) != self.rank or any(len(row) != self.rank for row in m):
                 raise MismatchError("Christoffel matrices must be rank x rank")
         self.mats = mats
-        self._forms = {}        # degree label -> connection form, built once
         self._curvatures = {}   # degree label -> curvature, computed once
 
     def _as_poly(self, p):
@@ -133,27 +135,14 @@ class LinearConnection:
 
     # -- connection differential -------------------------------------------
 
-    def connection_form(self, degree_label=0):
-        """Gamma = sum_i e^i (x) G_i as a TotalForm with the single block (1, z, z).
-
-        Built once per degree label and kept.
-        """
-        gamma = self._forms.get(degree_label)
-        if gamma is None:
-            bundle = GradedBundle([(degree_label, self.rank)])
-            entries = {(i,): m for i, m in enumerate(self.mats)}
-            gamma = self._forms[degree_label] = TotalForm(
-                self.variables, self.algebroid.rank, bundle, bundle, 1,
-                {(1, degree_label, degree_label): entries})
-        return gamma
-
     def d(self, form):
-        """d_nabla w = d_A w + hat(Gamma)(w), d_A acting on each fiber component."""
+        """d_nabla w = cal_D w for the one-summand cuth on this bundle."""
         if form.fiber_dim != self.rank:
             raise MismatchError("form fiber does not match the bundle rank")
-        out = self.algebroid.d(form)
-        twist = self.connection_form().apply_part(form, 0).parts
-        return out + twist[(form.degree + 1, 0)] if twist else out
+        cuth = ConnectionUpToHomotopy.from_linear(self)
+        image = cuth.apply(GradedElement.single(cuth.bundle, form, 0))
+        return image.parts.get((form.degree + 1, 0)) or Form.zero(
+            self.variables, self.algebroid.rank, form.degree + 1, self.rank)
 
     # -- curvature -----------------------------------------------------------
 
@@ -254,7 +243,7 @@ def induced_hom_connection(src, dst):
 class ConnectionUpToHomotopy:
     """cal_D = d_nabla + hat(D) on forms valued in a graded bundle."""
 
-    __slots__ = ("algebroid", "bundle", "nablas", "D", "_gamma", "_curvature")
+    __slots__ = ("algebroid", "bundle", "nablas", "D", "_omega", "_curvature")
 
     def __init__(self, algebroid, bundle, nablas, D=None):
         self.algebroid = algebroid
@@ -278,7 +267,7 @@ class ConnectionUpToHomotopy:
         if D.variables != algebroid.variables or D.frame_rank != algebroid.rank:
             raise MismatchError("D lives over the wrong frame")
         self.D = D
-        self._gamma = None       # the connection form, built once
+        self._omega = None       # Gamma + D, built once
         self._curvature = None   # computed and cross-checked once
 
     @classmethod
@@ -312,12 +301,16 @@ class ConnectionUpToHomotopy:
     # -- operator ------------------------------------------------------------
 
     def apply(self, element):
+        """cal_D x = d_A x + hat(Omega)(x), one pass over the parts of x."""
         if element.bundle != self.bundle:
             raise MismatchError("element lives in a different bundle")
+        omega = self.omega()
         out = GradedElement(self.variables, self.algebroid.rank, self.bundle)
         for (t, z), form in element.parts.items():
-            out = out + GradedElement.single(self.bundle, self.nablas[z].d(form), z)
-        return out + self.D.apply(element)
+            out.accumulate(t + 1, z, self.algebroid.d(form))
+            for (s, j), image in omega.apply_part(form, z).parts.items():
+                out.accumulate(s, j, image)
+        return out
 
     def basis_element(self, summand, alpha):
         return GradedElement.basis_section(self.variables, self.algebroid.rank,
@@ -326,20 +319,21 @@ class ConnectionUpToHomotopy:
     # -- curvature ------------------------------------------------------------
 
     def connection_form(self):
-        """Gamma of every summand's connection, in the diagonal (1, z, z) blocks.
+        """Gamma of every summand's connection, in the diagonal (1, z, z) blocks."""
+        blocks = {(1, z, z): {(i,): m for i, m in enumerate(self.nablas[z].mats)}
+                  for z in self.bundle.degrees()}
+        return TotalForm(self.variables, self.algebroid.rank,
+                         self.bundle, self.bundle, 1, blocks)
 
-        Built once and kept.
-        """
-        if self._gamma is None:
-            blocks = {(1, z, z): {(i,): m for i, m in enumerate(self.nablas[z].mats)}
-                      for z in self.bundle.degrees()}
-            self._gamma = TotalForm(self.variables, self.algebroid.rank,
-                                    self.bundle, self.bundle, 1, blocks)
-        return self._gamma
+    def omega(self):
+        """Omega = Gamma + D, the degree-1 total form of cal_D; built once and kept."""
+        if self._omega is None:
+            self._omega = self.connection_form() + self.D
+        return self._omega
 
     def curvature_blockwise(self):
-        """R = d_A Omega + Omega ^ Omega with Omega = Gamma + D (the formula route)."""
-        omega = self.connection_form() + self.D
+        """R = d_A Omega + Omega ^ Omega (the formula route)."""
+        omega = self.omega()
         return self.algebroid.d_total(omega) + omega.wedge(omega)
 
     def curvature(self):
@@ -384,11 +378,11 @@ class ConnectionUpToHomotopy:
     # -- induced End differential ------------------------------------------------
 
     def d_end(self, total_form):
-        """Unhat of [cal_D, hat(K)]: d_A K + [Gamma + D, K], Gamma the connection form."""
+        """Unhat of [cal_D, hat(K)]: d_A K + [Omega, K]."""
         if total_form.src != self.bundle or total_form.dst != self.bundle:
             raise MismatchError("d_end expects an End-valued total form")
         return (self.algebroid.d_total(total_form)
-                + graded_commutator(self.connection_form() + self.D, total_form))
+                + graded_commutator(self.omega(), total_form))
 
     def __eq__(self, other):
         return (isinstance(other, ConnectionUpToHomotopy)
@@ -426,7 +420,7 @@ def cuth_difference(new, old):
     """
     if new.bundle != old.bundle or new.algebroid != old.algebroid:
         raise MismatchError("cuth difference needs matching bundles")
-    return (new.connection_form() + new.D) - (old.connection_form() + old.D)
+    return new.omega() - old.omega()
 
 
 def extend_connection(algebroid, subframe, nabla_sub, complement=None):

@@ -372,16 +372,6 @@ class Form:
         """Coefficient vector over the fiber at an ascending multi-index."""
         return [self.get(mi, a) for a in range(self.fiber_dim)]
 
-    def evaluate(self, indices):
-        """Evaluate on frame elements e_{i1},...,e_{ik}; handles unsorted input."""
-        if len(indices) != self.degree:
-            raise MismatchError(f"expected {self.degree} arguments")
-        sign, mi = sort_with_sign(indices)
-        if sign == 0:
-            return [Poly.zero(self.variables) for _ in range(self.fiber_dim)]
-        vec = self.fiber_vector(mi)
-        return vec if sign == 1 else [-p for p in vec]
-
     def multi_indices(self):
         return sorted({mi for mi, _ in self.coeffs})
 
@@ -504,9 +494,10 @@ class GradedElement:
         self.parts = {}
         if parts:
             for (t, z), form in parts.items():
-                self._accumulate(t, z, form)
+                self.accumulate(t, z, form)
 
-    def _accumulate(self, t, z, form):
+    def accumulate(self, t, z, form):
+        """Add a t-form valued in E_z into the part (t, z), in place."""
         if form.is_zero():
             return
         if form.degree != t or form.fiber_dim != self.bundle.rank(z):
@@ -542,7 +533,7 @@ class GradedElement:
         out = GradedElement(self.variables, self.frame_rank, self.bundle,
                             dict(self.parts))
         for (t, z), form in other.parts.items():
-            out._accumulate(t, z, form)
+            out.accumulate(t, z, form)
         return out
 
     def __neg__(self):
@@ -810,7 +801,8 @@ class TotalForm:
             raise MismatchError("element bundle does not match the source bundle")
         out = GradedElement(self.variables, self.frame_rank, self.dst)
         for (t, z), form in element.parts.items():
-            out = out + self.apply_part(form, z)
+            for (s, j), image in self.apply_part(form, z).parts.items():
+                out.accumulate(s, j, image)
         return out
 
     # -- comparison / io ----------------------------------------------------
@@ -938,7 +930,7 @@ def unhat_from_sections(action, variables, frame_rank, src, dst, total_degree):
                         mat = [[Poly.zero(variables) for _ in range(rank_l)]
                                for _ in range(dst.rank(j))]
                         entries[mi] = mat
-                    mat[beta][alpha] = mat[beta][alpha] + poly
+                    mat[beta][alpha] = poly   # each (t, j, mi, beta) occurs once
     return TotalForm(variables, frame_rank, src, dst, total_degree, blocks)
 
 

@@ -285,8 +285,12 @@ def _task_pontryagin(data, bound, seed):
     classes = []
     for i in indices:
         cls = pontryagin_class(nabla, i)
-        closed = algebroid.d(cls.representative).is_zero()
-        checks.append(_check(f"p{i}_representative_closed", closed))
+        witness = nonclosed_term(algebroid, cls.representative)
+        if witness is not None:
+            # only over an algebroid that breaks d_A^2 = 0: no class to decide
+            checks.append(_check(f"p{i}_representative_closed", False, witness))
+            return {"construction": "pontryagin", "checks": checks}
+        checks.append(_check(f"p{i}_representative_closed", True))
         status, primitive = class_status(algebroid, cls.representative,
                                          bound=_bound(data, bound))
         entry = {

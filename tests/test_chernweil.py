@@ -1,7 +1,9 @@
 """Characters, invariant polynomials, cohomology, secondary products."""
 
 import itertools
+import json
 import math
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -31,10 +33,13 @@ from gradweil.connections import ConnectionUpToHomotopy, LinearConnection
 from gradweil.errors import InternalCheckError, MismatchError, NotClosedError
 from gradweil.forms import Form, GradedBundle, TotalForm, gtr, render_form, tr
 from gradweil.linalg import solve
+from gradweil.problems import run_problem
 from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
 from test_algebroid import PRESENTATIONS, koszul_reference
 from test_connections import _count_calls
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def scalar_aff1_connection():
@@ -78,6 +83,18 @@ def test_characters_of_a_linear_connection_reuse_its_curvature(monkeypatch):
     sigma_character(nab, 1)
     sigma_character(nab, 2)
     assert counts == {"unhat_from_sections": 1, "curvature_blockwise": 1}
+
+
+@pytest.mark.parametrize("name", ["transgression_aff1_scalar",
+                                  "transgression_sl2_borelmod"])
+def test_transgression_task_computes_each_curvature_once(monkeypatch, name):
+    # two connections, so two curvatures: the old one's is kept on it and
+    # reused by its character
+    counts = {}
+    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_blockwise", counts)
+    payload = json.loads((CORPUS / f"{name}.json").read_text())
+    assert run_problem(payload)["checks"][0]["pass"]
+    assert counts == {"curvature_blockwise": 2}
 
 
 def test_unclosed_character_over_a_lie_algebra_is_an_internal_failure(monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradweil import catalog
+from gradweil.algebroid import Algebroid
 from gradweil.cli import canonical_json, main
 from gradweil.errors import InternalCheckError
 from gradweil.problems import TASKS, run_problem, validate_problem
@@ -531,3 +532,30 @@ def test_broken_jacobi_algebroid_keeps_the_exit_code_contract(tmp_path, name):
                                tmp_path / "report.json")
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
+
+
+# --- a Pontryagin representative that is not closed is a failed check -----------
+
+
+def _broken_rank5():
+    """The brackets of `catalog.broken_jacobi` on e1..e3 plus [e4, e5] = e5, over a point."""
+    return Algebroid.from_brackets(
+        catalog.POINT, 5, [[] for _ in range(5)],
+        {(0, 1): [0, 0, 1, 0, 0], (0, 2): [1, 0, 0, 0, 0], (1, 2): [0, 1, 0, 0, 0],
+         (3, 4): [0, 0, 0, 0, 1]})
+
+
+@pytest.mark.parametrize("seed, value", [(0, "13/2"), (1, "10"), (2, "6"),
+                                         (3, "-21/2")])
+def test_pontryagin_over_a_broken_algebroid_exits_one(tmp_path, seed, value):
+    payload = {"task": "pontryagin", "algebroid": _broken_rank5().to_json(),
+               "rank": 2, "indices": [1], "seed": seed}
+    code, out, err, written = _run_cli(write_problem(tmp_path, payload),
+                                       tmp_path / "report.json")
+    assert code == 1, err
+    assert "Traceback" not in err
+    report = json.loads(written)
+    assert report["checks"] == [{
+        "name": "p1_representative_closed", "pass": False,
+        "witness": {"index": [0, 1, 2, 3, 4], "fiber": 0, "value": value}}]
+    assert "results" not in report

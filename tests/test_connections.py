@@ -38,7 +38,7 @@ from gradweil.randgen import (
 )
 from gradweil.ring import Poly
 from test_algebroid import PRESENTATIONS
-from test_forms import single_block
+from test_forms import apply_part_reference, single_block
 
 
 def scalar_aff1_connection():
@@ -531,6 +531,77 @@ def test_d_end_does_not_square_operators(monkeypatch):
     conn.d_end(K)
 
 
+# --- cal_D = d_A + hat(Omega) is the one operator path ---------------------------
+
+
+def random_element(rng, algebroid, bundle):
+    """A GradedElement with two random forms of distinct degrees per summand."""
+    parts = {}
+    for z, r in bundle.summands:
+        for t in rng.sample(range(algebroid.rank + 1), min(2, algebroid.rank + 1)):
+            parts[(t, z)] = random_form(rng, algebroid.variables, algebroid.rank, t,
+                                        fiber_dim=r, max_poly_degree=2, density=3)
+    return GradedElement(algebroid.variables, algebroid.rank, bundle, parts)
+
+
+def cuth_apply_reference(conn, element):
+    """cal_D by the Koszul formula for each summand's d_nabla plus hat(D) entrywise."""
+    out = GradedElement(conn.variables, conn.algebroid.rank, conn.bundle)
+    for (t, z), form in element.parts.items():
+        out = out + GradedElement.single(conn.bundle,
+                                         koszul_linear_d(conn.nablas[z], form), z)
+        out = out + apply_part_reference(conn.D, form, z)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_cuth_apply_matches_the_koszul_reference_on_random_elements(name):
+    a = PRESENTATIONS[name]()
+    rng = random.Random(sum(map(ord, name)) + 7)
+    multi_part = 0
+    for bundle in ODD_BUNDLES:
+        conn = random_cuth(rng, a, bundle)
+        for _ in range(2):
+            x = random_element(rng, a, bundle)
+            image = conn.apply(x)
+            assert image == cuth_apply_reference(conn, x)
+            multi_part += len(x.parts) > 1 and len(image.parts) > 1
+    assert multi_part
+
+
+def test_cuth_apply_makes_one_kernel_pass_per_part(monkeypatch):
+    counts = {}
+    rng = random.Random(89)
+    a = catalog.aff1_action_line()
+    conn = random_cuth(rng, a, ODD_BUNDLES[1])
+    x = random_element(rng, a, conn.bundle)
+    conn.omega()
+    _count_calls(monkeypatch, TotalForm, "apply_part", counts)
+    _count_calls(monkeypatch, LinearConnection, "d", counts)
+    _count_calls(monkeypatch, GradedElement, "__add__", counts)
+    conn.apply(x)
+    assert counts == {"apply_part": len(x.parts)}
+
+
+def test_operator_squaring_needs_no_wedge_and_no_d_total(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the operator route left the hat action")
+
+    rng = random.Random(97)
+    for a in (catalog.sl2(), catalog.aff1_action_line()):
+        for bundle in ODD_BUNDLES:
+            conn = random_cuth(rng, a, bundle)
+            expected = conn.curvature_blockwise()
+            with monkeypatch.context() as patched:
+                patched.setattr(TotalForm, "wedge", refuse)
+                patched.setattr(type(a), "d_total", refuse)
+                squared = unhat_from_sections(
+                    lambda z, alpha: conn.apply(conn.apply(conn.basis_element(z, alpha))),
+                    a.variables, a.rank, bundle, bundle, 2)
+            assert squared == expected
+            assert not squared.is_zero()
+
+
 # --- the curvature is computed, and cross-checked, once per connection -----------
 
 
@@ -566,22 +637,24 @@ def test_cuth_curvature_runs_each_route_once_per_instance(monkeypatch):
 
 
 def test_linear_curvature_runs_each_route_once_per_label(monkeypatch):
+    import gradweil.connections as connections
+
     counts = {}
     rng = random.Random(79)
     a = catalog.aff1_action_line()
     nab = random_linear_connection(rng, a, 2)
     _count_calls(monkeypatch, type(a), "d_total", counts)
-    _count_calls(monkeypatch, LinearConnection, "d", counts)
+    _count_calls(monkeypatch, connections, "unhat_from_sections", counts)
     R = nab.curvature()
-    # direct route: one d_A Gamma; operator route: d_nabla twice per basis section
-    assert counts == {"d_total": 1, "d": 4}
+    # formula route: one d_A Omega; operator route: one unhat of cal_D squared
+    assert counts == {"d_total": 1, "unhat_from_sections": 1}
     assert nab.curvature() is R
     assert nab.is_flat() is R.is_zero()
-    assert counts == {"d_total": 1, "d": 4}
+    assert counts == {"d_total": 1, "unhat_from_sections": 1}
     shifted = nab.curvature(degree_label=1)
     assert set(shifted.blocks) == {(2, 1, 1)}
     assert nab.curvature(degree_label=1) is shifted
-    assert counts == {"d_total": 2, "d": 8}
+    assert counts == {"d_total": 2, "unhat_from_sections": 2}
 
 
 # --- a disagreement names where the two curvature routes differ ----------------------

@@ -635,16 +635,21 @@ def test_engine_built_results_equal_their_checked_rebuild(algebroid):
         assert K.scale(0).is_zero() and not K.scale(0).blocks
 
 
-def test_kernel_view_and_connection_form_are_built_once():
+def test_kernel_view_and_omega_are_built_once():
     rng = random.Random(73)
     algebroid = catalog.sl2()
     bundle = KERNEL_BUNDLES[0]
     cuth = random_cuth(rng, algebroid, bundle)
-    assert cuth.connection_form() is cuth.connection_form()
-    nabla = cuth.nablas[0]
-    assert nabla.connection_form() is nabla.connection_form()
-    assert nabla.connection_form(1) is nabla.connection_form(1)
-    assert nabla.connection_form(1) is not nabla.connection_form()
+    section = cuth.basis_element(0, 0)
+    cuth.apply(section)
+    omega = cuth.omega()
+    assert omega == cuth.connection_form() + cuth.D
+    assert omega._kernel is not None   # apply read the kept Omega
+    kernel = omega._kernel
+    cuth.curvature_blockwise()
+    cuth.d_end(cuth.D)
+    cuth.apply(section)
+    assert cuth.omega() is omega and omega._kernel is kernel
     K = kernel_total_form(rng, (), 3, bundle, 1)
     L = kernel_total_form(rng, (), 3, bundle, 2)
     first, again = K.wedge(L), K.wedge(L)
