@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .errors import MismatchError
 from .forms import Form, TotalForm, sort_with_sign
-from .ring import Poly
+from .ring import VARIABLE_NAME, Poly
 
 _add = operator.add
 
@@ -47,6 +47,10 @@ class Chart:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise MismatchError(f"repeated chart variables: {variables}")
+        for name in variables:   # Poly.parse reads exactly these names back
+            if not (isinstance(name, str) and VARIABLE_NAME.fullmatch(name)):
+                raise MismatchError(f"chart variable {name!r} is not an ASCII name "
+                                    "(a letter or _, then letters, digits or _)")
         object.__setattr__(self, "variables", variables)
 
     @property

@@ -46,21 +46,26 @@ class CharacterForm:
     closed: bool
 
 
-def power_traces(curvature, top, trace, first=1):
-    """trace(R^j) for j = first..top, with `trace` one of tr and gtr.
+def power_traces(curvature, top, graded, first=1):
+    """tr(R^j), or gtr(R^j) when `graded`, for j = first..top.
 
-    The one loop that multiplies a curvature by itself: top - 1 wedges and
-    top - first + 1 traces.
+    The one loop that multiplies a curvature by itself: top - 2 full wedges
+    up to R^(top-1), and a last product `TotalForm.wedge_trace` that forms
+    only the diagonal entries of the diagonal blocks of R^top.
     """
     if first < 1:
         raise MismatchError("curvature power traces start at the first power")
+    trace = gtr if graded else tr
     traces = []
     power = curvature
-    for j in range(1, top + 1):
+    for j in range(1, top):
         if j > 1:
             power = power.wedge(curvature)
         if j >= first:
             traces.append(trace(power))
+    if top >= first:
+        traces.append(power.wedge_trace(curvature, graded) if top > 1
+                      else trace(curvature))
     return traces
 
 
@@ -71,7 +76,7 @@ def sigma_character(conn, index):
     closed comes back with closed=False over an algebroid that fails
     `d_squared_check`, and raises InternalCheckError over one that passes it.
     """
-    form = power_traces(conn.curvature(), index, gtr, first=index)[0]
+    form = power_traces(conn.curvature(), index, True, first=index)[0]
     algebroid = conn.algebroid
     term = nonclosed_term(algebroid, form)
     if term is not None and algebroid.d_squared_check()[0]:
@@ -124,7 +129,7 @@ def invariant_polys(curvature, up_to):
     frame_rank = curvature.frame_rank
     ones = Form.function(variables, frame_rank, Poly.one(variables))
     out = [ones]
-    traces = power_traces(curvature, up_to, tr)
+    traces = power_traces(curvature, up_to, False)
     for i in range(1, up_to + 1):
         acc = Form.zero(variables, frame_rank, 2 * i)
         for j in range(1, i + 1):

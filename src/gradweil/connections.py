@@ -28,10 +28,12 @@ operator on basis sections, and the formula above.  If they ever disagree
 it raises InternalCheckError naming the first block and multi-index where
 they differ.  Connections do not change after construction, so a
 connection up to homotopy builds Omega once, on first use, and all three
-formulas read that one TotalForm; it also keeps its checked curvature.  A
-linear connection keeps no form of its own, only its curvature per degree
-label.  Powers of the curvature are traced in `chernweil.power_traces`, so
-a character of either kind of connection reuses the kept curvature;
+formulas read that one TotalForm; `apply` is one hat(Omega) kernel pass
+over the whole element plus d_A of each part.  It also keeps its checked
+curvature.  A linear connection keeps no form of its own, only its
+curvature per degree label.  Powers of the curvature are traced in
+`chernweil.power_traces`, whose last product forms only the trace, so a
+character of either kind of connection reuses the kept curvature;
 `curvature_power` is the full product R^i, the tests' oracle for it.
 """
 
@@ -199,11 +201,15 @@ class LinearConnection:
         zero = Poly.zero(algebroid.variables)
         gamma = [[[zero for _ in range(rank)] for _ in range(rank)]
                  for _ in range(algebroid.rank)]
+        seen = set()
         for entry in data.get("christoffel", []):
             i = entry["frame"]
             if i >= algebroid.rank:
                 raise ParseError(f"christoffel frame {i} is out of range for "
                                  f"an algebroid of rank {algebroid.rank}")
+            if i in seen:
+                raise ParseError(f"christoffel frame {i} is given twice")
+            seen.add(i)
             matrix = entry["matrix"]
             if len(matrix) != rank or any(len(row) != rank for row in matrix):
                 raise MismatchError(f"christoffel matrix at frame {i} has wrong shape")
@@ -301,15 +307,12 @@ class ConnectionUpToHomotopy:
     # -- operator ------------------------------------------------------------
 
     def apply(self, element):
-        """cal_D x = d_A x + hat(Omega)(x), one pass over the parts of x."""
+        """cal_D x = hat(Omega)(x), one kernel pass over x, plus d_A of each part."""
         if element.bundle != self.bundle:
             raise MismatchError("element lives in a different bundle")
-        omega = self.omega()
-        out = GradedElement(self.variables, self.algebroid.rank, self.bundle)
+        out = self.omega().apply(element)
         for (t, z), form in element.parts.items():
             out.accumulate(t + 1, z, self.algebroid.d(form))
-            for (s, j), image in omega.apply_part(form, z).parts.items():
-                out.accumulate(s, j, image)
         return out
 
     def basis_element(self, summand, alpha):

@@ -20,9 +20,8 @@ from .connections import (ConnectionUpToHomotopy, LinearConnection,
                           extend_connection, induced_hom_connection,
                           restrict_connection, two_term_connection)
 from .errors import InternalCheckError, MismatchError, MorphismError
-from .forms import (Form, TotalForm, gtr, ideal_membership,
-                    mat_identity, mat_is_zero, mat_neg, restrict_total_form,
-                    extend_total_form, tr)
+from .forms import (Form, TotalForm, ideal_membership, mat_identity, mat_is_zero,
+                    mat_neg, restrict_total_form, extend_total_form)
 from .ring import Poly
 
 
@@ -37,11 +36,12 @@ def _check(name, ok, witness=None):
     return entry
 
 
-def _trace_power_checks(curvature, trace_fn, prefix, first, top):
-    """One vanishing check per power l in [first, top] of trace_fn(R^l)."""
+def _trace_power_checks(curvature, graded, prefix, first, top):
+    """One vanishing check per power l in [first, top] of tr(R^l), or gtr(R^l)
+    when `graded`."""
     return [_check(f"{prefix}_{l}_vanishes", trace.is_zero(),
                    None if trace.is_zero() else trace.to_json())
-            for l, trace in enumerate(power_traces(curvature, top, trace_fn,
+            for l, trace in enumerate(power_traces(curvature, top, graded,
                                                    first=first), start=first)]
 
 
@@ -333,7 +333,7 @@ def bott_report(algebroid, subframe, nabla_sub, complement=None):
         _check("curvature_in_ideal",
                ideal_membership(curvature, subframe.indices, 1)),
     ]
-    checks += _trace_power_checks(curvature, tr, "trace_power", q + 1,
+    checks += _trace_power_checks(curvature, False, "trace_power", q + 1,
                                   max(q + 1, algebroid.rank // 2))
     return _report("bott", checks, thresholds={"q": q, "vanish_above": 2 * q})
 
@@ -413,7 +413,7 @@ def atiyah_form(algebroid, subframe, nabla_sub, extension=None,
     ]
     vanish_above = q if zero_form else 2 * q
     if zero_form:
-        checks += _trace_power_checks(curvature, tr, "trace_power", q // 2 + 1,
+        checks += _trace_power_checks(curvature, False, "trace_power", q // 2 + 1,
                                       max(q // 2 + 1, algebroid.rank // 2))
     report = _report("atiyah", checks,
                      thresholds={"q": q, "vanish_above": vanish_above})
@@ -454,7 +454,7 @@ def graded_bott_report(algebroid, subframe, conn_sub, extensions=None):
         _check("curvature_in_ideal",
                ideal_membership(curvature, subframe.indices, 1)),
     ]
-    checks += _trace_power_checks(curvature, gtr, "gtr_power", q + 1,
+    checks += _trace_power_checks(curvature, True, "gtr_power", q + 1,
                                   max(q + 1, algebroid.rank // 2))
     return _report("graded-bott", checks,
                    thresholds={"q": q, "vanish_above": 2 * q})

@@ -19,32 +19,32 @@ Sign conventions (load-bearing, do not change casually):
   (-1)^(f1*i2) where f1 is the fiber degree of the left block and i2 the
   form degree of the right one.
 
-The explicit shuffle enumeration (`shuffles`) is kept around so tests can
-evaluate the textbook formula independently of the merge implementation.
-
-`TotalForm.wedge` and `TotalForm.apply_part` share one private matrix
-kernel, `_accumulate`.  Every output matrix entry is a single term dict
-{exponent: (numerator, denominator)}; sign * p * q of two Poly entries is
-added into it with integer arithmetic, and on the point base (no chart
-variables) no exponents are added.  Each entry becomes a Poly only at the
-end.  A TotalForm does not change after construction, so the kernel reads
-it through a view built once, on first use: per block, each multi-index as
-a bitmask (bit k for frame index k) with its matrix as sparse term rows.
-Overlapping indices are skipped by `m1 & m2` and the merge sign is a parity
-of popcounts (`_merge_sign`); stored keys stay ascending tuples.  Results
-the engine builds itself (wedge, sums, negation, `apply_part`, d_A) go
-through `Form._unchecked` and `TotalForm._unchecked`, which trust keys and
-shapes and only drop zero coefficients, zero matrices and empty blocks, so
-results stay structurally equal to the checked Poly-matrix product.  The
-Poly-matrix helpers (`mat_mul`, `mat_add`, ...) stay public for Christoffel
-algebra and the tests' references.
+`TotalForm.wedge`, `TotalForm.wedge_trace` and `TotalForm.apply` share one
+integer kernel pass, `TotalForm._product`.  Each operand is read through a
+view with one common denominator D and integer numerators over it; an
+element is viewed as a Hom(R[0], E)-valued form, part (t, z) as block
+(t, 0, z), so `apply` makes one pass over all its parts.  A product adds
+plain integers into its cells, and each output term is Fraction(n, D_left *
+D_right), built once; on the point base a cell is one integer.  The trace
+of a product (`wedge_trace`, which `tr` and `gtr` run against the identity)
+forms only the diagonal entries of the diagonal blocks.  A TotalForm does
+not change after construction, so its view is built once, on first use:
+per block, each multi-index as a bitmask (bit k for frame index k) with
+its matrix as sparse rows.  Overlapping indices are skipped by `m1 & m2`
+and the merge sign is a parity of popcounts (`_merge_sign`), for
+`Form.wedge` too; stored keys stay ascending tuples.  Results the engine
+builds itself go through `Form._unchecked` and `TotalForm._unchecked`,
+which trust keys and shapes and only drop zero coefficients, zero matrices
+and empty blocks.  The Poly-matrix helpers (`mat_mul`, `mat_add`, ...) stay
+public for Christoffel algebra and the tests' references.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import lcm
 from operator import add
 
 from .errors import MismatchError, ParseError
@@ -54,28 +54,13 @@ from .ring import Poly
 # multi-index utilities
 
 
-def merge_indices(left, right):
-    """Merge two ascending index tuples.
-
-    Returns (sign, merged) where sign is the parity of the permutation
-    sorting left+right, or (0, None) when the tuples overlap.
-    """
-    if set(left) & set(right):
-        return 0, None
-    inversions = 0
-    for a in left:
-        for b in right:
-            if b < a:
-                inversions += 1
-    merged = tuple(sorted(left + right))
-    return (-1 if inversions % 2 else 1), merged
-
-
+@cache
 def _mask(indices):
     """The bitmask of a multi-index: bit k is set when k is in it."""
     return sum(1 << k for k in indices)
 
 
+@cache
 def _indices(mask):
     """The ascending multi-index of a bitmask, lowest bit first."""
     out = []
@@ -87,8 +72,9 @@ def _indices(mask):
 
 
 def _merge_sign(left, right):
-    """The sign of `merge_indices` on bitmasks, 0 when they overlap: each bit
-    `low` of `right` passes the bits of `left` above it, left & -low."""
+    """The sign of the permutation that sorts the indices of `left` followed
+    by those of `right`, as bitmasks, or 0 when they overlap: each bit `low`
+    of `right` passes the bits of `left` above it, left & -low."""
     if left & right:
         return 0
     inversions = 0
@@ -106,19 +92,6 @@ def sort_with_sign(indices):
         return 0, None
     inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
     return (-1 if inversions % 2 else 1), tuple(sorted(indices))
-
-
-def shuffles(l, s):
-    """Yield ((positions_left, positions_right), sign) for all (l, s)-shuffles.
-
-    Positions partition range(l + s); sign is the parity of the resulting
-    permutation.  Used by test oracles that spell out the shuffle sum.
-    """
-    universe = range(l + s)
-    for left in itertools.combinations(universe, l):
-        right = tuple(sorted(set(universe) - set(left)))
-        sign = 1 - 2 * (sum(left[j] - j for j in range(l)) % 2)
-        yield (left, right), sign
 
 
 # ----------------------------------------------------------------------
@@ -170,65 +143,66 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def mat_trace(a):
-    t = None
-    for i, row in enumerate(a):
-        t = row[i] if t is None else t + row[i]
-    return t
-
-
 def mat_is_zero(a):
     return all(x.is_zero() for row in a for x in row)
 
 
 # ----------------------------------------------------------------------
-# the matrix kernel of TotalForm.wedge and TotalForm.apply_part
+# the integer kernel of TotalForm.wedge, wedge_trace and apply
 
 
-def _terms(poly):
-    """The terms of a Poly as (exponent, numerator, denominator) triples."""
-    return tuple((e, q.numerator, q.denominator) for e, q in poly.terms.items())
+def _numerators(poly, D, point):
+    """D * poly in integers: a numerator on the point base, else (exponent, numerator) pairs."""
+    if point:
+        return poly.terms[()].numerator * (D // poly.terms[()].denominator)
+    return [(e, q.numerator * (D // q.denominator)) for e, q in poly.terms.items()]
 
 
-def _sparse_rows(mat):
-    """The nonzero entries of a Poly matrix, row by row: (column, terms) pairs."""
-    return tuple(tuple((c, _terms(p)) for c, p in enumerate(row) if p.terms)
-                 for row in mat)
+def _view(blocks, point):
+    """The kernel view of {key: {multi-index: rows}}, each row a list of the
+    (column, Poly) pairs of its nonzero entries: the common denominator D of
+    every coefficient, and per key the (bitmask, rows) pair of each
+    multi-index, each entry as (column, `_numerators` over D)."""
+    D = lcm(*{q.denominator for entries in blocks.values() for rows in entries.values()
+              for row in rows for _, p in row for q in p.terms.values()})
+    return D, {key: [(_mask(mi), [[(c, _numerators(p, D, point)) for c, p in row]
+                                  for row in rows])
+                     for mi, rows in entries.items()]
+               for key, entries in blocks.items()}
 
 
-def _accumulate(cells, sign, left, right, point):
+def _accumulate(cells, sign, left, right, point, diagonal):
     """cells += sign * (left @ right) for sparse rows `left` and `right`.
 
-    cells[r][c] maps an exponent to an unreduced (numerator, denominator)
-    pair with the denominator the lcm of those added, so a product of two
-    entries costs a few integer operations and no Poly or Fraction; on the
-    point base every exponent is (), so no exponents are added.
+    A cell is an integer numerator over the product of the operands'
+    denominators on the point base, and {exponent: numerator} on a chart, so
+    a product of two terms costs an integer multiply and add.  With
+    `diagonal` only the entries c == r are formed, all into cells[r][0].
     """
     for r, row in enumerate(left):
         out = cells[r]
         for k, lterms in row:
             for c, rterms in right[k]:
+                if diagonal:
+                    if c != r:
+                        continue
+                    c = 0
+                if point:
+                    out[c] += sign * lterms * rterms
+                    continue
                 cell = out[c]
-                for e1, n1, d1 in lterms:
+                for e1, n1 in lterms:
                     n1 *= sign
-                    for e2, n2, d2 in rterms:
-                        e = e1 if point else tuple(map(add, e1, e2))
-                        n, d = n1 * n2, d1 * d2
-                        acc = cell.get(e)
-                        if acc is None:
-                            cell[e] = (n, d)
-                        elif acc[1] == d:
-                            cell[e] = (acc[0] + n, d)
-                        else:   # over the lcm, so denominators stay small
-                            an, ad = acc
-                            g = gcd(ad, d)
-                            cell[e] = (an * (d // g) + n * (ad // g), ad // g * d)
+                    for e2, n2 in rterms:
+                        e = tuple(map(add, e1, e2))
+                        cell[e] = cell.get(e, 0) + n1 * n2
 
 
-def _cell_poly(cell, variables):
-    """The Poly of one accumulated cell; cancelled terms are dropped."""
-    return Poly._unchecked(
-        variables, {e: Fraction(n, d) for e, (n, d) in cell.items() if n})
+def _cell_poly(cell, variables, D):
+    """The Poly of one `_accumulate` cell over D; cancelled terms are dropped."""
+    if not variables:
+        return Poly._unchecked(variables, {(): Fraction(cell, D)} if cell else {})
+    return Poly._unchecked(variables, {e: Fraction(n, D) for e, n in cell.items() if n})
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +249,9 @@ class GradedBundle:
     @classmethod
     def from_json(cls, data):
         return cls([(s["degree"], s["rank"]) for s in data["summands"]])
+
+
+_LINE = GradedBundle([(0, 1)])   # the source of an element viewed as a total form
 
 
 class Form:
@@ -418,21 +395,21 @@ class Form:
             raise MismatchError("wedge factors live over different frames")
         if self.fiber_dim != 1 and other.fiber_dim != 1:
             raise MismatchError("wedge of two vector-valued forms is undefined")
-        fiber_dim = max(self.fiber_dim, other.fiber_dim)
-        degree = self.degree + other.degree
+        right = [(_mask(mi), a, p) for (mi, a), p in other.coeffs.items()]
         coeffs = {}
         for (mi1, a1), p1 in self.coeffs.items():
-            for (mi2, a2), p2 in other.coeffs.items():
-                sign, merged = merge_indices(mi1, mi2)
+            mask1 = _mask(mi1)
+            for mask2, a2, p2 in right:
+                sign = _merge_sign(mask1, mask2)
                 if sign == 0:
                     continue
-                alpha = a1 if self.fiber_dim > 1 else a2
                 prod = p1 * p2 if sign == 1 else -(p1 * p2)
-                key = (merged, alpha)
+                key = (_indices(mask1 | mask2), a1 if self.fiber_dim > 1 else a2)
                 acc = coeffs.get(key)
                 coeffs[key] = prod if acc is None else acc + prod
-        return Form._unchecked(self.variables, self.frame_rank, degree, fiber_dim,
-                               coeffs)
+        return Form._unchecked(self.variables, self.frame_rank,
+                               self.degree + other.degree,
+                               max(self.fiber_dim, other.fiber_dim), coeffs)
 
     # -- comparison / io --------------------------------------------------
 
@@ -458,9 +435,11 @@ class Form:
     def from_json(cls, data, variables, frame_rank, fiber_dim=1):
         coeffs = {}
         for term in data.get("terms", []):
-            mi = tuple(term["index"])
-            alpha = term.get("fiber", 0)
-            coeffs[(mi, alpha)] = Poly.parse(term["coeff"], variables)
+            key = (tuple(term["index"]), term.get("fiber", 0))
+            if key in coeffs:
+                raise ParseError(f"form term at index {list(key[0])}, fiber {key[1]} "
+                                 "is given twice")
+            coeffs[key] = Poly.parse(term["coeff"], variables)
         return cls(variables, frame_rank, data["degree"], fiber_dim, coeffs)
 
 
@@ -637,9 +616,6 @@ class TotalForm:
             blocks[(0, z, z)] = {(): mat_identity(r, variables)}
         return cls(variables, frame_rank, bundle, bundle, 0, blocks)
 
-    def is_end(self):
-        return self.src == self.dst
-
     # -- structure ----------------------------------------------------------
 
     def _check_same_shape(self, other):
@@ -655,12 +631,13 @@ class TotalForm:
         return self.blocks.get((i, l, j), {})
 
     def _kernel_view(self):
-        """Per block, the (bitmask, sparse rows) pair of each multi-index,
-        built on first use and kept in `_kernel`."""
+        """The `_view` of the blocks, built on first use and kept in `_kernel`."""
         if self._kernel is None:
-            self._kernel = {key: tuple((_mask(mi), _sparse_rows(mat))
-                                       for mi, mat in entries.items())
-                            for key, entries in self.blocks.items()}
+            self._kernel = _view({key: {mi: [[(c, p) for c, p in enumerate(row) if p.terms]
+                                             for row in mat]
+                                        for mi, mat in entries.items()}
+                                  for key, entries in self.blocks.items()},
+                                 not self.variables)
         return self._kernel
 
     def block_matrix(self, block, mi):
@@ -705,6 +682,54 @@ class TotalForm:
         return TotalForm._unchecked(self.variables, self.frame_rank, self.src,
                                     self.dst, self.total_degree, blocks)
 
+    def _product(self, right, right_src, trace=None):
+        """The one kernel pass of hat(self) o hat(right), for a kernel `_view`
+        `right` with blocks (i2, l, m) and source bundle `right_src`.
+
+        Returns (D, cells): cells[(i1 + i2, l, j)][merged mask] are the rows
+        of `_accumulate` cells over D, the product of the two denominators.
+        The sign of a pair is the merge sign times the Koszul factor
+        (-1)^(f1 i2), f1 the fiber degree of the left block.  With `trace`
+        not None only the diagonal entries of the diagonal blocks l == j are
+        formed, times (-1)^l when `trace` is true: cells[None][merged mask]
+        holds their sum in [0][0], every row aliasing one cell.
+        """
+        D1, left = self._kernel_view()
+        D2, right = right
+        point, diagonal = not self.variables, trace is not None
+        height = max(r for _, r in self.dst.summands) if diagonal else 0
+        cells: dict = {}
+        for (i1, m1, j), entries1 in left.items():
+            f1, rows = j - m1, self.dst.rank(j)
+            for (i2, l, m2), entries2 in right.items():
+                if m2 != m1 or (diagonal and l != j):
+                    continue
+                koszul = -1 if (f1 * i2 + (l if trace else 0)) % 2 else 1
+                tgt = cells.setdefault(None if diagonal else (i1 + i2, l, j), {})
+                cols = right_src.rank(l)
+                for mask1, lrows in entries1:
+                    for mask2, rrows in entries2:
+                        if mask1 & mask2:
+                            continue
+                        merged = mask1 | mask2
+                        acc = tgt.get(merged)
+                        if acc is None:
+                            acc = tgt[merged] = (
+                                [[0 if point else {}]] * height if diagonal
+                                else [[0] * cols for _ in range(rows)] if point
+                                else [[{} for _ in range(cols)] for _ in range(rows)])
+                        _accumulate(acc, koszul * _merge_sign(mask1, mask2),
+                                    lrows, rrows, point, diagonal)
+        return D1 * D2, cells
+
+    def _check_composable(self, other):
+        if not isinstance(other, TotalForm):
+            raise MismatchError("wedge expects a TotalForm")
+        if self.src != other.dst:
+            raise MismatchError("blocks do not compose: src != other.dst")
+        if self.variables != other.variables or self.frame_rank != other.frame_rank:
+            raise MismatchError("total forms live over different frames")
+
     def wedge(self, other):
         """Composition product: hat(self.wedge(other)) == hat(self) o hat(other).
 
@@ -712,42 +737,27 @@ class TotalForm:
         composition, times the Koszul factor (-1)^(f1 * i2) with f1 the
         fiber degree of the left block and i2 the form degree of the right.
         """
-        if not isinstance(other, TotalForm):
-            raise MismatchError("wedge expects a TotalForm")
-        if self.src != other.dst:
-            raise MismatchError("blocks do not compose: src != other.dst")
-        if self.variables != other.variables or self.frame_rank != other.frame_rank:
-            raise MismatchError("total forms live over different frames")
-        point = not self.variables
-        right_view = other._kernel_view()
-        cells: dict = {}
-        for (i1, m1, j), entries1 in self._kernel_view().items():
-            f1 = j - m1
-            rows = self.dst.rank(j)
-            for (i2, l, m2), entries2 in right_view.items():
-                if m2 != m1:
-                    continue
-                koszul = -1 if (f1 * i2) % 2 else 1
-                tgt = cells.setdefault((i1 + i2, l, j), {})
-                cols = other.src.rank(l)
-                for mask1, left in entries1:
-                    for mask2, right in entries2:
-                        if mask1 & mask2:
-                            continue
-                        merged = mask1 | mask2
-                        acc = tgt.get(merged)
-                        if acc is None:
-                            acc = tgt[merged] = [[{} for _ in range(cols)]
-                                                 for _ in range(rows)]
-                        _accumulate(acc, koszul * _merge_sign(mask1, mask2),
-                                    left, right, point)
+        self._check_composable(other)
+        D, cells = self._product(other._kernel_view(), other.src)
         # the constructor drops zero matrices and empty blocks
-        blocks = {key: {_indices(merged): tuple(tuple(_cell_poly(c, self.variables)
+        blocks = {key: {_indices(merged): tuple(tuple(_cell_poly(c, self.variables, D)
                                                       for c in row) for row in acc)
                         for merged, acc in tgt.items()} for key, tgt in cells.items()}
         return TotalForm._unchecked(self.variables, self.frame_rank, other.src,
                                     self.dst, self.total_degree + other.total_degree,
                                     blocks)
+
+    def wedge_trace(self, other, graded=False):
+        """tr(self.wedge(other)), or gtr when `graded`, in one kernel pass that
+        forms only the diagonal entries of the diagonal blocks."""
+        self._check_composable(other)
+        if other.src != self.dst:
+            raise MismatchError("a trace needs an endomorphism-valued product")
+        D, cells = self._product(other._kernel_view(), other.src, trace=graded)
+        return Form._unchecked(self.variables, self.frame_rank,
+                               max(self.total_degree + other.total_degree, 0), 1,
+                               {(_indices(m), 0): _cell_poly(acc[0][0], self.variables, D)
+                                for m, acc in cells.get(None, {}).items()})
 
     # -- operator action -----------------------------------------------------
 
@@ -757,52 +767,36 @@ class TotalForm:
         Implements the Koszul-signed shuffle action described in the module
         docstring.
         """
-        l = source_degree
-        if form.fiber_dim != self.src.rank(l):
+        if form.fiber_dim != self.src.rank(source_degree):
             raise MismatchError("form fiber does not match the source summand")
-        out = GradedElement(self.variables, self.frame_rank, self.dst)
-        t = form.degree
-        point = not self.variables
-        # the form as one sparse column per multi-index, rows = fiber index
-        columns: dict = {}
-        for (mi, alpha), poly in form.coeffs.items():
-            column = columns.setdefault(_mask(mi), [()] * form.fiber_dim)
-            column[alpha] = ((0, _terms(poly)),)
-        for (i, bl, j), entries in self._kernel_view().items():
-            if bl != l:
-                continue
-            koszul = -1 if ((j - l) * t) % 2 else 1
-            rows = self.dst.rank(j)
-            cells: dict = {}
-            for mask1, left in entries:
-                for mask2, column in columns.items():
-                    if mask1 & mask2:
-                        continue
-                    merged = mask1 | mask2
-                    acc = cells.get(merged)
-                    if acc is None:
-                        acc = cells[merged] = [[{}] for _ in range(rows)]
-                    _accumulate(acc, koszul * _merge_sign(mask1, mask2),
-                                left, column, point)
-            coeffs = {}
-            for merged, acc in cells.items():
-                mi = _indices(merged)
-                for beta, (cell,) in enumerate(acc):
-                    coeffs[(mi, beta)] = _cell_poly(cell, self.variables)
-            part = Form._unchecked(self.variables, self.frame_rank, t + i, rows,
-                                   coeffs)
-            if part.coeffs:
-                out.parts[(t + i, j)] = part
-        return out
+        return self._apply({(form.degree, source_degree): form})
 
     def apply(self, element):
-        """hat(self) on a GradedElement."""
+        """hat(self) on a GradedElement, in one kernel pass over all its parts."""
         if element.bundle != self.src:
             raise MismatchError("element bundle does not match the source bundle")
+        return self._apply(element.parts)
+
+    def _apply(self, parts):
+        """The kernel pass of `apply` on parts {(t, z): E_z-valued t-form}: the
+        part (t, z) is the block (t, 0, z) of a Hom(R[0], E)-valued form."""
+        blocks: dict = {}
+        for (t, z), form in parts.items():
+            entries = blocks.setdefault((t, 0, z), {})
+            for (mi, alpha), poly in form.coeffs.items():
+                rows = entries.get(mi)
+                if rows is None:
+                    rows = entries[mi] = [[] for _ in range(form.fiber_dim)]
+                rows[alpha].append((0, poly))
+        D, cells = self._product(_view(blocks, not self.variables), _LINE)
         out = GradedElement(self.variables, self.frame_rank, self.dst)
-        for (t, z), form in element.parts.items():
-            for (s, j), image in self.apply_part(form, z).parts.items():
-                out.accumulate(s, j, image)
+        for (s, _, j), tgt in cells.items():
+            coeffs = {(_indices(merged), beta): _cell_poly(cell, self.variables, D)
+                      for merged, acc in tgt.items() for beta, (cell,) in enumerate(acc)}
+            part = Form._unchecked(self.variables, self.frame_rank, s, self.dst.rank(j),
+                                   coeffs)
+            if part.coeffs:
+                out.parts[(s, j)] = part
         return out
 
     # -- comparison / io ----------------------------------------------------
@@ -842,6 +836,7 @@ class TotalForm:
     @classmethod
     def from_json(cls, data, variables, frame_rank, src, dst):
         blocks: dict = {}
+        seen = set()
         for term in data.get("terms", []):
             i, l, j = term["block"]
             if not 0 <= i <= frame_rank:
@@ -858,6 +853,10 @@ class TotalForm:
             if row >= dst.rank(j) or col >= src.rank(l):
                 raise ParseError(f"term ({row}, {col}) of block {[i, l, j]} is out of "
                                  f"range for a {dst.rank(j)} x {src.rank(l)} block")
+            if (i, l, j, mi, row, col) in seen:
+                raise ParseError(f"term ({row}, {col}) of block {[i, l, j]} at index "
+                                 f"{list(mi)} is given twice")
+            seen.add((i, l, j, mi, row, col))
             mat[row][col] = Poly.parse(term["coeff"], variables)
         return cls(variables, frame_rank, src, dst, data["total_degree"], blocks)
 
@@ -875,34 +874,19 @@ def graded_commutator(k1, k2):
     return k1.wedge(k2) + swapped
 
 
+_identity = cache(TotalForm.identity)   # kept with its kernel view, for the traces
+
+
 def gtr(total_form):
     """Graded trace: (-1)^l tr on each diagonal block; returns a scalar Form."""
-    return _trace(total_form, graded=True)
+    return total_form.wedge_trace(_identity(
+        total_form.variables, total_form.frame_rank, total_form.src), graded=True)
 
 
 def tr(total_form):
     """Plain fiberwise trace (no degree signs); scalar Form output."""
-    return _trace(total_form, graded=False)
-
-
-def _trace(total_form, graded):
-    """The sum of the diagonal blocks' traces, times (-1)^l when graded."""
-    if not total_form.is_end():
-        name = "graded trace" if graded else "trace"
-        raise MismatchError(f"{name} needs an endomorphism-valued form")
-    coeffs: dict = {}
-    for (i, l, j), entries in total_form.blocks.items():
-        if l != j:
-            continue
-        # i == s on diagonal blocks by the total degree invariant
-        negate = graded and l % 2
-        for mi, mat in entries.items():
-            val = -mat_trace(mat) if negate else mat_trace(mat)
-            acc = coeffs.get((mi, 0))
-            coeffs[(mi, 0)] = val if acc is None else acc + val
-    # a negative total degree admits no diagonal blocks: the trace is zero
-    return Form._unchecked(total_form.variables, total_form.frame_rank,
-                           max(total_form.total_degree, 0), 1, coeffs)
+    return total_form.wedge_trace(_identity(
+        total_form.variables, total_form.frame_rank, total_form.src))
 
 
 def unhat_from_sections(action, variables, frame_rank, src, dst, total_degree):
@@ -913,25 +897,28 @@ def unhat_from_sections(action, variables, frame_rank, src, dst, total_degree):
     Evaluating on degree-0 sections involves no Koszul sign, so this is the
     exact inverse of the hat map.
     """
+    zero = Poly.zero(variables)
     blocks: dict = {}
     for l, rank_l in src.summands:
         for alpha in range(rank_l):
             image = action(l, alpha)
+            if image.bundle != dst:
+                raise MismatchError("operator image lives in another bundle")
             for (t, j), form in image.parts.items():
-                i = t
-                if i + j - l != total_degree:
+                if t + j - l != total_degree:
                     raise MismatchError(
                         f"operator image has inconsistent degree: part (t={t}, z={j}) "
                         f"from source degree {l} under total degree {total_degree}")
-                entries = blocks.setdefault((i, l, j), {})
+                entries = blocks.setdefault((t, l, j), {})
                 for (mi, beta), poly in form.coeffs.items():
                     mat = entries.get(mi)
                     if mat is None:
-                        mat = [[Poly.zero(variables) for _ in range(rank_l)]
-                               for _ in range(dst.rank(j))]
-                        entries[mi] = mat
+                        mat = entries[mi] = [[zero] * rank_l for _ in range(dst.rank(j))]
                     mat[beta][alpha] = poly   # each (t, j, mi, beta) occurs once
-    return TotalForm(variables, frame_rank, src, dst, total_degree, blocks)
+    # the parts of a GradedElement are valid forms, so the blocks need no check
+    return TotalForm._unchecked(variables, frame_rank, src, dst, total_degree,
+                                {key: {mi: tuple(map(tuple, mat)) for mi, mat in entries.items()}
+                                 for key, entries in blocks.items()})
 
 
 # ----------------------------------------------------------------------

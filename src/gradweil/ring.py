@@ -22,7 +22,8 @@ from .errors import MismatchError, ParseError
 Rational = Fraction
 
 _COEFF_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
-_VAR_RE = re.compile(r"([A-Za-z_]\w*)(?:\^([0-9]+))?")
+VARIABLE_NAME = re.compile(r"[A-Za-z_]\w*", re.ASCII)   # what a Chart accepts
+_VAR_RE = re.compile(rf"({VARIABLE_NAME.pattern})(?:\^([0-9]+))?")
 _SPLIT_WORD_RE = re.compile(r"\w[ \t]+\w")
 _TERM_SPLIT_RE = re.compile(r"[+-]?[^+-]+")
 

@@ -170,13 +170,16 @@ def test_power_traces_match_traces_of_the_full_product(monkeypatch, maker,
         for first in range(1, top + 1):
             counts = {}
             _count_calls(monkeypatch, TotalForm, "wedge", counts)
-
-            def counted(power):
-                counts["trace"] = counts.get("trace", 0) + 1
-                return trace(power)
-
-            assert power_traces(R, top, counted, first=first) == oracle[first - 1:]
-            assert counts == {"wedge": top - 1, "trace": top - first + 1}
+            _count_calls(monkeypatch, chernweil, trace.__name__, counts)
+            products = []   # the trace-only products with R as right factor
+            wedge_trace = TotalForm.wedge_trace
+            monkeypatch.setattr(TotalForm, "wedge_trace", lambda K, L, graded=False: (
+                products.append(L is R) or wedge_trace(K, L, graded)))
+            assert power_traces(R, top, trace is gtr, first=first) == oracle[first - 1:]
+            # top - 2 full wedges, then one trace-only product for R^top
+            expected = {"wedge": top - 2, trace.__name__: top - first}
+            assert counts == {name: n for name, n in expected.items() if n}
+            assert products.count(True) == 1
             monkeypatch.undo()
 
 

@@ -319,6 +319,47 @@ def test_total_form_term_form_degree_out_of_range_exits_two(tmp_path, capsys, bl
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# --- repeated payload entries and unreadable chart names -----------------------
+
+
+def _assert_refused(tmp_path, capsys, payload, message):
+    assert main([write_problem(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_repeated_christoffel_frame_exits_two(tmp_path, capsys):
+    payload = _corpus_payload("transgression_aff1_scalar")
+    payload["connections"]["new"]["christoffel"].append(
+        {"frame": 1, "matrix": [["5"]]})
+    _assert_refused(tmp_path, capsys, payload, "christoffel frame 1 is given twice")
+
+
+def test_repeated_form_term_exits_two(tmp_path, capsys):
+    payload = _corpus_payload("massey_aff1")
+    payload["beta"]["terms"].append({"index": [0], "coeff": "2"})
+    _assert_refused(tmp_path, capsys, payload,
+                    "form term at index [0], fiber 0 is given twice")
+
+
+def test_repeated_total_form_term_exits_two(tmp_path, capsys):
+    payload = _corpus_payload("graded_bott_5dim")
+    payload["d_part"]["terms"].append(dict(payload["d_part"]["terms"][0], coeff="7"))
+    _assert_refused(tmp_path, capsys, payload,
+                    "term (0, 0) of block [0, 0, 1] at index [] is given twice")
+
+
+@pytest.mark.parametrize("name", ["1", "x y", "", "x*y", "x\u00e9"])
+def test_chart_variable_that_parse_cannot_read_back_exits_two(tmp_path, capsys, name):
+    # no polynomial names the variable, so only the chart check can refuse it
+    payload = check_sl2_payload()
+    payload["algebroid"]["chart"]["vars"] = [name]
+    payload["algebroid"]["anchor"] = [["0"] for _ in range(3)]
+    _assert_refused(tmp_path, capsys, payload, f"chart variable {name!r} is not an ASCII name")
+
+
 # --- connection keys -----------------------------------------------------------
 
 

@@ -569,18 +569,21 @@ def test_cuth_apply_matches_the_koszul_reference_on_random_elements(name):
     assert multi_part
 
 
-def test_cuth_apply_makes_one_kernel_pass_per_part(monkeypatch):
+def test_cuth_apply_makes_one_kernel_pass_per_element(monkeypatch):
     counts = {}
     rng = random.Random(89)
     a = catalog.aff1_action_line()
     conn = random_cuth(rng, a, ODD_BUNDLES[1])
     x = random_element(rng, a, conn.bundle)
+    assert len(x.parts) > 1
     conn.omega()
-    _count_calls(monkeypatch, TotalForm, "apply_part", counts)
+    for name in ("apply", "apply_part", "_product"):
+        _count_calls(monkeypatch, TotalForm, name, counts)
     _count_calls(monkeypatch, LinearConnection, "d", counts)
     _count_calls(monkeypatch, GradedElement, "__add__", counts)
-    conn.apply(x)
-    assert counts == {"apply_part": len(x.parts)}
+    image = conn.apply(x)
+    assert counts == {"apply": 1, "_product": 1}
+    assert image == cuth_apply_reference(conn, x)
 
 
 def test_operator_squaring_needs_no_wedge_and_no_d_total(monkeypatch):

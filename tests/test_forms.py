@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from gradweil import catalog
+from gradweil.algebroid import Chart, tangent_algebroid
+from gradweil.connections import ConnectionUpToHomotopy, LinearConnection
 from gradweil.errors import MismatchError
 from gradweil.forms import (
     Form,
@@ -25,10 +27,8 @@ from gradweil.forms import (
     mat_is_zero,
     mat_mul,
     mat_neg,
-    merge_indices,
     render_form,
     restrict_total_form,
-    shuffles,
     sort_with_sign,
     tr,
     unhat_from_sections,
@@ -86,6 +86,36 @@ def extend_form(form, indices, frame_rank):
     for (mi, a), poly in form.coeffs.items():
         coeffs[(tuple(indices[i] for i in mi), a)] = poly
     return Form(form.variables, frame_rank, form.degree, form.fiber_dim, coeffs)
+
+
+def merge_indices(left, right):
+    """Merge two ascending index tuples.
+
+    Returns (sign, merged) where sign is the parity of the permutation
+    sorting left+right, or (0, None) when the tuples overlap.
+    """
+    if set(left) & set(right):
+        return 0, None
+    inversions = 0
+    for a in left:
+        for b in right:
+            if b < a:
+                inversions += 1
+    merged = tuple(sorted(left + right))
+    return (-1 if inversions % 2 else 1), merged
+
+
+def shuffles(l, s):
+    """Yield ((positions_left, positions_right), sign) for all (l, s)-shuffles.
+
+    Positions partition range(l + s); sign is the parity of the resulting
+    permutation.  The textbook shuffle sum, independent of the bitmask merge.
+    """
+    universe = range(l + s)
+    for left in itertools.combinations(universe, l):
+        right = tuple(sorted(set(universe) - set(left)))
+        sign = 1 - 2 * (sum(left[j] - j for j in range(l)) % 2)
+        yield (left, right), sign
 
 
 def permutation_sign(perm):
@@ -413,18 +443,19 @@ def apply_part_reference(K, form, l):
     return out
 
 
-def kernel_poly(rng, variables):
+def kernel_poly(rng, variables, denominators=(1, 2, 3, 6)):
     """A Poly with non-integer coefficients, zero a quarter of the time."""
     if rng.random() < 0.25:
         return Poly.zero(variables)
     terms = {}
     for _ in range(rng.randint(1, 3)):
         expo = tuple(rng.randint(0, 1) for _ in variables)
-        terms[expo] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))
+        terms[expo] = Fraction(rng.randint(-4, 4), rng.choice(denominators))
     return Poly(variables, terms)
 
 
-def kernel_total_form(rng, variables, frame_rank, bundle, total_degree):
+def kernel_total_form(rng, variables, frame_rank, bundle, total_degree,
+                      denominators=(1, 2, 3, 6)):
     """Random blocks in every admissible slot, with zero entries and Fractions."""
     blocks = {}
     for l in bundle.degrees():
@@ -432,7 +463,7 @@ def kernel_total_form(rng, variables, frame_rank, bundle, total_degree):
             i = total_degree + l - j
             if not 0 <= i <= frame_rank:
                 continue
-            entries = {mi: [[kernel_poly(rng, variables)
+            entries = {mi: [[kernel_poly(rng, variables, denominators)
                              for _ in range(bundle.rank(l))]
                             for _ in range(bundle.rank(j))]
                        for mi in itertools.combinations(range(frame_rank), i)
@@ -526,6 +557,71 @@ def test_kernel_wedge_is_composition_on_basis_sections(variables):
                 for alpha in range(r):
                     e = GradedElement.basis_section(variables, 3, bundle, z, alpha)
                     assert W.apply(e) == K.apply(L.apply(e))
+
+
+# --- one denominator per operand, over denominators 3, 5, 7 and 11 -------------
+
+# an integer operand, then operands over single odd primes and over their mix
+ODD_DENOMINATORS = ((1,), (3,), (5,), (7,), (11,), (1, 3, 5, 7, 11))
+# fiber ranks 1-4, with odd, even and mixed summand degrees
+DENOMINATOR_BUNDLES = (
+    GradedBundle([(0, 1)]),
+    GradedBundle([(1, 2)]),
+    GradedBundle([(0, 2), (1, 1)]),
+    GradedBundle([(-1, 1), (0, 2), (1, 1)]),
+)
+
+
+def denominator_cuth(rng, algebroid, bundle, denominators):
+    """A connection up to homotopy with Christoffel and D entries over `denominators`."""
+    variables, rank = algebroid.variables, algebroid.rank
+    nablas = {z: LinearConnection(algebroid, r, [
+        [[kernel_poly(rng, variables, denominators) for _ in range(r)] for _ in range(r)]
+        for _ in range(rank)]) for z, r in bundle.summands}
+    D = kernel_total_form(rng, variables, rank, bundle, 1, denominators)
+    return ConnectionUpToHomotopy(algebroid, bundle, nablas, D)
+
+
+# frame ranks 6 and 4, so that tr(R^2) and, over the point, tr(R^3) can be nonzero
+@pytest.mark.parametrize("algebroid", [catalog.abelian(6),
+                                       tangent_algebroid(Chart(("x", "y", "z", "w")))],
+                         ids=["point", "chart"])
+def test_kernel_is_exact_over_denominators_3_5_7_and_11(algebroid):
+    rng = random.Random(83 + algebroid.rank)
+    variables = algebroid.variables
+    primes, nonzero = set(), {"wedge": 0, "trace": 0, "apply": 0, "power trace": 0}
+    for bundle in DENOMINATOR_BUNDLES:
+        for _ in range(3):
+            K, L = (kernel_total_form(rng, variables, 3, bundle, rng.randint(0, 1), dens)
+                    for dens in rng.sample(ODD_DENOMINATORS, 2))
+            W = wedge_reference(K, L)
+            assert K.wedge(L) == W
+            assert K.wedge_trace(L) == tr(W) and K.wedge_trace(L, graded=True) == gtr(W)
+            nonzero["wedge"] += not W.is_zero()
+            nonzero["trace"] += not tr(W).is_zero()
+            primes |= {p for p in (3, 5, 7, 11) for M in (K, L) if M._kernel[0] % p == 0}
+            # one element whose parts are over different denominators
+            x = GradedElement(variables, 3, bundle)
+            expected = GradedElement(variables, 3, bundle)
+            for z, r in bundle.summands:
+                t, dens = rng.randint(0, 2), rng.choice(ODD_DENOMINATORS)
+                form = Form(variables, 3, t, r,
+                            {(mi, a): kernel_poly(rng, variables, dens)
+                             for mi in itertools.combinations(range(3), t) for a in range(r)})
+                x.accumulate(t, z, form)
+                expected = expected + apply_part_reference(K, form, z)
+            assert K.apply(x) == expected
+            nonzero["apply"] += not expected.is_zero()
+        # the trace-only product R^(j-1) with R against tr and gtr of R^j
+        conn = denominator_cuth(rng, algebroid, bundle, rng.choice(ODD_DENOMINATORS[1:]))
+        R = conn.curvature()
+        for j in (2, 3):
+            power = conn.curvature_power(j)
+            assert conn.curvature_power(j - 1).wedge_trace(R) == tr(power)
+            assert conn.curvature_power(j - 1).wedge_trace(R, graded=True) == gtr(power)
+            nonzero["power trace"] += not tr(power).is_zero()
+    assert primes == {3, 5, 7, 11}
+    assert min(nonzero.values()) >= 3
 
 
 # --- the kernel view: bitmasks, popcount signs, trusted results ---------------
