@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .connections import ConnectionUpToHomotopy, cuth_difference
 from .errors import InternalCheckError, MismatchError, NotClosedError
-from .forms import Form, TotalForm, gtr, tr
+from .forms import Form, gtr, tr
 from .linalg import nullspace, rref, solve, transpose
 from .ring import Poly
 
@@ -420,7 +420,8 @@ def transgression(old, new, index):
 
     Interpolates cal_D_t = cal_D + t hat(D) with D = cal_D' - cal_D, expands
     R_t = R + t (d_End D) + t^2 (D wedge D) as a polynomial in t with total
-    form coefficients, and integrates the graded trace exactly.
+    form coefficients, and integrates index * gtr(R_t^(index-1) D) exactly;
+    the power starts at R_t and each term is one trace-only product with D.
     """
     curvature = old.curvature()   # a LinearConnection's kept one
     if not isinstance(old, ConnectionUpToHomotopy):
@@ -430,27 +431,23 @@ def transgression(old, new, index):
     if old.bundle != new.bundle or old.algebroid != new.algebroid:
         raise MismatchError("transgression needs two cuths on the same bundle")
     diff = cuth_difference(new, old)
-    r_t = [curvature, old.d_end(diff), diff.wedge(diff)]
-
-    def poly_mul(a, b):
-        out = [None] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                term = x.wedge(y)
-                out[i + j] = term if out[i + j] is None else out[i + j] + term
-        return out
-
-    power = [TotalForm.identity(old.variables, old.algebroid.rank, old.bundle)]
-    for _ in range(index - 1):
-        power = poly_mul(power, r_t)
-    integrand = poly_mul(power, [diff])
-    variables = old.variables
-    total = Form.zero(variables, old.algebroid.rank, 2 * index - 1)
-    for j, coeff in enumerate(integrand):
-        piece = gtr(coeff)
-        if piece.is_zero():
-            continue
-        total = total + piece.scale(Fraction(index, j + 1))
+    if index == 1:
+        pieces = [gtr(diff)]
+    else:
+        r_t = [curvature, old.d_end(diff), diff.wedge(diff)]
+        power = r_t
+        for _ in range(index - 2):
+            out = [None] * (len(power) + 2)
+            for i, x in enumerate(power):
+                for j, y in enumerate(r_t):
+                    term = x.wedge(y)
+                    out[i + j] = term if out[i + j] is None else out[i + j] + term
+            power = out
+        pieces = [p.wedge_trace(diff, graded=True) for p in power]
+    total = Form.zero(old.variables, old.algebroid.rank, 2 * index - 1)
+    for j, piece in enumerate(pieces):
+        if not piece.is_zero():
+            total = total + piece.scale(Fraction(index, j + 1))
     return total
 
 

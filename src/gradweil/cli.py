@@ -100,24 +100,32 @@ def _load_problem(path, err):
     return data
 
 
+def _error(message):
+    print(f"error: {message}", file=sys.stderr)
+
+
+def _run(data, err, **options):
+    """(report, None) from run_problem, else (None, exit code) after err()
+    names the input error (2) or the failed internal check (3)."""
+    try:
+        return run_problem(data, **options), None
+    except _INPUT_ERRORS as exc:
+        err(str(exc))
+        return None, 2
+    except InternalCheckError as exc:
+        err(f"internal check failed: {exc}")
+        return None, 3
+
+
 def run_file(path, task=None, json_path=None, bound=None, seed=None,
              out=None):
     out = out if out is not None else sys.stdout
-
-    def err(message):
-        print(f"error: {message}", file=sys.stderr)
-
-    data = _load_problem(path, err)
+    data = _load_problem(path, _error)
     if data is None:
         return 2
-    try:
-        report = run_problem(data, task=task, bound=bound, seed=seed)
-    except _INPUT_ERRORS as exc:
-        err(str(exc))
-        return 2
-    except InternalCheckError as exc:
-        err(f"internal check failed: {exc}")
-        return 3
+    report, code = _run(data, _error, task=task, bound=bound, seed=seed)
+    if report is None:
+        return code
     print(render_report(report), file=out)
     if json_path:
         Path(json_path).write_text(canonical_json(report))
@@ -128,7 +136,7 @@ def run_corpus(directory, out=None):
     out = out if out is not None else sys.stdout
     root = Path(directory)
     if not root.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
+        _error(f"{directory} is not a directory")
         return 2
     entries = sorted(p for p in root.glob("*.json")
                      if not p.name.endswith(".golden.json"))
@@ -144,24 +152,16 @@ def run_corpus(directory, out=None):
 
 
 def _corpus_status(path):
-    failures = []
-    data = _load_problem(path, failures.append)
+    data = _load_problem(path, _error)
     if data is None:
-        for line in failures:
-            print(f"error: {line}", file=sys.stderr)
         return "error"
-    try:
-        produced = canonical_json(run_problem(data))
-    except _INPUT_ERRORS as exc:
-        print(f"error: {path.name}: {exc}", file=sys.stderr)
-        return "error"
-    except InternalCheckError as exc:
-        print(f"error: {path.name}: internal check failed: {exc}", file=sys.stderr)
+    report, _ = _run(data, lambda message: _error(f"{path.name}: {message}"))
+    if report is None:
         return "error"
     golden = path.with_name(path.stem + ".golden.json")
     if not golden.exists():
         return "new"
-    return "ok" if golden.read_bytes() == produced.encode() else "diff"
+    return "ok" if golden.read_bytes() == canonical_json(report).encode() else "diff"
 
 
 def _bound(text):

@@ -195,6 +195,9 @@ class LinearConnection:
 
     @classmethod
     def from_json(cls, data, algebroid, rank=None):
+        if rank is not None and data.get("rank", rank) != rank:
+            raise ParseError(f"connection rank {data['rank']} differs from the rank "
+                             f"{rank} of the bundle it connects")
         rank = rank if rank is not None else data.get("rank")
         if rank is None:
             raise MismatchError("connection payload needs a bundle rank")

@@ -424,24 +424,22 @@ def atiyah_form(algebroid, subframe, nabla_sub, extension=None,
 # graded Bott vanishing
 
 
-def graded_bott_report(algebroid, subframe, conn_sub, extensions=None):
+def graded_bott_report(algebroid, subframe, conn_sub):
     """Vanishing report for a square-zero connection over a subframe.
 
-    Normalizes the input, extends per-summand connections (zero complement
-    Christoffels by default) and the structure form by zero on complement
-    directions, then checks that the extended curvature restricts to zero on
-    the subframe and that its graded trace powers beyond the codimension are
-    identically zero.
+    Extends the per-summand connections and the structure form D by zero on
+    complement directions, then checks that the extended curvature restricts
+    to zero on the subframe and that its graded trace powers beyond the
+    codimension are identically zero.  Gamma and D both extend by zero, so
+    the extension of Omega = Gamma + D does not depend on how the input
+    splits it, and the input need not be normalized.
     """
     sub_algebroid = algebroid.restrict(subframe)
     if conn_sub.algebroid != sub_algebroid:
         raise MismatchError("connection does not live over the restricted subframe")
-    conn_sub = conn_sub.normalize()
     if not conn_sub.curvature().is_zero():
         raise MismatchError("the subframe connection up to homotopy must square to zero")
-    extensions = dict(extensions or {})
-    nablas = {z: extend_connection(algebroid, subframe, conn_sub.nablas[z],
-                                   extensions.get(z))
+    nablas = {z: extend_connection(algebroid, subframe, conn_sub.nablas[z])
               for z, _ in conn_sub.bundle.summands}
     d_ext = extend_total_form(conn_sub.D, subframe.indices, algebroid.rank)
     tilde = ConnectionUpToHomotopy(algebroid, conn_sub.bundle, nablas, d_ext)
@@ -566,19 +564,17 @@ def iis_check(algebroid, j_subframe, fm_subframe, nabla_tilde=None):
              "equivalence with the quotient definition is cited, not re-proved")
 
 
-def iis_obstruction(algebroid, j_subframe, fm_subframe, nabla_j=None,
-                    nabla_fm=None, l_values=(1,), bound=None):
+def iis_obstruction(algebroid, j_subframe, fm_subframe, l_values=(1,), bound=None):
     """Equality of the classes attached to the two subframe bundles.
 
     Computes representatives of the degree-4l classes of the section and
-    field subbundles from the supplied (default zero) connections and
-    reports whether their difference is exact.  A rank-0 subframe has the
-    zero representative.
+    field subbundles from their zero connections and reports whether their
+    difference is exact.  A rank-0 subframe has the zero representative.
     """
     checks = []
     for l in l_values:
-        rep_j = _subframe_class_rep(algebroid, j_subframe.rank, nabla_j, l)
-        rep_fm = _subframe_class_rep(algebroid, fm_subframe.rank, nabla_fm, l)
+        rep_j = _subframe_class_rep(algebroid, j_subframe.rank, l)
+        rep_fm = _subframe_class_rep(algebroid, fm_subframe.rank, l)
         diff = rep_j - rep_fm
         status, primitive = class_status(algebroid, diff, bound=bound)
         witness = {"status": status}
@@ -589,11 +585,8 @@ def iis_obstruction(algebroid, j_subframe, fm_subframe, nabla_j=None,
     return _report("iis-obstruction", checks)
 
 
-def _subframe_class_rep(algebroid, rank, nabla, index):
+def _subframe_class_rep(algebroid, rank, index):
     if rank == 0:
         return Form.zero(algebroid.variables, algebroid.rank, 4 * index)
-    if nabla is None:
-        nabla = LinearConnection.zero(algebroid, rank)
-    elif nabla.algebroid != algebroid or nabla.rank != rank:
-        raise MismatchError("obstruction connection has the wrong shape")
-    return invariant_poly_f(nabla.curvature(), 2 * index)
+    return invariant_poly_f(LinearConnection.zero(algebroid, rank).curvature(),
+                            2 * index)

@@ -443,17 +443,17 @@ class Form:
         return cls(variables, frame_rank, data["degree"], fiber_dim, coeffs)
 
 
-def render_form(form, frame_symbol="eps", fiber_symbol="f"):
+def render_form(form):
     """Human-readable rendering; frame indices are displayed 1-based."""
     if form.is_zero():
         return "0"
     pieces = []
     for (mi, alpha) in sorted(form.coeffs):
         poly = form.coeffs[(mi, alpha)]
-        wedge = "^".join(f"{frame_symbol}{i + 1}" for i in mi) if mi else "1"
+        wedge = "^".join(f"eps{i + 1}" for i in mi) if mi else "1"
         body = f"({poly})*{wedge}" if len(poly.terms) > 1 or mi == () else f"{poly}*{wedge}"
         if form.fiber_dim > 1:
-            body += f"(x){fiber_symbol}{alpha + 1}"
+            body += f"(x)f{alpha + 1}"
         pieces.append(body)
     return " + ".join(pieces)
 
@@ -782,6 +782,9 @@ class TotalForm:
         part (t, z) is the block (t, 0, z) of a Hom(R[0], E)-valued form."""
         blocks: dict = {}
         for (t, z), form in parts.items():
+            if form.variables != self.variables or form.frame_rank != self.frame_rank:
+                raise MismatchError("the input form lives over a different chart "
+                                    "or frame rank than the total form")
             entries = blocks.setdefault((t, 0, z), {})
             for (mi, alpha), poly in form.coeffs.items():
                 rows = entries.get(mi)

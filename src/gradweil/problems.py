@@ -6,12 +6,17 @@ frame / summand indices on the wire are 0-based; Christoffel matrices are
 source-major (``matrix[alpha][beta]`` is the e_beta coefficient of the
 covariant derivative of f_alpha), matching `LinearConnection.christoffel`.
 
-Every task returns a plain-dict report::
+`run_problem` reads the inputs every task shares once: the ``algebroid``,
+a ``random.Random`` seeded from ``seed`` (default 0) for the connections a
+file leaves out, and the exactness ``bound``.  Every task is called as
+``task(data, algebroid, rng, bound)`` and returns its checks; `run_problem`
+names the report::
 
     {"task": ..., "construction": ..., "checks": [{"name", "pass", "witness"?}],
      "thresholds"?: {...}, "results"?: {...}, "note"?: ...}
 
-with only JSON-native values, so reports serialize canonically.
+with ``task`` and ``construction`` both the task name, and only JSON-native
+values, so reports serialize canonically.
 """
 
 from __future__ import annotations
@@ -150,29 +155,29 @@ def _need(data, task, key):
     return data[key]
 
 
-def _build_algebroid(data, task, key="algebroid"):
-    return Algebroid.from_json(_need(data, task, key))
-
-
-def _build_connection(spec, algebroid, rank=None):
+def _connection(spec, algebroid, rank, rng):
+    """The rank-`rank` connection `spec` describes, else a seeded random one."""
+    if spec is None:
+        return randgen.random_linear_connection(rng, algebroid, rank)
     return LinearConnection.from_json(spec, algebroid, rank=rank)
 
 
-def _rng(data, seed):
-    if seed is None:
-        seed = data.get("seed", 0)
-    return random.Random(seed)
+def _tangent_connection(data, algebroid, rng):
+    """The file's tangent-frame connection, else a seeded random one.
+
+    Over a point `tangent_algebroid` refuses it: a point has no tangent
+    algebroid.
+    """
+    return _connection(data.get("tangent_connection"),
+                       tangent_algebroid(algebroid.chart), algebroid.rank, rng)
 
 
-def _connection_or_random(data, task, algebroid, rank, rng, key="connection"):
-    """An explicit connection if the file carries one, else a seeded random one."""
-    if key in data:
-        return _build_connection(data[key], algebroid, rank=rank)
-    return randgen.random_linear_connection(rng, algebroid, rank)
-
-
-def _bound(data, bound):
-    return bound if bound is not None else data.get("bound")
+def _connection_specs(specs, keys, refusal):
+    """A `connections` map whose every key is one of `keys`."""
+    for key in specs:
+        if key not in keys:
+            raise ParseError(f"connections key {key!r} {refusal}")
+    return specs
 
 
 def _subframe(data, task, rank, key="subframe"):
@@ -221,8 +226,7 @@ def _restricted(data, task, algebroid):
     bad = algebroid.subalgebroid_failures(sub)
     if bad:
         witness = [f"[e_{i}, e_{j}] has an e_{k} component" for i, j, k in bad]
-        return sub, None, {"construction": task,
-                           "checks": [_check("subframe_bracket_closed", False, witness)]}
+        return sub, None, {"checks": [_check("subframe_bracket_closed", False, witness)]}
     return sub, algebroid.restrict(sub), None
 
 
@@ -240,10 +244,9 @@ def _flat_on_subframe(data, task, algebroid):
     complement = _complement_mats(data, algebroid, sub, rank)
     if failed is not None:
         return sub, None, None, failed
-    nabla_sub = _build_connection(spec, restricted, rank=rank)
+    nabla_sub = LinearConnection.from_json(spec, restricted, rank=rank)
     if not nabla_sub.is_flat():
-        return sub, None, None, {"construction": task,
-                                 "checks": [_check("subframe_bracket_closed", True),
+        return sub, None, None, {"checks": [_check("subframe_bracket_closed", True),
                                             _check("flat_on_subframe", False)]}
     return sub, nabla_sub, complement, None
 
@@ -254,12 +257,32 @@ def _closed_first(report):
     return report
 
 
+def _build_cuth(data, task, algebroid, rng):
+    """Graded bundle + per-degree connections (+ optional D block data)."""
+    bundle = GradedBundle.from_json(_need(data, task, "bundle"))
+    degrees = [str(z) for z in bundle.degrees()]
+    specs = _connection_specs(data.get("connections", {}), degrees,
+                              "is not the degree of a bundle summand; "
+                              f"expected one of {degrees}")
+    nablas = {}
+    for z, r in bundle.summands:
+        spec = specs.get(str(z))
+        if spec is not None and spec.get("bundle_degree", z) != z:
+            raise ParseError(f"connections key '{z}' holds a connection with "
+                             f"bundle_degree {spec['bundle_degree']}")
+        nablas[z] = _connection(spec, algebroid, r, rng)
+    d_part = None
+    if "d_part" in data:
+        d_part = TotalForm.from_json(data["d_part"], algebroid.variables,
+                                     algebroid.rank, bundle, bundle)
+    return ConnectionUpToHomotopy(algebroid, bundle, nablas, D=d_part)
+
+
 # ----------------------------------------------------------------------
-# tasks
+# tasks: each is task(data, algebroid, rng, bound) and returns its checks
 
 
-def _task_check_algebroid(data, bound, seed):
-    algebroid = _build_algebroid(data, "check-algebroid")
+def _task_check_algebroid(data, algebroid, rng, bound):
     axioms = algebroid.check_axioms()
     ok_d2, failures_d2 = algebroid.d_squared_check()
     checks = []
@@ -270,29 +293,24 @@ def _task_check_algebroid(data, bound, seed):
         witness = [msg for msg in axioms.failures if msg.startswith(prefix)] or None
         checks.append(_check(name, ok, witness))
     checks.append(_check("d_squared_zero", ok_d2, list(failures_d2) or None))
-    return {"construction": "check-algebroid", "checks": checks}
+    return {"checks": checks}
 
 
-def _task_pontryagin(data, bound, seed):
-    algebroid = _build_algebroid(data, "pontryagin")
-    rng = _rng(data, seed)
-    rank = data.get("rank", algebroid.rank)
-    if "connection" in data:
-        rank = data["connection"].get("rank", rank)
-    nabla = _connection_or_random(data, "pontryagin", algebroid, rank, rng)
-    indices = data.get("indices", [1])
+def _task_pontryagin(data, algebroid, rng, bound):
+    spec = data.get("connection")
+    rank = (spec or {}).get("rank", data.get("rank", algebroid.rank))
+    nabla = _connection(spec, algebroid, rank, rng)
     checks = []
     classes = []
-    for i in indices:
+    for i in data.get("indices", [1]):
         cls = pontryagin_class(nabla, i)
         witness = nonclosed_term(algebroid, cls.representative)
         if witness is not None:
             # only over an algebroid that breaks d_A^2 = 0: no class to decide
             checks.append(_check(f"p{i}_representative_closed", False, witness))
-            return {"construction": "pontryagin", "checks": checks}
+            return {"checks": checks}
         checks.append(_check(f"p{i}_representative_closed", True))
-        status, primitive = class_status(algebroid, cls.representative,
-                                         bound=_bound(data, bound))
+        status, primitive = class_status(algebroid, cls.representative, bound=bound)
         entry = {
             "index": cls.index,
             "prefactor": str(cls.prefactor),
@@ -304,49 +322,21 @@ def _task_pontryagin(data, bound, seed):
         if primitive is not None:
             entry["primitive"] = primitive.to_json()
         classes.append(entry)
-    return {"construction": "pontryagin", "checks": checks,
-            "results": {"classes": classes}}
+    return {"checks": checks, "results": {"classes": classes}}
 
 
-def _build_cuth(data, task, algebroid, rng):
-    """Graded bundle + per-degree connections (+ optional D block data)."""
-    bundle = GradedBundle.from_json(_need(data, task, "bundle"))
-    specs = data.get("connections", {})
-    degrees = [str(z) for z in bundle.degrees()]
-    for key in specs:
-        if key not in degrees:
-            raise ParseError(f"connections key {key!r} is not the degree of a "
-                             f"bundle summand; expected one of {degrees}")
-    nablas = {}
-    for z, r in bundle.summands:
-        spec = specs.get(str(z))
-        if spec is not None:
-            nablas[z] = _build_connection(spec, algebroid, rank=r)
-        else:
-            nablas[z] = randgen.random_linear_connection(rng, algebroid, r)
-    d_part = None
-    if "d_part" in data:
-        d_part = TotalForm.from_json(data["d_part"], algebroid.variables,
-                                     algebroid.rank, bundle, bundle)
-    return ConnectionUpToHomotopy(algebroid, bundle, nablas, D=d_part)
-
-
-def _task_obstruct_nrep(data, bound, seed):
-    algebroid = _build_algebroid(data, "obstruct-nrep")
-    rng = _rng(data, seed)
+def _task_obstruct_nrep(data, algebroid, rng, bound):
     conn = _build_cuth(data, "obstruct-nrep", algebroid, rng)
-    indices = data.get("indices", [1, 2])
     checks = []
     characters = []
-    for l in indices:
+    for l in data.get("indices", [1, 2]):
         char = sigma_character(conn, l)
         if not char.closed:
             # only over an algebroid that breaks d_A^2 = 0: no class to decide
             checks.append(_check(f"sigma{l}_closed", False,
                                  nonclosed_term(algebroid, char.form)))
-            return {"construction": "obstruct-nrep", "checks": checks}
-        status, primitive = class_status(algebroid, char.form,
-                                         bound=_bound(data, bound))
+            return {"checks": checks}
+        status, primitive = class_status(algebroid, char.form, bound=bound)
         checks.append(_check(f"sigma{l}_closed", True))
         checks.append(_check(f"sigma{l}_vanishes_in_cohomology",
                              status == "zero", {"status": status}))
@@ -357,12 +347,10 @@ def _task_obstruct_nrep(data, bound, seed):
         characters.append(entry)
     note = ("a mixed-degree character with a nonzero class obstructs the "
             "existence of an n-representation on this graded bundle")
-    return {"construction": "obstruct-nrep", "checks": checks,
-            "results": {"characters": characters}, "note": note}
+    return {"checks": checks, "results": {"characters": characters}, "note": note}
 
 
-def _task_bott(data, bound, seed):
-    algebroid = _build_algebroid(data, "bott")
+def _task_bott(data, algebroid, rng, bound):
     sub, nabla_sub, complement, failed = _flat_on_subframe(data, "bott", algebroid)
     if failed is not None:
         return failed
@@ -370,29 +358,26 @@ def _task_bott(data, bound, seed):
                                      complement=complement))
 
 
-def _task_graded_bott(data, bound, seed):
-    algebroid = _build_algebroid(data, "graded-bott")
+def _task_graded_bott(data, algebroid, rng, bound):
     sub, restricted, failed = _restricted(data, "graded-bott", algebroid)
     if failed is not None:
         return failed
-    conn_sub = _build_cuth(data, "graded-bott", restricted, _rng(data, seed))
+    conn_sub = _build_cuth(data, "graded-bott", restricted, rng)
     square = square_zero_check(conn_sub)
-    if not report_passed(square):
-        square["construction"] = "graded-bott"
-        return _closed_first(square)
-    return _closed_first(graded_bott_report(algebroid, sub, conn_sub))
+    if report_passed(square):
+        square = graded_bott_report(algebroid, sub, conn_sub)
+    return _closed_first(square)
 
 
-def _task_atiyah(data, bound, seed):
-    algebroid = _build_algebroid(data, "atiyah")
+def _task_atiyah(data, algebroid, rng, bound):
     sub, nabla_sub, complement, failed = _flat_on_subframe(data, "atiyah",
                                                            algebroid)
     if failed is not None:
         return failed
     extension = None
     if "extension" in data:
-        extension = _build_connection(data["extension"], algebroid,
-                                      rank=nabla_sub.rank)
+        extension = LinearConnection.from_json(data["extension"], algebroid,
+                                               rank=nabla_sub.rank)
     omega, report = atiyah_form(algebroid, sub, nabla_sub, extension=extension,
                                 complement=complement)
     report["results"] = {"pairing_form": omega.to_json(),
@@ -400,27 +385,19 @@ def _task_atiyah(data, bound, seed):
     return _closed_first(report)
 
 
-def _task_massey(data, bound, seed):
-    algebroid = _build_algebroid(data, "massey")
-    forms = {}
-    closed = []
-    for key in ("alpha", "beta", "gamma"):
-        form = Form.from_json(_need(data, "massey", key),
-                              algebroid.variables, algebroid.rank)
-        forms[key] = form
-        ok = algebroid.d(form).is_zero()
-        closed.append(ok)
-    checks = [_check("inputs_closed", all(closed),
-                     None if all(closed) else
-                     [k for k, ok in zip(("alpha", "beta", "gamma"), closed)
-                      if not ok])]
-    if not all(closed):
-        return {"construction": "massey", "checks": checks}
-    report = massey_triple(algebroid, forms["alpha"], forms["beta"],
-                           forms["gamma"], bound=_bound(data, bound))
+def _task_massey(data, algebroid, rng, bound):
+    names = ("alpha", "beta", "gamma")
+    forms = [Form.from_json(_need(data, "massey", key), algebroid.variables,
+                            algebroid.rank) for key in names]
+    open_inputs = [key for key, form in zip(names, forms)
+                   if not algebroid.d(form).is_zero()]
+    checks = [_check("inputs_closed", not open_inputs, open_inputs or None)]
+    if open_inputs:
+        return {"checks": checks}
+    report = massey_triple(algebroid, *forms, bound=bound)
     checks.append(_check("triple_product_defined", report.defined,
                          None if report.defined else report.reason))
-    out = {"construction": "massey", "checks": checks}
+    out = {"checks": checks}
     if not report.defined:
         return out
     results = {
@@ -440,109 +417,66 @@ def _task_massey(data, bound, seed):
     return out
 
 
-def _task_iis(data, bound, seed):
-    algebroid = _build_algebroid(data, "iis")
-    j_sub = Subframe(algebroid.rank, _need(data, "iis", "subframe"))
-    fm_sub = Subframe(algebroid.chart.dim, _need(data, "iis", "field_subframe"))
-    nabla_tilde = None
-    if "tangent_connection" in data:
-        tm = tangent_algebroid(algebroid.chart)
-        nabla_tilde = _build_connection(data["tangent_connection"], tm,
-                                        rank=algebroid.rank)
+def _task_iis(data, algebroid, rng, bound):
+    j_sub = _subframe(data, "iis", algebroid.rank)
+    fm_sub = _subframe(data, "iis", algebroid.chart.dim, key="field_subframe")
+    nabla_tilde = (_tangent_connection(data, algebroid, rng)
+                   if "tangent_connection" in data else None)
     report = iis_check(algebroid, j_sub, fm_sub, nabla_tilde=nabla_tilde)
     structural = [c for c in report["checks"]
                   if c["name"] != "quotient_connection_flat"]
     if all(c["pass"] for c in structural):
-        obstruction = iis_obstruction(
-            algebroid, j_sub, fm_sub,
-            l_values=tuple(data.get("indices", [1])),
-            bound=_bound(data, bound))
+        obstruction = iis_obstruction(algebroid, j_sub, fm_sub,
+                                      l_values=tuple(data.get("indices", [1])),
+                                      bound=bound)
         report["checks"].extend(obstruction["checks"])
     return report
 
 
-def _square_zero_report(conn, construction):
-    report = square_zero_check(conn)
-    report["construction"] = construction
-    return report
+def _task_adjoint(data, algebroid, rng, bound):
+    nabla_tm = (_tangent_connection(data, algebroid, rng)
+                if "tangent_connection" in data or algebroid.chart.dim else None)
+    return square_zero_check(adjoint_rep(algebroid, nabla_tm=nabla_tm))
 
 
-def _task_adjoint(data, bound, seed):
-    algebroid = _build_algebroid(data, "adjoint")
-    nabla_tm = None
-    if "tangent_connection" in data:
-        # over a point this refuses the field: a point has no tangent algebroid
-        nabla_tm = _build_connection(data["tangent_connection"],
-                                     tangent_algebroid(algebroid.chart),
-                                     rank=algebroid.rank)
-    elif algebroid.chart.dim:
-        nabla_tm = randgen.random_linear_connection(
-            _rng(data, seed), tangent_algebroid(algebroid.chart), algebroid.rank)
-    conn = adjoint_rep(algebroid, nabla_tm=nabla_tm)
-    return _square_zero_report(conn, "adjoint")
+def _task_double(data, algebroid, rng, bound):
+    spec = data.get("connection")
+    rank = (spec or {}).get("rank", data.get("rank", 1))
+    return square_zero_check(double_rep(_connection(spec, algebroid, rank, rng)))
 
 
-def _task_double(data, bound, seed):
-    algebroid = _build_algebroid(data, "double")
-    rng = _rng(data, seed)
-    rank = data.get("rank", 1)
-    if "connection" in data:
-        rank = data["connection"].get("rank", rank)
-    nabla = _connection_or_random(data, "double", algebroid, rank, rng)
-    conn = double_rep(nabla)
-    return _square_zero_report(conn, "double")
-
-
-def _task_morphism(data, bound, seed):
-    algebroid_a = _build_algebroid(data, "morphism")
-    algebroid_b = _build_algebroid(data, "morphism", key="source_algebroid")
-    partial = [[algebroid_a.chart.poly(p) for p in row]
+def _task_morphism(data, algebroid, rng, bound):
+    source = Algebroid.from_json(_need(data, "morphism", "source_algebroid"))
+    partial = [[algebroid.chart.poly(p) for p in row]
                for row in _need(data, "morphism", "partial")]
-    rng = _rng(data, seed)
     try:
-        partial = check_morphism(algebroid_b, algebroid_a, partial)
+        partial = check_morphism(source, algebroid, partial)
     except MorphismError as err:
         witness = {"message": str(err)}
         if err.pair is not None:
             witness["pair"] = list(err.pair)
-        return {"construction": "morphism",
-                "checks": [_check("is_morphism", False, witness)]}
-    nabla = _connection_or_random(data, "morphism", algebroid_a,
-                                  algebroid_b.rank, rng)
-    conn = _morphism_rep(algebroid_b, algebroid_a, partial, nabla)
-    report = _square_zero_report(conn, "morphism")
+        return {"checks": [_check("is_morphism", False, witness)]}
+    nabla = _connection(data.get("connection"), algebroid, source.rank, rng)
+    report = square_zero_check(_morphism_rep(source, algebroid, partial, nabla))
     report["checks"].insert(0, _check("is_morphism", True))
     return report
 
 
-def _task_transgression(data, bound, seed):
-    algebroid = _build_algebroid(data, "transgression")
-    rng = _rng(data, seed)
-    specs = _need(data, "transgression", "connections")
-    for key in specs:
-        if key not in ("old", "new"):
-            raise ParseError(f"connections key {key!r} is neither 'old' nor 'new'")
+def _task_transgression(data, algebroid, rng, bound):
+    specs = _connection_specs(_need(data, "transgression", "connections"),
+                              ("old", "new"), "is neither 'old' nor 'new'")
     index = data.get("index", 1)
-    rank = data.get("rank", algebroid.rank)
-    if "old" in specs:
-        rank = specs["old"].get("rank", rank)
-    nablas = {}
-    for key in ("old", "new"):
-        spec = specs.get(key)
-        if spec is not None:
-            nablas[key] = _build_connection(spec, algebroid, rank=rank)
-        else:
-            nablas[key] = randgen.random_linear_connection(rng, algebroid, rank)
-    t_form = transgression(nablas["old"], nablas["new"], index)
-    diff = (sigma_character(nablas["new"], index).form
-            - sigma_character(nablas["old"], index).form)
+    rank = specs.get("old", {}).get("rank", data.get("rank", algebroid.rank))
+    old, new = (_connection(specs.get(key), algebroid, rank, rng)
+                for key in ("old", "new"))
+    t_form = transgression(old, new, index)
+    diff = sigma_character(new, index).form - sigma_character(old, index).form
     matches = (algebroid.d(t_form) - diff).is_zero()
     checks = [_check("differential_matches_character_difference", matches)]
     results = {"transgression": t_form.to_json(),
                "rendered": render_form(t_form),
                "character_difference": diff.to_json()}
-    return {"construction": "transgression", "checks": checks,
-            "results": results}
+    return {"checks": checks, "results": results}
 
 
 _DISPATCH = {
@@ -607,10 +541,16 @@ def validate_problem(data):
 
 
 def run_problem(data, task=None, bound=None, seed=None):
-    """Execute one problem dict and return its report (a plain dict)."""
+    """Execute one problem dict and return its report (a plain dict).
+
+    `task`, `bound` and `seed` override the file's fields of those names.
+    """
     name = task or data.get("task")
     if name not in _DISPATCH:
         raise ParseError(f"unknown task {name!r}; expected one of {list(TASKS)}")
-    report = _DISPATCH[name](data, bound, seed)
-    report["task"] = name
+    algebroid = Algebroid.from_json(_need(data, name, "algebroid"))
+    rng = random.Random(data.get("seed", 0) if seed is None else seed)
+    report = _DISPATCH[name](data, algebroid, rng,
+                             data.get("bound") if bound is None else bound)
+    report["task"] = report["construction"] = name
     return report

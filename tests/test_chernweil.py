@@ -430,6 +430,23 @@ def test_transgression_needs_matching_bundles():
         transgression(LinearConnection.zero(a, 1), LinearConnection.zero(a, 2), 1)
 
 
+def test_transgression_starts_its_power_at_the_interpolated_curvature(monkeypatch):
+    # with the old curvature kept, index 2 wedges only D ^ D and the two
+    # products of [Omega, D] in d_End D; each integrand term is one
+    # trace-only product with D
+    rng = random.Random(43)
+    a = catalog.sl2()
+    E = GradedBundle([(0, 1), (1, 1)])
+    old, new = random_cuth(rng, a, E), random_cuth(rng, a, E)
+    old.curvature()
+    counts = {}
+    _count_calls(monkeypatch, TotalForm, "wedge", counts)
+    T = transgression(old, new, 2)
+    assert counts == {"wedge": 3}
+    monkeypatch.undo()
+    assert a.d(T) == sigma_character(new, 2).form - sigma_character(old, 2).form
+
+
 def test_massey_on_heisenberg():
     h3 = catalog.heisenberg3()
     eps1 = Form.coframe((), 3, 0)

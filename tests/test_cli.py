@@ -374,6 +374,20 @@ def test_connections_key_naming_no_summand_exits_two(tmp_path, capsys, key):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_connection_rank_other_than_its_summand_rank_exits_two(tmp_path, capsys):
+    payload = _corpus_payload("graded_bott_5dim")
+    payload["connections"]["0"]["rank"] = 7
+    _assert_refused(tmp_path, capsys, payload,
+                    "connection rank 7 differs from the rank 2 of the bundle it connects")
+
+
+def test_connection_bundle_degree_other_than_its_key_exits_two(tmp_path, capsys):
+    payload = _corpus_payload("graded_bott_5dim")
+    payload["connections"]["0"]["bundle_degree"] = 5
+    _assert_refused(tmp_path, capsys, payload,
+                    "connections key '0' holds a connection with bundle_degree 5")
+
+
 def test_transgression_connections_key_other_than_old_or_new_exits_two(tmp_path,
                                                                        capsys):
     payload = _corpus_payload("transgression_aff1_scalar")

@@ -2,7 +2,9 @@
 
 import functools
 import itertools
+import json
 import operator
+import pathlib
 import random
 from fractions import Fraction
 
@@ -35,6 +37,9 @@ from gradweil.randgen import random_linear_connection
 from gradweil.ring import Poly
 
 from test_algebroid import polynomial_presentation
+from test_connections import _count_calls
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 X = ("x",)
 
@@ -457,6 +462,16 @@ def test_graded_bott_rejects_broken_square_zero():
     assert not report_passed(square_zero_check(bad))
     with pytest.raises(MismatchError):
         graded_bott_report(a, sub, bad)
+
+
+def test_graded_bott_task_computes_two_curvatures(monkeypatch):
+    # the subframe connection's, kept from its square-zero check for the
+    # report, and the extension's
+    counts = {}
+    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_blockwise", counts)
+    payload = json.loads((CORPUS / "graded_bott_5dim.json").read_text())
+    assert report_passed(run_problem(payload))
+    assert counts == {"curvature_blockwise": 2}
 
 
 # --- infinitesimal ideal systems ------------------------------------------------

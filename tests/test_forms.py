@@ -241,6 +241,21 @@ def test_hat_koszul_sign_on_shifting_block():
     assert K.apply_part(omega2, 0).parts == {(2, 1): omega2}
 
 
+def test_apply_part_refuses_a_form_over_another_chart():
+    # x eps1 over the chart (x,) has no exponent the point-base kernel can read
+    f = Form(VS, 2, 1, 1, {((0,), 0): Poly.variable(VS, 0)})
+    with pytest.raises(MismatchError, match="different chart or frame rank"):
+        TotalForm.identity((), 2, UNGRADED).apply_part(f, 0)
+
+
+def test_apply_refuses_a_form_over_another_frame_rank():
+    f = Form(VS, 2, 1, 1, {((0,), 0): Poly.variable(VS, 0)})
+    element = GradedElement.single(UNGRADED, f, 0)
+    with pytest.raises(MismatchError, match="different chart or frame rank"):
+        TotalForm.identity(VS, 3, UNGRADED).apply(element)
+    assert TotalForm.identity(VS, 2, UNGRADED).apply(element) == element
+
+
 def test_wedge_is_operator_composition():
     rng = random.Random(5)
     E = GradedBundle([(0, 2), (1, 1), (2, 1)])

@@ -1,4 +1,5 @@
-"""Source hygiene: every public definition in the package is referenced."""
+"""Source hygiene: every public definition in the package is referenced, and
+every name a package module imports is used there."""
 
 import ast
 import pathlib
@@ -45,3 +46,26 @@ def test_every_public_definition_is_referenced():
             if not outside:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, f"public definitions with no reference: {unused}"
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # names a module imports only to re-export belong in __init__; an import
+    # kept for another reason says so with a noqa comment on its line
+    unused = []
+    for path in sorted((REPO / "src" / "gradweil").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "noqa" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert not unused, f"imported names never used: {unused}"
