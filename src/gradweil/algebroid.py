@@ -22,19 +22,34 @@ TotalForm, and the connection differentials build on those two.  Its
 transpose, `d_sparse_sources`, reads the same tables backwards: it lists the
 monomial forms whose image can reach a given term, which is how the
 exactness solve grows only the part of its system that a form touches.
+
+`d_sparse` runs in integers.  Every anchor and structure coefficient of a
+presentation is a numerator over one common denominator, and an algebroid
+keeps, per multi-index J it has differentiated, the terms of d(x^a e^J):
+target multi-index, anchor variable (or none), exponent shift and signed
+numerator, with the terms that cancel already dropped.  A term of the input
+is one integer over the input's common denominator, each image term costs
+an integer multiply-add, and each output coefficient is one Fraction.  The
+table fills on first use and lives on the instance, so nothing is shared
+between algebroids; a multi-index with no image stores one shared empty
+tuple.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from .errors import MismatchError
 from .forms import Form, TotalForm, sort_with_sign
 from .ring import VARIABLE_NAME, Poly
 
 _add = operator.add
+_NO_TERMS = ()   # the d_A table entry of a multi-index with no image
 
 
 @dataclass(frozen=True)
@@ -109,7 +124,7 @@ class Algebroid:
     """A frame presentation; construction validates shapes, not axioms."""
 
     __slots__ = ("chart", "rank", "anchor", "structure", "_anchor_terms",
-                 "_d_coframe")
+                 "_d_coframe", "_anchored", "_d_den", "_d_table")
 
     def __init__(self, chart, rank, anchor, structure):
         if not isinstance(chart, Chart):
@@ -146,6 +161,13 @@ class Algebroid:
                   for a in range(self.rank) for b in range(a + 1, self.rank)
                   for expo, c in structure[a][b][k].terms.items())
             for k in range(self.rank))
+        # the integer d_A table: the frame indices with a nonzero anchor, the
+        # common denominator of every coefficient above, and per multi-index
+        # the terms `_d_terms` builds on first use
+        self._anchored = tuple(i for i, row in enumerate(self._anchor_terms) if row)
+        self._d_den = lcm(*{q.denominator for row in self._anchor_terms for _, _, q in row},
+                          *{q.denominator for row in self._d_coframe for _, _, q in row})
+        self._d_table = {}
 
     @staticmethod
     def _as_poly(p, variables):
@@ -287,45 +309,68 @@ class Algebroid:
         over the chart; the value is the coefficient of x^exponent e^J.  The
         image comes back in the same shape, without zero coefficients.
         """
-        out = {}
-        anchor_terms = self._anchor_terms
-        d_coframe = self._d_coframe
-        rank = self.rank
+        table = self._d_table
+        D = lcm(*{c.denominator for c in terms.values()})
+        acc = {}
+        get = acc.get
         for (mi, expo), c in terms.items():
-            # rho(e_i)(c x^expo) e^i ^ e^J: moving e^i to its place in J
-            # passes the pos indices of J below i
-            pos = 0
-            for i in range(rank):
-                if pos < len(mi) and mi[pos] == i:
-                    pos += 1
-                    continue
-                if not anchor_terms[i]:
-                    continue
-                merged = mi[:pos] + (i,) + mi[pos:]
-                signed = -c if pos % 2 else c
-                for m, shift, a in anchor_terms[i]:
+            entries = table.get(mi)
+            if entries is None:
+                entries = table[mi] = self._d_terms(mi)
+            if not entries:
+                continue
+            n = c.numerator * (D // c.denominator)
+            for target, m, shift, num in entries:
+                if m is None:
+                    val = n * num
+                else:
                     e = expo[m]
                     if not e:
                         continue
-                    key = (merged, tuple(map(_add, expo, shift)))
-                    val = signed * e * a
-                    acc = out.get(key)
-                    out[key] = val if acc is None else acc + val
-            # c x^expo d(e^J): e^{j_t} at place t becomes the 2-form d e^{j_t},
-            # which commutes to the front and then sorts into the rest of J
-            for t, j in enumerate(mi):
-                rest = mi[:t] + mi[t + 1:]
-                for (a, b), beta, s in d_coframe[j]:
-                    if a in rest or b in rest:
-                        continue
-                    flips = t + sum(1 for x in rest if x < a) \
-                              + sum(1 for x in rest if x < b)
-                    key = (tuple(sorted(rest + (a, b))),
-                           tuple(map(_add, expo, beta)))
-                    val = -c * s if flips % 2 else c * s
-                    acc = out.get(key)
-                    out[key] = val if acc is None else acc + val
-        return {key: val for key, val in out.items() if val}
+                    val = n * e * num
+                key = (target, tuple(map(_add, expo, shift)))
+                acc[key] = get(key, 0) + val
+        D *= self._d_den
+        return {key: Fraction(val, D) for key, val in acc.items() if val}
+
+    def _d_terms(self, mi):
+        """The `_d_table` entry of a multi-index J: the terms (target, m,
+        shift, numerator) of d(x^a e^J) over `_d_den`.
+
+        An anchor term, m a variable index, stands for a[m] * numerator *
+        x^(a + shift) e^target; a coframe term, m None, for numerator *
+        x^(a + shift) e^target.  Terms with one target, m and shift are
+        summed, and the ones that cancel are left out.
+        """
+        den = self._d_den
+        acc = {}
+        # rho(e_i)(x^a) e^i ^ e^J: moving e^i to its place in J passes the
+        # pos indices of J below i
+        for i in self._anchored:
+            pos = bisect_left(mi, i)
+            if pos < len(mi) and mi[pos] == i:
+                continue
+            merged = mi[:pos] + (i,) + mi[pos:]
+            for m, shift, a in self._anchor_terms[i]:
+                num = a.numerator * (den // a.denominator)
+                key = (merged, m, shift)
+                acc[key] = acc.get(key, 0) + (-num if pos % 2 else num)
+        # x^a d(e^J): e^{j_t} at place t becomes the 2-form d e^{j_t}, which
+        # commutes to the front and then sorts into the rest of J
+        for t, j in enumerate(mi):
+            coframe = self._d_coframe[j]
+            if not coframe:
+                continue
+            rest = mi[:t] + mi[t + 1:]
+            for (a, b), beta, s in coframe:
+                if a in rest or b in rest:
+                    continue
+                flips = t + sum(1 for x in rest if x < a) + sum(1 for x in rest if x < b)
+                num = s.numerator * (den // s.denominator)
+                key = (tuple(sorted(rest + (a, b))), None, beta)
+                acc[key] = acc.get(key, 0) + (-num if flips % 2 else num)
+        return tuple((target, m, shift, num)
+                     for (target, m, shift), num in acc.items() if num) or _NO_TERMS
 
     def d_sparse_sources(self, key, bound):
         """The transpose of `d_sparse`: columns whose image can hold a row.
@@ -419,7 +464,7 @@ class Algebroid:
             for (mi, expo), val in sorted(image.items()):
                 grouped.setdefault(mi, {})[expo] = val
             for mi, terms in grouped.items():
-                out[(key, mi)] = Poly(self.variables, terms)
+                out[(key, mi)] = Poly._unchecked(self.variables, terms)
         return out
 
     def coframe(self, index):

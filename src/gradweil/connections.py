@@ -29,12 +29,17 @@ it raises InternalCheckError naming the first block and multi-index where
 they differ.  Connections do not change after construction, so a
 connection up to homotopy builds Omega once, on first use, and all three
 formulas read that one TotalForm; `apply` is one hat(Omega) kernel pass
-over the whole element plus d_A of each part.  It also keeps its checked
-curvature.  A linear connection keeps no form of its own, only its
-curvature per degree label.  Powers of the curvature are traced in
-`chernweil.power_traces`, whose last product forms only the trace, so a
-character of either kind of connection reuses the kept curvature;
-`curvature_power` is the full product R^i, the tests' oracle for it.
+over the whole element plus d_A of each part.  The operator route applies
+cal_D to all N basis sections in one such pass, then to their N images in
+a second, and unhats the squares; with Omega ^ Omega in the formula route a
+first curvature makes three kernel passes whatever N is, and the operator
+route calls neither `TotalForm.wedge` nor `Algebroid.d_total`.  A
+connection up to homotopy also keeps its checked curvature.  A linear
+connection keeps no form of its own, only its curvature per degree label.
+Powers of the curvature are traced in `chernweil.power_traces`, whose last
+product forms only the trace, so a character of either kind of connection
+reuses the kept curvature; `curvature_power` is the full product R^i, the
+tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .forms import (
     GradedElement,
     TotalForm,
     graded_commutator,
-    mat_add,
     mat_is_zero,
     mat_mul,  # noqa: F401  perfbench/test_perfbench.py patches it through this module
     mat_zero,
@@ -164,16 +168,7 @@ class LinearConnection:
     def is_flat(self):
         return self.curvature().is_zero()
 
-    # -- algebra on connections ------------------------------------------------
-
-    def shift(self, one_form_block):
-        """nabla + B for an End-valued 1-form block {(i,): matrix}."""
-        mats = []
-        for i in range(self.algebroid.rank):
-            delta = one_form_block.get((i,))
-            mats.append(self.mats[i] if delta is None
-                        else mat_add(self.mats[i], delta))
-        return LinearConnection(self.algebroid, self.rank, mats)
+    # -- comparison / io --------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, LinearConnection)
@@ -291,32 +286,24 @@ class ConnectionUpToHomotopy:
     def is_normalized(self):
         return all(i != 1 or l != j for (i, l, j) in self.D.blocks)
 
-    def normalize(self):
-        """Absorb the grading-preserving 1-form part of D into the connections.
-
-        The operator cal_D is unchanged; only the (nabla, D) splitting moves.
-        """
-        nablas = dict(self.nablas)
-        blocks = {}
-        for (i, l, j), entries in self.D.blocks.items():
-            if i == 1 and l == j:
-                nablas[l] = nablas[l].shift(entries)
-            else:
-                blocks[(i, l, j)] = entries
-        D = TotalForm(self.variables, self.algebroid.rank, self.bundle,
-                      self.bundle, 1, blocks)
-        return ConnectionUpToHomotopy(self.algebroid, self.bundle, nablas, D)
-
     # -- operator ------------------------------------------------------------
 
     def apply(self, element):
         """cal_D x = hat(Omega)(x), one kernel pass over x, plus d_A of each part."""
         if element.bundle != self.bundle:
             raise MismatchError("element lives in a different bundle")
-        out = self.omega().apply(element)
+        return self._add_d_a(element, self.omega().apply(element))
+
+    def _apply_all(self, elements):
+        """cal_D on each of several elements, in one hat(Omega) kernel pass."""
+        images = self.omega()._apply([x.parts for x in elements])
+        return [self._add_d_a(x, image) for x, image in zip(elements, images)]
+
+    def _add_d_a(self, element, image):
+        """Add d_A of each part of `element` into `image`, in place."""
         for (t, z), form in element.parts.items():
-            out.accumulate(t + 1, z, self.algebroid.d(form))
-        return out
+            image.accumulate(t + 1, z, self.algebroid.d(form))
+        return image
 
     def basis_element(self, summand, alpha):
         return GradedElement.basis_section(self.variables, self.algebroid.rank,
@@ -352,8 +339,11 @@ class ConnectionUpToHomotopy:
         """
         if self._curvature is not None:
             return self._curvature
+        sections = [(z, alpha) for z, r in self.bundle.summands for alpha in range(r)]
+        squares = dict(zip(sections, self._apply_all(self._apply_all(
+            [self.basis_element(z, alpha) for z, alpha in sections]))))
         operator_route = unhat_from_sections(
-            lambda z, alpha: self.apply(self.apply(self.basis_element(z, alpha))),
+            lambda z, alpha: squares[(z, alpha)],
             self.variables, self.algebroid.rank, self.bundle, self.bundle, 2)
         blockwise = self.curvature_blockwise()
         if operator_route != blockwise:

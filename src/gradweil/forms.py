@@ -21,11 +21,15 @@ Sign conventions (load-bearing, do not change casually):
 
 `TotalForm.wedge`, `TotalForm.wedge_trace` and `TotalForm.apply` share one
 integer kernel pass, `TotalForm._product`.  Each operand is read through a
-view with one common denominator D and integer numerators over it; an
-element is viewed as a Hom(R[0], E)-valued form, part (t, z) as block
-(t, 0, z), so `apply` makes one pass over all its parts.  A product adds
-plain integers into its cells, and each output term is Fraction(n, D_left *
-D_right), built once; on the point base a cell is one integer.  The trace
+view with one common denominator D and integer numerators over it.  N
+elements are viewed as one Hom(R^N[0], E)-valued form, element n as column
+n and its part (t, z) in block (t, 0, z), so `TotalForm._apply` makes one
+pass over every part of every element; `apply` and `apply_part` are its
+one-column case.  A product adds plain integers into its cells, and each
+output term is Fraction(n, D_left * D_right), built once; on the point base
+a cell is one integer, and a product builds one Poly per distinct cell
+value, which every cell holding it shares.  So no code may write into the
+terms of a Poly, which a test of the package source checks.  The trace
 of a product (`wedge_trace`, which `tr` and `gtr` run against the identity)
 forms only the diagonal entries of the diagonal blocks.  A TotalForm does
 not change after construction, so its view is built once, on first use:
@@ -198,11 +202,24 @@ def _accumulate(cells, sign, left, right, point, diagonal):
                         cell[e] = cell.get(e, 0) + n1 * n2
 
 
-def _cell_poly(cell, variables, D):
-    """The Poly of one `_accumulate` cell over D; cancelled terms are dropped."""
-    if not variables:
-        return Poly._unchecked(variables, {(): Fraction(cell, D)} if cell else {})
-    return Poly._unchecked(variables, {e: Fraction(n, D) for e, n in cell.items() if n})
+def _cell_polys(variables, D):
+    """The function from `_accumulate` cells over D to their Polys, for one
+    product; cancelled terms are dropped.  On the point base it builds one
+    Poly per distinct numerator and hands the same one out for every cell
+    that holds it, through a dict that lives as long as the function."""
+    if variables:
+        return lambda cell: Poly._unchecked(
+            variables, {e: Fraction(n, D) for e, n in cell.items() if n})
+    polys = {}
+
+    def poly(cell):
+        out = polys.get(cell)
+        if out is None:
+            out = polys[cell] = Poly._unchecked(variables,
+                                                {(): Fraction(cell, D)} if cell else {})
+        return out
+
+    return poly
 
 
 # ----------------------------------------------------------------------
@@ -249,9 +266,6 @@ class GradedBundle:
     @classmethod
     def from_json(cls, data):
         return cls([(s["degree"], s["rank"]) for s in data["summands"]])
-
-
-_LINE = GradedBundle([(0, 1)])   # the source of an element viewed as a total form
 
 
 class Form:
@@ -739,9 +753,9 @@ class TotalForm:
         """
         self._check_composable(other)
         D, cells = self._product(other._kernel_view(), other.src)
+        poly = _cell_polys(self.variables, D)
         # the constructor drops zero matrices and empty blocks
-        blocks = {key: {_indices(merged): tuple(tuple(_cell_poly(c, self.variables, D)
-                                                      for c in row) for row in acc)
+        blocks = {key: {_indices(merged): tuple(tuple(map(poly, row)) for row in acc)
                         for merged, acc in tgt.items()} for key, tgt in cells.items()}
         return TotalForm._unchecked(self.variables, self.frame_rank, other.src,
                                     self.dst, self.total_degree + other.total_degree,
@@ -754,9 +768,10 @@ class TotalForm:
         if other.src != self.dst:
             raise MismatchError("a trace needs an endomorphism-valued product")
         D, cells = self._product(other._kernel_view(), other.src, trace=graded)
+        poly = _cell_polys(self.variables, D)
         return Form._unchecked(self.variables, self.frame_rank,
                                max(self.total_degree + other.total_degree, 0), 1,
-                               {(_indices(m), 0): _cell_poly(acc[0][0], self.variables, D)
+                               {(_indices(m), 0): poly(acc[0][0])
                                 for m, acc in cells.get(None, {}).items()})
 
     # -- operator action -----------------------------------------------------
@@ -769,37 +784,52 @@ class TotalForm:
         """
         if form.fiber_dim != self.src.rank(source_degree):
             raise MismatchError("form fiber does not match the source summand")
-        return self._apply({(form.degree, source_degree): form})
+        return self._apply([{(form.degree, source_degree): form}])[0]
 
     def apply(self, element):
         """hat(self) on a GradedElement, in one kernel pass over all its parts."""
         if element.bundle != self.src:
             raise MismatchError("element bundle does not match the source bundle")
-        return self._apply(element.parts)
+        return self._apply([element.parts])[0]
 
-    def _apply(self, parts):
-        """The kernel pass of `apply` on parts {(t, z): E_z-valued t-form}: the
-        part (t, z) is the block (t, 0, z) of a Hom(R[0], E)-valued form."""
+    def _apply(self, columns):
+        """hat(self) on each of several elements, in one kernel pass.
+
+        `columns` lists the parts {(t, z): E_z-valued t-form} of N elements.
+        Element n is column n of a Hom(R^N[0], E)-valued form, its part
+        (t, z) in the block (t, 0, z), so the product is one pass over every
+        part of every element.  Returns the N images, GradedElements over dst.
+        """
         blocks: dict = {}
-        for (t, z), form in parts.items():
-            if form.variables != self.variables or form.frame_rank != self.frame_rank:
-                raise MismatchError("the input form lives over a different chart "
-                                    "or frame rank than the total form")
-            entries = blocks.setdefault((t, 0, z), {})
-            for (mi, alpha), poly in form.coeffs.items():
-                rows = entries.get(mi)
-                if rows is None:
-                    rows = entries[mi] = [[] for _ in range(form.fiber_dim)]
-                rows[alpha].append((0, poly))
-        D, cells = self._product(_view(blocks, not self.variables), _LINE)
-        out = GradedElement(self.variables, self.frame_rank, self.dst)
+        for n, parts in enumerate(columns):
+            for (t, z), form in parts.items():
+                if form.variables != self.variables or form.frame_rank != self.frame_rank:
+                    raise MismatchError("the input form lives over a different chart "
+                                        "or frame rank than the total form")
+                entries = blocks.setdefault((t, 0, z), {})
+                for (mi, alpha), poly in form.coeffs.items():
+                    rows = entries.get(mi)
+                    if rows is None:
+                        rows = entries[mi] = [[] for _ in range(form.fiber_dim)]
+                    rows[alpha].append((n, poly))
+        D, cells = self._product(_view(blocks, not self.variables),
+                                 GradedBundle([(0, len(columns))]))
+        poly = _cell_polys(self.variables, D)
+        out = [GradedElement(self.variables, self.frame_rank, self.dst) for _ in columns]
         for (s, _, j), tgt in cells.items():
-            coeffs = {(_indices(merged), beta): _cell_poly(cell, self.variables, D)
-                      for merged, acc in tgt.items() for beta, (cell,) in enumerate(acc)}
-            part = Form._unchecked(self.variables, self.frame_rank, s, self.dst.rank(j),
-                                   coeffs)
-            if part.coeffs:
-                out.parts[(s, j)] = part
+            coeffs = [{} for _ in columns]   # part (s, j) of each image
+            for merged, acc in tgt.items():
+                mi = _indices(merged)
+                for beta, row in enumerate(acc):
+                    key = (mi, beta)
+                    for part, cell in zip(coeffs, row):
+                        if cell:
+                            part[key] = poly(cell)
+            for image, part in zip(out, coeffs):
+                form = Form._unchecked(self.variables, self.frame_rank, s,
+                                       self.dst.rank(j), part)
+                if form.coeffs:
+                    image.parts[(s, j)] = form
         return out
 
     # -- comparison / io ----------------------------------------------------

@@ -33,7 +33,9 @@ class Poly:
 
     `variables` is shared by every polynomial on a chart; an empty tuple is
     the point base, where a Poly is just a rational constant.  `terms` maps
-    exponent tuples (one entry per variable) to nonzero Fractions.
+    exponent tuples (one entry per variable) to nonzero Fractions.  A Poly
+    is a value: nothing writes into its `terms` after construction, so one
+    Poly may sit in many places at once.
     """
 
     __slots__ = ("variables", "terms")
@@ -264,10 +266,10 @@ class Poly:
     # comparison / printing
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):   # Poly first: isinstance on Fraction is an ABC check
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.constant(self.variables, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):

@@ -255,6 +255,30 @@ def non_antisymmetric_presentation():
     return Algebroid(POINT, 2, [[], []], c)
 
 
+def fractional_point_presentation():
+    """A rank-5 solvable Lie algebra whose structure constants have
+    denominators 2, 3, 5, 6 and 7: [e0, e1] = e1/2, [e0, e2] = e2/3,
+    [e0, e3] = 5/6 e3, [e0, e4] = 2/7 e4 and [e1, e2] = 3/5 e3."""
+    brackets = {(0, 1): [0, Fraction(1, 2), 0, 0, 0], (0, 2): [0, 0, Fraction(1, 3), 0, 0],
+                (0, 3): [0, 0, 0, Fraction(5, 6), 0], (0, 4): [0, 0, 0, 0, Fraction(2, 7)],
+                (1, 2): [0, 0, 0, Fraction(3, 5), 0]}
+    return Algebroid.from_brackets(POINT, 5, [[] for _ in range(5)], brackets)
+
+
+def fractional_chart_presentation():
+    """An action of sl2 on the line times a translation in y, with anchor
+    denominators 2, 3, 5 and 7 and structure denominators 3 and 7.
+
+    rho(e0) = 2/5 d/dx, rho(e1) = x/3 d/dx, rho(e2) = 5/7 x^2 d/dx and
+    rho(e3) = 1/2 d/dy, so [e0, e1] = e0/3, [e0, e2] = 12/7 e1 and
+    [e1, e2] = e2/3; e3 brackets to zero.
+    """
+    anchor = [["2/5", "0"], ["1/3*x", "0"], ["5/7*x^2", "0"], ["0", "1/2"]]
+    brackets = {(0, 1): ["1/3", "0", "0", "0"], (0, 2): ["0", "12/7", "0", "0"],
+                (1, 2): ["0", "0", "1/3", "0"]}
+    return Algebroid.from_brackets(Chart(("x", "y")), 4, anchor, brackets)
+
+
 PRESENTATIONS = {
     "abelian1": lambda: catalog.abelian(1),
     "abelian4": lambda: catalog.abelian(4),
@@ -273,6 +297,8 @@ PRESENTATIONS = {
     "tangent3": lambda: tangent_algebroid(Chart(("x", "y", "z"))),
     "polynomial": polynomial_presentation,
     "non_antisymmetric": non_antisymmetric_presentation,
+    "fractional_point": fractional_point_presentation,
+    "fractional_chart": fractional_chart_presentation,
 }
 
 
@@ -337,3 +363,37 @@ def test_d_sparse_on_aff1_action_line():
     # d(x^2 e^1) = 2x e^0 ^ e^1 cancels it, and the zero is dropped
     assert a.d_sparse({((0,), (1,)): one, ((1,), (2,)): one}) == {}
     assert a.d_sparse({}) == {}
+
+
+@pytest.mark.parametrize("name", ["fractional_point", "fractional_chart"])
+def test_fractional_presentations_are_lie_algebroids(name):
+    a = PRESENTATIONS[name]()
+    assert a.check_axioms().failures == ()
+    assert a.d_squared_check() == (True, ())
+    coefficients = itertools.chain(*a.anchor, *itertools.chain(*a.structure))
+    denominators = {q.denominator for p in coefficients for q in p.terms.values()}
+    assert {2, 3, 5, 7} <= denominators
+
+
+@pytest.mark.parametrize("name", ["fractional_point", "fractional_chart"])
+def test_d_is_served_from_the_table_on_a_second_call(name, monkeypatch):
+    a = PRESENTATIONS[name]()
+    rng = random.Random(sum(map(ord, name)) + 11)
+    forms = [random_form(rng, a.variables, a.rank, degree, max_poly_degree=2, density=4)
+             for degree in range(a.rank + 1)]
+    first = [a.d(form) for form in forms]
+    assert first == [koszul_reference(a, form) for form in forms]
+    built = []
+    original = Algebroid._d_terms
+
+    def spy(self, mi):
+        built.append(mi)
+        return original(self, mi)
+
+    monkeypatch.setattr(Algebroid, "_d_terms", spy)
+    assert [a.d(form) for form in forms] == first
+    assert built == []
+    # a fresh instance with the same data builds its own table, to the same d
+    fresh = PRESENTATIONS[name]()
+    assert [fresh.d(form) for form in forms] == first
+    assert sorted(built) == sorted({mi for form in forms for mi, _ in form.coeffs})

@@ -691,7 +691,8 @@ def test_is_exact_matches_a_solve_of_the_full_system(seed):
 
 @pytest.mark.parametrize("name", ["aff1", "sl2", "solvable5", "broken_jacobi",
                                   "non_antisymmetric", "tangent_line", "tangent3",
-                                  "aff1_action_line", "polynomial"])
+                                  "aff1_action_line", "polynomial", "fractional_point",
+                                  "fractional_chart"])
 def test_sources_are_the_transpose_of_d_sparse(name):
     a = PRESENTATIONS[name]()
     bound = 3

@@ -24,6 +24,7 @@ from gradweil.forms import (
     GradedElement,
     TotalForm,
     graded_commutator,
+    mat_add,
     mat_mul,
     mat_zero,
     sort_with_sign,
@@ -193,6 +194,31 @@ def test_two_term_connection_block_placement():
     assert D.is_normalized()
 
 
+def shift_connection(nabla, one_form_block):
+    """nabla + B for an End-valued 1-form block {(i,): matrix}."""
+    mats = []
+    for i in range(nabla.algebroid.rank):
+        delta = one_form_block.get((i,))
+        mats.append(nabla.mats[i] if delta is None else mat_add(nabla.mats[i], delta))
+    return LinearConnection(nabla.algebroid, nabla.rank, mats)
+
+
+def normalize(conn):
+    """Absorb the grading-preserving 1-form part of D into the connections.
+
+    The operator cal_D is unchanged; only the (nabla, D) splitting moves.
+    """
+    nablas = dict(conn.nablas)
+    blocks = {}
+    for (i, l, j), entries in conn.D.blocks.items():
+        if i == 1 and l == j:
+            nablas[l] = shift_connection(nablas[l], entries)
+        else:
+            blocks[(i, l, j)] = entries
+    D = TotalForm(conn.variables, conn.algebroid.rank, conn.bundle, conn.bundle, 1, blocks)
+    return ConnectionUpToHomotopy(conn.algebroid, conn.bundle, nablas, D)
+
+
 def test_cuth_normalize_preserves_operator():
     rng = random.Random(17)
     a = catalog.sl2()
@@ -205,7 +231,7 @@ def test_cuth_normalize_preserves_operator():
                 a.variables, a.rank, E, E, (1, 0, 0),
                 {(0,): random_matrix(rng, 2, 2, a.variables)})
             D = ConnectionUpToHomotopy(a, E, D.nablas, D.D + shift)
-        N = D.normalize()
+        N = normalize(D)
         assert N.is_normalized()
         for z, r in E.summands:
             for alpha in range(r):
@@ -603,6 +629,43 @@ def test_operator_squaring_needs_no_wedge_and_no_d_total(monkeypatch):
                     a.variables, a.rank, bundle, bundle, 2)
             assert squared == expected
             assert not squared.is_zero()
+
+
+@pytest.mark.parametrize("name", ["sl2", "fractional_point", "aff1_action_line",
+                                  "fractional_chart"])
+def test_batched_operator_squares_match_the_per_section_squares(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the operator route left the hat action")
+
+    a = PRESENTATIONS[name]()
+    rng = random.Random(sum(map(ord, name)) + 8)
+    for bundle in ODD_BUNDLES:
+        conn = random_cuth(rng, a, bundle)
+        sections = [conn.basis_element(z, alpha)
+                    for z, r in bundle.summands for alpha in range(r)]
+        expected = [conn.apply(conn.apply(e)) for e in sections]
+        with monkeypatch.context() as patched:
+            patched.setattr(TotalForm, "wedge", refuse)
+            patched.setattr(type(a), "d_total", refuse)
+            squares = conn._apply_all(conn._apply_all(sections))
+        assert squares == expected
+        assert any(not x.is_zero() for x in squares)
+
+
+def test_first_curvature_makes_three_kernel_passes(monkeypatch):
+    # one pass of hat(Omega) over all basis sections, one over their images,
+    # and Omega ^ Omega in the formula route, whatever the bundle's rank
+    rng = random.Random(101)
+    for a in (catalog.sl2(), catalog.aff1_action_line()):
+        for bundle in ODD_BUNDLES + D_END_BUNDLES:
+            conn = random_cuth(rng, a, bundle)
+            counts = {}
+            with monkeypatch.context() as patched:
+                _count_calls(patched, TotalForm, "_product", counts)
+                R = conn.curvature()
+                assert counts == {"_product": 3}
+                assert conn.curvature() is R
+                assert counts == {"_product": 3}
 
 
 # --- the curvature is computed, and cross-checked, once per connection -----------

@@ -1,5 +1,6 @@
-"""Source hygiene: every public definition in the package is referenced, and
-every name a package module imports is used there."""
+"""Source hygiene: every public definition in the package is referenced,
+every name a package module imports is used there, and no package code
+writes into the terms of a Poly."""
 
 import ast
 import pathlib
@@ -69,3 +70,69 @@ def test_every_imported_name_is_used_in_its_module():
                 if name not in used and "noqa" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno} {name}")
     assert not unused, f"imported names never used: {unused}"
+
+
+_MUTATORS = frozenset({"update", "pop", "setdefault", "clear", "popitem"})
+
+
+def _is_terms(node):
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def _written(target):
+    """The targets of an assignment or del, with tuple and list targets unpacked."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _written(element)
+    elif isinstance(target, ast.Starred):
+        yield from _written(target.value)
+    else:
+        yield target
+
+
+def _terms_writes(tree):
+    """(line, what) of each statement that changes a `.terms` dict in place."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        else:
+            targets = []
+        for target in targets:
+            for written in _written(target):
+                if isinstance(written, ast.Subscript) and _is_terms(written.value):
+                    yield node.lineno, "item write"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATORS and _is_terms(node.func.value)):
+            yield node.lineno, f"terms.{node.func.attr}()"
+
+
+def test_no_poly_terms_are_changed_in_place():
+    # a product on the point base hands one Poly to every cell with the same
+    # value, so a write into one Poly's terms would change all of them
+    writes = [f"{path.name}:{line} {what}"
+              for path in sorted((REPO / "src" / "gradweil").glob("*.py"))
+              for line, what in _terms_writes(ast.parse(path.read_text()))]
+    assert not writes, f"in-place writes into Poly terms: {writes}"
+
+
+def test_the_terms_check_sees_each_kind_of_write():
+    source = """
+p.terms[e] = c
+p.terms[e] += c
+a, q.terms[e] = 1, 2
+del p.terms[e]
+p.terms.update(other)
+p.terms.pop(e)
+p.terms.setdefault(e, c)
+p.terms.clear()
+p.terms.popitem()
+terms[e] = c
+p.terms = {}
+x = p.terms[e]
+p.terms.get(e)
+"""
+    assert [line for line, _ in _terms_writes(ast.parse(source))] == list(range(2, 11))
