@@ -15,24 +15,22 @@ term through the derivation rule
 
 where d(e^J) expands by the Leibniz rule.  This agrees with the Koszul
 formula evaluated on frame elements; the tests keep that formula as the
-oracle for `Algebroid.d`.  `d_sparse` is the only code that applies the
-anchor and the structure functions to forms: `d` runs it on each fiber
-component of a vector-valued Form and `d_total` on each matrix entry of a
-TotalForm, and the connection differentials build on those two.  Its
-transpose, `d_sparse_sources`, reads the same tables backwards: it lists the
-monomial forms whose image can reach a given term, which is how the
-exactness solve grows only the part of its system that a form touches.
-
-`d_sparse` runs in integers.  Every anchor and structure coefficient of a
-presentation is a numerator over one common denominator, and an algebroid
-keeps, per multi-index J it has differentiated, the terms of d(x^a e^J):
-target multi-index, anchor variable (or none), exponent shift and signed
-numerator, with the terms that cancel already dropped.  A term of the input
-is one integer over the input's common denominator, each image term costs
-an integer multiply-add, and each output coefficient is one Fraction.  The
-table fills on first use and lives on the instance, so nothing is shared
-between algebroids; a multi-index with no image stores one shared empty
-tuple.
+oracle for `Algebroid.d`.  Every anchor and structure coefficient is a
+numerator over one common denominator, and an algebroid keeps, per
+multi-index J it has differentiated, the terms of d(x^a e^J): target
+multi-index, anchor variable (or none), exponent shift and signed
+numerator, the ones that cancel dropped.  This table is the only code that
+applies the anchor and structure functions to forms, in integers: each
+image term is an integer multiply-add.  `d_sparse` reads it for a scalar
+form in Fractions, once per fiber component in `d`, and `_d_stored` for
+every entry of a stored TotalForm (see `forms`), in `d_total` and the
+curvature's operator route.  Its transpose, `d_sparse_sources`, reads the
+anchor and coframe terms backwards: it lists the monomial forms whose image
+can reach a given term, which is how the exactness solve grows only the
+part of its system that a form touches.  The table fills on first use and
+lives on the instance; a multi-index with no image stores one shared empty
+tuple.  `d_vanishes` says there is no anchor and no structure, so d_A is
+zero.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import MismatchError
-from .forms import Form, TotalForm, sort_with_sign
+from .forms import Form, TotalForm, _canonical, _cells, _indices, _mask, sort_with_sign
 from .ring import VARIABLE_NAME, Poly
 
 _add = operator.add
@@ -124,7 +122,7 @@ class Algebroid:
     """A frame presentation; construction validates shapes, not axioms."""
 
     __slots__ = ("chart", "rank", "anchor", "structure", "_anchor_terms",
-                 "_d_coframe", "_anchored", "_d_den", "_d_table")
+                 "_d_coframe", "_anchored", "_d_den", "_d_table", "d_vanishes")
 
     def __init__(self, chart, rank, anchor, structure):
         if not isinstance(chart, Chart):
@@ -165,6 +163,8 @@ class Algebroid:
         # common denominator of every coefficient above, and per multi-index
         # the terms `_d_terms` builds on first use
         self._anchored = tuple(i for i, row in enumerate(self._anchor_terms) if row)
+        # no anchor and no structure: d_A is zero on every form
+        self.d_vanishes = not self._anchored and not any(self._d_coframe)
         self._d_den = lcm(*{q.denominator for row in self._anchor_terms for _, _, q in row},
                           *{q.denominator for row in self._d_coframe for _, _, q in row})
         self._d_table = {}
@@ -412,11 +412,14 @@ class Algebroid:
             raise MismatchError("form does not live over this algebroid's frame")
         components = {}
         for (mi, alpha), poly in form.coeffs.items():
-            components.setdefault(alpha, {})[mi] = poly
-        coeffs = {(mi, alpha): poly for (alpha, mi), poly
-                  in self._d_components(components).items()}
-        return Form._unchecked(self.variables, self.rank, form.degree + 1,
-                               form.fiber_dim, dict(sorted(coeffs.items())))
+            components.setdefault(alpha, {}).update({(mi, e): v for e, v in poly.terms.items()})
+        coeffs = {}
+        for alpha, terms in components.items():
+            for (mi, expo), val in self.d_sparse(terms).items():
+                coeffs.setdefault((mi, alpha), {})[expo] = val
+        return Form._unchecked(self.variables, self.rank, form.degree + 1, form.fiber_dim,
+                               {key: Poly._unchecked(self.variables, dict(sorted(terms.items())))
+                                for key, terms in sorted(coeffs.items())})
 
     def d_total(self, total_form):
         """d_A on every matrix entry of a TotalForm.
@@ -429,43 +432,42 @@ class Algebroid:
         if (total_form.frame_rank != self.rank
                 or total_form.variables != self.variables):
             raise MismatchError("total form does not live over this algebroid's frame")
-        components = {}
-        for block, entries in total_form.blocks.items():
-            for mi, mat in entries.items():
-                for b, row in enumerate(mat):
-                    for a, poly in enumerate(row):
-                        if poly.terms:
-                            components.setdefault((block, b, a), {})[mi] = poly
-        zero = Poly.zero(self.variables)
-        src, dst = total_form.src, total_form.dst
-        blocks = {}
-        for (((i, l, j), b, a), mi), poly in self._d_components(components).items():
-            entries = blocks.setdefault((i + 1, l, j), {})
-            mat = entries.get(mi)
-            if mat is None:
-                mat = entries[mi] = [[zero] * src.rank(l) for _ in range(dst.rank(j))]
-            mat[b][a] = poly
-        blocks = {key: {mi: tuple(map(tuple, mat)) for mi, mat in entries.items()}
-                  for key, entries in blocks.items()}
-        return TotalForm._unchecked(self.variables, self.rank, src, dst,
-                                    total_form.total_degree + 1, blocks)
+        return TotalForm._unchecked(self.variables, self.rank, total_form.src,
+                                    total_form.dst, total_form.total_degree + 1,
+                                    self._d_stored(total_form._kernel, total_form.src))
 
-    def _d_components(self, components):
-        """d_sparse on each of several scalar forms, {key: {multi-index: Poly}}.
-
-        Returns {(key, multi-index): Poly} for the nonzero image coefficients.
-        """
-        out = {}
-        for key, coeffs in components.items():
-            image = self.d_sparse({(mi, expo): val
-                                   for mi, poly in coeffs.items()
-                                   for expo, val in poly.terms.items()})
-            grouped = {}
-            for (mi, expo), val in sorted(image.items()):
-                grouped.setdefault(mi, {})[expo] = val
-            for mi, terms in grouped.items():
-                out[(key, mi)] = Poly._unchecked(self.variables, terms)
-        return out
+    def _d_stored(self, kernel, src):
+        """d_A on every entry of a stored total form (D, view) from the bundle
+        `src` (see `forms`), from `_d_table` over D * `_d_den`."""
+        D, view = kernel
+        point, table = not self.variables, self._d_table
+        cells: dict = {}
+        for (i, l, j), entries in view.items():
+            tgt = cells.setdefault((i + 1, l, j), {})
+            cols = src.rank(l)
+            for mask, rows in entries.items():
+                mi = _indices(mask)
+                terms = table.get(mi)
+                if terms is None:
+                    terms = table[mi] = self._d_terms(mi)
+                for target, m, shift, num in terms:
+                    acc = tgt.get(_mask(target))
+                    if acc is None:
+                        acc = tgt[_mask(target)] = _cells(len(rows), cols, point)
+                    for out, row in zip(acc, rows):
+                        for c, entry in row:
+                            if point:   # no anchor on a point: m is None
+                                out[c] += entry * num
+                                continue
+                            cell = out[c]
+                            for expo, n in entry:
+                                if m is not None:
+                                    if not expo[m]:
+                                        continue
+                                    n *= expo[m]
+                                e = tuple(map(_add, expo, shift))
+                                cell[e] = cell.get(e, 0) + n * num
+        return _canonical(D * self._d_den, cells, point)
 
     def coframe(self, index):
         return Form.coframe(self.variables, self.rank, index)

@@ -9,37 +9,32 @@ A `ConnectionUpToHomotopy` is a family of grading-preserving connections
 (one per summand) plus a total-degree-1 TotalForm D.  Write Gamma =
 sum_i e^i (x) G_i for every summand's connection form, the diagonal
 (1, z, z) TotalForm blocks taken straight from the matrices, and
-Omega = Gamma + D.  Every differential here is the scalar kernel
-`Algebroid.d_sparse` on each coefficient plus a wedge with Omega:
+Omega = Gamma + D.  Every differential here is d_A plus a wedge with Omega:
 
     cal_D    = d_A + hat(Omega),
     R        = d_A Omega + Omega ^ Omega,
     d^End K  = d_A K + [Omega, K],
 
-with d_A acting on each fiber component (`Algebroid.d`) or matrix entry
-(`Algebroid.d_total`).  A linear connection is the one-summand case with
-D = 0: its d_nabla is cal_D and its curvature is that of
-`ConnectionUpToHomotopy.from_linear`.  The Koszul formula on frame elements
-stays in the tests as the oracle for all three.
+with d_A on each fiber component (`Algebroid.d`) or matrix entry
+(`Algebroid.d_total`), skipped where it is zero: on constant 0-forms, and
+everywhere on an algebroid without anchor and brackets.  A linear
+connection is the one-summand case with D = 0.  The Koszul formula on
+frame elements stays in the tests as the oracle for all three.
 
 The curvature R is the unique total form with hat(R) = cal_D^2.  The first
-curvature call on a connection runs both routes exactly once: squaring the
-operator on basis sections, and the formula above.  If they ever disagree
-it raises InternalCheckError naming the first block and multi-index where
-they differ.  Connections do not change after construction, so a
-connection up to homotopy builds Omega once, on first use, and all three
-formulas read that one TotalForm; `apply` is one hat(Omega) kernel pass
-over the whole element plus d_A of each part.  The operator route applies
-cal_D to all N basis sections in one such pass, then to their N images in
-a second, and unhats the squares; with Omega ^ Omega in the formula route a
-first curvature makes three kernel passes whatever N is, and the operator
-route calls neither `TotalForm.wedge` nor `Algebroid.d_total`.  A
-connection up to homotopy also keeps its checked curvature.  A linear
-connection keeps no form of its own, only its curvature per degree label.
-Powers of the curvature are traced in `chernweil.power_traces`, whose last
-product forms only the trace, so a character of either kind of connection
-reuses the kept curvature; `curvature_power` is the full product R^i, the
-tests' oracle for it.
+curvature call runs both routes once: `curvature_by_squaring`, which squares
+the operator on the basis sections, and the formula `curvature_blockwise`;
+if they disagree it raises InternalCheckError naming the first block and
+multi-index where they differ.  The basis sections are the columns of the
+identity, so the operator route is two hat(Omega) kernel passes, the second
+over the integers the first returns, plus d_A of the images; its squares
+are R's columns as they stand.  With Omega ^ Omega a first curvature makes
+three kernel passes, and the operator route calls neither
+`TotalForm.wedge` nor `Algebroid.d_total`.  Connections do not change after
+construction: a connection up to homotopy builds Omega once and keeps its
+checked curvature, and a linear connection keeps its curvature per degree
+label.  Powers of the curvature are traced in `chernweil.power_traces`;
+`curvature_power` is the full product R^i, the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -50,11 +45,11 @@ from .forms import (
     GradedBundle,
     GradedElement,
     TotalForm,
+    _combine,
     graded_commutator,
     mat_is_zero,
     mat_mul,  # noqa: F401  perfbench/test_perfbench.py patches it through this module
     mat_zero,
-    unhat_from_sections,
 )
 from .ring import Poly
 
@@ -289,20 +284,15 @@ class ConnectionUpToHomotopy:
     # -- operator ------------------------------------------------------------
 
     def apply(self, element):
-        """cal_D x = hat(Omega)(x), one kernel pass over x, plus d_A of each part."""
+        """cal_D x = hat(Omega)(x), one kernel pass over x, plus d_A of each part
+        but the constant 0-forms, and of none where d_A vanishes."""
         if element.bundle != self.bundle:
             raise MismatchError("element lives in a different bundle")
-        return self._add_d_a(element, self.omega().apply(element))
-
-    def _apply_all(self, elements):
-        """cal_D on each of several elements, in one hat(Omega) kernel pass."""
-        images = self.omega()._apply([x.parts for x in elements])
-        return [self._add_d_a(x, image) for x, image in zip(elements, images)]
-
-    def _add_d_a(self, element, image):
-        """Add d_A of each part of `element` into `image`, in place."""
-        for (t, z), form in element.parts.items():
-            image.accumulate(t + 1, z, self.algebroid.d(form))
+        image = self.omega().apply(element)
+        if not self.algebroid.d_vanishes:
+            for (t, z), form in element.parts.items():
+                if t or not all(p.is_constant() for p in form.coeffs.values()):
+                    image.accumulate(t + 1, z, self.algebroid.d(form))
         return image
 
     def basis_element(self, summand, alpha):
@@ -327,7 +317,27 @@ class ConnectionUpToHomotopy:
     def curvature_blockwise(self):
         """R = d_A Omega + Omega ^ Omega (the formula route)."""
         omega = self.omega()
-        return self.algebroid.d_total(omega) + omega.wedge(omega)
+        square = omega.wedge(omega)
+        return square if self.algebroid.d_vanishes else self.algebroid.d_total(omega) + square
+
+    def curvature_by_squaring(self):
+        """R unhatted from cal_D squared on the basis sections (the operator route).
+
+        Section e_(l, alpha) is column alpha of block (0, l, l) of the
+        identity, so cal_D on all of them is one hat(Omega) kernel pass (d_A
+        of a constant 0-form is zero), and cal_D on their images a second
+        pass plus d_A of the images.  Column alpha of block (s, l, j) of the
+        result is part (s, j) of cal_D^2 e_(l, alpha); a degree-0 section
+        takes no Koszul sign, so that is R as it stands.
+        """
+        omega, algebroid, bundle = self.omega(), self.algebroid, self.bundle
+        sections = TotalForm.identity(self.variables, algebroid.rank, bundle)._kernel
+        images = omega._product(sections, bundle)
+        squares = omega._product(images, bundle)
+        if not algebroid.d_vanishes:
+            squares = _combine([(1, squares), (1, algebroid._d_stored(images, bundle))],
+                               bundle, not self.variables)
+        return TotalForm._unchecked(self.variables, algebroid.rank, bundle, bundle, 2, squares)
 
     def curvature(self):
         """The unique total form R with hat(R) = cal_D squared.
@@ -339,12 +349,7 @@ class ConnectionUpToHomotopy:
         """
         if self._curvature is not None:
             return self._curvature
-        sections = [(z, alpha) for z, r in self.bundle.summands for alpha in range(r)]
-        squares = dict(zip(sections, self._apply_all(self._apply_all(
-            [self.basis_element(z, alpha) for z, alpha in sections]))))
-        operator_route = unhat_from_sections(
-            lambda z, alpha: squares[(z, alpha)],
-            self.variables, self.algebroid.rank, self.bundle, self.bundle, 2)
+        operator_route = self.curvature_by_squaring()
         blockwise = self.curvature_blockwise()
         if operator_route != blockwise:
             block, mi = _first_difference(operator_route, blockwise)

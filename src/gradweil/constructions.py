@@ -21,7 +21,7 @@ from .connections import (ConnectionUpToHomotopy, LinearConnection,
                           restrict_connection, two_term_connection)
 from .errors import InternalCheckError, MismatchError, MorphismError
 from .forms import (Form, TotalForm, ideal_membership, mat_identity, mat_is_zero,
-                    mat_neg, restrict_total_form, extend_total_form)
+                    restrict_total_form, extend_total_form)
 from .ring import Poly
 
 
@@ -130,8 +130,7 @@ def double_rep(nabla):
     component equations reduce to the Bianchi identity).
     """
     curvature = nabla.curvature()
-    omega = {mi: mat_neg(mat)
-             for mi, mat in curvature.block(2, 0, 0).items()}
+    omega = (-curvature).block(2, 0, 0)
     partial = mat_identity(nabla.rank, nabla.variables)
     return two_term_connection(nabla.algebroid, nabla, nabla, partial, omega)
 
@@ -302,10 +301,9 @@ def basic_curvature(algebroid, nabla_tm):
     It is minus the omega of adjoint_rep.
     """
     adjoint = adjoint_rep(algebroid, nabla_tm)
-    blocks = {key: {mi: mat_neg(mat) for mi, mat in entries.items()}
-              for key, entries in adjoint.D.blocks.items() if key == (2, 1, 0)}
-    return TotalForm(algebroid.variables, algebroid.rank, adjoint.bundle,
-                     adjoint.bundle, 1, blocks)
+    blocks = {key: entries for key, entries in adjoint.D.blocks.items() if key == (2, 1, 0)}
+    return -TotalForm(algebroid.variables, algebroid.rank, adjoint.bundle,
+                      adjoint.bundle, 1, blocks)
 
 
 # ----------------------------------------------------------------------

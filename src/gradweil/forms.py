@@ -19,28 +19,30 @@ Sign conventions (load-bearing, do not change casually):
   (-1)^(f1*i2) where f1 is the fiber degree of the left block and i2 the
   form degree of the right one.
 
-`TotalForm.wedge`, `TotalForm.wedge_trace` and `TotalForm.apply` share one
-integer kernel pass, `TotalForm._product`.  Each operand is read through a
-view with one common denominator D and integer numerators over it.  N
-elements are viewed as one Hom(R^N[0], E)-valued form, element n as column
-n and its part (t, z) in block (t, 0, z), so `TotalForm._apply` makes one
-pass over every part of every element; `apply` and `apply_part` are its
-one-column case.  A product adds plain integers into its cells, and each
-output term is Fraction(n, D_left * D_right), built once; on the point base
-a cell is one integer, and a product builds one Poly per distinct cell
-value, which every cell holding it shares.  So no code may write into the
-terms of a Poly, which a test of the package source checks.  The trace
-of a product (`wedge_trace`, which `tr` and `gtr` run against the identity)
-forms only the diagonal entries of the diagonal blocks.  A TotalForm does
-not change after construction, so its view is built once, on first use:
-per block, each multi-index as a bitmask (bit k for frame index k) with
-its matrix as sparse rows.  Overlapping indices are skipped by `m1 & m2`
-and the merge sign is a parity of popcounts (`_merge_sign`), for
-`Form.wedge` too; stored keys stay ascending tuples.  Results the engine
-builds itself go through `Form._unchecked` and `TotalForm._unchecked`,
-which trust keys and shapes and only drop zero coefficients, zero matrices
-and empty blocks.  The Poly-matrix helpers (`mat_mul`, `mat_add`, ...) stay
-public for Christoffel algebra and the tests' references.
+A `TotalForm` is stored in integers, as `_kernel` = (D, view): one
+denominator D in lowest terms and, per block, the sparse integer rows of
+each multi-index, keyed by its bitmask (bit k for frame index k).  A row
+lists the (column, entry) pairs of its nonzero entries in column order; an
+entry is a numerator over D, an integer on the point base and ascending
+(exponent, numerator) pairs on a chart.  Nothing zero is stored, so
+equality compares stored forms.  Polys appear only at the boundary: the
+checked constructor (so `from_json`) reads Poly matrices, and `blocks`
+(built on first read), `to_json` and the Forms of `wedge_trace` and `apply`
+are built from the integers; the Polys built from one form share one Poly
+per value on the point base, so no code writes into a Poly's terms (a test
+of the package source checks it).
+
+`wedge`, `wedge_trace` and `apply` are one kernel pass, `_product`, which
+adds integers into one cell per output entry over D_left * D_right and
+stores the result in lowest terms; `+`, `-`, `scale` and
+`Algebroid.d_total` work on the stored form too.  N elements are one
+Hom(R^N[0], E)-valued operand, element n as column n and its part (t, z)
+in block (t, 0, z), so `_apply` is one pass over all their parts.  The
+trace of a product (`wedge_trace`, behind `tr` and `gtr`) forms only the
+diagonal entries of the diagonal blocks.  Overlapping indices are skipped
+by `m1 & m2` and the merge sign is a parity of popcounts (`_merge_sign`),
+for `Form.wedge` too.  The Poly-matrix helpers (`mat_mul`, ...) stay public
+for Christoffel algebra and the tests' references.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .errors import MismatchError, ParseError
@@ -115,18 +117,6 @@ def mat_identity(n, variables):
     )
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_scale(scalar, a):
-    return tuple(tuple(scalar * x for x in row) for row in a)
-
-
 def mat_mul(a, b):
     inner = len(b)
     if a and len(a[0]) != inner:
@@ -152,48 +142,56 @@ def mat_is_zero(a):
 
 
 # ----------------------------------------------------------------------
-# the integer kernel of TotalForm.wedge, wedge_trace and apply
+# the stored form of a TotalForm and the integer kernel on it
 
 
-def _numerators(poly, D, point):
-    """D * poly in integers: a numerator on the point base, else (exponent, numerator) pairs."""
-    if point:
-        return poly.terms[()].numerator * (D // poly.terms[()].denominator)
-    return [(e, q.numerator * (D // q.denominator)) for e, q in poly.terms.items()]
-
-
-def _view(blocks, point):
-    """The kernel view of {key: {multi-index: rows}}, each row a list of the
-    (column, Poly) pairs of its nonzero entries: the common denominator D of
-    every coefficient, and per key the (bitmask, rows) pair of each
-    multi-index, each entry as (column, `_numerators` over D)."""
+def _from_polys(blocks, point):
+    """The stored form of nonzero {key: {multi-index: rows}}, each row the
+    (column, Poly) pairs of its nonzero entries; D is the lcm of denominators."""
     D = lcm(*{q.denominator for entries in blocks.values() for rows in entries.values()
               for row in rows for _, p in row for q in p.terms.values()})
-    return D, {key: [(_mask(mi), [[(c, _numerators(p, D, point)) for c, p in row]
-                                  for row in rows])
-                     for mi, rows in entries.items()]
+
+    def entry(p):
+        if point:
+            q = p.terms[()]
+            return q.numerator * (D // q.denominator)
+        return [(e, q.numerator * (D // q.denominator)) for e, q in sorted(p.terms.items())]
+
+    return D, {key: {_mask(mi): [[(c, entry(p)) for c, p in row] for row in rows]
+                     for mi, rows in entries.items()}
                for key, entries in blocks.items()}
 
 
-def _accumulate(cells, sign, left, right, point, diagonal):
-    """cells += sign * (left @ right) for sparse rows `left` and `right`.
+def _polys(variables, D):
+    """The function from an entry over D, or any (exponent, numerator) pairs
+    on a chart, to its Poly; on the point base one Poly per distinct
+    numerator, shared through a dict that lives as long as the function."""
+    if variables:
+        return lambda pairs: Poly._unchecked(
+            variables, {e: Fraction(n, D) for e, n in pairs if n})
+    polys = {}
 
-    A cell is an integer numerator over the product of the operands'
-    denominators on the point base, and {exponent: numerator} on a chart, so
-    a product of two terms costs an integer multiply and add.  With
-    `diagonal` only the entries c == r are formed, all into cells[r][0].
-    """
-    for r, row in enumerate(left):
-        out = cells[r]
+    def poly(n):
+        out = polys.get(n)
+        if out is None:
+            out = polys[n] = Poly._unchecked(variables, {(): Fraction(n, D)} if n else {})
+        return out
+
+    return poly
+
+
+def _accumulate(cells, sign, left, right, point):
+    """cells += sign * (left @ right) for sparse rows `left` and `right`.  A
+    cell is an integer numerator on the point base and {exponent: numerator}
+    on a chart, so a product of two terms is an integer multiply and add."""
+    for out, row in zip(cells, left):
         for k, lterms in row:
+            if point:
+                lterms *= sign
+                for c, rterms in right[k]:
+                    out[c] += lterms * rterms
+                continue
             for c, rterms in right[k]:
-                if diagonal:
-                    if c != r:
-                        continue
-                    c = 0
-                if point:
-                    out[c] += sign * lterms * rterms
-                    continue
                 cell = out[c]
                 for e1, n1 in lterms:
                     n1 *= sign
@@ -202,24 +200,78 @@ def _accumulate(cells, sign, left, right, point, diagonal):
                         cell[e] = cell.get(e, 0) + n1 * n2
 
 
-def _cell_polys(variables, D):
-    """The function from `_accumulate` cells over D to their Polys, for one
-    product; cancelled terms are dropped.  On the point base it builds one
-    Poly per distinct numerator and hands the same one out for every cell
-    that holds it, through a dict that lives as long as the function."""
-    if variables:
-        return lambda cell: Poly._unchecked(
-            variables, {e: Fraction(n, D) for e, n in cell.items() if n})
-    polys = {}
+def _trace(cell, sign, left, right, point):
+    """cell + sign * tr(left @ right), forming only the diagonal entries."""
+    for r, row in enumerate(left):
+        for k, lterms in row:
+            for c, rterms in right[k]:
+                if c == r and point:
+                    cell += sign * lterms * rterms
+                elif c == r:
+                    for (e1, n1), (e2, n2) in itertools.product(lterms, rterms):
+                        e = tuple(map(add, e1, e2))
+                        cell[e] = cell.get(e, 0) + sign * n1 * n2
+    return cell
 
-    def poly(cell):
-        out = polys.get(cell)
-        if out is None:
-            out = polys[cell] = Poly._unchecked(variables,
-                                                {(): Fraction(cell, D)} if cell else {})
-        return out
 
-    return poly
+def _cells(rows, cols, point):
+    """Zero cells for one `rows` x `cols` matrix."""
+    return [[0] * cols if point else [{} for _ in range(cols)] for _ in range(rows)]
+
+
+def _canonical(D, cells, point):
+    """The stored form of cells over D, {key: {mask: rows of cells}}: rows
+    keep their nonzero entries, zero matrices and empty blocks are dropped,
+    and D and every numerator are divided by their gcd."""
+    view, g = {}, D
+    for key, tgt in cells.items():
+        entries = {}
+        for mask, acc in tgt.items():
+            if point:
+                rows = [[pair for pair in enumerate(row) if pair[1]] for row in acc]
+            else:
+                rows = [[(c, pairs) for c, pairs in enumerate(
+                    sorted(t for t in cell.items() if t[1]) for cell in row) if pairs]
+                    for row in acc]
+            if any(rows):
+                entries[mask] = rows
+                if g > 1:
+                    numerators = ((n for row in rows for _, n in row) if point else
+                                  (n for row in rows for _, pairs in row for _, n in pairs))
+                    g = gcd(g, *numerators)
+        if entries:
+            view[key] = entries
+    if g > 1:   # an empty view keeps g == D, and D // g == 1
+        view = {key: {mask: [[(c, n // g if point else [(e, m // g) for e, m in n])
+                              for c, n in row] for row in rows]
+                      for mask, rows in entries.items()}
+                for key, entries in view.items()}
+    return D // g, view
+
+
+def _combine(terms, src, point):
+    """The stored form of the sum of factor * form over the (factor, (D,
+    view)) pairs `terms`, forms from the bundle `src`, over the lcm of the
+    D's, which need not be in lowest terms."""
+    D = lcm(*(d for _, (d, _) in terms))
+    cells: dict = {}
+    for factor, (d, view) in terms:
+        scale = factor * (D // d)
+        for key, entries in view.items():
+            tgt = cells.setdefault(key, {})
+            for mask, rows in entries.items():
+                acc = tgt.get(mask)
+                if acc is None:
+                    acc = tgt[mask] = _cells(len(rows), src.rank(key[1]), point)
+                for out, row in zip(acc, rows):
+                    for c, entry in row:
+                        if point:
+                            out[c] += scale * entry
+                            continue
+                        cell = out[c]
+                        for e, n in entry:
+                            cell[e] = cell.get(e, 0) + scale * n
+    return _canonical(D, cells, point)
 
 
 # ----------------------------------------------------------------------
@@ -562,11 +614,12 @@ class TotalForm:
 
     blocks[(i, l, j)] maps ascending multi-indices of length i to matrices
     of shape (dst.rank(j), src.rank(l)); i + j - l equals total_degree for
-    every block.
+    every block.  The form is stored in integers (`_kernel`, see the module
+    docstring); `blocks` is built from them on first read.
     """
 
-    __slots__ = ("variables", "frame_rank", "src", "dst", "total_degree", "blocks",
-                 "_kernel")
+    __slots__ = ("variables", "frame_rank", "src", "dst", "total_degree", "_kernel",
+                 "_blocks")
 
     def __init__(self, variables, frame_rank, src, dst, total_degree, blocks=None):
         self.variables = tuple(variables)
@@ -595,29 +648,29 @@ class TotalForm:
                     if len(mat) != rows or any(len(r) != cols for r in mat):
                         raise MismatchError(f"matrix shape mismatch in block ({i},{l},{j})")
                     if not mat_is_zero(mat):
-                        block_clean[mi] = tuple(tuple(row) for row in mat)
+                        block_clean[mi] = [[(c, p) for c, p in enumerate(row) if p.terms]
+                                           for row in mat]
                 if block_clean:
                     clean[(i, l, j)] = block_clean
-        self.blocks = clean
-        self._kernel = None
+        self._kernel = _from_polys(clean, not self.variables)
+        self._blocks = None
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _unchecked(cls, variables, frame_rank, src, dst, total_degree, blocks):
-        """A TotalForm on engine-built blocks (valid keys, tuple-of-tuple Poly
-        matrices): zero matrices and empty blocks are dropped, nothing else."""
+    def _unchecked(cls, variables, frame_rank, src, dst, total_degree, kernel):
+        """A TotalForm on an engine-built stored form (D, view), in lowest
+        terms with nothing zero stored; nothing is checked."""
         out = cls.__new__(cls)
         out.variables, out.frame_rank = variables, frame_rank
         out.src, out.dst, out.total_degree = src, dst, total_degree
-        out.blocks = {}
-        for key, entries in blocks.items():
-            kept = {mi: mat for mi, mat in entries.items()
-                    if any(p.terms for row in mat for p in row)}
-            if kept:
-                out.blocks[key] = kept
-        out._kernel = None
+        out._kernel, out._blocks = kernel, None
         return out
+
+    def _same_shape(self, kernel):
+        """A TotalForm of this one's shape on the stored form `kernel`."""
+        return TotalForm._unchecked(self.variables, self.frame_rank, self.src, self.dst,
+                                    self.total_degree, kernel)
 
     @classmethod
     def zero(cls, variables, frame_rank, src, dst, total_degree):
@@ -625,10 +678,10 @@ class TotalForm:
 
     @classmethod
     def identity(cls, variables, frame_rank, bundle):
-        blocks = {}
-        for z, r in bundle.summands:
-            blocks[(0, z, z)] = {(): mat_identity(r, variables)}
-        return cls(variables, frame_rank, bundle, bundle, 0, blocks)
+        variables = tuple(variables)
+        one = [((0,) * len(variables), 1)] if variables else 1   # 1 over D = 1
+        return cls._unchecked(variables, int(frame_rank), bundle, bundle, 0, (1, {
+            (0, z, z): {0: [[(a, one)] for a in range(r)]} for z, r in bundle.summands}))
 
     # -- structure ----------------------------------------------------------
 
@@ -639,79 +692,74 @@ class TotalForm:
             raise MismatchError("total form shapes differ")
 
     def is_zero(self):
-        return not self.blocks
+        return not self._kernel[1]
+
+    @property
+    def blocks(self):
+        """{(i, l, j): {multi-index: Poly matrix}}, built on first read."""
+        if self._blocks is None:
+            poly, zero = _polys(self.variables, self._kernel[0]), Poly.zero(self.variables)
+
+            def line(row, cols):
+                row = dict(row)
+                return tuple(poly(row[c]) if c in row else zero for c in range(cols))
+
+            self._blocks = {(i, l, j): {_indices(mask): tuple(line(row, self.src.rank(l))
+                                                              for row in rows)
+                                        for mask, rows in entries.items()}
+                            for (i, l, j), entries in self._kernel[1].items()}
+        return self._blocks
 
     def block(self, i, l, j):
         return self.blocks.get((i, l, j), {})
 
-    def _kernel_view(self):
-        """The `_view` of the blocks, built on first use and kept in `_kernel`."""
-        if self._kernel is None:
-            self._kernel = _view({key: {mi: [[(c, p) for c, p in enumerate(row) if p.terms]
-                                             for row in mat]
-                                        for mi, mat in entries.items()}
-                                  for key, entries in self.blocks.items()},
-                                 not self.variables)
-        return self._kernel
-
     def block_matrix(self, block, mi):
-        i, l, j = block
-        entries = self.blocks.get(block)
-        mat = entries.get(tuple(mi)) if entries else None
-        if mat is None:
-            return mat_zero(self.dst.rank(j), self.src.rank(l), self.variables)
-        return mat
+        mat = self.block(*block).get(tuple(mi))
+        return mat_zero(self.dst.rank(block[2]), self.src.rank(block[1]),
+                        self.variables) if mat is None else mat
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
+        return self._plus(1, other)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self._plus(-1, other)
+
+    def _plus(self, factor, other):
+        """self + factor * other, in one pass over both stored forms."""
         if not isinstance(other, TotalForm):
             return NotImplemented
         self._check_same_shape(other)
-        blocks = {k: dict(v) for k, v in self.blocks.items()}
-        for key, entries in other.blocks.items():
-            tgt = blocks.setdefault(key, {})
-            for mi, mat in entries.items():
-                acc = tgt.get(mi)
-                tgt[mi] = mat if acc is None else mat_add(acc, mat)
-        return TotalForm._unchecked(self.variables, self.frame_rank, self.src,
-                                    self.dst, self.total_degree, blocks)
-
-    def __neg__(self):
-        blocks = {k: {mi: mat_neg(m) for mi, m in v.items()}
-                  for k, v in self.blocks.items()}
-        return TotalForm._unchecked(self.variables, self.frame_rank, self.src,
-                                    self.dst, self.total_degree, blocks)
-
-    def __sub__(self, other):
-        if not isinstance(other, TotalForm):
-            return NotImplemented
-        return self + (-other)
+        return self._same_shape(_combine([(1, self._kernel), (factor, other._kernel)],
+                                         self.src, not self.variables))
 
     def scale(self, scalar):
-        if not isinstance(scalar, Poly):
-            scalar = Poly.constant(self.variables, scalar)
-        blocks = {k: {mi: mat_scale(scalar, m) for mi, m in v.items()}
-                  for k, v in self.blocks.items()}
-        return TotalForm._unchecked(self.variables, self.frame_rank, self.src,
-                                    self.dst, self.total_degree, blocks)
+        """Multiply by a rational number (or a constant Poly)."""
+        if isinstance(scalar, Poly):
+            scalar = scalar.constant_value()
+        scalar = Fraction(scalar)
+        D, view = self._kernel
+        return self._same_shape(_combine([(scalar.numerator, (D * scalar.denominator, view))],
+                                         self.src, not self.variables))
 
     def _product(self, right, right_src, trace=None):
-        """The one kernel pass of hat(self) o hat(right), for a kernel `_view`
+        """The one kernel pass of hat(self) o hat(right), for a stored form
         `right` with blocks (i2, l, m) and source bundle `right_src`.
 
-        Returns (D, cells): cells[(i1 + i2, l, j)][merged mask] are the rows
-        of `_accumulate` cells over D, the product of the two denominators.
-        The sign of a pair is the merge sign times the Koszul factor
-        (-1)^(f1 i2), f1 the fiber degree of the left block.  With `trace`
-        not None only the diagonal entries of the diagonal blocks l == j are
-        formed, times (-1)^l when `trace` is true: cells[None][merged mask]
-        holds their sum in [0][0], every row aliasing one cell.
+        Returns the stored form of the product, blocks (i1 + i2, l, j), in
+        lowest terms.  The sign of a pair is the merge sign times the Koszul
+        factor (-1)^(f1 i2), f1 the fiber degree of the left block.  With
+        `trace` not None only the diagonal entries of the diagonal blocks
+        l == j are formed, times (-1)^l when `trace` is true, and the result
+        is (D, {merged mask: cell}), each cell their sum over D.
         """
-        D1, left = self._kernel_view()
+        D1, left = self._kernel
         D2, right = right
         point, diagonal = not self.variables, trace is not None
-        height = max(r for _, r in self.dst.summands) if diagonal else 0
         cells: dict = {}
         for (i1, m1, j), entries1 in left.items():
             f1, rows = j - m1, self.dst.rank(j)
@@ -721,20 +769,22 @@ class TotalForm:
                 koszul = -1 if (f1 * i2 + (l if trace else 0)) % 2 else 1
                 tgt = cells.setdefault(None if diagonal else (i1 + i2, l, j), {})
                 cols = right_src.rank(l)
-                for mask1, lrows in entries1:
-                    for mask2, rrows in entries2:
+                for mask1, lrows in entries1.items():
+                    for mask2, rrows in entries2.items():
                         if mask1 & mask2:
                             continue
-                        merged = mask1 | mask2
+                        merged, sign = mask1 | mask2, koszul * _merge_sign(mask1, mask2)
+                        if diagonal:
+                            tgt[merged] = _trace(tgt.get(merged, 0 if point else {}), sign,
+                                                 lrows, rrows, point)
+                            continue
                         acc = tgt.get(merged)
                         if acc is None:
-                            acc = tgt[merged] = (
-                                [[0 if point else {}]] * height if diagonal
-                                else [[0] * cols for _ in range(rows)] if point
-                                else [[{} for _ in range(cols)] for _ in range(rows)])
-                        _accumulate(acc, koszul * _merge_sign(mask1, mask2),
-                                    lrows, rrows, point, diagonal)
-        return D1 * D2, cells
+                            acc = tgt[merged] = _cells(rows, cols, point)
+                        _accumulate(acc, sign, lrows, rrows, point)
+        if diagonal:
+            return D1 * D2, cells.get(None, {})
+        return _canonical(D1 * D2, cells, point)
 
     def _check_composable(self, other):
         if not isinstance(other, TotalForm):
@@ -752,14 +802,9 @@ class TotalForm:
         fiber degree of the left block and i2 the form degree of the right.
         """
         self._check_composable(other)
-        D, cells = self._product(other._kernel_view(), other.src)
-        poly = _cell_polys(self.variables, D)
-        # the constructor drops zero matrices and empty blocks
-        blocks = {key: {_indices(merged): tuple(tuple(map(poly, row)) for row in acc)
-                        for merged, acc in tgt.items()} for key, tgt in cells.items()}
-        return TotalForm._unchecked(self.variables, self.frame_rank, other.src,
-                                    self.dst, self.total_degree + other.total_degree,
-                                    blocks)
+        return TotalForm._unchecked(self.variables, self.frame_rank, other.src, self.dst,
+                                    self.total_degree + other.total_degree,
+                                    self._product(other._kernel, other.src))
 
     def wedge_trace(self, other, graded=False):
         """tr(self.wedge(other)), or gtr when `graded`, in one kernel pass that
@@ -767,12 +812,12 @@ class TotalForm:
         self._check_composable(other)
         if other.src != self.dst:
             raise MismatchError("a trace needs an endomorphism-valued product")
-        D, cells = self._product(other._kernel_view(), other.src, trace=graded)
-        poly = _cell_polys(self.variables, D)
+        D, cells = self._product(other._kernel, other.src, trace=graded)
+        poly = _polys(self.variables, D)
         return Form._unchecked(self.variables, self.frame_rank,
                                max(self.total_degree + other.total_degree, 0), 1,
-                               {(_indices(m), 0): poly(acc[0][0])
-                                for m, acc in cells.get(None, {}).items()})
+                               {(_indices(m), 0): poly(cell.items() if self.variables else cell)
+                                for m, cell in cells.items()})
 
     # -- operator action -----------------------------------------------------
 
@@ -812,24 +857,21 @@ class TotalForm:
                     if rows is None:
                         rows = entries[mi] = [[] for _ in range(form.fiber_dim)]
                     rows[alpha].append((n, poly))
-        D, cells = self._product(_view(blocks, not self.variables),
-                                 GradedBundle([(0, len(columns))]))
-        poly = _cell_polys(self.variables, D)
+        D, view = self._product(_from_polys(blocks, not self.variables),
+                                GradedBundle([(0, len(columns))]))
+        poly = _polys(self.variables, D)
         out = [GradedElement(self.variables, self.frame_rank, self.dst) for _ in columns]
-        for (s, _, j), tgt in cells.items():
+        for (s, _, j), entries in view.items():
             coeffs = [{} for _ in columns]   # part (s, j) of each image
-            for merged, acc in tgt.items():
-                mi = _indices(merged)
-                for beta, row in enumerate(acc):
-                    key = (mi, beta)
-                    for part, cell in zip(coeffs, row):
-                        if cell:
-                            part[key] = poly(cell)
+            for mask, rows in entries.items():
+                mi = _indices(mask)
+                for beta, row in enumerate(rows):
+                    for n, entry in row:
+                        coeffs[n][(mi, beta)] = poly(entry)
             for image, part in zip(out, coeffs):
-                form = Form._unchecked(self.variables, self.frame_rank, s,
-                                       self.dst.rank(j), part)
-                if form.coeffs:
-                    image.parts[(s, j)] = form
+                if part:
+                    image.parts[(s, j)] = Form._unchecked(self.variables, self.frame_rank, s,
+                                                          self.dst.rank(j), part)
         return out
 
     # -- comparison / io ----------------------------------------------------
@@ -841,30 +883,17 @@ class TotalForm:
                 and self.src == other.src
                 and self.dst == other.dst
                 and self.total_degree == other.total_degree
-                and self.blocks == other.blocks)
+                and self._kernel == other._kernel)
 
     def __repr__(self):
-        keys = sorted(self.blocks)
-        return f"TotalForm(s={self.total_degree}, blocks={keys})"
+        return f"TotalForm(s={self.total_degree}, blocks={sorted(self._kernel[1])})"
 
     def to_json(self):
-        terms = []
-        for (i, l, j) in sorted(self.blocks):
-            entries = self.blocks[(i, l, j)]
-            for mi in sorted(entries):
-                mat = entries[mi]
-                for r, row in enumerate(mat):
-                    for c, poly in enumerate(row):
-                        if poly.is_zero():
-                            continue
-                        terms.append({
-                            "block": [i, l, j],
-                            "index": list(mi),
-                            "row": r,
-                            "col": c,
-                            "coeff": str(poly),
-                        })
-        return {"total_degree": self.total_degree, "terms": terms}
+        return {"total_degree": self.total_degree, "terms": [
+            {"block": list(key), "index": list(mi), "row": r, "col": c, "coeff": str(poly)}
+            for key, entries in sorted(self.blocks.items())
+            for mi, mat in sorted(entries.items())
+            for r, row in enumerate(mat) for c, poly in enumerate(row) if poly.terms]}
 
     @classmethod
     def from_json(cls, data, variables, frame_rank, src, dst):
@@ -907,51 +936,16 @@ def graded_commutator(k1, k2):
     return k1.wedge(k2) + swapped
 
 
-_identity = cache(TotalForm.identity)   # kept with its kernel view, for the traces
-
-
 def gtr(total_form):
     """Graded trace: (-1)^l tr on each diagonal block; returns a scalar Form."""
-    return total_form.wedge_trace(_identity(
+    return total_form.wedge_trace(TotalForm.identity(
         total_form.variables, total_form.frame_rank, total_form.src), graded=True)
 
 
 def tr(total_form):
     """Plain fiberwise trace (no degree signs); scalar Form output."""
-    return total_form.wedge_trace(_identity(
+    return total_form.wedge_trace(TotalForm.identity(
         total_form.variables, total_form.frame_rank, total_form.src))
-
-
-def unhat_from_sections(action, variables, frame_rank, src, dst, total_degree):
-    """Rebuild a TotalForm from its operator action on basis sections.
-
-    `action(summand, alpha)` must return the GradedElement obtained by
-    applying the operator to the alpha-th basis section of E_summand.
-    Evaluating on degree-0 sections involves no Koszul sign, so this is the
-    exact inverse of the hat map.
-    """
-    zero = Poly.zero(variables)
-    blocks: dict = {}
-    for l, rank_l in src.summands:
-        for alpha in range(rank_l):
-            image = action(l, alpha)
-            if image.bundle != dst:
-                raise MismatchError("operator image lives in another bundle")
-            for (t, j), form in image.parts.items():
-                if t + j - l != total_degree:
-                    raise MismatchError(
-                        f"operator image has inconsistent degree: part (t={t}, z={j}) "
-                        f"from source degree {l} under total degree {total_degree}")
-                entries = blocks.setdefault((t, l, j), {})
-                for (mi, beta), poly in form.coeffs.items():
-                    mat = entries.get(mi)
-                    if mat is None:
-                        mat = entries[mi] = [[zero] * rank_l for _ in range(dst.rank(j))]
-                    mat[beta][alpha] = poly   # each (t, j, mi, beta) occurs once
-    # the parts of a GradedElement are valid forms, so the blocks need no check
-    return TotalForm._unchecked(variables, frame_rank, src, dst, total_degree,
-                                {key: {mi: tuple(map(tuple, mat)) for mi, mat in entries.items()}
-                                 for key, entries in blocks.items()})
 
 
 # ----------------------------------------------------------------------
@@ -965,7 +959,7 @@ def ideal_membership(form, indices, p):
     subbundle spanned by the listed frame elements.
     """
     inside = set(indices)
-    keys = ([mi for entries in form.blocks.values() for mi in entries]
+    keys = ([_indices(mask) for entries in form._kernel[1].values() for mask in entries]
             if isinstance(form, TotalForm) else [mi for mi, _ in form.coeffs])
     return all(sum(i not in inside for i in mi) >= p for mi in keys)
 

@@ -74,15 +74,13 @@ def test_sigma_index_below_one_is_refused():
 
 
 def test_characters_of_a_linear_connection_reuse_its_curvature(monkeypatch):
-    import gradweil.connections as connections
-
     counts = {}
-    _count_calls(monkeypatch, connections, "unhat_from_sections", counts)
+    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_by_squaring", counts)
     _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_blockwise", counts)
     nab = random_linear_connection(random.Random(31), catalog.abelian(4), 2)
     sigma_character(nab, 1)
     sigma_character(nab, 2)
-    assert counts == {"unhat_from_sections": 1, "curvature_blockwise": 1}
+    assert counts == {"curvature_by_squaring": 1, "curvature_blockwise": 1}
 
 
 @pytest.mark.parametrize("name", ["transgression_aff1_scalar",

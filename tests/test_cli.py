@@ -223,6 +223,24 @@ def test_corpus_is_exactly_what_the_regen_tool_writes():
         assert (CORPUS / f"{name}.json").read_bytes() == expected, name
 
 
+def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeypatch,
+                                                                         capsys):
+    from gradweil.connections import ConnectionUpToHomotopy
+
+    spec = importlib.util.spec_from_file_location(
+        "route_ratio", REPO / "tools" / "route_ratio.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["--seeds", "1", "--repeats", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == ["algebra", "sl2", "solvable5", "abelian(8)"]
+    original = ConnectionUpToHomotopy.curvature_blockwise
+    monkeypatch.setattr(ConnectionUpToHomotopy, "curvature_blockwise",
+                        lambda self: original(self).scale(2))
+    assert tool.main(["--seeds", "1", "--repeats", "1"]) == 1
+    assert "the operator and formula routes disagree" in capsys.readouterr().out
+
+
 # --- out-of-range indices ------------------------------------------------------
 
 

@@ -24,11 +24,9 @@ from gradweil.forms import (
     GradedElement,
     TotalForm,
     graded_commutator,
-    mat_add,
     mat_mul,
     mat_zero,
     sort_with_sign,
-    unhat_from_sections,
 )
 from gradweil.randgen import (
     random_cuth,
@@ -39,7 +37,7 @@ from gradweil.randgen import (
 )
 from gradweil.ring import Poly
 from test_algebroid import PRESENTATIONS
-from test_forms import apply_part_reference, single_block
+from test_forms import apply_part_reference, mat_add, single_block, unhat_from_sections
 
 
 def scalar_aff1_connection():
@@ -546,10 +544,10 @@ def test_d_end_matches_the_operator_commutator(name):
 
 def test_d_end_does_not_square_operators(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("d_end called unhat_from_sections")
+        raise AssertionError("d_end squared the operator")
 
-    monkeypatch.setattr("gradweil.forms.unhat_from_sections", refuse)
-    monkeypatch.setattr("gradweil.connections.unhat_from_sections", refuse)
+    monkeypatch.setattr(ConnectionUpToHomotopy, "curvature_by_squaring", refuse)
+    monkeypatch.setattr(ConnectionUpToHomotopy, "apply", refuse)
     rng = random.Random(71)
     a = catalog.sl2()
     conn = random_cuth(rng, a, D_END_BUNDLES[0])
@@ -641,15 +639,15 @@ def test_batched_operator_squares_match_the_per_section_squares(name, monkeypatc
     rng = random.Random(sum(map(ord, name)) + 8)
     for bundle in ODD_BUNDLES:
         conn = random_cuth(rng, a, bundle)
-        sections = [conn.basis_element(z, alpha)
-                    for z, r in bundle.summands for alpha in range(r)]
-        expected = [conn.apply(conn.apply(e)) for e in sections]
+        expected = unhat_from_sections(
+            lambda z, alpha: conn.apply(conn.apply(conn.basis_element(z, alpha))),
+            a.variables, a.rank, bundle, bundle, 2)
         with monkeypatch.context() as patched:
             patched.setattr(TotalForm, "wedge", refuse)
             patched.setattr(type(a), "d_total", refuse)
-            squares = conn._apply_all(conn._apply_all(sections))
+            squares = conn.curvature_by_squaring()
         assert squares == expected
-        assert any(not x.is_zero() for x in squares)
+        assert not squares.is_zero()
 
 
 def test_first_curvature_makes_three_kernel_passes(monkeypatch):
@@ -668,6 +666,38 @@ def test_first_curvature_makes_three_kernel_passes(monkeypatch):
                 assert counts == {"_product": 3}
 
 
+
+def test_d_a_is_skipped_where_it_is_zero(monkeypatch):
+    calls = []
+    owner = type(catalog.sl2())
+
+    def spy(name, original):
+        def record(self, *args):
+            calls.append((name, args[0]))
+            return original(self, *args)
+        return record
+
+    for name in ("d", "d_total", "_d_stored"):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    rng = random.Random(103)
+    bundle = D_END_BUNDLES[0]
+    # no anchor and no structure: no d_A call at all
+    conn = random_cuth(rng, catalog.abelian(4), bundle)
+    assert not conn.curvature().is_zero()
+    conn.apply(random_element(rng, conn.algebroid, bundle))
+    assert calls == []
+    # sl2: d_A of a basis section, a constant 0-form, is never formed
+    conn = random_cuth(rng, catalog.sl2(), bundle)
+    assert not conn.curvature().is_zero()
+    assert [name for name, _ in calls] == ["_d_stored", "d_total", "_d_stored"]
+    sections = TotalForm.identity((), 3, bundle)._kernel   # its columns
+    assert all(argument != sections for _, argument in calls)
+    for z, r in bundle.summands:
+        for alpha in range(r):
+            conn.apply(conn.basis_element(z, alpha))
+    assert "d" not in [name for name, _ in calls]
+
+
 # --- the curvature is computed, and cross-checked, once per connection -----------
 
 
@@ -682,45 +712,41 @@ def _count_calls(monkeypatch, owner, name, counts):
 
 
 def test_cuth_curvature_runs_each_route_once_per_instance(monkeypatch):
-    import gradweil.connections as connections
-
     counts = {}
-    _count_calls(monkeypatch, connections, "unhat_from_sections", counts)
+    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_by_squaring", counts)
     _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_blockwise", counts)
     rng = random.Random(73)
     a = catalog.sl2()
     conn = random_cuth(rng, a, D_END_BUNDLES[0])
     R = conn.curvature()
-    assert counts == {"unhat_from_sections": 1, "curvature_blockwise": 1}
+    assert counts == {"curvature_by_squaring": 1, "curvature_blockwise": 1}
     assert conn.curvature() is R
     assert conn.curvature_power(2) == R.wedge(R)
     assert conn.curvature_power(1) is R
-    assert counts == {"unhat_from_sections": 1, "curvature_blockwise": 1}
+    assert counts == {"curvature_by_squaring": 1, "curvature_blockwise": 1}
     # a second instance with the same data computes, and checks, afresh
     twin = ConnectionUpToHomotopy(a, conn.bundle, conn.nablas, conn.D)
     assert twin.curvature() == R
-    assert counts == {"unhat_from_sections": 2, "curvature_blockwise": 2}
+    assert counts == {"curvature_by_squaring": 2, "curvature_blockwise": 2}
 
 
 def test_linear_curvature_runs_each_route_once_per_label(monkeypatch):
-    import gradweil.connections as connections
-
     counts = {}
     rng = random.Random(79)
     a = catalog.aff1_action_line()
     nab = random_linear_connection(rng, a, 2)
     _count_calls(monkeypatch, type(a), "d_total", counts)
-    _count_calls(monkeypatch, connections, "unhat_from_sections", counts)
+    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_by_squaring", counts)
     R = nab.curvature()
     # formula route: one d_A Omega; operator route: one unhat of cal_D squared
-    assert counts == {"d_total": 1, "unhat_from_sections": 1}
+    assert counts == {"d_total": 1, "curvature_by_squaring": 1}
     assert nab.curvature() is R
     assert nab.is_flat() is R.is_zero()
-    assert counts == {"d_total": 1, "unhat_from_sections": 1}
+    assert counts == {"d_total": 1, "curvature_by_squaring": 1}
     shifted = nab.curvature(degree_label=1)
     assert set(shifted.blocks) == {(2, 1, 1)}
     assert nab.curvature(degree_label=1) is shifted
-    assert counts == {"d_total": 2, "unhat_from_sections": 2}
+    assert counts == {"d_total": 2, "curvature_by_squaring": 2}
 
 
 # --- a disagreement names where the two curvature routes differ ----------------------

@@ -31,13 +31,14 @@ from gradweil.constructions import (
     square_zero_check,
 )
 from gradweil.errors import MismatchError, MorphismError
-from gradweil.forms import GradedBundle, TotalForm, mat_is_zero, mat_neg, render_form
+from gradweil.forms import GradedBundle, TotalForm, mat_is_zero, render_form
 from gradweil.problems import run_problem
 from gradweil.randgen import random_linear_connection
 from gradweil.ring import Poly
 
 from test_algebroid import polynomial_presentation
 from test_connections import _count_calls
+from test_forms import mat_neg
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -138,6 +139,11 @@ def test_basic_connection_values_on_action_line():
     # nabla^bas_{e2} d/dx = [x d/dx, d/dx] = -d/dx
     assert [str(c) for c in bas_tm.apply(1, [one])] == ["-1"]
     assert basic_curvature(al, ntm).is_zero()
+
+
+def test_basic_curvature_over_a_point_is_zero():
+    # the adjoint representation of a Lie algebra has no fields summand
+    assert basic_curvature(catalog.sl2(), None).is_zero()
 
 
 def test_basic_connection_leibniz_in_direction():

@@ -1,6 +1,8 @@
 """Forms and total forms: shuffles, wedge, the hat action, graded trace."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -23,23 +25,54 @@ from gradweil.forms import (
     graded_commutator,
     gtr,
     ideal_membership,
-    mat_add,
     mat_is_zero,
     mat_mul,
-    mat_neg,
     render_form,
     restrict_total_form,
     sort_with_sign,
     tr,
-    unhat_from_sections,
 )
 from gradweil.randgen import random_cuth, random_form, random_total_form
 from gradweil.ring import Poly
+from test_algebroid import fractional_chart_presentation
 
 VS = ("x",)
 
 
 # --- test-local constructions ----------------------------------------------
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_neg(a):
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+def unhat_from_sections(action, variables, frame_rank, src, dst, total_degree):
+    """Rebuild a TotalForm from its operator action on basis sections.
+
+    `action(summand, alpha)` must return the GradedElement obtained by
+    applying the operator to the alpha-th basis section of E_summand.
+    Evaluating on degree-0 sections involves no Koszul sign, so this is the
+    exact inverse of the hat map.
+    """
+    zero = Poly.zero(variables)
+    blocks = {}
+    for l, rank_l in src.summands:
+        for alpha in range(rank_l):
+            image = action(l, alpha)
+            assert image.bundle == dst
+            for (t, j), form in image.parts.items():
+                assert t + j - l == total_degree
+                entries = blocks.setdefault((t, l, j), {})
+                for (mi, beta), poly in form.coeffs.items():
+                    mat = entries.get(mi)
+                    if mat is None:
+                        mat = entries[mi] = [[zero] * rank_l for _ in range(dst.rank(j))]
+                    mat[beta][alpha] = poly
+    return TotalForm(variables, frame_rank, src, dst, total_degree, blocks)
 
 
 def single_block(variables, frame_rank, src, dst, block, entries):
@@ -768,3 +801,71 @@ def test_kernel_view_and_omega_are_built_once():
     assert K.wedge(K) == K.wedge(K) == wedge_reference(K, K)
     form = random_form(rng, (), 3, 1, fiber_dim=2, density=4)
     assert K.apply_part(form, 0) == K.apply_part(form, 0) == apply_part_reference(K, form, 0)
+
+
+# --- the stored form is canonical ----------------------------------------------
+
+
+@pytest.mark.parametrize("variables", KERNEL_BASES)
+def test_arithmetic_comes_back_to_the_same_stored_form(variables):
+    rng = random.Random(113 + len(variables))
+    distinct = 0
+    for bundle in DENOMINATOR_BUNDLES:
+        for dens in itertools.permutations(((3,), (5,), (7,), (11,)), 2):
+            K, L = (kernel_total_form(rng, variables, 3, bundle, 1, d) for d in dens)
+            distinct += K._kernel[0] not in (1, L._kernel[0]) and L._kernel[0] != 1
+            assert (K + L) - L == K
+            assert (K + L)._kernel[0] == math.lcm(K._kernel[0], L._kernel[0])
+            assert K.scale(3).scale(Fraction(1, 3)) == K
+            assert K.scale(Fraction(2, 5)) == K.scale(Fraction(-4, 10)).scale(-1)
+            zero = TotalForm.zero(variables, 3, bundle, bundle, 1)
+            for cancelled in ((K + L) - K - L, K + K.scale(-1), K - K, K.scale(0)):
+                assert cancelled.is_zero() and not cancelled.blocks
+                assert cancelled._kernel == (1, {}) and cancelled == zero
+    assert distinct >= 10
+
+
+# the bytes that `to_json` wrote for these engine-built forms when a TotalForm
+# kept its blocks as Poly matrices: (length, sha256)
+ENGINE_BUILT_JSON = {
+    "point": (6563, "ccf740dbd0bceb708d7a6df52a18d991d4ba9b531ac557ef866e12a7b5216b34"),
+    "chart": (26060, "e92d751e09e62b8453cf41953b55e764f648be2b4a42eaeed26aaec8ff0559ed"),
+}
+
+
+@pytest.mark.parametrize("base, maker", [("point", catalog.sl2),
+                                         ("chart", fractional_chart_presentation)])
+def test_to_json_of_engine_built_forms_is_unchanged(base, maker):
+    conn = random_cuth(random.Random(109), maker(), KERNEL_BUNDLES[0])
+    R = conn.curvature()
+    built = [R, R.wedge(R), conn.d_end(conn.D) - R.scale(Fraction(2, 3))]
+    text = json.dumps([form.to_json() for form in built], sort_keys=True)
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == ENGINE_BUILT_JSON[base]
+
+
+@pytest.mark.parametrize("variables", KERNEL_BASES)
+def test_blocks_of_a_product_are_the_poly_product(variables, monkeypatch):
+    # the Poly matrices wedge_reference hands to the checked constructor
+    poly_blocks = []
+    init = TotalForm.__init__
+
+    def capture(self, *args):
+        poly_blocks.append(args[5])
+        init(self, *args)
+
+    monkeypatch.setattr(TotalForm, "__init__", capture)
+    rng = random.Random(127 + len(variables))
+    for bundle in KERNEL_BUNDLES:
+        for _ in range(3):
+            K = kernel_total_form(rng, variables, 3, bundle, rng.randint(0, 2))
+            L = kernel_total_form(rng, variables, 3, bundle, rng.randint(0, 2))
+            W = K.wedge(L)
+            wedge_reference(K, L)
+            expected = {key: {mi: mat for mi, mat in entries.items() if not mat_is_zero(mat)}
+                        for key, entries in poly_blocks.pop().items()}
+            assert W.blocks == {key: entries for key, entries in expected.items() if entries}
+            for (i, l, j), entries in W.blocks.items():
+                for mat in entries.values():
+                    assert len(mat) == bundle.rank(j)
+                    assert all(len(row) == bundle.rank(l) for row in mat)
+                    assert all(p.variables == variables for row in mat for p in row)
