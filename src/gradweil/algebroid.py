@@ -22,15 +22,20 @@ multi-index, anchor variable (or none), exponent shift and signed
 numerator, the ones that cancel dropped.  This table is the only code that
 applies the anchor and structure functions to forms, in integers: each
 image term is an integer multiply-add.  `d_sparse` reads it for a scalar
-form in Fractions, once per fiber component in `d`, and `_d_stored` for
-every entry of a stored TotalForm (see `forms`), in `d_total` and the
-curvature's operator route.  Its transpose, `d_sparse_sources`, reads the
-anchor and coframe terms backwards: it lists the monomial forms whose image
-can reach a given term, which is how the exactness solve grows only the
-part of its system that a form touches.  The table fills on first use and
-lives on the instance; a multi-index with no image stores one shared empty
-tuple.  `d_vanishes` says there is no anchor and no structure, so d_A is
-zero.
+form in Fractions, once per fiber component in `d`.  `_d_stored`, for
+every entry of a stored TotalForm (see `forms`) in `d_total` and the
+curvature's operator route, reads the same terms from `_d_packed`, keyed
+by bitmask: target bitmask, the bit offset of the anchor variable's field,
+and the exponent shift packed, so an anchor's shift lowers one field by 1
+and is added only where that field is positive.  So that the packed shifts
+hold, an algebroid refuses at construction an anchor or structure exponent
+at or above `forms.EXPONENT_LIMIT` (MismatchError).  The transpose of the
+table, `d_sparse_sources`, reads the anchor and coframe terms backwards: it
+lists the monomial forms whose image can reach a given term, which is how
+the exactness solve grows only the part of its system that a form touches.
+The tables fill on first use and live on the instance; a multi-index with
+no image stores one shared empty tuple.  `d_vanishes` says there is no
+anchor and no structure, so d_A is zero.
 """
 
 from __future__ import annotations
@@ -43,7 +48,20 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import MismatchError
-from .forms import Form, TotalForm, _canonical, _cells, _indices, _mask, sort_with_sign
+from .forms import (
+    _FIELD_MASK,
+    FIELD,
+    Form,
+    TotalForm,
+    _canonical,
+    _cells,
+    _check_exponents,
+    _indices,
+    _mask,
+    _pack,
+    _width,
+    sort_with_sign,
+)
 from .ring import VARIABLE_NAME, Poly
 
 _add = operator.add
@@ -122,7 +140,8 @@ class Algebroid:
     """A frame presentation; construction validates shapes, not axioms."""
 
     __slots__ = ("chart", "rank", "anchor", "structure", "_anchor_terms",
-                 "_d_coframe", "_anchored", "_d_den", "_d_table", "d_vanishes")
+                 "_d_coframe", "_anchored", "_d_den", "_d_table", "_d_packed",
+                 "d_vanishes")
 
     def __init__(self, chart, rank, anchor, structure):
         if not isinstance(chart, Chart):
@@ -146,6 +165,8 @@ class Algebroid:
                 or any(len(vec) != self.rank for row in structure for vec in row)):
             raise MismatchError("structure functions must form an r x r x r array")
         self.structure = structure
+        if chart.dim:   # the exponent shifts of the d_A table are packed (see `forms`)
+            _check_exponents(itertools.chain(*anchor, *itertools.chain(*structure)))
         # the data d_sparse reads, fixed with the presentation: per frame
         # index i the terms (m, shift, a) of rho(e_i) = sum a x^beta d/dx_m,
         # with shift = beta - unit(m); per k the terms ((a, b), beta, -c)
@@ -168,6 +189,7 @@ class Algebroid:
         self._d_den = lcm(*{q.denominator for row in self._anchor_terms for _, _, q in row},
                           *{q.denominator for row in self._d_coframe for _, _, q in row})
         self._d_table = {}
+        self._d_packed = {}
 
     @staticmethod
     def _as_poly(p, variables):
@@ -438,36 +460,54 @@ class Algebroid:
 
     def _d_stored(self, kernel, src):
         """d_A on every entry of a stored total form (D, view) from the bundle
-        `src` (see `forms`), from `_d_table` over D * `_d_den`."""
+        `src` (see `forms`), from `_d_packed` over D * `_d_den`."""
         D, view = kernel
-        point, table = not self.variables, self._d_table
+        width, packed = _width(self.variables), self._d_packed
         cells: dict = {}
         for (i, l, j), entries in view.items():
-            tgt = cells.setdefault((i + 1, l, j), {})
-            cols = src.rank(l)
+            cols, slot = src.rank(l), None
             for mask, rows in entries.items():
-                mi = _indices(mask)
-                terms = table.get(mi)
+                terms = packed.get(mask)
                 if terms is None:
-                    terms = table[mi] = self._d_terms(mi)
+                    terms = packed[mask] = self._packed_terms(mask)
+                if terms and slot is None:
+                    slot = cells[(i + 1, l, j)] = (len(rows), cols, {})
                 for target, m, shift, num in terms:
-                    acc = tgt.get(_mask(target))
+                    acc = slot[2].get(target)
                     if acc is None:
-                        acc = tgt[_mask(target)] = _cells(len(rows), cols, point)
-                    for out, row in zip(acc, rows):
+                        acc = slot[2][target] = _cells(len(rows), cols, width)
+                    if not width:   # no anchor on a point: m is None
+                        for out, row in zip(acc, rows):
+                            for c, n in row:
+                                out[c] += n * num
+                        continue
+                    get = acc.get
+                    for r, row in enumerate(rows):
+                        base = r * cols
                         for c, entry in row:
-                            if point:   # no anchor on a point: m is None
-                                out[c] += entry * num
-                                continue
-                            cell = out[c]
+                            cell = ((base + c) << width) + shift
                             for expo, n in entry:
                                 if m is not None:
-                                    if not expo[m]:
+                                    e = (expo >> m) & _FIELD_MASK
+                                    if not e:
                                         continue
-                                    n *= expo[m]
-                                e = tuple(map(_add, expo, shift))
-                                cell[e] = cell.get(e, 0) + n * num
-        return _canonical(D * self._d_den, cells, point)
+                                    n *= e
+                                expo += cell
+                                acc[expo] = get(expo, 0) + n * num
+        return _canonical(D * self._d_den, cells, width)
+
+    def _packed_terms(self, mask):
+        """The `_d_packed` entry of a bitmask J: the `_d_table` terms of J,
+        each (target bitmask, bit offset of the anchor variable's field or
+        None, packed exponent shift, numerator).  An anchor shift lowers one
+        exponent by 1; it is added only where that exponent is positive."""
+        mi = _indices(mask)
+        terms = self._d_table.get(mi)
+        if terms is None:
+            terms = self._d_table[mi] = self._d_terms(mi)
+        top = FIELD * (len(self.variables) - 1)
+        return tuple((_mask(target), None if m is None else top - FIELD * m, _pack(shift), num)
+                     for target, m, shift, num in terms) or _NO_TERMS
 
     def coframe(self, index):
         return Form.coframe(self.variables, self.rank, index)

@@ -46,6 +46,7 @@ from .forms import (
     GradedElement,
     TotalForm,
     _combine,
+    _width,
     graded_commutator,
     mat_is_zero,
     mat_mul,  # noqa: F401  perfbench/test_perfbench.py patches it through this module
@@ -336,7 +337,7 @@ class ConnectionUpToHomotopy:
         squares = omega._product(images, bundle)
         if not algebroid.d_vanishes:
             squares = _combine([(1, squares), (1, algebroid._d_stored(images, bundle))],
-                               bundle, not self.variables)
+                               bundle, _width(self.variables))
         return TotalForm._unchecked(self.variables, algebroid.rank, bundle, bundle, 2, squares)
 
     def curvature(self):

@@ -24,18 +24,26 @@ denominator D in lowest terms and, per block, the sparse integer rows of
 each multi-index, keyed by its bitmask (bit k for frame index k).  A row
 lists the (column, entry) pairs of its nonzero entries in column order; an
 entry is a numerator over D, an integer on the point base and ascending
-(exponent, numerator) pairs on a chart.  Nothing zero is stored, so
-equality compares stored forms.  Polys appear only at the boundary: the
-checked constructor (so `from_json`) reads Poly matrices, and `blocks`
-(built on first read), `to_json` and the Forms of `wedge_trace` and `apply`
-are built from the integers; the Polys built from one form share one Poly
-per value on the point base, so no code writes into a Poly's terms (a test
-of the package source checks it).
+(packed monomial, numerator) pairs on a chart.  A packed monomial is one
+integer with a FIELD-bit field per exponent, the first variable in the
+highest field, so integer order is exponent-tuple order and a product of
+monomials is one integer addition.  An exponent enters the packed layer
+only below EXPONENT_LIMIT (2^32; `_from_polys` and the algebroid's packed
+d_A shifts refuse larger ones with MismatchError), so no chain of products
+a task builds carries into the next field.  Nothing zero is stored, so
+equality compares stored forms.  Polys and exponent tuples appear only at
+the boundary: the checked constructor (so `from_json`) reads Poly
+matrices, and `blocks` (built on first read), `to_json` and the Forms of
+`wedge_trace` and `apply` are built from the integers; the Polys built from
+one form share one Poly per value on the point base, so no code writes into
+a Poly's terms (a test of the package source checks it).
 
 `wedge`, `wedge_trace` and `apply` are one kernel pass, `_product`, which
-adds integers into one cell per output entry over D_left * D_right and
-stores the result in lowest terms; `+`, `-`, `scale` and
-`Algebroid.d_total` work on the stored form too.  N elements are one
+adds integers over D_left * D_right and stores the result in lowest terms;
+`+`, `-`, `scale` and `Algebroid.d_total` work on the stored form too.  On
+the point base each output matrix is rows of integer cells; on a chart it
+is one flat dict keyed by ((row * cols + col) << width) + monomial, which
+`_canonical` sorts once and splits back into rows.  N elements are one
 Hom(R^N[0], E)-valued operand, element n as column n and its part (t, z)
 in block (t, 0, z), so `_apply` is one pass over all their parts.  The
 trace of a product (`wedge_trace`, behind `tr` and `gtr`) forms only the
@@ -51,7 +59,6 @@ import itertools
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import add
 
 from .errors import MismatchError, ParseError
 from .ring import Poly
@@ -144,18 +151,52 @@ def mat_is_zero(a):
 # ----------------------------------------------------------------------
 # the stored form of a TotalForm and the integer kernel on it
 
+FIELD = 64                    # bits per variable in a packed monomial
+# exponents entering the packed layer stay below this, so a sum of up to 2^32
+# of them, as chains of products and d_A build, never carries into the next field
+EXPONENT_LIMIT = 1 << 32
+_FIELD_MASK = (1 << FIELD) - 1
 
-def _from_polys(blocks, point):
+
+def _pack(expo):
+    """The packed monomial of an exponent tuple, the first variable in the
+    highest field; a signed shift packs the same way, and pack(a) +
+    pack(shift) == pack(a + shift) wherever a + shift >= 0."""
+    out = 0
+    for e in expo:
+        out = (out << FIELD) + e
+    return out
+
+
+def _unpack(mono, nvars):
+    """The exponent tuple of a packed monomial in `nvars` variables."""
+    return tuple((mono >> s) & _FIELD_MASK for s in range(FIELD * (nvars - 1), -1, -FIELD))
+
+
+def _check_exponents(polys):
+    """Refuse (MismatchError) a term of the Polys `polys` whose exponent the
+    packed layer cannot hold: one at or above EXPONENT_LIMIT."""
+    for p in polys:
+        for expo in p.terms:
+            if max(expo, default=0) >= EXPONENT_LIMIT:
+                raise MismatchError(f"exponent {max(expo)} in {p} is at or above the "
+                                    f"limit 2^{EXPONENT_LIMIT.bit_length() - 1} of a "
+                                    "packed monomial")
+
+
+def _from_polys(blocks, width):
     """The stored form of nonzero {key: {multi-index: rows}}, each row the
-    (column, Poly) pairs of its nonzero entries; D is the lcm of denominators."""
+    (column, Poly) pairs of its nonzero entries, with monomials `width` bits
+    wide (0 on the point base); D is the lcm of denominators."""
     D = lcm(*{q.denominator for entries in blocks.values() for rows in entries.values()
               for row in rows for _, p in row for q in p.terms.values()})
 
     def entry(p):
-        if point:
+        if not width:
             q = p.terms[()]
             return q.numerator * (D // q.denominator)
-        return [(e, q.numerator * (D // q.denominator)) for e, q in sorted(p.terms.items())]
+        _check_exponents((p,))
+        return sorted((_pack(e), q.numerator * (D // q.denominator)) for e, q in p.terms.items())
 
     return D, {key: {_mask(mi): [[(c, entry(p)) for c, p in row] for row in rows]
                      for mi, rows in entries.items()}
@@ -163,12 +204,13 @@ def _from_polys(blocks, point):
 
 
 def _polys(variables, D):
-    """The function from an entry over D, or any (exponent, numerator) pairs
-    on a chart, to its Poly; on the point base one Poly per distinct
+    """The function from an entry over D, or any (packed monomial, numerator)
+    pairs on a chart, to its Poly; on the point base one Poly per distinct
     numerator, shared through a dict that lives as long as the function."""
     if variables:
+        nvars = len(variables)
         return lambda pairs: Poly._unchecked(
-            variables, {e: Fraction(n, D) for e, n in pairs if n})
+            variables, {_unpack(m, nvars): Fraction(n, D) for m, n in pairs if n})
     polys = {}
 
     def poly(n):
@@ -180,98 +222,127 @@ def _polys(variables, D):
     return poly
 
 
-def _accumulate(cells, sign, left, right, point):
-    """cells += sign * (left @ right) for sparse rows `left` and `right`.  A
-    cell is an integer numerator on the point base and {exponent: numerator}
-    on a chart, so a product of two terms is an integer multiply and add."""
-    for out, row in zip(cells, left):
+def _width(variables):
+    """The bit width of a packed monomial over `variables`, 0 on the point base."""
+    return FIELD * len(variables)
+
+
+def _cells(rows, cols, width):
+    """The zero accumulator of one `rows` x `cols` output matrix: rows of
+    integer cells on the point base (`width` 0), one flat dict on a chart."""
+    return [[0] * cols for _ in range(rows)] if not width else {}
+
+
+def _accumulate(acc, sign, left, right, cols, width):
+    """acc += sign * (left @ right) for sparse rows `left` and `right`.  On a
+    chart the term x^e1 * x^e2 of cell (r, c) adds into the flat key
+    ((r * cols + c) << width) + e1 + e2, so a product of two terms is an
+    integer multiply and two adds."""
+    if not width:
+        for out, row in zip(acc, left):
+            for k, n1 in row:
+                n1 *= sign
+                for c, n2 in right[k]:
+                    out[c] += n1 * n2
+        return
+    get = acc.get
+    for r, row in enumerate(left):
+        base = r * cols
         for k, lterms in row:
-            if point:
-                lterms *= sign
-                for c, rterms in right[k]:
-                    out[c] += lterms * rterms
-                continue
             for c, rterms in right[k]:
-                cell = out[c]
+                cell = (base + c) << width
                 for e1, n1 in lterms:
                     n1 *= sign
+                    e1 += cell
                     for e2, n2 in rterms:
-                        e = tuple(map(add, e1, e2))
-                        cell[e] = cell.get(e, 0) + n1 * n2
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + n1 * n2
 
 
-def _trace(cell, sign, left, right, point):
-    """cell + sign * tr(left @ right), forming only the diagonal entries."""
+def _trace(cell, sign, left, right, width):
+    """cell + sign * tr(left @ right), forming only the diagonal entries; on a
+    chart `cell` is {packed monomial: numerator}."""
     for r, row in enumerate(left):
         for k, lterms in row:
             for c, rterms in right[k]:
-                if c == r and point:
+                if c == r and not width:
                     cell += sign * lterms * rterms
                 elif c == r:
-                    for (e1, n1), (e2, n2) in itertools.product(lterms, rterms):
-                        e = tuple(map(add, e1, e2))
-                        cell[e] = cell.get(e, 0) + sign * n1 * n2
+                    for e1, n1 in lterms:
+                        n1 *= sign
+                        for e2, n2 in rterms:
+                            e = e1 + e2
+                            cell[e] = cell.get(e, 0) + n1 * n2
     return cell
 
 
-def _cells(rows, cols, point):
-    """Zero cells for one `rows` x `cols` matrix."""
-    return [[0] * cols if point else [{} for _ in range(cols)] for _ in range(rows)]
-
-
-def _canonical(D, cells, point):
-    """The stored form of cells over D, {key: {mask: rows of cells}}: rows
-    keep their nonzero entries, zero matrices and empty blocks are dropped,
-    and D and every numerator are divided by their gcd."""
-    view, g = {}, D
-    for key, tgt in cells.items():
+def _canonical(D, cells, width):
+    """The stored form of cells over D, {key: (rows, cols, {mask: acc})}
+    with accumulators from `_cells`: rows keep their nonzero entries, zero
+    matrices and empty blocks are dropped, and D and every numerator are
+    divided by their gcd.  A chart accumulator is sorted once: its keys come
+    in (row, column, monomial) order and split back into rows."""
+    view, g, low = {}, D, (1 << width) - 1
+    for key, (nrows, cols, tgt) in cells.items():
         entries = {}
         for mask, acc in tgt.items():
-            if point:
+            if not width:
                 rows = [[pair for pair in enumerate(row) if pair[1]] for row in acc]
             else:
-                rows = [[(c, pairs) for c, pairs in enumerate(
-                    sorted(t for t in cell.items() if t[1]) for cell in row) if pairs]
-                    for row in acc]
+                rows, last = [[] for _ in range(nrows)], -1
+                for k in sorted(acc):
+                    n = acc[k]
+                    if n:
+                        cell = k >> width
+                        if cell != last:
+                            last, pairs = cell, []
+                            rows[cell // cols].append((cell % cols, pairs))
+                        pairs.append((k & low, n))
             if any(rows):
                 entries[mask] = rows
-                if g > 1:
-                    numerators = ((n for row in rows for _, n in row) if point else
-                                  (n for row in rows for _, pairs in row for _, n in pairs))
-                    g = gcd(g, *numerators)
+                if g > 1:   # zeros in a chart accumulator leave the gcd as it is
+                    g = gcd(g, *(acc.values() if width else
+                                 (n for row in rows for _, n in row)))
         if entries:
             view[key] = entries
     if g > 1:   # an empty view keeps g == D, and D // g == 1
-        view = {key: {mask: [[(c, n // g if point else [(e, m // g) for e, m in n])
+        view = {key: {mask: [[(c, [(e, m // g) for e, m in n] if width else n // g)
                               for c, n in row] for row in rows]
                       for mask, rows in entries.items()}
                 for key, entries in view.items()}
     return D // g, view
 
 
-def _combine(terms, src, point):
+def _combine(terms, src, width):
     """The stored form of the sum of factor * form over the (factor, (D,
-    view)) pairs `terms`, forms from the bundle `src`, over the lcm of the
-    D's, which need not be in lowest terms."""
+    view)) pairs `terms`, forms from the bundle `src` with monomials `width`
+    bits wide, over the lcm of the D's, which need not be in lowest terms."""
     D = lcm(*(d for _, (d, _) in terms))
     cells: dict = {}
     for factor, (d, view) in terms:
         scale = factor * (D // d)
         for key, entries in view.items():
-            tgt = cells.setdefault(key, {})
+            cols, slot = src.rank(key[1]), cells.get(key)
             for mask, rows in entries.items():
-                acc = tgt.get(mask)
+                if slot is None:
+                    slot = cells[key] = (len(rows), cols, {})
+                acc = slot[2].get(mask)
                 if acc is None:
-                    acc = tgt[mask] = _cells(len(rows), src.rank(key[1]), point)
-                for out, row in zip(acc, rows):
+                    acc = slot[2][mask] = _cells(len(rows), cols, width)
+                if not width:
+                    for out, row in zip(acc, rows):
+                        for c, n in row:
+                            out[c] += scale * n
+                    continue
+                get = acc.get
+                for r, row in enumerate(rows):
+                    base = r * cols
                     for c, entry in row:
-                        if point:
-                            out[c] += scale * entry
-                            continue
-                        cell = out[c]
+                        cell = (base + c) << width
                         for e, n in entry:
-                            cell[e] = cell.get(e, 0) + scale * n
-    return _canonical(D, cells, point)
+                            e += cell
+                            acc[e] = get(e, 0) + scale * n
+    return _canonical(D, cells, width)
 
 
 # ----------------------------------------------------------------------
@@ -652,7 +723,7 @@ class TotalForm:
                                            for row in mat]
                 if block_clean:
                     clean[(i, l, j)] = block_clean
-        self._kernel = _from_polys(clean, not self.variables)
+        self._kernel = _from_polys(clean, _width(self.variables))
         self._blocks = None
 
     # -- constructors -----------------------------------------------------
@@ -679,7 +750,7 @@ class TotalForm:
     @classmethod
     def identity(cls, variables, frame_rank, bundle):
         variables = tuple(variables)
-        one = [((0,) * len(variables), 1)] if variables else 1   # 1 over D = 1
+        one = [(0, 1)] if variables else 1   # 1 over D = 1; 0 is the packed x^0
         return cls._unchecked(variables, int(frame_rank), bundle, bundle, 0, (1, {
             (0, z, z): {0: [[(a, one)] for a in range(r)]} for z, r in bundle.summands}))
 
@@ -730,12 +801,15 @@ class TotalForm:
         return self._plus(-1, other)
 
     def _plus(self, factor, other):
-        """self + factor * other, in one pass over both stored forms."""
+        """self + factor * other, in one pass over both stored forms; self
+        itself when other is zero."""
         if not isinstance(other, TotalForm):
             return NotImplemented
         self._check_same_shape(other)
+        if other.is_zero():
+            return self
         return self._same_shape(_combine([(1, self._kernel), (factor, other._kernel)],
-                                         self.src, not self.variables))
+                                         self.src, _width(self.variables)))
 
     def scale(self, scalar):
         """Multiply by a rational number (or a constant Poly)."""
@@ -744,7 +818,7 @@ class TotalForm:
         scalar = Fraction(scalar)
         D, view = self._kernel
         return self._same_shape(_combine([(scalar.numerator, (D * scalar.denominator, view))],
-                                         self.src, not self.variables))
+                                         self.src, _width(self.variables)))
 
     def _product(self, right, right_src, trace=None):
         """The one kernel pass of hat(self) o hat(right), for a stored form
@@ -759,7 +833,7 @@ class TotalForm:
         """
         D1, left = self._kernel
         D2, right = right
-        point, diagonal = not self.variables, trace is not None
+        width, diagonal = _width(self.variables), trace is not None
         cells: dict = {}
         for (i1, m1, j), entries1 in left.items():
             f1, rows = j - m1, self.dst.rank(j)
@@ -767,24 +841,24 @@ class TotalForm:
                 if m2 != m1 or (diagonal and l != j):
                     continue
                 koszul = -1 if (f1 * i2 + (l if trace else 0)) % 2 else 1
-                tgt = cells.setdefault(None if diagonal else (i1 + i2, l, j), {})
                 cols = right_src.rank(l)
+                tgt = cells.setdefault(None if diagonal else (i1 + i2, l, j), (rows, cols, {}))[2]
                 for mask1, lrows in entries1.items():
                     for mask2, rrows in entries2.items():
                         if mask1 & mask2:
                             continue
                         merged, sign = mask1 | mask2, koszul * _merge_sign(mask1, mask2)
                         if diagonal:
-                            tgt[merged] = _trace(tgt.get(merged, 0 if point else {}), sign,
-                                                 lrows, rrows, point)
+                            tgt[merged] = _trace(tgt.get(merged, {} if width else 0), sign,
+                                                 lrows, rrows, width)
                             continue
                         acc = tgt.get(merged)
                         if acc is None:
-                            acc = tgt[merged] = _cells(rows, cols, point)
-                        _accumulate(acc, sign, lrows, rrows, point)
+                            acc = tgt[merged] = _cells(rows, cols, width)
+                        _accumulate(acc, sign, lrows, rrows, cols, width)
         if diagonal:
-            return D1 * D2, cells.get(None, {})
-        return _canonical(D1 * D2, cells, point)
+            return D1 * D2, cells[None][2] if cells else {}
+        return _canonical(D1 * D2, cells, width)
 
     def _check_composable(self, other):
         if not isinstance(other, TotalForm):
@@ -857,7 +931,7 @@ class TotalForm:
                     if rows is None:
                         rows = entries[mi] = [[] for _ in range(form.fiber_dim)]
                     rows[alpha].append((n, poly))
-        D, view = self._product(_from_polys(blocks, not self.variables),
+        D, view = self._product(_from_polys(blocks, _width(self.variables)),
                                 GradedBundle([(0, len(columns))]))
         poly = _polys(self.variables, D)
         out = [GradedElement(self.variables, self.frame_rank, self.dst) for _ in columns]

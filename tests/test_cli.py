@@ -7,6 +7,7 @@ import json
 import pathlib
 import shutil
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -233,7 +234,8 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     spec.loader.exec_module(tool)
     assert tool.main(["--seeds", "1", "--repeats", "1"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert [row.split()[0] for row in rows] == ["algebra", "sl2", "solvable5", "abelian(8)"]
+    assert [row.split()[0] for row in rows] == ["algebra", "sl2", "solvable5", "abelian(8)",
+                                                "TR^4"]
     original = ConnectionUpToHomotopy.curvature_blockwise
     monkeypatch.setattr(ConnectionUpToHomotopy, "curvature_blockwise",
                         lambda self: original(self).scale(2))
@@ -263,6 +265,21 @@ def test_zero_denominator_exits_two(tmp_path, capsys):
     assert main([write_problem(tmp_path, payload)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "zero denominator" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["connection", "anchor"])
+def test_an_exponent_the_packed_layer_cannot_hold_exits_two(where, tmp_path, capsys):
+    payload = _corpus_payload("double_action_line")
+    if where == "connection":
+        payload["connection"]["christoffel"][0]["matrix"][0][0] = "x^4294967296"
+    else:
+        payload["algebroid"]["anchor"][1][0] = "x^4294967296"
+    start = time.perf_counter()
+    assert main([write_problem(tmp_path, payload)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "4294967296" in err and "2^32" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

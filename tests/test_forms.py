@@ -8,12 +8,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradweil import catalog
-from gradweil.algebroid import Chart, tangent_algebroid
+from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
 from gradweil.connections import ConnectionUpToHomotopy, LinearConnection
 from gradweil.errors import MismatchError
 from gradweil.forms import (
+    EXPONENT_LIMIT,
     Form,
     GradedBundle,
     GradedElement,
@@ -21,6 +24,8 @@ from gradweil.forms import (
     _indices,
     _mask,
     _merge_sign,
+    _pack,
+    _unpack,
     extend_total_form,
     graded_commutator,
     gtr,
@@ -491,13 +496,24 @@ def apply_part_reference(K, form, l):
     return out
 
 
+# a five-variable chart, one packed field per variable, with exponents drawn
+# from WIDE_EXPONENTS: small ones and ones near 2^31, whose sums in a product
+# stay below EXPONENT_LIMIT, so the checked constructor takes the references
+WIDE = ("x", "y", "z", "u", "v")
+WIDE_EXPONENTS = (0, 1, 2, 65537, (1 << 31) - 3)
+
+
 def kernel_poly(rng, variables, denominators=(1, 2, 3, 6)):
-    """A Poly with non-integer coefficients, zero a quarter of the time."""
+    """A Poly with non-integer coefficients, zero a quarter of the time;
+    exponents 0 and 1, or from WIDE_EXPONENTS on the WIDE chart."""
     if rng.random() < 0.25:
         return Poly.zero(variables)
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        expo = tuple(rng.randint(0, 1) for _ in variables)
+        if variables == WIDE:
+            expo = tuple(rng.choice(WIDE_EXPONENTS) for _ in variables)
+        else:
+            expo = tuple(rng.randint(0, 1) for _ in variables)
         terms[expo] = Fraction(rng.randint(-4, 4), rng.choice(denominators))
     return Poly(variables, terms)
 
@@ -529,13 +545,13 @@ def assert_nothing_zero_stored(K):
             assert all(c != 0 for row in mat for p in row for c in p.terms.values())
 
 
-# odd and negative summand degrees, on the point base and on TR^2
+# odd and negative summand degrees, on the point base, on TR^2 and on WIDE
 KERNEL_BUNDLES = (
     GradedBundle([(0, 2), (1, 2), (2, 1)]),
     GradedBundle([(-1, 1), (0, 2), (1, 1)]),
     GradedBundle([(-2, 1), (1, 2), (3, 1)]),
 )
-KERNEL_BASES = ((), ("x", "y"))
+KERNEL_BASES = ((), ("x", "y"), WIDE)
 
 
 @pytest.mark.parametrize("variables", KERNEL_BASES)
@@ -607,6 +623,106 @@ def test_kernel_wedge_is_composition_on_basis_sections(variables):
                     assert W.apply(e) == K.apply(L.apply(e))
 
 
+def trace_reference(K, graded=False):
+    """tr(K), or gtr when `graded`, as Poly sums of the diagonal entries of
+    the diagonal blocks, block (i, l, l) times (-1)^l when graded."""
+    zero = Poly.zero(K.variables)
+    coeffs = {}
+    for (i, l, j), entries in K.blocks.items():
+        if l != j:
+            continue
+        for mi, mat in entries.items():
+            value = sum((mat[a][a] for a in range(len(mat))), zero)
+            value = -value if graded and l % 2 else value
+            coeffs[(mi, 0)] = coeffs.get((mi, 0), zero) + value
+    return Form(K.variables, K.frame_rank, max(K.total_degree, 0), 1, coeffs)
+
+
+@pytest.mark.parametrize("variables", KERNEL_BASES)
+def test_traces_match_the_poly_reference(variables):
+    rng = random.Random(131 + len(variables))
+    nonzero = 0
+    for bundle in KERNEL_BUNDLES:
+        for _ in range(4):
+            K = kernel_total_form(rng, variables, 3, bundle, rng.randint(0, 1))
+            L = kernel_total_form(rng, variables, 3, bundle, rng.randint(0, 2))
+            W = wedge_reference(K, L)
+            for graded in (False, True):
+                assert K.wedge_trace(L, graded) == trace_reference(W, graded)
+            assert tr(K) == trace_reference(K) and gtr(K) == trace_reference(K, True)
+            nonzero += not trace_reference(W).is_zero()
+    assert nonzero >= 3
+
+
+@pytest.mark.parametrize("algebroid", [fractional_chart_presentation(),
+                                       tangent_algebroid(Chart(WIDE))],
+                         ids=["fractional_chart", "wide_chart"])
+def test_d_total_is_d_on_every_entry(algebroid):
+    # the anchor d/dx lowers an exponent: on TR^5 every image term, on the
+    # fractional chart those of rho(e0) = 2/5 d/dx and rho(e3) = 1/2 d/dy
+    rng = random.Random(137 + algebroid.rank)
+    variables, rank = algebroid.variables, algebroid.rank
+    images = lowered = 0
+    for bundle in KERNEL_BUNDLES:
+        for _ in range(2):
+            K = kernel_total_form(rng, variables, rank, bundle, rng.randint(-1, 2))
+            dK = algebroid.d_total(K)
+            assert dK.total_degree == K.total_degree + 1
+            assert set(dK.blocks) <= {(i + 1, l, j) for i, l, j in K.blocks}
+            for (i, l, j), entries in K.blocks.items():
+                for r, c in itertools.product(range(bundle.rank(j)), range(bundle.rank(l))):
+                    entry = Form(variables, rank, i, 1,
+                                 {(mi, 0): mat[r][c] for mi, mat in entries.items()})
+                    image = {mi: p for (mi, _), p in algebroid.d(entry).coeffs.items()}
+                    got = {mi: mat[r][c] for mi, mat in dK.block(i + 1, l, j).items()
+                           if mat[r][c].terms}
+                    assert got == image
+                    images += bool(image)
+                    if image:
+                        low = min(sum(e) for p in entry.coeffs.values() for e in p.terms)
+                        lowered += any(sum(e) < low for p in image.values() for e in p.terms)
+    assert images >= 10 and lowered >= 3
+
+
+# --- packed monomials ------------------------------------------------------------
+
+exponents = st.one_of(st.integers(0, 3), st.integers(0, EXPONENT_LIMIT - 1))
+
+
+@st.composite
+def exponent_vectors(draw):
+    """Three exponent vectors of one length, 1 to 5, below EXPONENT_LIMIT."""
+    n = draw(st.integers(1, 5))
+    return [tuple(draw(st.lists(exponents, min_size=n, max_size=n))) for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_vectors())
+def test_packing_round_trips_keeps_order_and_adds(vectors):
+    a, b, c = vectors
+    n = len(a)
+    assert _unpack(_pack(a), n) == a
+    assert (_pack(a) < _pack(b)) == (a < b) and (_pack(a) == _pack(b)) == (a == b)
+    assert _pack(a) + _pack(b) == _pack(tuple(map(sum, zip(a, b))))
+    # any signed shift with a + shift >= 0, here c - a
+    shift = tuple(y - x for x, y in zip(a, c))
+    assert _pack(a) + _pack(shift) == _pack(c)
+    assert _unpack(_pack(a) + _pack(shift), n) == c
+
+
+def test_the_packed_layer_refuses_an_exponent_at_the_limit():
+    bundle = GradedBundle([(0, 1)])
+    big, below = (Poly(VS, {(e,): 1}) for e in (EXPONENT_LIMIT, EXPONENT_LIMIT - 1))
+    with pytest.raises(MismatchError, match=r"4294967296 .* 2\^32"):
+        TotalForm(VS, 1, bundle, bundle, 1, {(1, 0, 0): {(0,): [[big]]}})
+    with pytest.raises(MismatchError, match=r"2\^32"):
+        Algebroid(Chart(VS), 1, [[big]], [[[0]]])
+    # below the limit a product carries past 2^32 within its field
+    K = TotalForm(VS, 1, bundle, bundle, 1, {(1, 0, 0): {(0,): [[below]]}})
+    image = K.apply_part(Form(VS, 1, 0, 1, {((), 0): below}), 0)
+    assert image.parts[(1, 0)].coeffs == {((0,), 0): below * below}
+
+
 # --- one denominator per operand, over denominators 3, 5, 7 and 11 -------------
 
 # an integer operand, then operands over single odd primes and over their mix
@@ -630,10 +746,11 @@ def denominator_cuth(rng, algebroid, bundle, denominators):
     return ConnectionUpToHomotopy(algebroid, bundle, nablas, D)
 
 
-# frame ranks 6 and 4, so that tr(R^2) and, over the point, tr(R^3) can be nonzero
+# frame ranks 6, 4 and 5, so that tr(R^2) and, over the point, tr(R^3) can be nonzero
 @pytest.mark.parametrize("algebroid", [catalog.abelian(6),
-                                       tangent_algebroid(Chart(("x", "y", "z", "w")))],
-                         ids=["point", "chart"])
+                                       tangent_algebroid(Chart(("x", "y", "z", "w"))),
+                                       tangent_algebroid(Chart(WIDE))],
+                         ids=["point", "chart", "wide_chart"])
 def test_kernel_is_exact_over_denominators_3_5_7_and_11(algebroid):
     rng = random.Random(83 + algebroid.rank)
     variables = algebroid.variables

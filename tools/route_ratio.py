@@ -2,8 +2,10 @@
 
     python tools/route_ratio.py [--seeds 5] [--repeats 5]
 
-For sl2, solvable5 and abelian(8), and for each seed, draws a connection up
-to homotopy on R^2[0] + R^2[1] + R[2] and times the operator route
+The algebras are sl2, solvable5 and abelian(8) over a point, and TR^4, the
+tangent algebroid of a four-variable chart, where the curvature runs the
+chart kernel on packed monomials.  For each algebra and seed it draws a
+connection up to homotopy on R^2[0] + R^2[1] + R[2] and times the operator route
 (`curvature_by_squaring`: cal_D squared on the basis sections, unhatted) and
 the formula route (`curvature_blockwise`: d_A Omega + Omega ^ Omega).  Every
 timed call runs on a fresh copy of the connection and its algebroid whose
@@ -25,11 +27,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gradweil import catalog
+from gradweil.algebroid import Chart, tangent_algebroid
 from gradweil.forms import GradedBundle
 from gradweil.randgen import random_cuth
 
 ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
-            "abelian(8)": lambda: catalog.abelian(8)}
+            "abelian(8)": lambda: catalog.abelian(8),
+            "TR^4": lambda: tangent_algebroid(Chart(("x", "y", "z", "w")))}
 BUNDLE = GradedBundle([(0, 2), (1, 2), (2, 1)])   # R^2[0] + R^2[1] + R[2]
 ROUTES = ("curvature_by_squaring", "curvature_blockwise")
 
