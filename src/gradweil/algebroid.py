@@ -22,12 +22,16 @@ multi-index, anchor variable (or none), exponent shift and signed
 numerator, the ones that cancel dropped.  This table is the only code that
 applies the anchor and structure functions to forms, in integers: each
 image term is an integer multiply-add.  `d_sparse` reads it for a scalar
-form in Fractions, once per fiber component in `d`.  `_d_stored`, for
-every entry of a stored TotalForm (see `forms`) in `d_total` and the
-curvature's operator route, reads the same terms from `_d_packed`, keyed
-by bitmask: target bitmask, the bit offset of the anchor variable's field,
-and the exponent shift packed, so an anchor's shift lowers one field by 1
-and is added only where that field is positive.  So that the packed shifts
+form in Fractions, once per fiber component in `d`, and `_d_column` for
+one monomial form in integer numerators over `_d_den`: the column images
+of the exactness system.  `_d_into` adds a multiple of d_A of every entry
+of a stored TotalForm (see `forms`) into the accumulators of a kernel
+pass, which is how the last pass of both curvature routes adds d_A;
+`_d_stored`, behind `d_total`, is that on accumulators of its own.  Both
+read the same terms from `_d_packed`, keyed by bitmask: target bitmask,
+the bit offset of the anchor variable's field, and the exponent shift
+packed, so an anchor's shift lowers one field by 1 and is added only where
+that field is positive.  So that the packed shifts
 hold, an algebroid refuses at construction an anchor or structure exponent
 at or above `forms.EXPONENT_LIMIT` (MismatchError).  The transpose of the
 table, `d_sparse_sources`, reads the anchor and coframe terms backwards: it
@@ -331,29 +335,39 @@ class Algebroid:
         over the chart; the value is the coefficient of x^exponent e^J.  The
         image comes back in the same shape, without zero coefficients.
         """
-        table = self._d_table
         D = lcm(*{c.denominator for c in terms.values()})
         acc = {}
-        get = acc.get
         for (mi, expo), c in terms.items():
-            entries = table.get(mi)
-            if entries is None:
-                entries = table[mi] = self._d_terms(mi)
-            if not entries:
-                continue
-            n = c.numerator * (D // c.denominator)
-            for target, m, shift, num in entries:
-                if m is None:
-                    val = n * num
-                else:
-                    e = expo[m]
-                    if not e:
-                        continue
-                    val = n * e * num
-                key = (target, tuple(map(_add, expo, shift)))
-                acc[key] = get(key, 0) + val
+            self._d_add(acc, mi, expo, c.numerator * (D // c.denominator))
         D *= self._d_den
         return {key: Fraction(val, D) for key, val in acc.items() if val}
+
+    def _d_column(self, key):
+        """d_A of one monomial form x^a e^J, key (J, a), as {(multi-index,
+        exponent): numerator} over `_d_den` without zeros: the `d_sparse`
+        image of {key: 1} times `_d_den`."""
+        acc = {}
+        self._d_add(acc, *key, 1)
+        return {out: n for out, n in acc.items() if n}
+
+    def _d_add(self, acc, mi, expo, n):
+        """acc += n times d(x^expo e^mi), numerators over `_d_den` keyed by
+        (multi-index, exponent), read from `_d_table`; cancelled terms stay
+        in `acc` as zeros."""
+        terms = self._d_table.get(mi)
+        if terms is None:
+            terms = self._d_table[mi] = self._d_terms(mi)
+        get = acc.get
+        for target, m, shift, num in terms:
+            if m is None:
+                val = n * num
+            else:
+                e = expo[m]
+                if not e:
+                    continue
+                val = n * e * num
+            key = (target, tuple(map(_add, expo, shift)))
+            acc[key] = get(key, 0) + val
 
     def _d_terms(self, mi):
         """The `_d_table` entry of a multi-index J: the terms (target, m,
@@ -460,10 +474,17 @@ class Algebroid:
 
     def _d_stored(self, kernel, src):
         """d_A on every entry of a stored total form (D, view) from the bundle
-        `src` (see `forms`), from `_d_packed` over D * `_d_den`."""
-        D, view = kernel
-        width, packed = _width(self.variables), self._d_packed
+        `src` (see `forms`), over D * `_d_den`, in lowest terms."""
         cells: dict = {}
+        self._d_into(kernel[1], src, 1, cells)
+        return _canonical(kernel[0] * self._d_den, cells, _width(self.variables))
+
+    def _d_into(self, view, src, scale, cells):
+        """Add `scale` times d_A of every entry of a stored view from the
+        bundle `src` into the kernel accumulators `cells` (see `forms`),
+        numerators over `_d_den` times the view's denominator: block (i, l,
+        j) into the slot (i + 1, l, j), read from `_d_packed`."""
+        width, packed = _width(self.variables), self._d_packed
         for (i, l, j), entries in view.items():
             cols, slot = src.rank(l), None
             for mask, rows in entries.items():
@@ -471,8 +492,9 @@ class Algebroid:
                 if terms is None:
                     terms = packed[mask] = self._packed_terms(mask)
                 if terms and slot is None:
-                    slot = cells[(i + 1, l, j)] = (len(rows), cols, {})
+                    slot = cells.setdefault((i + 1, l, j), (len(rows), cols, {}))
                 for target, m, shift, num in terms:
+                    num *= scale
                     acc = slot[2].get(target)
                     if acc is None:
                         acc = slot[2][target] = _cells(len(rows), cols, width)
@@ -494,7 +516,6 @@ class Algebroid:
                                     n *= e
                                 expo += cell
                                 acc[expo] = get(expo, 0) + n * num
-        return _canonical(D * self._d_den, cells, width)
 
     def _packed_terms(self, mask):
         """The `_d_packed` entry of a bitmask J: the `_d_table` terms of J,

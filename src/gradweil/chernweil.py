@@ -294,13 +294,16 @@ class ExactnessResult:
 
 
 def default_bound(algebroid, forms=()):
-    """2 * (max total degree over the input data) + 2."""
+    """2 * (max total degree over the input data) + 2.
+
+    The algebroid's degrees are read from the nonzero terms d_A is built
+    from: an anchor term a x^beta d/dx_m, kept with shift beta - unit(m),
+    has degree sum(shift) + 1, and a term c x^beta of c_ab^k (a < b) has
+    degree sum(beta).
+    """
     degrees = [0]
-    for row in algebroid.anchor:
-        degrees.extend(p.total_degree() for p in row)
-    for row in algebroid.structure:
-        for vec in row:
-            degrees.extend(p.total_degree() for p in vec)
+    degrees.extend(sum(shift) + 1 for row in algebroid._anchor_terms for _, shift, _ in row)
+    degrees.extend(sum(beta) for row in algebroid._d_coframe for _, beta, _ in row)
     for form in forms:
         if form is not None:
             degrees.extend(p.total_degree() for p in form.coeffs.values())
@@ -313,7 +316,7 @@ def _exactness_system(algebroid, form, bound):
     The candidate unknowns u are the (k-1)-forms x^exponent e^J (J a frame
     multi-index, exponent of total degree <= bound).  Starting from the rows
     the form touches, the closure alternates `Algebroid.d_sparse_sources`
-    (the columns that can reach a row) and `Algebroid.d_sparse` (the rows a
+    (the columns that can reach a row) and `Algebroid._d_column` (the rows a
     column reaches) until nothing new appears, so it is a union of connected
     components of the full ansatz system.  The full system is block
     diagonal over its components, and a component with a zero right-hand
@@ -322,9 +325,13 @@ def _exactness_system(algebroid, form, bound):
     columns with a nonzero image, in the global (J, exponent) order, which
     fixes the free-variables-zero solution.  Returns (unknowns, rows, rhs):
     `rows` are {unknown: value} dicts, one per (J, exponent) that occurs,
-    and `rhs` is a {row: value} dict.
+    and `rhs` is a {row: value} dict.  The system is the ansatz times the
+    algebroid's common denominator `_d_den`: each column's image is its
+    integer numerators over it (`Algebroid._d_column`), and the right-hand
+    side is scaled by it, which leaves the solution as it is.
     """
-    targets = {(mi, expo): val for (mi, _), poly in form.coeffs.items()
+    den = algebroid._d_den
+    targets = {(mi, expo): val * den for (mi, _), poly in form.coeffs.items()
                for expo, val in poly.terms.items()}
     images = {}
     seen = set(targets)
@@ -335,7 +342,7 @@ def _exactness_system(algebroid, form, bound):
             for col in algebroid.d_sparse_sources(key, bound):
                 if col in images:
                     continue
-                image = images[col] = algebroid.d_sparse({col: _ONE})
+                image = images[col] = algebroid._d_column(col)
                 for row_key in image:
                     if row_key not in seen:
                         seen.add(row_key)

@@ -16,10 +16,11 @@ Omega = Gamma + D.  Every differential here is d_A plus a wedge with Omega:
     d^End K  = d_A K + [Omega, K],
 
 with d_A on each fiber component (`Algebroid.d`) or matrix entry
-(`Algebroid.d_total`), skipped where it is zero: on constant 0-forms, and
-everywhere on an algebroid without anchor and brackets.  A linear
-connection is the one-summand case with D = 0.  The Koszul formula on
-frame elements stays in the tests as the oracle for all three.
+(`Algebroid.d_total`, or inside a kernel pass), skipped where it is zero:
+on constant 0-forms, and everywhere on an algebroid without anchor and
+brackets.  A linear connection is the one-summand case with D = 0.  The
+Koszul formula on frame elements stays in the tests as the oracle for all
+three.
 
 The curvature R is the unique total form with hat(R) = cal_D^2.  The first
 curvature call runs both routes once: `curvature_by_squaring`, which squares
@@ -27,14 +28,17 @@ the operator on the basis sections, and the formula `curvature_blockwise`;
 if they disagree it raises InternalCheckError naming the first block and
 multi-index where they differ.  The basis sections are the columns of the
 identity, so the operator route is two hat(Omega) kernel passes, the second
-over the integers the first returns, plus d_A of the images; its squares
-are R's columns as they stand.  With Omega ^ Omega a first curvature makes
-three kernel passes, and the operator route calls neither
-`TotalForm.wedge` nor `Algebroid.d_total`.  Connections do not change after
-construction: a connection up to homotopy builds Omega once and keeps its
-checked curvature, and a linear connection keeps its curvature per degree
-label.  Powers of the curvature are traced in `chernweil.power_traces`;
-`curvature_power` is the full product R^i, the tests' oracle for it.
+over the integers the first returns; its squares are R's columns as they
+stand.  The formula route is one pass of Omega on Omega.  The last pass of
+each route adds d_A of its right operand into its own accumulators (see
+`TotalForm._product`), so a first curvature makes three kernel passes and
+neither route calls `TotalForm.wedge`, `Algebroid.d_total` or `+`.
+Connections do not change after construction: a connection up to homotopy
+builds Omega once, Gamma straight from the checked Christoffel matrices,
+and keeps its checked curvature, and a linear connection keeps its
+curvature per degree label.  Powers of the curvature are traced in
+`chernweil.power_traces`; `curvature_power` is the full product R^i, the
+tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -45,8 +49,6 @@ from .forms import (
     GradedBundle,
     GradedElement,
     TotalForm,
-    _combine,
-    _width,
     graded_commutator,
     mat_is_zero,
     mat_mul,  # noqa: F401  perfbench/test_perfbench.py patches it through this module
@@ -303,11 +305,23 @@ class ConnectionUpToHomotopy:
     # -- curvature ------------------------------------------------------------
 
     def connection_form(self):
-        """Gamma of every summand's connection, in the diagonal (1, z, z) blocks."""
-        blocks = {(1, z, z): {(i,): m for i, m in enumerate(self.nablas[z].mats)}
-                  for z in self.bundle.degrees()}
-        return TotalForm(self.variables, self.algebroid.rank,
-                         self.bundle, self.bundle, 1, blocks)
+        """Gamma of every summand's connection, in the diagonal (1, z, z) blocks.
+
+        Built straight from the Christoffel matrices, which `LinearConnection`
+        has checked, keeping their nonzero entries; the exponent limit of the
+        packed kernel is still enforced.
+        """
+        blocks = {}
+        for z in self.bundle.degrees():
+            entries = {}
+            for i, mat in enumerate(self.nablas[z].mats):
+                rows = [[(c, p) for c, p in enumerate(row) if p.terms] for row in mat]
+                if any(rows):
+                    entries[(i,)] = rows
+            if entries:
+                blocks[(1, z, z)] = entries
+        return TotalForm._from_rows(self.variables, self.algebroid.rank,
+                                    self.bundle, self.bundle, 1, blocks)
 
     def omega(self):
         """Omega = Gamma + D, the degree-1 total form of cal_D; built once and kept."""
@@ -316,10 +330,11 @@ class ConnectionUpToHomotopy:
         return self._omega
 
     def curvature_blockwise(self):
-        """R = d_A Omega + Omega ^ Omega (the formula route)."""
-        omega = self.omega()
-        square = omega.wedge(omega)
-        return square if self.algebroid.d_vanishes else self.algebroid.d_total(omega) + square
+        """R = d_A Omega + Omega ^ Omega (the formula route), in one kernel pass
+        that adds d_A Omega into the accumulators of Omega ^ Omega."""
+        omega, algebroid = self.omega(), self.algebroid
+        return TotalForm._unchecked(self.variables, algebroid.rank, self.bundle, self.bundle, 2,
+                                    omega._product(omega._kernel, self.bundle, d_a=algebroid))
 
     def curvature_by_squaring(self):
         """R unhatted from cal_D squared on the basis sections (the operator route).
@@ -327,18 +342,16 @@ class ConnectionUpToHomotopy:
         Section e_(l, alpha) is column alpha of block (0, l, l) of the
         identity, so cal_D on all of them is one hat(Omega) kernel pass (d_A
         of a constant 0-form is zero), and cal_D on their images a second
-        pass plus d_A of the images.  Column alpha of block (s, l, j) of the
-        result is part (s, j) of cal_D^2 e_(l, alpha); a degree-0 section
-        takes no Koszul sign, so that is R as it stands.
+        pass that adds d_A of the images into its accumulators.  Column
+        alpha of block (s, l, j) of the result is part (s, j) of cal_D^2
+        e_(l, alpha); a degree-0 section takes no Koszul sign, so that is R
+        as it stands.
         """
         omega, algebroid, bundle = self.omega(), self.algebroid, self.bundle
         sections = TotalForm.identity(self.variables, algebroid.rank, bundle)._kernel
         images = omega._product(sections, bundle)
-        squares = omega._product(images, bundle)
-        if not algebroid.d_vanishes:
-            squares = _combine([(1, squares), (1, algebroid._d_stored(images, bundle))],
-                               bundle, _width(self.variables))
-        return TotalForm._unchecked(self.variables, algebroid.rank, bundle, bundle, 2, squares)
+        return TotalForm._unchecked(self.variables, algebroid.rank, bundle, bundle, 2,
+                                    omega._product(images, bundle, d_a=algebroid))
 
     def curvature(self):
         """The unique total form R with hat(R) = cal_D squared.

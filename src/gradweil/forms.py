@@ -40,17 +40,21 @@ a Poly's terms (a test of the package source checks it).
 
 `wedge`, `wedge_trace` and `apply` are one kernel pass, `_product`, which
 adds integers over D_left * D_right and stores the result in lowest terms;
-`+`, `-`, `scale` and `Algebroid.d_total` work on the stored form too.  On
-the point base each output matrix is rows of integer cells; on a chart it
-is one flat dict keyed by ((row * cols + col) << width) + monomial, which
-`_canonical` sorts once and splits back into rows.  N elements are one
-Hom(R^N[0], E)-valued operand, element n as column n and its part (t, z)
-in block (t, 0, z), so `_apply` is one pass over all their parts.  The
-trace of a product (`wedge_trace`, behind `tr` and `gtr`) forms only the
-diagonal entries of the diagonal blocks.  Overlapping indices are skipped
-by `m1 & m2` and the merge sign is a parity of popcounts (`_merge_sign`),
-for `Form.wedge` too.  The Poly-matrix helpers (`mat_mul`, ...) stay public
-for Christoffel algebra and the tests' references.
+`+`, `-`, `scale` and `Algebroid.d_total` work on the stored form too.
+Given an algebroid, `_product` is the fused pass d_A Y + hat(X) o hat(Y)
+of the curvature routes: d_A of the right operand goes into the same
+accumulators before the one `_canonical`, over the joined denominator
+D_right * lcm(D_left, d_A's denominator).  On the point base each output
+matrix is rows of integer cells; on a chart it is one flat dict keyed by
+((row * cols + col) << width) + monomial, which `_canonical` sorts once
+and splits back into rows.  N elements are one Hom(R^N[0], E)-valued
+operand, element n as column n and its part (t, z) in block (t, 0, z), so
+`_apply` is one pass over all their parts.  The trace of a product
+(`wedge_trace`, behind `tr` and `gtr`) forms only the diagonal entries of
+the diagonal blocks.  Overlapping indices are skipped by `m1 & m2` and the
+merge sign is a parity of popcounts (`_merge_sign`), for `Form.wedge` too.
+The Poly-matrix helpers (`mat_mul`, ...) stay public for Christoffel
+algebra and the tests' references.
 """
 
 from __future__ import annotations
@@ -738,6 +742,14 @@ class TotalForm:
         out._kernel, out._blocks = kernel, None
         return out
 
+    @classmethod
+    def _from_rows(cls, variables, frame_rank, src, dst, total_degree, blocks):
+        """A TotalForm on engine-built sparse Poly rows {(i, l, j): {multi-index:
+        rows}}, each row the (column, Poly) pairs of its nonzero entries, with
+        no zero matrix and no empty block; only exponents are checked."""
+        return cls._unchecked(variables, frame_rank, src, dst, total_degree,
+                              _from_polys(blocks, _width(variables)))
+
     def _same_shape(self, kernel):
         """A TotalForm of this one's shape on the stored form `kernel`."""
         return TotalForm._unchecked(self.variables, self.frame_rank, self.src, self.dst,
@@ -820,7 +832,7 @@ class TotalForm:
         return self._same_shape(_combine([(scalar.numerator, (D * scalar.denominator, view))],
                                          self.src, _width(self.variables)))
 
-    def _product(self, right, right_src, trace=None):
+    def _product(self, right, right_src, trace=None, d_a=None):
         """The one kernel pass of hat(self) o hat(right), for a stored form
         `right` with blocks (i2, l, m) and source bundle `right_src`.
 
@@ -829,18 +841,28 @@ class TotalForm:
         factor (-1)^(f1 i2), f1 the fiber degree of the left block.  With
         `trace` not None only the diagonal entries of the diagonal blocks
         l == j are formed, times (-1)^l when `trace` is true, and the result
-        is (D, {merged mask: cell}), each cell their sum over D.
+        is (D, {merged mask: cell}), each cell their sum over D.  With an
+        algebroid `d_a` whose d_A is not zero, and self End-valued on the
+        target of `right`, d_A of `right` is added into the same accumulators
+        (`Algebroid._d_into`): d_A Y + hat(self) o hat(Y) in one pass, over
+        D_right * lcm(D_left, _d_den), the product's terms scaled by lcm /
+        D_left and d_A's by lcm / _d_den.
         """
         D1, left = self._kernel
-        D2, right = right
+        D2, right_view = right
         width, diagonal = _width(self.variables), trace is not None
         cells: dict = {}
+        scale = 1
+        if d_a is not None and not d_a.d_vanishes:
+            D = lcm(D1, d_a._d_den)
+            d_a._d_into(right_view, right_src, D // d_a._d_den, cells)
+            scale, D1 = D // D1, D
         for (i1, m1, j), entries1 in left.items():
             f1, rows = j - m1, self.dst.rank(j)
-            for (i2, l, m2), entries2 in right.items():
+            for (i2, l, m2), entries2 in right_view.items():
                 if m2 != m1 or (diagonal and l != j):
                     continue
-                koszul = -1 if (f1 * i2 + (l if trace else 0)) % 2 else 1
+                koszul = -scale if (f1 * i2 + (l if trace else 0)) % 2 else scale
                 cols = right_src.rank(l)
                 tgt = cells.setdefault(None if diagonal else (i1 + i2, l, j), (rows, cols, {}))[2]
                 for mask1, lrows in entries1.items():

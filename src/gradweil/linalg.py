@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra over Fraction: rref, solve, nullspace, transpose.
+"""Exact sparse linear algebra over the rationals: rref, solve, nullspace, transpose.
 
 Every matrix is a list of sparse rows: dicts {column: value} that hold only
 the nonzero entries, with columns below an explicit `ncols`.  The systems
@@ -19,61 +19,107 @@ column order the reduced row echelon form of a matrix is unique, so the
 result equals that of textbook Gauss-Jordan: `rref` returns its pivot
 columns, `nullspace` the kernel vector of each free column, and `solve` the
 one solution with every free variable set to zero.
+
+The elimination runs fraction-free, in the manner of Bareiss (Math. Comp.
+22, 1968): each row is scaled to primitive integers on entry, a row is
+cleared at a pivot p with entry f there as row <- p * row - f * pivot (both
+divided by gcd(p, f) first), and the result is divided by the gcd of its
+entries.  Back substitution does the same on the pivot rows and carries
+each one's head, the integer at its pivot column.  A nonzero multiple of a
+row has the row's support, so every step has the support of the Fraction
+elimination, with the same pivots; the reduced rows come back as Fractions,
+each entry over its row's head.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _eliminate(rows, ncols):
-    """Reduced row echelon form of sparse rows, which are consumed.
+    """Reduced row echelon form of sparse rows over `ncols` columns.
 
-    `rows` are {column: value} dicts with no zero values and columns below
-    `ncols`.  Returns (reduced, pivots): the nonzero rows of the reduced form
-    in pivot order, each with a 1 at its pivot column, and the pivot columns.
+    `rows` are {column: value} dicts of int or Fraction values with columns
+    below `ncols`; they are read, not changed, and zero values count as
+    absent.  Returns (reduced, pivots): the nonzero rows of the reduced form
+    in pivot order, as Fractions with a 1 at the pivot column, and the pivot
+    columns.
     """
     by_lead = {}
     for row in rows:
+        row = _primitive(row)
         if row:
             by_lead.setdefault(min(row), []).append(row)
     pivots = []
-    tails = []  # pivot row without its pivot entry, scaled to a leading 1
+    done = []   # the pivot rows, in integers
     for col in range(ncols):
         candidates = by_lead.pop(col, None)
         if candidates is None:
             continue
         pivot = min(candidates, key=len)
-        inv = Fraction(1) / pivot.pop(col)
-        tail = {c: v * inv for c, v in pivot.items()}
+        head = pivot[col]
         for row in candidates:
-            if row is pivot:
-                continue
-            _subtract(row, row.pop(col), tail)
-            if row:
-                by_lead.setdefault(min(row), []).append(row)
+            if row is not pivot:
+                _clear(row, head, row[col], pivot)
+                if row:
+                    by_lead.setdefault(min(row), []).append(row)
         pivots.append(col)
-        tails.append(tail)
-    # back substitution, last pivot first: each finished tail has no entry
-    # in any pivot column, so clearing one pivot column brings in no other
+        done.append(pivot)
+    # back substitution, last pivot first: each finished row has no entry in
+    # any later pivot column, so clearing one brings in no other
     position = {c: i for i, c in enumerate(pivots)}
-    for tail in reversed(tails):
-        for c in [c for c in tail if c in position]:
-            _subtract(tail, tail.pop(c), tails[position[c]])
+    for k in range(len(done) - 1, -1, -1):
+        row = done[k]
+        for c in [c for c in row if position.get(c, k) > k]:
+            other = done[position[c]]
+            _clear(row, other[c], row[c], other)
     one = Fraction(1)
-    for col, tail in zip(pivots, tails):
-        tail[col] = one
-    return tails, pivots
+    reduced = []
+    for col, row in zip(pivots, done):
+        head = row.pop(col)
+        row = {c: Fraction(v, head) for c, v in row.items()}
+        row[col] = one
+        reduced.append(row)
+    return reduced, pivots
 
 
-def _subtract(row, factor, other):
-    """row -= factor * other, in place, dropping entries that cancel."""
+def _primitive(row):
+    """The nonzero entries of a row of int or Fraction values, scaled to
+    primitive integers: times the lcm of their denominators, divided by the
+    gcd of the numerators that gives."""
+    den = lcm(*[v.denominator for v in row.values()])
+    row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+    _divide_out(row)
+    return row
+
+
+def _clear(row, p, f, other):
+    """row <- p * row - f * other in place, p and f first divided by their
+    gcd, dropping the entries that cancel; then the row divided by the gcd
+    of its entries.  With p and f the two rows' entries in one column, that
+    column cancels."""
+    g = gcd(p, f)
+    if g > 1:
+        p, f = p // g, f // g
+    if p != 1:
+        for c in row:
+            row[c] *= p
     for c, v in other.items():
-        value = row.get(c, 0) - factor * v
+        value = row.get(c, 0) - f * v
         if value:
             row[c] = value
         else:
             del row[c]
+    _divide_out(row)
+
+
+def _divide_out(row):
+    """Divide an integer row, in place, by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
 
 
 def rref(rows, ncols):
@@ -83,8 +129,7 @@ def rref(rows, ncols):
     reduced rows are the nonzero rows of the RREF in pivot order, each with
     a 1 at its pivot column.
     """
-    return _eliminate([{c: v for c, v in row.items() if v} for row in rows],
-                      ncols)
+    return _eliminate(rows, ncols)
 
 
 def solve(rows, rhs, ncols):
@@ -92,13 +137,13 @@ def solve(rows, rhs, ncols):
 
     `rows` are {column: value} dicts over `ncols` unknowns and `rhs` is a
     {row index: value} dict; absent entries are zero.  Free variables are
-    set to zero, and x is returned as a list of `ncols` values.  With no
+    set to zero, and x is returned as a list of `ncols` Fractions.  With no
     rows the system is vacuous and x = 0 is returned.
     """
-    augmented = [{c: v for c, v in row.items() if v} for row in rows]
+    augmented = list(rows)
     for i, value in rhs.items():
         if value:
-            augmented[i][ncols] = Fraction(value)
+            augmented[i] = {**augmented[i], ncols: value}
     reduced, pivots = _eliminate(augmented, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return None  # pivot in the augmented column: inconsistent

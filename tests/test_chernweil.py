@@ -544,22 +544,24 @@ def exactness_system_reference(algebroid, form, bound):
     return unknowns, rows, rhs
 
 
-def assert_union_of_components(system, reference):
-    """The closure is whole connected components of the reference system.
+def assert_union_of_components(system, reference, scale):
+    """The closure is whole connected components of the reference system
+    times `scale`, the algebroid's `_d_den`.
 
     Its unknowns keep the reference order, and its rows are exactly the
     reference rows that touch one of its unknowns or carry a right-hand
-    side, each with all of its entries: no row is cut, so no component is.
+    side, each with all of its entries times `scale`, and so is the
+    right-hand side: no row is cut, so no component is.
     """
     unknowns, rows, rhs = system
     ref_unknowns, ref_rows, ref_rhs = reference
     chosen = set(unknowns)
     assert unknowns == [u for u in ref_unknowns if u in chosen]
 
-    def keyed(names, row, value):
-        return frozenset((names[c], v) for c, v in row.items()), value
+    def keyed(names, row, value, factor=1):
+        return frozenset((names[c], v * factor) for c, v in row.items()), value * factor
 
-    expected = Counter(keyed(ref_unknowns, row, ref_rhs.get(i, 0))
+    expected = Counter(keyed(ref_unknowns, row, ref_rhs.get(i, 0), scale)
                        for i, row in enumerate(ref_rows)
                        if ref_rhs.get(i) or any(ref_unknowns[c] in chosen for c in row))
     assert Counter(keyed(unknowns, row, rhs.get(i, 0))
@@ -617,7 +619,7 @@ def test_exactness_system_matches_the_koszul_columns(case):
                              lambda i: form_terms.get(ref_keys[i], 0))
     assert got == expected
     assert_union_of_components(_exactness_system(algebroid, form, bound),
-                               (unknowns, rows, rhs))
+                               (unknowns, rows, rhs), algebroid._d_den)
 
 
 def reference_answer(algebroid, degree, reference):
@@ -679,7 +681,8 @@ def test_is_exact_matches_a_solve_of_the_full_system(seed):
                 if a.chart.dim == 0:
                     bound = 0  # as is_exact does over a point
                 reference = exactness_system_reference(a, form, bound)
-                assert_union_of_components(_exactness_system(a, form, bound), reference)
+                assert_union_of_components(_exactness_system(a, form, bound), reference,
+                                           a._d_den)
                 status, primitive = reference_answer(a, form.degree, reference)
                 assert (result.status, result.primitive) == (status, primitive), \
                     (name, bound, render_form(form))
@@ -729,3 +732,49 @@ def test_cohomology_matrices_match_the_koszul_formula(maker):
             cols.append({rows[out_mi]: poly.constant_value() for (out_mi, _), poly
                          in koszul_reference(a, cochain).coeffs.items()})
         assert basis.d_cols[k] == cols
+
+
+# --- the integer exactness system and the bound ---------------------------------------
+
+
+@pytest.mark.parametrize("name", ["fractional_chart", "tr5"])
+def test_each_column_image_is_d_sparse_times_the_denominator(name):
+    a = EXACTNESS_PRESENTATIONS[name]()
+    rng = random.Random(f"columns:{name}")
+    den, columns = a._d_den, 0
+    for form in closed_forms(a, rng, tangent=name.startswith("tr")):
+        unknowns, rows, rhs = _exactness_system(a, form, default_bound(a, [form]))
+        assert all(type(v) is int for row in rows for v in row.values())
+        for col in unknowns:
+            image = a._d_column(col)
+            assert image and all(type(v) is int for v in image.values())
+            assert image == {key: val * den
+                             for key, val in a.d_sparse({col: Fraction(1)}).items()}
+            columns += 1
+    assert columns >= 30
+    assert (den > 1) == (name == "fractional_chart")
+
+
+def reference_bound(algebroid, forms):
+    """default_bound from the total degree of every anchor and structure Poly."""
+    degrees = [0]
+    for row in algebroid.anchor:
+        degrees.extend(p.total_degree() for p in row)
+    for row in algebroid.structure:
+        for vec in row:
+            degrees.extend(p.total_degree() for p in vec)
+    degrees.extend(p.total_degree() for form in forms for p in form.coeffs.values())
+    return 2 * max(degrees) + 2
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_default_bound_reads_the_nonzero_terms(name):
+    a = PRESENTATIONS[name]()
+    rng = random.Random(f"bound:{name}")
+    drawn = [random_form(rng, a.variables, a.rank, rng.randint(0, a.rank),
+                         max_poly_degree=rng.randint(0, 3), density=2) for _ in range(3)]
+    assert default_bound(a) == reference_bound(a, [])
+    for form in drawn:
+        assert default_bound(a, [form]) == reference_bound(a, [form])
+    assert default_bound(a, drawn) == reference_bound(a, drawn)
+    assert not a._d_table and not a._d_packed   # nothing is filled for it

@@ -482,6 +482,37 @@ def test_d_end_is_d_a_plus_commutator_with_the_connection_form(name):
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_connection_form_is_the_checked_build_of_the_christoffel_matrices(name):
+    # Gamma is built from the checked matrices without the checked constructor;
+    # it must store what that constructor stores: no zero entry, zero matrix
+    # or empty block, here with one frame direction and one summand left zero
+    a = PRESENTATIONS[name]()
+    rng = random.Random(sum(map(ord, name)) + 5)
+    for bundle in ODD_BUNDLES:
+        conn = random_cuth(rng, a, bundle, max_poly_degree=2)
+        z0 = bundle.degrees()[0]
+        mats = [list(m) for m in conn.nablas[z0].mats]
+        mats[0] = mat_zero(len(mats[0]), len(mats[0]), a.variables)
+        conn.nablas[z0] = LinearConnection(a, len(mats[0]), mats)
+        conn.nablas[bundle.degrees()[-1]] = LinearConnection.zero(a, bundle.summands[-1][1])
+        gamma = conn.connection_form()
+        blocks = {(1, z, z): {(i,): m for i, m in enumerate(conn.nablas[z].mats)}
+                  for z in bundle.degrees()}
+        assert gamma == TotalForm(a.variables, a.rank, bundle, bundle, 1, blocks)
+        assert (1, bundle.degrees()[-1], bundle.degrees()[-1]) not in gamma._kernel[1]
+        assert all(mask != 1 for mask in gamma._kernel[1].get((1, z0, z0), {}))
+        assert all(rows for entries in gamma._kernel[1].values() for rows in entries.values())
+
+
+def test_connection_form_refuses_an_exponent_at_the_limit():
+    a = catalog.tangent_line()
+    x = a.variables[0]
+    nab = LinearConnection(a, 1, [[[Poly.parse(f"{x}^4294967296", a.variables)]]])
+    with pytest.raises(MismatchError, match=r"2\^32"):
+        ConnectionUpToHomotopy.from_linear(nab).connection_form()
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_curvature_blockwise_matches_the_koszul_route(name):
     a = PRESENTATIONS[name]()
     rng = random.Random(sum(map(ord, name)) + 4)
@@ -677,7 +708,7 @@ def test_d_a_is_skipped_where_it_is_zero(monkeypatch):
             return original(self, *args)
         return record
 
-    for name in ("d", "d_total", "_d_stored"):
+    for name in ("d", "d_total", "_d_into"):
         monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
     rng = random.Random(103)
     bundle = D_END_BUNDLES[0]
@@ -686,11 +717,12 @@ def test_d_a_is_skipped_where_it_is_zero(monkeypatch):
     assert not conn.curvature().is_zero()
     conn.apply(random_element(rng, conn.algebroid, bundle))
     assert calls == []
-    # sl2: d_A of a basis section, a constant 0-form, is never formed
+    # sl2: d_A of a basis section, a constant 0-form, is never formed; each
+    # route adds d_A once, inside its last kernel pass
     conn = random_cuth(rng, catalog.sl2(), bundle)
     assert not conn.curvature().is_zero()
-    assert [name for name, _ in calls] == ["_d_stored", "d_total", "_d_stored"]
-    sections = TotalForm.identity((), 3, bundle)._kernel   # its columns
+    assert [name for name, _ in calls] == ["_d_into", "_d_into"]
+    sections = TotalForm.identity((), 3, bundle)._kernel[1]   # its columns
     assert all(argument != sections for _, argument in calls)
     for z, r in bundle.summands:
         for alpha in range(r):
@@ -735,18 +767,18 @@ def test_linear_curvature_runs_each_route_once_per_label(monkeypatch):
     rng = random.Random(79)
     a = catalog.aff1_action_line()
     nab = random_linear_connection(rng, a, 2)
-    _count_calls(monkeypatch, type(a), "d_total", counts)
+    _count_calls(monkeypatch, type(a), "_d_into", counts)
     _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_by_squaring", counts)
     R = nab.curvature()
-    # formula route: one d_A Omega; operator route: one unhat of cal_D squared
-    assert counts == {"d_total": 1, "curvature_by_squaring": 1}
+    # one fused pass with d_A per route; operator route: one unhat of cal_D squared
+    assert counts == {"_d_into": 2, "curvature_by_squaring": 1}
     assert nab.curvature() is R
     assert nab.is_flat() is R.is_zero()
-    assert counts == {"d_total": 1, "curvature_by_squaring": 1}
+    assert counts == {"_d_into": 2, "curvature_by_squaring": 1}
     shifted = nab.curvature(degree_label=1)
     assert set(shifted.blocks) == {(2, 1, 1)}
     assert nab.curvature(degree_label=1) is shifted
-    assert counts == {"d_total": 2, "curvature_by_squaring": 2}
+    assert counts == {"_d_into": 4, "curvature_by_squaring": 2}
 
 
 # --- a disagreement names where the two curvature routes differ ----------------------

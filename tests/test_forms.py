@@ -39,7 +39,7 @@ from gradweil.forms import (
 )
 from gradweil.randgen import random_cuth, random_form, random_total_form
 from gradweil.ring import Poly
-from test_algebroid import fractional_chart_presentation
+from test_algebroid import PRESENTATIONS, fractional_chart_presentation
 
 VS = ("x",)
 
@@ -986,3 +986,32 @@ def test_blocks_of_a_product_are_the_poly_product(variables, monkeypatch):
                     assert len(mat) == bundle.rank(j)
                     assert all(len(row) == bundle.rank(l) for row in mat)
                     assert all(p.variables == variables for row in mat for p in row)
+
+
+# --- d_A Y + X ^ Y in one kernel pass -----------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_fused_pass_is_d_total_plus_the_wedge(name):
+    # the last pass of both curvature routes; X's denominators 4, 9 and 11
+    # are not all in any algebroid's _d_den, so both scales of the joined
+    # denominator are > 1 on fractional_chart (_d_den 210)
+    a = PRESENTATIONS[name]()
+    rng = random.Random(f"fused:{name}")
+    variables, rank = a.variables, a.rank
+    joined = nonzero = 0
+    for bundle in KERNEL_BUNDLES:
+        for _ in range(2):
+            X = kernel_total_form(rng, variables, rank, bundle, 1, (1, 4, 9, 11))
+            Y = kernel_total_form(rng, variables, rank, bundle, rng.randint(-1, 1))
+            fused = TotalForm._unchecked(variables, rank, bundle, bundle,
+                                         Y.total_degree + 1,
+                                         X._product(Y._kernel, bundle, d_a=a))
+            expected = a.d_total(Y) + X.wedge(Y)
+            assert fused == expected
+            assert_trusted(fused)
+            nonzero += not expected.is_zero()
+            D = math.lcm(X._kernel[0], a._d_den)
+            joined += D > X._kernel[0] and D > a._d_den
+    assert nonzero
+    assert joined or name != "fractional_chart"

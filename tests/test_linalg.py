@@ -318,7 +318,56 @@ def test_exactness_system_matches_dense_reference():
     assert algebroid.d(result.primitive) == form
     closure_unknowns, closure_rows, closure_rhs = closure = \
         chernweil._exactness_system(algebroid, form, bound)
-    assert_union_of_components(closure, (unknowns, rows, rhs))
+    assert_union_of_components(closure, (unknowns, rows, rhs), algebroid._d_den)
     closure_sol = solve(closure_rows, closure_rhs, len(closure_unknowns))
     assert {u: v for u, v in zip(closure_unknowns, closure_sol) if v} \
         == {u: v for u, v in zip(unknowns, expected) if v}
+
+
+# --- the integer elimination on rows of int and Fraction values ---------------------
+
+
+def mixed_value(rng):
+    """A nonzero entry: an int, or a Fraction over a denominator 2-11."""
+    if rng.random() < 0.4:
+        return rng.choice((-1, 1)) * rng.randint(1, 9)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(2, 11))
+
+
+def mixed_matrix(rng, rows, cols, density):
+    return [[mixed_value(rng) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_integer_elimination_matches_the_dense_reference(seed):
+    # rows mix ints and Fractions over denominators 2-11, as the exactness
+    # solve (integer rows, Fraction right-hand side) and the callers of the
+    # public API do; the dense 12 x 12 cases have full rank
+    rng = random.Random(f"mixed:{seed}")
+    cases = [mixed_matrix(rng, 12, 12, 1.0) for _ in range(2)]
+    for _ in range(16):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        cases.append(mixed_matrix(rng, nrows, ncols, rng.choice((0.2, 0.5, 0.8))))
+    full_rank = 0
+    for m in cases:
+        nrows, ncols = shape(m)
+        rows = [{j: v for j, v in enumerate(row) if v} for row in m]
+        dense = [[Fraction(v) for v in row] for row in m]
+        expected_rref, expected_pivots = dense_rref(dense)
+        full_rank += (nrows, ncols, len(expected_pivots)) == (12, 12, 12)
+        reduced, pivots = rref(rows, ncols)
+        assert pivots == expected_pivots
+        assert [to_dense(row, ncols) for row in reduced] == expected_rref[:len(pivots)]
+        assert all(type(v) is Fraction for row in reduced for v in row.values())
+        kernel = nullspace(rows, ncols)
+        assert [to_dense(v, ncols) for v in kernel] == dense_nullspace(dense)
+        assert all(type(v) is Fraction for vec in kernel for v in vec.values())
+        consistent = mat_vec(dense, [Fraction(mixed_value(rng)) for _ in range(ncols)])
+        arbitrary = [mixed_value(rng) if rng.random() < 0.7 else 0 for _ in range(nrows)]
+        for rhs in (consistent, arbitrary):
+            x = solve(rows, {i: v for i, v in enumerate(rhs) if v}, ncols)
+            assert x == dense_solve(dense, rhs)
+            assert x is None or all(type(v) is Fraction for v in x)
+        assert rows == [{j: v for j, v in enumerate(row) if v} for row in m]   # unchanged
+    assert full_rank >= 2
