@@ -26,7 +26,8 @@ form in Fractions, once per fiber component in `d`, and `_d_column` for
 one monomial form in integer numerators over `_d_den`: the column images
 of the exactness system.  `_d_into` adds a multiple of d_A of every entry
 of a stored TotalForm (see `forms`) into the accumulators of a kernel
-pass, which is how the last pass of both curvature routes adds d_A;
+pass, which is how the last pass of both curvature routes, and the one
+pass of a connection's operator, add d_A;
 `_d_stored`, behind `d_total`, is that on accumulators of its own.  Both
 read the same terms from `_d_packed`, keyed by bitmask: target bitmask,
 the bit offset of the anchor variable's field, and the exponent shift
@@ -64,7 +65,6 @@ from .forms import (
     _mask,
     _pack,
     _width,
-    sort_with_sign,
 )
 from .ring import VARIABLE_NAME, Poly
 
@@ -171,10 +171,11 @@ class Algebroid:
         self.structure = structure
         if chart.dim:   # the exponent shifts of the d_A table are packed (see `forms`)
             _check_exponents(itertools.chain(*anchor, *itertools.chain(*structure)))
-        # the data d_sparse reads, fixed with the presentation: per frame
-        # index i the terms (m, shift, a) of rho(e_i) = sum a x^beta d/dx_m,
-        # with shift = beta - unit(m); per k the terms ((a, b), beta, -c)
-        # of d e^k, one for each term c x^beta of c_ab^k with a < b
+        # the data the d_A table is built from, fixed with the presentation:
+        # per frame index i the terms (m, shift, a) of rho(e_i) = sum a
+        # x^beta d/dx_m, with shift = beta - unit(m); per k the terms
+        # ((a, b), beta, -c) of d e^k, one for each term c x^beta of c_ab^k
+        # with a < b
         self._anchor_terms = tuple(
             tuple((m, tuple(e - (v == m) for v, e in enumerate(expo)), a)
                   for m, p in enumerate(row) for expo, a in p.terms.items())
@@ -413,7 +414,8 @@ class Algebroid:
 
         For a row key (M, b) lists every column key (J, a), a >= 0 with
         |a| <= bound, whose `d_sparse` image can have a term at (M, b),
-        read off the same anchor and coframe tables backwards.  Columns
+        read off `_anchor_terms` and `_d_coframe`, which the d_A table is
+        built from, backwards.  Columns
         whose contributions cancel may be listed; none is left out.
         """
         mi, expo = key
@@ -551,45 +553,6 @@ class Algebroid:
             if not self.d(self.d(self.coframe(i))).is_zero():
                 failures.append(f"d^2 eps_{i} != 0")
         return not failures, tuple(failures)
-
-    # -- anchor pullback -----------------------------------------------------------
-
-    def rho_pullback(self, form):
-        """Pull a coordinate-frame form back through the anchor.
-
-        (rho^* w)(e_{i_1}..e_{i_s}) = w(rho e_{i_1}.. rho e_{i_s}); on
-        ascending indices the coefficient is a sum of anchor minors times
-        the coordinate coefficients.
-        """
-        if form.frame_rank != self.chart.dim or form.variables != self.variables:
-            raise MismatchError("pullback input must be a coordinate-frame form")
-        if form.fiber_dim != 1:
-            raise MismatchError("pullback acts on scalar forms")
-        s = form.degree
-        coeffs = {}
-        for out_idx in itertools.combinations(range(self.rank), s):
-            acc = Poly.zero(self.variables)
-            for (mi, _), val in form.coeffs.items():
-                minor = self._anchor_minor(out_idx, mi)
-                if not minor.is_zero():
-                    acc = acc + minor * val
-            if not acc.is_zero():
-                coeffs[(out_idx, 0)] = acc
-        return Form(self.variables, self.rank, s, 1, coeffs)
-
-    def _anchor_minor(self, rows, cols):
-        """det of the anchor submatrix anchor[rows][cols], exact expansion."""
-        size = len(rows)
-        acc = Poly.zero(self.variables)
-        for perm in itertools.permutations(range(size)):
-            sgn, _ = sort_with_sign(perm)
-            prod = Poly.one(self.variables)
-            for a in range(size):
-                prod = prod * self.anchor[rows[a]][cols[perm[a]]]
-                if prod.is_zero():
-                    break
-            acc = acc + (prod if sgn == 1 else -prod)
-        return acc
 
     # -- subframes --------------------------------------------------------------
 

@@ -7,7 +7,6 @@ comments (e1, e2, ...) are 1-based.
 from __future__ import annotations
 
 from .algebroid import Algebroid, Chart, tangent_algebroid
-from .ring import Poly
 
 POINT = Chart(())
 
@@ -63,28 +62,6 @@ def solvable5():
          (2, 3): [0, 0, 0, 1, 0]})
 
 
-def solvable5_module():
-    """Flat rank-2 Christoffels over the first-four subframe of solvable5.
-
-    lambda(e1) = diag(1,0), lambda(e2) = E12; flat since [diag(1,0), E12]
-    = E12 = lambda([e1,e2]).  Source-major tables (for from_christoffel),
-    frames of the restricted subalgebra.
-    """
-    one = Poly.one(())
-    zero = Poly.zero(())
-    return [
-        [[one, zero], [zero, zero]],   # e1: diag(1,0)
-        [[zero, zero], [one, zero]],   # e2: E12 once transposed to target-major
-        [[zero, zero], [zero, zero]],
-        [[zero, zero], [zero, zero]],
-    ]
-
-
-def tangent_line():
-    """TM of the chart (x)."""
-    return tangent_algebroid(Chart(("x",)))
-
-
 def tangent_plane():
     """TM of the chart (x, y)."""
     return tangent_algebroid(Chart(("x", "y")))
@@ -112,14 +89,3 @@ def broken_jacobi():
     return Algebroid.from_brackets(
         POINT, 3, [[], [], []],
         {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0], (1, 2): [0, 1, 0]})
-
-
-def flat_borel_module():
-    """Rank-1 module data for the Borel subalgebra span(h, e) of sl2.
-
-    lambda(h) = 1, lambda(e) = 0 is a Lie algebra map to gl(1) since
-    [h, e] = 2e acts by 2*lambda(e) = 0 = [lambda(h), lambda(e)].
-    """
-    one = Poly.one(())
-    zero = Poly.zero(())
-    return [[[one]], [[zero]]]  # christoffel [frame][source][target] over (h, e)

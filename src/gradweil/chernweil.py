@@ -8,8 +8,7 @@ over a chart base by a bounded linear solve for polynomial primitives
 Every trace of a curvature power in the engine comes from one loop,
 `power_traces`: the characters gtr(R^i), the power traces behind the
 invariant polynomials and Pontryagin classes, and the vanishing reports of
-`constructions`.  `ConnectionUpToHomotopy.curvature_power` keeps the full
-product R^i as the tests' oracle for it.
+`constructions`.  The tests keep the full product R^i as its oracle.
 
 Scaled classes keep the normalization symbolic: the representative is the
 unnormalized invariant polynomial of the curvature, the rational prefactor
@@ -167,25 +166,6 @@ def pontryagin_class(nabla, index):
     return ScaledClass(index, rep, Fraction(-1) ** index, -2 * index)
 
 
-def total_pontryagin(nabla):
-    """All p^i with a possibly nonzero representative: 4i <= frame rank."""
-    out = []
-    for index in range(1, nabla.algebroid.rank // 4 + 1):
-        out.append(pontryagin_class(nabla, index))
-    return out
-
-
-def anchor_pullback_character(algebroid, base_connection, index):
-    """rho^* of a coordinate-frame character: the induced-connection route.
-
-    `base_connection` is a connection over the tangent algebroid of the
-    chart; its character pulls back through the anchor to a character
-    representative of the induced A-connection.
-    """
-    char = sigma_character(base_connection, index)
-    return algebroid.rho_pullback(char.form)
-
-
 # ----------------------------------------------------------------------
 # cohomology over a point base
 
@@ -270,9 +250,6 @@ class CohomologyBasis:
 
     def class_vector(self, form):
         return self.decompose(form)[0]
-
-    def class_is_zero(self, form):
-        return all(c == 0 for c in self.class_vector(form))
 
 
 def ce_cohomology(algebroid):

@@ -15,10 +15,11 @@ Omega = Gamma + D.  Every differential here is d_A plus a wedge with Omega:
     R        = d_A Omega + Omega ^ Omega,
     d^End K  = d_A K + [Omega, K],
 
-with d_A on each fiber component (`Algebroid.d`) or matrix entry
-(`Algebroid.d_total`, or inside a kernel pass), skipped where it is zero:
-on constant 0-forms, and everywhere on an algebroid without anchor and
-brackets.  A linear connection is the one-summand case with D = 0.  The
+with d_A on each matrix entry (`Algebroid.d_total`, or inside a kernel
+pass), skipped on an algebroid without anchor and brackets.  `apply` is
+one kernel pass of hat(Omega) over the parts of an element that adds d_A of
+them into its own accumulators (see `TotalForm._product`).  A linear
+connection is the one-summand case with D = 0.  The
 Koszul formula on frame elements stays in the tests as the oracle for all
 three.
 
@@ -37,8 +38,8 @@ Connections do not change after construction: a connection up to homotopy
 builds Omega once, Gamma straight from the checked Christoffel matrices,
 and keeps its checked curvature, and a linear connection keeps its
 curvature per degree label.  Powers of the curvature are traced in
-`chernweil.power_traces`; `curvature_power` is the full product R^i, the
-tests' oracle for it.
+`chernweil.power_traces`; the tests keep the full product R^i as its
+oracle.
 """
 
 from __future__ import annotations
@@ -287,20 +288,11 @@ class ConnectionUpToHomotopy:
     # -- operator ------------------------------------------------------------
 
     def apply(self, element):
-        """cal_D x = hat(Omega)(x), one kernel pass over x, plus d_A of each part
-        but the constant 0-forms, and of none where d_A vanishes."""
+        """cal_D x = d_A x + hat(Omega)(x), in one kernel pass over x that adds
+        d_A of its parts into its accumulators."""
         if element.bundle != self.bundle:
             raise MismatchError("element lives in a different bundle")
-        image = self.omega().apply(element)
-        if not self.algebroid.d_vanishes:
-            for (t, z), form in element.parts.items():
-                if t or not all(p.is_constant() for p in form.coeffs.values()):
-                    image.accumulate(t + 1, z, self.algebroid.d(form))
-        return image
-
-    def basis_element(self, summand, alpha):
-        return GradedElement.basis_section(self.variables, self.algebroid.rank,
-                                           self.bundle, summand, alpha)
+        return self.omega()._apply([element.parts], d_a=self.algebroid)[0]
 
     # -- curvature ------------------------------------------------------------
 
@@ -372,23 +364,6 @@ class ConnectionUpToHomotopy:
                 f"formula at block {block}, multi-index {mi}")
         self._curvature = operator_route
         return operator_route
-
-    def curvature_power(self, power):
-        """R^i as an iterated composition wedge; hat of it equals cal_D^(2i).
-
-        The full product, kept as the tests' oracle: the engine takes traces
-        of curvature powers only through `chernweil.power_traces`.
-        """
-        if power < 0:
-            raise MismatchError("curvature powers must be nonnegative")
-        if power == 0:
-            return TotalForm.identity(self.variables, self.algebroid.rank,
-                                      self.bundle)
-        r = self.curvature()
-        out = r
-        for _ in range(power - 1):
-            out = out.wedge(r)
-        return out
 
     # -- induced End differential ------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Named constructions and obstruction reports.
 
-Double/adjoint/morphism 2-representations, basic connections and basic
-curvature, Bott-style vanishing reports (ordinary, Atiyah-refined, graded),
-and the four-condition infinitesimal ideal system checker.
+Double/adjoint/morphism 2-representations, Bott-style vanishing reports
+(ordinary, Atiyah-refined, graded), and the four-condition infinitesimal
+ideal system checker.
 
 One builder makes the two-term representation of a map B -> A, with the
 five-term curvature written once; the adjoint representation over a chart is
@@ -189,17 +189,9 @@ def morphism_rep(algebroid_b, algebroid_a, partial, nabla):
     `nabla` is a target-frame connection on the sections of B.  The two
     induced connections combine the brackets with `nabla` through the
     morphism, and omega is minus the five-term curvature of the pair.  The
-    map is run through check_morphism first.
-    """
-    partial = check_morphism(algebroid_b, algebroid_a, partial)
-    return _morphism_rep(algebroid_b, algebroid_a, partial, nabla)
-
-
-def _morphism_rep(algebroid_b, algebroid_a, partial, nabla):
-    """morphism_rep without check_morphism.
-
-    For a map that is no morphism the result still exists; its square-zero
-    report is where the failure shows up.
+    map is not checked: run it through check_morphism first.  For a map
+    that is no morphism the result still exists; its square-zero report is
+    where the failure shows up.
     """
     if nabla.algebroid != algebroid_a or nabla.rank != algebroid_b.rank:
         raise MismatchError("expected a target-frame connection on the source sections")
@@ -281,29 +273,8 @@ def adjoint_rep(algebroid, nabla_tm=None):
             LinearConnection.from_christoffel(algebroid, gamma))
     if nabla_tm is None:
         raise MismatchError("a tangent-frame connection is required over a chart base")
-    return _morphism_rep(algebroid, tangent_algebroid(algebroid.chart),
-                         algebroid.anchor, nabla_tm)
-
-
-def basic_connections(algebroid, nabla_tm=None):
-    """The two basic connections: the connections of adjoint_rep.
-
-    Returns (on the algebroid sections, on vector fields); over a point base
-    the second member is None and the first is the bracket action.
-    """
-    nablas = adjoint_rep(algebroid, nabla_tm).nablas
-    return nablas[0], nablas.get(1)
-
-
-def basic_curvature(algebroid, nabla_tm):
-    """Basic curvature as the (2, 1, 0) block on sections[0] + fields[1].
-
-    It is minus the omega of adjoint_rep.
-    """
-    adjoint = adjoint_rep(algebroid, nabla_tm)
-    blocks = {key: entries for key, entries in adjoint.D.blocks.items() if key == (2, 1, 0)}
-    return -TotalForm(algebroid.variables, algebroid.rank, adjoint.bundle,
-                      adjoint.bundle, 1, blocks)
+    return morphism_rep(algebroid, tangent_algebroid(algebroid.chart),
+                        algebroid.anchor, nabla_tm)
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,8 @@ a Poly's terms (a test of the package source checks it).
 adds integers over D_left * D_right and stores the result in lowest terms;
 `+`, `-`, `scale` and `Algebroid.d_total` work on the stored form too.
 Given an algebroid, `_product` is the fused pass d_A Y + hat(X) o hat(Y)
-of the curvature routes: d_A of the right operand goes into the same
+of the curvature routes and of the connection's operator (`_apply` with an
+algebroid): d_A of the right operand goes into the same
 accumulators before the one `_canonical`, over the joined denominator
 D_right * lcm(D_left, d_A's denominator).  On the point base each output
 matrix is rows of integer cells; on a chart it is one flat dict keyed by
@@ -53,13 +54,14 @@ operand, element n as column n and its part (t, z) in block (t, 0, z), so
 (`wedge_trace`, behind `tr` and `gtr`) forms only the diagonal entries of
 the diagonal blocks.  Overlapping indices are skipped by `m1 & m2` and the
 merge sign is a parity of popcounts (`_merge_sign`), for `Form.wedge` too.
-The Poly-matrix helpers (`mat_mul`, ...) stay public for Christoffel
-algebra and the tests' references.
+Of the Poly-matrix helpers, `mat_zero`, `mat_identity` and `mat_is_zero`
+serve the package; no package code multiplies Poly matrices, and `mat_mul`
+stays public only for `perfbench/test_perfbench.py`, which patches it
+through `connections`.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -100,15 +102,6 @@ def _merge_sign(left, right):
         inversions += (left & -low).bit_count()
         right ^= low
     return -1 if inversions & 1 else 1
-
-
-def sort_with_sign(indices):
-    """Sort an index tuple, returning (sign, sorted) or (0, None) on repeats."""
-    indices = tuple(indices)
-    if len(set(indices)) != len(indices):
-        return 0, None
-    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
-    return (-1 if inversions % 2 else 1), tuple(sorted(indices))
 
 
 # ----------------------------------------------------------------------
@@ -467,12 +460,6 @@ class Form:
             poly = Poly.constant(variables, poly)
         return cls(variables, frame_rank, 0, 1, {((), 0): poly})
 
-    @classmethod
-    def section(cls, variables, frame_rank, components):
-        """A 0-form with vector values (a section in the given frame)."""
-        coeffs = {((), a): p for a, p in enumerate(components)}
-        return cls(variables, frame_rank, 0, len(components), coeffs)
-
     # -- structure ------------------------------------------------------
 
     def _check_same_shape(self, other):
@@ -485,10 +472,6 @@ class Form:
 
     def get(self, mi, alpha=0):
         return self.coeffs.get((tuple(mi), alpha), Poly.zero(self.variables))
-
-    def fiber_vector(self, mi):
-        """Coefficient vector over the fiber at an ascending multi-index."""
-        return [self.get(mi, a) for a in range(self.fiber_dim)]
 
     def multi_indices(self):
         return sorted({mi for mi, _ in self.coeffs})
@@ -637,14 +620,6 @@ class GradedElement:
         return cls(form.variables, form.frame_rank, bundle,
                    {(form.degree, summand): form})
 
-    @classmethod
-    def basis_section(cls, variables, frame_rank, bundle, summand, alpha):
-        rank = bundle.rank(summand)
-        comps = [Poly.one(variables) if a == alpha else Poly.zero(variables)
-                 for a in range(rank)]
-        form = Form.section(variables, frame_rank, comps)
-        return cls.single(bundle, form, summand)
-
     def __add__(self, other):
         if not isinstance(other, GradedElement):
             return NotImplemented
@@ -705,8 +680,6 @@ class TotalForm:
         clean = {}
         if blocks:
             for (i, l, j), entries in blocks.items():
-                if i < 0 or i > self.frame_rank:
-                    continue
                 if i + j - l != self.total_degree:
                     raise MismatchError(
                         f"block ({i},{l},{j}) violates total degree {self.total_degree}")
@@ -917,29 +890,21 @@ class TotalForm:
 
     # -- operator action -----------------------------------------------------
 
-    def apply_part(self, form, source_degree):
-        """hat(self) on an E_l-valued t-form; returns a GradedElement over dst.
-
-        Implements the Koszul-signed shuffle action described in the module
-        docstring.
-        """
-        if form.fiber_dim != self.src.rank(source_degree):
-            raise MismatchError("form fiber does not match the source summand")
-        return self._apply([{(form.degree, source_degree): form}])[0]
-
     def apply(self, element):
         """hat(self) on a GradedElement, in one kernel pass over all its parts."""
         if element.bundle != self.src:
             raise MismatchError("element bundle does not match the source bundle")
         return self._apply([element.parts])[0]
 
-    def _apply(self, columns):
+    def _apply(self, columns, d_a=None):
         """hat(self) on each of several elements, in one kernel pass.
 
         `columns` lists the parts {(t, z): E_z-valued t-form} of N elements.
         Element n is column n of a Hom(R^N[0], E)-valued form, its part
         (t, z) in the block (t, 0, z), so the product is one pass over every
         part of every element.  Returns the N images, GradedElements over dst.
+        With an algebroid `d_a`, self End-valued, the pass adds d_A of every
+        part into its accumulators (see `_product`): d_A x + hat(self)(x).
         """
         blocks: dict = {}
         for n, parts in enumerate(columns):
@@ -954,7 +919,7 @@ class TotalForm:
                         rows = entries[mi] = [[] for _ in range(form.fiber_dim)]
                     rows[alpha].append((n, poly))
         D, view = self._product(_from_polys(blocks, _width(self.variables)),
-                                GradedBundle([(0, len(columns))]))
+                                GradedBundle([(0, len(columns))]), d_a=d_a)
         poly = _polys(self.variables, D)
         out = [GradedElement(self.variables, self.frame_rank, self.dst) for _ in columns]
         for (s, _, j), entries in view.items():

@@ -30,9 +30,9 @@ from .algebroid import Algebroid, Subframe, tangent_algebroid
 from .chernweil import (class_status, massey_triple, nonclosed_term,
                         pontryagin_class, sigma_character, transgression)
 from .connections import ConnectionUpToHomotopy, LinearConnection
-from .constructions import (_check, _morphism_rep, adjoint_rep, atiyah_form,
-                            bott_report, check_morphism, double_rep,
-                            graded_bott_report, iis_check, iis_obstruction,
+from .constructions import (_check, adjoint_rep, atiyah_form, bott_report,
+                            check_morphism, double_rep, graded_bott_report,
+                            iis_check, iis_obstruction, morphism_rep,
                             report_passed, square_zero_check)
 from .errors import MismatchError, MorphismError, ParseError
 from .forms import Form, GradedBundle, TotalForm, render_form
@@ -457,7 +457,7 @@ def _task_morphism(data, algebroid, rng, bound):
             witness["pair"] = list(err.pair)
         return {"checks": [_check("is_morphism", False, witness)]}
     nabla = _connection(data.get("connection"), algebroid, source.rank, rng)
-    report = square_zero_check(_morphism_rep(source, algebroid, partial, nabla))
+    report = square_zero_check(morphism_rep(source, algebroid, partial, nabla))
     report["checks"].insert(0, _check("is_morphism", True))
     return report
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .algebroid import Algebroid
 from .connections import ConnectionUpToHomotopy, LinearConnection
 from .forms import Form, TotalForm
 from .ring import Poly
@@ -96,24 +95,3 @@ def random_cuth(rng, algebroid, bundle, max_poly_degree=1):
                                bundle, 1, max_poly_degree)
     return ConnectionUpToHomotopy(algebroid, bundle, nablas, d_part)
 
-
-def random_structure_perturbation(rng, algebroid, span=2):
-    """Antisymmetrically perturb one structure entry (sometimes a no-op).
-
-    Returns a new presentation with the same chart, rank, and anchor; the
-    perturbation keeps antisymmetry by construction, so validity hinges on
-    the Jacobi/anchor conditions alone.
-    """
-    r = algebroid.rank
-    structure = [[[p for p in vec] for vec in row] for row in algebroid.structure]
-    if rng.random() >= 0.25:
-        i = rng.randrange(r)
-        j = rng.randrange(r)
-        while j == i:
-            j = rng.randrange(r)
-        k = rng.randrange(r)
-        delta = Poly.constant(algebroid.variables,
-                              Fraction(rng.randint(-span, span)))
-        structure[i][j][k] = structure[i][j][k] + delta
-        structure[j][i][k] = structure[j][i][k] - delta
-    return Algebroid(algebroid.chart, r, algebroid.anchor, structure)

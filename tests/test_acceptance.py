@@ -31,6 +31,7 @@ from gradweil.constructions import (
     adjoint_rep,
     atiyah_form,
     bott_report,
+    check_morphism,
     double_rep,
     graded_bott_report,
     iis_check,
@@ -49,13 +50,10 @@ from gradweil.forms import (
     tr,
 )
 from gradweil.problems import run_problem
-from gradweil.randgen import (
-    random_cuth,
-    random_linear_connection,
-    random_structure_perturbation,
-    random_total_form,
-)
+from gradweil.randgen import random_cuth, random_linear_connection, random_total_form
 from gradweil.ring import Poly
+from oracles import (curvature_power, flat_borel_module, random_structure_perturbation,
+                     solvable5_module)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -174,7 +172,7 @@ def test_criterion_04_bianchi():
             for _ in range(count):
                 D = random_cuth(rng, a, E)
                 for i in (1, 2, 3):
-                    assert D.d_end(D.curvature_power(i)).is_zero()
+                    assert D.d_end(curvature_power(D, i)).is_zero()
 
 
 def test_criterion_05_connection_independence():
@@ -233,9 +231,12 @@ def constructed_two_reps(rng):
         reps.append((al, adjoint_rep(al, ntm)))
     aff = catalog.aff1()
     one, zero = Poly.one(()), Poly.zero(())
-    reps.append((aff, morphism_rep(aff, aff, [[one, zero], [zero, one]],
+    ident = check_morphism(aff, aff, [[one, zero], [zero, one]])
+    reps.append((aff, morphism_rep(aff, aff, ident,
                                    random_linear_connection(rng, aff, 2))))
-    reps.append((aff, morphism_rep(catalog.abelian(1), aff, [[zero, one]],
+    ab1 = catalog.abelian(1)
+    inclusion = check_morphism(ab1, aff, [[zero, one]])
+    reps.append((aff, morphism_rep(ab1, aff, inclusion,
                                    random_linear_connection(rng, aff, 1))))
     return reps
 
@@ -272,7 +273,7 @@ def test_criterion_09_bott_vanishing():
         a = catalog.solvable5()
         sub = Subframe(5, [0, 1, 2, 3])
         nab = LinearConnection.from_christoffel(a.restrict(sub),
-                                                catalog.solvable5_module())
+                                                solvable5_module())
         tilde = extend_connection(a, sub, nab)
         R = tilde.curvature()
         assert not R.is_zero()
@@ -303,7 +304,7 @@ def test_criterion_10_atiyah_refinement():
         sl2 = catalog.sl2()
         borel = Subframe(3, [0, 1])
         b = sl2.restrict(borel)
-        nab = LinearConnection(b, 1, catalog.flat_borel_module())
+        nab = LinearConnection(b, 1, flat_borel_module())
         form, report = atiyah_form(sl2, borel, nab)
         named = {c["name"]: c["pass"] for c in report["checks"]}
         assert named["pairing_closed"]
@@ -341,8 +342,8 @@ def test_criterion_11_massey_product():
         assert ce.class_vector(rep.representative) == rep.class_vector
         # indeterminacy [eps1]^H^1 + H^1^[eps2] is zero in H^2
         for h in ce.representatives[1]:
-            assert ce.class_is_zero(eps1.wedge(h))
-            assert ce.class_is_zero(h.wedge(eps2))
+            assert not any(ce.class_vector(eps1.wedge(h)))
+            assert not any(ce.class_vector(h.wedge(eps2)))
 
 
 def test_criterion_12_iis_checker():

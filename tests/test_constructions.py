@@ -17,8 +17,6 @@ from gradweil.connections import (ConnectionUpToHomotopy, LinearConnection,
 from gradweil.constructions import (
     adjoint_rep,
     atiyah_form,
-    basic_connections,
-    basic_curvature,
     bott_report,
     check_morphism,
     double_rep,
@@ -36,6 +34,7 @@ from gradweil.problems import run_problem
 from gradweil.randgen import random_linear_connection
 from gradweil.ring import Poly
 
+from oracles import flat_borel_module, solvable5_module, tangent_line
 from test_algebroid import polynomial_presentation
 from test_connections import _count_calls
 from test_forms import mat_neg
@@ -119,9 +118,21 @@ def test_adjoint_requires_tangent_connection_over_chart():
 # --- basic connections ------------------------------------------------------
 
 
+def basic_connections(adjoint):
+    """(on sections, on vector fields) of an adjoint representation, as
+    `iis_check` reads them; the second is None over a point base."""
+    return adjoint.nablas[0], adjoint.nablas.get(1)
+
+
+def basic_curvature(adjoint):
+    """Minus the (2, 1, 0) block of an adjoint representation's D, as
+    `iis_check` reads it."""
+    return {mi: mat_neg(mat) for mi, mat in adjoint.D.block(2, 1, 0).items()}
+
+
 def test_basic_connection_point_base_is_bracket_action():
     sl2 = catalog.sl2()
-    bas, tm = basic_connections(sl2)
+    bas, tm = basic_connections(adjoint_rep(sl2))
     assert tm is None
     one, zero = Poly.one(()), Poly.zero(())
     # nabla^bas_h e = [h, e] = 2e
@@ -132,18 +143,18 @@ def test_basic_connection_values_on_action_line():
     al = catalog.aff1_action_line()
     t = tangent_algebroid(Chart(X))
     ntm = LinearConnection.zero(t, 2)
-    bas_a, bas_tm = basic_connections(al, ntm)
+    bas_a, bas_tm = basic_connections(adjoint_rep(al, ntm))
     one, zero = Poly.one(X), Poly.zero(X)
     # nabla^bas_{e1} e2 = [e1, e2] + 0 = e1
     assert [str(c) for c in bas_a.apply(0, [zero, one])] == ["1", "0"]
     # nabla^bas_{e2} d/dx = [x d/dx, d/dx] = -d/dx
     assert [str(c) for c in bas_tm.apply(1, [one])] == ["-1"]
-    assert basic_curvature(al, ntm).is_zero()
+    assert not basic_curvature(adjoint_rep(al, ntm))
 
 
 def test_basic_curvature_over_a_point_is_zero():
     # the adjoint representation of a Lie algebra has no fields summand
-    assert basic_curvature(catalog.sl2(), None).is_zero()
+    assert not basic_curvature(adjoint_rep(catalog.sl2(), None))
 
 
 def test_basic_connection_leibniz_in_direction():
@@ -154,7 +165,7 @@ def test_basic_connection_leibniz_in_direction():
     t = tangent_algebroid(Chart(X))
     rng = random.Random(11)
     ntm = random_linear_connection(rng, t, 2)
-    bas_a, _ = basic_connections(al, ntm)
+    bas_a, _ = basic_connections(adjoint_rep(al, ntm))
     x = Poly.variable(X, 0)
     f = x * x + Poly.one(X)
     v = [x, Poly.constant(X, 3)]
@@ -252,7 +263,7 @@ def broken_anchor_line():
 
 ADJOINT_CASES = {
     "aff1_action_line": catalog.aff1_action_line,
-    "tangent_line": catalog.tangent_line,
+    "tangent_line": tangent_line,
     "tangent_plane": catalog.tangent_plane,
     "polynomial": polynomial_presentation,
 }
@@ -268,20 +279,20 @@ def test_adjoint_is_the_morphism_representation_of_the_anchor(name):
         ntm = random_linear_connection(rng, tangent, r, max_poly_degree=2)
         bas_a, bas_tm = basic_connections_reference(algebroid, ntm)
         rbas = basic_curvature_reference(algebroid, ntm)
-        assert basic_connections(algebroid, ntm) == (bas_a, bas_tm)
-        assert basic_curvature(algebroid, ntm) == rbas
+        adjoint = adjoint_rep(algebroid, ntm)
+        assert basic_connections(adjoint) == (bas_a, bas_tm)
+        assert basic_curvature(adjoint) == rbas.block(2, 1, 0)
         partial = [[algebroid.anchor[i][m] for i in range(r)] for m in range(n)]
         omega = {mi: mat_neg(mat) for mi, mat in rbas.block(2, 1, 0).items()}
-        adjoint = adjoint_rep(algebroid, ntm)
         assert adjoint == two_term_connection(algebroid, bas_a, bas_tm,
                                               partial, omega)
         if name == "polynomial":
             # no axiom holds, so the anchor is no morphism
             with pytest.raises(MorphismError):
-                morphism_rep(algebroid, tangent, algebroid.anchor, ntm)
+                check_morphism(algebroid, tangent, algebroid.anchor)
         else:
-            assert adjoint == morphism_rep(algebroid, tangent,
-                                           algebroid.anchor, ntm)
+            anchor = check_morphism(algebroid, tangent, algebroid.anchor)
+            assert adjoint == morphism_rep(algebroid, tangent, anchor, ntm)
 
 
 def test_adjoint_of_a_broken_anchor_reports_square_zero():
@@ -370,7 +381,7 @@ def borel_module():
     sl2 = catalog.sl2()
     borel = Subframe(3, [0, 1])
     return sl2, borel, LinearConnection(sl2.restrict(borel), 1,
-                                        catalog.flat_borel_module())
+                                        flat_borel_module())
 
 
 def test_bott_borel():
@@ -386,7 +397,7 @@ def test_bott_five_dimensional():
     a = catalog.solvable5()
     sub = Subframe(5, [0, 1, 2, 3])
     nab = LinearConnection.from_christoffel(a.restrict(sub),
-                                            catalog.solvable5_module())
+                                            solvable5_module())
     report = bott_report(a, sub, nab)
     assert report_passed(report)
     assert "trace_power_2_vanishes" in check_names(report)
@@ -438,8 +449,8 @@ def five_dim_graded_module():
     a = catalog.solvable5()
     sub = Subframe(5, [0, 1, 2, 3])
     b = a.restrict(sub)
-    n0 = LinearConnection.from_christoffel(b, catalog.solvable5_module())
-    n1 = LinearConnection.from_christoffel(b, catalog.solvable5_module())
+    n0 = LinearConnection.from_christoffel(b, solvable5_module())
+    n1 = LinearConnection.from_christoffel(b, solvable5_module())
     E = GradedBundle([(0, 2), (1, 2)])
     ident = [[Poly.one(()), Poly.zero(())], [Poly.zero(()), Poly.one(())]]
     D = TotalForm(b.variables, b.rank, E, E, 1, {(0, 0, 1): {(): ident}})

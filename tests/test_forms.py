@@ -34,11 +34,11 @@ from gradweil.forms import (
     mat_mul,
     render_form,
     restrict_total_form,
-    sort_with_sign,
     tr,
 )
 from gradweil.randgen import random_cuth, random_form, random_total_form
 from gradweil.ring import Poly
+from oracles import basis_element, curvature_power, sort_with_sign
 from test_algebroid import PRESENTATIONS, fractional_chart_presentation
 
 VS = ("x",)
@@ -90,9 +90,8 @@ def hat_roundtrip(total_form):
     """Reconstruct a TotalForm through its operator action; must be identity."""
     return unhat_from_sections(
         lambda l, alpha: total_form.apply(
-            GradedElement.basis_section(total_form.variables,
-                                        total_form.frame_rank,
-                                        total_form.src, l, alpha)),
+            basis_element(total_form.variables, total_form.frame_rank,
+                          total_form.src, l, alpha)),
         total_form.variables, total_form.frame_rank,
         total_form.src, total_form.dst, total_form.total_degree)
 
@@ -263,7 +262,7 @@ def test_hat_worked_example():
     one = Poly.one(VS)
     K = single_block(VS, 2, UNGRADED, UNGRADED, (1, 0, 0), {(0,): [[one]]})
     omega = Form(VS, 2, 1, 1, {((1,), 0): one})
-    out = K.apply_part(omega, 0)
+    out = K.apply(GradedElement.single(K.src, omega, 0))
     assert out.parts == {(2, 0): Form(VS, 2, 2, 1, {((0, 1), 0): one})}
 
 
@@ -273,17 +272,17 @@ def test_hat_koszul_sign_on_shifting_block():
     one = Poly.one(VS)
     K = single_block(VS, 2, TWO_TERM, TWO_TERM, (0, 0, 1), {(): [[one]]})
     omega1 = Form(VS, 2, 1, 1, {((0,), 0): one})
-    out = K.apply_part(omega1, 0)
+    out = K.apply(GradedElement.single(K.src, omega1, 0))
     assert out.parts == {(1, 1): omega1.scale(-1)}
     omega2 = Form(VS, 2, 2, 1, {((0, 1), 0): one})
-    assert K.apply_part(omega2, 0).parts == {(2, 1): omega2}
+    assert K.apply(GradedElement.single(K.src, omega2, 0)).parts == {(2, 1): omega2}
 
 
 def test_apply_part_refuses_a_form_over_another_chart():
     # x eps1 over the chart (x,) has no exponent the point-base kernel can read
     f = Form(VS, 2, 1, 1, {((0,), 0): Poly.variable(VS, 0)})
     with pytest.raises(MismatchError, match="different chart or frame rank"):
-        TotalForm.identity((), 2, UNGRADED).apply_part(f, 0)
+        TotalForm.identity((), 2, UNGRADED).apply(GradedElement.single(UNGRADED, f, 0))
 
 
 def test_apply_refuses_a_form_over_another_frame_rank():
@@ -304,8 +303,8 @@ def test_wedge_is_operator_composition():
         l = rng.choice(E.degrees())
         omega = random_form(rng, VS, 3, rng.randint(0, 2),
                             fiber_dim=E.rank(l))
-        lhs = W.apply_part(omega, l)
-        rhs = K1.apply(K2.apply_part(omega, l))
+        lhs = W.apply(GradedElement.single(W.src, omega, l))
+        rhs = K1.apply(K2.apply(GradedElement.single(K2.src, omega, l)))
         assert (lhs + rhs.scale(-1)).is_zero()
 
 
@@ -434,6 +433,11 @@ def test_degree_mismatch_rejected():
         TotalForm(VS, 2, TWO_TERM, TWO_TERM, 1, {(0, 0, 0): {(): [[one]]}})
     with pytest.raises(MismatchError):
         Form(VS, 2, 1, 1, {((0, 1), 0): one})
+    # a block of form degree 3 over a rank-2 frame, or -1, is refused, not dropped
+    with pytest.raises(MismatchError, match=r"index \(0, 1, 2\) out of range"):
+        TotalForm(VS, 2, TWO_TERM, TWO_TERM, 4, {(3, 0, 1): {(0, 1, 2): [[one]]}})
+    with pytest.raises(MismatchError, match="bad multi-index"):
+        TotalForm(VS, 2, TWO_TERM, TWO_TERM, -2, {(-1, 1, 0): {(): [[one]]}})
 
 
 # --- the matrix kernel against the Poly-matrix references -------------------
@@ -482,7 +486,7 @@ def apply_part_reference(K, form, l):
                 sign, merged = merge_indices(mi1, mi2)
                 if sign == 0:
                     continue
-                vec = form.fiber_vector(mi2)
+                vec = [form.get(mi2, a) for a in range(form.fiber_dim)]
                 for beta in range(K.dst.rank(j)):
                     val = Poly.zero(K.variables)
                     for a, v in enumerate(vec):
@@ -599,7 +603,7 @@ def test_kernel_apply_part_matches_the_reference(variables):
                       for mi in itertools.combinations(range(3), t)
                       for a in range(bundle.rank(l)) if rng.random() < 0.7}
             form = Form(variables, 3, t, bundle.rank(l), coeffs)
-            image = K.apply_part(form, l)
+            image = K.apply(GradedElement.single(K.src, form, l))
             assert image == apply_part_reference(K, form, l)
             for part in image.parts.values():
                 assert not part.is_zero()
@@ -619,7 +623,7 @@ def test_kernel_wedge_is_composition_on_basis_sections(variables):
             W = K.wedge(L)
             for z, r in bundle.summands:
                 for alpha in range(r):
-                    e = GradedElement.basis_section(variables, 3, bundle, z, alpha)
+                    e = basis_element(variables, 3, bundle, z, alpha)
                     assert W.apply(e) == K.apply(L.apply(e))
 
 
@@ -719,7 +723,7 @@ def test_the_packed_layer_refuses_an_exponent_at_the_limit():
         Algebroid(Chart(VS), 1, [[big]], [[[0]]])
     # below the limit a product carries past 2^32 within its field
     K = TotalForm(VS, 1, bundle, bundle, 1, {(1, 0, 0): {(0,): [[below]]}})
-    image = K.apply_part(Form(VS, 1, 0, 1, {((), 0): below}), 0)
+    image = K.apply(GradedElement.single(bundle, Form(VS, 1, 0, 1, {((), 0): below}), 0))
     assert image.parts[(1, 0)].coeffs == {((0,), 0): below * below}
 
 
@@ -781,9 +785,9 @@ def test_kernel_is_exact_over_denominators_3_5_7_and_11(algebroid):
         conn = denominator_cuth(rng, algebroid, bundle, rng.choice(ODD_DENOMINATORS[1:]))
         R = conn.curvature()
         for j in (2, 3):
-            power = conn.curvature_power(j)
-            assert conn.curvature_power(j - 1).wedge_trace(R) == tr(power)
-            assert conn.curvature_power(j - 1).wedge_trace(R, graded=True) == gtr(power)
+            power = curvature_power(conn, j)
+            assert curvature_power(conn, j - 1).wedge_trace(R) == tr(power)
+            assert curvature_power(conn, j - 1).wedge_trace(R, graded=True) == gtr(power)
             nonzero["power trace"] += not tr(power).is_zero()
     assert primes == {3, 5, 7, 11}
     assert min(nonzero.values()) >= 3
@@ -853,7 +857,8 @@ def test_kernel_matches_the_references_at_every_frame_rank(variables, frame_rank
                       for mi in itertools.combinations(range(frame_rank), t)
                       for a in range(bundle.rank(l)) if rng.random() < 0.5}
             form = Form(variables, frame_rank, t, bundle.rank(l), coeffs)
-            assert K.apply_part(form, l) == apply_part_reference(K, form, l)
+            image = K.apply(GradedElement.single(K.src, form, l))
+            assert image == apply_part_reference(K, form, l)
     assert seen[True] > 0 and seen[False] > 0
     assert nonzero >= 3
 
@@ -888,7 +893,7 @@ def test_engine_built_results_equal_their_checked_rebuild(algebroid):
                    alpha + alpha, alpha - alpha, -alpha, alpha.scale(3), alpha.scale(0),
                    beta.wedge(alpha), beta.wedge(beta), algebroid.d(alpha),
                    algebroid.d(beta), gtr(K.wedge(L)), tr(K.wedge(L))]
-        results += list(K.apply_part(alpha, 0).parts.values())
+        results += list(K.apply(GradedElement.single(K.src, alpha, 0)).parts.values())
         assert any(not r.is_zero() for r in results)
         for result in results:
             assert_trusted(result)
@@ -901,7 +906,7 @@ def test_kernel_view_and_omega_are_built_once():
     algebroid = catalog.sl2()
     bundle = KERNEL_BUNDLES[0]
     cuth = random_cuth(rng, algebroid, bundle)
-    section = cuth.basis_element(0, 0)
+    section = basis_element(cuth.variables, cuth.algebroid.rank, bundle, 0, 0)
     cuth.apply(section)
     omega = cuth.omega()
     assert omega == cuth.connection_form() + cuth.D
@@ -917,7 +922,8 @@ def test_kernel_view_and_omega_are_built_once():
     assert first == again == wedge_reference(K, L)
     assert K.wedge(K) == K.wedge(K) == wedge_reference(K, K)
     form = random_form(rng, (), 3, 1, fiber_dim=2, density=4)
-    assert K.apply_part(form, 0) == K.apply_part(form, 0) == apply_part_reference(K, form, 0)
+    element = GradedElement.single(K.src, form, 0)
+    assert K.apply(element) == K.apply(element) == apply_part_reference(K, form, 0)
 
 
 # --- the stored form is canonical ----------------------------------------------

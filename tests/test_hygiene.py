@@ -1,12 +1,15 @@
-"""Source hygiene: every public definition in the package is referenced,
-every name a package module imports is used there, and no package code
-writes into the terms of a Poly."""
+"""Source hygiene: every public definition in the package is reached by the
+product, every name a package module imports is used there, and no package
+code writes into the terms of a Poly."""
 
 import ast
 import pathlib
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-TREES = ("src", "tests", "tools", "perfbench")
+# the product: the package, its tools and its benchmark; the tests are left
+# out, so that no definition stays in the package only for a test to call
+TREES = ("src", "tools", "perfbench")
+INIT = REPO / "src" / "gradweil" / "__init__.py"
 
 
 def _references(tree):
@@ -31,9 +34,12 @@ def _public_definitions(tree):
 
 
 def test_every_public_definition_is_referenced():
+    # an export from __init__ does not count: it is the public surface itself
     references = {}
     for tree in TREES:
         for path in sorted((REPO / tree).rglob("*.py")):
+            if path == INIT:
+                continue
             for name, line in _references(ast.parse(path.read_text())):
                 references.setdefault(name, []).append((path, line))
     unused = []
@@ -46,7 +52,7 @@ def test_every_public_definition_is_referenced():
                        or not node.lineno <= site[1] <= node.end_lineno]
             if not outside:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
-    assert not unused, f"public definitions with no reference: {unused}"
+    assert not unused, f"public definitions no product code references: {unused}"
 
 
 def test_every_imported_name_is_used_in_its_module():

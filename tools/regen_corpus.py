@@ -143,6 +143,24 @@ ENTRIES = [
             {"frame": 2, "matrix": [["1"]]}]}},
         "indices": [1],
     }),
+    ("obstruct_aff1_seeded", {
+        "task": "obstruct-nrep",
+        "comment": "E0[0] + E1[1] over aff(1) with no connections given: "
+                   "seed 3 draws the constant Christoffels Gamma_0 = "
+                   "(-2, -1/2) and Gamma_1 = (2, 1) on e1, e2 (summand 0 "
+                   "first; randgen.random_linear_connection).  Oracle: on a "
+                   "line Gamma^Gamma = 0 and d eps1 = 0, so R_z = b_z d eps2 "
+                   "= -b_z eps1^eps2 with b_z the e2 entry, and sigma1 = "
+                   "tr R_E0 - tr R_E1 = (b_1 - b_0) eps1^eps2 = 3/2 "
+                   "eps1^eps2, exact with primitive -3/2 eps2 by "
+                   "d eps2 = -eps1^eps2.  The golden pins what the seed "
+                   "draws.",
+        "algebroid": aff1().to_json(),
+        "seed": 3,
+        "bundle": {"summands": [{"degree": 0, "rank": 1},
+                                {"degree": 1, "rank": 1}]},
+        "indices": [1],
+    }),
     ("bott_sl2_borel", {
         "task": "bott",
         "comment": "B = span(e1,e2) in sl2 with the rank-1 module "
