@@ -21,26 +21,27 @@ multi-index J it has differentiated, the terms of d(x^a e^J): target
 multi-index, anchor variable (or none), exponent shift and signed
 numerator, the ones that cancel dropped.  This table is the only code that
 applies the anchor and structure functions to forms, in integers: each
-image term is an integer multiply-add.  `d_sparse` reads it for a scalar
-form in Fractions, once per fiber component in `d`, and `_d_column` for
-one monomial form in integer numerators over `_d_den`: the column images
-of the exactness system.  `_d_into` adds a multiple of d_A of every entry
-of a stored TotalForm (see `forms`) into the accumulators of a kernel
-pass, which is how the last pass of both curvature routes, and the one
-pass of a connection's operator, add d_A;
-`_d_stored`, behind `d_total`, is that on accumulators of its own.  Both
-read the same terms from `_d_packed`, keyed by bitmask: target bitmask,
-the bit offset of the anchor variable's field, and the exponent shift
-packed, so an anchor's shift lowers one field by 1 and is added only where
-that field is positive.  So that the packed shifts
-hold, an algebroid refuses at construction an anchor or structure exponent
-at or above `forms.EXPONENT_LIMIT` (MismatchError).  The transpose of the
-table, `d_sparse_sources`, reads the anchor and coframe terms backwards: it
-lists the monomial forms whose image can reach a given term, which is how
-the exactness solve grows only the part of its system that a form touches.
-The tables fill on first use and live on the instance; a multi-index with
-no image stores one shared empty tuple.  `d_vanishes` says there is no
-anchor and no structure, so d_A is zero.
+image term is an integer multiply-add.  It has two readers.  `_d_into`
+adds a multiple of d_A of every entry of a stored TotalForm (see `forms`)
+into the accumulators of a kernel pass, which is how the last pass of both
+curvature routes, and the one pass of a connection's operator, add d_A;
+`d_total` is that pass on accumulators of its own, and `d` is `d_total`
+on a Form, the one-column TotalForm.  They read the terms from
+`_d_packed`, keyed by bitmask: target bitmask, the bit offset of the
+anchor variable's field, and the exponent shift packed, so an anchor's
+shift lowers one field by 1 and is added only where that field is
+positive.  `_d_column` reads `_d_table` for one monomial form x^a e^J,
+keyed (J, exponent tuple), in integer numerators over `_d_den`: the
+columns of the exactness ansatz and of the cohomology differential.  So
+that the packed shifts hold, an algebroid refuses at construction an
+anchor or structure exponent at or above `forms.EXPONENT_LIMIT`
+(MismatchError).  The transpose of `_d_column`, `d_sparse_sources`, reads
+the anchor and coframe terms backwards: it lists the monomial forms whose
+image can reach a given term, which is how the exactness solve grows only
+the part of its system that a form touches.  The tables fill on first use
+and live on the instance; a multi-index with no image stores one shared
+empty tuple.  `d_vanishes` says there is no anchor and no structure, so
+d_A is zero.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import itertools
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 
 from .errors import MismatchError
@@ -57,7 +57,6 @@ from .forms import (
     _FIELD_MASK,
     FIELD,
     Form,
-    TotalForm,
     _canonical,
     _cells,
     _check_exponents,
@@ -329,46 +328,24 @@ class Algebroid:
 
     # -- differential -----------------------------------------------------------
 
-    def d_sparse(self, terms):
-        """d_A on a scalar form given as {(multi-index, exponent): Fraction}.
-
-        Each key is an ascending frame multi-index J and a monomial exponent
-        over the chart; the value is the coefficient of x^exponent e^J.  The
-        image comes back in the same shape, without zero coefficients.
-        """
-        D = lcm(*{c.denominator for c in terms.values()})
-        acc = {}
-        for (mi, expo), c in terms.items():
-            self._d_add(acc, mi, expo, c.numerator * (D // c.denominator))
-        D *= self._d_den
-        return {key: Fraction(val, D) for key, val in acc.items() if val}
-
     def _d_column(self, key):
         """d_A of one monomial form x^a e^J, key (J, a), as {(multi-index,
-        exponent): numerator} over `_d_den` without zeros: the `d_sparse`
-        image of {key: 1} times `_d_den`."""
-        acc = {}
-        self._d_add(acc, *key, 1)
-        return {out: n for out, n in acc.items() if n}
-
-    def _d_add(self, acc, mi, expo, n):
-        """acc += n times d(x^expo e^mi), numerators over `_d_den` keyed by
-        (multi-index, exponent), read from `_d_table`; cancelled terms stay
-        in `acc` as zeros."""
+        exponent): numerator} over `_d_den` without zeros, read from
+        `_d_table`: a column of the exactness ansatz or of the cohomology
+        differential."""
+        mi, expo = key
         terms = self._d_table.get(mi)
         if terms is None:
             terms = self._d_table[mi] = self._d_terms(mi)
-        get = acc.get
+        acc = {}
         for target, m, shift, num in terms:
-            if m is None:
-                val = n * num
-            else:
-                e = expo[m]
-                if not e:
+            if m is not None:
+                if not expo[m]:
                     continue
-                val = n * e * num
-            key = (target, tuple(map(_add, expo, shift)))
-            acc[key] = get(key, 0) + val
+                num *= expo[m]
+            out = (target, tuple(map(_add, expo, shift)))
+            acc[out] = acc.get(out, 0) + num
+        return {out: n for out, n in acc.items() if n}
 
     def _d_terms(self, mi):
         """The `_d_table` entry of a multi-index J: the terms (target, m,
@@ -410,10 +387,10 @@ class Algebroid:
                      for (target, m, shift), num in acc.items() if num) or _NO_TERMS
 
     def d_sparse_sources(self, key, bound):
-        """The transpose of `d_sparse`: columns whose image can hold a row.
+        """The transpose of `_d_column`: columns whose image can hold a row.
 
         For a row key (M, b) lists every column key (J, a), a >= 0 with
-        |a| <= bound, whose `d_sparse` image can have a term at (M, b),
+        |a| <= bound, whose `_d_column` image can have a term at (M, b),
         read off `_anchor_terms` and `_d_coframe`, which the d_A table is
         built from, backwards.  Columns
         whose contributions cancel may be listed; none is left out.
@@ -440,24 +417,10 @@ class Algebroid:
         return out
 
     def d(self, form):
-        """d_A on each fiber component of a Form, by the rule of `d_sparse`.
-
-        The image is packed back into a Form with its (multi-index, fiber)
-        keys in ascending order.  The Koszul formula on frame elements is
-        kept in the tests as the oracle this must match.
-        """
-        if form.frame_rank != self.rank or form.variables != self.variables:
-            raise MismatchError("form does not live over this algebroid's frame")
-        components = {}
-        for (mi, alpha), poly in form.coeffs.items():
-            components.setdefault(alpha, {}).update({(mi, e): v for e, v in poly.terms.items()})
-        coeffs = {}
-        for alpha, terms in components.items():
-            for (mi, expo), val in self.d_sparse(terms).items():
-                coeffs.setdefault((mi, alpha), {})[expo] = val
-        return Form._unchecked(self.variables, self.rank, form.degree + 1, form.fiber_dim,
-                               {key: Poly._unchecked(self.variables, dict(sorted(terms.items())))
-                                for key, terms in sorted(coeffs.items())})
+        """d_A on a Form, a Form of one degree more: `d_total` on its one
+        column.  The Koszul formula on frame elements is kept in the tests
+        as the oracle this must match."""
+        return self.d_total(form)
 
     def d_total(self, total_form):
         """d_A on every matrix entry of a TotalForm.
@@ -465,21 +428,18 @@ class Algebroid:
         Block (i, l, j) goes to block (i + 1, l, j), so the total degree
         rises by one; no sign enters, the entries are scalar forms.  With
         the connection form Gamma this gives d_nabla^End K = d_A K +
-        [Gamma, K] and R_nabla = d_A Gamma + Gamma ^ Gamma.
+        [Gamma, K] and R_nabla = d_A Gamma + Gamma ^ Gamma.  The image is
+        of the input's class, so a Form goes to a Form.
         """
         if (total_form.frame_rank != self.rank
                 or total_form.variables != self.variables):
             raise MismatchError("total form does not live over this algebroid's frame")
-        return TotalForm._unchecked(self.variables, self.rank, total_form.src,
-                                    total_form.dst, total_form.total_degree + 1,
-                                    self._d_stored(total_form._kernel, total_form.src))
-
-    def _d_stored(self, kernel, src):
-        """d_A on every entry of a stored total form (D, view) from the bundle
-        `src` (see `forms`), over D * `_d_den`, in lowest terms."""
-        cells: dict = {}
-        self._d_into(kernel[1], src, 1, cells)
-        return _canonical(kernel[0] * self._d_den, cells, _width(self.variables))
+        (D, view), cells = total_form._kernel, {}
+        self._d_into(view, total_form.src, 1, cells)
+        return type(total_form)._unchecked(self.variables, self.rank, total_form.src,
+                                           total_form.dst, total_form.total_degree + 1,
+                                           _canonical(D * self._d_den, cells,
+                                                      _width(self.variables)))
 
     def _d_into(self, view, src, scale, cells):
         """Add `scale` times d_A of every entry of a stored view from the
@@ -532,25 +492,20 @@ class Algebroid:
         return tuple((_mask(target), None if m is None else top - FIELD * m, _pack(shift), num)
                      for target, m, shift, num in terms) or _NO_TERMS
 
-    def coframe(self, index):
-        return Form.coframe(self.variables, self.rank, index)
-
-    def function_form(self, poly):
-        return Form.function(self.variables, self.rank, poly)
-
     def d_squared_check(self):
         """d_A^2 on every chart coordinate and coframe generator.
 
         Returns (ok, failures); over a valid algebroid this is a theorem,
         so a failure here flags broken structure data.
         """
-        failures = []
-        for m in range(self.chart.dim):
-            w = self.function_form(self.chart.var(m))
-            if not self.d(self.d(w)).is_zero():
+        failures, dim = [], self.chart.dim
+        for m in range(dim):
+            x_m = {((), tuple(int(v == m) for v in range(dim))): 1}
+            if not self.d(self.d(Form._from_terms(self.variables, self.rank, 0, x_m))).is_zero():
                 failures.append(f"d^2 x_{m} != 0")
         for i in range(self.rank):
-            if not self.d(self.d(self.coframe(i))).is_zero():
+            eps_i = {((i,), (0,) * dim): 1}
+            if not self.d(self.d(Form._from_terms(self.variables, self.rank, 1, eps_i))).is_zero():
                 failures.append(f"d^2 eps_{i} != 0")
         return not failures, tuple(failures)
 

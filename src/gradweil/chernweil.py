@@ -27,10 +27,6 @@ from .connections import ConnectionUpToHomotopy, cuth_difference
 from .errors import InternalCheckError, MismatchError, NotClosedError
 from .forms import Form, gtr, tr
 from .linalg import nullspace, rref, solve, transpose
-from .ring import Poly
-
-_ONE = Fraction(1)
-
 
 # ----------------------------------------------------------------------
 # characters
@@ -126,7 +122,7 @@ def invariant_polys(curvature, up_to):
         raise MismatchError("invariant polynomials need an ungraded End-valued form")
     variables = curvature.variables
     frame_rank = curvature.frame_rank
-    ones = Form.function(variables, frame_rank, Poly.one(variables))
+    ones = Form.function(variables, frame_rank, 1)
     out = [ones]
     traces = power_traces(curvature, up_to, False)
     for i in range(1, up_to + 1):
@@ -176,9 +172,11 @@ class CohomologyBasis:
     Stores, per degree, the coboundary as sparse columns, chosen
     representative cocycles, and enough data to decompose any closed form
     into class coefficients plus an explicit primitive.  `d_cols[k]` holds
-    the image of each basis cochain of `bases[k]` under `Algebroid.d_sparse`
-    as a {index in bases[k + 1]: value} dict; cochains and representatives
-    are sparse vectors {index in bases[k]: value} of the same kind.
+    the image of each basis cochain of `bases[k]`, its `Algebroid._d_column`
+    over `_d_den`, as a {index in bases[k + 1]: Fraction} dict; cochains and
+    representatives are sparse vectors {index in bases[k]: value} of the
+    same kind, and `vector_to_form` stores one as a Form with no Poly in
+    between.
     """
 
     def __init__(self, algebroid):
@@ -193,8 +191,8 @@ class CohomologyBasis:
         for k in range(r + 1):
             index = {mi: i for i, mi in enumerate(self.bases[k + 1])}
             self.d_cols[k] = [
-                {index[out_mi]: val for (out_mi, _), val
-                 in algebroid.d_sparse({(mi, ()): _ONE}).items()}
+                {index[out_mi]: Fraction(n, algebroid._d_den) for (out_mi, _), n
+                 in algebroid._d_column((mi, ())).items()}
                 for mi in self.bases[k]]
         self.rep_vectors = {}
         self.representatives = {}
@@ -203,14 +201,11 @@ class CohomologyBasis:
 
     def form_to_vector(self, form):
         index = {mi: i for i, mi in enumerate(self.bases[form.degree])}
-        return {index[mi]: poly.constant_value()
-                for (mi, _), poly in form.coeffs.items()}
+        return {index[mi]: val for (mi, _), val in form._terms().items()}
 
     def vector_to_form(self, k, vec):
-        variables = self.algebroid.variables
-        coeffs = {(self.bases[k][i], 0): Poly.constant(variables, val)
-                  for i, val in sorted(vec.items()) if val}
-        return Form(variables, self.algebroid.rank, k, 1, coeffs)
+        return Form._from_terms(self.algebroid.variables, self.algebroid.rank, k,
+                                {(self.bases[k][i], ()): val for i, val in vec.items() if val})
 
     def _pick_representatives(self, k):
         n = len(self.bases[k])
@@ -308,8 +303,7 @@ def _exactness_system(algebroid, form, bound):
     side is scaled by it, which leaves the solution as it is.
     """
     den = algebroid._d_den
-    targets = {(mi, expo): val * den for (mi, _), poly in form.coeffs.items()
-               for expo, val in poly.terms.items()}
+    targets = {key: val * den for key, val in form._terms().items()}
     images = {}
     seen = set(targets)
     frontier = list(targets)
@@ -364,22 +358,16 @@ def is_exact(algebroid, form, bound=None):
             return ExactnessResult("exact", Form.zero(algebroid.variables,
                                                       algebroid.rank, 0))
         return ExactnessResult("not_exact", None)
-    if bound is None:
-        bound = default_bound(algebroid, [form])
     if point:
         bound = 0
-    variables = algebroid.variables
+    elif bound is None:
+        bound = default_bound(algebroid, [form])
     unknowns, rows, rhs = _exactness_system(algebroid, form, bound)
     sol = solve(rows, rhs, len(unknowns))
     if sol is None:
         return ExactnessResult("not_exact" if point else "undecided", None)
-    coeffs = {}
-    for (j_idx, expo), val in zip(unknowns, sol):
-        if val:
-            key = (j_idx, 0)
-            poly = Poly(variables, {expo: val})
-            coeffs[key] = coeffs.get(key, Poly.zero(variables)) + poly
-    primitive = Form(variables, algebroid.rank, k - 1, 1, coeffs)
+    primitive = Form._from_terms(algebroid.variables, algebroid.rank, k - 1,
+                                 {key: val for key, val in zip(unknowns, sol) if val})
     if algebroid.d(primitive) != form:
         raise InternalCheckError("exactness solver returned a bad primitive")
     return ExactnessResult("exact", primitive)

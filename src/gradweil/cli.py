@@ -128,7 +128,11 @@ def run_file(path, task=None, json_path=None, bound=None, seed=None,
         return code
     print(render_report(report), file=out)
     if json_path:
-        Path(json_path).write_text(canonical_json(report))
+        try:
+            Path(json_path).write_text(canonical_json(report))
+        except OSError as exc:
+            _error(f"cannot write {json_path}: {exc}")
+            return 2
     return 0 if report_passed(report) else 1
 
 

@@ -17,11 +17,12 @@ Omega = Gamma + D.  Every differential here is d_A plus a wedge with Omega:
 
 with d_A on each matrix entry (`Algebroid.d_total`, or inside a kernel
 pass), skipped on an algebroid without anchor and brackets.  `apply` is
-one kernel pass of hat(Omega) over the parts of an element that adds d_A of
-them into its own accumulators (see `TotalForm._product`).  A linear
-connection is the one-summand case with D = 0.  The
-Koszul formula on frame elements stays in the tests as the oracle for all
-three.
+one kernel pass of hat(Omega) over the stored Forms of an element
+(`TotalForm._apply`) that adds d_A of them into its own accumulators (see
+`TotalForm._product`) and returns the image's parts as stored Forms.  A
+linear connection is the one-summand case with D = 0, and its d_nabla is
+that pass on a one-part element.  The Koszul formula on frame elements
+stays in the tests as the oracle for all three.
 
 The curvature R is the unique total form with hat(R) = cal_D^2.  The first
 curvature call runs both routes once: `curvature_by_squaring`, which squares
@@ -292,7 +293,7 @@ class ConnectionUpToHomotopy:
         d_A of its parts into its accumulators."""
         if element.bundle != self.bundle:
             raise MismatchError("element lives in a different bundle")
-        return self.omega()._apply([element.parts], d_a=self.algebroid)[0]
+        return self.omega()._apply(element.parts, d_a=self.algebroid)
 
     # -- curvature ------------------------------------------------------------
 

@@ -1,11 +1,12 @@
 """Frame-level exterior forms with values in graded vector bundles.
 
 Everything is expressed over a fixed frame e_1..e_r of an anchored bundle
-and a polynomial chart base.  A `Form` of degree k stores coefficients on
-strictly ascending multi-indices, so the shuffle-sum wedge product reduces
-to a merge with an inversion-count sign.  A `TotalForm` is a block matrix
-of Hom-valued forms: block (i, l, j) lives in Omega^i(A, Hom(E_l, F_j))
-and all blocks share the total degree s = i + j - l.
+and a polynomial chart base.  A `TotalForm` is a block matrix of
+Hom-valued forms: block (i, l, j) lives in Omega^i(A, Hom(E_l, F_j)) and
+all blocks share the total degree s = i + j - l.  A `Form` of degree k
+with values in R^d is the one-column TotalForm from R[0] to R^d[0], its
+k-form the block (k, 0, 0), so forms and total forms share one storage,
+one sum and one product.
 
 Sign conventions (load-bearing, do not change casually):
 
@@ -17,7 +18,9 @@ Sign conventions (load-bearing, do not change casually):
   it breaks that identity for blocks of odd fiber degree;
 * composing hatted operators corresponds to the block wedge with an extra
   (-1)^(f1*i2) where f1 is the fiber degree of the left block and i2 the
-  form degree of the right one.
+  form degree of the right one.  A Form's fiber degree is 0, so a product
+  of Forms carries the merge sign alone, and a scalar left of a
+  vector-valued Form swaps past it with (-1)^(pq).
 
 A `TotalForm` is stored in integers, as `_kernel` = (D, view): one
 denominator D in lowest terms and, per block, the sparse integer rows of
@@ -32,32 +35,32 @@ only below EXPONENT_LIMIT (2^32; `_from_polys` and the algebroid's packed
 d_A shifts refuse larger ones with MismatchError), so no chain of products
 a task builds carries into the next field.  Nothing zero is stored, so
 equality compares stored forms.  Polys and exponent tuples appear only at
-the boundary: the checked constructor (so `from_json`) reads Poly
-matrices, and `blocks` (built on first read), `to_json` and the Forms of
-`wedge_trace` and `apply` are built from the integers; the Polys built from
-one form share one Poly per value on the point base, so no code writes into
-a Poly's terms (a test of the package source checks it).
+the boundary: the checked constructors (so `from_json`) read Polys, and
+`blocks` and a Form's `coeffs` (each built on first read) and `to_json`
+are built from the integers; the Polys built from one form share one Poly
+per value on the point base, so no code writes into a Poly's terms (a test
+of the package source checks it).
 
-`wedge`, `wedge_trace` and `apply` are one kernel pass, `_product`, which
+`wedge`, `wedge_trace` and `_apply` are one kernel pass, `_product`, which
 adds integers over D_left * D_right and stores the result in lowest terms;
 `+`, `-`, `scale` and `Algebroid.d_total` work on the stored form too.
 Given an algebroid, `_product` is the fused pass d_A Y + hat(X) o hat(Y)
 of the curvature routes and of the connection's operator (`_apply` with an
-algebroid): d_A of the right operand goes into the same
-accumulators before the one `_canonical`, over the joined denominator
-D_right * lcm(D_left, d_A's denominator).  On the point base each output
-matrix is rows of integer cells; on a chart it is one flat dict keyed by
-((row * cols + col) << width) + monomial, which `_canonical` sorts once
-and splits back into rows.  N elements are one Hom(R^N[0], E)-valued
-operand, element n as column n and its part (t, z) in block (t, 0, z), so
-`_apply` is one pass over all their parts.  The trace of a product
+algebroid): d_A of the right operand goes into the same accumulators
+before the one `_canonical`, over the joined denominator D_right *
+lcm(D_left, d_A's denominator).  On the point base each output matrix is
+rows of integer cells; on a chart it is one flat dict keyed by ((row *
+cols + col) << width) + monomial, which `_canonical` sorts once and splits
+back into rows.  `_apply` takes the stored Forms of one element, its part
+(t, z) in the block (t, 0, z) of a one-column Hom(R[0], E)-valued operand,
+and returns the image's parts as stored Forms.  The trace of a product
 (`wedge_trace`, behind `tr` and `gtr`) forms only the diagonal entries of
-the diagonal blocks.  Overlapping indices are skipped by `m1 & m2` and the
-merge sign is a parity of popcounts (`_merge_sign`), for `Form.wedge` too.
-Of the Poly-matrix helpers, `mat_zero`, `mat_identity` and `mat_is_zero`
-serve the package; no package code multiplies Poly matrices, and `mat_mul`
-stays public only for `perfbench/test_perfbench.py`, which patches it
-through `connections`.
+the diagonal blocks, summed into 1 x 1 matrices: a stored scalar Form.
+Overlapping indices are skipped by `m1 & m2` and the merge sign is a
+parity of popcounts (`_merge_sign`).  Of the Poly-matrix helpers,
+`mat_zero`, `mat_identity` and `mat_is_zero` serve the package; no package
+code multiplies Poly matrices, and `mat_mul` stays public only for
+`perfbench/test_perfbench.py`, which patches it through `connections`.
 """
 
 from __future__ import annotations
@@ -388,200 +391,6 @@ class GradedBundle:
         return cls([(s["degree"], s["rank"]) for s in data["summands"]])
 
 
-class Form:
-    """A degree-k form over the frame with values in a fixed rank-d fiber.
-
-    Coefficients live in `coeffs[(multi_index, fiber_index)]` with strictly
-    ascending multi-indices; zero coefficients are never stored, so equality
-    is structural.  Scalar forms have fiber_dim 1 and fiber index 0.
-    """
-
-    __slots__ = ("variables", "frame_rank", "degree", "fiber_dim", "coeffs")
-
-    def __init__(self, variables, frame_rank, degree, fiber_dim, coeffs=None):
-        self.variables = tuple(variables)
-        self.frame_rank = int(frame_rank)
-        self.degree = int(degree)
-        self.fiber_dim = int(fiber_dim)
-        if self.degree < 0 or self.fiber_dim < 1:
-            raise MismatchError("degree must be >= 0 and fiber_dim >= 1")
-        clean = {}
-        if coeffs:
-            for (mi, alpha), poly in coeffs.items():
-                mi = tuple(mi)
-                if len(mi) != self.degree:
-                    raise MismatchError(f"index {mi} has wrong length for degree {self.degree}")
-                if list(mi) != sorted(set(mi)):
-                    raise MismatchError(f"index {mi} is not strictly ascending")
-                if mi and (mi[0] < 0 or mi[-1] >= self.frame_rank):
-                    raise MismatchError(f"index {mi} out of range for rank {self.frame_rank}")
-                if not 0 <= alpha < self.fiber_dim:
-                    raise MismatchError(f"fiber index {alpha} out of range")
-                if not isinstance(poly, Poly):
-                    poly = Poly.constant(self.variables, poly)
-                if poly.variables != self.variables:
-                    raise MismatchError("coefficient variables differ from the form's chart")
-                if not poly.is_zero():
-                    key = (mi, alpha)
-                    acc = clean.get(key)
-                    poly = poly if acc is None else acc + poly
-                    if poly.is_zero():
-                        clean.pop(key, None)
-                    else:
-                        clean[key] = poly
-        self.coeffs = clean
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def _unchecked(cls, variables, frame_rank, degree, fiber_dim, coeffs):
-        """A Form on engine-built coefficients (valid keys, Poly values on the
-        `variables` tuple): zero ones are dropped, nothing is checked."""
-        out = cls.__new__(cls)
-        out.variables, out.frame_rank = variables, frame_rank
-        out.degree, out.fiber_dim = degree, fiber_dim
-        out.coeffs = {key: poly for key, poly in coeffs.items() if poly.terms}
-        return out
-
-    @classmethod
-    def zero(cls, variables, frame_rank, degree, fiber_dim=1):
-        return cls(variables, frame_rank, degree, fiber_dim)
-
-    @classmethod
-    def coframe(cls, variables, frame_rank, index):
-        """The scalar 1-form dual to frame element e_index."""
-        return cls(variables, frame_rank, 1, 1,
-                   {((index,), 0): Poly.one(variables)})
-
-    @classmethod
-    def function(cls, variables, frame_rank, poly):
-        """A 0-form (scalar function)."""
-        if not isinstance(poly, Poly):
-            poly = Poly.constant(variables, poly)
-        return cls(variables, frame_rank, 0, 1, {((), 0): poly})
-
-    # -- structure ------------------------------------------------------
-
-    def _check_same_shape(self, other):
-        if (self.variables, self.frame_rank, self.degree, self.fiber_dim) != (
-                other.variables, other.frame_rank, other.degree, other.fiber_dim):
-            raise MismatchError("form shapes differ")
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def get(self, mi, alpha=0):
-        return self.coeffs.get((tuple(mi), alpha), Poly.zero(self.variables))
-
-    def multi_indices(self):
-        return sorted({mi for mi, _ in self.coeffs})
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        self._check_same_shape(other)
-        coeffs = dict(self.coeffs)
-        for key, poly in other.coeffs.items():
-            acc = coeffs.get(key)
-            coeffs[key] = poly if acc is None else acc + poly
-        return Form._unchecked(self.variables, self.frame_rank, self.degree,
-                               self.fiber_dim, coeffs)
-
-    def __neg__(self):
-        return Form._unchecked(self.variables, self.frame_rank, self.degree,
-                               self.fiber_dim,
-                               {k: -p for k, p in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, scalar):
-        """Multiply by a Poly or rational scalar."""
-        if not isinstance(scalar, Poly):
-            scalar = Poly.constant(self.variables, scalar)
-        return Form._unchecked(self.variables, self.frame_rank, self.degree,
-                               self.fiber_dim,
-                               {k: scalar * p for k, p in self.coeffs.items()})
-
-    def wedge(self, other):
-        """Wedge product; at least one factor must be scalar (fiber_dim 1).
-
-        The scalar factor's coefficients multiply the other factor's fiber
-        values; index merging carries the shuffle sign.
-        """
-        if not isinstance(other, Form):
-            raise MismatchError("wedge expects a Form")
-        if self.variables != other.variables or self.frame_rank != other.frame_rank:
-            raise MismatchError("wedge factors live over different frames")
-        if self.fiber_dim != 1 and other.fiber_dim != 1:
-            raise MismatchError("wedge of two vector-valued forms is undefined")
-        right = [(_mask(mi), a, p) for (mi, a), p in other.coeffs.items()]
-        coeffs = {}
-        for (mi1, a1), p1 in self.coeffs.items():
-            mask1 = _mask(mi1)
-            for mask2, a2, p2 in right:
-                sign = _merge_sign(mask1, mask2)
-                if sign == 0:
-                    continue
-                prod = p1 * p2 if sign == 1 else -(p1 * p2)
-                key = (_indices(mask1 | mask2), a1 if self.fiber_dim > 1 else a2)
-                acc = coeffs.get(key)
-                coeffs[key] = prod if acc is None else acc + prod
-        return Form._unchecked(self.variables, self.frame_rank,
-                               self.degree + other.degree,
-                               max(self.fiber_dim, other.fiber_dim), coeffs)
-
-    # -- comparison / io --------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, Form)
-                and self.variables == other.variables
-                and self.frame_rank == other.frame_rank
-                and self.degree == other.degree
-                and self.fiber_dim == other.fiber_dim
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"Form(deg={self.degree}, fiber={self.fiber_dim}, {render_form(self)!r})"
-
-    def to_json(self):
-        terms = [
-            {"index": list(mi), "fiber": a, "coeff": str(self.coeffs[(mi, a)])}
-            for (mi, a) in sorted(self.coeffs)
-        ]
-        return {"degree": self.degree, "terms": terms}
-
-    @classmethod
-    def from_json(cls, data, variables, frame_rank, fiber_dim=1):
-        coeffs = {}
-        for term in data.get("terms", []):
-            key = (tuple(term["index"]), term.get("fiber", 0))
-            if key in coeffs:
-                raise ParseError(f"form term at index {list(key[0])}, fiber {key[1]} "
-                                 "is given twice")
-            coeffs[key] = Poly.parse(term["coeff"], variables)
-        return cls(variables, frame_rank, data["degree"], fiber_dim, coeffs)
-
-
-def render_form(form):
-    """Human-readable rendering; frame indices are displayed 1-based."""
-    if form.is_zero():
-        return "0"
-    pieces = []
-    for (mi, alpha) in sorted(form.coeffs):
-        poly = form.coeffs[(mi, alpha)]
-        wedge = "^".join(f"eps{i + 1}" for i in mi) if mi else "1"
-        body = f"({poly})*{wedge}" if len(poly.terms) > 1 or mi == () else f"{poly}*{wedge}"
-        if form.fiber_dim > 1:
-            body += f"(x)f{alpha + 1}"
-        pieces.append(body)
-    return " + ".join(pieces)
-
-
 # ----------------------------------------------------------------------
 
 
@@ -724,9 +533,9 @@ class TotalForm:
                               _from_polys(blocks, _width(variables)))
 
     def _same_shape(self, kernel):
-        """A TotalForm of this one's shape on the stored form `kernel`."""
-        return TotalForm._unchecked(self.variables, self.frame_rank, self.src, self.dst,
-                                    self.total_degree, kernel)
+        """A form of this one's class and shape on the stored form `kernel`."""
+        return type(self)._unchecked(self.variables, self.frame_rank, self.src, self.dst,
+                                     self.total_degree, kernel)
 
     @classmethod
     def zero(cls, variables, frame_rank, src, dst, total_degree):
@@ -740,12 +549,6 @@ class TotalForm:
             (0, z, z): {0: [[(a, one)] for a in range(r)]} for z, r in bundle.summands}))
 
     # -- structure ----------------------------------------------------------
-
-    def _check_same_shape(self, other):
-        if (self.variables, self.frame_rank, self.src, self.dst,
-                self.total_degree) != (other.variables, other.frame_rank,
-                                       other.src, other.dst, other.total_degree):
-            raise MismatchError("total form shapes differ")
 
     def is_zero(self):
         return not self._kernel[1]
@@ -790,14 +593,21 @@ class TotalForm:
         itself when other is zero."""
         if not isinstance(other, TotalForm):
             return NotImplemented
-        self._check_same_shape(other)
+        if (self.variables, self.frame_rank, self.src, self.dst, self.total_degree) != (
+                other.variables, other.frame_rank, other.src, other.dst, other.total_degree):
+            raise MismatchError("total form shapes differ")
         if other.is_zero():
             return self
         return self._same_shape(_combine([(1, self._kernel), (factor, other._kernel)],
                                          self.src, _width(self.variables)))
 
     def scale(self, scalar):
-        """Multiply by a rational number (or a constant Poly)."""
+        """Multiply by a rational number or a Poly; a non-constant Poly f is
+        the product with the 0-form f times the identity of src."""
+        if isinstance(scalar, Poly) and not scalar.is_constant():
+            right = _from_polys({(0, z, z): {(): [[(a, scalar)] for a in range(r)]}
+                                 for z, r in self.src.summands}, _width(self.variables))
+            return self._same_shape(self._product(right, self.src))
         if isinstance(scalar, Poly):
             scalar = scalar.constant_value()
         scalar = Fraction(scalar)
@@ -813,13 +623,14 @@ class TotalForm:
         lowest terms.  The sign of a pair is the merge sign times the Koszul
         factor (-1)^(f1 i2), f1 the fiber degree of the left block.  With
         `trace` not None only the diagonal entries of the diagonal blocks
-        l == j are formed, times (-1)^l when `trace` is true, and the result
-        is (D, {merged mask: cell}), each cell their sum over D.  With an
-        algebroid `d_a` whose d_A is not zero, and self End-valued on the
-        target of `right`, d_A of `right` is added into the same accumulators
-        (`Algebroid._d_into`): d_A Y + hat(self) o hat(Y) in one pass, over
-        D_right * lcm(D_left, _d_den), the product's terms scaled by lcm /
-        D_left and d_A's by lcm / _d_den.
+        l == j are formed, times (-1)^l when `trace` is true, and summed
+        into 1 x 1 matrices: the result is the stored block (i1 + i2, 0, 0)
+        of a scalar Form.  With an algebroid `d_a` whose d_A is not zero,
+        and self End-valued on the target of `right`, d_A of `right` is
+        added into the same accumulators (`Algebroid._d_into`): d_A Y +
+        hat(self) o hat(Y) in one pass, over D_right * lcm(D_left, _d_den),
+        the product's terms scaled by lcm / D_left and d_A's by lcm /
+        _d_den.
         """
         D1, left = self._kernel
         D2, right_view = right
@@ -837,7 +648,8 @@ class TotalForm:
                     continue
                 koszul = -scale if (f1 * i2 + (l if trace else 0)) % 2 else scale
                 cols = right_src.rank(l)
-                tgt = cells.setdefault(None if diagonal else (i1 + i2, l, j), (rows, cols, {}))[2]
+                tgt = cells.setdefault((i1 + i2, 0, 0) if diagonal else (i1 + i2, l, j),
+                                       (1, 1, {}) if diagonal else (rows, cols, {}))[2]
                 for mask1, lrows in entries1.items():
                     for mask2, rrows in entries2.items():
                         if mask1 & mask2:
@@ -851,8 +663,10 @@ class TotalForm:
                         if acc is None:
                             acc = tgt[merged] = _cells(rows, cols, width)
                         _accumulate(acc, sign, lrows, rrows, cols, width)
-        if diagonal:
-            return D1 * D2, cells[None][2] if cells else {}
+        if diagonal and not width:   # a cell is the 1 x 1 accumulator [[cell]]
+            for _, _, tgt in cells.values():
+                for mask, cell in tgt.items():
+                    tgt[mask] = [[cell]]
         return _canonical(D1 * D2, cells, width)
 
     def _check_composable(self, other):
@@ -876,63 +690,46 @@ class TotalForm:
                                     self._product(other._kernel, other.src))
 
     def wedge_trace(self, other, graded=False):
-        """tr(self.wedge(other)), or gtr when `graded`, in one kernel pass that
-        forms only the diagonal entries of the diagonal blocks."""
+        """tr(self.wedge(other)), or gtr when `graded`, a scalar Form, in one
+        kernel pass that forms only the diagonal entries of the diagonal
+        blocks."""
         self._check_composable(other)
         if other.src != self.dst:
             raise MismatchError("a trace needs an endomorphism-valued product")
-        D, cells = self._product(other._kernel, other.src, trace=graded)
-        poly = _polys(self.variables, D)
-        return Form._unchecked(self.variables, self.frame_rank,
-                               max(self.total_degree + other.total_degree, 0), 1,
-                               {(_indices(m), 0): poly(cell.items() if self.variables else cell)
-                                for m, cell in cells.items()})
+        return Form._unchecked(self.variables, self.frame_rank, _LINE, _LINE,
+                               max(self.total_degree + other.total_degree, 0),
+                               self._product(other._kernel, other.src, trace=graded))
 
     # -- operator action -----------------------------------------------------
 
-    def apply(self, element):
-        """hat(self) on a GradedElement, in one kernel pass over all its parts."""
-        if element.bundle != self.src:
-            raise MismatchError("element bundle does not match the source bundle")
-        return self._apply([element.parts])[0]
+    def _apply(self, parts, d_a=None):
+        """hat(self) on the element with the parts {(t, z): E_z-valued
+        t-form}, in one kernel pass.
 
-    def _apply(self, columns, d_a=None):
-        """hat(self) on each of several elements, in one kernel pass.
-
-        `columns` lists the parts {(t, z): E_z-valued t-form} of N elements.
-        Element n is column n of a Hom(R^N[0], E)-valued form, its part
-        (t, z) in the block (t, 0, z), so the product is one pass over every
-        part of every element.  Returns the N images, GradedElements over dst.
-        With an algebroid `d_a`, self End-valued, the pass adds d_A of every
-        part into its accumulators (see `_product`): d_A x + hat(self)(x).
+        The element is one column of a Hom(R[0], E)-valued form: the stored
+        block (t, 0, 0) of its part (t, z) goes to the block (t, 0, z), over
+        the lcm of the parts' denominators.  Part (s, j) of the image, a
+        GradedElement over dst, is the block (s, 0, j) of the product, put
+        in lowest terms on its own when there are several.  With an
+        algebroid `d_a`, self End-valued, the pass adds d_A of every part
+        into its accumulators (see `_product`): d_A x + hat(self)(x).
         """
-        blocks: dict = {}
-        for n, parts in enumerate(columns):
-            for (t, z), form in parts.items():
-                if form.variables != self.variables or form.frame_rank != self.frame_rank:
-                    raise MismatchError("the input form lives over a different chart "
-                                        "or frame rank than the total form")
-                entries = blocks.setdefault((t, 0, z), {})
-                for (mi, alpha), poly in form.coeffs.items():
-                    rows = entries.get(mi)
-                    if rows is None:
-                        rows = entries[mi] = [[] for _ in range(form.fiber_dim)]
-                    rows[alpha].append((n, poly))
-        D, view = self._product(_from_polys(blocks, _width(self.variables)),
-                                GradedBundle([(0, len(columns))]), d_a=d_a)
-        poly = _polys(self.variables, D)
-        out = [GradedElement(self.variables, self.frame_rank, self.dst) for _ in columns]
+        width = _width(self.variables)
+        columns = []
+        for (t, z), form in parts.items():
+            if form.variables != self.variables or form.frame_rank != self.frame_rank:
+                raise MismatchError("the input form lives over a different chart "
+                                    "or frame rank than the total form")
+            columns += [(1, (form._kernel[0], {(t, 0, z): entries}))
+                        for entries in form._kernel[1].values()]
+        D, view = self._product(columns[0][1] if len(columns) == 1
+                                else _combine(columns, _LINE, width), _LINE, d_a=d_a)
+        out = GradedElement(self.variables, self.frame_rank, self.dst)
         for (s, _, j), entries in view.items():
-            coeffs = [{} for _ in columns]   # part (s, j) of each image
-            for mask, rows in entries.items():
-                mi = _indices(mask)
-                for beta, row in enumerate(rows):
-                    for n, entry in row:
-                        coeffs[n][(mi, beta)] = poly(entry)
-            for image, part in zip(out, coeffs):
-                if part:
-                    image.parts[(s, j)] = Form._unchecked(self.variables, self.frame_rank, s,
-                                                          self.dst.rank(j), part)
+            part = (D, {(s, 0, 0): entries})
+            out.parts[(s, j)] = Form._unchecked(
+                self.variables, self.frame_rank, _LINE, _fiber(self.dst.rank(j)), s,
+                part if len(view) == 1 else _combine([(1, part)], _LINE, width))
         return out
 
     # -- comparison / io ----------------------------------------------------
@@ -984,6 +781,191 @@ class TotalForm:
         return cls(variables, frame_rank, src, dst, data["total_degree"], blocks)
 
 
+@cache
+def _fiber(rank):
+    """R^rank[0], the target of a Form of fiber dimension `rank`."""
+    return GradedBundle([(0, rank)])
+
+
+_LINE = _fiber(1)   # R[0], the source of every Form
+
+
+class Form(TotalForm):
+    """A degree-k form over the frame with values in a fixed rank-d fiber.
+
+    It is the one-column TotalForm from R[0] to R^d[0]: the k-form is the
+    block (k, 0, 0), one d x 1 matrix per multi-index, kept in the same
+    stored integers, so `+`, `-`, `scale`, `==`, `is_zero` and d_A are the
+    kernel's.  `coeffs[(multi_index, fiber_index)]`, built on first read
+    as `blocks` is, lists the nonzero coefficients as Polys in sorted
+    order.  Scalar forms have fiber_dim 1 and fiber index 0.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, variables, frame_rank, degree, fiber_dim, coeffs=None):
+        variables, frame_rank = tuple(variables), int(frame_rank)
+        degree, fiber_dim = int(degree), int(fiber_dim)
+        if degree < 0 or fiber_dim < 1:
+            raise MismatchError("degree must be >= 0 and fiber_dim >= 1")
+        entries = {}
+        for (mi, alpha), poly in (coeffs or {}).items():
+            mi = tuple(mi)
+            if len(mi) != degree:
+                raise MismatchError(f"index {mi} has wrong length for degree {degree}")
+            if list(mi) != sorted(set(mi)):
+                raise MismatchError(f"index {mi} is not strictly ascending")
+            if mi and (mi[0] < 0 or mi[-1] >= frame_rank):
+                raise MismatchError(f"index {mi} out of range for rank {frame_rank}")
+            if not 0 <= alpha < fiber_dim:
+                raise MismatchError(f"fiber index {alpha} out of range")
+            if not isinstance(poly, Poly):
+                poly = Poly.constant(variables, poly)
+            if poly.variables != variables:
+                raise MismatchError("coefficient variables differ from the form's chart")
+            rows = entries.get(mi)
+            if rows is None:
+                rows = entries[mi] = [[] for _ in range(fiber_dim)]
+            if rows[alpha]:   # the key given twice, as a list and as a tuple
+                poly = poly + rows[alpha].pop()[1]
+            if poly.terms:
+                rows[alpha].append((0, poly))
+        entries = {mi: rows for mi, rows in entries.items() if any(rows)}
+        self.variables, self.frame_rank, self.total_degree = variables, frame_rank, degree
+        self.src, self.dst, self._blocks = _LINE, _fiber(fiber_dim), None
+        self._kernel = (_from_polys({(degree, 0, 0): entries}, _width(variables))
+                        if entries else (1, {}))
+
+    # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def zero(cls, variables, frame_rank, degree, fiber_dim=1):
+        return cls(variables, frame_rank, degree, fiber_dim)
+
+    @classmethod
+    def coframe(cls, variables, frame_rank, index):
+        """The scalar 1-form dual to frame element e_index."""
+        return cls(variables, frame_rank, 1, 1,
+                   {((index,), 0): Poly.one(variables)})
+
+    @classmethod
+    def function(cls, variables, frame_rank, poly):
+        """A 0-form (scalar function)."""
+        if not isinstance(poly, Poly):
+            poly = Poly.constant(variables, poly)
+        return cls(variables, frame_rank, 0, 1, {((), 0): poly})
+
+    @classmethod
+    def _from_terms(cls, variables, frame_rank, degree, terms):
+        """A scalar Form on engine-built terms {(multi-index, exponent): value},
+        each value a nonzero int or Fraction, multi-indices ascending and in
+        range, exponents below EXPONENT_LIMIT: stored with no Poly and no check."""
+        D, entries = lcm(*{q.denominator for q in terms.values()}), {}
+        for (mi, expo), q in sorted(terms.items()):
+            n = q.numerator * (D // q.denominator)
+            if variables:
+                entries.setdefault(_mask(mi), [[(0, [])]])[0][0][1].append((_pack(expo), n))
+            else:
+                entries[_mask(mi)] = [[(0, n)]]
+        return cls._unchecked(variables, frame_rank, _LINE, _LINE, degree,
+                              (D, {(degree, 0, 0): entries} if entries else {}))
+
+    def _terms(self):
+        """The terms {(multi-index, exponent): Fraction} of a scalar Form,
+        read off its stored form: the inverse of `_from_terms`."""
+        (D, view), nvars = self._kernel, len(self.variables)
+        return {(_indices(mask), _unpack(m, nvars)): Fraction(n, D)
+                for entries in view.values() for mask, rows in entries.items()
+                for m, n in (rows[0][0][1] if nvars else [(0, rows[0][0][1])])}
+
+    # -- structure ------------------------------------------------------
+
+    @property
+    def degree(self):
+        return self.total_degree
+
+    @property
+    def fiber_dim(self):
+        return self.dst.summands[0][1]
+
+    @property
+    def coeffs(self):
+        """{(multi-index, fiber index): Poly}, the nonzero coefficients in
+        sorted order, built on first read."""
+        coeffs = getattr(self, "_coeffs", None)
+        if coeffs is None:
+            poly = _polys(self.variables, self._kernel[0])
+            coeffs = self._coeffs = dict(sorted(
+                ((_indices(mask), alpha), poly(row[0][1])) for entries in self._kernel[1].values()
+                for mask, rows in entries.items() for alpha, row in enumerate(rows) if row))
+        return coeffs
+
+    def get(self, mi, alpha=0):
+        return self.coeffs.get((tuple(mi), alpha), Poly.zero(self.variables))
+
+    def multi_indices(self):
+        return sorted(_indices(mask) for entries in self._kernel[1].values() for mask in entries)
+
+    # -- arithmetic -------------------------------------------------------
+
+    def wedge(self, other):
+        """Wedge product; at least one factor must be scalar (fiber_dim 1).
+
+        The kernel's composition product, with the vector-valued factor on
+        the left: a scalar p-form left of a vector-valued q-form swaps past
+        it by graded commutativity, alpha ^ beta = (-1)^(pq) beta ^ alpha.
+        """
+        if not isinstance(other, Form):
+            raise MismatchError("wedge expects a Form")
+        if self.variables != other.variables or self.frame_rank != other.frame_rank:
+            raise MismatchError("wedge factors live over different frames")
+        if self.fiber_dim != 1 and other.fiber_dim != 1:
+            raise MismatchError("wedge of two vector-valued forms is undefined")
+        left, right = (other, self) if other.fiber_dim > 1 else (self, other)
+        kernel = left._product(right._kernel, _LINE)
+        if left is other and self.degree * other.degree % 2:
+            kernel = _combine([(-1, kernel)], _LINE, _width(self.variables))
+        return Form._unchecked(self.variables, self.frame_rank, _LINE, left.dst,
+                               self.degree + other.degree, kernel)
+
+    # -- io ---------------------------------------------------------------
+
+    def __repr__(self):
+        return f"Form(deg={self.degree}, fiber={self.fiber_dim}, {render_form(self)!r})"
+
+    def to_json(self):
+        terms = [{"index": list(mi), "fiber": a, "coeff": str(poly)}
+                 for (mi, a), poly in self.coeffs.items()]
+        return {"degree": self.degree, "terms": terms}
+
+    @classmethod
+    def from_json(cls, data, variables, frame_rank, fiber_dim=1):
+        coeffs = {}
+        for term in data.get("terms", []):
+            key = (tuple(term["index"]), term.get("fiber", 0))
+            if key in coeffs:
+                raise ParseError(f"form term at index {list(key[0])}, fiber {key[1]} "
+                                 "is given twice")
+            coeffs[key] = Poly.parse(term["coeff"], variables)
+        return cls(variables, frame_rank, data["degree"], fiber_dim, coeffs)
+
+
+def render_form(form):
+    """Human-readable rendering; frame indices are displayed 1-based."""
+    if form.is_zero():
+        return "0"
+    pieces = []
+    for (mi, alpha) in sorted(form.coeffs):
+        poly = form.coeffs[(mi, alpha)]
+        wedge = "^".join(f"eps{i + 1}" for i in mi) if mi else "1"
+        body = f"({poly})*{wedge}" if len(poly.terms) > 1 or mi == () else f"{poly}*{wedge}"
+        if form.fiber_dim > 1:
+            body += f"(x)f{alpha + 1}"
+        pieces.append(body)
+    return " + ".join(pieces)
+
+
+
 # ----------------------------------------------------------------------
 # derived operations
 
@@ -1020,9 +1002,8 @@ def ideal_membership(form, indices, p):
     subbundle spanned by the listed frame elements.
     """
     inside = set(indices)
-    keys = ([_indices(mask) for entries in form._kernel[1].values() for mask in entries]
-            if isinstance(form, TotalForm) else [mi for mi, _ in form.coeffs])
-    return all(sum(i not in inside for i in mi) >= p for mi in keys)
+    return all(sum(i not in inside for i in _indices(mask)) >= p
+               for entries in form._kernel[1].values() for mask in entries)
 
 
 def restrict_total_form(total_form, indices):

@@ -8,6 +8,7 @@ import itertools
 from fractions import Fraction
 
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
+from gradweil.errors import MismatchError
 from gradweil.forms import Form, GradedElement, TotalForm
 from gradweil.ring import Poly
 
@@ -60,7 +61,107 @@ def rho_pullback(algebroid, form):
     return Form(algebroid.variables, algebroid.rank, s, 1, coeffs)
 
 
+# --- forms on Poly coefficients: the references of the stored kernel ----------------
+
+
+def poly_add(left, right):
+    """left + right, coefficient by coefficient on Polys."""
+    if (left.variables, left.frame_rank, left.degree, left.fiber_dim) != (
+            right.variables, right.frame_rank, right.degree, right.fiber_dim):
+        raise MismatchError("form shapes differ")
+    coeffs = dict(left.coeffs)
+    for key, poly in right.coeffs.items():
+        coeffs[key] = coeffs[key] + poly if key in coeffs else poly
+    return Form(left.variables, left.frame_rank, left.degree, left.fiber_dim, coeffs)
+
+
+def poly_scale(form, scalar):
+    """form times a rational number or a Poly, coefficient by coefficient."""
+    if not isinstance(scalar, Poly):
+        scalar = Poly.constant(form.variables, scalar)
+    return Form(form.variables, form.frame_rank, form.degree, form.fiber_dim,
+                {key: scalar * poly for key, poly in form.coeffs.items()})
+
+
+def poly_wedge(left, right):
+    """left ^ right with at least one factor scalar, on Polys: each pair of
+    ascending multi-indices merges with the sign of its sorting permutation,
+    and the product of coefficients takes the vector-valued factor's fiber
+    index."""
+    if left.fiber_dim != 1 and right.fiber_dim != 1:
+        raise MismatchError("wedge of two vector-valued forms is undefined")
+    coeffs = {}
+    for (mi1, a1), p1 in left.coeffs.items():
+        for (mi2, a2), p2 in right.coeffs.items():
+            sign, merged = sort_with_sign(mi1 + mi2)
+            if sign == 0:
+                continue
+            key = (merged, a1 if left.fiber_dim > 1 else a2)
+            prod = p1 * p2 if sign == 1 else -(p1 * p2)
+            coeffs[key] = coeffs[key] + prod if key in coeffs else prod
+    return Form(left.variables, left.frame_rank, left.degree + right.degree,
+                max(left.fiber_dim, right.fiber_dim), coeffs)
+
+
+def poly_d(algebroid, form):
+    """d_A of a form by the derivation rule on Polys, fiber component by
+    component: d(c e^J) = sum_i rho(e_i)(c) e^i ^ e^J + c d(e^J), with d e^k =
+    -sum_{a<b} c_ab^k e^a ^ e^b and d(e^J) by the Leibniz rule, every product
+    a `poly_wedge`."""
+    variables, rank = algebroid.variables, algebroid.rank
+
+    def scalar(degree, coeffs):
+        return Form(variables, rank, degree, 1, coeffs)
+
+    def d_monomial(mi):
+        # d(e^j ^ e^rest) = d e^j ^ e^rest - e^j ^ d(e^rest)
+        if not mi:
+            return scalar(1, {})
+        j, rest = mi[0], mi[1:]
+        d_j = scalar(2, {((a, b), 0): -algebroid.structure[a][b][j]
+                         for a in range(rank) for b in range(a + 1, rank)})
+        rest_form = scalar(len(rest), {(rest, 0): Poly.one(variables)})
+        return poly_add(poly_wedge(d_j, rest_form),
+                        poly_scale(poly_wedge(Form.coframe(variables, rank, j),
+                                              d_monomial(rest)), -1))
+
+    out = Form.zero(variables, rank, form.degree + 1, form.fiber_dim)
+    for (mi, alpha), c in form.coeffs.items():
+        dc = scalar(1, {((i,), 0): algebroid.anchor_apply(i, c) for i in range(rank)})
+        term = poly_add(poly_wedge(dc, scalar(len(mi), {(mi, 0): Poly.one(variables)})),
+                        poly_scale(d_monomial(mi), c))
+        unit = Form(variables, rank, 0, form.fiber_dim, {((), alpha): Poly.one(variables)})
+        out = poly_add(out, poly_wedge(term, unit))
+    return out
+
+
+def poly_connection_d(nabla, form):
+    """d_nabla w = d_A w + sum_i e^i ^ (G_i w) on Polys, G_i the target-major
+    Christoffel matrix of frame direction i."""
+    algebroid = nabla.algebroid
+    out = poly_d(algebroid, form)
+    for i, mat in enumerate(nabla.mats):
+        moved = {}
+        for (mi, alpha), poly in form.coeffs.items():
+            for beta in range(nabla.rank):
+                key, prod = (mi, beta), mat[beta][alpha] * poly
+                moved[key] = moved[key] + prod if key in moved else prod
+        moved = Form(algebroid.variables, algebroid.rank, form.degree, nabla.rank, moved)
+        out = poly_add(out, poly_wedge(Form.coframe(algebroid.variables, algebroid.rank, i),
+                                       moved))
+    return out
+
+
 # --- connections up to homotopy ----------------------------------------------------
+
+
+def hat(total_form, element):
+    """hat(K) on a GradedElement over its source: the one kernel pass
+    `TotalForm._apply` over the element's parts."""
+    if element.bundle != total_form.src:
+        raise MismatchError("element bundle does not match the source bundle")
+    return total_form._apply(element.parts)
+
 
 
 def curvature_power(conn, power):

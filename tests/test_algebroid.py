@@ -200,7 +200,7 @@ def koszul_reference(algebroid, form):
                         + sum_{s<t} (-1)^{s+t} w([a_s,a_t], .. a_s .. a_t ..)
 
     evaluated on every ascending multi-index of degree k + 1.  It shares no
-    code with the term-by-term derivation rule of `Algebroid.d_sparse`.
+    code with the term-by-term derivation rule of the d_A table.
     """
     k = form.degree
     coeffs = {}
@@ -353,17 +353,46 @@ def test_d_acts_on_each_fiber_component_and_matrix_entry(name):
         assert set(dK.blocks) <= {(i + 1, l, j) for (i, l, j) in K.blocks}
 
 
-def test_d_sparse_on_aff1_action_line():
+def test_d_column_on_aff1_action_line():
     # rho(e0) = d/dx, rho(e1) = x d/dx, [e0, e1] = e0, so d e^0 = -e^0^e^1
     a = catalog.aff1_action_line()
-    one = Fraction(1)
-    assert a.d_sparse({((1,), (0,)): one}) == {}
-    assert a.d_sparse({((1,), (1,)): one}) == {((0, 1), (0,)): one}
+    assert a._d_den == 1
+    assert a._d_column(((1,), (0,))) == {}
+    assert a._d_column(((1,), (1,))) == {((0, 1), (0,)): 1}
     # d(x e^0) = x e^1 ^ e^0 + x d e^0 = -2x e^0 ^ e^1
-    assert a.d_sparse({((0,), (1,)): one}) == {((0, 1), (1,)): Fraction(-2)}
-    # d(x^2 e^1) = 2x e^0 ^ e^1 cancels it, and the zero is dropped
-    assert a.d_sparse({((0,), (1,)): one, ((1,), (2,)): one}) == {}
-    assert a.d_sparse({}) == {}
+    assert a._d_column(((0,), (1,))) == {((0, 1), (1,)): -2}
+    # d(x^2 e^1) = 2x e^0 ^ e^1 cancels it in d of the sum, and the zero is dropped
+    assert a._d_column(((1,), (2,))) == {((0, 1), (1,)): 2}
+    x = Poly.variable(("x",), 0)
+    image = a.d(Form(("x",), 2, 1, 1, {((0,), 0): x, ((1,), 0): x * x}))
+    assert image.is_zero() and image._kernel == (1, {})
+    assert a.d(Form.zero(("x",), 2, 1)).is_zero()
+
+
+def test_d_on_a_form_reads_the_packed_table(monkeypatch):
+    a = fractional_chart_presentation()
+    calls = []
+    for name in ("_d_into", "_d_column"):
+        original = getattr(Algebroid, name)
+
+        def spy(self, *args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(Algebroid, name, spy)
+    rng = random.Random(19)
+    for degree in range(a.rank):
+        form = random_form(rng, a.variables, a.rank, degree, fiber_dim=2,
+                           max_poly_degree=2, density=3)
+        image = a.d(form)
+        assert calls == ["_d_into"]
+        calls.clear()
+        assert isinstance(image, Form) and image.fiber_dim == 2
+        for alpha in range(2):
+            component = Form(a.variables, a.rank, degree, 1,
+                             {(mi, 0): p for (mi, b), p in form.coeffs.items() if b == alpha})
+            assert {mi: p for (mi, b), p in image.coeffs.items() if b == alpha} \
+                == {mi: p for (mi, _), p in koszul_reference(a, component).coeffs.items()}
 
 
 @pytest.mark.parametrize("name", ["fractional_point", "fractional_chart"])

@@ -100,7 +100,7 @@ def test_unclosed_character_over_a_lie_algebra_is_an_internal_failure(monkeypatc
     # -eps1^eps2^eps4 + eps2^eps3^eps4, first at (0, 1, 3) with value -1
     a = catalog.two_aff1_plus_center()
     assert a.d_squared_check()[0]
-    bump = a.coframe(1).wedge(a.coframe(3))
+    bump = Form.coframe(a.variables, a.rank, 1).wedge(Form.coframe(a.variables, a.rank, 3))
     monkeypatch.setattr(chernweil, "gtr", lambda power: forms.gtr(power) + bump)
     with pytest.raises(InternalCheckError) as caught:
         sigma_character(LinearConnection.zero(a, 1), 1)
@@ -516,7 +516,7 @@ def exactness_system_reference(algebroid, form, bound):
     """The full ansatz system: one column per monomial within the bound.
 
     Every (k-1)-form x^exponent e^J with |exponent| <= bound and a nonzero
-    `d_sparse` image is an unknown, in the global (J, exponent) order, and
+    `_d_column` image is an unknown, in the global (J, exponent) order, and
     every (J, exponent) that occurs is a row.  Returns the (unknowns, rows,
     rhs) shape of `chernweil._exactness_system`, which must solve the same.
     """
@@ -532,13 +532,13 @@ def exactness_system_reference(algebroid, form, bound):
 
     for j_idx in itertools.combinations(range(algebroid.rank), form.degree - 1):
         for expo in _monomials(len(algebroid.variables), bound):
-            image = algebroid.d_sparse({(j_idx, expo): Fraction(1)})
+            image = algebroid._d_column((j_idx, expo))
             if not image:
                 continue
             col = len(unknowns)
             unknowns.append((j_idx, expo))
             for key, val in image.items():
-                rows[row(key)][col] = val
+                rows[row(key)][col] = Fraction(val, algebroid._d_den)
     rhs = {row((mi, expo)): val
            for (mi, _), poly in form.coeffs.items()
            for expo, val in poly.terms.items()}
@@ -696,13 +696,15 @@ def test_is_exact_matches_a_solve_of_the_full_system(seed):
                                   "aff1_action_line", "polynomial", "fractional_point",
                                   "fractional_chart"])
 def test_sources_are_the_transpose_of_d_sparse(name):
+    """`d_sparse_sources` lists every column whose sparse d_A image,
+    `_d_column`, has a term at a given row."""
     a = PRESENTATIONS[name]()
     bound = 3
     for degree in range(a.rank + 1):
         for j_idx in itertools.combinations(range(a.rank), degree):
             for expo in _monomials(len(a.variables), bound):
                 column = (j_idx, expo)
-                for row in a.d_sparse({column: Fraction(1)}):
+                for row in a._d_column(column):
                     sources = a.d_sparse_sources(row, bound)
                     assert column in sources, (column, row)
                     for mi, source in sources:
@@ -740,6 +742,9 @@ def test_cohomology_matrices_match_the_koszul_formula(maker):
 
 @pytest.mark.parametrize("name", ["fractional_chart", "tr5"])
 def test_each_column_image_is_d_sparse_times_the_denominator(name):
+    """Each column of the exactness system is the sparse d_A image of its
+    monomial, `_d_column`, which is `Algebroid.d` of the monomial Form times
+    `_d_den`: the two readers of the d_A table pin each other."""
     a = EXACTNESS_PRESENTATIONS[name]()
     rng = random.Random(f"columns:{name}")
     den, columns = a._d_den, 0
@@ -749,8 +754,12 @@ def test_each_column_image_is_d_sparse_times_the_denominator(name):
         for col in unknowns:
             image = a._d_column(col)
             assert image and all(type(v) is int for v in image.values())
-            assert image == {key: val * den
-                             for key, val in a.d_sparse({col: Fraction(1)}).items()}
+            j_idx, expo = col
+            monomial = Form(a.variables, a.rank, len(j_idx), 1,
+                            {(j_idx, 0): Poly(a.variables, {expo: 1})})
+            assert image == {(mi, e): val * den
+                             for (mi, _), poly in a.d(monomial).coeffs.items()
+                             for e, val in poly.terms.items()}
             columns += 1
     assert columns >= 30
     assert (den > 1) == (name == "fractional_chart")

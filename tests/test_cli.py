@@ -105,6 +105,17 @@ def test_json_output_is_canonical_and_deterministic(tmp_path, capsys):
     assert blob1.decode() == canonical_json(report)
 
 
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_an_unwritable_json_path_exits_two(tmp_path, capsys, target):
+    # exit 1 would claim a failed math check; the report itself passes
+    path = write_problem(tmp_path, check_sl2_payload())
+    json_path = tmp_path / "absent" / "report.json" if target == "missing_directory" else tmp_path
+    assert main([path, "--json", str(json_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {json_path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "absent").exists()
+
+
 def test_seed_flag_reproducible(tmp_path, capsys):
     payload = {"task": "transgression", "connections": {},
                "algebroid": catalog.aff1().to_json(), "rank": 1}

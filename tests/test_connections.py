@@ -35,7 +35,7 @@ from gradweil.randgen import (
     random_total_form,
 )
 from gradweil.ring import Poly
-from oracles import (basis_element, curvature_power, flat_borel_module, sort_with_sign,
+from oracles import (basis_element, curvature_power, flat_borel_module, hat, sort_with_sign,
                      tangent_line)
 from test_algebroid import PRESENTATIONS
 from test_forms import apply_part_reference, mat_add, single_block, unhat_from_sections
@@ -84,7 +84,7 @@ def test_curvature_is_d_squared():
             omega = random_form(rng, a.variables, a.rank,
                                 rng.randint(0, 1), fiber_dim=r)
             lhs = nab.d(nab.d(omega))
-            rhs = R.apply(GradedElement.single(R.src, omega, 0)).parts
+            rhs = hat(R, GradedElement.single(R.src, omega, 0)).parts
             if lhs.is_zero():
                 assert not rhs or all(f.is_zero() for f in rhs.values())
             else:
@@ -251,7 +251,7 @@ def test_cuth_curvature_is_square():
             for alpha in range(r):
                 x = basis_element(a.variables, a.rank, E, z, alpha)
                 lhs = D.apply(D.apply(x))
-                rhs = R.apply(x)
+                rhs = hat(R, x)
                 assert (lhs + rhs.scale(-1)).is_zero()
 
 
@@ -269,8 +269,8 @@ def test_d_end_is_graded_commutator_with_operator():
         for z, r in E.summands:
             for alpha in range(r):
                 x = basis_element(a.variables, a.rank, E, z, alpha)
-                lhs = dK.apply(x)
-                rhs = D.apply(K.apply(x)) + K.apply(D.apply(x)).scale(-sign)
+                lhs = hat(dK, x)
+                rhs = D.apply(hat(K, x)) + hat(K, D.apply(x)).scale(-sign)
                 assert (lhs + rhs.scale(-1)).is_zero()
 
 
@@ -296,7 +296,7 @@ def test_cuth_difference_matches_operators():
             for alpha in range(r):
                 x = basis_element(a.variables, a.rank, E, z, alpha)
                 lhs = D2.apply(x) + D1.apply(x).scale(-1)
-                rhs = diff.apply(x)
+                rhs = hat(diff, x)
                 assert (lhs + rhs.scale(-1)).is_zero()
 
 
@@ -325,7 +325,7 @@ def koszul_linear_d(nabla, form):
         (d w)(a_0..a_k) = sum_t (-1)^t nabla_{a_t} w(.. a_t ..)
                         + sum_{s<t} (-1)^{s+t} w([a_s,a_t], .. a_s .. a_t ..)
 
-    It shares no code with `Algebroid.d_sparse` or the connection form.
+    It shares no code with the d_A table or the connection form.
     """
     A = nabla.algebroid
     k = form.degree
@@ -543,8 +543,8 @@ def d_end_reference(conn, K):
 
     def action(z, alpha):
         e = basis_element(conn.variables, conn.algebroid.rank, conn.bundle, z, alpha)
-        first = conn.apply(K.apply(e))
-        second = K.apply(conn.apply(e))
+        first = conn.apply(hat(K, e))
+        second = hat(K, conn.apply(e))
         return first - second if sign == 1 else first + second
 
     return unhat_from_sections(action, conn.variables, conn.algebroid.rank,

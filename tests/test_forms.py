@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,8 @@ from gradweil.forms import (
 )
 from gradweil.randgen import random_cuth, random_form, random_total_form
 from gradweil.ring import Poly
-from oracles import basis_element, curvature_power, sort_with_sign
+from oracles import (basis_element, curvature_power, hat, poly_add, poly_connection_d, poly_d,
+                     poly_scale, poly_wedge, sort_with_sign)
 from test_algebroid import PRESENTATIONS, fractional_chart_presentation
 
 VS = ("x",)
@@ -89,9 +91,9 @@ def single_block(variables, frame_rank, src, dst, block, entries):
 def hat_roundtrip(total_form):
     """Reconstruct a TotalForm through its operator action; must be identity."""
     return unhat_from_sections(
-        lambda l, alpha: total_form.apply(
-            basis_element(total_form.variables, total_form.frame_rank,
-                          total_form.src, l, alpha)),
+        lambda l, alpha: hat(total_form,
+                             basis_element(total_form.variables, total_form.frame_rank,
+                                           total_form.src, l, alpha)),
         total_form.variables, total_form.frame_rank,
         total_form.src, total_form.dst, total_form.total_degree)
 
@@ -262,7 +264,7 @@ def test_hat_worked_example():
     one = Poly.one(VS)
     K = single_block(VS, 2, UNGRADED, UNGRADED, (1, 0, 0), {(0,): [[one]]})
     omega = Form(VS, 2, 1, 1, {((1,), 0): one})
-    out = K.apply(GradedElement.single(K.src, omega, 0))
+    out = hat(K, GradedElement.single(K.src, omega, 0))
     assert out.parts == {(2, 0): Form(VS, 2, 2, 1, {((0, 1), 0): one})}
 
 
@@ -272,25 +274,25 @@ def test_hat_koszul_sign_on_shifting_block():
     one = Poly.one(VS)
     K = single_block(VS, 2, TWO_TERM, TWO_TERM, (0, 0, 1), {(): [[one]]})
     omega1 = Form(VS, 2, 1, 1, {((0,), 0): one})
-    out = K.apply(GradedElement.single(K.src, omega1, 0))
+    out = hat(K, GradedElement.single(K.src, omega1, 0))
     assert out.parts == {(1, 1): omega1.scale(-1)}
     omega2 = Form(VS, 2, 2, 1, {((0, 1), 0): one})
-    assert K.apply(GradedElement.single(K.src, omega2, 0)).parts == {(2, 1): omega2}
+    assert hat(K, GradedElement.single(K.src, omega2, 0)).parts == {(2, 1): omega2}
 
 
 def test_apply_part_refuses_a_form_over_another_chart():
     # x eps1 over the chart (x,) has no exponent the point-base kernel can read
     f = Form(VS, 2, 1, 1, {((0,), 0): Poly.variable(VS, 0)})
     with pytest.raises(MismatchError, match="different chart or frame rank"):
-        TotalForm.identity((), 2, UNGRADED).apply(GradedElement.single(UNGRADED, f, 0))
+        hat(TotalForm.identity((), 2, UNGRADED), GradedElement.single(UNGRADED, f, 0))
 
 
 def test_apply_refuses_a_form_over_another_frame_rank():
     f = Form(VS, 2, 1, 1, {((0,), 0): Poly.variable(VS, 0)})
     element = GradedElement.single(UNGRADED, f, 0)
     with pytest.raises(MismatchError, match="different chart or frame rank"):
-        TotalForm.identity(VS, 3, UNGRADED).apply(element)
-    assert TotalForm.identity(VS, 2, UNGRADED).apply(element) == element
+        hat(TotalForm.identity(VS, 3, UNGRADED), element)
+    assert hat(TotalForm.identity(VS, 2, UNGRADED), element) == element
 
 
 def test_wedge_is_operator_composition():
@@ -303,8 +305,8 @@ def test_wedge_is_operator_composition():
         l = rng.choice(E.degrees())
         omega = random_form(rng, VS, 3, rng.randint(0, 2),
                             fiber_dim=E.rank(l))
-        lhs = W.apply(GradedElement.single(W.src, omega, l))
-        rhs = K1.apply(K2.apply(GradedElement.single(K2.src, omega, l)))
+        lhs = hat(W, GradedElement.single(W.src, omega, l))
+        rhs = hat(K1, hat(K2, GradedElement.single(K2.src, omega, l)))
         assert (lhs + rhs.scale(-1)).is_zero()
 
 
@@ -603,7 +605,7 @@ def test_kernel_apply_part_matches_the_reference(variables):
                       for mi in itertools.combinations(range(3), t)
                       for a in range(bundle.rank(l)) if rng.random() < 0.7}
             form = Form(variables, 3, t, bundle.rank(l), coeffs)
-            image = K.apply(GradedElement.single(K.src, form, l))
+            image = hat(K, GradedElement.single(K.src, form, l))
             assert image == apply_part_reference(K, form, l)
             for part in image.parts.values():
                 assert not part.is_zero()
@@ -624,7 +626,7 @@ def test_kernel_wedge_is_composition_on_basis_sections(variables):
             for z, r in bundle.summands:
                 for alpha in range(r):
                     e = basis_element(variables, 3, bundle, z, alpha)
-                    assert W.apply(e) == K.apply(L.apply(e))
+                    assert hat(W, e) == hat(K, hat(L, e))
 
 
 def trace_reference(K, graded=False):
@@ -723,7 +725,7 @@ def test_the_packed_layer_refuses_an_exponent_at_the_limit():
         Algebroid(Chart(VS), 1, [[big]], [[[0]]])
     # below the limit a product carries past 2^32 within its field
     K = TotalForm(VS, 1, bundle, bundle, 1, {(1, 0, 0): {(0,): [[below]]}})
-    image = K.apply(GradedElement.single(bundle, Form(VS, 1, 0, 1, {((), 0): below}), 0))
+    image = hat(K, GradedElement.single(bundle, Form(VS, 1, 0, 1, {((), 0): below}), 0))
     assert image.parts[(1, 0)].coeffs == {((0,), 0): below * below}
 
 
@@ -779,7 +781,7 @@ def test_kernel_is_exact_over_denominators_3_5_7_and_11(algebroid):
                              for mi in itertools.combinations(range(3), t) for a in range(r)})
                 x.accumulate(t, z, form)
                 expected = expected + apply_part_reference(K, form, z)
-            assert K.apply(x) == expected
+            assert hat(K, x) == expected
             nonzero["apply"] += not expected.is_zero()
         # the trace-only product R^(j-1) with R against tr and gtr of R^j
         conn = denominator_cuth(rng, algebroid, bundle, rng.choice(ODD_DENOMINATORS[1:]))
@@ -857,7 +859,7 @@ def test_kernel_matches_the_references_at_every_frame_rank(variables, frame_rank
                       for mi in itertools.combinations(range(frame_rank), t)
                       for a in range(bundle.rank(l)) if rng.random() < 0.5}
             form = Form(variables, frame_rank, t, bundle.rank(l), coeffs)
-            image = K.apply(GradedElement.single(K.src, form, l))
+            image = hat(K, GradedElement.single(K.src, form, l))
             assert image == apply_part_reference(K, form, l)
     assert seen[True] > 0 and seen[False] > 0
     assert nonzero >= 3
@@ -893,7 +895,7 @@ def test_engine_built_results_equal_their_checked_rebuild(algebroid):
                    alpha + alpha, alpha - alpha, -alpha, alpha.scale(3), alpha.scale(0),
                    beta.wedge(alpha), beta.wedge(beta), algebroid.d(alpha),
                    algebroid.d(beta), gtr(K.wedge(L)), tr(K.wedge(L))]
-        results += list(K.apply(GradedElement.single(K.src, alpha, 0)).parts.values())
+        results += list(hat(K, GradedElement.single(K.src, alpha, 0)).parts.values())
         assert any(not r.is_zero() for r in results)
         for result in results:
             assert_trusted(result)
@@ -923,7 +925,7 @@ def test_kernel_view_and_omega_are_built_once():
     assert K.wedge(K) == K.wedge(K) == wedge_reference(K, K)
     form = random_form(rng, (), 3, 1, fiber_dim=2, density=4)
     element = GradedElement.single(K.src, form, 0)
-    assert K.apply(element) == K.apply(element) == apply_part_reference(K, form, 0)
+    assert hat(K, element) == hat(K, element) == apply_part_reference(K, form, 0)
 
 
 # --- the stored form is canonical ----------------------------------------------
@@ -1021,3 +1023,96 @@ def test_fused_pass_is_d_total_plus_the_wedge(name):
             joined += D > X._kernel[0] and D > a._d_den
     assert nonzero
     assert joined or name != "fractional_chart"
+
+
+# --- a Form is the one-column TotalForm, pinned by the Poly references -----------
+
+E3 = GradedBundle([(0, 2), (1, 1)])
+
+
+def test_a_form_is_the_one_column_total_form():
+    assert issubclass(Form, TotalForm)
+    for name in ("__add__", "__neg__", "__sub__", "__eq__", "is_zero", "_unchecked"):
+        assert name not in vars(Form), name
+    rng = random.Random(139)
+    algebroid = fractional_chart_presentation()
+    form = random_form(rng, algebroid.variables, algebroid.rank, 2, fiber_dim=3, density=3)
+    scalar = random_form(rng, algebroid.variables, algebroid.rank, 1, density=3)
+    built = [form, form + form, form - form, -form, form.scale(Fraction(2, 7)),
+             form.scale(Poly.variable(algebroid.variables, 1)), scalar.wedge(form),
+             form.wedge(scalar), scalar.wedge(scalar), algebroid.d(form),
+             algebroid.d_total(form), gtr(TotalForm.identity(algebroid.variables, 4, E3))]
+    for result in built:
+        assert isinstance(result, Form) and isinstance(result, TotalForm)
+        assert result.src == GradedBundle([(0, 1)])
+        assert result.dst == GradedBundle([(0, result.fiber_dim)])
+        assert set(result._kernel[1]) <= {(result.degree, 0, 0)}
+        assert_trusted(result)
+
+
+def reference_form(rng, variables, frame_rank, degree, fiber_dim, denominators):
+    """A Form with `kernel_poly` coefficients over `denominators` on about
+    two thirds of its (multi-index, fiber index) slots."""
+    return Form(variables, frame_rank, degree, fiber_dim,
+                {(mi, a): kernel_poly(rng, variables, denominators)
+                 for mi in itertools.combinations(range(frame_rank), degree)
+                 for a in range(fiber_dim) if rng.random() < 0.7})
+
+
+def nonconstant_poly(rng, variables):
+    """A Poly with a term of positive degree, over a denominator 3, 5, 7 or 11."""
+    expo = tuple(rng.randint(0, 1) for _ in variables[:-1]) + (1,)
+    return (Poly(variables, {expo: Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((3, 5, 7, 11)))})
+            + kernel_poly(rng, variables, (1, 3, 5, 7, 11)))
+
+
+@pytest.mark.parametrize("variables", KERNEL_BASES)
+def test_form_arithmetic_matches_the_poly_references(variables):
+    rng = random.Random(149 + len(variables))
+    nonzero = Counter()
+    for _ in range(40):
+        p, q, fiber = rng.choice((0, 1, 1, 2, 3)), rng.choice((0, 1, 1, 2, 3)), rng.randint(2, 3)
+        dens = rng.sample(ODD_DENOMINATORS, 2)
+        a, b = (reference_form(rng, variables, 4, k, 1, d) for k, d in ((p, dens[0]), (q, dens[1])))
+        v, w = (reference_form(rng, variables, 4, q, fiber, d) for d in dens)
+        cases = {"scalar^scalar": (a.wedge(b), poly_wedge(a, b)),
+                 "vector^scalar": (v.wedge(a), poly_wedge(v, a)),
+                 "scalar^vector": (a.wedge(v), poly_wedge(a, v)),
+                 "+": (v + w, poly_add(v, w)),
+                 "-": (v - w, poly_add(v, poly_scale(w, -1)))}
+        r = Fraction(rng.choice((-4, -1, 2, 5)), rng.choice((3, 5, 7, 11)))
+        cases["scale by a rational"] = (v.scale(r), poly_scale(v, r))
+        if variables:
+            f = nonconstant_poly(rng, variables)
+            cases["scale by a Poly"] = (v.scale(f), poly_scale(v, f))
+        for name, (got, expected) in cases.items():
+            assert got == expected, name
+            nonzero[name] += not expected.is_zero()
+        # the swap of a scalar past a vector-valued form has an odd sign
+        nonzero["odd swap"] += p * q % 2 == 1 and not cases["scalar^vector"][1].is_zero()
+    assert min(nonzero.values()) >= 5, nonzero
+    assert len(nonzero) == (8 if variables else 7)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS) + ["wide_chart"])
+def test_d_and_the_connection_d_match_the_poly_references(name):
+    a = tangent_algebroid(Chart(WIDE)) if name == "wide_chart" else PRESENTATIONS[name]()
+    rng = random.Random(f"poly-references:{name}")
+    variables, rank = a.variables, a.rank
+    nonzero = Counter()
+    for degree, fiber in itertools.product(range(min(rank, 3)), (1, 2) * 3):
+        form = Form.zero(variables, rank, degree, fiber)
+        while form.is_zero():
+            form = reference_form(rng, variables, rank, degree, fiber,
+                                  rng.choice(ODD_DENOMINATORS))
+        image = a.d(form)
+        assert image == poly_d(a, form)
+        nonzero["d"] += not image.is_zero()
+        nabla = LinearConnection(a, fiber, [
+            [[kernel_poly(rng, variables, rng.choice(ODD_DENOMINATORS))
+              for _ in range(fiber)] for _ in range(fiber)] for _ in range(rank)])
+        image = nabla.d(form)
+        assert image == poly_connection_d(nabla, form)
+        nonzero["connection d"] += not image.is_zero()
+    assert nonzero["connection d"] >= 3
+    assert nonzero["d"] >= 1 or a.d_vanishes
