@@ -15,14 +15,15 @@ Omega = Gamma + D.  Every differential here is d_A plus a wedge with Omega:
     R        = d_A Omega + Omega ^ Omega,
     d^End K  = d_A K + [Omega, K],
 
-with d_A on each matrix entry (`Algebroid.d_total`, or inside a kernel
-pass), skipped on an algebroid without anchor and brackets.  `apply` is
-one kernel pass of hat(Omega) over the stored Forms of an element
-(`TotalForm._apply`) that adds d_A of them into its own accumulators (see
-`TotalForm._product`) and returns the image's parts as stored Forms.  A
-linear connection is the one-summand case with D = 0, and its d_nabla is
-that pass on a one-part element.  The Koszul formula on frame elements
-stays in the tests as the oracle for all three.
+with d_A on each matrix entry, added inside a kernel pass (see
+`TotalForm._product`) and skipped on an algebroid without anchor and
+brackets.  An element of the total complex is a one-column total form x
+from R[0] into the bundle, and `apply` is the one kernel pass Omega ^ x
+that adds d_A x into its own accumulators.  A linear connection is the
+one-summand case with D = 0, and its d_nabla is `apply` on a Form.
+`d_end` is two kernel passes, d_A K + Omega ^ K with d_A fused and
+K ^ Omega, summed once.  The Koszul formula on frame elements and the
+operator commutator stay in the tests as the oracles of all three.
 
 The curvature R is the unique total form with hat(R) = cal_D^2.  The first
 curvature call runs both routes once: `curvature_by_squaring`, which squares
@@ -47,11 +48,11 @@ from __future__ import annotations
 
 from .errors import InternalCheckError, MismatchError, ParseError
 from .forms import (
-    Form,
     GradedBundle,
-    GradedElement,
     TotalForm,
-    graded_commutator,
+    _LINE,
+    _combine,
+    _width,
     mat_is_zero,
     mat_mul,  # noqa: F401  perfbench/test_perfbench.py patches it through this module
     mat_zero,
@@ -143,12 +144,7 @@ class LinearConnection:
 
     def d(self, form):
         """d_nabla w = cal_D w for the one-summand cuth on this bundle."""
-        if form.fiber_dim != self.rank:
-            raise MismatchError("form fiber does not match the bundle rank")
-        cuth = ConnectionUpToHomotopy.from_linear(self)
-        image = cuth.apply(GradedElement.single(cuth.bundle, form, 0))
-        return image.parts.get((form.degree + 1, 0)) or Form.zero(
-            self.variables, self.algebroid.rank, form.degree + 1, self.rank)
+        return ConnectionUpToHomotopy.from_linear(self).apply(form)
 
     # -- curvature -----------------------------------------------------------
 
@@ -288,12 +284,17 @@ class ConnectionUpToHomotopy:
 
     # -- operator ------------------------------------------------------------
 
-    def apply(self, element):
-        """cal_D x = d_A x + hat(Omega)(x), in one kernel pass over x that adds
-        d_A of its parts into its accumulators."""
-        if element.bundle != self.bundle:
-            raise MismatchError("element lives in a different bundle")
-        return self.omega()._apply(element.parts, d_a=self.algebroid)
+    def apply(self, x):
+        """cal_D x = d_A x + Omega ^ x for x of total degree s, a one-column
+        total form from R[0] into the bundle; one kernel pass that adds d_A x
+        into its accumulators.  The image, of total degree s + 1, has x's
+        class, so a Form comes back as a Form."""
+        omega = self.omega()
+        omega._check_composable(x)
+        if x.src != _LINE:
+            raise MismatchError("cal_D acts on one-column forms from R[0]")
+        return type(x)._unchecked(x.variables, x.frame_rank, x.src, x.dst, x.total_degree + 1,
+                                  omega._product(x._kernel, x.src, d_a=self.algebroid))
 
     # -- curvature ------------------------------------------------------------
 
@@ -368,12 +369,19 @@ class ConnectionUpToHomotopy:
 
     # -- induced End differential ------------------------------------------------
 
-    def d_end(self, total_form):
-        """Unhat of [cal_D, hat(K)]: d_A K + [Omega, K]."""
-        if total_form.src != self.bundle or total_form.dst != self.bundle:
+    def d_end(self, K):
+        """Unhat of [cal_D, hat(K)]: d_A K + [Omega, K] = (d_A K + Omega ^ K)
+        - (-1)^|K| K ^ Omega, two kernel passes, the first with d_A fused."""
+        omega, bundle = self.omega(), self.bundle
+        omega._check_composable(K)
+        if K.src != bundle:
             raise MismatchError("d_end expects an End-valued total form")
-        return (self.algebroid.d_total(total_form)
-                + graded_commutator(self.omega(), total_form))
+        sign = 1 if K.total_degree % 2 else -1
+        kernel = _combine([(1, omega._product(K._kernel, bundle, d_a=self.algebroid)),
+                           (sign, K._product(omega._kernel, bundle))],
+                          bundle, _width(self.variables))
+        return TotalForm._unchecked(K.variables, K.frame_rank, bundle, bundle,
+                                    K.total_degree + 1, kernel)
 
     def __eq__(self, other):
         return (isinstance(other, ConnectionUpToHomotopy)

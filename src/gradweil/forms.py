@@ -3,10 +3,13 @@
 Everything is expressed over a fixed frame e_1..e_r of an anchored bundle
 and a polynomial chart base.  A `TotalForm` is a block matrix of
 Hom-valued forms: block (i, l, j) lives in Omega^i(A, Hom(E_l, F_j)) and
-all blocks share the total degree s = i + j - l.  A `Form` of degree k
-with values in R^d is the one-column TotalForm from R[0] to R^d[0], its
-k-form the block (k, 0, 0), so forms and total forms share one storage,
-one sum and one product.
+all blocks share the total degree s = i + j - l.  An element of the total
+complex of a graded bundle E is the one-column TotalForm from R[0] to E, a
+Hom(R[0], E)-valued cochain: its t-form with values in E_z is the block
+(t, 0, z), and hat(K) acts on it as the product K ^ x.  A `Form` of degree
+k with values in R^d is the case E = R^d[0], its k-form the block
+(k, 0, 0), so forms, elements and total forms share one storage, one sum
+and one product.
 
 Sign conventions (load-bearing, do not change casually):
 
@@ -41,19 +44,16 @@ are built from the integers; the Polys built from one form share one Poly
 per value on the point base, so no code writes into a Poly's terms (a test
 of the package source checks it).
 
-`wedge`, `wedge_trace` and `_apply` are one kernel pass, `_product`, which
-adds integers over D_left * D_right and stores the result in lowest terms;
-`+`, `-`, `scale` and `Algebroid.d_total` work on the stored form too.
-Given an algebroid, `_product` is the fused pass d_A Y + hat(X) o hat(Y)
-of the curvature routes and of the connection's operator (`_apply` with an
-algebroid): d_A of the right operand goes into the same accumulators
-before the one `_canonical`, over the joined denominator D_right *
-lcm(D_left, d_A's denominator).  On the point base each output matrix is
-rows of integer cells; on a chart it is one flat dict keyed by ((row *
-cols + col) << width) + monomial, which `_canonical` sorts once and splits
-back into rows.  `_apply` takes the stored Forms of one element, its part
-(t, z) in the block (t, 0, z) of a one-column Hom(R[0], E)-valued operand,
-and returns the image's parts as stored Forms.  The trace of a product
+`wedge` and `wedge_trace` are one kernel pass, `_product`, which adds
+integers over D_left * D_right and stores the result in lowest terms; `+`,
+`-`, `scale` and `Algebroid.d_total` work on the stored form too.  Given an
+algebroid, `_product` is the fused pass d_A Y + hat(X) o hat(Y) of the
+curvature routes, of the connection's operator and of d^End: d_A of the
+right operand goes into the same accumulators before the one `_canonical`,
+over the joined denominator D_right * lcm(D_left, d_A's denominator).  On
+the point base each output matrix is rows of integer cells; on a chart it
+is one flat dict keyed by ((row * cols + col) << width) + monomial, which
+`_canonical` sorts once and splits back into rows.  The trace of a product
 (`wedge_trace`, behind `tr` and `gtr`) forms only the diagonal entries of
 the diagonal blocks, summed into 1 x 1 matrices: a stored scalar Form.
 Overlapping indices are skipped by `m1 & m2` and the merge sign is a
@@ -394,80 +394,6 @@ class GradedBundle:
 # ----------------------------------------------------------------------
 
 
-class GradedElement:
-    """An element of the total complex: Forms labelled by (form degree, summand)."""
-
-    __slots__ = ("variables", "frame_rank", "bundle", "parts")
-
-    def __init__(self, variables, frame_rank, bundle, parts=None):
-        self.variables = tuple(variables)
-        self.frame_rank = int(frame_rank)
-        self.bundle = bundle
-        self.parts = {}
-        if parts:
-            for (t, z), form in parts.items():
-                self.accumulate(t, z, form)
-
-    def accumulate(self, t, z, form):
-        """Add a t-form valued in E_z into the part (t, z), in place."""
-        if form.is_zero():
-            return
-        if form.degree != t or form.fiber_dim != self.bundle.rank(z):
-            raise MismatchError("part shape does not match its (degree, summand) label")
-        key = (t, z)
-        if key in self.parts:
-            acc = self.parts[key] + form
-            if acc.is_zero():
-                del self.parts[key]
-            else:
-                self.parts[key] = acc
-        else:
-            self.parts[key] = form
-
-    @classmethod
-    def single(cls, bundle, form, summand):
-        return cls(form.variables, form.frame_rank, bundle,
-                   {(form.degree, summand): form})
-
-    def __add__(self, other):
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        if self.bundle != other.bundle:
-            raise MismatchError("graded elements live in different bundles")
-        out = GradedElement(self.variables, self.frame_rank, self.bundle,
-                            dict(self.parts))
-        for (t, z), form in other.parts.items():
-            out.accumulate(t, z, form)
-        return out
-
-    def __neg__(self):
-        return GradedElement(self.variables, self.frame_rank, self.bundle,
-                             {k: -f for k, f in self.parts.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        return GradedElement(self.variables, self.frame_rank, self.bundle,
-                             {k: f.scale(scalar) for k, f in self.parts.items()})
-
-    def is_zero(self):
-        return not self.parts
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedElement)
-                and self.bundle == other.bundle
-                and self.parts == other.parts)
-
-    def __repr__(self):
-        inner = ", ".join(f"(t={t},z={z}): {render_form(f)}"
-                          for (t, z), f in sorted(self.parts.items()))
-        return f"GradedElement({inner})"
-
-
-# ----------------------------------------------------------------------
-
-
 class TotalForm:
     """Block matrix of Hom-valued forms of a fixed total degree.
 
@@ -671,9 +597,10 @@ class TotalForm:
 
     def _check_composable(self, other):
         if not isinstance(other, TotalForm):
-            raise MismatchError("wedge expects a TotalForm")
+            raise MismatchError("the operand is not a TotalForm")
         if self.src != other.dst:
-            raise MismatchError("blocks do not compose: src != other.dst")
+            raise MismatchError(f"blocks do not compose: the operand's target {other.dst} "
+                                f"is not the source {self.src}")
         if self.variables != other.variables or self.frame_rank != other.frame_rank:
             raise MismatchError("total forms live over different frames")
 
@@ -699,38 +626,6 @@ class TotalForm:
         return Form._unchecked(self.variables, self.frame_rank, _LINE, _LINE,
                                max(self.total_degree + other.total_degree, 0),
                                self._product(other._kernel, other.src, trace=graded))
-
-    # -- operator action -----------------------------------------------------
-
-    def _apply(self, parts, d_a=None):
-        """hat(self) on the element with the parts {(t, z): E_z-valued
-        t-form}, in one kernel pass.
-
-        The element is one column of a Hom(R[0], E)-valued form: the stored
-        block (t, 0, 0) of its part (t, z) goes to the block (t, 0, z), over
-        the lcm of the parts' denominators.  Part (s, j) of the image, a
-        GradedElement over dst, is the block (s, 0, j) of the product, put
-        in lowest terms on its own when there are several.  With an
-        algebroid `d_a`, self End-valued, the pass adds d_A of every part
-        into its accumulators (see `_product`): d_A x + hat(self)(x).
-        """
-        width = _width(self.variables)
-        columns = []
-        for (t, z), form in parts.items():
-            if form.variables != self.variables or form.frame_rank != self.frame_rank:
-                raise MismatchError("the input form lives over a different chart "
-                                    "or frame rank than the total form")
-            columns += [(1, (form._kernel[0], {(t, 0, z): entries}))
-                        for entries in form._kernel[1].values()]
-        D, view = self._product(columns[0][1] if len(columns) == 1
-                                else _combine(columns, _LINE, width), _LINE, d_a=d_a)
-        out = GradedElement(self.variables, self.frame_rank, self.dst)
-        for (s, _, j), entries in view.items():
-            part = (D, {(s, 0, 0): entries})
-            out.parts[(s, j)] = Form._unchecked(
-                self.variables, self.frame_rank, _LINE, _fiber(self.dst.rank(j)), s,
-                part if len(view) == 1 else _combine([(1, part)], _LINE, width))
-        return out
 
     # -- comparison / io ----------------------------------------------------
 
@@ -968,15 +863,6 @@ def render_form(form):
 
 # ----------------------------------------------------------------------
 # derived operations
-
-
-def graded_commutator(k1, k2):
-    """[K1, K2] = K1 ^ K2 - (-1)^(|K1| |K2|) K2 ^ K1 with total degrees."""
-    sign = -1 if (k1.total_degree * k2.total_degree) % 2 else 1
-    swapped = k2.wedge(k1)
-    if sign == 1:
-        return k1.wedge(k2) - swapped
-    return k1.wedge(k2) + swapped
 
 
 def gtr(total_form):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
 from gradweil.errors import MismatchError
-from gradweil.forms import Form, GradedElement, TotalForm
+from gradweil.forms import Form, GradedBundle, TotalForm
 from gradweil.ring import Poly
 
 
@@ -152,16 +152,49 @@ def poly_connection_d(nabla, form):
     return out
 
 
+# --- the Poincare lemma: a primitive on TR^n that shares no code with the solver ---
+
+
+def radial_primitive(form):
+    """h w, the radial homotopy operator of the Poincare lemma (Bott-Tu,
+    Differential Forms in Algebraic Topology, section 4), on a scalar
+    polynomial p-form w, p >= 1, of TR^n in its coordinate frame (frame
+    element i is d/dx_i).  For w = sum_I f_I dx^I,
+
+        h w = sum_I sum_k (-1)^k (int_0^1 t^(p-1) f_I(t x) dt) x_(i_k) dx^(I - i_k),
+
+    k counted from 0 along I, and a monomial c x^a of f_I integrates to
+    c x^a / (p + |a|), so the coefficients stay rational and rise one degree.
+    Since d h + h d is the identity on forms of degree p >= 1, h w is a
+    primitive of a closed w.  Exponents and Fractions only, no form arithmetic.
+    """
+    p, coeffs = form.degree, {}
+    for (mi, _), f in form.coeffs.items():
+        for k, i in enumerate(mi):
+            terms = coeffs.setdefault((mi[:k] + mi[k + 1:], 0), {})
+            for expo, c in f.terms.items():
+                raised = expo[:i] + (expo[i] + 1,) + expo[i + 1:]
+                terms[raised] = terms.get(raised, 0) + (-1) ** k * c / (p + sum(expo))
+    return Form(form.variables, form.frame_rank, p - 1, 1,
+                {key: Poly(form.variables, terms) for key, terms in coeffs.items()})
+
+
 # --- connections up to homotopy ----------------------------------------------------
 
 
-def hat(total_form, element):
-    """hat(K) on a GradedElement over its source: the one kernel pass
-    `TotalForm._apply` over the element's parts."""
-    if element.bundle != total_form.src:
-        raise MismatchError("element bundle does not match the source bundle")
-    return total_form._apply(element.parts)
+def hat(total_form, x):
+    """hat(K) on an element x of the total complex of K's source, a
+    one-column total form from R[0]: the product K ^ x."""
+    return total_form.wedge(x)
 
+
+def graded_commutator(k1, k2):
+    """[K1, K2] = K1 ^ K2 - (-1)^(|K1| |K2|) K2 ^ K1 with total degrees: two
+    kernel wedges and their sum, the reference of `d_end`'s fused passes."""
+    swapped = k2.wedge(k1)
+    if (k1.total_degree * k2.total_degree) % 2:
+        return k1.wedge(k2) + swapped
+    return k1.wedge(k2) - swapped
 
 
 def curvature_power(conn, power):
@@ -178,11 +211,24 @@ def curvature_power(conn, power):
     return out
 
 
+LINE = GradedBundle([(0, 1)])   # R[0], the source of every element
+
+
+def element(bundle, form, summand):
+    """The E_summand-valued form `form` as an element of the total complex of
+    `bundle`: its block (t, 0, 0) moved to (t, 0, summand)."""
+    t = form.degree
+    return TotalForm(form.variables, form.frame_rank, form.src, bundle, t + summand,
+                     {(t, 0, summand): form.block(t, 0, 0)})
+
+
 def basis_element(variables, frame_rank, bundle, summand, alpha):
-    """The constant section alpha of the summand of degree `summand`."""
-    form = Form(variables, frame_rank, 0, bundle.rank(summand),
-                {((), alpha): Poly.one(variables)})
-    return GradedElement.single(bundle, form, summand)
+    """The constant section alpha of the summand of degree `summand`: column
+    alpha of the identity's block (0, summand, summand), a one-column form
+    of total degree `summand`."""
+    block = TotalForm.identity(variables, frame_rank, bundle).block(0, summand, summand)[()]
+    return TotalForm(variables, frame_rank, LINE, bundle, summand,
+                     {(0, 0, summand): {(): [[row[alpha]] for row in block]}})
 
 
 # --- input data --------------------------------------------------------------------

@@ -44,7 +44,6 @@ from gradweil.forms import (
     Form,
     GradedBundle,
     TotalForm,
-    graded_commutator,
     gtr,
     ideal_membership,
     tr,
@@ -52,8 +51,8 @@ from gradweil.forms import (
 from gradweil.problems import run_problem
 from gradweil.randgen import random_cuth, random_linear_connection, random_total_form
 from gradweil.ring import Poly
-from oracles import (curvature_power, flat_borel_module, random_structure_perturbation,
-                     solvable5_module)
+from oracles import (curvature_power, flat_borel_module, graded_commutator,
+                     random_structure_perturbation, solvable5_module)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 

@@ -34,7 +34,7 @@ from gradweil.linalg import solve
 from gradweil.problems import run_problem
 from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
-from oracles import curvature_power, rho_pullback, tangent_line
+from oracles import curvature_power, radial_primitive, rho_pullback, tangent_line
 from test_algebroid import PRESENTATIONS, koszul_reference
 from test_connections import _count_calls
 
@@ -430,9 +430,9 @@ def test_transgression_needs_matching_bundles():
 
 
 def test_transgression_starts_its_power_at_the_interpolated_curvature(monkeypatch):
-    # with the old curvature kept, index 2 wedges only D ^ D and the two
-    # products of [Omega, D] in d_End D; each integrand term is one
-    # trace-only product with D
+    # with the old curvature kept, index 2 wedges only D ^ D; d_End D is two
+    # kernel passes and no wedge, and each of the three integrand terms is
+    # one trace-only product with D
     rng = random.Random(43)
     a = catalog.sl2()
     E = GradedBundle([(0, 1), (1, 1)])
@@ -440,10 +440,40 @@ def test_transgression_starts_its_power_at_the_interpolated_curvature(monkeypatc
     old.curvature()
     counts = {}
     _count_calls(monkeypatch, TotalForm, "wedge", counts)
+    _count_calls(monkeypatch, TotalForm, "_product", counts)
     T = transgression(old, new, 2)
-    assert counts == {"wedge": 3}
+    assert counts == {"wedge": 1, "_product": 6}
     monkeypatch.undo()
     assert a.d(T) == sigma_character(new, 2).form - sigma_character(old, 2).form
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_every_closed_form_on_tr_n_has_the_radial_primitive(n):
+    # the Poincare lemma: a closed polynomial form of coefficient degree m on
+    # TR^n has the primitive h w of degree m + 1, so is_exact may never
+    # answer not_exact there, and answers exact from the bound m + 1 on
+    a = tangent_algebroid(Chart(("x", "y", "z", "w")[:n]))
+    rng = random.Random(f"radial:{n}")
+    closed = [("d_A beta", a.d(random_form(rng, a.variables, n, k, max_poly_degree=2,
+                                           density=3)))
+              for k in range(n) for _ in range(2)]
+    for _ in range(2):
+        nabla = random_linear_connection(rng, a, 2, max_poly_degree=2)
+        closed += [(f"sigma{i}", sigma_character(nabla, i).form) for i in (1, 2)]
+    checked = Counter()
+    for kind, form in closed:
+        if form.is_zero():
+            continue
+        primitive = radial_primitive(form)
+        assert a.d(primitive) == form, kind
+        degree = max(p.total_degree() for p in form.coeffs.values())
+        assert is_exact(a, form).status != "not_exact", kind
+        assert is_exact(a, form, bound=degree + 1).status == "exact", kind
+        checked[kind] += 1
+    # sigma2 is a 4-form, zero below TR^4
+    assert set(checked) == ({"d_A beta", "sigma1", "sigma2"} if n == 4
+                            else {"d_A beta", "sigma1"})
+    assert checked["d_A beta"] >= n
 
 
 def test_massey_on_heisenberg():

@@ -18,15 +18,7 @@ from gradweil.connections import (
 )
 from gradweil.errors import InternalCheckError, MismatchError
 from gradweil.algebroid import Subframe
-from gradweil.forms import (
-    Form,
-    GradedBundle,
-    GradedElement,
-    TotalForm,
-    graded_commutator,
-    mat_mul,
-    mat_zero,
-)
+from gradweil.forms import Form, GradedBundle, TotalForm, mat_mul, mat_zero
 from gradweil.randgen import (
     random_cuth,
     random_form,
@@ -35,8 +27,8 @@ from gradweil.randgen import (
     random_total_form,
 )
 from gradweil.ring import Poly
-from oracles import (basis_element, curvature_power, flat_borel_module, hat, sort_with_sign,
-                     tangent_line)
+from oracles import (LINE, basis_element, curvature_power, element, flat_borel_module,
+                     graded_commutator, hat, sort_with_sign, tangent_line)
 from test_algebroid import PRESENTATIONS
 from test_forms import apply_part_reference, mat_add, single_block, unhat_from_sections
 
@@ -83,12 +75,7 @@ def test_curvature_is_d_squared():
             R = nab.curvature()
             omega = random_form(rng, a.variables, a.rank,
                                 rng.randint(0, 1), fiber_dim=r)
-            lhs = nab.d(nab.d(omega))
-            rhs = hat(R, GradedElement.single(R.src, omega, 0)).parts
-            if lhs.is_zero():
-                assert not rhs or all(f.is_zero() for f in rhs.values())
-            else:
-                assert rhs[(omega.degree + 2, 0)] == lhs
+            assert nab.d(nab.d(omega)) == hat(R, omega)
 
 
 def test_twisted_differential_leibniz():
@@ -569,6 +556,7 @@ def test_d_end_matches_the_operator_commutator(name):
             dK = conn.d_end(K)
             assert dK.total_degree == total_degree + 1
             assert dK == d_end_reference(conn, K)
+            assert dK == a.d_total(K) + graded_commutator(conn.omega(), K)
             nonzero += not dK.is_zero()
     assert nonzero
 
@@ -590,22 +578,30 @@ def test_d_end_does_not_square_operators(monkeypatch):
 
 
 def random_element(rng, algebroid, bundle):
-    """A GradedElement with two random forms of distinct degrees per summand."""
-    parts = {}
-    for z, r in bundle.summands:
-        for t in rng.sample(range(algebroid.rank + 1), min(2, algebroid.rank + 1)):
-            parts[(t, z)] = random_form(rng, algebroid.variables, algebroid.rank, t,
-                                        fiber_dim=r, max_poly_degree=2, density=3)
-    return GradedElement(algebroid.variables, algebroid.rank, bundle, parts)
+    """An element of the total complex, a one-column form from R[0] of one
+    total degree s, with a random t-form in E_z for every summand z with
+    t = s - z a form degree; s is drawn so that at least two summands carry
+    a nonzero part."""
+    rank = algebroid.rank
+    spans = [s for s in range(bundle.degrees()[0], bundle.degrees()[-1] + rank + 1)
+             if sum(0 <= s - z <= rank for z in bundle.degrees()) >= 2]
+    s = rng.choice(spans)
+    while True:
+        parts = [element(bundle, random_form(rng, algebroid.variables, rank, s - z, fiber_dim=r,
+                                             max_poly_degree=2, density=3), z)
+                 for z, r in bundle.summands if 0 <= s - z <= rank]
+        if sum(not x.is_zero() for x in parts) >= 2:
+            return sum(parts, TotalForm.zero(algebroid.variables, rank, LINE, bundle, s))
 
 
-def cuth_apply_reference(conn, element):
+def cuth_apply_reference(conn, x):
     """cal_D by the Koszul formula for each summand's d_nabla plus hat(D) entrywise."""
-    out = GradedElement(conn.variables, conn.algebroid.rank, conn.bundle)
-    for (t, z), form in element.parts.items():
-        out = out + GradedElement.single(conn.bundle,
-                                         koszul_linear_d(conn.nablas[z], form), z)
-        out = out + apply_part_reference(conn.D, form, z)
+    out = apply_part_reference(conn.D, x)
+    for (t, _, z), columns in x.blocks.items():
+        form = Form(x.variables, x.frame_rank, t, x.dst.rank(z),
+                    {(mi, beta): poly for mi, column in columns.items()
+                     for beta, (poly,) in enumerate(column)})
+        out = out + element(conn.bundle, koszul_linear_d(conn.nablas[z], form), z)
     return out
 
 
@@ -616,11 +612,14 @@ def test_cuth_apply_matches_the_koszul_reference_on_random_elements(name):
     multi_part = 0
     for bundle in ODD_BUNDLES:
         conn = random_cuth(rng, a, bundle)
-        for _ in range(2):
+        # four draws: on a rank-1 frame an image has two parts only where D
+        # has a 0-form block that shifts the element's part in E_s
+        for _ in range(4):
             x = random_element(rng, a, bundle)
             image = conn.apply(x)
+            assert image.total_degree == x.total_degree + 1
             assert image == cuth_apply_reference(conn, x)
-            multi_part += len(x.parts) > 1 and len(image.parts) > 1
+            multi_part += len(x.blocks) > 1 and len(image.blocks) > 1
     assert multi_part
 
 
@@ -630,15 +629,61 @@ def test_cuth_apply_makes_one_kernel_pass_per_element(monkeypatch):
     a = catalog.aff1_action_line()
     conn = random_cuth(rng, a, ODD_BUNDLES[1])
     x = random_element(rng, a, conn.bundle)
-    assert len(x.parts) > 1
+    assert len(x.blocks) > 1
     conn.omega()
-    for name in ("_apply", "_product"):
-        _count_calls(monkeypatch, TotalForm, name, counts)
+    _count_calls(monkeypatch, TotalForm, "_product", counts)
     _count_calls(monkeypatch, LinearConnection, "d", counts)
-    _count_calls(monkeypatch, GradedElement, "__add__", counts)
     image = conn.apply(x)
-    assert counts == {"_apply": 1, "_product": 1}
+    assert counts == {"_product": 1}
     assert image == cuth_apply_reference(conn, x)
+
+
+# (variables, frame rank) of an operand that aff1_action_line, over the chart
+# (x,) with frame rank 2, cannot read
+FOREIGN_FRAMES = {"another_chart": (("x", "y"), 2), "the_point": ((), 2),
+                  "a_larger_frame_rank": (("x",), 3), "a_smaller_frame_rank": (("x",), 1)}
+
+
+@pytest.mark.parametrize("frame", sorted(FOREIGN_FRAMES))
+def test_the_operator_and_d_end_refuse_an_operand_over_another_frame(frame):
+    # the packed kernel would read such an operand's monomials and
+    # multi-indices against the connection's own frame: an IndexError, a
+    # TypeError or a wrong image; each is refused by its shape instead
+    rng = random.Random(f"foreign:{frame}")
+    a = catalog.aff1_action_line()
+    assert (a.variables, a.rank) == (("x",), 2)
+    nab = random_linear_connection(rng, a, 2)
+    conn = random_cuth(rng, a, ODD_BUNDLES[0])
+    variables, rank = FOREIGN_FRAMES[frame]
+    form = random_form(rng, variables, rank, 1, fiber_dim=2, density=3)
+    K = random_total_form(rng, variables, rank, conn.bundle, 1)
+    assert not form.is_zero() and not K.is_zero()
+    for call, operand in ((nab.d, form), (conn.apply, element(conn.bundle, form, 1)),
+                          (conn.d_end, K)):
+        with pytest.raises(MismatchError):
+            call(operand)
+
+
+def test_the_operator_refuses_an_operand_outside_its_total_complex():
+    rng = random.Random(109)
+    a = catalog.aff1_action_line()
+    variables, rank = a.variables, a.rank
+    nab = random_linear_connection(rng, a, 2)
+    conn = random_cuth(rng, a, ODD_BUNDLES[0])
+    outside = [
+        random_total_form(rng, variables, rank, conn.bundle, 0),   # source E, not R[0]
+        random_form(rng, variables, rank, 1, fiber_dim=2, density=3),   # target R^2[0]
+        # target another bundle
+        element(ODD_BUNDLES[1], random_form(rng, variables, rank, 1, density=3), 1),
+    ]
+    for operand in outside:
+        assert not operand.is_zero()
+        with pytest.raises(MismatchError):
+            conn.apply(operand)
+    with pytest.raises(MismatchError):
+        nab.d(random_form(rng, variables, rank, 1, fiber_dim=3, density=3))
+    with pytest.raises(MismatchError):
+        conn.d_end(random_total_form(rng, variables, rank, ODD_BUNDLES[1], 1))
 
 
 def test_operator_squaring_needs_no_wedge_and_no_d_total(monkeypatch):

@@ -20,7 +20,6 @@ from gradweil.forms import (
     EXPONENT_LIMIT,
     Form,
     GradedBundle,
-    GradedElement,
     TotalForm,
     _indices,
     _mask,
@@ -28,7 +27,6 @@ from gradweil.forms import (
     _pack,
     _unpack,
     extend_total_form,
-    graded_commutator,
     gtr,
     ideal_membership,
     mat_is_zero,
@@ -39,8 +37,9 @@ from gradweil.forms import (
 )
 from gradweil.randgen import random_cuth, random_form, random_total_form
 from gradweil.ring import Poly
-from oracles import (basis_element, curvature_power, hat, poly_add, poly_connection_d, poly_d,
-                     poly_scale, poly_wedge, sort_with_sign)
+from oracles import (LINE, basis_element, curvature_power, element, graded_commutator, hat,
+                     poly_add, poly_connection_d, poly_d, poly_scale, poly_wedge,
+                     sort_with_sign)
 from test_algebroid import PRESENTATIONS, fractional_chart_presentation
 
 VS = ("x",)
@@ -60,25 +59,26 @@ def mat_neg(a):
 def unhat_from_sections(action, variables, frame_rank, src, dst, total_degree):
     """Rebuild a TotalForm from its operator action on basis sections.
 
-    `action(summand, alpha)` must return the GradedElement obtained by
-    applying the operator to the alpha-th basis section of E_summand.
-    Evaluating on degree-0 sections involves no Koszul sign, so this is the
-    exact inverse of the hat map.
+    `action(summand, alpha)` must return the one-column form obtained by
+    applying the operator to the alpha-th basis section of E_summand, of
+    total degree `summand`.  Evaluating on degree-0 sections involves no
+    Koszul sign, so this is the exact inverse of the hat map.
     """
     zero = Poly.zero(variables)
     blocks = {}
     for l, rank_l in src.summands:
         for alpha in range(rank_l):
             image = action(l, alpha)
-            assert image.bundle == dst
-            for (t, j), form in image.parts.items():
-                assert t + j - l == total_degree
+            assert image.src == LINE and image.dst == dst
+            assert image.total_degree == total_degree + l
+            for (t, _, j), columns in image.blocks.items():
                 entries = blocks.setdefault((t, l, j), {})
-                for (mi, beta), poly in form.coeffs.items():
+                for mi, column in columns.items():
                     mat = entries.get(mi)
                     if mat is None:
                         mat = entries[mi] = [[zero] * rank_l for _ in range(dst.rank(j))]
-                    mat[beta][alpha] = poly
+                    for beta, (poly,) in enumerate(column):
+                        mat[beta][alpha] = poly
     return TotalForm(variables, frame_rank, src, dst, total_degree, blocks)
 
 
@@ -264,8 +264,7 @@ def test_hat_worked_example():
     one = Poly.one(VS)
     K = single_block(VS, 2, UNGRADED, UNGRADED, (1, 0, 0), {(0,): [[one]]})
     omega = Form(VS, 2, 1, 1, {((1,), 0): one})
-    out = hat(K, GradedElement.single(K.src, omega, 0))
-    assert out.parts == {(2, 0): Form(VS, 2, 2, 1, {((0, 1), 0): one})}
+    assert hat(K, omega) == Form(VS, 2, 2, 1, {((0, 1), 0): one})
 
 
 def test_hat_koszul_sign_on_shifting_block():
@@ -274,25 +273,10 @@ def test_hat_koszul_sign_on_shifting_block():
     one = Poly.one(VS)
     K = single_block(VS, 2, TWO_TERM, TWO_TERM, (0, 0, 1), {(): [[one]]})
     omega1 = Form(VS, 2, 1, 1, {((0,), 0): one})
-    out = hat(K, GradedElement.single(K.src, omega1, 0))
-    assert out.parts == {(1, 1): omega1.scale(-1)}
+    out = hat(K, element(K.src, omega1, 0))
+    assert out == element(K.dst, omega1.scale(-1), 1)
     omega2 = Form(VS, 2, 2, 1, {((0, 1), 0): one})
-    assert hat(K, GradedElement.single(K.src, omega2, 0)).parts == {(2, 1): omega2}
-
-
-def test_apply_part_refuses_a_form_over_another_chart():
-    # x eps1 over the chart (x,) has no exponent the point-base kernel can read
-    f = Form(VS, 2, 1, 1, {((0,), 0): Poly.variable(VS, 0)})
-    with pytest.raises(MismatchError, match="different chart or frame rank"):
-        hat(TotalForm.identity((), 2, UNGRADED), GradedElement.single(UNGRADED, f, 0))
-
-
-def test_apply_refuses_a_form_over_another_frame_rank():
-    f = Form(VS, 2, 1, 1, {((0,), 0): Poly.variable(VS, 0)})
-    element = GradedElement.single(UNGRADED, f, 0)
-    with pytest.raises(MismatchError, match="different chart or frame rank"):
-        hat(TotalForm.identity(VS, 3, UNGRADED), element)
-    assert hat(TotalForm.identity(VS, 2, UNGRADED), element) == element
+    assert hat(K, element(K.src, omega2, 0)) == element(K.dst, omega2, 1)
 
 
 def test_wedge_is_operator_composition():
@@ -305,8 +289,8 @@ def test_wedge_is_operator_composition():
         l = rng.choice(E.degrees())
         omega = random_form(rng, VS, 3, rng.randint(0, 2),
                             fiber_dim=E.rank(l))
-        lhs = hat(W, GradedElement.single(W.src, omega, l))
-        rhs = hat(K1, hat(K2, GradedElement.single(K2.src, omega, l)))
+        lhs = hat(W, element(W.src, omega, l))
+        rhs = hat(K1, hat(K2, element(K2.src, omega, l)))
         assert (lhs + rhs.scale(-1)).is_zero()
 
 
@@ -474,32 +458,30 @@ def wedge_reference(K, L):
                      K.total_degree + L.total_degree, blocks)
 
 
-def apply_part_reference(K, form, l):
-    """hat(K) on an E_l-valued form, one Poly product per matrix entry."""
-    out = GradedElement(K.variables, K.frame_rank, K.dst)
-    t = form.degree
-    for (i, bl, j), entries in K.blocks.items():
-        if bl != l:
-            continue
-        koszul = -1 if ((j - l) * t) % 2 else 1
-        coeffs = {}
-        for mi1, mat in entries.items():
-            for mi2 in {mi for mi, _ in form.coeffs}:
-                sign, merged = merge_indices(mi1, mi2)
-                if sign == 0:
-                    continue
-                vec = [form.get(mi2, a) for a in range(form.fiber_dim)]
-                for beta in range(K.dst.rank(j)):
-                    val = Poly.zero(K.variables)
-                    for a, v in enumerate(vec):
-                        val = val + mat[beta][a] * v
-                    if sign * koszul == -1:
-                        val = -val
-                    key = (merged, beta)
-                    coeffs[key] = coeffs.get(key, Poly.zero(K.variables)) + val
-        part = Form(K.variables, K.frame_rank, t + i, K.dst.rank(j), coeffs)
-        out = out + GradedElement.single(K.dst, part, j)
-    return out
+def apply_part_reference(K, x):
+    """hat(K) on an element x of the total complex of K's source, one Poly
+    product per matrix entry for each part of x."""
+    blocks = {}
+    for (t, _, l), columns in x.blocks.items():
+        for (i, bl, j), entries in K.blocks.items():
+            if bl != l:
+                continue
+            koszul = -1 if ((j - l) * t) % 2 else 1
+            tgt = blocks.setdefault((t + i, 0, j), {})
+            for mi1, mat in entries.items():
+                for mi2, column in columns.items():
+                    sign, merged = merge_indices(mi1, mi2)
+                    if sign == 0:
+                        continue
+                    out = tgt.setdefault(merged, [[Poly.zero(K.variables)]
+                                                  for _ in range(K.dst.rank(j))])
+                    for beta in range(K.dst.rank(j)):
+                        val = Poly.zero(K.variables)
+                        for a, (v,) in enumerate(column):
+                            val = val + mat[beta][a] * v
+                        out[beta][0] = out[beta][0] + (-val if sign * koszul == -1 else val)
+    return TotalForm(K.variables, K.frame_rank, x.src, K.dst,
+                     K.total_degree + x.total_degree, blocks)
 
 
 # a five-variable chart, one packed field per variable, with exponents drawn
@@ -605,12 +587,10 @@ def test_kernel_apply_part_matches_the_reference(variables):
                       for mi in itertools.combinations(range(3), t)
                       for a in range(bundle.rank(l)) if rng.random() < 0.7}
             form = Form(variables, 3, t, bundle.rank(l), coeffs)
-            image = hat(K, GradedElement.single(K.src, form, l))
-            assert image == apply_part_reference(K, form, l)
-            for part in image.parts.values():
-                assert not part.is_zero()
-                assert all(not p.is_zero() for p in part.coeffs.values())
-                assert all(c != 0 for p in part.coeffs.values() for c in p.terms.values())
+            x = element(K.src, form, l)
+            image = hat(K, x)
+            assert image == apply_part_reference(K, x)
+            assert_nothing_zero_stored(image)
             nonzero += not image.is_zero()
     assert nonzero > 12
 
@@ -725,8 +705,8 @@ def test_the_packed_layer_refuses_an_exponent_at_the_limit():
         Algebroid(Chart(VS), 1, [[big]], [[[0]]])
     # below the limit a product carries past 2^32 within its field
     K = TotalForm(VS, 1, bundle, bundle, 1, {(1, 0, 0): {(0,): [[below]]}})
-    image = hat(K, GradedElement.single(bundle, Form(VS, 1, 0, 1, {((), 0): below}), 0))
-    assert image.parts[(1, 0)].coeffs == {((0,), 0): below * below}
+    image = hat(K, Form(VS, 1, 0, 1, {((), 0): below}))
+    assert image.blocks == {(1, 0, 0): {(0,): ((below * below,),)}}
 
 
 # --- one denominator per operand, over denominators 3, 5, 7 and 11 -------------
@@ -771,16 +751,18 @@ def test_kernel_is_exact_over_denominators_3_5_7_and_11(algebroid):
             nonzero["wedge"] += not W.is_zero()
             nonzero["trace"] += not tr(W).is_zero()
             primes |= {p for p in (3, 5, 7, 11) for M in (K, L) if M._kernel[0] % p == 0}
-            # one element whose parts are over different denominators
-            x = GradedElement(variables, 3, bundle)
-            expected = GradedElement(variables, 3, bundle)
-            for z, r in bundle.summands:
-                t, dens = rng.randint(0, 2), rng.choice(ODD_DENOMINATORS)
-                form = Form(variables, 3, t, r,
-                            {(mi, a): kernel_poly(rng, variables, dens)
-                             for mi in itertools.combinations(range(3), t) for a in range(r)})
-                x.accumulate(t, z, form)
-                expected = expected + apply_part_reference(K, form, z)
+            # one element of total degree s whose parts, a t-form in E_z for
+            # each summand with t = s - z in 0..2, are over different denominators
+            spans = {s: [z for z in bundle.degrees() if 0 <= s - z <= 2] for s in range(-1, 5)}
+            s = rng.choice([s for s in spans if len(spans[s]) == max(map(len, spans.values()))])
+            x = TotalForm.zero(variables, 3, LINE, bundle, s)
+            for z in spans[s]:
+                t, r, dens = s - z, bundle.rank(z), rng.choice(ODD_DENOMINATORS)
+                x = x + element(bundle, Form(variables, 3, t, r,
+                                             {(mi, a): kernel_poly(rng, variables, dens)
+                                              for mi in itertools.combinations(range(3), t)
+                                              for a in range(r)}), z)
+            expected = apply_part_reference(K, x)
             assert hat(K, x) == expected
             nonzero["apply"] += not expected.is_zero()
         # the trace-only product R^(j-1) with R against tr and gtr of R^j
@@ -859,8 +841,8 @@ def test_kernel_matches_the_references_at_every_frame_rank(variables, frame_rank
                       for mi in itertools.combinations(range(frame_rank), t)
                       for a in range(bundle.rank(l)) if rng.random() < 0.5}
             form = Form(variables, frame_rank, t, bundle.rank(l), coeffs)
-            image = hat(K, GradedElement.single(K.src, form, l))
-            assert image == apply_part_reference(K, form, l)
+            x = element(K.src, form, l)
+            assert hat(K, x) == apply_part_reference(K, x)
     assert seen[True] > 0 and seen[False] > 0
     assert nonzero >= 3
 
@@ -895,7 +877,7 @@ def test_engine_built_results_equal_their_checked_rebuild(algebroid):
                    alpha + alpha, alpha - alpha, -alpha, alpha.scale(3), alpha.scale(0),
                    beta.wedge(alpha), beta.wedge(beta), algebroid.d(alpha),
                    algebroid.d(beta), gtr(K.wedge(L)), tr(K.wedge(L))]
-        results += list(hat(K, GradedElement.single(K.src, alpha, 0)).parts.values())
+        results.append(hat(K, element(K.src, alpha, 0)))
         assert any(not r.is_zero() for r in results)
         for result in results:
             assert_trusted(result)
@@ -924,8 +906,8 @@ def test_kernel_view_and_omega_are_built_once():
     assert first == again == wedge_reference(K, L)
     assert K.wedge(K) == K.wedge(K) == wedge_reference(K, K)
     form = random_form(rng, (), 3, 1, fiber_dim=2, density=4)
-    element = GradedElement.single(K.src, form, 0)
-    assert hat(K, element) == hat(K, element) == apply_part_reference(K, form, 0)
+    x = element(K.src, form, 0)
+    assert hat(K, x) == hat(K, x) == apply_part_reference(K, x)
 
 
 # --- the stored form is canonical ----------------------------------------------

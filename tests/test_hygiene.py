@@ -1,6 +1,7 @@
 """Source hygiene: every public definition in the package is reached by the
-product, every name a package module imports is used there, and no package
-code writes into the terms of a Poly."""
+product, every name a package module imports is used there, the export list
+matches what the package imports, and no package code writes into the terms
+of a Poly."""
 
 import ast
 import pathlib
@@ -76,6 +77,21 @@ def test_every_imported_name_is_used_in_its_module():
                 if name not in used and "noqa" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno} {name}")
     assert not unused, f"imported names never used: {unused}"
+
+
+def test_the_export_list_matches_the_package_imports():
+    # a deleted definition must leave both __all__ and the imports of __init__
+    import gradweil
+
+    missing = [name for name in gradweil.__all__ if not hasattr(gradweil, name)]
+    assert not missing, f"__all__ names that do not resolve: {missing}"
+    assert len(set(gradweil.__all__)) == len(gradweil.__all__)
+    imported = {alias.asname or alias.name
+                for node in ast.parse(INIT.read_text()).body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    unlisted = sorted(imported - set(gradweil.__all__))
+    assert not unlisted, f"names __init__ imports but does not export: {unlisted}"
 
 
 _MUTATORS = frozenset({"update", "pop", "setdefault", "clear", "popitem"})
