@@ -23,8 +23,8 @@ numerator, the ones that cancel dropped.  This table is the only code that
 applies the anchor and structure functions to forms, in integers: each
 image term is an integer multiply-add.  It has two readers.  `_d_into`
 adds a multiple of d_A of every entry of a stored TotalForm (see `forms`)
-into the accumulators of a kernel pass, which is how the last pass of both
-curvature routes, and the one pass of a connection's operator, add d_A;
+into the accumulators of a kernel pass, which is how the curvature's last
+pass, the one pass of a connection's operator and d^End add d_A;
 `d_total` is that pass on accumulators of its own, and `d` is `d_total`
 on a Form, the one-column TotalForm.  They read the terms from
 `_d_packed`, keyed by bitmask: target bitmask, the bit offset of the
@@ -144,7 +144,7 @@ class Algebroid:
 
     __slots__ = ("chart", "rank", "anchor", "structure", "_anchor_terms",
                  "_d_coframe", "_anchored", "_d_den", "_d_table", "_d_packed",
-                 "d_vanishes")
+                 "d_vanishes", "_degree")
 
     def __init__(self, chart, rank, anchor, structure):
         if not isinstance(chart, Chart):
@@ -184,6 +184,11 @@ class Algebroid:
                   for a in range(self.rank) for b in range(a + 1, self.rank)
                   for expo, c in structure[a][b][k].terms.items())
             for k in range(self.rank))
+        # the highest total degree of an anchor or structure coefficient: an
+        # anchor term's shift is one below its monomial
+        self._degree = max(itertools.chain(
+            (sum(shift) + 1 for row in self._anchor_terms for _, shift, _ in row),
+            (sum(beta) for row in self._d_coframe for _, beta, _ in row)), default=0)
         # the integer d_A table: the frame indices with a nonzero anchor, the
         # common denominator of every coefficient above, and per multi-index
         # the terms `_d_terms` builds on first use

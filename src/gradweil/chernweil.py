@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .connections import ConnectionUpToHomotopy, cuth_difference
 from .errors import InternalCheckError, MismatchError, NotClosedError
-from .forms import Form, gtr, tr
+from .forms import Form, _unpack, gtr, tr
 from .linalg import nullspace, rref, solve, transpose
 
 # ----------------------------------------------------------------------
@@ -268,17 +268,16 @@ class ExactnessResult:
 def default_bound(algebroid, forms=()):
     """2 * (max total degree over the input data) + 2.
 
-    The algebroid's degrees are read from the nonzero terms d_A is built
-    from: an anchor term a x^beta d/dx_m, kept with shift beta - unit(m),
-    has degree sum(shift) + 1, and a term c x^beta of c_ab^k (a < b) has
-    degree sum(beta).
+    The algebroid's degree is kept on it (`Algebroid._degree`); a form's
+    degrees are read off its packed monomials, so no Poly is built.
     """
-    degrees = [0]
-    degrees.extend(sum(shift) + 1 for row in algebroid._anchor_terms for _, shift, _ in row)
-    degrees.extend(sum(beta) for row in algebroid._d_coframe for _, beta, _ in row)
+    degrees = [algebroid._degree]
     for form in forms:
-        if form is not None:
-            degrees.extend(p.total_degree() for p in form.coeffs.values())
+        if form is not None and form.variables:
+            nvars = len(form.variables)
+            degrees.extend(sum(_unpack(m, nvars)) for entries in form._kernel[1].values()
+                           for rows in entries.values() for row in rows
+                           for _, entry in row for m, _ in entry)
     return 2 * max(degrees) + 2
 
 

@@ -8,8 +8,8 @@ Usage::
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the report
 names it), 2 input error (unreadable file, invalid JSON, schema violation,
 or an object that cannot be built from its payload), 3 an internal check
-failed: two computation routes disagreed, which is an engine bug rather
-than a problem with the input.
+failed (`InternalCheckError`, such as a curvature pass that did not return
+Omega): an engine bug rather than a problem with the input.
 
 The machine-readable report is canonical JSON: sorted keys, no whitespace,
 ASCII only, one trailing newline — byte-identical across runs and platforms.

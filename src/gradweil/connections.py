@@ -25,23 +25,23 @@ one-summand case with D = 0, and its d_nabla is `apply` on a Form.
 K ^ Omega, summed once.  The Koszul formula on frame elements and the
 operator commutator stay in the tests as the oracles of all three.
 
-The curvature R is the unique total form with hat(R) = cal_D^2.  The first
-curvature call runs both routes once: `curvature_by_squaring`, which squares
-the operator on the basis sections, and the formula `curvature_blockwise`;
-if they disagree it raises InternalCheckError naming the first block and
-multi-index where they differ.  The basis sections are the columns of the
-identity, so the operator route is two hat(Omega) kernel passes, the second
-over the integers the first returns; its squares are R's columns as they
-stand.  The formula route is one pass of Omega on Omega.  The last pass of
-each route adds d_A of its right operand into its own accumulators (see
-`TotalForm._product`), so a first curvature makes three kernel passes and
-neither route calls `TotalForm.wedge`, `Algebroid.d_total` or `+`.
-Connections do not change after construction: a connection up to homotopy
-builds Omega once, Gamma straight from the checked Christoffel matrices,
-and keeps its checked curvature, and a linear connection keeps its
-curvature per degree label.  Powers of the curvature are traced in
-`chernweil.power_traces`; the tests keep the full product R^i as its
-oracle.
+The curvature R is the unique total form with hat(R) = cal_D^2, computed
+once per connection in two kernel passes.  The basis sections are the
+columns of the identity, so pass 1 is hat(Omega) on all of them at once
+(d_A of a constant 0-form is zero), and it must return Omega's stored form
+exactly: if it does not, InternalCheckError names the first block and
+multi-index where they differ.  Pass 2 is hat(Omega) on those images with
+d_A of the images added into its own accumulators (see
+`TotalForm._product`); a degree-0 section takes no Koszul sign, so its
+squares are R's columns as they stand.  The formula d_A Omega + Omega ^
+Omega stays in the tests as R's oracle, and no curvature calls
+`TotalForm.wedge`, `Algebroid.d_total` or `+`.  Connections do not change
+after construction: a connection up to homotopy builds Omega once, Gamma
+straight from the checked Christoffel matrices, and keeps its checked
+curvature, and a linear connection keeps its one-summand connection up to
+homotopy per degree label, so its d_nabla and curvature read one Omega.
+Powers of the curvature are traced in `chernweil.power_traces`; the tests
+keep the full product R^i as its oracle.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .ring import Poly
 class LinearConnection:
     """An A-connection on a trivialized bundle, given by Christoffel matrices."""
 
-    __slots__ = ("algebroid", "rank", "mats", "_curvatures")
+    __slots__ = ("algebroid", "rank", "mats", "_connections")
 
     def __init__(self, algebroid, rank, mats):
         self.algebroid = algebroid
@@ -78,7 +78,7 @@ class LinearConnection:
             if len(m) != self.rank or any(len(row) != self.rank for row in m):
                 raise MismatchError("Christoffel matrices must be rank x rank")
         self.mats = mats
-        self._curvatures = {}   # degree label -> curvature, computed once
+        self._connections = {}   # degree label -> one-summand cuth, built once
 
     def _as_poly(self, p):
         if isinstance(p, Poly):
@@ -142,9 +142,19 @@ class LinearConnection:
 
     # -- connection differential -------------------------------------------
 
+    def _connection(self, degree_label=0):
+        """The one-summand connection up to homotopy on this bundle placed in
+        degree `degree_label`, built once per label; it keeps its Omega and
+        its curvature."""
+        conn = self._connections.get(degree_label)
+        if conn is None:
+            conn = self._connections[degree_label] = ConnectionUpToHomotopy.from_linear(
+                self, degree_label)
+        return conn
+
     def d(self, form):
         """d_nabla w = cal_D w for the one-summand cuth on this bundle."""
-        return ConnectionUpToHomotopy.from_linear(self).apply(form)
+        return self._connection().apply(form)
 
     # -- curvature -----------------------------------------------------------
 
@@ -152,14 +162,9 @@ class LinearConnection:
         """R_nabla = d_A Gamma + Gamma ^ Gamma, a TotalForm with the block (2, z, z).
 
         The curvature of the one-summand connection up to homotopy on this
-        bundle placed in degree `degree_label`, checked there once; the
-        result is kept per degree label.
+        bundle placed in degree `degree_label`, which keeps it.
         """
-        cached = self._curvatures.get(degree_label)
-        if cached is None:
-            cached = ConnectionUpToHomotopy.from_linear(self, degree_label).curvature()
-            self._curvatures[degree_label] = cached
-        return cached
+        return self._connection(degree_label).curvature()
 
     def is_flat(self):
         return self.curvature().is_zero()
@@ -268,7 +273,7 @@ class ConnectionUpToHomotopy:
             raise MismatchError("D lives over the wrong frame")
         self.D = D
         self._omega = None       # Gamma + D, built once
-        self._curvature = None   # computed and cross-checked once
+        self._curvature = None   # computed and checked once
 
     @classmethod
     def from_linear(cls, nabla, degree_label=0):
@@ -323,49 +328,32 @@ class ConnectionUpToHomotopy:
             self._omega = self.connection_form() + self.D
         return self._omega
 
-    def curvature_blockwise(self):
-        """R = d_A Omega + Omega ^ Omega (the formula route), in one kernel pass
-        that adds d_A Omega into the accumulators of Omega ^ Omega."""
-        omega, algebroid = self.omega(), self.algebroid
-        return TotalForm._unchecked(self.variables, algebroid.rank, self.bundle, self.bundle, 2,
-                                    omega._product(omega._kernel, self.bundle, d_a=algebroid))
-
-    def curvature_by_squaring(self):
-        """R unhatted from cal_D squared on the basis sections (the operator route).
+    def curvature(self):
+        """The unique total form R with hat(R) = cal_D squared, in two kernel passes.
 
         Section e_(l, alpha) is column alpha of block (0, l, l) of the
-        identity, so cal_D on all of them is one hat(Omega) kernel pass (d_A
-        of a constant 0-form is zero), and cal_D on their images a second
-        pass that adds d_A of the images into its accumulators.  Column
-        alpha of block (s, l, j) of the result is part (s, j) of cal_D^2
-        e_(l, alpha); a degree-0 section takes no Koszul sign, so that is R
-        as it stands.
+        identity, so pass 1, cal_D on all of them, is hat(Omega) on the
+        identity: it must return Omega's stored form, or InternalCheckError
+        names the first block and multi-index where they differ.  Pass 2 is
+        cal_D on those images, with d_A of the images added into its
+        accumulators; column alpha of block (s, l, j) of the result is part
+        (s, j) of cal_D^2 e_(l, alpha), which is R as it stands.  The result
+        is kept on the instance.
         """
-        omega, algebroid, bundle = self.omega(), self.algebroid, self.bundle
-        sections = TotalForm.identity(self.variables, algebroid.rank, bundle)._kernel
-        images = omega._product(sections, bundle)
-        return TotalForm._unchecked(self.variables, algebroid.rank, bundle, bundle, 2,
-                                    omega._product(images, bundle, d_a=algebroid))
-
-    def curvature(self):
-        """The unique total form R with hat(R) = cal_D squared.
-
-        Computed by unhatting the squared operator on basis sections and
-        cross-checked against the blockwise route; disagreement raises
-        InternalCheckError naming the first block and multi-index where the
-        routes differ.  The checked result is kept on the instance.
-        """
-        if self._curvature is not None:
-            return self._curvature
-        operator_route = self.curvature_by_squaring()
-        blockwise = self.curvature_blockwise()
-        if operator_route != blockwise:
-            block, mi = _first_difference(operator_route, blockwise)
-            raise InternalCheckError(
-                "curvature routes disagree: operator squaring vs blockwise "
-                f"formula at block {block}, multi-index {mi}")
-        self._curvature = operator_route
-        return operator_route
+        if self._curvature is None:
+            omega, algebroid, bundle = self.omega(), self.algebroid, self.bundle
+            identity = TotalForm.identity(self.variables, algebroid.rank, bundle)
+            images = TotalForm._unchecked(self.variables, algebroid.rank, bundle, bundle, 1,
+                                          omega._product(identity._kernel, bundle))
+            if images != omega:
+                block, mi = _first_difference(images, omega)
+                raise InternalCheckError(
+                    "curvature check failed: cal_D on the basis sections differs from "
+                    f"Omega at block {block}, multi-index {mi}")
+            self._curvature = TotalForm._unchecked(
+                self.variables, algebroid.rank, bundle, bundle, 2,
+                omega._product(images._kernel, bundle, d_a=algebroid))
+        return self._curvature
 
     # -- induced End differential ------------------------------------------------
 

@@ -26,8 +26,7 @@ class MorphismError(EngineError, ValueError):
 
 
 class InternalCheckError(EngineError, AssertionError):
-    """Two independent computation routes disagreed.
-
-    This is a hard internal error: it signals a bug in the engine itself,
-    never a problem with user input.
+    """An internal check failed, such as the curvature's first kernel pass
+    not returning Omega: a hard internal error that signals a bug in the
+    engine itself, never a problem with user input.
     """

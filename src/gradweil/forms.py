@@ -48,7 +48,7 @@ of the package source checks it).
 integers over D_left * D_right and stores the result in lowest terms; `+`,
 `-`, `scale` and `Algebroid.d_total` work on the stored form too.  Given an
 algebroid, `_product` is the fused pass d_A Y + hat(X) o hat(Y) of the
-curvature routes, of the connection's operator and of d^End: d_A of the
+curvature's last pass, of the connection's operator and of d^End: d_A of the
 right operand goes into the same accumulators before the one `_canonical`,
 over the joined denominator D_right * lcm(D_left, d_A's denominator).  On
 the point base each output matrix is rows of integer cells; on a chart it

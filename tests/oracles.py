@@ -197,6 +197,14 @@ def graded_commutator(k1, k2):
     return k1.wedge(k2) - swapped
 
 
+def curvature_formula(conn):
+    """R = Omega ^ Omega + d_A Omega from public calls: a kernel wedge and
+    `Algebroid.d_total`, summed; the unfused reference of `curvature`'s fused
+    last pass."""
+    omega = conn.omega()
+    return omega.wedge(omega) + conn.algebroid.d_total(omega)
+
+
 def curvature_power(conn, power):
     """R^i as an iterated composition wedge; hat of it equals cal_D^(2i).
 

@@ -36,7 +36,7 @@ from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
 from oracles import curvature_power, radial_primitive, rho_pullback, tangent_line
 from test_algebroid import PRESENTATIONS, koszul_reference
-from test_connections import _count_calls
+from test_connections import _count_calls, _count_first_curvatures
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -74,12 +74,11 @@ def test_sigma_index_below_one_is_refused():
 
 def test_characters_of_a_linear_connection_reuse_its_curvature(monkeypatch):
     counts = {}
-    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_by_squaring", counts)
-    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_blockwise", counts)
+    _count_first_curvatures(monkeypatch, counts)
     nab = random_linear_connection(random.Random(31), catalog.abelian(4), 2)
     sigma_character(nab, 1)
     sigma_character(nab, 2)
-    assert counts == {"curvature_by_squaring": 1, "curvature_blockwise": 1}
+    assert counts == {"curvature": 1}
 
 
 @pytest.mark.parametrize("name", ["transgression_aff1_scalar",
@@ -88,10 +87,10 @@ def test_transgression_task_computes_each_curvature_once(monkeypatch, name):
     # two connections, so two curvatures: the old one's is kept on it and
     # reused by its character
     counts = {}
-    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_blockwise", counts)
+    _count_first_curvatures(monkeypatch, counts)
     payload = json.loads((CORPUS / f"{name}.json").read_text())
     assert run_problem(payload)["checks"][0]["pass"]
-    assert counts == {"curvature_blockwise": 2}
+    assert counts == {"curvature": 2}
 
 
 def test_unclosed_character_over_a_lie_algebra_is_an_internal_failure(monkeypatch):

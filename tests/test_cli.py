@@ -18,6 +18,7 @@ from gradweil.algebroid import Algebroid
 from gradweil.cli import canonical_json, main
 from gradweil.errors import InternalCheckError
 from gradweil.problems import TASKS, run_problem, validate_problem
+from test_connections import double_the_identity
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -247,11 +248,11 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     rows = capsys.readouterr().out.splitlines()
     assert [row.split()[0] for row in rows] == ["algebra", "sl2", "solvable5", "abelian(8)",
                                                 "TR^4"]
-    original = ConnectionUpToHomotopy.curvature_blockwise
-    monkeypatch.setattr(ConnectionUpToHomotopy, "curvature_blockwise",
+    original = ConnectionUpToHomotopy.curvature
+    monkeypatch.setattr(ConnectionUpToHomotopy, "curvature",
                         lambda self: original(self).scale(2))
     assert tool.main(["--seeds", "1", "--repeats", "1"]) == 1
-    assert "the operator and formula routes disagree" in capsys.readouterr().out
+    assert "the fused curvature and the formula disagree" in capsys.readouterr().out
 
 
 # --- out-of-range indices ------------------------------------------------------
@@ -469,15 +470,14 @@ def test_morphism_task_checks_the_morphism_once(monkeypatch):
 
 
 def _raise_internal(*args, **kwargs):
-    raise InternalCheckError("blockwise and operator curvature disagree")
+    raise InternalCheckError("curvature check failed")
 
 
 def test_internal_check_failure_exits_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("gradweil.cli.run_problem", _raise_internal)
     assert main([write_problem(tmp_path, check_sl2_payload())]) == 3
     captured = capsys.readouterr()
-    assert captured.err == ("error: internal check failed: blockwise and "
-                            "operator curvature disagree\n")
+    assert captured.err == "error: internal check failed: curvature check failed\n"
     assert "Traceback" not in captured.err + captured.out
 
 
@@ -494,18 +494,17 @@ def test_corpus_counts_internal_check_failure_as_error(tmp_path, capsys, monkeyp
 
 def test_disagreeing_curvature_routes_exit_three_naming_the_block(tmp_path, capsys,
                                                                   monkeypatch):
-    from gradweil.connections import ConnectionUpToHomotopy
-
-    original = ConnectionUpToHomotopy.curvature_blockwise
-    monkeypatch.setattr(ConnectionUpToHomotopy, "curvature_blockwise",
-                        lambda self: original(self).scale(2))
+    # the identity's block (0, 0, 0) doubled: cal_D on the basis sections of
+    # E_0 returns twice Omega's blocks from E_0, the first of them Gamma's
+    # (1, 0, 0) at (0,) in both problems
+    double_the_identity(monkeypatch, 0)
     # a connection up to homotopy, and a problem with linear connections only
-    for name, mi in (("obstruct_aff1_mixed", (0, 1)), ("bott_sl2_borel", (1, 2))):
+    for name in ("obstruct_aff1_mixed", "bott_sl2_borel"):
         assert main([str(CORPUS / f"{name}.json")]) == 3
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: internal check failed: curvature routes disagree: operator "
-            f"squaring vs blockwise formula at block (2, 0, 0), multi-index {mi}\n")
+            "error: internal check failed: curvature check failed: cal_D on the basis "
+            "sections differs from Omega at block (1, 0, 0), multi-index (0,)\n")
         assert "Traceback" not in captured.err + captured.out
 
 

@@ -17,7 +17,7 @@ from gradweil.connections import (
     two_term_connection,
 )
 from gradweil.errors import InternalCheckError, MismatchError
-from gradweil.algebroid import Subframe
+from gradweil.algebroid import Chart, Subframe, tangent_algebroid
 from gradweil.forms import Form, GradedBundle, TotalForm, mat_mul, mat_zero
 from gradweil.randgen import (
     random_cuth,
@@ -27,8 +27,8 @@ from gradweil.randgen import (
     random_total_form,
 )
 from gradweil.ring import Poly
-from oracles import (LINE, basis_element, curvature_power, element, flat_borel_module,
-                     graded_commutator, hat, sort_with_sign, tangent_line)
+from oracles import (LINE, basis_element, curvature_formula, curvature_power, element,
+                     flat_borel_module, graded_commutator, hat, sort_with_sign, tangent_line)
 from test_algebroid import PRESENTATIONS
 from test_forms import apply_part_reference, mat_add, single_block, unhat_from_sections
 
@@ -512,7 +512,7 @@ def test_curvature_blockwise_matches_the_koszul_route(name):
                        for i, j in itertools.combinations(range(a.rank), 2)}
             expected = expected + TotalForm(a.variables, a.rank, bundle, bundle,
                                             2, {(2, z, z): entries})
-        assert conn.curvature_blockwise() == expected
+        assert conn.curvature() == expected
         nonzero += not expected.is_zero()
     assert nonzero
 
@@ -565,7 +565,7 @@ def test_d_end_does_not_square_operators(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("d_end squared the operator")
 
-    monkeypatch.setattr(ConnectionUpToHomotopy, "curvature_by_squaring", refuse)
+    monkeypatch.setattr(ConnectionUpToHomotopy, "curvature", refuse)
     monkeypatch.setattr(ConnectionUpToHomotopy, "apply", refuse)
     rng = random.Random(71)
     a = catalog.sl2()
@@ -688,13 +688,13 @@ def test_the_operator_refuses_an_operand_outside_its_total_complex():
 
 def test_operator_squaring_needs_no_wedge_and_no_d_total(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the operator route left the hat action")
+        raise AssertionError("the operator left the hat action")
 
     rng = random.Random(97)
     for a in (catalog.sl2(), catalog.aff1_action_line()):
         for bundle in ODD_BUNDLES:
             conn = random_cuth(rng, a, bundle)
-            expected = conn.curvature_blockwise()
+            expected = curvature_formula(conn)
             with monkeypatch.context() as patched:
                 patched.setattr(TotalForm, "wedge", refuse)
                 patched.setattr(type(a), "d_total", refuse)
@@ -710,7 +710,7 @@ def test_operator_squaring_needs_no_wedge_and_no_d_total(monkeypatch):
                                   "fractional_chart"])
 def test_batched_operator_squares_match_the_per_section_squares(name, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the operator route left the hat action")
+        raise AssertionError("the curvature left the hat action")
 
     a = PRESENTATIONS[name]()
     rng = random.Random(sum(map(ord, name)) + 8)
@@ -723,26 +723,79 @@ def test_batched_operator_squares_match_the_per_section_squares(name, monkeypatc
         with monkeypatch.context() as patched:
             patched.setattr(TotalForm, "wedge", refuse)
             patched.setattr(type(a), "d_total", refuse)
-            squares = conn.curvature_by_squaring()
+            squares = conn.curvature()
         assert squares == expected
         assert not squares.is_zero()
 
 
-def test_first_curvature_makes_three_kernel_passes(monkeypatch):
-    # one pass of hat(Omega) over all basis sections, one over their images,
-    # and Omega ^ Omega in the formula route, whatever the bundle's rank
+def test_first_curvature_makes_two_kernel_passes(monkeypatch):
+    # one pass of hat(Omega) over all basis sections and one over their
+    # images with d_A fused, whatever the bundle's rank
     rng = random.Random(101)
     for a in (catalog.sl2(), catalog.aff1_action_line()):
         for bundle in ODD_BUNDLES + D_END_BUNDLES:
             conn = random_cuth(rng, a, bundle)
+            conn.omega()
             counts = {}
             with monkeypatch.context() as patched:
                 _count_calls(patched, TotalForm, "_product", counts)
+                _count_calls(patched, type(a), "_d_into", counts)
                 R = conn.curvature()
-                assert counts == {"_product": 3}
+                assert counts == {"_product": 2, "_d_into": 1}
                 assert conn.curvature() is R
-                assert counts == {"_product": 3}
+                assert counts == {"_product": 2, "_d_into": 1}
 
+
+def _curvature_passes(monkeypatch, conn):
+    """The curvature of `conn` and the (right operand, d_a, result) of each
+    kernel pass it makes."""
+    passes = []
+    original = TotalForm._product
+
+    def record(self, right, right_src, trace=None, d_a=None):
+        out = original(self, right, right_src, trace, d_a)
+        passes.append((right, d_a, out))
+        return out
+
+    with monkeypatch.context() as patched:
+        patched.setattr(TotalForm, "_product", record)
+        R = conn.curvature()
+    return R, passes
+
+
+def _check_the_two_passes(monkeypatch, conn):
+    omega = conn.omega()
+    identity = TotalForm.identity(conn.variables, conn.algebroid.rank, conn.bundle)
+    R, ((first, d_first, images), (second, d_second, _)) = _curvature_passes(monkeypatch,
+                                                                             conn)
+    # pass 1 is hat(Omega) on the basis sections and returns Omega's stored form
+    assert first == identity._kernel and d_first is None
+    assert images == omega._kernel
+    # pass 2 is hat(Omega) on those images with d_A fused
+    assert second is images and d_second is conn.algebroid
+    assert R == curvature_formula(conn)
+    return R
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_curvature_passes_match_omega_and_the_unfused_formula(name, monkeypatch):
+    a = PRESENTATIONS[name]()
+    rng = random.Random(f"passes:{name}")
+    nonzero = 0
+    for bundle in ODD_BUNDLES + D_END_BUNDLES:
+        nonzero += not _check_the_two_passes(monkeypatch, random_cuth(rng, a, bundle)).is_zero()
+    assert nonzero
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_linear_curvature_passes_on_charts_match_the_unfused_formula(n, monkeypatch):
+    a = tangent_algebroid(Chart(("x", "y", "z", "w")[:n]))
+    rng = random.Random(f"passes:TR^{n}")
+    for _ in range(3):
+        nab = random_linear_connection(rng, a, 2)
+        R = _check_the_two_passes(monkeypatch, ConnectionUpToHomotopy.from_linear(nab))
+        assert nab.curvature() == R
+        assert not R.is_zero()
 
 
 def test_d_a_is_skipped_where_it_is_zero(monkeypatch):
@@ -764,11 +817,11 @@ def test_d_a_is_skipped_where_it_is_zero(monkeypatch):
     assert not conn.curvature().is_zero()
     conn.apply(random_element(rng, conn.algebroid, bundle))
     assert calls == []
-    # sl2: d_A of a basis section, a constant 0-form, is never formed; each
-    # route adds d_A once, inside its last kernel pass
+    # sl2: d_A of a basis section, a constant 0-form, is never formed; the
+    # curvature adds d_A once, inside its last kernel pass
     conn = random_cuth(rng, catalog.sl2(), bundle)
     assert not conn.curvature().is_zero()
-    assert [name for name, _ in calls] == ["_d_into", "_d_into"]
+    assert [name for name, _ in calls] == ["_d_into"]
     sections = TotalForm.identity((), 3, bundle)._kernel[1]   # its columns
     assert all(argument != sections for _, argument in calls)
     for z, r in bundle.summands:
@@ -777,7 +830,7 @@ def test_d_a_is_skipped_where_it_is_zero(monkeypatch):
     assert "d" not in [name for name, _ in calls]
 
 
-# --- the curvature is computed, and cross-checked, once per connection -----------
+# --- the curvature is computed, and checked, once per connection -----------------
 
 
 def _count_calls(monkeypatch, owner, name, counts):
@@ -790,45 +843,91 @@ def _count_calls(monkeypatch, owner, name, counts):
     monkeypatch.setattr(owner, name, spy)
 
 
-def test_cuth_curvature_runs_each_route_once_per_instance(monkeypatch):
+def _count_first_curvatures(monkeypatch, counts):
+    """Count, under "curvature", the curvature calls that compute one: those
+    on a connection up to homotopy that keeps none yet."""
+    original = ConnectionUpToHomotopy.curvature
+
+    def spy(self):
+        if self._curvature is None:
+            counts["curvature"] = counts.get("curvature", 0) + 1
+        return original(self)
+
+    monkeypatch.setattr(ConnectionUpToHomotopy, "curvature", spy)
+
+
+def test_cuth_curvature_is_computed_once_per_instance(monkeypatch):
     counts = {}
-    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_by_squaring", counts)
-    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_blockwise", counts)
     rng = random.Random(73)
     a = catalog.sl2()
     conn = random_cuth(rng, a, D_END_BUNDLES[0])
+    conn.omega()
+    _count_calls(monkeypatch, TotalForm, "_product", counts)
     R = conn.curvature()
-    assert counts == {"curvature_by_squaring": 1, "curvature_blockwise": 1}
+    assert counts == {"_product": 2}
     assert conn.curvature() is R
-    assert curvature_power(conn, 2) == R.wedge(R)
     assert curvature_power(conn, 1) is R
-    assert counts == {"curvature_by_squaring": 1, "curvature_blockwise": 1}
+    assert counts == {"_product": 2}
+    assert curvature_power(conn, 2) == R.wedge(R)
     # a second instance with the same data computes, and checks, afresh
     twin = ConnectionUpToHomotopy(a, conn.bundle, conn.nablas, conn.D)
+    counts.clear()
     assert twin.curvature() == R
-    assert counts == {"curvature_by_squaring": 2, "curvature_blockwise": 2}
+    assert twin.curvature() == R
+    assert counts == {"_product": 2}
 
 
-def test_linear_curvature_runs_each_route_once_per_label(monkeypatch):
+def test_linear_curvature_is_computed_once_per_label(monkeypatch):
     counts = {}
     rng = random.Random(79)
     a = catalog.aff1_action_line()
     nab = random_linear_connection(rng, a, 2)
     _count_calls(monkeypatch, type(a), "_d_into", counts)
-    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_by_squaring", counts)
+    _count_calls(monkeypatch, TotalForm, "_product", counts)
     R = nab.curvature()
-    # one fused pass with d_A per route; operator route: one unhat of cal_D squared
-    assert counts == {"_d_into": 2, "curvature_by_squaring": 1}
+    # two kernel passes, the second with d_A fused
+    assert counts == {"_d_into": 1, "_product": 2}
     assert nab.curvature() is R
     assert nab.is_flat() is R.is_zero()
-    assert counts == {"_d_into": 2, "curvature_by_squaring": 1}
+    assert counts == {"_d_into": 1, "_product": 2}
     shifted = nab.curvature(degree_label=1)
     assert set(shifted.blocks) == {(2, 1, 1)}
     assert nab.curvature(degree_label=1) is shifted
-    assert counts == {"_d_into": 4, "curvature_by_squaring": 2}
+    assert counts == {"_d_into": 2, "_product": 4}
 
 
-# --- a disagreement names where the two curvature routes differ ----------------------
+def test_linear_d_and_curvature_share_one_omega(monkeypatch):
+    counts = {}
+    rng = random.Random(113)
+    a = catalog.aff1_action_line()
+    nab = random_linear_connection(rng, a, 2)
+    _count_calls(monkeypatch, ConnectionUpToHomotopy, "connection_form", counts)
+    forms = [random_form(rng, a.variables, a.rank, 1, fiber_dim=2, density=3)
+             for _ in range(2)]
+    images = [nab.d(form) for form in forms]
+    assert counts == {"connection_form": 1}
+    nab.curvature()
+    assert counts == {"connection_form": 1}
+    assert images == [koszul_linear_d(nab, form) for form in forms]
+
+
+# --- pass 1 that is not Omega names where it differs -----------------------------------
+
+
+def double_the_identity(monkeypatch, summand):
+    """Make `TotalForm.identity` return its block (0, summand, summand) doubled."""
+    original = TotalForm.identity.__func__
+
+    def doubled(cls, variables, frame_rank, bundle):
+        D, view = original(cls, variables, frame_rank, bundle)._kernel
+        view = dict(view)
+        key = (0, summand, summand)
+        view[key] = {mask: [[(c, [(m, 2 * n) for m, n in entry] if variables else 2 * entry)
+                             for c, entry in row] for row in rows]
+                     for mask, rows in view[key].items()}
+        return cls._unchecked(tuple(variables), frame_rank, bundle, bundle, 0, (D, view))
+
+    monkeypatch.setattr(TotalForm, "identity", classmethod(doubled))
 
 
 def test_curvature_disagreement_names_the_block_and_multi_index(monkeypatch):
@@ -836,15 +935,11 @@ def test_curvature_disagreement_names_the_block_and_multi_index(monkeypatch):
     a = catalog.sl2()
     bundle = D_END_BUNDLES[0]
     conn = random_cuth(rng, a, bundle)
-    one = Poly.one(a.variables)
-    bump = TotalForm(a.variables, a.rank, bundle, bundle, 2,
-                     {(1, 1, 2): {(2,): [[one, one]]},
-                      (2, 1, 1): {(0, 2): [[one, -one], [one, one]]}})
-    original = ConnectionUpToHomotopy.curvature_blockwise
-    monkeypatch.setattr(ConnectionUpToHomotopy, "curvature_blockwise",
-                        lambda self: original(self) + bump)
+    # Omega's blocks from E_2 are (1, 2, 2) at (0,) and (2,), (2, 2, 1) and
+    # (3, 2, 0); the first in sorted order is named
+    double_the_identity(monkeypatch, 2)
     with pytest.raises(InternalCheckError) as caught:
         conn.curvature()
     assert str(caught.value) == (
-        "curvature routes disagree: operator squaring vs blockwise formula "
-        "at block (1, 1, 2), multi-index (2,)")
+        "curvature check failed: cal_D on the basis sections differs from Omega "
+        "at block (1, 2, 2), multi-index (0,)")

@@ -36,7 +36,7 @@ from gradweil.ring import Poly
 
 from oracles import flat_borel_module, solvable5_module, tangent_line
 from test_algebroid import polynomial_presentation
-from test_connections import _count_calls
+from test_connections import _count_first_curvatures
 from test_forms import mat_neg
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -485,10 +485,10 @@ def test_graded_bott_task_computes_two_curvatures(monkeypatch):
     # the subframe connection's, kept from its square-zero check for the
     # report, and the extension's
     counts = {}
-    _count_calls(monkeypatch, ConnectionUpToHomotopy, "curvature_blockwise", counts)
+    _count_first_curvatures(monkeypatch, counts)
     payload = json.loads((CORPUS / "graded_bott_5dim.json").read_text())
     assert report_passed(run_problem(payload))
-    assert counts == {"curvature_blockwise": 2}
+    assert counts == {"curvature": 2}
 
 
 # --- infinitesimal ideal systems ------------------------------------------------

@@ -896,7 +896,7 @@ def test_kernel_view_and_omega_are_built_once():
     assert omega == cuth.connection_form() + cuth.D
     assert omega._kernel is not None   # apply read the kept Omega
     kernel = omega._kernel
-    cuth.curvature_blockwise()
+    cuth.curvature()
     cuth.d_end(cuth.D)
     cuth.apply(section)
     assert cuth.omega() is omega and omega._kernel is kernel
@@ -983,7 +983,7 @@ def test_blocks_of_a_product_are_the_poly_product(variables, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_fused_pass_is_d_total_plus_the_wedge(name):
-    # the last pass of both curvature routes; X's denominators 4, 9 and 11
+    # the curvature's last pass; X's denominators 4, 9 and 11
     # are not all in any algebroid's _d_den, so both scales of the joined
     # denominator are > 1 on fractional_chart (_d_den 210)
     a = PRESENTATIONS[name]()

@@ -10,7 +10,7 @@ derivation.  So cal_D'^2 = g cal_D^2 g^-1, and with cal_D^2 = d_A^2 + hat(R):
 whose last term vanishes on every presentation with d_A^2 = 0.  There the
 graded trace kills graded commutators, so sigma_k(cal_D') == sigma_k(cal_D)
 as forms.  Both identities are checked exactly; none of the algebra below is
-shared with the curvature routes.
+shared with the curvature's kernel passes.
 """
 
 import random

@@ -1,18 +1,19 @@
-"""Time the two curvature routes of a connection up to homotopy against each other.
+"""Time the fused curvature of a connection up to homotopy against the unfused formula.
 
     python tools/route_ratio.py [--seeds 5] [--repeats 5]
 
 The algebras are sl2, solvable5 and abelian(8) over a point, and TR^4, the
 tangent algebroid of a four-variable chart, where the curvature runs the
 chart kernel on packed monomials.  For each algebra and seed it draws a
-connection up to homotopy on R^2[0] + R^2[1] + R[2] and times the operator route
-(`curvature_by_squaring`: cal_D squared on the basis sections, unhatted) and
-the formula route (`curvature_blockwise`: d_A Omega + Omega ^ Omega).  Every
-timed call runs on a fresh copy of the connection and its algebroid whose
-Omega is built before the clock starts; the two routes alternate, and a
-route's time for a seed is its best of `--repeats` calls.  Prints, per
+connection up to homotopy on R^2[0] + R^2[1] + R[2] and times `curvature()`
+(two kernel passes: cal_D on the basis sections, checked against Omega, and
+cal_D on their images with d_A fused) against the formula d_A Omega + Omega ^
+Omega built from public calls (`TotalForm.wedge`, `Algebroid.d_total` and
+`+`).  Every timed call runs on a fresh copy of the connection and its
+algebroid whose Omega is built before the clock starts; the two alternate,
+and a time for a seed is the best of `--repeats` calls.  Prints, per
 algebra, the median over the seeds of both times and of their ratio.  Exits
-1 if the two routes ever disagree.
+1 if the two ever disagree.
 """
 
 from __future__ import annotations
@@ -35,7 +36,20 @@ ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
             "abelian(8)": lambda: catalog.abelian(8),
             "TR^4": lambda: tangent_algebroid(Chart(("x", "y", "z", "w")))}
 BUNDLE = GradedBundle([(0, 2), (1, 2), (2, 1)])   # R^2[0] + R^2[1] + R[2]
-ROUTES = ("curvature_by_squaring", "curvature_blockwise")
+
+
+def fused(conn):
+    """The curvature as the engine computes it: two kernel passes, d_A fused."""
+    return conn.curvature()
+
+
+def formula(conn):
+    """d_A Omega + Omega ^ Omega, unfused: a wedge, a d_total and a sum."""
+    omega = conn.omega()
+    return omega.wedge(omega) + conn.algebroid.d_total(omega)
+
+
+ROUTES = (fused, formula)
 
 
 def fresh(make, seed):
@@ -47,15 +61,14 @@ def fresh(make, seed):
 
 def best_times(make, seed, repeats):
     """Per route, (best wall time in seconds, last result); the routes alternate."""
-    best = {}
+    best = [(float("inf"), None)] * len(ROUTES)
     for _ in range(repeats):
-        for route in ROUTES:
+        for k, route in enumerate(ROUTES):
             conn = fresh(make, seed)
             start = time.perf_counter()
-            result = getattr(conn, route)()
-            elapsed = time.perf_counter() - start
-            best[route] = (min(elapsed, best.get(route, (elapsed,))[0]), result)
-    return [best[route] for route in ROUTES]
+            result = route(conn)
+            best[k] = (min(time.perf_counter() - start, best[k][0]), result)
+    return best
 
 
 def main(argv=None):
@@ -64,19 +77,19 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     agree = True
-    print(f"{'algebra':<12}{'operator ms':>13}{'formula ms':>12}{'operator/formula':>18}")
+    print(f"{'algebra':<12}{'fused ms':>10}{'formula ms':>12}{'fused/formula':>15}")
     for name, make in ALGEBRAS.items():
-        operator, formula, ratio = [], [], []
+        fused, unfused, ratio = [], [], []
         for seed in range(args.seeds):
-            (op_s, op_r), (fo_s, fo_r) = best_times(make, seed, args.repeats)
-            if op_r != fo_r:
-                print(f"{name}, seed {seed}: the operator and formula routes disagree")
+            (fu_s, fu_r), (fo_s, fo_r) = best_times(make, seed, args.repeats)
+            if fu_r != fo_r:
+                print(f"{name}, seed {seed}: the fused curvature and the formula disagree")
                 agree = False
-            operator.append(op_s * 1e3)
-            formula.append(fo_s * 1e3)
-            ratio.append(op_s / fo_s)
-        print(f"{name:<12}{statistics.median(operator):>13.2f}"
-              f"{statistics.median(formula):>12.2f}{statistics.median(ratio):>18.2f}")
+            fused.append(fu_s * 1e3)
+            unfused.append(fo_s * 1e3)
+            ratio.append(fu_s / fo_s)
+        print(f"{name:<12}{statistics.median(fused):>10.2f}"
+              f"{statistics.median(unfused):>12.2f}{statistics.median(ratio):>15.2f}")
     return 0 if agree else 1
 
 
