@@ -17,13 +17,19 @@ names the report::
 
 with ``task`` and ``construction`` both the task name, and only JSON-native
 values, so reports serialize canonically.
+
+`validate_problem` checks a payload against the one `SCHEMA` dict with a
+small walker over it.  The walker knows the Draft 7 keywords SCHEMA uses
+(``type``, ``enum``, ``required``, ``properties``, ``additionalProperties``,
+``items``, ``minimum``, ``minItems``, ``maxItems``) and words each
+diagnostic as jsonschema does; jsonschema itself is only the tests' oracle.
+An ``integer`` is a JSON integer literal: not a bool, and not a float such
+as ``2.0``, which Draft 7 would take for an integer.
 """
 
 from __future__ import annotations
 
 import random
-
-import jsonschema
 
 from . import randgen
 from .algebroid import Algebroid, Subframe, tangent_algebroid
@@ -529,15 +535,112 @@ SCHEMA = {
 }
 
 
+# ----------------------------------------------------------------------
+# the schema check: each keyword appends (path, message) for what breaks it
+
+
+def _check_type(value, kind, schema, path, out):
+    if not _TYPES[kind](value):
+        out.append((path, f"{value!r} is not of type {kind!r}"))
+
+
+def _check_enum(value, choices, schema, path, out):
+    if value not in choices:
+        out.append((path, f"{value!r} is not one of {choices!r}"))
+
+
+def _check_required(value, keys, schema, path, out):
+    if isinstance(value, dict):
+        out.extend((path, f"{key!r} is a required property")
+                   for key in keys if key not in value)
+
+
+def _check_properties(value, properties, schema, path, out):
+    if isinstance(value, dict):
+        for key, sub in properties.items():
+            if key in value:
+                _walk(value[key], sub, path + (key,), out)
+
+
+def _check_additional(value, rule, schema, path, out):
+    if not isinstance(value, dict):
+        return
+    known = schema.get("properties", {})
+    extras = [key for key in value if key not in known]
+    if rule is False and extras:
+        verb = "was" if len(extras) == 1 else "were"
+        names = ", ".join(repr(key) for key in sorted(extras))
+        out.append((path, f"Additional properties are not allowed "
+                          f"({names} {verb} unexpected)"))
+    elif rule is not False:
+        for key in extras:
+            _walk(value[key], rule, path + (key,), out)
+
+
+def _check_items(value, sub, schema, path, out):
+    if isinstance(value, list):
+        for position, item in enumerate(value):
+            _walk(item, sub, path + (position,), out)
+
+
+def _check_minimum(value, bound, schema, path, out):
+    # Draft 7 compares any number, bools aside, with the minimum
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value < bound):
+        out.append((path, f"{value!r} is less than the minimum of {bound!r}"))
+
+
+def _check_min_items(value, bound, schema, path, out):
+    if isinstance(value, list) and len(value) < bound:
+        words = "should be non-empty" if bound == 1 else "is too short"
+        out.append((path, f"{value!r} {words}"))
+
+
+def _check_max_items(value, bound, schema, path, out):
+    if isinstance(value, list) and len(value) > bound:
+        words = "is expected to be empty" if bound == 0 else "is too long"
+        out.append((path, f"{value!r} {words}"))
+
+
+# an integer is a JSON integer literal: 2.0 and true are not integers
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+}
+
+# the Draft 7 keywords SCHEMA uses; tests/test_schema.py fails on any other
+_KEYWORDS = {
+    "type": _check_type,
+    "enum": _check_enum,
+    "required": _check_required,
+    "properties": _check_properties,
+    "additionalProperties": _check_additional,
+    "items": _check_items,
+    "minimum": _check_minimum,
+    "minItems": _check_min_items,
+    "maxItems": _check_max_items,
+}
+
+
+def _walk(value, schema, path, out):
+    """Append (path, message) for each keyword of `schema` that `value` breaks.
+
+    Keywords are checked in the schema's order, as jsonschema does, so
+    the messages at one path keep its order.
+    """
+    for keyword, rule in schema.items():
+        _KEYWORDS[keyword](value, rule, schema, path, out)
+
+
 def validate_problem(data):
     """Schema diagnostics for a problem payload; an empty list means valid."""
-    validator = jsonschema.Draft7Validator(SCHEMA)
-    out = []
-    for err in sorted(validator.iter_errors(data),
-                      key=lambda e: [str(p) for p in e.absolute_path]):
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        out.append(f"{where}: {err.message}")
-    return out
+    errors = []
+    _walk(data, SCHEMA, (), errors)
+    errors.sort(key=lambda error: [str(p) for p in error[0]])
+    return [f"{'/'.join(str(p) for p in path) or '<root>'}: {message}"
+            for path, message in errors]
 
 
 def run_problem(data, task=None, bound=None, seed=None):

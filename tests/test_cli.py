@@ -4,8 +4,11 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -173,6 +176,20 @@ def test_shipped_corpus_all_ok(capsys):
     assert code == 0
     tally = out.strip().splitlines()[-1]
     assert "0 diff" in tally and "0 error" in tally and "0 new" in tally
+
+
+def test_shipped_corpus_runs_without_jsonschema():
+    # jsonschema is the tests' schema oracle, not a runtime dependency: with
+    # its import blocked the package must still check and run every entry
+    script = ("import sys; sys.modules['jsonschema'] = None; "
+              "from gradweil.cli import main; sys.exit(main(['corpus', 'corpus']))")
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=REPO, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    count = len(list(CORPUS.glob("*.golden.json")))
+    assert done.stdout.splitlines()[-1] == (
+        f"{count} entries: {count} ok, 0 new, 0 diff, 0 error")
 
 
 def test_corpus_missing_golden_is_new(tmp_path, capsys):
@@ -575,7 +592,8 @@ CORPUS_NAMES = sorted(p.stem for p in CORPUS.glob("*.json")
                       if not p.name.endswith(".golden.json"))
 MUTATION_SITES = [(name, path) for name in CORPUS_NAMES
                   for path in _sites(_corpus_payload(name)) if path]
-SMALL_VALUES = ["1/0", "x", "3 4", "", "-1/2", 0, 1, 2, -1, [], [0], {}, None, True]
+SMALL_VALUES = ["1/0", "x", "3 4", "", "-1/2", 0, 1, 2, -1, 2.0, 0.5, [], [0], {}, None,
+                True]
 
 
 def _run_cli(path, json_path):
@@ -591,6 +609,7 @@ def _run_cli(path, json_path):
 @example(site=("adjoint_action_line_poly",
                ("tangent_connection", "christoffel", 0, "matrix", 0, 1)), value="1/0")
 @example(site=("adjoint_sl2", ("tangent_connection",)), value=POINT_TANGENT_CONNECTION)
+@example(site=("check_sl2", ("algebroid", "rank")), value=2.0)
 @settings(max_examples=80, derandomize=True, deadline=None)
 def test_one_mutated_field_keeps_the_exit_code_contract(site, value):
     # 3 is reserved for failed internal checks, which no input should reach
@@ -608,6 +627,37 @@ def test_one_mutated_field_keeps_the_exit_code_contract(site, value):
     assert first[0] in (0, 1, 2)
     assert "Traceback" not in first[2]
     assert first == second
+
+
+# --- an integer field holds a JSON integer literal ---------------------------------
+
+
+def _at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+_PAYLOADS = {name: _corpus_payload(name) for name in CORPUS_NAMES}
+INTEGER_SITES = [(name, path) for name, path in MUTATION_SITES
+                 if type(_at(_PAYLOADS[name], path)) is int]
+
+
+def test_an_integral_float_in_any_integer_field_exits_two_naming_it(tmp_path):
+    # 2.0 is an integer to Draft 7 but not to the engine, which would raise
+    # TypeError on it: the schema refuses it, naming the field
+    wrong = []
+    for name, path in INTEGER_SITES:
+        payload = _corpus_payload(name)
+        parent = _at(payload, path[:-1])
+        value = parent[path[-1]] = float(parent[path[-1]])
+        code, _, err, _ = _run_cli(write_problem(tmp_path, payload),
+                                   tmp_path / "report.json")
+        where = "/".join(str(key) for key in path)
+        if (code != 2 or "Traceback" in err
+                or f"schema: {where}: {value!r} is not of type 'integer'" not in err):
+            wrong.append((name, where, code, err))
+    assert INTEGER_SITES and not wrong, wrong[:3]
 
 
 # --- the exit-code contract over an algebroid that breaks Jacobi ----------------
