@@ -16,39 +16,35 @@ term through the derivation rule
 where d(e^J) expands by the Leibniz rule.  This agrees with the Koszul
 formula evaluated on frame elements; the tests keep that formula as the
 oracle for `Algebroid.d`.  Every anchor and structure coefficient is a
-numerator over one common denominator, and an algebroid keeps, per
-multi-index J it has differentiated, the terms of d(x^a e^J): target
-multi-index, anchor variable (or none), exponent shift and signed
-numerator, the ones that cancel dropped.  This table is the only code that
-applies the anchor and structure functions to forms, in integers: each
-image term is an integer multiply-add.  It has two readers.  `_d_into`
-adds a multiple of d_A of every entry of a stored TotalForm (see `forms`)
-into the accumulators of a kernel pass, which is how the curvature's last
-pass, the one pass of a connection's operator and d^End add d_A;
-`d_total` is that pass on accumulators of its own, and `d` is `d_total`
-on a Form, the one-column TotalForm.  They read the terms from
-`_d_packed`, keyed by bitmask: target bitmask, the bit offset of the
-anchor variable's field, and the exponent shift packed, so an anchor's
-shift lowers one field by 1 and is added only where that field is
-positive.  `_d_column` reads `_d_table` for one monomial form x^a e^J,
-keyed (J, exponent tuple), in integer numerators over `_d_den`: the
-columns of the exactness ansatz and of the cohomology differential.  So
-that the packed shifts hold, an algebroid refuses at construction an
+numerator over one common denominator, and an algebroid keeps one d_A
+table, keyed like a stored form (see `forms`): per bitmask J it has
+differentiated, the terms of d(x^a e^J), each a target bitmask, the bit
+offset of the anchor variable's field (or None for a coframe term), a
+packed exponent shift and a signed numerator, the ones that cancel
+dropped.  An anchor's shift lowers one field by 1 and is added only where
+that field is positive.  This table is the only code that applies the
+anchor and structure functions to forms, in integers: each image term is
+an integer multiply-add.  `_d_into` adds a multiple of d_A of every entry
+of a stored TotalForm into the accumulators of a kernel pass, which is how
+the curvature's last pass, the one pass of a connection's operator and
+d^End add d_A; `d_total` is that pass on accumulators of its own, and `d`
+is `d_total` on a Form, the one-column TotalForm.  `_d_column` reads the
+same entries for one monomial form x^a e^J, keyed (bitmask, packed
+monomial), in integer numerators over `_d_den`: the columns of the
+exactness ansatz and of the cohomology differential.  Its transpose,
+`d_sparse_sources`, reads the anchor and coframe terms backwards: it lists
+the monomial forms whose image can reach a given term, which is how the
+exactness solve grows only the part of its system that a form touches.
+So that the packed shifts hold, an algebroid refuses at construction an
 anchor or structure exponent at or above `forms.EXPONENT_LIMIT`
-(MismatchError).  The transpose of `_d_column`, `d_sparse_sources`, reads
-the anchor and coframe terms backwards: it lists the monomial forms whose
-image can reach a given term, which is how the exactness solve grows only
-the part of its system that a form touches.  The tables fill on first use
-and live on the instance; a multi-index with no image stores one shared
-empty tuple.  `d_vanishes` says there is no anchor and no structure, so
-d_A is zero.
+(MismatchError).  The table fills on first use and lives on the instance;
+a bitmask with no image stores one shared empty tuple.  `d_vanishes` says
+there is no anchor and no structure, so d_A is zero.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import lcm
 
@@ -61,14 +57,13 @@ from .forms import (
     _cells,
     _check_exponents,
     _indices,
-    _mask,
     _pack,
+    _unpack,
     _width,
 )
 from .ring import VARIABLE_NAME, Poly
 
-_add = operator.add
-_NO_TERMS = ()   # the d_A table entry of a multi-index with no image
+_NO_TERMS = ()   # the d_A table entry of a bitmask with no image
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,7 @@ class Algebroid:
     """A frame presentation; construction validates shapes, not axioms."""
 
     __slots__ = ("chart", "rank", "anchor", "structure", "_anchor_terms",
-                 "_d_coframe", "_anchored", "_d_den", "_d_table", "_d_packed",
+                 "_d_coframe", "_anchored", "_d_den", "_d_table",
                  "d_vanishes", "_degree")
 
     def __init__(self, chart, rank, anchor, structure):
@@ -190,15 +185,14 @@ class Algebroid:
             (sum(shift) + 1 for row in self._anchor_terms for _, shift, _ in row),
             (sum(beta) for row in self._d_coframe for _, beta, _ in row)), default=0)
         # the integer d_A table: the frame indices with a nonzero anchor, the
-        # common denominator of every coefficient above, and per multi-index
-        # the terms `_d_terms` builds on first use
+        # common denominator of every coefficient above, and per bitmask the
+        # terms `_d_terms` builds on first use
         self._anchored = tuple(i for i, row in enumerate(self._anchor_terms) if row)
         # no anchor and no structure: d_A is zero on every form
         self.d_vanishes = not self._anchored and not any(self._d_coframe)
         self._d_den = lcm(*{q.denominator for row in self._anchor_terms for _, _, q in row},
                           *{q.denominator for row in self._d_coframe for _, _, q in row})
         self._d_table = {}
-        self._d_packed = {}
 
     @staticmethod
     def _as_poly(p, variables):
@@ -334,91 +328,90 @@ class Algebroid:
     # -- differential -----------------------------------------------------------
 
     def _d_column(self, key):
-        """d_A of one monomial form x^a e^J, key (J, a), as {(multi-index,
-        exponent): numerator} over `_d_den` without zeros, read from
-        `_d_table`: a column of the exactness ansatz or of the cohomology
-        differential."""
-        mi, expo = key
-        terms = self._d_table.get(mi)
+        """d_A of one monomial form x^a e^J, keyed (bitmask of J, packed
+        x^a) as stored forms are, as {(bitmask, packed monomial): numerator}
+        over `_d_den` without zeros: a column of the exactness ansatz or of
+        the cohomology differential."""
+        mask, mono = key
+        terms = self._d_table.get(mask)
         if terms is None:
-            terms = self._d_table[mi] = self._d_terms(mi)
+            terms = self._d_table[mask] = self._d_terms(mask)
         acc = {}
-        for target, m, shift, num in terms:
-            if m is not None:
-                if not expo[m]:
+        for target, off, shift, num in terms:
+            if off is not None:
+                e = (mono >> off) & _FIELD_MASK
+                if not e:
                     continue
-                num *= expo[m]
-            out = (target, tuple(map(_add, expo, shift)))
+                num *= e
+            out = (target, mono + shift)
             acc[out] = acc.get(out, 0) + num
         return {out: n for out, n in acc.items() if n}
 
-    def _d_terms(self, mi):
-        """The `_d_table` entry of a multi-index J: the terms (target, m,
-        shift, numerator) of d(x^a e^J) over `_d_den`.
+    def _d_terms(self, mask):
+        """The d_A table entry of a bitmask J: the terms (target bitmask,
+        field offset, packed shift, numerator) of d(x^a e^J) over `_d_den`.
 
-        An anchor term, m a variable index, stands for a[m] * numerator *
-        x^(a + shift) e^target; a coframe term, m None, for numerator *
-        x^(a + shift) e^target.  Terms with one target, m and shift are
+        An anchor term, `off` the bit offset of its variable's field, stands
+        for a_m * numerator * x^(a + shift) e^target, a_m the exponent in
+        that field; its shift lowers that field by 1, so it is added only
+        where a_m > 0.  A coframe term, `off` None, stands for numerator *
+        x^(a + shift) e^target.  Terms with one target, offset and shift are
         summed, and the ones that cancel are left out.
         """
-        den = self._d_den
-        acc = {}
-        # rho(e_i)(x^a) e^i ^ e^J: moving e^i to its place in J passes the
-        # pos indices of J below i
+        den, top, acc = self._d_den, FIELD * (len(self.variables) - 1), {}
+        # rho(e_i)(x^a) e^i ^ e^J: e^i passes the indices of J below i
         for i in self._anchored:
-            pos = bisect_left(mi, i)
-            if pos < len(mi) and mi[pos] == i:
+            bit = 1 << i
+            if mask & bit:
                 continue
-            merged = mi[:pos] + (i,) + mi[pos:]
+            sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
             for m, shift, a in self._anchor_terms[i]:
-                num = a.numerator * (den // a.denominator)
-                key = (merged, m, shift)
-                acc[key] = acc.get(key, 0) + (-num if pos % 2 else num)
-        # x^a d(e^J): e^{j_t} at place t becomes the 2-form d e^{j_t}, which
-        # commutes to the front and then sorts into the rest of J
-        for t, j in enumerate(mi):
-            coframe = self._d_coframe[j]
-            if not coframe:
-                continue
-            rest = mi[:t] + mi[t + 1:]
-            for (a, b), beta, s in coframe:
-                if a in rest or b in rest:
+                key = (mask | bit, top - FIELD * m, _pack(shift))
+                acc[key] = acc.get(key, 0) + sign * a.numerator * (den // a.denominator)
+        # x^a d(e^J): e^j at place t becomes the 2-form d e^j, which commutes
+        # to the front, passing t indices, and then sorts into the rest of J
+        for t, j in enumerate(_indices(mask)):
+            rest = mask ^ (1 << j)
+            for (a, b), beta, s in self._d_coframe[j]:
+                pair = (1 << a) | (1 << b)
+                if rest & pair:
                     continue
-                flips = t + sum(1 for x in rest if x < a) + sum(1 for x in rest if x < b)
+                flips = t + (rest & ((1 << a) - 1)).bit_count() \
+                    + (rest & ((1 << b) - 1)).bit_count()
+                key = (rest | pair, None, _pack(beta))
                 num = s.numerator * (den // s.denominator)
-                key = (tuple(sorted(rest + (a, b))), None, beta)
-                acc[key] = acc.get(key, 0) + (-num if flips % 2 else num)
-        return tuple((target, m, shift, num)
-                     for (target, m, shift), num in acc.items() if num) or _NO_TERMS
+                acc[key] = acc.get(key, 0) + (-num if flips & 1 else num)
+        return tuple((target, off, shift, num)
+                     for (target, off, shift), num in acc.items() if num) or _NO_TERMS
 
     def d_sparse_sources(self, key, bound):
         """The transpose of `_d_column`: columns whose image can hold a row.
 
-        For a row key (M, b) lists every column key (J, a), a >= 0 with
-        |a| <= bound, whose `_d_column` image can have a term at (M, b),
-        read off `_anchor_terms` and `_d_coframe`, which the d_A table is
-        built from, backwards.  Columns
-        whose contributions cancel may be listed; none is left out.
+        For a row key (bitmask of M, packed b) lists every column key
+        (bitmask of J, packed a), a >= 0 with |a| <= bound, whose
+        `_d_column` image can have a term at that row, read off
+        `_anchor_terms` and `_d_coframe`, which the d_A table is built from,
+        backwards.  Columns whose contributions cancel may be listed; none
+        is left out.
         """
-        mi, expo = key
-        out = set()
-        for t, i in enumerate(mi):
-            rest = mi[:t] + mi[t + 1:]
+        mask, mono = key
+        expo, mi, out = _unpack(mono, len(self.variables)), _indices(mask), set()
+        for i in mi:
             for m, shift, _ in self._anchor_terms[i]:
                 source = tuple(e - s for e, s in zip(expo, shift))
                 if source[m] >= 1 and min(source) >= 0 and sum(source) <= bound:
-                    out.add((rest, source))
+                    out.add((mask ^ (1 << i), _pack(source)))
         for p, q in itertools.combinations(mi, 2):
-            rest = tuple(x for x in mi if x != p and x != q)
+            rest = mask ^ (1 << p) ^ (1 << q)
             for j in range(self.rank):
-                if j in rest:
+                if rest >> j & 1:
                     continue
                 for pair, beta, _ in self._d_coframe[j]:
                     if pair != (p, q):
                         continue
                     source = tuple(e - s for e, s in zip(expo, beta))
                     if min(source, default=0) >= 0 and sum(source) <= bound:
-                        out.add((tuple(sorted(rest + (j,))), source))
+                        out.add((rest | (1 << j), _pack(source)))
         return out
 
     def d(self, form):
@@ -450,14 +443,14 @@ class Algebroid:
         """Add `scale` times d_A of every entry of a stored view from the
         bundle `src` into the kernel accumulators `cells` (see `forms`),
         numerators over `_d_den` times the view's denominator: block (i, l,
-        j) into the slot (i + 1, l, j), read from `_d_packed`."""
-        width, packed = _width(self.variables), self._d_packed
+        j) into the slot (i + 1, l, j), read from `_d_table`."""
+        width, table = _width(self.variables), self._d_table
         for (i, l, j), entries in view.items():
             cols, slot = src.rank(l), None
             for mask, rows in entries.items():
-                terms = packed.get(mask)
+                terms = table.get(mask)
                 if terms is None:
-                    terms = packed[mask] = self._packed_terms(mask)
+                    terms = table[mask] = self._d_terms(mask)
                 if terms and slot is None:
                     slot = cells.setdefault((i + 1, l, j), (len(rows), cols, {}))
                 for target, m, shift, num in terms:
@@ -484,33 +477,19 @@ class Algebroid:
                                 expo += cell
                                 acc[expo] = get(expo, 0) + n * num
 
-    def _packed_terms(self, mask):
-        """The `_d_packed` entry of a bitmask J: the `_d_table` terms of J,
-        each (target bitmask, bit offset of the anchor variable's field or
-        None, packed exponent shift, numerator).  An anchor shift lowers one
-        exponent by 1; it is added only where that exponent is positive."""
-        mi = _indices(mask)
-        terms = self._d_table.get(mi)
-        if terms is None:
-            terms = self._d_table[mi] = self._d_terms(mi)
-        top = FIELD * (len(self.variables) - 1)
-        return tuple((_mask(target), None if m is None else top - FIELD * m, _pack(shift), num)
-                     for target, m, shift, num in terms) or _NO_TERMS
-
     def d_squared_check(self):
         """d_A^2 on every chart coordinate and coframe generator.
 
         Returns (ok, failures); over a valid algebroid this is a theorem,
         so a failure here flags broken structure data.
         """
-        failures, dim = [], self.chart.dim
-        for m in range(dim):
-            x_m = {((), tuple(int(v == m) for v in range(dim))): 1}
-            if not self.d(self.d(Form._from_terms(self.variables, self.rank, 0, x_m))).is_zero():
+        failures = []
+        for m in range(self.chart.dim):
+            x_m = Form.function(self.variables, self.rank, self.chart.var(m))
+            if not self.d(self.d(x_m)).is_zero():
                 failures.append(f"d^2 x_{m} != 0")
         for i in range(self.rank):
-            eps_i = {((i,), (0,) * dim): 1}
-            if not self.d(self.d(Form._from_terms(self.variables, self.rank, 1, eps_i))).is_zero():
+            if not self.d(self.d(Form.coframe(self.variables, self.rank, i))).is_zero():
                 failures.append(f"d^2 eps_{i} != 0")
         return not failures, tuple(failures)
 

@@ -23,9 +23,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connections import ConnectionUpToHomotopy, cuth_difference
+from .connections import LinearConnection, cuth_difference
 from .errors import InternalCheckError, MismatchError, NotClosedError
-from .forms import Form, _unpack, gtr, tr
+from .forms import Form, _indices, _mask, _unpack, gtr, tr
 from .linalg import nullspace, rref, solve, transpose
 
 # ----------------------------------------------------------------------
@@ -171,12 +171,13 @@ class CohomologyBasis:
 
     Stores, per degree, the coboundary as sparse columns, chosen
     representative cocycles, and enough data to decompose any closed form
-    into class coefficients plus an explicit primitive.  `d_cols[k]` holds
-    the image of each basis cochain of `bases[k]`, its `Algebroid._d_column`
-    over `_d_den`, as a {index in bases[k + 1]: Fraction} dict; cochains and
-    representatives are sparse vectors {index in bases[k]: value} of the
-    same kind, and `vector_to_form` stores one as a Form with no Poly in
-    between.
+    into class coefficients plus an explicit primitive.  `_masks[k]` lists
+    the bitmasks of the multi-indices `bases[k]`, the keys of stored forms.
+    `d_cols[k]` holds the image of each basis cochain of `bases[k]`, its
+    `Algebroid._d_column` over `_d_den`, as a {index in bases[k + 1]:
+    Fraction} dict; cochains and representatives are sparse vectors {index
+    in bases[k]: value} of the same kind, read off and stored as a Form's
+    terms with no Poly in between.
     """
 
     def __init__(self, algebroid):
@@ -184,28 +185,29 @@ class CohomologyBasis:
             raise MismatchError("exact cohomology requires a point base; "
                                 "use the bounded exactness solver over charts")
         self.algebroid = algebroid
-        r = algebroid.rank
+        r, den = algebroid.rank, algebroid._d_den
         self.bases = {k: list(itertools.combinations(range(r), k))
                       for k in range(r + 2)}
-        self.d_cols = {}
-        for k in range(r + 1):
-            index = {mi: i for i, mi in enumerate(self.bases[k + 1])}
-            self.d_cols[k] = [
-                {index[out_mi]: Fraction(n, algebroid._d_den) for (out_mi, _), n
-                 in algebroid._d_column((mi, ())).items()}
-                for mi in self.bases[k]]
+        self._masks = {k: [_mask(mi) for mi in basis] for k, basis in self.bases.items()}
+        self._index = {k: {mask: i for i, mask in enumerate(masks)}
+                       for k, masks in self._masks.items()}
+        self.d_cols = {k: [{self._index[k + 1][out]: Fraction(n, den)
+                            for (out, _), n in algebroid._d_column((mask, 0)).items()}
+                           for mask in self._masks[k]]
+                       for k in range(r + 1)}
         self.rep_vectors = {}
         self.representatives = {}
         for k in range(r + 1):
             self._pick_representatives(k)
 
     def form_to_vector(self, form):
-        index = {mi: i for i, mi in enumerate(self.bases[form.degree])}
-        return {index[mi]: val for (mi, _), val in form._terms().items()}
+        index = self._index[form.degree]
+        return {index[mask]: val for (mask, _), val in form._terms().items()}
 
     def vector_to_form(self, k, vec):
+        masks = self._masks[k]
         return Form._from_terms(self.algebroid.variables, self.algebroid.rank, k,
-                                {(self.bases[k][i], ()): val for i, val in vec.items() if val})
+                                {(masks[i], 0): val for i, val in vec.items() if val})
 
     def _pick_representatives(self, k):
         n = len(self.bases[k])
@@ -285,20 +287,22 @@ def _exactness_system(algebroid, form, bound):
     """The ansatz d(sum_u c_u u) = form, cut down to what the form reaches.
 
     The candidate unknowns u are the (k-1)-forms x^exponent e^J (J a frame
-    multi-index, exponent of total degree <= bound).  Starting from the rows
-    the form touches, the closure alternates `Algebroid.d_sparse_sources`
-    (the columns that can reach a row) and `Algebroid._d_column` (the rows a
-    column reaches) until nothing new appears, so it is a union of connected
-    components of the full ansatz system.  The full system is block
-    diagonal over its components, and a component with a zero right-hand
-    side solves to zero when the free variables are zero, so solving the
-    closure gives the full ansatz's solution.  The unknowns are the closure's
-    columns with a nonzero image, in the global (J, exponent) order, which
-    fixes the free-variables-zero solution.  Returns (unknowns, rows, rhs):
-    `rows` are {unknown: value} dicts, one per (J, exponent) that occurs,
-    and `rhs` is a {row: value} dict.  The system is the ansatz times the
-    algebroid's common denominator `_d_den`: each column's image is its
-    integer numerators over it (`Algebroid._d_column`), and the right-hand
+    multi-index, exponent of total degree <= bound), keyed (bitmask of J,
+    packed monomial) as stored forms are.  Starting from the rows the form
+    touches, the closure alternates `Algebroid.d_sparse_sources` (the
+    columns that can reach a row) and `Algebroid._d_column` (the rows a
+    column reaches) until nothing new appears, so it is a union of
+    connected components of the full ansatz system.  The full system is
+    block diagonal over its components, and a component with a zero
+    right-hand side solves to zero when the free variables are zero, so
+    solving the closure gives the full ansatz's solution.  The unknowns are
+    the closure's columns with a nonzero image, sorted by (J, packed
+    monomial), which is the global (J, exponent) order since packed order
+    is exponent-tuple order; it fixes the free-variables-zero solution.
+    Returns (unknowns, rows, rhs): `rows` are {unknown: value} dicts, one
+    per key that occurs, and `rhs` is a {row: value} dict.  The system is
+    the ansatz times the algebroid's common denominator `_d_den`: each
+    column's image is its integer numerators over it, and the right-hand
     side is scaled by it, which leaves the solution as it is.
     """
     den = algebroid._d_den
@@ -318,7 +322,8 @@ def _exactness_system(algebroid, form, bound):
                         seen.add(row_key)
                         reached.append(row_key)
         frontier = reached
-    unknowns = sorted(col for col, image in images.items() if image)
+    unknowns = sorted((col for col, image in images.items() if image),
+                      key=lambda col: (_indices(col[0]), col[1]))
     rows = []
     row_index = {}
 
@@ -394,11 +399,11 @@ def transgression(old, new, index):
     form coefficients, and integrates index * gtr(R_t^(index-1) D) exactly;
     the power starts at R_t and each term is one trace-only product with D.
     """
-    curvature = old.curvature()   # a LinearConnection's kept one
-    if not isinstance(old, ConnectionUpToHomotopy):
-        old = ConnectionUpToHomotopy.from_linear(old)
-    if not isinstance(new, ConnectionUpToHomotopy):
-        new = ConnectionUpToHomotopy.from_linear(new)
+    # a linear connection's kept connection up to homotopy, so its Omega
+    # and curvature are built once
+    old, new = (conn._connection() if isinstance(conn, LinearConnection) else conn
+                for conn in (old, new))
+    curvature = old.curvature()
     if old.bundle != new.bundle or old.algebroid != new.algebroid:
         raise MismatchError("transgression needs two cuths on the same bundle")
     diff = cuth_difference(new, old)

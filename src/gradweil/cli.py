@@ -179,29 +179,31 @@ def _bound(text):
     return value
 
 
+# the two parsers are built once; a parse makes its own namespace
+_CORPUS_PARSER = argparse.ArgumentParser(
+    prog="gradweil corpus",
+    description="Run every problem file in a directory and compare "
+                "canonical reports against *.golden.json files.")
+_CORPUS_PARSER.add_argument("directory", help="corpus directory")
+_PARSER = argparse.ArgumentParser(
+    prog="gradweil",
+    description="Run one JSON problem file and print its report.")
+_PARSER.add_argument("problem", help="path to a JSON problem file")
+_PARSER.add_argument("--task", choices=list(TASKS),
+                     help="override the task named in the file")
+_PARSER.add_argument("--json", dest="json_path", metavar="PATH",
+                     help="also write the canonical JSON report here")
+_PARSER.add_argument("--bound", type=_bound,
+                     help="polynomial degree bound for exactness solves (>= 0)")
+_PARSER.add_argument("--seed", type=int,
+                     help="seed for randomized fallback objects")
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "corpus":
-        parser = argparse.ArgumentParser(
-            prog="gradweil corpus",
-            description="Run every problem file in a directory and compare "
-                        "canonical reports against *.golden.json files.")
-        parser.add_argument("directory", help="corpus directory")
-        args = parser.parse_args(argv[1:])
-        return run_corpus(args.directory)
-    parser = argparse.ArgumentParser(
-        prog="gradweil",
-        description="Run one JSON problem file and print its report.")
-    parser.add_argument("problem", help="path to a JSON problem file")
-    parser.add_argument("--task", choices=list(TASKS),
-                        help="override the task named in the file")
-    parser.add_argument("--json", dest="json_path", metavar="PATH",
-                        help="also write the canonical JSON report here")
-    parser.add_argument("--bound", type=_bound,
-                        help="polynomial degree bound for exactness solves (>= 0)")
-    parser.add_argument("--seed", type=int,
-                        help="seed for randomized fallback objects")
-    args = parser.parse_args(argv)
+        return run_corpus(_CORPUS_PARSER.parse_args(argv[1:]).directory)
+    args = _PARSER.parse_args(argv)
     return run_file(args.problem, task=args.task, json_path=args.json_path,
                     bound=args.bound, seed=args.seed)
 

@@ -39,9 +39,9 @@ Omega stays in the tests as R's oracle, and no curvature calls
 after construction: a connection up to homotopy builds Omega once, Gamma
 straight from the checked Christoffel matrices, and keeps its checked
 curvature, and a linear connection keeps its one-summand connection up to
-homotopy per degree label, so its d_nabla and curvature read one Omega.
-Powers of the curvature are traced in `chernweil.power_traces`; the tests
-keep the full product R^i as its oracle.
+homotopy, so its d_nabla, its curvature and `chernweil.transgression` read
+one Omega.  Powers of the curvature are traced in `chernweil.power_traces`;
+the tests keep the full product R^i as its oracle.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .ring import Poly
 class LinearConnection:
     """An A-connection on a trivialized bundle, given by Christoffel matrices."""
 
-    __slots__ = ("algebroid", "rank", "mats", "_connections")
+    __slots__ = ("algebroid", "rank", "mats", "_cuth")
 
     def __init__(self, algebroid, rank, mats):
         self.algebroid = algebroid
@@ -78,7 +78,7 @@ class LinearConnection:
             if len(m) != self.rank or any(len(row) != self.rank for row in m):
                 raise MismatchError("Christoffel matrices must be rank x rank")
         self.mats = mats
-        self._connections = {}   # degree label -> one-summand cuth, built once
+        self._cuth = None   # the one-summand cuth, built once
 
     def _as_poly(self, p):
         if isinstance(p, Poly):
@@ -142,15 +142,12 @@ class LinearConnection:
 
     # -- connection differential -------------------------------------------
 
-    def _connection(self, degree_label=0):
-        """The one-summand connection up to homotopy on this bundle placed in
-        degree `degree_label`, built once per label; it keeps its Omega and
-        its curvature."""
-        conn = self._connections.get(degree_label)
-        if conn is None:
-            conn = self._connections[degree_label] = ConnectionUpToHomotopy.from_linear(
-                self, degree_label)
-        return conn
+    def _connection(self):
+        """The one-summand connection up to homotopy on this bundle in degree
+        0, built once; it keeps its Omega and its curvature."""
+        if self._cuth is None:
+            self._cuth = ConnectionUpToHomotopy.from_linear(self)
+        return self._cuth
 
     def d(self, form):
         """d_nabla w = cal_D w for the one-summand cuth on this bundle."""
@@ -158,13 +155,13 @@ class LinearConnection:
 
     # -- curvature -----------------------------------------------------------
 
-    def curvature(self, degree_label=0):
-        """R_nabla = d_A Gamma + Gamma ^ Gamma, a TotalForm with the block (2, z, z).
+    def curvature(self):
+        """R_nabla = d_A Gamma + Gamma ^ Gamma, a TotalForm with the block (2, 0, 0).
 
         The curvature of the one-summand connection up to homotopy on this
-        bundle placed in degree `degree_label`, which keeps it.
+        bundle in degree 0, which keeps it.
         """
-        return self._connection(degree_label).curvature()
+        return self._connection().curvature()
 
     def is_flat(self):
         return self.curvature().is_zero()

@@ -7,9 +7,10 @@ ideal system checker.
 One builder makes the two-term representation of a map B -> A, with the
 five-term curvature written once; the adjoint representation over a chart is
 the one of the anchor A -> TM, and the basic connections and the basic
-curvature are read off it.  Reports are plain dicts shaped {"construction",
-"checks": [{"name", "pass", "witness"?}], "thresholds"?} ready for canonical
-JSON serialization.
+curvature are read off it.  Reports are plain dicts shaped {"checks":
+[{"name", "pass", "witness"?}], "thresholds"?, "note"?} ready for canonical
+JSON serialization; `problems.run_problem` adds the task name under "task"
+and "construction".
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def _trace_power_checks(curvature, graded, prefix, first, top):
                                                    first=first), start=first)]
 
 
-def _report(construction, checks, thresholds=None, note=None):
-    out = {"construction": construction, "checks": checks}
+def _report(checks, thresholds=None, note=None):
+    out = {"checks": checks}
     if thresholds is not None:
         out["thresholds"] = thresholds
     if note is not None:
@@ -114,7 +115,7 @@ def square_zero_check(conn):
         name = _TWO_TERM_NAMES.get(key, "block_%d_%d_%d" % key)
         witness = _block_json(curvature, key) if present else None
         checks.append(_check(name, not present, witness))
-    return _report("square-zero", checks)
+    return _report(checks)
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +305,7 @@ def bott_report(algebroid, subframe, nabla_sub, complement=None):
     ]
     checks += _trace_power_checks(curvature, False, "trace_power", q + 1,
                                   max(q + 1, algebroid.rank // 2))
-    return _report("bott", checks, thresholds={"q": q, "vanish_above": 2 * q})
+    return _report(checks, thresholds={"q": q, "vanish_above": 2 * q})
 
 
 # ----------------------------------------------------------------------
@@ -384,8 +385,7 @@ def atiyah_form(algebroid, subframe, nabla_sub, extension=None,
     if zero_form:
         checks += _trace_power_checks(curvature, False, "trace_power", q // 2 + 1,
                                       max(q // 2 + 1, algebroid.rank // 2))
-    report = _report("atiyah", checks,
-                     thresholds={"q": q, "vanish_above": vanish_above})
+    report = _report(checks, thresholds={"q": q, "vanish_above": vanish_above})
     return omega, report
 
 
@@ -423,8 +423,7 @@ def graded_bott_report(algebroid, subframe, conn_sub):
     ]
     checks += _trace_power_checks(curvature, True, "gtr_power", q + 1,
                                   max(q + 1, algebroid.rank // 2))
-    return _report("graded-bott", checks,
-                   thresholds={"q": q, "vanish_above": 2 * q})
+    return _report(checks, thresholds={"q": q, "vanish_above": 2 * q})
 
 
 # ----------------------------------------------------------------------
@@ -528,7 +527,7 @@ def iis_check(algebroid, j_subframe, fm_subframe, nabla_tilde=None):
         algebroid, j_subframe, fm_subframe, nabla_tilde)
     checks.append(_check("quotient_connection_flat", flat))
     return _report(
-        "iis", checks,
+        checks,
         note="four-condition characterization for the supplied extension; "
              "equivalence with the quotient definition is cited, not re-proved")
 
@@ -551,7 +550,7 @@ def iis_obstruction(algebroid, j_subframe, fm_subframe, l_values=(1,), bound=Non
             witness["primitive"] = primitive.to_json()
         checks.append(_check(f"p{l}_difference_exact", status == "zero",
                              witness))
-    return _report("iis-obstruction", checks)
+    return _report(checks)
 
 
 def _subframe_class_rep(algebroid, rank, index):

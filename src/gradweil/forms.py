@@ -752,26 +752,27 @@ class Form(TotalForm):
 
     @classmethod
     def _from_terms(cls, variables, frame_rank, degree, terms):
-        """A scalar Form on engine-built terms {(multi-index, exponent): value},
-        each value a nonzero int or Fraction, multi-indices ascending and in
-        range, exponents below EXPONENT_LIMIT: stored with no Poly and no check."""
+        """A scalar Form on engine-built terms {(bitmask, packed monomial):
+        value}, each value a nonzero int or Fraction, bitmasks of `degree`
+        bits in range, exponents below EXPONENT_LIMIT: stored with no Poly
+        and no check."""
         D, entries = lcm(*{q.denominator for q in terms.values()}), {}
-        for (mi, expo), q in sorted(terms.items()):
+        for (mask, mono), q in sorted(terms.items()):
             n = q.numerator * (D // q.denominator)
             if variables:
-                entries.setdefault(_mask(mi), [[(0, [])]])[0][0][1].append((_pack(expo), n))
+                entries.setdefault(mask, [[(0, [])]])[0][0][1].append((mono, n))
             else:
-                entries[_mask(mi)] = [[(0, n)]]
+                entries[mask] = [[(0, n)]]
         return cls._unchecked(variables, frame_rank, _LINE, _LINE, degree,
                               (D, {(degree, 0, 0): entries} if entries else {}))
 
     def _terms(self):
-        """The terms {(multi-index, exponent): Fraction} of a scalar Form,
+        """The terms {(bitmask, packed monomial): Fraction} of a scalar Form,
         read off its stored form: the inverse of `_from_terms`."""
-        (D, view), nvars = self._kernel, len(self.variables)
-        return {(_indices(mask), _unpack(m, nvars)): Fraction(n, D)
+        D, view = self._kernel
+        return {(mask, m): Fraction(n, D)
                 for entries in view.values() for mask, rows in entries.items()
-                for m, n in (rows[0][0][1] if nvars else [(0, rows[0][0][1])])}
+                for m, n in (rows[0][0][1] if self.variables else [(0, rows[0][0][1])])}
 
     # -- structure ------------------------------------------------------
 

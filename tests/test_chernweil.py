@@ -35,7 +35,7 @@ from gradweil.problems import run_problem
 from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
 from oracles import curvature_power, radial_primitive, rho_pullback, tangent_line
-from test_algebroid import PRESENTATIONS, koszul_reference
+from test_algebroid import PRESENTATIONS, koszul_reference, packed_key, tuple_column, tuple_key
 from test_connections import _count_calls, _count_first_curvatures
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -84,13 +84,15 @@ def test_characters_of_a_linear_connection_reuse_its_curvature(monkeypatch):
 @pytest.mark.parametrize("name", ["transgression_aff1_scalar",
                                   "transgression_sl2_borelmod"])
 def test_transgression_task_computes_each_curvature_once(monkeypatch, name):
-    # two connections, so two curvatures: the old one's is kept on it and
-    # reused by its character
+    # two connections, so two curvatures and two Omegas: each linear
+    # connection keeps its connection up to homotopy, which its character
+    # and the transgression both read
     counts = {}
     _count_first_curvatures(monkeypatch, counts)
+    _count_calls(monkeypatch, ConnectionUpToHomotopy, "connection_form", counts)
     payload = json.loads((CORPUS / f"{name}.json").read_text())
     assert run_problem(payload)["checks"][0]["pass"]
-    assert counts == {"curvature": 2}
+    assert counts == {"curvature": 2, "connection_form": 2}
 
 
 def test_unclosed_character_over_a_lie_algebra_is_an_internal_failure(monkeypatch):
@@ -561,7 +563,7 @@ def exactness_system_reference(algebroid, form, bound):
 
     for j_idx in itertools.combinations(range(algebroid.rank), form.degree - 1):
         for expo in _monomials(len(algebroid.variables), bound):
-            image = algebroid._d_column((j_idx, expo))
+            image = tuple_column(algebroid, (j_idx, expo))
             if not image:
                 continue
             col = len(unknowns)
@@ -574,18 +576,20 @@ def exactness_system_reference(algebroid, form, bound):
     return unknowns, rows, rhs
 
 
-def assert_union_of_components(system, reference, scale):
+def assert_union_of_components(system, reference, algebroid):
     """The closure is whole connected components of the reference system
-    times `scale`, the algebroid's `_d_den`.
+    times the algebroid's `_d_den`.
 
-    Its unknowns keep the reference order, and its rows are exactly the
+    Its unknowns, read back as (multi-index, exponent tuple) keys, keep the
+    reference order, and its rows are exactly the
     reference rows that touch one of its unknowns or carry a right-hand
     side, each with all of its entries times `scale`, and so is the
     right-hand side: no row is cut, so no component is.
     """
     unknowns, rows, rhs = system
+    unknowns = [tuple_key(algebroid, u) for u in unknowns]
     ref_unknowns, ref_rows, ref_rhs = reference
-    chosen = set(unknowns)
+    scale, chosen = algebroid._d_den, set(unknowns)
     assert unknowns == [u for u in ref_unknowns if u in chosen]
 
     def keyed(names, row, value, factor=1):
@@ -649,7 +653,7 @@ def test_exactness_system_matches_the_koszul_columns(case):
                              lambda i: form_terms.get(ref_keys[i], 0))
     assert got == expected
     assert_union_of_components(_exactness_system(algebroid, form, bound),
-                               (unknowns, rows, rhs), algebroid._d_den)
+                               (unknowns, rows, rhs), algebroid)
 
 
 def reference_answer(algebroid, degree, reference):
@@ -711,8 +715,7 @@ def test_is_exact_matches_a_solve_of_the_full_system(seed):
                 if a.chart.dim == 0:
                     bound = 0  # as is_exact does over a point
                 reference = exactness_system_reference(a, form, bound)
-                assert_union_of_components(_exactness_system(a, form, bound), reference,
-                                           a._d_den)
+                assert_union_of_components(_exactness_system(a, form, bound), reference, a)
                 status, primitive = reference_answer(a, form.degree, reference)
                 assert (result.status, result.primitive) == (status, primitive), \
                     (name, bound, render_form(form))
@@ -733,8 +736,8 @@ def test_sources_are_the_transpose_of_d_sparse(name):
         for j_idx in itertools.combinations(range(a.rank), degree):
             for expo in _monomials(len(a.variables), bound):
                 column = (j_idx, expo)
-                for row in a._d_column(column):
-                    sources = a.d_sparse_sources(row, bound)
+                for row in a._d_column(packed_key(column)):
+                    sources = [tuple_key(a, key) for key in a.d_sparse_sources(row, bound)]
                     assert column in sources, (column, row)
                     for mi, source in sources:
                         assert len(mi) == degree and list(mi) == sorted(set(mi))
@@ -783,10 +786,10 @@ def test_each_column_image_is_d_sparse_times_the_denominator(name):
         for col in unknowns:
             image = a._d_column(col)
             assert image and all(type(v) is int for v in image.values())
-            j_idx, expo = col
+            j_idx, expo = tuple_key(a, col)
             monomial = Form(a.variables, a.rank, len(j_idx), 1,
                             {(j_idx, 0): Poly(a.variables, {expo: 1})})
-            assert image == {(mi, e): val * den
+            assert {tuple_key(a, key): n for key, n in image.items()} == {(mi, e): val * den
                              for (mi, _), poly in a.d(monomial).coeffs.items()
                              for e, val in poly.terms.items()}
             columns += 1
@@ -816,4 +819,4 @@ def test_default_bound_reads_the_nonzero_terms(name):
     for form in drawn:
         assert default_bound(a, [form]) == reference_bound(a, [form])
     assert default_bound(a, drawn) == reference_bound(a, drawn)
-    assert not a._d_table and not a._d_packed   # nothing is filled for it
+    assert not a._d_table   # nothing is filled for it

@@ -445,7 +445,7 @@ def test_curvature_matches_the_frame_formula(name):
     rng = random.Random(sum(map(ord, name)) + 2)
     for rank, label in ((1, 0), (2, -1), (3, 2)):
         nab = random_linear_connection(rng, a, rank, max_poly_degree=2)
-        R = nab.curvature(degree_label=label)
+        R = ConnectionUpToHomotopy.from_linear(nab, label).curvature()
         assert set(R.blocks) <= {(2, label, label)}
         for i, j in itertools.combinations(range(a.rank), 2):
             assert (R.block_matrix((2, label, label), (i, j))
@@ -890,9 +890,11 @@ def test_linear_curvature_is_computed_once_per_label(monkeypatch):
     assert nab.curvature() is R
     assert nab.is_flat() is R.is_zero()
     assert counts == {"_d_into": 1, "_product": 2}
-    shifted = nab.curvature(degree_label=1)
+    # the same bundle in degree 1 is its own connection up to homotopy
+    conn = ConnectionUpToHomotopy.from_linear(nab, 1)
+    shifted = conn.curvature()
     assert set(shifted.blocks) == {(2, 1, 1)}
-    assert nab.curvature(degree_label=1) is shifted
+    assert conn.curvature() is shifted
     assert counts == {"_d_into": 2, "_product": 4}
 
 

@@ -14,6 +14,7 @@ from gradweil import chernweil
 from gradweil.algebroid import Chart, tangent_algebroid
 from gradweil.linalg import nullspace, rref, solve, transpose
 from gradweil.randgen import random_linear_connection
+from test_algebroid import tuple_key
 from test_chernweil import assert_union_of_components, exactness_system_reference
 
 
@@ -318,9 +319,9 @@ def test_exactness_system_matches_dense_reference():
     assert algebroid.d(result.primitive) == form
     closure_unknowns, closure_rows, closure_rhs = closure = \
         chernweil._exactness_system(algebroid, form, bound)
-    assert_union_of_components(closure, (unknowns, rows, rhs), algebroid._d_den)
+    assert_union_of_components(closure, (unknowns, rows, rhs), algebroid)
     closure_sol = solve(closure_rows, closure_rhs, len(closure_unknowns))
-    assert {u: v for u, v in zip(closure_unknowns, closure_sol) if v} \
+    assert {tuple_key(algebroid, u): v for u, v in zip(closure_unknowns, closure_sol) if v} \
         == {u: v for u, v in zip(unknowns, expected) if v}
 
 
