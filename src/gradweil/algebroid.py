@@ -32,8 +32,9 @@ is `d_total` on a Form, the one-column TotalForm.  `_d_column` reads the
 same entries for one monomial form x^a e^J, keyed (bitmask, packed
 monomial), in integer numerators over `_d_den`: the columns of the
 exactness ansatz and of the cohomology differential.  Its transpose,
-`d_sparse_sources`, reads the anchor and coframe terms backwards: it lists
-the monomial forms whose image can reach a given term, which is how the
+`d_sparse_sources`, reads the anchor and coframe terms backwards, packed
+(`_source_table`, filled on first use beside the d_A table): it lists the
+monomial forms whose image can reach a given term, which is how the
 exactness solve grows only the part of its system that a form touches.
 So that the packed shifts hold, an algebroid refuses at construction an
 anchor or structure exponent at or above `forms.EXPONENT_LIMIT`
@@ -58,7 +59,6 @@ from .forms import (
     _check_exponents,
     _indices,
     _pack,
-    _unpack,
     _width,
 )
 from .ring import VARIABLE_NAME, Poly
@@ -138,7 +138,7 @@ class Algebroid:
     """A frame presentation; construction validates shapes, not axioms."""
 
     __slots__ = ("chart", "rank", "anchor", "structure", "_anchor_terms",
-                 "_d_coframe", "_anchored", "_d_den", "_d_table",
+                 "_d_coframe", "_anchored", "_d_den", "_d_table", "_sources",
                  "d_vanishes", "_degree")
 
     def __init__(self, chart, rank, anchor, structure):
@@ -193,6 +193,7 @@ class Algebroid:
         self._d_den = lcm(*{q.denominator for row in self._anchor_terms for _, _, q in row},
                           *{q.denominator for row in self._d_coframe for _, _, q in row})
         self._d_table = {}
+        self._sources = None   # the table of `d_sparse_sources`, built on first use
 
     @staticmethod
     def _as_poly(p, variables):
@@ -384,34 +385,62 @@ class Algebroid:
         return tuple((target, off, shift, num)
                      for (target, off, shift), num in acc.items() if num) or _NO_TERMS
 
+    def _source_table(self):
+        """The table `d_sparse_sources` reads, from `_anchor_terms` and
+        `_d_coframe`, packed: (G, anchor, coframe) with G the guard bit at
+        the top of every field of a packed monomial; anchor lists, per
+        anchored frame index i, the bit of i and the terms (packed beta,
+        packed unit(m), |beta|) of rho(e_i) = sum a x^beta d/dx_m; coframe
+        maps the bitmask of a pair a < b to the terms (bit of k, packed
+        beta, |beta|) of the d e^k with a term c x^beta in c_ab^k."""
+        nvars = len(self.variables)
+        guard = _pack((1 << (FIELD - 1),) * nvars)
+        anchor = []
+        for i in self._anchored:
+            terms = []
+            for m, shift, _ in self._anchor_terms[i]:
+                beta = tuple(e + (v == m) for v, e in enumerate(shift))
+                terms.append((_pack(beta), 1 << FIELD * (nvars - 1 - m), sum(beta)))
+            anchor.append((1 << i, tuple(terms)))
+        coframe = {}
+        for k, row in enumerate(self._d_coframe):
+            for (a, b), beta, _ in row:
+                coframe.setdefault((1 << a) | (1 << b), []).append((1 << k, _pack(beta),
+                                                                    sum(beta)))
+        self._sources = guard, tuple(anchor), coframe
+        return self._sources
+
     def d_sparse_sources(self, key, bound):
         """The transpose of `_d_column`: columns whose image can hold a row.
 
         For a row key (bitmask of M, packed b) lists every column key
         (bitmask of J, packed a), a >= 0 with |a| <= bound, whose
-        `_d_column` image can have a term at that row, read off
-        `_anchor_terms` and `_d_coframe`, which the d_A table is built from,
-        backwards.  Columns whose contributions cancel may be listed; none
-        is left out.
+        `_d_column` image can have a term at that row, read off the
+        anchor and coframe terms the d_A table is built from, backwards
+        (`_source_table`).  Columns whose contributions cancel may be
+        listed; none is left out.
+
+        A source is b - beta, plus unit(m) for an anchor term, and it exists
+        where b >= beta in every field: with the guard bit G on top of each
+        field, ((b | G) - beta) & G == G, as no field borrows from the next
+        while exponents stay below 2^32.  |b| is b mod 2^FIELD - 1, the sum
+        of its fields.  Nothing is unpacked or packed per source.
         """
         mask, mono = key
-        expo, mi, out = _unpack(mono, len(self.variables)), _indices(mask), set()
-        for i in mi:
-            for m, shift, _ in self._anchor_terms[i]:
-                source = tuple(e - s for e, s in zip(expo, shift))
-                if source[m] >= 1 and min(source) >= 0 and sum(source) <= bound:
-                    out.add((mask ^ (1 << i), _pack(source)))
-        for p, q in itertools.combinations(mi, 2):
-            rest = mask ^ (1 << p) ^ (1 << q)
-            for j in range(self.rank):
-                if rest >> j & 1:
-                    continue
-                for pair, beta, _ in self._d_coframe[j]:
-                    if pair != (p, q):
-                        continue
-                    source = tuple(e - s for e, s in zip(expo, beta))
-                    if min(source, default=0) >= 0 and sum(source) <= bound:
-                        out.add((rest | (1 << j), _pack(source)))
+        guard, anchor, coframe = self._sources or self._source_table()
+        high, low, out = mono | guard, mono % _FIELD_MASK - bound, set()
+        # an anchor source has degree |b| - |beta| + 1, a coframe one |b| - |beta|
+        for bit, terms in anchor:
+            if mask & bit:
+                for beta, unit, degree in terms:
+                    if degree > low and (high - beta) & guard == guard:
+                        out.add((mask ^ bit, mono - beta + unit))
+        for pair, terms in coframe.items():
+            if mask & pair == pair:
+                rest = mask ^ pair
+                for bit, beta, degree in terms:
+                    if not rest & bit and degree >= low and (high - beta) & guard == guard:
+                        out.add((rest | bit, mono - beta))
         return out
 
     def d(self, form):

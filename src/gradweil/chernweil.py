@@ -8,7 +8,10 @@ over a chart base by a bounded linear solve for polynomial primitives
 Every trace of a curvature power in the engine comes from one loop,
 `power_traces`: the characters gtr(R^i), the power traces behind the
 invariant polynomials and Pontryagin classes, and the vanishing reports of
-`constructions`.  The tests keep the full product R^i as its oracle.
+`constructions`.  It builds the full powers only up to R^ceil(top/2) and
+gets each higher trace as one trace-only product of two of them, so the
+4-form R^2 is the only full power behind f_4 and p2.  The tests keep the
+full product R^i as its oracle.
 
 Scaled classes keep the normalization symbolic: the representative is the
 unnormalized invariant polynomial of the curvature, the rational prefactor
@@ -44,24 +47,21 @@ class CharacterForm:
 def power_traces(curvature, top, graded, first=1):
     """tr(R^j), or gtr(R^j) when `graded`, for j = first..top.
 
-    The one loop that multiplies a curvature by itself: top - 2 full wedges
-    up to R^(top-1), and a last product `TotalForm.wedge_trace` that forms
-    only the diagonal entries of the diagonal blocks of R^top.
+    The one loop that multiplies a curvature by itself, by halves: it
+    builds the full powers R^2..R^h, h = ceil(top / 2), that is h - 1
+    wedges, and traces each of them; a higher power's trace is the one
+    product `TotalForm.wedge_trace` of R^(j - j // 2) and R^(j // 2), which
+    forms only the diagonal entries of the diagonal blocks of R^j.
     """
     if first < 1:
         raise MismatchError("curvature power traces start at the first power")
     trace = gtr if graded else tr
-    traces = []
-    power = curvature
-    for j in range(1, top):
-        if j > 1:
-            power = power.wedge(curvature)
-        if j >= first:
-            traces.append(trace(power))
-    if top >= first:
-        traces.append(power.wedge_trace(curvature, graded) if top > 1
-                      else trace(curvature))
-    return traces
+    powers = [None, curvature]   # powers[i] is R^i
+    for _ in range(2, (top + 1) // 2 + 1):
+        powers.append(powers[-1].wedge(curvature))
+    return [trace(powers[j]) if j < len(powers)
+            else powers[j - j // 2].wedge_trace(powers[j // 2], graded)
+            for j in range(first, top + 1)]
 
 
 def sigma_character(conn, index):

@@ -50,14 +50,21 @@ integers over D_left * D_right and stores the result in lowest terms; `+`,
 algebroid, `_product` is the fused pass d_A Y + hat(X) o hat(Y) of the
 curvature's last pass, of the connection's operator and of d^End: d_A of the
 right operand goes into the same accumulators before the one `_canonical`,
-over the joined denominator D_right * lcm(D_left, d_A's denominator).  On
-the point base each output matrix is rows of integer cells; on a chart it
-is one flat dict keyed by ((row * cols + col) << width) + monomial, which
-`_canonical` sorts once and splits back into rows.  The trace of a product
-(`wedge_trace`, behind `tr` and `gtr`) forms only the diagonal entries of
-the diagonal blocks, summed into 1 x 1 matrices: a stored scalar Form.
-Overlapping indices are skipped by `m1 & m2` and the merge sign is a
-parity of popcounts (`_merge_sign`).  Of the Poly-matrix helpers,
+over the joined denominator D_right * lcm(D_left, d_A's denominator).  The
+pass runs over pairs of multi-index bitmasks: an overlapping pair is
+skipped by `m1 & m2`, and so is a block pair whose form degrees exceed the
+frame rank.  The merge sign of a disjoint pair is one popcount: each right
+bitmask gets, once per pass, its parity word (`_parity_word`, the XOR over
+its bits b of the bits above b), and the sign is -1 exactly when `m1 &
+word` has odd popcount.  On the point base the pair loop itself does the
+integer row x matrix product into rows of integer cells, or sums the
+diagonal of the product into one integer for a trace, with no call per
+pair; on a chart each output matrix is one flat dict keyed by ((row * cols
++ col) << width) + monomial, which `_accumulate` (or `_trace`) fills and
+`_canonical` sorts once and splits back into rows.  The trace of a
+product (`wedge_trace`, behind `tr` and `gtr`) forms only the diagonal
+entries of the diagonal blocks, summed into 1 x 1 matrices: a stored
+scalar Form.  Of the Poly-matrix helpers,
 `mat_zero`, `mat_identity` and `mat_is_zero` serve the package; no package
 code multiplies Poly matrices, and `mat_mul` stays public only for
 `perfbench/test_perfbench.py`, which patches it through `connections`.
@@ -93,18 +100,18 @@ def _indices(mask):
     return tuple(out)
 
 
-def _merge_sign(left, right):
-    """The sign of the permutation that sorts the indices of `left` followed
-    by those of `right`, as bitmasks, or 0 when they overlap: each bit `low`
-    of `right` passes the bits of `left` above it, left & -low."""
-    if left & right:
-        return 0
-    inversions = 0
-    while right:
-        low = right & -right
-        inversions += (left & -low).bit_count()
-        right ^= low
-    return -1 if inversions & 1 else 1
+def _parity_word(mask):
+    """The parity word of a multi-index bitmask: the XOR over its bits b of
+    the bits above b.  For a bitmask `left` disjoint from `mask`, the sign
+    of the permutation that sorts the indices of `left` followed by those of
+    `mask` is -1 exactly when (left & word).bit_count() is odd: each index
+    b of `mask` passes the indices of `left` above it."""
+    word = 0
+    while mask:
+        low = mask & -mask
+        word ^= -(low << 1)
+        mask ^= low
+    return word
 
 
 # ----------------------------------------------------------------------
@@ -234,17 +241,10 @@ def _cells(rows, cols, width):
 
 
 def _accumulate(acc, sign, left, right, cols, width):
-    """acc += sign * (left @ right) for sparse rows `left` and `right`.  On a
-    chart the term x^e1 * x^e2 of cell (r, c) adds into the flat key
-    ((r * cols + c) << width) + e1 + e2, so a product of two terms is an
-    integer multiply and two adds."""
-    if not width:
-        for out, row in zip(acc, left):
-            for k, n1 in row:
-                n1 *= sign
-                for c, n2 in right[k]:
-                    out[c] += n1 * n2
-        return
+    """acc += sign * (left @ right) for sparse chart rows `left` and `right`
+    into a flat accumulator: the term x^e1 * x^e2 of cell (r, c) adds into
+    the key ((r * cols + c) << width) + e1 + e2, so a product of two terms
+    is an integer multiply and two adds."""
     get = acc.get
     for r, row in enumerate(left):
         base = r * cols
@@ -259,50 +259,53 @@ def _accumulate(acc, sign, left, right, cols, width):
                         acc[e] = get(e, 0) + n1 * n2
 
 
-def _trace(cell, sign, left, right, width):
-    """cell + sign * tr(left @ right), forming only the diagonal entries; on a
-    chart `cell` is {packed monomial: numerator}."""
+def _trace(cell, sign, left, right):
+    """cell += sign * tr(left @ right) for sparse chart rows, forming only
+    the diagonal entries; `cell` is {packed monomial: numerator}."""
+    get = cell.get
     for r, row in enumerate(left):
         for k, lterms in row:
             for c, rterms in right[k]:
-                if c == r and not width:
-                    cell += sign * lterms * rterms
-                elif c == r:
+                if c == r:
                     for e1, n1 in lterms:
                         n1 *= sign
                         for e2, n2 in rterms:
                             e = e1 + e2
-                            cell[e] = cell.get(e, 0) + n1 * n2
-    return cell
+                            cell[e] = get(e, 0) + n1 * n2
 
 
 def _canonical(D, cells, width):
     """The stored form of cells over D, {key: (rows, cols, {mask: acc})}
-    with accumulators from `_cells`: rows keep their nonzero entries, zero
+    with accumulators as `_cells` makes them: rows keep their nonzero entries, zero
     matrices and empty blocks are dropped, and D and every numerator are
-    divided by their gcd.  A chart accumulator is sorted once: its keys come
-    in (row, column, monomial) order and split back into rows."""
+    divided by their gcd, which zero cells leave as it is.  A chart
+    accumulator is sorted once: its keys come in (row, column, monomial)
+    order and split back into rows."""
     view, g, low = {}, D, (1 << width) - 1
     for key, (nrows, cols, tgt) in cells.items():
         entries = {}
         for mask, acc in tgt.items():
             if not width:
-                rows = [[pair for pair in enumerate(row) if pair[1]] for row in acc]
-            else:
-                rows, last = [[] for _ in range(nrows)], -1
-                for k in sorted(acc):
-                    n = acc[k]
-                    if n:
-                        cell = k >> width
-                        if cell != last:
-                            last, pairs = cell, []
-                            rows[cell // cols].append((cell % cols, pairs))
-                        pairs.append((k & low, n))
+                rows = [[(c, n) for c, n in enumerate(row) if n] for row in acc]
+                if any(rows):
+                    entries[mask] = rows
+                    if g > 1:
+                        for row in acc:
+                            g = gcd(g, *row)
+                continue
+            rows, last = [[] for _ in range(nrows)], -1
+            for k in sorted(acc):
+                n = acc[k]
+                if n:
+                    cell = k >> width
+                    if cell != last:
+                        last, pairs = cell, []
+                        rows[cell // cols].append((cell % cols, pairs))
+                    pairs.append((k & low, n))
             if any(rows):
                 entries[mask] = rows
-                if g > 1:   # zeros in a chart accumulator leave the gcd as it is
-                    g = gcd(g, *(acc.values() if width else
-                                 (n for row in rows for _, n in row)))
+                if g > 1:
+                    g = gcd(g, *acc.values())
         if entries:
             view[key] = entries
     if g > 1:   # an empty view keeps g == D, and D // g == 1
@@ -567,28 +570,54 @@ class TotalForm:
             D = lcm(D1, d_a._d_den)
             d_a._d_into(right_view, right_src, D // d_a._d_den, cells)
             scale, D1 = D // D1, D
+        # per right block, once it is used: (mask, parity word, rows) of each
+        # multi-index; the merge sign of a disjoint pair is the parity of mask1 & word
+        words: dict = {}
         for (i1, m1, j), entries1 in left.items():
-            f1, rows = j - m1, self.dst.rank(j)
-            for (i2, l, m2), entries2 in right_view.items():
-                if m2 != m1 or (diagonal and l != j):
+            f1, nrows = j - m1, self.dst.rank(j)
+            for key2, rights in right_view.items():
+                i2, l, m2 = key2
+                if m2 != m1 or (diagonal and l != j) or i1 + i2 > self.frame_rank:
                     continue
+                entries2 = words.get(key2)
+                if entries2 is None:
+                    entries2 = words[key2] = [(mask, _parity_word(mask), rows)
+                                              for mask, rows in rights.items()]
                 koszul = -scale if (f1 * i2 + (l if trace else 0)) % 2 else scale
                 cols = right_src.rank(l)
                 tgt = cells.setdefault((i1 + i2, 0, 0) if diagonal else (i1 + i2, l, j),
-                                       (1, 1, {}) if diagonal else (rows, cols, {}))[2]
+                                       (1, 1, {}) if diagonal else (nrows, cols, {}))[2]
                 for mask1, lrows in entries1.items():
-                    for mask2, rrows in entries2.items():
+                    for mask2, word, rrows in entries2:
                         if mask1 & mask2:
                             continue
-                        merged, sign = mask1 | mask2, koszul * _merge_sign(mask1, mask2)
-                        if diagonal:
-                            tgt[merged] = _trace(tgt.get(merged, {} if width else 0), sign,
-                                                 lrows, rrows, width)
-                            continue
-                        acc = tgt.get(merged)
-                        if acc is None:
-                            acc = tgt[merged] = _cells(rows, cols, width)
-                        _accumulate(acc, sign, lrows, rrows, cols, width)
+                        merged = mask1 | mask2
+                        sign = -koszul if (mask1 & word).bit_count() & 1 else koszul
+                        if width:
+                            acc = tgt.get(merged)
+                            if acc is None:
+                                acc = tgt[merged] = {}
+                            if diagonal:
+                                _trace(acc, sign, lrows, rrows)
+                            else:
+                                _accumulate(acc, sign, lrows, rrows, cols, width)
+                        elif diagonal:
+                            cell = 0
+                            for r, row in enumerate(lrows):
+                                for k, n1 in row:
+                                    for c, n2 in rrows[k]:
+                                        if c == r:
+                                            cell += n1 * n2
+                            tgt[merged] = tgt.get(merged, 0) + sign * cell
+                        else:
+                            acc = tgt.get(merged)
+                            if acc is None:
+                                acc = tgt[merged] = [[0] * cols for _ in range(nrows)]
+                            for out, row in zip(acc, lrows):
+                                for k, n1 in row:
+                                    n1 *= sign
+                                    for c, n2 in rrows[k]:
+                                        out[c] += n1 * n2
         if diagonal and not width:   # a cell is the 1 x 1 accumulator [[cell]]
             for _, _, tgt in cells.values():
                 for mask, cell in tgt.items():

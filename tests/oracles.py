@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
 from gradweil.errors import MismatchError
-from gradweil.forms import Form, GradedBundle, TotalForm
+from gradweil.forms import Form, GradedBundle, TotalForm, _indices, _pack, _unpack
 from gradweil.ring import Poly
 
 
@@ -20,6 +20,51 @@ def sort_with_sign(indices):
         return 0, None
     inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
     return (-1 if inversions % 2 else 1), tuple(sorted(indices))
+
+
+def merge_sign(left, right):
+    """The sign of the permutation that sorts the indices of `left` followed
+    by those of `right`, as bitmasks, or 0 when they overlap: each bit `low`
+    of `right` passes the bits of `left` above it, left & -low.  A
+    per-bit count, the reference of the kernel's parity-word sign."""
+    if left & right:
+        return 0
+    inversions = 0
+    while right:
+        low = right & -right
+        inversions += (left & -low).bit_count()
+        right ^= low
+    return -1 if inversions & 1 else 1
+
+
+# --- the transpose of d_A, on exponent tuples -------------------------------
+
+
+def d_sparse_sources_reference(algebroid, key, bound):
+    """`Algebroid.d_sparse_sources` on exponent tuples: the row key's packed
+    monomial is unpacked, each source is an exponent tuple checked field by
+    field and packed again.  The columns (bitmask, packed monomial) whose
+    sparse d_A image can hold the row (bitmask of M, packed b), read off
+    the anchor and coframe terms backwards."""
+    mask, mono = key
+    expo, mi, out = _unpack(mono, len(algebroid.variables)), _indices(mask), set()
+    for i in mi:
+        for m, shift, _ in algebroid._anchor_terms[i]:
+            source = tuple(e - s for e, s in zip(expo, shift))
+            if source[m] >= 1 and min(source) >= 0 and sum(source) <= bound:
+                out.add((mask ^ (1 << i), _pack(source)))
+    for p, q in itertools.combinations(mi, 2):
+        rest = mask ^ (1 << p) ^ (1 << q)
+        for j in range(algebroid.rank):
+            if rest >> j & 1:
+                continue
+            for pair, beta, _ in algebroid._d_coframe[j]:
+                if pair != (p, q):
+                    continue
+                source = tuple(e - s for e, s in zip(expo, beta))
+                if min(source, default=0) >= 0 and sum(source) <= bound:
+                    out.add((rest | (1 << j), _pack(source)))
+    return out
 
 
 # --- the anchor pullback: rho^* is a cochain map, a cross-check of d_A ----------

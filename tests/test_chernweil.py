@@ -34,7 +34,8 @@ from gradweil.linalg import solve
 from gradweil.problems import run_problem
 from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
-from oracles import curvature_power, radial_primitive, rho_pullback, tangent_line
+from oracles import (curvature_power, d_sparse_sources_reference, radial_primitive,
+                     rho_pullback, tangent_line)
 from test_algebroid import PRESENTATIONS, koszul_reference, packed_key, tuple_column, tuple_key
 from test_connections import _count_calls, _count_first_curvatures
 
@@ -179,6 +180,54 @@ def test_power_traces_match_traces_of_the_full_product(monkeypatch, maker,
             assert counts == {name: n for name, n in expected.items() if n}
             assert products.count(True) == 1
             monkeypatch.undo()
+
+
+def four_aff1():
+    """aff(1)^4 over a point: frame rank 8, so R^4 of a linear connection has
+    a nonzero trace."""
+    return Algebroid.from_brackets(
+        catalog.POINT, 8, [[] for _ in range(8)],
+        {(2 * k, 2 * k + 1): [int(i == 2 * k + 1) for i in range(8)] for k in range(4)})
+
+
+def abelian8():
+    return catalog.abelian(8)
+
+
+HALF_POWER_CASES = [
+    # (algebroid, bundle summands or None for a rank-3 linear connection,
+    # whether tr(R^4) is nonzero): tr(R^j) is a 2j-form, so tr(R^5) and
+    # tr(R^6) vanish on frames of rank <= 8; over abelian(8) every tr(R^j) of
+    # a linear connection vanishes, as R = Gamma ^ Gamma there
+    *((maker, summands, False) for maker, summands, _ in POWER_TRACE_CASES),
+    (abelian8, None, False),
+    (four_aff1, None, True),
+]
+
+
+@pytest.mark.parametrize("maker, summands, fourth", HALF_POWER_CASES)
+def test_power_traces_by_halves_match_traces_of_the_full_product(monkeypatch, maker,
+                                                                  summands, fourth):
+    rng = random.Random(41)
+    if summands is None:
+        conn = ConnectionUpToHomotopy.from_linear(random_linear_connection(rng, maker(), 3))
+    else:
+        conn = random_cuth(rng, maker(), GradedBundle(summands))
+    R = conn.curvature()
+    for trace in (tr, gtr):
+        oracle = [trace(curvature_power(conn, j)) for j in range(1, 7)]
+        assert oracle[3].is_zero() != fourth
+        for top in (4, 5, 6):
+            for first in range(1, top + 1):
+                counts = {}
+                _count_calls(monkeypatch, TotalForm, "wedge", counts)
+                assert power_traces(R, top, trace is gtr, first=first) == oracle[first - 1:top]
+                # only the full powers R^2..R^ceil(top/2)
+                assert counts.get("wedge", 0) == (top + 1) // 2 - 1
+                monkeypatch.undo()
+    if summands is None:   # f_i vanishes beyond the fiber rank 3
+        fs = invariant_polys(R, 4)
+        assert fs[4].is_zero() and fs[3].is_zero() != fourth
 
 
 # --- invariant polynomials -------------------------------------------------
@@ -742,6 +791,23 @@ def test_sources_are_the_transpose_of_d_sparse(name):
                     for mi, source in sources:
                         assert len(mi) == degree and list(mi) == sorted(set(mi))
                         assert min(source, default=0) >= 0 and sum(source) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_PRESENTATIONS))
+def test_packed_sources_match_the_tuple_reference(name):
+    """The packed `d_sparse_sources` lists the same columns as the tuple
+    version on every row key (bitmask, monomial of degree <= 2), bounds 0-4."""
+    a = EXACTNESS_PRESENTATIONS[name]()
+    listed = 0
+    for degree in range(a.rank + 1):
+        for m_idx in itertools.combinations(range(a.rank), degree):
+            for expo in _monomials(len(a.variables), 2):
+                row = packed_key((m_idx, expo))
+                for bound in range(5):
+                    sources = a.d_sparse_sources(row, bound)
+                    assert sources == d_sparse_sources_reference(a, row, bound), (row, bound)
+                    listed += len(sources)
+    assert listed or a.d_vanishes
 
 
 def test_closure_of_the_tr5_sigma2_system_is_small():

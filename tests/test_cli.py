@@ -263,13 +263,23 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     spec.loader.exec_module(tool)
     assert tool.main(["--seeds", "1", "--repeats", "1"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert [row.split()[0] for row in rows] == ["algebra", "sl2", "solvable5", "abelian(8)",
-                                                "TR^4"]
+    algebras = ["sl2", "solvable5", "abelian(8)", "TR^4"]
+    assert [row.split()[:2] for row in rows] == [["route", "algebra"]] + [
+        [route, name] for route in ("curvature", "power_traces") for name in algebras]
     original = ConnectionUpToHomotopy.curvature
     monkeypatch.setattr(ConnectionUpToHomotopy, "curvature",
                         lambda self: original(self).scale(2))
     assert tool.main(["--seeds", "1", "--repeats", "1"]) == 1
-    assert "the fused curvature and the formula disagree" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "curvature, sl2, seed 0: the engine and the formula disagree" in out
+    assert "power_traces, sl2, seed 0" not in out   # both sides read the same R
+    monkeypatch.undo()
+    traces = tool.power_traces
+    monkeypatch.setattr(tool, "power_traces", lambda R, top, graded: traces(R, top - 1, graded))
+    assert tool.main(["--seeds", "1", "--repeats", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "power_traces, sl2, seed 0: the engine and the formula disagree" in out
+    assert "curvature, sl2, seed 0" not in out
 
 
 # --- out-of-range indices ------------------------------------------------------

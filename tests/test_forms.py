@@ -23,8 +23,8 @@ from gradweil.forms import (
     TotalForm,
     _indices,
     _mask,
-    _merge_sign,
     _pack,
+    _parity_word,
     _unpack,
     extend_total_form,
     gtr,
@@ -38,7 +38,7 @@ from gradweil.forms import (
 from gradweil.randgen import random_cuth, random_form, random_total_form
 from gradweil.ring import Poly
 from oracles import (LINE, basis_element, curvature_power, element, graded_commutator, hat,
-                     poly_add, poly_connection_d, poly_d, poly_scale, poly_wedge,
+                     merge_sign, poly_add, poly_connection_d, poly_d, poly_scale, poly_wedge,
                      sort_with_sign)
 from test_algebroid import PRESENTATIONS, fractional_chart_presentation
 
@@ -781,15 +781,22 @@ def test_kernel_is_exact_over_denominators_3_5_7_and_11(algebroid):
 
 
 def test_mask_sign_equals_merge_indices_on_every_pair_of_subsets():
-    subsets = [mi for k in range(7) for mi in itertools.combinations(range(6), k)]
-    assert len(subsets) == 64
+    """The kernel's sign of a disjoint pair, the parity of left & the right
+    mask's parity word, is the merge sign on every pair of subsets of
+    range(8); so is the popcount loop it replaced."""
+    subsets = [mi for k in range(9) for mi in itertools.combinations(range(8), k)]
+    assert len(subsets) == 256
     for left in subsets:
         assert _indices(_mask(left)) == left
         for right in subsets:
             sign, merged = merge_indices(left, right)
-            assert _merge_sign(_mask(left), _mask(right)) == sign
-            if sign:
-                assert _indices(_mask(left) | _mask(right)) == merged
+            mask1, mask2 = _mask(left), _mask(right)
+            assert merge_sign(mask1, mask2) == sign
+            if mask1 & mask2:
+                assert sign == 0
+                continue
+            assert (-1 if (mask1 & _parity_word(mask2)).bit_count() & 1 else 1) == sign
+            assert _indices(mask1 | mask2) == merged
 
 
 def sparse_total_form(rng, variables, frame_rank, bundle, total_degree):

@@ -1,19 +1,26 @@
-"""Time the fused curvature of a connection up to homotopy against the unfused formula.
+"""Time the engine's curvature routes of a connection up to homotopy against their formulas.
 
     python tools/route_ratio.py [--seeds 5] [--repeats 5]
 
 The algebras are sl2, solvable5 and abelian(8) over a point, and TR^4, the
-tangent algebroid of a four-variable chart, where the curvature runs the
-chart kernel on packed monomials.  For each algebra and seed it draws a
-connection up to homotopy on R^2[0] + R^2[1] + R[2] and times `curvature()`
-(two kernel passes: cal_D on the basis sections, checked against Omega, and
-cal_D on their images with d_A fused) against the formula d_A Omega + Omega ^
-Omega built from public calls (`TotalForm.wedge`, `Algebroid.d_total` and
-`+`).  Every timed call runs on a fresh copy of the connection and its
-algebroid whose Omega is built before the clock starts; the two alternate,
-and a time for a seed is the best of `--repeats` calls.  Prints, per
-algebra, the median over the seeds of both times and of their ratio.  Exits
-1 if the two ever disagree.
+tangent algebroid of a four-variable chart, where the kernel runs on packed
+monomials.  For each algebra and seed it draws a connection up to homotopy on
+R^2[0] + R^2[1] + R[2] and times two routes against their formulas:
+
+* curvature: `curvature()` (two kernel passes: cal_D on the basis sections,
+  checked against Omega, and cal_D on their images with d_A fused) against
+  d_A Omega + Omega ^ Omega built from public calls (`TotalForm.wedge`,
+  `Algebroid.d_total` and `+`);
+* power_traces: `chernweil.power_traces(R, 4, graded=True)`, which builds R^2
+  only and gets gtr(R^3) and gtr(R^4) as trace-only products of halves,
+  against gtr of R, R^2, R^3 and R^4 built by repeated public `wedge`.
+
+Every timed call runs on a fresh copy of the connection and its algebroid
+whose Omega (and, for the power traces, curvature) is built before the clock
+starts; the engine and the formula alternate, and a time for a seed is the
+best of `--repeats` calls.  Prints, per route and algebra, the median over
+the seeds of both times and of their ratio.  Exits 1 if a route and its
+formula ever disagree.
 """
 
 from __future__ import annotations
@@ -29,13 +36,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gradweil import catalog
 from gradweil.algebroid import Chart, tangent_algebroid
-from gradweil.forms import GradedBundle
+from gradweil.chernweil import power_traces
+from gradweil.forms import GradedBundle, gtr
 from gradweil.randgen import random_cuth
 
 ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
             "abelian(8)": lambda: catalog.abelian(8),
             "TR^4": lambda: tangent_algebroid(Chart(("x", "y", "z", "w")))}
 BUNDLE = GradedBundle([(0, 2), (1, 2), (2, 1)])   # R^2[0] + R^2[1] + R[2]
+TOP = 4   # the highest curvature power traced
 
 
 def fused(conn):
@@ -49,7 +58,23 @@ def formula(conn):
     return omega.wedge(omega) + conn.algebroid.d_total(omega)
 
 
-ROUTES = (fused, formula)
+def halves(curvature):
+    """gtr(R^j), j = 1..TOP, as the engine computes them."""
+    return power_traces(curvature, TOP, True)
+
+
+def wedges(curvature):
+    """gtr(R^j), j = 1..TOP, each power built by repeated public wedge."""
+    power, out = curvature, [gtr(curvature)]
+    for _ in range(1, TOP):
+        power = power.wedge(curvature)
+        out.append(gtr(power))
+    return out
+
+
+# route name -> (engine, formula, the input of both built from a fresh connection)
+ROUTES = {"curvature": (fused, formula, lambda conn: conn),
+          "power_traces": (halves, wedges, lambda conn: conn.curvature())}
 
 
 def fresh(make, seed):
@@ -59,14 +84,16 @@ def fresh(make, seed):
     return conn
 
 
-def best_times(make, seed, repeats):
-    """Per route, (best wall time in seconds, last result); the routes alternate."""
-    best = [(float("inf"), None)] * len(ROUTES)
+def best_times(make, seed, repeats, route):
+    """(best wall time in seconds, last result) of the engine and of the
+    formula of `route`, which alternate."""
+    *calls, prepare = ROUTES[route]
+    best = [(float("inf"), None)] * len(calls)
     for _ in range(repeats):
-        for k, route in enumerate(ROUTES):
-            conn = fresh(make, seed)
+        for k, call in enumerate(calls):
+            given = prepare(fresh(make, seed))
             start = time.perf_counter()
-            result = route(conn)
+            result = call(given)
             best[k] = (min(time.perf_counter() - start, best[k][0]), result)
     return best
 
@@ -77,19 +104,21 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     agree = True
-    print(f"{'algebra':<12}{'fused ms':>10}{'formula ms':>12}{'fused/formula':>15}")
-    for name, make in ALGEBRAS.items():
-        fused, unfused, ratio = [], [], []
-        for seed in range(args.seeds):
-            (fu_s, fu_r), (fo_s, fo_r) = best_times(make, seed, args.repeats)
-            if fu_r != fo_r:
-                print(f"{name}, seed {seed}: the fused curvature and the formula disagree")
-                agree = False
-            fused.append(fu_s * 1e3)
-            unfused.append(fo_s * 1e3)
-            ratio.append(fu_s / fo_s)
-        print(f"{name:<12}{statistics.median(fused):>10.2f}"
-              f"{statistics.median(unfused):>12.2f}{statistics.median(ratio):>15.2f}")
+    print(f"{'route':<14}{'algebra':<12}{'engine ms':>11}{'formula ms':>12}"
+          f"{'engine/formula':>16}")
+    for route in ROUTES:
+        for name, make in ALGEBRAS.items():
+            engine, reference, ratio = [], [], []
+            for seed in range(args.seeds):
+                (en_s, en_r), (fo_s, fo_r) = best_times(make, seed, args.repeats, route)
+                if en_r != fo_r:
+                    print(f"{route}, {name}, seed {seed}: the engine and the formula disagree")
+                    agree = False
+                engine.append(en_s * 1e3)
+                reference.append(fo_s * 1e3)
+                ratio.append(en_s / fo_s)
+            print(f"{route:<14}{name:<12}{statistics.median(engine):>11.2f}"
+                  f"{statistics.median(reference):>12.2f}{statistics.median(ratio):>16.2f}")
     return 0 if agree else 1
 
 
