@@ -36,11 +36,13 @@ exactness ansatz and of the cohomology differential.  Its transpose,
 (`_source_table`, filled on first use beside the d_A table): it lists the
 monomial forms whose image can reach a given term, which is how the
 exactness solve grows only the part of its system that a form touches.
-So that the packed shifts hold, an algebroid refuses at construction an
-anchor or structure exponent at or above `forms.EXPONENT_LIMIT`
-(MismatchError).  The table fills on first use and lives on the instance;
-a bitmask with no image stores one shared empty tuple.  `d_vanishes` says
-there is no anchor and no structure, so d_A is zero.
+The anchor and structure coefficients are Polys, whose terms are keyed by
+packed monomials (see `ring`, which alone checks that exponents stay below
+2^32), so the table's shifts are those keys, an anchor term's less the unit
+of its variable's field, with no packing here.  The table fills on first
+use and lives on the instance; a bitmask with no image stores one shared
+empty tuple.  `d_vanishes` says there is no anchor and no structure, so
+d_A is zero.
 """
 
 from __future__ import annotations
@@ -50,18 +52,8 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import MismatchError
-from .forms import (
-    _FIELD_MASK,
-    FIELD,
-    Form,
-    _canonical,
-    _cells,
-    _check_exponents,
-    _indices,
-    _pack,
-    _width,
-)
-from .ring import VARIABLE_NAME, Poly
+from .forms import Form, _canonical, _cells, _indices, _width
+from .ring import _FIELD_MASK, FIELD, VARIABLE_NAME, Poly, _total_degree
 
 _NO_TERMS = ()   # the d_A table entry of a bitmask with no image
 
@@ -163,27 +155,23 @@ class Algebroid:
                 or any(len(vec) != self.rank for row in structure for vec in row)):
             raise MismatchError("structure functions must form an r x r x r array")
         self.structure = structure
-        if chart.dim:   # the exponent shifts of the d_A table are packed (see `forms`)
-            _check_exponents(itertools.chain(*anchor, *itertools.chain(*structure)))
-        # the data the d_A table is built from, fixed with the presentation:
-        # per frame index i the terms (m, shift, a) of rho(e_i) = sum a
-        # x^beta d/dx_m, with shift = beta - unit(m); per k the terms
-        # ((a, b), beta, -c) of d e^k, one for each term c x^beta of c_ab^k
-        # with a < b
+        # the data the d_A table is built from, fixed with the presentation,
+        # each beta a packed monomial, the key of a Poly's term: per frame
+        # index i the terms (off, beta, a) of rho(e_i) = sum a x^beta d/dx_m,
+        # off the bit offset of x_m's field; per k the terms ((a, b), beta,
+        # -c) of d e^k, one for each term c x^beta of c_ab^k with a < b
+        offsets = [FIELD * (chart.dim - 1 - m) for m in range(chart.dim)]
         self._anchor_terms = tuple(
-            tuple((m, tuple(e - (v == m) for v, e in enumerate(expo)), a)
-                  for m, p in enumerate(row) for expo, a in p.terms.items())
+            tuple((off, beta, a) for off, p in zip(offsets, row) for beta, a in p.terms.items())
             for row in anchor)
         self._d_coframe = tuple(
-            tuple(((a, b), expo, -c)
+            tuple(((a, b), beta, -c)
                   for a in range(self.rank) for b in range(a + 1, self.rank)
-                  for expo, c in structure[a][b][k].terms.items())
+                  for beta, c in structure[a][b][k].terms.items())
             for k in range(self.rank))
-        # the highest total degree of an anchor or structure coefficient: an
-        # anchor term's shift is one below its monomial
-        self._degree = max(itertools.chain(
-            (sum(shift) + 1 for row in self._anchor_terms for _, shift, _ in row),
-            (sum(beta) for row in self._d_coframe for _, beta, _ in row)), default=0)
+        # the highest total degree of an anchor or structure coefficient
+        self._degree = max((_total_degree(beta) for terms in (self._anchor_terms, self._d_coframe)
+                            for row in terms for _, beta, _ in row), default=0)
         # the integer d_A table: the frame indices with a nonzero anchor, the
         # common denominator of every coefficient above, and per bitmask the
         # terms `_d_terms` builds on first use
@@ -359,15 +347,15 @@ class Algebroid:
         x^(a + shift) e^target.  Terms with one target, offset and shift are
         summed, and the ones that cancel are left out.
         """
-        den, top, acc = self._d_den, FIELD * (len(self.variables) - 1), {}
+        den, acc = self._d_den, {}
         # rho(e_i)(x^a) e^i ^ e^J: e^i passes the indices of J below i
         for i in self._anchored:
             bit = 1 << i
             if mask & bit:
                 continue
             sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-            for m, shift, a in self._anchor_terms[i]:
-                key = (mask | bit, top - FIELD * m, _pack(shift))
+            for off, beta, a in self._anchor_terms[i]:
+                key = (mask | bit, off, beta - (1 << off))
                 acc[key] = acc.get(key, 0) + sign * a.numerator * (den // a.denominator)
         # x^a d(e^J): e^j at place t becomes the 2-form d e^j, which commutes
         # to the front, passing t indices, and then sorts into the rest of J
@@ -379,7 +367,7 @@ class Algebroid:
                     continue
                 flips = t + (rest & ((1 << a) - 1)).bit_count() \
                     + (rest & ((1 << b) - 1)).bit_count()
-                key = (rest | pair, None, _pack(beta))
+                key = (rest | pair, None, beta)
                 num = s.numerator * (den // s.denominator)
                 acc[key] = acc.get(key, 0) + (-num if flips & 1 else num)
         return tuple((target, off, shift, num)
@@ -393,21 +381,16 @@ class Algebroid:
         packed unit(m), |beta|) of rho(e_i) = sum a x^beta d/dx_m; coframe
         maps the bitmask of a pair a < b to the terms (bit of k, packed
         beta, |beta|) of the d e^k with a term c x^beta in c_ab^k."""
-        nvars = len(self.variables)
-        guard = _pack((1 << (FIELD - 1),) * nvars)
-        anchor = []
-        for i in self._anchored:
-            terms = []
-            for m, shift, _ in self._anchor_terms[i]:
-                beta = tuple(e + (v == m) for v, e in enumerate(shift))
-                terms.append((_pack(beta), 1 << FIELD * (nvars - 1 - m), sum(beta)))
-            anchor.append((1 << i, tuple(terms)))
+        guard = sum(1 << FIELD * v + FIELD - 1 for v in range(len(self.variables)))
+        anchor = tuple((1 << i, tuple((beta, 1 << off, _total_degree(beta))
+                                      for off, beta, _ in self._anchor_terms[i]))
+                       for i in self._anchored)
         coframe = {}
         for k, row in enumerate(self._d_coframe):
             for (a, b), beta, _ in row:
-                coframe.setdefault((1 << a) | (1 << b), []).append((1 << k, _pack(beta),
-                                                                    sum(beta)))
-        self._sources = guard, tuple(anchor), coframe
+                coframe.setdefault((1 << a) | (1 << b), []).append((1 << k, beta,
+                                                                    _total_degree(beta)))
+        self._sources = guard, anchor, coframe
         return self._sources
 
     def d_sparse_sources(self, key, bound):

@@ -28,8 +28,9 @@ from fractions import Fraction
 
 from .connections import LinearConnection, cuth_difference
 from .errors import InternalCheckError, MismatchError, NotClosedError
-from .forms import Form, _indices, _mask, _unpack, gtr, tr
+from .forms import Form, _indices, _mask, gtr, tr
 from .linalg import nullspace, rref, solve, transpose
+from .ring import _total_degree
 
 # ----------------------------------------------------------------------
 # characters
@@ -271,13 +272,12 @@ def default_bound(algebroid, forms=()):
     """2 * (max total degree over the input data) + 2.
 
     The algebroid's degree is kept on it (`Algebroid._degree`); a form's
-    degrees are read off its packed monomials, so no Poly is built.
+    are the field sums of its packed monomials, so no Poly is built.
     """
     degrees = [algebroid._degree]
     for form in forms:
         if form is not None and form.variables:
-            nvars = len(form.variables)
-            degrees.extend(sum(_unpack(m, nvars)) for entries in form._kernel[1].values()
+            degrees.extend(_total_degree(m) for entries in form._kernel[1].values()
                            for rows in entries.values() for row in rows
                            for _, entry in row for m, _ in entry)
     return 2 * max(degrees) + 2

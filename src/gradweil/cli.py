@@ -92,6 +92,9 @@ def _load_problem(path, err):
     except json.JSONDecodeError as exc:
         err(f"{path} is not valid JSON: {exc}")
         return None
+    except ValueError:   # an integer literal past the interpreter's digit limit
+        err(f"{path} holds an integer literal longer than {sys.get_int_max_str_digits()} digits")
+        return None
     diagnostics = validate_problem(data)
     if diagnostics:
         for line in diagnostics:

@@ -30,15 +30,15 @@ denominator D in lowest terms and, per block, the sparse integer rows of
 each multi-index, keyed by its bitmask (bit k for frame index k).  A row
 lists the (column, entry) pairs of its nonzero entries in column order; an
 entry is a numerator over D, an integer on the point base and ascending
-(packed monomial, numerator) pairs on a chart.  A packed monomial is one
-integer with a FIELD-bit field per exponent, the first variable in the
-highest field, so integer order is exponent-tuple order and a product of
-monomials is one integer addition.  An exponent enters the packed layer
-only below EXPONENT_LIMIT (2^32; `_from_polys` and the algebroid's packed
-d_A shifts refuse larger ones with MismatchError), so no chain of products
-a task builds carries into the next field.  Nothing zero is stored, so
-equality compares stored forms.  Polys and exponent tuples appear only at
-the boundary: the checked constructors (so `from_json`) read Polys, and
+(packed monomial, numerator) pairs on a chart.  A packed monomial is the
+key of a Poly's terms (see `ring`): one integer with a FIELD-bit field per
+exponent, the first variable in the highest field, so integer order is
+exponent-tuple order and a product of monomials is one integer addition.
+An entry is a Poly's sorted terms over D and back, with no monomial
+repacked; `ring` alone checks that exponents stay below 2^32, so no chain
+of products a task builds carries into the next field.  Nothing zero is
+stored, so equality compares stored forms.  Polys appear only at the
+boundary: the checked constructors (so `from_json`) read Polys, and
 `blocks` and a Form's `coeffs` (each built on first read) and `to_json`
 are built from the integers; the Polys built from one form share one Poly
 per value on the point base, so no code writes into a Poly's terms (a test
@@ -77,7 +77,7 @@ from functools import cache
 from math import gcd, lcm
 
 from .errors import MismatchError, ParseError
-from .ring import Poly
+from .ring import FIELD, Poly
 
 # ----------------------------------------------------------------------
 # multi-index utilities
@@ -158,39 +158,6 @@ def mat_is_zero(a):
 # ----------------------------------------------------------------------
 # the stored form of a TotalForm and the integer kernel on it
 
-FIELD = 64                    # bits per variable in a packed monomial
-# exponents entering the packed layer stay below this, so a sum of up to 2^32
-# of them, as chains of products and d_A build, never carries into the next field
-EXPONENT_LIMIT = 1 << 32
-_FIELD_MASK = (1 << FIELD) - 1
-
-
-def _pack(expo):
-    """The packed monomial of an exponent tuple, the first variable in the
-    highest field; a signed shift packs the same way, and pack(a) +
-    pack(shift) == pack(a + shift) wherever a + shift >= 0."""
-    out = 0
-    for e in expo:
-        out = (out << FIELD) + e
-    return out
-
-
-def _unpack(mono, nvars):
-    """The exponent tuple of a packed monomial in `nvars` variables."""
-    return tuple((mono >> s) & _FIELD_MASK for s in range(FIELD * (nvars - 1), -1, -FIELD))
-
-
-def _check_exponents(polys):
-    """Refuse (MismatchError) a term of the Polys `polys` whose exponent the
-    packed layer cannot hold: one at or above EXPONENT_LIMIT."""
-    for p in polys:
-        for expo in p.terms:
-            if max(expo, default=0) >= EXPONENT_LIMIT:
-                raise MismatchError(f"exponent {max(expo)} in {p} is at or above the "
-                                    f"limit 2^{EXPONENT_LIMIT.bit_length() - 1} of a "
-                                    "packed monomial")
-
-
 def _from_polys(blocks, width):
     """The stored form of nonzero {key: {multi-index: rows}}, each row the
     (column, Poly) pairs of its nonzero entries, with monomials `width` bits
@@ -200,10 +167,9 @@ def _from_polys(blocks, width):
 
     def entry(p):
         if not width:
-            q = p.terms[()]
+            q = p.terms[0]
             return q.numerator * (D // q.denominator)
-        _check_exponents((p,))
-        return sorted((_pack(e), q.numerator * (D // q.denominator)) for e, q in p.terms.items())
+        return [(m, q.numerator * (D // q.denominator)) for m, q in sorted(p.terms.items())]
 
     return D, {key: {_mask(mi): [[(c, entry(p)) for c, p in row] for row in rows]
                      for mi, rows in entries.items()}
@@ -215,15 +181,14 @@ def _polys(variables, D):
     pairs on a chart, to its Poly; on the point base one Poly per distinct
     numerator, shared through a dict that lives as long as the function."""
     if variables:
-        nvars = len(variables)
         return lambda pairs: Poly._unchecked(
-            variables, {_unpack(m, nvars): Fraction(n, D) for m, n in pairs if n})
+            variables, {m: Fraction(n, D) for m, n in pairs if n})
     polys = {}
 
     def poly(n):
         out = polys.get(n)
         if out is None:
-            out = polys[n] = Poly._unchecked(variables, {(): Fraction(n, D)} if n else {})
+            out = polys[n] = Poly._unchecked(variables, {0: Fraction(n, D)} if n else {})
         return out
 
     return poly
@@ -783,7 +748,7 @@ class Form(TotalForm):
     def _from_terms(cls, variables, frame_rank, degree, terms):
         """A scalar Form on engine-built terms {(bitmask, packed monomial):
         value}, each value a nonzero int or Fraction, bitmasks of `degree`
-        bits in range, exponents below EXPONENT_LIMIT: stored with no Poly
+        bits in range, fields below 2^FIELD: stored with no Poly
         and no check."""
         D, entries = lcm(*{q.denominator for q in terms.values()}), {}
         for (mask, mono), q in sorted(terms.items()):

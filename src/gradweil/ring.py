@@ -1,25 +1,45 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 Coefficients are `fractions.Fraction` (exported here as `Rational`); a
-polynomial is a dict from exponent tuples to nonzero coefficients.  All
-arithmetic is exact, and printing/parsing round-trips through a small
+polynomial is a dict from packed monomials to nonzero coefficients, keyed
+as everything behind `Poly` (stored forms, the kernel, the d_A table) keys
+them.  A packed monomial is one integer with a FIELD-bit field per
+exponent, the first variable in the highest field (0 on the point base),
+so integer order is exponent-tuple order and a product of monomials is one
+integer addition.  Only this module packs and unpacks exponent tuples
+(`_pack`, `_unpack`) and checks exponents: every exponent enters through
+`Poly`'s constructor or `parse` below EXPONENT_LIMIT (2^32), and every
+later monomial is a sum of fewer than 2^32 of them, so no field carries
+into the next.
+
+All arithmetic is exact, and printing/parsing round-trips through a small
 canonical grammar: terms joined by `+`/`-`, each term
 
     coeff * var1^e1 * var2^e2 * ...
 
 with an integer or `p/q` coefficient, unit exponents omitted, and a bare
-coefficient for constant terms.
+coefficient for constant terms.  A decimal literal longer than the
+interpreter's limit on integer digits is refused with ParseError, leading
+zeros not counted; an exponent of more than ten digits is at or above 2^32.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from operator import add
+from functools import cache
 
 from .errors import MismatchError, ParseError
 
 Rational = Fraction
+
+FIELD = 64                    # bits per variable in a packed monomial
+# exponents entering a Poly stay below this, so a sum of up to 2^32 of them,
+# as chains of products and d_A build, never carries into the next field
+EXPONENT_LIMIT = 1 << 32
+_FIELD_MASK = (1 << FIELD) - 1
+_LIMIT_DIGITS = len(str(EXPONENT_LIMIT))   # a longer exponent is at or above it
 
 _COEFF_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 VARIABLE_NAME = re.compile(r"[A-Za-z_]\w*", re.ASCII)   # what a Chart accepts
@@ -28,45 +48,95 @@ _SPLIT_WORD_RE = re.compile(r"\w[ \t]+\w")
 _TERM_SPLIT_RE = re.compile(r"[+-]?[^+-]+")
 
 
+def _pack(expo):
+    """The packed monomial of an exponent tuple, the first variable in the
+    highest field; a signed shift packs the same way, and pack(a) +
+    pack(shift) == pack(a + shift) wherever a + shift >= 0."""
+    out = 0
+    for e in expo:
+        out = (out << FIELD) + e
+    return out
+
+
+def _unpack(mono, nvars):
+    """The exponent tuple of a packed monomial in `nvars` variables."""
+    return tuple((mono >> s) & _FIELD_MASK for s in range(FIELD * (nvars - 1), -1, -FIELD))
+
+
+def _total_degree(mono):
+    """The total degree of a packed monomial: the sum of its fields."""
+    degree = 0
+    while mono:
+        degree += mono & _FIELD_MASK
+        mono >>= FIELD
+    return degree
+
+
+@cache   # one entry per chart's variable tuple
+def _layout(variables):
+    """({name: bit offset of its field}, the bits of each field from 2^32 up)."""
+    top = FIELD * (len(variables) - 1)
+    return ({name: top - FIELD * i for i, name in enumerate(variables)},
+            _pack((_FIELD_MASK ^ (EXPONENT_LIMIT - 1),) * len(variables)))
+
+
+def _shown(text, keep=30):
+    """`text` for an error line, its middle left out past 2 * keep characters."""
+    return text if len(text) <= 2 * keep else f"{text[:keep]}...{text[-keep:]}"
+
+
+def _too_large(exponent, where):
+    return (f"exponent {_shown(str(exponent))} in {_shown(where)} is at or above the "
+            "limit 2^32 of a packed monomial")
+
+
+def _integer(digits, text):
+    """A decimal literal of `text`, leading zeros dropped; ParseError past the
+    interpreter's limit on integer digits."""
+    digits = digits.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:   # the interpreter's limit on integer digits
+        raise ParseError(f"a number of {len(digits)} digits in {_shown(repr(text))} is "
+                         f"longer than the {sys.get_int_max_str_digits()} digits this "
+                         "interpreter converts") from None
+
+
 class Poly:
     """A polynomial in a fixed ordered list of chart variables.
 
     `variables` is shared by every polynomial on a chart; an empty tuple is
     the point base, where a Poly is just a rational constant.  `terms` maps
-    exponent tuples (one entry per variable) to nonzero Fractions.  A Poly
-    is a value: nothing writes into its `terms` after construction, so one
-    Poly may sit in many places at once.
+    packed monomials to nonzero Fractions.  A Poly is a value: nothing
+    writes into its `terms` after construction, so one Poly may sit in many
+    places at once.
     """
 
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms=None):
-        self.variables = tuple(variables)
-        clean = {}
-        if terms:
-            nvars = len(self.variables)
-            for expo, coeff in terms.items():
-                expo = tuple(int(e) for e in expo)
-                if len(expo) != nvars or any(e < 0 for e in expo):
-                    raise MismatchError(
-                        f"exponent tuple {expo} does not fit {nvars} variables")
-                coeff = Fraction(coeff)
-                if coeff:
-                    acc = clean.get(expo)
-                    coeff = coeff if acc is None else acc + coeff
-                    if coeff:
-                        clean[expo] = coeff
-                    elif expo in clean:
-                        del clean[expo]
-        self.terms = clean
+        """A Poly from {exponent tuple: coefficient}, one exponent per
+        variable, each an integer from 0 below EXPONENT_LIMIT."""
+        self.variables, clean = tuple(variables), {}
+        for expo, coeff in (terms or {}).items():
+            expo = tuple(int(e) for e in expo)
+            if len(expo) != len(self.variables) or any(e < 0 for e in expo):
+                raise MismatchError(
+                    f"exponent tuple {expo} does not fit {len(self.variables)} variables")
+            if max(expo, default=0) >= EXPONENT_LIMIT:
+                raise MismatchError(_too_large(max(expo), f"the term of {expo}"))
+            mono, coeff = _pack(expo), Fraction(coeff)
+            clean[mono] = clean[mono] + coeff if mono in clean else coeff
+        self.terms = {mono: coeff for mono, coeff in clean.items() if coeff}
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def _unchecked(cls, variables, terms):
-        """A Poly on terms that are already clean: fitting exponents, nonzero
-        Fraction coefficients, and `variables` already a tuple.  No checks."""
+        """A Poly on terms that are already clean: packed monomials of
+        fields below 2^FIELD, nonzero Fraction coefficients, and `variables`
+        already a tuple.  No checks."""
         out = cls.__new__(cls)
         out.variables = variables
         out.terms = terms
@@ -79,10 +149,7 @@ class Poly:
     @classmethod
     def constant(cls, variables, value):
         value = Fraction(value)
-        variables = tuple(variables)
-        if not value:
-            return cls(variables)
-        return cls(variables, {(0,) * len(variables): value})
+        return cls._unchecked(tuple(variables), {0: value} if value else {})
 
     @classmethod
     def one(cls, variables):
@@ -97,7 +164,8 @@ class Poly:
 
     @classmethod
     def parse(cls, text, variables):
-        """Parse the canonical grammar; raises ParseError on bad input."""
+        """Parse the canonical grammar; raises ParseError on bad input,
+        including an exponent at or above EXPONENT_LIMIT."""
         variables = tuple(variables)
         if _SPLIT_WORD_RE.search(text):
             raise ParseError(f"whitespace inside a number or name in {text!r}")
@@ -107,22 +175,17 @@ class Poly:
         chunks = _TERM_SPLIT_RE.findall(compact)
         if "".join(chunks) != compact:
             raise ParseError(f"cannot tokenize polynomial {text!r}")
-        terms: dict[tuple[int, ...], Fraction] = {}
+        offsets, high = _layout(variables)
+        terms: dict[int, Fraction] = {}
         for chunk in chunks:
-            sign = Fraction(1)
-            body = chunk
-            if body[0] in "+-":
-                if body[0] == "-":
-                    sign = Fraction(-1)
-                body = body[1:]
+            coeff, mono = Fraction(-1 if chunk[0] == "-" else 1), 0
+            body = chunk[1:] if chunk[0] in "+-" else chunk
             if not body:
                 raise ParseError(f"dangling sign in {text!r}")
-            coeff = sign
-            expo = [0] * len(variables)
             for factor in body.split("*"):
                 m = _COEFF_RE.fullmatch(factor)
                 if m:
-                    num, den = int(m.group(1)), int(m.group(2) or 1)
+                    num, den = _integer(m.group(1), text), _integer(m.group(2) or "1", text)
                     if not den:
                         raise ParseError(f"zero denominator in {text!r}")
                     coeff *= Fraction(num, den)
@@ -130,22 +193,30 @@ class Poly:
                 m = _VAR_RE.fullmatch(factor)
                 if m:
                     name, power = m.group(1), m.group(2)
-                    try:
-                        idx = variables.index(name)
-                    except ValueError:
+                    offset = offsets.get(name)
+                    if offset is None:
                         raise ParseError(
                             f"unknown variable {name!r} in {text!r}; "
-                            f"chart has {list(variables)}") from None
-                    expo[idx] += int(power) if power else 1
+                            f"chart has {list(variables)}")
+                    if power:
+                        power = power.lstrip("0") or "0"
+                        if len(power) > _LIMIT_DIGITS:
+                            raise ParseError(_too_large(power, repr(text)))
+                        mono += int(power) << offset
+                    else:
+                        mono += 1 << offset
                     continue
                 raise ParseError(f"bad factor {factor!r} in {text!r}")
-            key = tuple(expo)
-            acc = terms.get(key, Fraction(0)) + coeff
+            # each exponent is below 10^10 < 2^34, so no field of the sum
+            # overflows short of 2^30 factors, and one from 2^32 up sets `high`
+            if mono & high:
+                raise ParseError(_too_large(max(_unpack(mono, len(variables))), repr(text)))
+            acc = terms.get(mono, 0) + coeff
             if acc:
-                terms[key] = acc
-            elif key in terms:
-                del terms[key]
-        return cls(variables, terms)
+                terms[mono] = acc
+            elif mono in terms:
+                del terms[mono]
+        return cls._unchecked(variables, terms)
 
     # ------------------------------------------------------------------
     # predicates
@@ -154,7 +225,7 @@ class Poly:
         return not self.terms
 
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)
 
     def constant_value(self):
         if not self.terms:
@@ -165,9 +236,7 @@ class Poly:
 
     def total_degree(self):
         """Max total degree of any term; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(_total_degree, self.terms), default=0)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -187,22 +256,20 @@ class Poly:
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            acc = terms.get(expo)
+        for mono, coeff in other.terms.items():
+            acc = terms.get(mono)
             if acc is None:
-                terms[expo] = coeff
-                continue
-            acc += coeff
-            if acc:
-                terms[expo] = acc
+                terms[mono] = coeff
+            elif acc := acc + coeff:
+                terms[mono] = acc
             else:
-                del terms[expo]
+                del terms[mono]
         return Poly._unchecked(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._unchecked(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._unchecked(self.variables, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -211,56 +278,38 @@ class Poly:
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(map(add, e1, e2))
-                acc = terms.get(expo)
+        terms: dict[int, Fraction] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = m1 + m2
+                acc = terms.get(mono)
                 if acc is None:
-                    terms[expo] = c1 * c2
-                    continue
-                acc += c1 * c2
-                if acc:
-                    terms[expo] = acc
+                    terms[mono] = c1 * c2
+                elif acc := acc + c1 * c2:
+                    terms[mono] = acc
                 else:
-                    del terms[expo]
+                    del terms[mono]
         return Poly._unchecked(self.variables, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise MismatchError("polynomial powers must be nonnegative integers")
-        result = Poly.one(self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def partial(self, index):
         """Partial derivative with respect to variables[index]."""
         if not 0 <= index < len(self.variables):
             raise MismatchError(f"no variable with index {index}")
-        terms = {}
-        for expo, coeff in self.terms.items():
-            e = expo[index]
+        offset = FIELD * (len(self.variables) - 1 - index)
+        unit, terms = 1 << offset, {}
+        for mono, coeff in self.terms.items():
+            e = (mono >> offset) & _FIELD_MASK
             if e:
-                lowered = list(expo)
-                lowered[index] = e - 1
-                terms[tuple(lowered)] = coeff * e
-        return Poly(self.variables, terms)
+                terms[mono - unit] = coeff * e
+        return Poly._unchecked(self.variables, terms)
 
     # ------------------------------------------------------------------
     # comparison / printing
@@ -275,16 +324,13 @@ class Poly:
     def __hash__(self):
         return hash((self.variables, frozenset(self.terms.items())))
 
-    def sorted_terms(self):
-        """Terms in canonical order: total degree, then exponents, descending."""
-        return sorted(self.terms.items(),
-                      key=lambda item: (sum(item[0]), item[0]), reverse=True)
-
     def __str__(self):
         if not self.terms:
             return "0"
-        pieces = []
-        for expo, coeff in self.sorted_terms():
+        nvars, pieces = len(self.variables), []
+        # terms by total degree, then exponents (the packed order), descending
+        for expo, coeff in sorted(((_unpack(m, nvars), c) for m, c in self.terms.items()),
+                                  key=lambda item: (sum(item[0]), item[0]), reverse=True):
             factors = []
             num = abs(coeff)
             monomial = [

@@ -9,8 +9,13 @@ from fractions import Fraction
 
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
 from gradweil.errors import MismatchError
-from gradweil.forms import Form, GradedBundle, TotalForm, _indices, _pack, _unpack
-from gradweil.ring import Poly
+from gradweil.forms import Form, GradedBundle, TotalForm, _indices
+from gradweil.ring import Poly, _pack, _unpack
+
+
+def exponent_terms(poly):
+    """The terms of a Poly keyed by exponent tuples instead of packed monomials."""
+    return {_unpack(m, len(poly.variables)): c for m, c in poly.terms.items()}
 
 
 def sort_with_sign(indices):
@@ -41,26 +46,27 @@ def merge_sign(left, right):
 
 
 def d_sparse_sources_reference(algebroid, key, bound):
-    """`Algebroid.d_sparse_sources` on exponent tuples: the row key's packed
-    monomial is unpacked, each source is an exponent tuple checked field by
-    field and packed again.  The columns (bitmask, packed monomial) whose
-    sparse d_A image can hold the row (bitmask of M, packed b), read off
-    the anchor and coframe terms backwards."""
+    """`Algebroid.d_sparse_sources` on exponent tuples, read off the anchor
+    and structure Polys: the row key's packed monomial is unpacked, each
+    source is an exponent tuple checked field by field and packed again.
+    The columns (bitmask, packed monomial) whose sparse d_A image can hold
+    the row (bitmask of M, packed b), read off the anchor and coframe terms
+    backwards."""
     mask, mono = key
     expo, mi, out = _unpack(mono, len(algebroid.variables)), _indices(mask), set()
     for i in mi:
-        for m, shift, _ in algebroid._anchor_terms[i]:
-            source = tuple(e - s for e, s in zip(expo, shift))
-            if source[m] >= 1 and min(source) >= 0 and sum(source) <= bound:
-                out.add((mask ^ (1 << i), _pack(source)))
+        for m, poly in enumerate(algebroid.anchor[i]):
+            for beta in exponent_terms(poly):
+                # rho(e_i) = a x^beta d/dx_m lowers x_m: the source is b - beta + unit(m)
+                source = tuple(e - s + (v == m) for v, (e, s) in enumerate(zip(expo, beta)))
+                if source[m] >= 1 and min(source) >= 0 and sum(source) <= bound:
+                    out.add((mask ^ (1 << i), _pack(source)))
     for p, q in itertools.combinations(mi, 2):
         rest = mask ^ (1 << p) ^ (1 << q)
         for j in range(algebroid.rank):
             if rest >> j & 1:
                 continue
-            for pair, beta, _ in algebroid._d_coframe[j]:
-                if pair != (p, q):
-                    continue
+            for beta in exponent_terms(algebroid.structure[p][q][j]):
                 source = tuple(e - s for e, s in zip(expo, beta))
                 if min(source, default=0) >= 0 and sum(source) <= bound:
                     out.add((rest | (1 << j), _pack(source)))
@@ -217,7 +223,7 @@ def radial_primitive(form):
     for (mi, _), f in form.coeffs.items():
         for k, i in enumerate(mi):
             terms = coeffs.setdefault((mi[:k] + mi[k + 1:], 0), {})
-            for expo, c in f.terms.items():
+            for expo, c in exponent_terms(f).items():
                 raised = expo[:i] + (expo[i] + 1,) + expo[i + 1:]
                 terms[raised] = terms.get(raised, 0) + (-1) ** k * c / (p + sum(expo))
     return Form(form.variables, form.frame_rank, p - 1, 1,

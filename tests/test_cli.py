@@ -322,6 +322,32 @@ def test_an_exponent_the_packed_layer_cannot_hold_exits_two(where, tmp_path, cap
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+OVER_LONG = getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1   # 1: no digit limit
+
+
+@pytest.mark.skipif(OVER_LONG == 1, reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize("where", ["json", "exponent", "numerator", "denominator"])
+def test_an_over_long_integer_literal_exits_two(where, tmp_path, capsys):
+    # int() refuses a literal of more digits than the interpreter's limit; each
+    # one the input can hold is refused as unusable input, with no traceback
+    digits = "9" * OVER_LONG
+    payload = _corpus_payload("double_action_line")
+    entry = {"json": "x", "exponent": f"x^{digits}", "numerator": f"{digits}*x",
+             "denominator": f"1/{digits}*x"}[where]
+    payload["connection"]["christoffel"][0]["matrix"][0][0] = entry
+    if where == "json":   # json.dumps cannot write the literal either
+        payload["connection"]["rank"] = "RANK"
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(payload).replace('"RANK"', digits))
+    start = time.perf_counter()
+    assert main([str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    if where == "exponent":
+        assert "2^32" in err
+
+
 def test_whitespace_inside_a_number_exits_two(tmp_path, capsys):
     payload = _corpus_payload("adjoint_action_line_poly")
     payload["tangent_connection"]["christoffel"][0]["matrix"][0][1] = "1 2/3"

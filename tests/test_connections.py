@@ -16,7 +16,7 @@ from gradweil.connections import (
     restrict_connection,
     two_term_connection,
 )
-from gradweil.errors import InternalCheckError, MismatchError
+from gradweil.errors import InternalCheckError, MismatchError, ParseError
 from gradweil.algebroid import Chart, Subframe, tangent_algebroid
 from gradweil.forms import Form, GradedBundle, TotalForm, mat_mul, mat_zero
 from gradweil.randgen import (
@@ -492,11 +492,15 @@ def test_connection_form_is_the_checked_build_of_the_christoffel_matrices(name):
 
 
 def test_connection_form_refuses_an_exponent_at_the_limit():
+    # the limit is checked where an exponent enters a Poly, so no connection
+    # form can hold one: its Christoffel symbol is refused as it is read
     a = tangent_line()
     x = a.variables[0]
-    nab = LinearConnection(a, 1, [[[Poly.parse(f"{x}^4294967296", a.variables)]]])
-    with pytest.raises(MismatchError, match=r"2\^32"):
-        ConnectionUpToHomotopy.from_linear(nab).connection_form()
+    payload = {"rank": 1, "christoffel": [{"frame": 0, "matrix": [[f"{x}^4294967296"]]}]}
+    with pytest.raises(ParseError, match=r"4294967296 .* 2\^32"):
+        LinearConnection.from_json(payload, a)
+    with pytest.raises(MismatchError, match=r"4294967296 .* 2\^32"):
+        LinearConnection(a, 1, [[[Poly(a.variables, {(1 << 32,): 1})]]])
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))

@@ -15,17 +15,14 @@ from hypothesis import strategies as st
 from gradweil import catalog
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
 from gradweil.connections import ConnectionUpToHomotopy, LinearConnection
-from gradweil.errors import MismatchError
+from gradweil.errors import MismatchError, ParseError
 from gradweil.forms import (
-    EXPONENT_LIMIT,
     Form,
     GradedBundle,
     TotalForm,
     _indices,
     _mask,
-    _pack,
     _parity_word,
-    _unpack,
     extend_total_form,
     gtr,
     ideal_membership,
@@ -36,10 +33,10 @@ from gradweil.forms import (
     tr,
 )
 from gradweil.randgen import random_cuth, random_form, random_total_form
-from gradweil.ring import Poly
-from oracles import (LINE, basis_element, curvature_power, element, graded_commutator, hat,
-                     merge_sign, poly_add, poly_connection_d, poly_d, poly_scale, poly_wedge,
-                     sort_with_sign)
+from gradweil.ring import EXPONENT_LIMIT, Poly, _pack, _unpack
+from oracles import (LINE, basis_element, curvature_power, element, exponent_terms,
+                     graded_commutator, hat, merge_sign, poly_add, poly_connection_d, poly_d,
+                     poly_scale, poly_wedge, sort_with_sign)
 from test_algebroid import PRESENTATIONS, fractional_chart_presentation
 
 VS = ("x",)
@@ -665,8 +662,9 @@ def test_d_total_is_d_on_every_entry(algebroid):
                     assert got == image
                     images += bool(image)
                     if image:
-                        low = min(sum(e) for p in entry.coeffs.values() for e in p.terms)
-                        lowered += any(sum(e) < low for p in image.values() for e in p.terms)
+                        low = min(sum(e) for p in entry.coeffs.values() for e in exponent_terms(p))
+                        lowered += any(sum(e) < low for p in image.values()
+                                       for e in exponent_terms(p))
     assert images >= 10 and lowered >= 3
 
 
@@ -697,16 +695,25 @@ def test_packing_round_trips_keeps_order_and_adds(vectors):
 
 
 def test_the_packed_layer_refuses_an_exponent_at_the_limit():
-    bundle = GradedBundle([(0, 1)])
-    big, below = (Poly(VS, {(e,): 1}) for e in (EXPONENT_LIMIT, EXPONENT_LIMIT - 1))
+    # exponents enter the packed layer through Poly, whose constructor and
+    # parser refuse one from 2^32 up, written in one factor or summed in a term
     with pytest.raises(MismatchError, match=r"4294967296 .* 2\^32"):
-        TotalForm(VS, 1, bundle, bundle, 1, {(1, 0, 0): {(0,): [[big]]}})
+        Poly(VS, {(EXPONENT_LIMIT,): 1})
     with pytest.raises(MismatchError, match=r"2\^32"):
-        Algebroid(Chart(VS), 1, [[big]], [[[0]]])
+        Algebroid(Chart(VS), 1, [[Poly(VS, {(EXPONENT_LIMIT,): 1})]], [[[0]]])
+    for text in ("x^4294967296", "x^4294967295*x", "2*x^0004294967296"):
+        with pytest.raises(ParseError, match=r"4294967296 .* 2\^32"):
+            Poly.parse(text, VS)
+    with pytest.raises(ParseError, match=r"2\^32"):
+        Algebroid(Chart(VS), 1, [["x^4294967296"]], [[[0]]])
     # below the limit a product carries past 2^32 within its field
+    bundle = GradedBundle([(0, 1)])
+    below = Poly.parse("x^4294967295", VS)
+    assert below == Poly(VS, {(EXPONENT_LIMIT - 1,): 1})
     K = TotalForm(VS, 1, bundle, bundle, 1, {(1, 0, 0): {(0,): [[below]]}})
     image = hat(K, Form(VS, 1, 0, 1, {((), 0): below}))
     assert image.blocks == {(1, 0, 0): {(0,): ((below * below,),)}}
+    assert str(image.blocks[(1, 0, 0)][(0,)][0][0]) == "x^8589934590"
 
 
 # --- one denominator per operand, over denominators 3, 5, 7 and 11 -------------

@@ -1,7 +1,8 @@
 """Source hygiene: every public definition in the package is reached by the
 product, every name a package module imports is used there, the export list
-matches what the package imports, and no package code writes into the terms
-of a Poly."""
+matches what the package imports, no package code writes into the terms
+of a Poly, and only `ring` names the helpers that pack monomials and check
+exponents."""
 
 import ast
 import pathlib
@@ -158,3 +159,36 @@ x = p.terms[e]
 p.terms.get(e)
 """
     assert [line for line, _ in _terms_writes(ast.parse(source))] == list(range(2, 11))
+
+
+# exponent tuples become packed monomials and back, and exponents are checked,
+# in ring alone
+_PACKING = frozenset({"_pack", "_unpack", "_check_exponents"})
+
+
+def _packing_names(tree):
+    """(line, name) of each reference to, or definition of, a packing helper."""
+    defined = ((node.name, node.lineno) for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    for name, line in (*_references(tree), *defined):
+        if name in _PACKING:
+            yield line, name
+
+
+def test_only_ring_names_the_packing_helpers():
+    names = [f"{path.name}:{line} {name}"
+             for path in sorted((REPO / "src" / "gradweil").glob("*.py"))
+             if path.name != "ring.py"
+             for line, name in _packing_names(ast.parse(path.read_text()))]
+    assert not names, f"packing helpers named outside ring: {names}"
+
+
+def test_the_packing_check_sees_each_kind_of_reference():
+    source = """
+from .ring import _pack
+from .ring import _unpack as unpack
+ring._check_exponents(polys)
+def _pack(expo): pass
+pack, unpacked = 1, _unpack(m, n)
+"""
+    assert [line for line, _ in sorted(_packing_names(ast.parse(source)))] == [2, 3, 4, 5, 6]
