@@ -29,7 +29,7 @@ from fractions import Fraction
 from .connections import LinearConnection, cuth_difference
 from .errors import InternalCheckError, MismatchError, NotClosedError
 from .forms import Form, _indices, _mask, gtr, tr
-from .linalg import nullspace, rref, solve, transpose
+from .linalg import nullspace, pivot_columns, solve, transpose
 from .ring import _total_degree
 
 # ----------------------------------------------------------------------
@@ -215,7 +215,7 @@ class CohomologyBasis:
         cocycles = nullspace(transpose(self.d_cols[k], len(self.bases[k + 1])), n)
         boundaries = self.d_cols[k - 1] if k > 0 else []
         columns = boundaries + cocycles
-        pivots = rref(transpose(columns, n), len(columns))[1]
+        pivots = pivot_columns(transpose(columns, n), len(columns))
         reps = [columns[p] for p in pivots if p >= len(boundaries)]
         self.rep_vectors[k] = reps
         self.representatives[k] = [self.vector_to_form(k, v) for v in reps]
@@ -300,13 +300,17 @@ def _exactness_system(algebroid, form, bound):
     monomial), which is the global (J, exponent) order since packed order
     is exponent-tuple order; it fixes the free-variables-zero solution.
     Returns (unknowns, rows, rhs): `rows` are {unknown: value} dicts, one
-    per key that occurs, and `rhs` is a {row: value} dict.  The system is
-    the ansatz times the algebroid's common denominator `_d_den`: each
-    column's image is its integer numerators over it, and the right-hand
-    side is scaled by it, which leaves the solution as it is.
+    per key that occurs, and `rhs` is a {row: value} dict, all integers.
+    The form is read off its stored form (D, view) as integer numerators
+    over D, and each column's image is its integer numerators over the
+    algebroid's common denominator `_d_den` (`_d_column`), so the system is
+    the ansatz scaled by `_d_den` * D with the unknowns scaled by D: the
+    rows are the images' numerators and the right-hand side is each
+    numerator of the form times `_d_den`.  Its solution is D times the
+    ansatz's, and `is_exact` divides it by D.
     """
     den = algebroid._d_den
-    targets = {key: val * den for key, val in form._terms().items()}
+    targets = {key: n * den for key, n in form._numerators().items()}
     images = {}
     seen = set(targets)
     frontier = list(targets)
@@ -349,6 +353,8 @@ def is_exact(algebroid, form, bound=None):
     higher-degree primitive is not ruled out.  The linear system is only the
     closure of the form's terms in the ansatz (see `_exactness_system`), and
     its solution is the free-variables-zero solution of the full ansatz.
+    That system is in integers, its unknowns scaled by the form's stored
+    denominator D, so the primitive's coefficients are its solution over D.
     The form's closedness is checked first, and d_A of the primitive is
     checked against the form before it is returned.
     """
@@ -370,8 +376,9 @@ def is_exact(algebroid, form, bound=None):
     sol = solve(rows, rhs, len(unknowns))
     if sol is None:
         return ExactnessResult("not_exact" if point else "undecided", None)
+    D = form._kernel[0]
     primitive = Form._from_terms(algebroid.variables, algebroid.rank, k - 1,
-                                 {key: val for key, val in zip(unknowns, sol) if val})
+                                 {key: val / D for key, val in zip(unknowns, sol) if val})
     if algebroid.d(primitive) != form:
         raise InternalCheckError("exactness solver returned a bad primitive")
     return ExactnessResult("exact", primitive)
@@ -484,7 +491,7 @@ def massey_triple(algebroid, alpha, beta, gamma, bound=None):
     # the ideal's class vectors as sparse columns over H^target
     columns = [{i: c for i, c in enumerate(vec) if c} for vec in ideal_vectors]
     rows = transpose(columns, cohomology.dim(target))
-    basis = [ideal_vectors[p] for p in rref(rows, len(ideal_vectors))[1]]
+    basis = [ideal_vectors[p] for p in pivot_columns(rows, len(ideal_vectors))]
     cls = cohomology.class_vector(representative)
     in_ideal = solve(rows, dict(enumerate(cls)), len(ideal_vectors)) is not None
     return MasseyReport(True, "ok", representative, w, eta, cls, basis,

@@ -61,10 +61,21 @@ integer row x matrix product into rows of integer cells, or sums the
 diagonal of the product into one integer for a trace, with no call per
 pair; on a chart each output matrix is one flat dict keyed by ((row * cols
 + col) << width) + monomial, which `_accumulate` (or `_trace`) fills and
-`_canonical` sorts once and splits back into rows.  The trace of a
-product (`wedge_trace`, behind `tr` and `gtr`) forms only the diagonal
-entries of the diagonal blocks, summed into 1 x 1 matrices: a stored
-scalar Form.  Of the Poly-matrix helpers,
+`_canonical` sorts once and splits back into rows; it divides out the gcd
+of D and all numerators before it builds a row.  The trace of a product
+(`wedge_trace`, behind `tr` and `gtr`) forms only the diagonal entries of
+the diagonal blocks, summed into 1 x 1 matrices: a stored scalar Form.  A
+trace of X ^ X, the right operand being the left's own stored form, is
+symmetric when X has even total degree s and the trace is graded or every
+summand degree is even.  A pair and its swap, with f1 the left block's
+fiber degree and i1 = s - f1, i2 = s + f1 the form degrees, differ in sign
+by (-1)^(i1 i2) = (-1)^(s + f1) from the merge sign, not at all from the
+Koszul factors (f1 i2 - f1 i1 = 2 f1^2) and by (-1)^f1 from a graded
+trace's sign, so by (-1)^s graded and (-1)^(s + f1) ungraded.  That pass
+visits each unordered pair once and doubles it: block pairs with key1 <=
+key2, and within one block mask pairs in triangular order; the block of
+form degree 0 has the one mask 0, whose pair with itself counts once.  Of
+the Poly-matrix helpers,
 `mat_zero`, `mat_identity` and `mat_is_zero` serve the package; no package
 code multiplies Poly matrices, and `mat_mul` stays public only for
 `perfbench/test_perfbench.py`, which patches it through `connections`.
@@ -74,6 +85,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import MismatchError, ParseError
@@ -243,42 +255,39 @@ def _canonical(D, cells, width):
     """The stored form of cells over D, {key: (rows, cols, {mask: acc})}
     with accumulators as `_cells` makes them: rows keep their nonzero entries, zero
     matrices and empty blocks are dropped, and D and every numerator are
-    divided by their gcd, which zero cells leave as it is.  A chart
-    accumulator is sorted once: its keys come in (row, column, monomial)
-    order and split back into rows."""
-    view, g, low = {}, D, (1 << width) - 1
+    divided by their gcd, which zero cells leave as it is.  One pass: the
+    gcd of D and every accumulated numerator comes first, and each row is
+    built once, already divided by it.  A chart accumulator is sorted once:
+    its keys come in (row, column, monomial) order and split back into
+    rows."""
+    g = D
+    for _, _, tgt in cells.values():
+        for acc in tgt.values():
+            if g == 1:
+                break
+            g = gcd(g, *acc.values()) if width else gcd(g, *chain.from_iterable(acc))
+    view, low = {}, (1 << width) - 1
     for key, (nrows, cols, tgt) in cells.items():
         entries = {}
         for mask, acc in tgt.items():
             if not width:
-                rows = [[(c, n) for c, n in enumerate(row) if n] for row in acc]
-                if any(rows):
-                    entries[mask] = rows
-                    if g > 1:
-                        for row in acc:
-                            g = gcd(g, *row)
-                continue
-            rows, last = [[] for _ in range(nrows)], -1
-            for k in sorted(acc):
-                n = acc[k]
-                if n:
-                    cell = k >> width
-                    if cell != last:
-                        last, pairs = cell, []
-                        rows[cell // cols].append((cell % cols, pairs))
-                    pairs.append((k & low, n))
+                rows = ([[(c, n) for c, n in enumerate(row) if n] for row in acc] if g == 1
+                        else [[(c, n // g) for c, n in enumerate(row) if n] for row in acc])
+            else:
+                rows, last = [[] for _ in range(nrows)], -1
+                for k in sorted(acc):
+                    n = acc[k]
+                    if n:
+                        cell = k >> width
+                        if cell != last:
+                            last, pairs = cell, []
+                            rows[cell // cols].append((cell % cols, pairs))
+                        pairs.append((k & low, n // g))
             if any(rows):
                 entries[mask] = rows
-                if g > 1:
-                    g = gcd(g, *acc.values())
         if entries:
             view[key] = entries
-    if g > 1:   # an empty view keeps g == D, and D // g == 1
-        view = {key: {mask: [[(c, [(e, m // g) for e, m in n] if width else n // g)
-                              for c, n in row] for row in rows]
-                      for mask, rows in entries.items()}
-                for key, entries in view.items()}
-    return D // g, view
+    return D // g, view   # an empty view leaves g == D, and D // g == 1
 
 
 def _combine(terms, src, width):
@@ -519,12 +528,13 @@ class TotalForm:
         `trace` not None only the diagonal entries of the diagonal blocks
         l == j are formed, times (-1)^l when `trace` is true, and summed
         into 1 x 1 matrices: the result is the stored block (i1 + i2, 0, 0)
-        of a scalar Form.  With an algebroid `d_a` whose d_A is not zero,
-        and self End-valued on the target of `right`, d_A of `right` is
-        added into the same accumulators (`Algebroid._d_into`): d_A Y +
-        hat(self) o hat(Y) in one pass, over D_right * lcm(D_left, _d_den),
-        the product's terms scaled by lcm / D_left and d_A's by lcm /
-        _d_den.
+        of a scalar Form; a trace of X ^ X that the module docstring shows
+        symmetric takes each unordered pair once, doubled.  With an
+        algebroid `d_a` whose d_A is not zero, and self End-valued on the
+        target of `right`, d_A of `right` is added into the same
+        accumulators (`Algebroid._d_into`): d_A Y + hat(self) o hat(Y) in
+        one pass, over D_right * lcm(D_left, _d_den), the product's terms
+        scaled by lcm / D_left and d_A's by lcm / _d_den.
         """
         D1, left = self._kernel
         D2, right_view = right
@@ -535,25 +545,37 @@ class TotalForm:
             D = lcm(D1, d_a._d_den)
             d_a._d_into(right_view, right_src, D // d_a._d_den, cells)
             scale, D1 = D // D1, D
+        # a trace of X ^ X with X of even total degree, graded or over even
+        # summand degrees only, takes the same term from a pair and from its
+        # swap (see the module docstring): each unordered pair once, doubled
+        halve = (diagonal and right is self._kernel and self.total_degree % 2 == 0
+                 and (trace or all(z % 2 == 0 for z in self.src.degrees())))
         # per right block, once it is used: (mask, parity word, rows) of each
         # multi-index; the merge sign of a disjoint pair is the parity of mask1 & word
         words: dict = {}
-        for (i1, m1, j), entries1 in left.items():
+        for key1, entries1 in left.items():
+            i1, m1, j = key1
             f1, nrows = j - m1, self.dst.rank(j)
             for key2, rights in right_view.items():
                 i2, l, m2 = key2
-                if m2 != m1 or (diagonal and l != j) or i1 + i2 > self.frame_rank:
+                if (m2 != m1 or (diagonal and l != j) or i1 + i2 > self.frame_rank
+                        or (halve and key2 < key1)):
                     continue
                 entries2 = words.get(key2)
                 if entries2 is None:
                     entries2 = words[key2] = [(mask, _parity_word(mask), rows)
                                               for mask, rows in rights.items()]
                 koszul = -scale if (f1 * i2 + (l if trace else 0)) % 2 else scale
+                # a pair and its swap at once; the mask-0 block with itself
+                # once; within any other block, mask pairs in triangular order
+                if halve and (key2 != key1 or i1 > 0):
+                    koszul *= 2
+                triangle = halve and key2 == key1 and i1 > 0
                 cols = right_src.rank(l)
                 tgt = cells.setdefault((i1 + i2, 0, 0) if diagonal else (i1 + i2, l, j),
                                        (1, 1, {}) if diagonal else (nrows, cols, {}))[2]
-                for mask1, lrows in entries1.items():
-                    for mask2, word, rrows in entries2:
+                for p, (mask1, lrows) in enumerate(entries1.items()):
+                    for mask2, word, rrows in (entries2[p + 1:] if triangle else entries2):
                         if mask1 & mask2:
                             continue
                         merged = mask1 | mask2
@@ -760,13 +782,18 @@ class Form(TotalForm):
         return cls._unchecked(variables, frame_rank, _LINE, _LINE, degree,
                               (D, {(degree, 0, 0): entries} if entries else {}))
 
-    def _terms(self):
-        """The terms {(bitmask, packed monomial): Fraction} of a scalar Form,
-        read off its stored form: the inverse of `_from_terms`."""
-        D, view = self._kernel
-        return {(mask, m): Fraction(n, D)
-                for entries in view.values() for mask, rows in entries.items()
+    def _numerators(self):
+        """The terms {(bitmask, packed monomial): numerator} of a scalar
+        Form, integers over its stored D, read off its stored form."""
+        return {(mask, m): n
+                for entries in self._kernel[1].values() for mask, rows in entries.items()
                 for m, n in (rows[0][0][1] if self.variables else [(0, rows[0][0][1])])}
+
+    def _terms(self):
+        """The terms {(bitmask, packed monomial): Fraction} of a scalar Form:
+        the inverse of `_from_terms`."""
+        D = self._kernel[0]
+        return {key: Fraction(n, D) for key, n in self._numerators().items()}
 
     # -- structure ------------------------------------------------------
 

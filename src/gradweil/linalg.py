@@ -17,18 +17,23 @@ pivots.
 The pivot choice changes only the order in which rows are used.  For a fixed
 column order the reduced row echelon form of a matrix is unique, so the
 result equals that of textbook Gauss-Jordan: `rref` returns its pivot
-columns, `nullspace` the kernel vector of each free column, and `solve` the
-one solution with every free variable set to zero.
+columns (`pivot_columns` those alone), `nullspace` the kernel vector of
+each free column, and `solve` the one solution with every free variable set
+to zero.
 
 The elimination runs fraction-free, in the manner of Bareiss (Math. Comp.
 22, 1968): each row is scaled to primitive integers on entry, a row is
 cleared at a pivot p with entry f there as row <- p * row - f * pivot (both
 divided by gcd(p, f) first), and the result is divided by the gcd of its
-entries.  Back substitution does the same on the pivot rows and carries
-each one's head, the integer at its pivot column.  A nonzero multiple of a
-row has the row's support, so every step has the support of the Fraction
-elimination, with the same pivots; the reduced rows come back as Fractions,
-each entry over its row's head.
+entries.  Back substitution does the same on the pivot rows.  A nonzero
+multiple of a row has the row's support, so every step has the support of
+the Fraction elimination, with the same pivots.  The eliminator returns the
+reduced rows in integers, each with its head, its entry at its pivot
+column; a reduced row of the RREF is an integer row over its head.  Each
+public function builds Fractions only where its result needs them: `rref`
+and `nullspace` divide every reduced entry by its row's head, `solve` only
+each pivot row's entry in the right-hand-side column, and `pivot_columns`
+none at all.
 """
 
 from __future__ import annotations
@@ -38,13 +43,14 @@ from math import gcd, lcm
 
 
 def _eliminate(rows, ncols):
-    """Reduced row echelon form of sparse rows over `ncols` columns.
+    """Reduced row echelon form of sparse rows over `ncols` columns, in integers.
 
     `rows` are {column: value} dicts of int or Fraction values with columns
     below `ncols`; they are read, not changed, and zero values count as
     absent.  Returns (reduced, pivots): the nonzero rows of the reduced form
-    in pivot order, as Fractions with a 1 at the pivot column, and the pivot
-    columns.
+    in pivot order, each a primitive integer row whose only nonzero entry in
+    a pivot column is its head, at its own pivot, and the pivot columns.
+    Row k of the RREF is reduced[k] divided by reduced[k][pivots[k]].
     """
     by_lead = {}
     for row in rows:
@@ -74,14 +80,7 @@ def _eliminate(rows, ncols):
         for c in [c for c in row if position.get(c, k) > k]:
             other = done[position[c]]
             _clear(row, other[c], row[c], other)
-    one = Fraction(1)
-    reduced = []
-    for col, row in zip(pivots, done):
-        head = row.pop(col)
-        row = {c: Fraction(v, head) for c, v in row.items()}
-        row[col] = one
-        reduced.append(row)
-    return reduced, pivots
+    return done, pivots
 
 
 def _primitive(row):
@@ -126,10 +125,23 @@ def rref(rows, ncols):
     """(reduced rows, pivot columns) of sparse rows over `ncols` columns.
 
     The input rows are left unchanged; explicit zeros count as absent.  The
-    reduced rows are the nonzero rows of the RREF in pivot order, each with
-    a 1 at its pivot column.
+    reduced rows are the nonzero rows of the RREF in pivot order, as
+    Fractions with a 1 at the pivot column.
     """
-    return _eliminate(rows, ncols)
+    reduced, pivots = _eliminate(rows, ncols)
+    return [_over_head(row, col) for row, col in zip(reduced, pivots)], pivots
+
+
+def _over_head(row, col):
+    """An integer reduced row divided by its head, the entry at `col`."""
+    head = row[col]
+    return {c: Fraction(v, head) for c, v in row.items()}
+
+
+def pivot_columns(rows, ncols):
+    """The pivot columns of `rref(rows, ncols)`, with no Fraction built: the
+    first maximal independent set of columns in column order."""
+    return _eliminate(rows, ncols)[1]
 
 
 def solve(rows, rhs, ncols):
@@ -150,7 +162,9 @@ def solve(rows, rhs, ncols):
     zero = Fraction(0)
     x = [zero] * ncols
     for row, c in zip(reduced, pivots):
-        x[c] = row.get(ncols, zero)
+        value = row.get(ncols)
+        if value is not None:
+            x[c] = Fraction(value, row[c])
     return x
 
 

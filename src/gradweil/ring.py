@@ -338,7 +338,13 @@ class Poly:
                 for name, e in zip(self.variables, expo) if e
             ]
             if num != 1 or not monomial:
-                factors.append(str(num))
+                try:
+                    factors.append(str(num))
+                except ValueError:   # the interpreter's limit on integer digits
+                    raise MismatchError(
+                        f"a coefficient has more than the {sys.get_int_max_str_digits()} "
+                        "digits this interpreter converts to a string "
+                        "(sys.get_int_max_str_digits())") from None
             factors.extend(monomial)
             body = "*".join(factors)
             if not pieces:

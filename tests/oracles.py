@@ -346,3 +346,73 @@ def flat_borel_module():
     one = Poly.one(())
     zero = Poly.zero(())
     return [[[one]], [[zero]]]  # christoffel [frame][source][target] over (h, e)
+
+
+# --- a plain Fraction Gauss-Jordan ----------------------------------------------
+
+
+def dense_rref(matrix):
+    """Gauss-Jordan in plain Fractions with the first nonzero row as pivot:
+    (RREF, pivots) of a dense matrix, the reference of `linalg`."""
+    rows = [list(r) for r in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def dense_solve(matrix, rhs):
+    """The free-variables-zero solution, or None if inconsistent."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    if nrows == 0:
+        return [Fraction(0)] * ncols
+    aug = [list(row) + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    reduced, pivots = dense_rref(aug)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = reduced[i][ncols]
+    return x
+
+
+def dense_nullspace(matrix):
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    if ncols == 0:
+        return []
+    if nrows == 0:
+        return [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
+                for i in range(ncols)]
+    reduced, pivots = dense_rref(matrix)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -reduced[i][free]
+        basis.append(vec)
+    return basis

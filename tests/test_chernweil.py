@@ -625,26 +625,28 @@ def exactness_system_reference(algebroid, form, bound):
     return unknowns, rows, rhs
 
 
-def assert_union_of_components(system, reference, algebroid):
+def assert_union_of_components(system, reference, algebroid, form):
     """The closure is whole connected components of the reference system
-    times the algebroid's `_d_den`.
+    times the algebroid's `_d_den`, with its unknowns times the form's
+    stored denominator D.
 
     Its unknowns, read back as (multi-index, exponent tuple) keys, keep the
     reference order, and its rows are exactly the
     reference rows that touch one of its unknowns or carry a right-hand
-    side, each with all of its entries times `scale`, and so is the
-    right-hand side: no row is cut, so no component is.
+    side, each with all of its entries times `_d_den` and its right-hand
+    side times `_d_den` * D: no row is cut, so no component is.
     """
     unknowns, rows, rhs = system
     unknowns = [tuple_key(algebroid, u) for u in unknowns]
     ref_unknowns, ref_rows, ref_rhs = reference
     scale, chosen = algebroid._d_den, set(unknowns)
+    rhs_scale = scale * form._kernel[0]
     assert unknowns == [u for u in ref_unknowns if u in chosen]
 
-    def keyed(names, row, value, factor=1):
-        return frozenset((names[c], v * factor) for c, v in row.items()), value * factor
+    def keyed(names, row, value, factor=1, rhs_factor=1):
+        return frozenset((names[c], v * factor) for c, v in row.items()), value * rhs_factor
 
-    expected = Counter(keyed(ref_unknowns, row, ref_rhs.get(i, 0), scale)
+    expected = Counter(keyed(ref_unknowns, row, ref_rhs.get(i, 0), scale, rhs_scale)
                        for i, row in enumerate(ref_rows)
                        if ref_rhs.get(i) or any(ref_unknowns[c] in chosen for c in row))
     assert Counter(keyed(unknowns, row, rhs.get(i, 0))
@@ -702,7 +704,7 @@ def test_exactness_system_matches_the_koszul_columns(case):
                              lambda i: form_terms.get(ref_keys[i], 0))
     assert got == expected
     assert_union_of_components(_exactness_system(algebroid, form, bound),
-                               (unknowns, rows, rhs), algebroid)
+                               (unknowns, rows, rhs), algebroid, form)
 
 
 def reference_answer(algebroid, degree, reference):
@@ -764,7 +766,7 @@ def test_is_exact_matches_a_solve_of_the_full_system(seed):
                 if a.chart.dim == 0:
                     bound = 0  # as is_exact does over a point
                 reference = exactness_system_reference(a, form, bound)
-                assert_union_of_components(_exactness_system(a, form, bound), reference, a)
+                assert_union_of_components(_exactness_system(a, form, bound), reference, a, form)
                 status, primitive = reference_answer(a, form.degree, reference)
                 assert (result.status, result.primitive) == (status, primitive), \
                     (name, bound, render_form(form))
@@ -849,6 +851,7 @@ def test_each_column_image_is_d_sparse_times_the_denominator(name):
     for form in closed_forms(a, rng, tangent=name.startswith("tr")):
         unknowns, rows, rhs = _exactness_system(a, form, default_bound(a, [form]))
         assert all(type(v) is int for row in rows for v in row.values())
+        assert all(type(v) is int for v in rhs.values())
         for col in unknowns:
             image = a._d_column(col)
             assert image and all(type(v) is int for v in image.values())

@@ -256,6 +256,7 @@ def test_corpus_is_exactly_what_the_regen_tool_writes():
 def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeypatch,
                                                                          capsys):
     from gradweil.connections import ConnectionUpToHomotopy
+    from gradweil.forms import TotalForm
 
     spec = importlib.util.spec_from_file_location(
         "route_ratio", REPO / "tools" / "route_ratio.py")
@@ -265,7 +266,8 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     rows = capsys.readouterr().out.splitlines()
     algebras = ["sl2", "solvable5", "abelian(8)", "TR^4"]
     assert [row.split()[:2] for row in rows] == [["route", "algebra"]] + [
-        [route, name] for route in ("curvature", "power_traces") for name in algebras]
+        [route, name] for route in ("curvature", "power_traces", "square_trace")
+        for name in algebras]
     original = ConnectionUpToHomotopy.curvature
     monkeypatch.setattr(ConnectionUpToHomotopy, "curvature",
                         lambda self: original(self).scale(2))
@@ -280,6 +282,18 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     out = capsys.readouterr().out
     assert "power_traces, sl2, seed 0: the engine and the formula disagree" in out
     assert "curvature, sl2, seed 0" not in out
+    monkeypatch.undo()
+    # a trace of a square taken twice over, as a pass that doubled the pair
+    # of a block with itself or halved an asymmetric square would
+    wedge_trace = TotalForm.wedge_trace
+    monkeypatch.setattr(TotalForm, "wedge_trace", lambda K, L, graded=False: (
+        wedge_trace(K, L, graded).scale(2 if L is K else 1)))
+    assert tool.main(["--seeds", "1", "--repeats", "1"]) == 1
+    out = capsys.readouterr().out
+    # seed 0 has tr(R ^ R) and gtr(R ^ R) zero on sl2 and abelian(8) only
+    assert [name for name in algebras if f"square_trace, {name}, seed 0: the engine and "
+            "the formula disagree" in out] == ["solvable5", "TR^4"]
+    assert "curvature, " not in out
 
 
 # --- out-of-range indices ------------------------------------------------------
@@ -346,6 +360,36 @@ def test_an_over_long_integer_literal_exits_two(where, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
     if where == "exponent":
         assert "2^32" in err
+
+
+def grown_past_the_digit_limit():
+    """`pontryagin_two_aff1` with each Christoffel entry times an integer of
+    a little over half the interpreter's digit limit: every literal parses,
+    and the curvature's products of two entries have more digits than the
+    limit, so the report cannot print them."""
+    factor = 7 * 10 ** (OVER_LONG // 2 + 50) + 1
+    payload = _corpus_payload("pontryagin_two_aff1")
+    for entry in payload["connection"]["christoffel"]:
+        entry["matrix"] = [[str(int(x) * factor) for x in row] for row in entry["matrix"]]
+    return payload
+
+
+@pytest.mark.skipif(OVER_LONG == 1, reason="this interpreter converts integers of any length")
+def test_a_coefficient_past_the_digit_limit_exits_two(tmp_path, capsys):
+    limit = str(OVER_LONG - 1)
+    assert main([write_problem(tmp_path, grown_past_the_digit_limit())]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error:") and limit in err and "get_int_max_str_digits" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # the corpus runner counts it as an error entry, with one error line
+    assert main(["corpus", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["error problem.json",
+                                         "1 entries: 0 ok, 0 new, 0 diff, 1 error"]
+    assert captured.err.startswith("error: problem.json:") and limit in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_whitespace_inside_a_number_exits_two(tmp_path, capsys):

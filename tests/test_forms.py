@@ -637,6 +637,37 @@ def test_traces_match_the_poly_reference(variables):
     assert nonzero >= 3
 
 
+# X.wedge_trace(X) visits each unordered pair of terms once when X has even
+# total degree and the trace is graded or every summand degree is even: an
+# odd summand degree (the first bundle) keeps the ungraded trace on the full
+# loop, and total degree 0 has the mask-0 diagonal blocks (0, z, z), whose
+# pair with itself counts once
+SQUARE_BUNDLES = (GradedBundle([(0, 2), (1, 2), (2, 1)]),
+                  GradedBundle([(-2, 1), (0, 2), (2, 1)]))
+
+
+@pytest.mark.parametrize("variables", [(), ("x", "y")], ids=["point", "chart"])
+def test_trace_of_a_square_matches_the_trace_of_the_full_product(variables):
+    rng = random.Random(151 + len(variables))
+    nonzero = Counter()
+    for bundle in SQUARE_BUNDLES:
+        for total_degree in (0, 1, 2):
+            for _ in range(3):
+                X = kernel_total_form(rng, variables, 4, bundle, total_degree)
+                square = X.wedge(X)
+                for graded, trace in ((False, tr), (True, gtr)):
+                    expected = trace(square)
+                    assert X.wedge_trace(X, graded) == expected
+                    nonzero[bundle, total_degree, graded] += not expected.is_zero()
+    # every case has a nonzero trace but those of an odd square where the
+    # pair and its swap cancel: all but the ungraded one over an odd degree
+    odd_degrees = SQUARE_BUNDLES[0]
+    assert {key for key, n in nonzero.items() if n} == {
+        (bundle, s, graded) for bundle in SQUARE_BUNDLES for s in (0, 1, 2)
+        for graded in (False, True)
+        if s != 1 or (bundle == odd_degrees and not graded)}
+
+
 @pytest.mark.parametrize("algebroid", [fractional_chart_presentation(),
                                        tangent_algebroid(Chart(WIDE))],
                          ids=["fractional_chart", "wide_chart"])

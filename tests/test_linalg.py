@@ -1,90 +1,23 @@
 """Exact sparse linear algebra checked against postcondition oracles.
 
 The sparse API in `gradweil.linalg` works on rows {column: value}.  It is
-compared, exactly, against a textbook dense Gauss-Jordan kept here as the
-reference.
+compared, exactly, against a textbook dense Gauss-Jordan in plain Fractions,
+kept in `oracles` as the reference.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from gradweil import chernweil
 from gradweil.algebroid import Chart, tangent_algebroid
-from gradweil.linalg import nullspace, rref, solve, transpose
+from gradweil.linalg import nullspace, pivot_columns, rref, solve, transpose
 from gradweil.randgen import random_linear_connection
+from oracles import dense_nullspace, dense_rref, dense_solve
 from test_algebroid import tuple_key
 from test_chernweil import assert_union_of_components, exactness_system_reference
-
-
-# --- dense reference ---------------------------------------------------------
-
-
-def dense_rref(matrix):
-    """Gauss-Jordan with the first nonzero row as pivot: (RREF, pivots)."""
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def dense_solve(matrix, rhs):
-    """The free-variables-zero solution, or None if inconsistent."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if nrows == 0:
-        return [Fraction(0)] * ncols
-    aug = [list(row) + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    reduced, pivots = dense_rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = reduced[i][ncols]
-    return x
-
-
-def dense_nullspace(matrix):
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-                for i in range(ncols)]
-    reduced, pivots = dense_rref(matrix)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -reduced[i][free]
-        basis.append(vec)
-    return basis
 
 
 # --- generators ----------------------------------------------------------------
@@ -319,10 +252,12 @@ def test_exactness_system_matches_dense_reference():
     assert algebroid.d(result.primitive) == form
     closure_unknowns, closure_rows, closure_rhs = closure = \
         chernweil._exactness_system(algebroid, form, bound)
-    assert_union_of_components(closure, (unknowns, rows, rhs), algebroid)
+    assert_union_of_components(closure, (unknowns, rows, rhs), algebroid, form)
     closure_sol = solve(closure_rows, closure_rhs, len(closure_unknowns))
-    assert {tuple_key(algebroid, u): v for u, v in zip(closure_unknowns, closure_sol) if v} \
-        == {u: v for u, v in zip(unknowns, expected) if v}
+    # the closure's unknowns are the ansatz's times the form's stored D
+    D = form._kernel[0]
+    assert {tuple_key(algebroid, u): v / D for u, v in zip(closure_unknowns, closure_sol)
+            if v} == {u: v for u, v in zip(unknowns, expected) if v}
 
 
 # --- the integer elimination on rows of int and Fraction values ---------------------
@@ -340,17 +275,34 @@ def mixed_matrix(rng, rows, cols, density):
             for _ in range(rows)]
 
 
+def sparse_mixed_matrix(rng):
+    """A sparse matrix of mixed entries, 1-4 nonzeros a row, a third of its
+    rows combinations of two others: dependent rows and free columns."""
+    nrows, ncols = rng.randint(2, 18), rng.randint(1, 24)
+    rows = [{c: mixed_value(rng) for c in rng.sample(range(ncols), min(ncols, rng.randint(1, 4)))}
+            for _ in range(nrows)]
+    for i in rng.sample(range(nrows), nrows // 3):
+        a, b = rng.randrange(nrows), rng.randrange(nrows)
+        row = {c: Fraction(v) * mixed_value(rng) for c, v in rows[a].items()}
+        for c, v in rows[b].items():
+            row[c] = row.get(c, 0) + v
+        rows[i] = row
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_integer_elimination_matches_the_dense_reference(seed):
     # rows mix ints and Fractions over denominators 2-11, as the exactness
-    # solve (integer rows, Fraction right-hand side) and the callers of the
-    # public API do; the dense 12 x 12 cases have full rank
+    # solve (integer rows and right-hand side) and the callers of the public
+    # API do; the dense 12 x 12 cases have full rank, and the sparse ones
+    # give inconsistent systems and consistent ones with free variables
     rng = random.Random(f"mixed:{seed}")
     cases = [mixed_matrix(rng, 12, 12, 1.0) for _ in range(2)]
     for _ in range(16):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
         cases.append(mixed_matrix(rng, nrows, ncols, rng.choice((0.2, 0.5, 0.8))))
-    full_rank = 0
+    cases.extend(sparse_mixed_matrix(rng) for _ in range(24))
+    full_rank, solutions = 0, Counter()
     for m in cases:
         nrows, ncols = shape(m)
         rows = [{j: v for j, v in enumerate(row) if v} for row in m]
@@ -358,7 +310,7 @@ def test_integer_elimination_matches_the_dense_reference(seed):
         expected_rref, expected_pivots = dense_rref(dense)
         full_rank += (nrows, ncols, len(expected_pivots)) == (12, 12, 12)
         reduced, pivots = rref(rows, ncols)
-        assert pivots == expected_pivots
+        assert pivots == expected_pivots == pivot_columns(rows, ncols)
         assert [to_dense(row, ncols) for row in reduced] == expected_rref[:len(pivots)]
         assert all(type(v) is Fraction for row in reduced for v in row.values())
         kernel = nullspace(rows, ncols)
@@ -370,5 +322,6 @@ def test_integer_elimination_matches_the_dense_reference(seed):
             x = solve(rows, {i: v for i, v in enumerate(rhs) if v}, ncols)
             assert x == dense_solve(dense, rhs)
             assert x is None or all(type(v) is Fraction for v in x)
+            solutions["none" if x is None else "free" if len(pivots) < ncols else "one"] += 1
         assert rows == [{j: v for j, v in enumerate(row) if v} for row in m]   # unchanged
-    assert full_rank >= 2
+    assert full_rank >= 2 and min(solutions[kind] for kind in ("none", "free", "one")) >= 5

@@ -5,7 +5,7 @@
 The algebras are sl2, solvable5 and abelian(8) over a point, and TR^4, the
 tangent algebroid of a four-variable chart, where the kernel runs on packed
 monomials.  For each algebra and seed it draws a connection up to homotopy on
-R^2[0] + R^2[1] + R[2] and times two routes against their formulas:
+R^2[0] + R^2[1] + R[2] and times three routes against their formulas:
 
 * curvature: `curvature()` (two kernel passes: cal_D on the basis sections,
   checked against Omega, and cal_D on their images with d_A fused) against
@@ -13,7 +13,12 @@ R^2[0] + R^2[1] + R[2] and times two routes against their formulas:
   `Algebroid.d_total` and `+`);
 * power_traces: `chernweil.power_traces(R, 4, graded=True)`, which builds R^2
   only and gets gtr(R^3) and gtr(R^4) as trace-only products of halves,
-  against gtr of R, R^2, R^3 and R^4 built by repeated public `wedge`.
+  against gtr of R, R^2, R^3 and R^4 built by repeated public `wedge`;
+* square_trace: `R.wedge_trace(R)` and `R.wedge_trace(R, graded=True)`, the
+  trace-only products of the curvature with itself, against `tr` and `gtr`
+  of the full `R.wedge(R)`.  The bundle has a summand of odd degree, so the
+  graded trace visits each unordered pair of terms once and the ungraded
+  one takes the full loop.
 
 Every timed call runs on a fresh copy of the connection and its algebroid
 whose Omega (and, for the power traces, curvature) is built before the clock
@@ -37,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from gradweil import catalog
 from gradweil.algebroid import Chart, tangent_algebroid
 from gradweil.chernweil import power_traces
-from gradweil.forms import GradedBundle, gtr
+from gradweil.forms import GradedBundle, gtr, tr
 from gradweil.randgen import random_cuth
 
 ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
@@ -72,9 +77,22 @@ def wedges(curvature):
     return out
 
 
+def square_traces(curvature):
+    """tr(R ^ R) and gtr(R ^ R) as the engine computes them: trace-only
+    products of R with itself."""
+    return curvature.wedge_trace(curvature), curvature.wedge_trace(curvature, graded=True)
+
+
+def square_wedge(curvature):
+    """tr and gtr of the full R ^ R, built by public wedge."""
+    square = curvature.wedge(curvature)
+    return tr(square), gtr(square)
+
+
 # route name -> (engine, formula, the input of both built from a fresh connection)
 ROUTES = {"curvature": (fused, formula, lambda conn: conn),
-          "power_traces": (halves, wedges, lambda conn: conn.curvature())}
+          "power_traces": (halves, wedges, lambda conn: conn.curvature()),
+          "square_trace": (square_traces, square_wedge, lambda conn: conn.curvature())}
 
 
 def fresh(make, seed):
