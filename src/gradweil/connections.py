@@ -174,18 +174,6 @@ class LinearConnection:
                 and self.rank == other.rank
                 and self.mats == other.mats)
 
-    def to_json(self, degree_label=0):
-        gamma = self.christoffel()
-        return {
-            "bundle_degree": degree_label,
-            "christoffel": [
-                {"frame": i, "matrix": [[str(p) for p in row] for row in gamma[i]]}
-                for i in range(self.algebroid.rank)
-                if any(not p.is_zero() for row in gamma[i] for p in row)
-            ],
-            "rank": self.rank,
-        }
-
     @classmethod
     def from_json(cls, data, algebroid, rank=None):
         if rank is not None and data.get("rank", rank) != rank:
@@ -367,23 +355,6 @@ class ConnectionUpToHomotopy:
                           bundle, _width(self.variables))
         return TotalForm._unchecked(K.variables, K.frame_rank, bundle, bundle,
                                     K.total_degree + 1, kernel)
-
-    def __eq__(self, other):
-        return (isinstance(other, ConnectionUpToHomotopy)
-                and self.algebroid == other.algebroid
-                and self.bundle == other.bundle
-                and self.nablas == other.nablas
-                and self.D == other.D)
-
-    def to_json(self):
-        return {
-            "bundle": self.bundle.to_json(),
-            "connections": [
-                dict(self.nablas[z].to_json(degree_label=z))
-                for z, _ in self.bundle.summands
-            ],
-            "D": self.D.to_json(),
-        }
 
 
 def _first_difference(left, right):

@@ -353,15 +353,9 @@ class GradedBundle:
     def __eq__(self, other):
         return isinstance(other, GradedBundle) and self.summands == other.summands
 
-    def __hash__(self):
-        return hash(self.summands)
-
     def __repr__(self):
         inner = " + ".join(f"R^{r}[{z}]" for z, r in self.summands)
         return f"GradedBundle({inner})"
-
-    def to_json(self):
-        return {"summands": [{"degree": z, "rank": r} for z, r in self.summands]}
 
     @classmethod
     def from_json(cls, data):
@@ -407,6 +401,8 @@ class TotalForm:
                         raise MismatchError(f"index {mi} out of range")
                     if len(mat) != rows or any(len(r) != cols for r in mat):
                         raise MismatchError(f"matrix shape mismatch in block ({i},{l},{j})")
+                    if any(p.variables != self.variables for r in mat for p in r):
+                        raise MismatchError("coefficient variables differ from the form's chart")
                     if not mat_is_zero(mat):
                         block_clean[mi] = [[(c, p) for c, p in enumerate(row) if p.terms]
                                            for row in mat]
@@ -505,14 +501,7 @@ class TotalForm:
                                          self.src, _width(self.variables)))
 
     def scale(self, scalar):
-        """Multiply by a rational number or a Poly; a non-constant Poly f is
-        the product with the 0-form f times the identity of src."""
-        if isinstance(scalar, Poly) and not scalar.is_constant():
-            right = _from_polys({(0, z, z): {(): [[(a, scalar)] for a in range(r)]}
-                                 for z, r in self.src.summands}, _width(self.variables))
-            return self._same_shape(self._product(right, self.src))
-        if isinstance(scalar, Poly):
-            scalar = scalar.constant_value()
+        """Multiply by a rational number."""
         scalar = Fraction(scalar)
         D, view = self._kernel
         return self._same_shape(_combine([(scalar.numerator, (D * scalar.denominator, view))],

@@ -227,17 +227,6 @@ class Poly:
     def is_constant(self):
         return not any(self.terms)
 
-    def constant_value(self):
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise MismatchError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
-
-    def total_degree(self):
-        """Max total degree of any term; 0 for the zero polynomial."""
-        return max(map(_total_degree, self.terms), default=0)
-
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -276,9 +265,6 @@ class Poly:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -320,9 +306,6 @@ class Poly:
                 return NotImplemented
             other = Poly.constant(self.variables, other)
         return self.variables == other.variables and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:

@@ -18,6 +18,11 @@ def exponent_terms(poly):
     return {_unpack(m, len(poly.variables)): c for m, c in poly.terms.items()}
 
 
+def total_degree(poly):
+    """The highest total degree of a term of a Poly; 0 for the zero Poly."""
+    return max(map(sum, exponent_terms(poly)), default=0)
+
+
 def sort_with_sign(indices):
     """Sort an index tuple, returning (sign, sorted) or (0, None) on repeats."""
     indices = tuple(indices)

@@ -62,7 +62,7 @@ def test_scalar_curvature_value():
     assert set(R.blocks) == {(2, 0, 0)}
     entries = R.blocks[(2, 0, 0)]
     assert set(entries) == {(0, 1)}
-    assert entries[(0, 1)][0][0].constant_value() == Fraction(-3)
+    assert entries[(0, 1)][0][0] == Fraction(-3)
     assert not nab.is_flat()
 
 
@@ -138,11 +138,7 @@ def test_connection_json_source_major():
     # wire matrix[alpha][beta]: nabla_{e1} s_1 = s_2; internally target-major
     out = nab.apply(0, [Poly.one(()), Poly.zero(())])
     assert [str(c) for c in out] == ["0", "1"]
-    assert nab.mats[0][1][0].constant_value() == 1
-    back = nab.to_json()
-    assert back["christoffel"][0]["matrix"] == [["0", "1"], ["0", "0"]]
-    roundtrip = LinearConnection.from_json(back, a)
-    assert roundtrip.mats == nab.mats
+    assert nab.mats[0][1][0] == 1
 
 
 def test_connection_json_rank_required():
@@ -285,22 +281,6 @@ def test_cuth_difference_matches_operators():
                 lhs = D2.apply(x) + D1.apply(x).scale(-1)
                 rhs = hat(diff, x)
                 assert (lhs + rhs.scale(-1)).is_zero()
-
-
-def test_cuth_json_roundtrip():
-    rng = random.Random(37)
-    a = catalog.aff1()
-    E = GradedBundle([(0, 2), (1, 1)])
-    D = random_cuth(rng, a, E)
-    data = D.to_json()
-    rebuilt_nablas = {
-        c["bundle_degree"]: LinearConnection.from_json(c, a)
-        for c in data["connections"]
-    }
-    rebuilt_D = TotalForm.from_json(data["D"], a.variables, a.rank, E, E)
-    R = ConnectionUpToHomotopy(a, E, rebuilt_nablas, rebuilt_D)
-    x = basis_element(a.variables, a.rank, E, 0, 0)
-    assert (D.apply(x) + R.apply(x).scale(-1)).is_zero()
 
 
 # --- the Koszul formula as the oracle for the connection differentials ----------

@@ -65,8 +65,8 @@ def test_double_of_scalar_connection():
     D = double_rep(scalar_aff1_connection())
     assert D.bundle.summands == ((0, 1), (1, 1))
     # chain map is the identity, omega = -R = 3 eps1^eps2
-    assert D.D.blocks[(0, 0, 1)][()][0][0].constant_value() == 1
-    assert D.D.blocks[(2, 1, 0)][(0, 1)][0][0].constant_value() == Fraction(3)
+    assert D.D.blocks[(0, 0, 1)][()][0][0] == 1
+    assert D.D.blocks[(2, 1, 0)][(0, 1)][0][0] == Fraction(3)
     assert report_passed(square_zero_check(D))
 
 
@@ -269,6 +269,11 @@ ADJOINT_CASES = {
 }
 
 
+def parts(cuth):
+    """What a connection up to homotopy is built from."""
+    return cuth.algebroid, cuth.bundle, cuth.nablas, cuth.D
+
+
 @pytest.mark.parametrize("name", sorted(ADJOINT_CASES))
 def test_adjoint_is_the_morphism_representation_of_the_anchor(name):
     algebroid = ADJOINT_CASES[name]()
@@ -284,15 +289,15 @@ def test_adjoint_is_the_morphism_representation_of_the_anchor(name):
         assert basic_curvature(adjoint) == rbas.block(2, 1, 0)
         partial = [[algebroid.anchor[i][m] for i in range(r)] for m in range(n)]
         omega = {mi: mat_neg(mat) for mi, mat in rbas.block(2, 1, 0).items()}
-        assert adjoint == two_term_connection(algebroid, bas_a, bas_tm,
-                                              partial, omega)
+        assert parts(adjoint) == parts(two_term_connection(algebroid, bas_a, bas_tm,
+                                                           partial, omega))
         if name == "polynomial":
             # no axiom holds, so the anchor is no morphism
             with pytest.raises(MorphismError):
                 check_morphism(algebroid, tangent, algebroid.anchor)
         else:
             anchor = check_morphism(algebroid, tangent, algebroid.anchor)
-            assert adjoint == morphism_rep(algebroid, tangent, anchor, ntm)
+            assert parts(adjoint) == parts(morphism_rep(algebroid, tangent, anchor, ntm))
 
 
 def test_adjoint_of_a_broken_anchor_reports_square_zero():

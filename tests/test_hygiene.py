@@ -1,10 +1,12 @@
-"""Source hygiene: every public definition in the package is reached by the
-product, every name a package module imports is used there, the export list
-matches what the package imports, no package code writes into the terms
-of a Poly, and only `ring` names the helpers that pack monomials and check
-exponents."""
+"""Source hygiene: every public definition in the package is referenced by
+name in the product (whether the product runs it is `tools/reach.py`'s
+check, whose matcher is tested here too), every name a package module
+imports is used there, the export list matches what the package imports, no
+package code writes into the terms of a Poly, and only `ring` names the
+helpers that pack monomials and check exponents."""
 
 import ast
+import importlib.util
 import pathlib
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -192,3 +194,57 @@ def _pack(expo): pass
 pack, unpacked = 1, _unpack(m, n)
 """
     assert [line for line, _ in sorted(_packing_names(ast.parse(source)))] == [2, 3, 4, 5, 6]
+
+
+def _reach_tool():
+    spec = importlib.util.spec_from_file_location("reach", REPO / "tools" / "reach.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_reach_counts_a_cached_function_as_entered_when_called():
+    # a decorated function's code starts at its decorator's line
+    from gradweil import forms
+
+    reach, package = _reach_tool(), REPO / "src" / "gradweil"
+    forms._mask.cache_clear()   # a cache hit would not enter the function
+    listed = reach.unentered(package, lambda: forms._mask((0, 2)))
+    assert not any(line.endswith(" forms._mask") for line in listed)
+    assert any(line.endswith(" forms._indices") for line in listed)
+    assert any(line.endswith(" forms._mask") for line in reach.unentered(package, lambda: None))
+
+
+def test_reach_lists_a_function_nothing_calls(tmp_path):
+    source = '''from functools import cache
+
+
+@cache
+def cached(n):
+    return n + 1
+
+
+def planted(pick=lambda: 0):
+    def nested():
+        return 0
+    return nested
+
+
+def run():
+    # the default's lambda starts on the line of planted but is not planted
+    return cached(1), planted.__defaults__[0]()
+'''
+    (tmp_path / "planted.py").write_text(source)
+    spec = importlib.util.spec_from_file_location("planted", tmp_path / "planted.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    reach = _reach_tool()
+    assert reach.unentered(tmp_path, module.run) == [
+        "planted.py:9 planted.planted", "planted.py:10 planted.planted.nested"]
+    # an exempt def stays off the list, and an exemption whose def is
+    # entered or gone is listed in its place
+    exempt = [f"x.py:{n} {name}" for n, name in enumerate(sorted(reach.EXEMPT))]
+    assert reach.findings(exempt + ["ring.py:1 ring.Poly.__repr__"]) == []
+    assert reach.findings(exempt[1:] + ["ring.py:2 ring.Poly.__add__"]) == [
+        "ring.py:2 ring.Poly.__add__",
+        f"exempt but entered or gone: {sorted(reach.EXEMPT)[0]}"]

@@ -35,11 +35,11 @@ polys = poly_strategy()
 
 def test_constructors():
     z = Poly.zero(VARS)
-    assert z.is_zero() and z.is_constant() and z.constant_value() == 0
+    assert z.is_zero() and z.is_constant() and z == 0
     one = Poly.one(VARS)
-    assert one.is_constant() and one.constant_value() == 1
+    assert one.is_constant() and one == 1
     c = Poly.constant(VARS, Fraction(-7, 3))
-    assert c.constant_value() == Fraction(-7, 3)
+    assert c == Fraction(-7, 3) and exponent_terms(c) == {(0, 0): Fraction(-7, 3)}
     x = Poly.variable(VARS, 0)
     assert not x.is_constant()
     assert str(x) == "x"
@@ -90,11 +90,6 @@ def test_partial_values():
     assert p.partial(0).partial(1) == p.partial(1).partial(0)
 
 
-def test_total_degree():
-    assert Poly.zero(VARS).total_degree() == 0
-    assert Poly.parse("x^2*y + y", VARS).total_degree() == 3
-
-
 @pytest.mark.parametrize(
     "text", ["", "x +", "x^-2", "2x", "x*", "z", "x**2", "1/0", "x*3/0",
              "3 4", "1 2/3", "\u0661"]
@@ -142,7 +137,7 @@ def test_sum_cancels_to_zero_on_both_bases():
         assert (p - p).terms == {}
         assert (p + Fraction(-5, 6)).terms == {}
     x = Poly.variable(VARS, 0)
-    s = (x + Fraction(1, 3)) + (Fraction(-1, 3) - x * 2)
+    s = (x + Fraction(1, 3)) + (x * -2 + Fraction(-1, 3))
     assert exponent_terms(s) == {(1, 0): Fraction(-1)}
 
 
@@ -162,10 +157,10 @@ def test_product_cancels_to_zero_on_both_bases():
 @given(point_polys, point_polys)
 @settings(max_examples=60, deadline=None)
 def test_point_base_arithmetic_is_rational_arithmetic(p, q):
-    a, b = p.constant_value(), q.constant_value()
+    a, b = exponent_terms(p).get((), 0), exponent_terms(q).get((), 0)
     for result, value in ((p + q, a + b), (p - q, a - b), (p * q, a * b)):
         assert_clean(result)
-        assert result.constant_value() == value
+        assert result == value
         assert exponent_terms(result) == ({(): value} if value else {})
 
 
