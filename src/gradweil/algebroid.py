@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import MismatchError
-from .forms import Form, _canonical, _cells, _indices, _width
+from .forms import Form, _canonical, _indices, _width
 from .ring import _FIELD_MASK, FIELD, VARIABLE_NAME, Poly, _total_degree
 
 _NO_TERMS = ()   # the d_A table entry of a bitmask with no image
@@ -468,13 +468,15 @@ class Algebroid:
                 for target, m, shift, num in terms:
                     num *= scale
                     acc = slot[2].get(target)
-                    if acc is None:
-                        acc = slot[2][target] = _cells(len(rows), cols, width)
-                    if not width:   # no anchor on a point: m is None
-                        for out, row in zip(acc, rows):
-                            for c, n in row:
-                                out[c] += n * num
+                    if not width:   # no anchor on a point: m is None; rows are flat
+                        if acc is None:
+                            slot[2][target] = [n * num for n in rows]
+                        else:
+                            for c, n in enumerate(rows):
+                                acc[c] += n * num
                         continue
+                    if acc is None:
+                        acc = slot[2][target] = {}
                     get = acc.get
                     for r, row in enumerate(rows):
                         base = r * cols

@@ -203,10 +203,17 @@ _PARSER.add_argument("--seed", type=int,
 
 
 def main(argv=None):
+    """Run the command line `argv` and return its exit code; an argument
+    argparse refuses returns 2 after its usage line on stderr, and --help
+    returns 0."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "corpus":
-        return run_corpus(_CORPUS_PARSER.parse_args(argv[1:]).directory)
-    args = _PARSER.parse_args(argv)
+    corpus = bool(argv) and argv[0] == "corpus"
+    try:
+        args = _CORPUS_PARSER.parse_args(argv[1:]) if corpus else _PARSER.parse_args(argv)
+    except SystemExit as exc:   # argparse exits where it refuses or helps
+        return exc.code
+    if corpus:
+        return run_corpus(args.directory)
     return run_file(args.problem, task=args.task, json_path=args.json_path,
                     bound=args.bound, seed=args.seed)
 

@@ -292,19 +292,17 @@ class ConnectionUpToHomotopy:
         """Gamma of every summand's connection, in the diagonal (1, z, z) blocks.
 
         Built straight from the Christoffel matrices, which `LinearConnection`
-        has checked, keeping their nonzero entries; the exponent limit of the
-        packed kernel is still enforced.
+        has checked, keeping those that are not zero.
         """
         blocks = {}
         for z in self.bundle.degrees():
             entries = {}
             for i, mat in enumerate(self.nablas[z].mats):
-                rows = [[(c, p) for c, p in enumerate(row) if p.terms] for row in mat]
-                if any(rows):
-                    entries[(i,)] = rows
+                if any(p.terms for row in mat for p in row):
+                    entries[(i,)] = mat
             if entries:
                 blocks[(1, z, z)] = entries
-        return TotalForm._from_rows(self.variables, self.algebroid.rank,
+        return TotalForm._from_mats(self.variables, self.algebroid.rank,
                                     self.bundle, self.bundle, 1, blocks)
 
     def omega(self):

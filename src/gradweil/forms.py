@@ -26,23 +26,26 @@ Sign conventions (load-bearing, do not change casually):
   vector-valued Form swaps past it with (-1)^(pq).
 
 A `TotalForm` is stored in integers, as `_kernel` = (D, view): one
-denominator D in lowest terms and, per block, the sparse integer rows of
-each multi-index, keyed by its bitmask (bit k for frame index k).  A row
-lists the (column, entry) pairs of its nonzero entries in column order; an
-entry is a numerator over D, an integer on the point base and ascending
-(packed monomial, numerator) pairs on a chart.  A packed monomial is the
-key of a Poly's terms (see `ring`): one integer with a FIELD-bit field per
-exponent, the first variable in the highest field, so integer order is
+denominator D in lowest terms and, per block, the integer matrix of each
+multi-index, keyed by its bitmask (bit k for frame index k), its entries
+numerators over D.  On the point base a matrix is one flat row-major list
+of rows * cols integers, not all zero.  On a chart it is sparse rows: a row
+lists the (column, entry) pairs of its nonzero entries in column order, an
+entry ascending (packed monomial, numerator) pairs.  A packed monomial is
+the key of a Poly's terms (see `ring`): one integer with a FIELD-bit field
+per exponent, the first variable in the highest field, so integer order is
 exponent-tuple order and a product of monomials is one integer addition.
 An entry is a Poly's sorted terms over D and back, with no monomial
 repacked; `ring` alone checks that exponents stay below 2^32, so no chain
-of products a task builds carries into the next field.  Nothing zero is
-stored, so equality compares stored forms.  Polys appear only at the
-boundary: the checked constructors (so `from_json`) read Polys, and
-`blocks` and a Form's `coeffs` (each built on first read) and `to_json`
-are built from the integers; the Polys built from one form share one Poly
-per value on the point base, so no code writes into a Poly's terms (a test
-of the package source checks it).
+of products a task builds carries into the next field.  No zero matrix is
+stored, nor a zero entry on a chart, so equality compares stored forms;
+and no code writes into a stored matrix, since every pass fills
+accumulators of its own.  Polys appear only at the boundary: the checked
+constructors (so `from_json`) read Polys, and `blocks` and a Form's
+`coeffs` (each built on first read) and `to_json` are built from the
+integers; the Polys built from one form share one Poly per value on the
+point base, so no code writes into a Poly's terms (a test of the package
+source checks it).
 
 `wedge` and `wedge_trace` are one kernel pass, `_product`, which adds
 integers over D_left * D_right and stores the result in lowest terms; `+`,
@@ -56,13 +59,19 @@ skipped by `m1 & m2`, and so is a block pair whose form degrees exceed the
 frame rank.  The merge sign of a disjoint pair is one popcount: each right
 bitmask gets, once per pass, its parity word (`_parity_word`, the XOR over
 its bits b of the bits above b), and the sign is -1 exactly when `m1 &
-word` has odd popcount.  On the point base the pair loop itself does the
-integer row x matrix product into rows of integer cells, or sums the
-diagonal of the product into one integer for a trace, with no call per
-pair; on a chart each output matrix is one flat dict keyed by ((row * cols
-+ col) << width) + monomial, which `_accumulate` (or `_trace`) fills and
-`_canonical` sorts once and splits back into rows; it divides out the gcd
-of D and all numerators before it builds a row.  The trace of a product
+word` has odd popcount.  On the point base each block pair picks one
+kernel, `_matmul(rows, inner, cols)`: a fully unrolled function whose source
+is built from those three integers alone, compiled once per shape per
+process and cached (0.03-0.15 ms per shape up to 3 x 3 x 3, 1.5 ms at
+8 x 8 x 8 and 11 ms at 16 x 16 x 16 on a 2-CPU Linux VM under Python 3.11),
+and each disjoint mask pair is one call to it.  For a trace each right
+matrix is transposed once per pass, beside its parity word, so the trace
+of a pair's product is one dot product, `sum(map(mul, left, right_t))`.
+On a chart each output matrix is one flat dict keyed by ((row * cols + col)
+<< width) + monomial, which `_accumulate` (or `_trace`) fills and
+`_canonical` sorts once and splits back into rows.  `_canonical` divides
+out the gcd of D and all numerators; a point-base accumulator with gcd 1 is
+stored as it stands.  The trace of a product
 (`wedge_trace`, behind `tr` and `gtr`) forms only the diagonal entries of
 the diagonal blocks, summed into 1 x 1 matrices: a stored scalar Form.  A
 trace of X ^ X, the right operand being the left's own stored form, is
@@ -85,8 +94,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from .errors import MismatchError, ParseError
 from .ring import FIELD, Poly
@@ -171,20 +180,24 @@ def mat_is_zero(a):
 # the stored form of a TotalForm and the integer kernel on it
 
 def _from_polys(blocks, width):
-    """The stored form of nonzero {key: {multi-index: rows}}, each row the
-    (column, Poly) pairs of its nonzero entries, with monomials `width` bits
-    wide (0 on the point base); D is the lcm of denominators."""
-    D = lcm(*{q.denominator for entries in blocks.values() for rows in entries.values()
-              for row in rows for _, p in row for q in p.terms.values()})
+    """The stored form of {key: {multi-index: Poly matrix}}, no matrix all
+    zero, with monomials `width` bits wide (0 on the point base); D is the
+    lcm of denominators.  A point-base matrix becomes its flat row-major
+    list of integers, a chart matrix its sparse rows."""
+    D = lcm(*{q.denominator for entries in blocks.values() for mat in entries.values()
+              for row in mat for p in row for q in p.terms.values()})
+    if not width:
+        return D, {key: {_mask(mi): [p.terms[0].numerator * (D // p.terms[0].denominator)
+                                     if p.terms else 0 for row in mat for p in row]
+                         for mi, mat in entries.items()}
+                   for key, entries in blocks.items()}
 
     def entry(p):
-        if not width:
-            q = p.terms[0]
-            return q.numerator * (D // q.denominator)
         return [(m, q.numerator * (D // q.denominator)) for m, q in sorted(p.terms.items())]
 
-    return D, {key: {_mask(mi): [[(c, entry(p)) for c, p in row] for row in rows]
-                     for mi, rows in entries.items()}
+    return D, {key: {_mask(mi): [[(c, entry(p)) for c, p in enumerate(row) if p.terms]
+                                 for row in mat]
+                     for mi, mat in entries.items()}
                for key, entries in blocks.items()}
 
 
@@ -211,10 +224,32 @@ def _width(variables):
     return FIELD * len(variables)
 
 
-def _cells(rows, cols, width):
-    """The zero accumulator of one `rows` x `cols` output matrix: rows of
-    integer cells on the point base (`width` 0), one flat dict on a chart."""
-    return [[0] * cols for _ in range(rows)] if not width else {}
+@cache
+def _matmul(rows, inner, cols):
+    """The point-base kernel of one shape: a function (acc, s, a, b) that
+    adds s * (a @ b) into `acc`, for flat row-major integer matrices `a`
+    (rows x inner), `b` (inner x cols) and `acc` (rows x cols).  It is fully
+    unrolled, each output cell one line of products, and its source is
+    built from the three integers alone; compiled once per shape."""
+    rows, inner, cols = int(rows), int(inner), int(cols)
+    left = [f"a{n}" for n in range(rows * inner)]
+    right = [f"b{n}" for n in range(inner * cols)]
+    lines = [f"def matmul(acc, s, a, b):",
+             f"    {', '.join(left)}, = a",
+             f"    {', '.join(right)}, = b"]
+    lines += [f"    acc[{r * cols + c}] += s * ("
+              + " + ".join(f"a{r * inner + k} * b{k * cols + c}" for k in range(inner)) + ")"
+              for r in range(rows) for c in range(cols)]
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", f"<matmul {rows}x{inner}x{cols}>", "exec"),
+         namespace)
+    return namespace["matmul"]
+
+
+def _transpose(flat, cols):
+    """The transpose of a flat row-major integer matrix with `cols` columns,
+    flat row-major again."""
+    return [n for c in range(cols) for n in flat[c::cols]]
 
 
 def _accumulate(acc, sign, left, right, cols, width):
@@ -252,37 +287,41 @@ def _trace(cell, sign, left, right):
 
 
 def _canonical(D, cells, width):
-    """The stored form of cells over D, {key: (rows, cols, {mask: acc})}
-    with accumulators as `_cells` makes them: rows keep their nonzero entries, zero
-    matrices and empty blocks are dropped, and D and every numerator are
-    divided by their gcd, which zero cells leave as it is.  One pass: the
-    gcd of D and every accumulated numerator comes first, and each row is
-    built once, already divided by it.  A chart accumulator is sorted once:
-    its keys come in (row, column, monomial) order and split back into
-    rows."""
+    """The stored form of cells over D, {key: (rows, cols, {mask: acc})},
+    each accumulator a flat row-major list of integers on the point base
+    (which reads neither rows nor cols) and on a chart one flat dict keyed
+    ((row * cols + col) << width) + packed monomial.  Zero matrices and
+    empty blocks are dropped, and D and every numerator are divided by their
+    gcd, which zero cells leave as it is; that gcd comes first.  A
+    point-base accumulator is kept as it stands, divided only when the gcd
+    is not 1, so no accumulator is written after this.  A chart accumulator
+    is sorted once: its keys come in (row, column, monomial) order and split
+    back into rows, each already divided."""
     g = D
     for _, _, tgt in cells.values():
         for acc in tgt.values():
             if g == 1:
                 break
-            g = gcd(g, *acc.values()) if width else gcd(g, *chain.from_iterable(acc))
+            g = gcd(g, *acc.values()) if width else gcd(g, *acc)
     view, low = {}, (1 << width) - 1
     for key, (nrows, cols, tgt) in cells.items():
+        if not width:
+            entries = {mask: acc if g == 1 else [n // g for n in acc]
+                       for mask, acc in tgt.items() if any(acc)}
+            if entries:
+                view[key] = entries
+            continue
         entries = {}
         for mask, acc in tgt.items():
-            if not width:
-                rows = ([[(c, n) for c, n in enumerate(row) if n] for row in acc] if g == 1
-                        else [[(c, n // g) for c, n in enumerate(row) if n] for row in acc])
-            else:
-                rows, last = [[] for _ in range(nrows)], -1
-                for k in sorted(acc):
-                    n = acc[k]
-                    if n:
-                        cell = k >> width
-                        if cell != last:
-                            last, pairs = cell, []
-                            rows[cell // cols].append((cell % cols, pairs))
-                        pairs.append((k & low, n // g))
+            rows, last = [[] for _ in range(nrows)], -1
+            for k in sorted(acc):
+                n = acc[k]
+                if n:
+                    cell = k >> width
+                    if cell != last:
+                        last, pairs = cell, []
+                        rows[cell // cols].append((cell % cols, pairs))
+                    pairs.append((k & low, n // g))
             if any(rows):
                 entries[mask] = rows
         if entries:
@@ -293,7 +332,8 @@ def _canonical(D, cells, width):
 def _combine(terms, src, width):
     """The stored form of the sum of factor * form over the (factor, (D,
     view)) pairs `terms`, forms from the bundle `src` with monomials `width`
-    bits wide, over the lcm of the D's, which need not be in lowest terms."""
+    bits wide, over the lcm of the D's, which need not be in lowest terms.
+    A point-base sum is built in new lists; no stored matrix is written."""
     D = lcm(*(d for _, (d, _) in terms))
     cells: dict = {}
     for factor, (d, view) in terms:
@@ -304,13 +344,12 @@ def _combine(terms, src, width):
                 if slot is None:
                     slot = cells[key] = (len(rows), cols, {})
                 acc = slot[2].get(mask)
-                if acc is None:
-                    acc = slot[2][mask] = _cells(len(rows), cols, width)
                 if not width:
-                    for out, row in zip(acc, rows):
-                        for c, n in row:
-                            out[c] += scale * n
+                    slot[2][mask] = ([scale * n for n in rows] if acc is None
+                                     else [m + scale * n for m, n in zip(acc, rows)])
                     continue
+                if acc is None:
+                    acc = slot[2][mask] = {}
                 get = acc.get
                 for r, row in enumerate(rows):
                     base = r * cols
@@ -404,8 +443,7 @@ class TotalForm:
                     if any(p.variables != self.variables for r in mat for p in r):
                         raise MismatchError("coefficient variables differ from the form's chart")
                     if not mat_is_zero(mat):
-                        block_clean[mi] = [[(c, p) for c, p in enumerate(row) if p.terms]
-                                           for row in mat]
+                        block_clean[mi] = mat
                 if block_clean:
                     clean[(i, l, j)] = block_clean
         self._kernel = _from_polys(clean, _width(self.variables))
@@ -424,10 +462,10 @@ class TotalForm:
         return out
 
     @classmethod
-    def _from_rows(cls, variables, frame_rank, src, dst, total_degree, blocks):
-        """A TotalForm on engine-built sparse Poly rows {(i, l, j): {multi-index:
-        rows}}, each row the (column, Poly) pairs of its nonzero entries, with
-        no zero matrix and no empty block; only exponents are checked."""
+    def _from_mats(cls, variables, frame_rank, src, dst, total_degree, blocks):
+        """A TotalForm on engine-built Poly matrices {(i, l, j): {multi-index:
+        matrix}}, with no zero matrix and no empty block; nothing is
+        checked."""
         return cls._unchecked(variables, frame_rank, src, dst, total_degree,
                               _from_polys(blocks, _width(variables)))
 
@@ -443,9 +481,14 @@ class TotalForm:
     @classmethod
     def identity(cls, variables, frame_rank, bundle):
         variables = tuple(variables)
-        one = [(0, 1)] if variables else 1   # 1 over D = 1; 0 is the packed x^0
+
+        def unit(r):   # 1 over D = 1; 0 is the packed x^0
+            if variables:
+                return [[(a, [(0, 1)])] for a in range(r)]
+            return [int(a == b) for a in range(r) for b in range(r)]
+
         return cls._unchecked(variables, int(frame_rank), bundle, bundle, 0, (1, {
-            (0, z, z): {0: [[(a, one)] for a in range(r)]} for z, r in bundle.summands}))
+            (0, z, z): {0: unit(r)} for z, r in bundle.summands}))
 
     # -- structure ----------------------------------------------------------
 
@@ -458,12 +501,14 @@ class TotalForm:
         if self._blocks is None:
             poly, zero = _polys(self.variables, self._kernel[0]), Poly.zero(self.variables)
 
-            def line(row, cols):
-                row = dict(row)
-                return tuple(poly(row[c]) if c in row else zero for c in range(cols))
+            def matrix(rows, cols):
+                if not self.variables:
+                    return tuple(tuple(map(poly, rows[r:r + cols]))
+                                 for r in range(0, len(rows), cols))
+                return tuple(tuple(poly(row[c]) if c in row else zero for c in range(cols))
+                             for row in map(dict, rows))
 
-            self._blocks = {(i, l, j): {_indices(mask): tuple(line(row, self.src.rank(l))
-                                                              for row in rows)
+            self._blocks = {(i, l, j): {_indices(mask): matrix(rows, self.src.rank(l))
                                         for mask, rows in entries.items()}
                             for (i, l, j), entries in self._kernel[1].items()}
         return self._blocks
@@ -539,30 +584,36 @@ class TotalForm:
         # swap (see the module docstring): each unordered pair once, doubled
         halve = (diagonal and right is self._kernel and self.total_degree % 2 == 0
                  and (trace or all(z % 2 == 0 for z in self.src.degrees())))
-        # per right block, once it is used: (mask, parity word, rows) of each
-        # multi-index; the merge sign of a disjoint pair is the parity of mask1 & word
+        # per right block, once it is used: (mask, parity word, matrix) of each
+        # multi-index, the point-base matrix transposed for a trace; the merge
+        # sign of a disjoint pair is the parity of mask1 & word
         words: dict = {}
+        kernel = not (width or diagonal)   # the point-base product: one _matmul per pair
         for key1, entries1 in left.items():
             i1, m1, j = key1
             f1, nrows = j - m1, self.dst.rank(j)
+            inner = self.src.rank(m1) if kernel else None
             for key2, rights in right_view.items():
                 i2, l, m2 = key2
                 if (m2 != m1 or (diagonal and l != j) or i1 + i2 > self.frame_rank
                         or (halve and key2 < key1)):
                     continue
+                cols = right_src.rank(l)
                 entries2 = words.get(key2)
                 if entries2 is None:
-                    entries2 = words[key2] = [(mask, _parity_word(mask), rows)
-                                              for mask, rows in rights.items()]
+                    entries2 = words[key2] = [
+                        (mask, _parity_word(mask),
+                         _transpose(rows, cols) if diagonal and not width else rows)
+                        for mask, rows in rights.items()]
                 koszul = -scale if (f1 * i2 + (l if trace else 0)) % 2 else scale
                 # a pair and its swap at once; the mask-0 block with itself
                 # once; within any other block, mask pairs in triangular order
                 if halve and (key2 != key1 or i1 > 0):
                     koszul *= 2
                 triangle = halve and key2 == key1 and i1 > 0
-                cols = right_src.rank(l)
                 tgt = cells.setdefault((i1 + i2, 0, 0) if diagonal else (i1 + i2, l, j),
                                        (1, 1, {}) if diagonal else (nrows, cols, {}))[2]
+                matmul = _matmul(nrows, inner, cols) if kernel else None
                 for p, (mask1, lrows) in enumerate(entries1.items()):
                     for mask2, word, rrows in (entries2[p + 1:] if triangle else entries2):
                         if mask1 & mask2:
@@ -577,27 +628,17 @@ class TotalForm:
                                 _trace(acc, sign, lrows, rrows)
                             else:
                                 _accumulate(acc, sign, lrows, rrows, cols, width)
-                        elif diagonal:
-                            cell = 0
-                            for r, row in enumerate(lrows):
-                                for k, n1 in row:
-                                    for c, n2 in rrows[k]:
-                                        if c == r:
-                                            cell += n1 * n2
-                            tgt[merged] = tgt.get(merged, 0) + sign * cell
+                        elif diagonal:   # tr(left @ right) = left . right transposed
+                            tgt[merged] = tgt.get(merged, 0) + sign * sum(map(mul, lrows, rrows))
                         else:
                             acc = tgt.get(merged)
                             if acc is None:
-                                acc = tgt[merged] = [[0] * cols for _ in range(nrows)]
-                            for out, row in zip(acc, lrows):
-                                for k, n1 in row:
-                                    n1 *= sign
-                                    for c, n2 in rrows[k]:
-                                        out[c] += n1 * n2
-        if diagonal and not width:   # a cell is the 1 x 1 accumulator [[cell]]
+                                acc = tgt[merged] = [0] * (nrows * cols)
+                            matmul(acc, sign, lrows, rrows)
+        if diagonal and not width:   # a cell is the 1 x 1 accumulator [cell]
             for _, _, tgt in cells.values():
                 for mask, cell in tgt.items():
-                    tgt[mask] = [[cell]]
+                    tgt[mask] = [cell]
         return _canonical(D1 * D2, cells, width)
 
     def _check_composable(self, other):
@@ -708,7 +749,7 @@ class Form(TotalForm):
         degree, fiber_dim = int(degree), int(fiber_dim)
         if degree < 0 or fiber_dim < 1:
             raise MismatchError("degree must be >= 0 and fiber_dim >= 1")
-        entries = {}
+        entries, zero = {}, Poly.zero(variables)
         for (mi, alpha), poly in (coeffs or {}).items():
             mi = tuple(mi)
             if len(mi) != degree:
@@ -723,14 +764,14 @@ class Form(TotalForm):
                 poly = Poly.constant(variables, poly)
             if poly.variables != variables:
                 raise MismatchError("coefficient variables differ from the form's chart")
-            rows = entries.get(mi)
-            if rows is None:
-                rows = entries[mi] = [[] for _ in range(fiber_dim)]
-            if rows[alpha]:   # the key given twice, as a list and as a tuple
-                poly = poly + rows[alpha].pop()[1]
-            if poly.terms:
-                rows[alpha].append((0, poly))
-        entries = {mi: rows for mi, rows in entries.items() if any(rows)}
+            column = entries.get(mi)
+            if column is None:
+                column = entries[mi] = [[zero] for _ in range(fiber_dim)]
+            if column[alpha][0].terms:   # the key given twice, as a list and as a tuple
+                poly = poly + column[alpha][0]
+            column[alpha][0] = poly
+        entries = {mi: column for mi, column in entries.items()
+                   if any(row[0].terms for row in column)}
         self.variables, self.frame_rank, self.total_degree = variables, frame_rank, degree
         self.src, self.dst, self._blocks = _LINE, _fiber(fiber_dim), None
         self._kernel = (_from_polys({(degree, 0, 0): entries}, _width(variables))
@@ -767,7 +808,7 @@ class Form(TotalForm):
             if variables:
                 entries.setdefault(mask, [[(0, [])]])[0][0][1].append((mono, n))
             else:
-                entries[mask] = [[(0, n)]]
+                entries[mask] = [n]
         return cls._unchecked(variables, frame_rank, _LINE, _LINE, degree,
                               (D, {(degree, 0, 0): entries} if entries else {}))
 
@@ -776,7 +817,7 @@ class Form(TotalForm):
         Form, integers over its stored D, read off its stored form."""
         return {(mask, m): n
                 for entries in self._kernel[1].values() for mask, rows in entries.items()
-                for m, n in (rows[0][0][1] if self.variables else [(0, rows[0][0][1])])}
+                for m, n in (rows[0][0][1] if self.variables else [(0, rows[0])])}
 
     def _terms(self):
         """The terms {(bitmask, packed monomial): Fraction} of a scalar Form:
@@ -800,9 +841,10 @@ class Form(TotalForm):
         sorted order, built on first read."""
         coeffs = getattr(self, "_coeffs", None)
         if coeffs is None:
-            poly = _polys(self.variables, self._kernel[0])
+            poly, chart = _polys(self.variables, self._kernel[0]), bool(self.variables)
             coeffs = self._coeffs = dict(sorted(
-                ((_indices(mask), alpha), poly(row[0][1])) for entries in self._kernel[1].values()
+                ((_indices(mask), alpha), poly(row[0][1] if chart else row))
+                for entries in self._kernel[1].values()
                 for mask, rows in entries.items() for alpha, row in enumerate(rows) if row))
         return coeffs
 

@@ -13,6 +13,18 @@ from gradweil.forms import Form, GradedBundle, TotalForm, _indices
 from gradweil.ring import Poly, _pack, _unpack
 
 
+def flat_matmul(a, b, rows, inner, cols):
+    """a @ b for flat row-major integer matrices a (rows x inner) and b
+    (inner x cols), by a plain triple loop: the reference of the point-base
+    kernel `forms._matmul`."""
+    out = [0] * (rows * cols)
+    for r in range(rows):
+        for c in range(cols):
+            for k in range(inner):
+                out[r * cols + c] += a[r * inner + k] * b[k * cols + c]
+    return out
+
+
 def exponent_terms(poly):
     """The terms of a Poly keyed by exponent tuples instead of packed monomials."""
     return {_unpack(m, len(poly.variables)): c for m, c in poly.terms.items()}

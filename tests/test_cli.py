@@ -154,9 +154,7 @@ def test_task_registry_drives_schema_and_cli(tmp_path, capsys):
     import gradweil.problems as problems
     assert TASKS == tuple(problems._DISPATCH)
     assert problems.SCHEMA["properties"]["task"]["enum"] == list(TASKS)
-    with pytest.raises(SystemExit) as exc:
-        main([write_problem(tmp_path, check_sl2_payload()), "--task", "frobnicate"])
-    assert exc.value.code == 2
+    assert main([write_problem(tmp_path, check_sl2_payload()), "--task", "frobnicate"]) == 2
     err = capsys.readouterr().err
     assert "invalid choice" in err and all(repr(t) in err for t in TASKS)
 
@@ -433,12 +431,29 @@ def test_bad_morphism_entry_exits_two(tmp_path, capsys, entry, message):
 @pytest.mark.parametrize("bound", ["-1", "two"])
 def test_negative_or_non_integer_bound_flag_exits_two(tmp_path, capsys, bound):
     path = write_problem(tmp_path, _corpus_payload("iis_action_line"))
-    with pytest.raises(SystemExit) as exit_info:
-        main([path, "--bound", bound])
-    assert exit_info.value.code == 2
+    assert main([path, "--bound", bound]) == 2
     err = capsys.readouterr().err
     assert "--bound: must be an integer >= 0" in err and "Traceback" not in err
     assert main([path, "--bound", "0"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["--bound", "-1"], ["--seed", "x"], ["--task", "nope"]])
+def test_a_refused_argument_returns_two_in_process(tmp_path, capsys, argv):
+    # the exit code comes back as an int; argparse's usage line stays on stderr
+    path = write_problem(tmp_path, _corpus_payload("iis_action_line"))
+    assert main([path, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: gradweil ") and argv[0] in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_help_returns_zero_in_process(capsys):
+    assert main(["--help"]) == 0
+    assert main(["corpus", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gradweil ") and "usage: gradweil corpus " in out
+    assert main(["corpus"]) == 2
+    assert capsys.readouterr().err.startswith("usage: gradweil corpus ")
 
 
 @pytest.mark.parametrize("field", ["row", "col"])

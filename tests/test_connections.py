@@ -901,17 +901,14 @@ def test_linear_d_and_curvature_share_one_omega(monkeypatch):
 
 
 def double_the_identity(monkeypatch, summand):
-    """Make `TotalForm.identity` return its block (0, summand, summand) doubled."""
-    original = TotalForm.identity.__func__
+    """Make `TotalForm.identity` return its block (0, summand, summand) doubled,
+    built from Poly matrices through the checked constructor."""
 
     def doubled(cls, variables, frame_rank, bundle):
-        D, view = original(cls, variables, frame_rank, bundle)._kernel
-        view = dict(view)
-        key = (0, summand, summand)
-        view[key] = {mask: [[(c, [(m, 2 * n) for m, n in entry] if variables else 2 * entry)
-                             for c, entry in row] for row in rows]
-                     for mask, rows in view[key].items()}
-        return cls._unchecked(tuple(variables), frame_rank, bundle, bundle, 0, (D, view))
+        blocks = {(0, z, z): {(): [[Poly.constant(variables, (1 + (z == summand)) * (a == b))
+                                    for b in range(r)] for a in range(r)]}
+                  for z, r in bundle.summands}
+        return cls(variables, frame_rank, bundle, bundle, 0, blocks)
 
     monkeypatch.setattr(TotalForm, "identity", classmethod(doubled))
 

@@ -4,12 +4,13 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradweil import catalog
@@ -22,7 +23,9 @@ from gradweil.forms import (
     TotalForm,
     _indices,
     _mask,
+    _matmul,
     _parity_word,
+    _transpose,
     extend_total_form,
     gtr,
     ideal_membership,
@@ -35,8 +38,8 @@ from gradweil.forms import (
 from gradweil.randgen import random_cuth, random_form, random_total_form
 from gradweil.ring import EXPONENT_LIMIT, Poly, _pack, _unpack
 from oracles import (LINE, basis_element, curvature_power, element, exponent_terms,
-                     graded_commutator, hat, merge_sign, poly_add, poly_connection_d, poly_d,
-                     poly_scale, poly_wedge, sort_with_sign)
+                     flat_matmul, graded_commutator, hat, merge_sign, poly_add,
+                     poly_connection_d, poly_d, poly_scale, poly_wedge, sort_with_sign)
 from test_algebroid import PRESENTATIONS, fractional_chart_presentation
 
 VS = ("x",)
@@ -602,6 +605,100 @@ def test_kernel_apply_part_matches_the_reference(variables):
             assert_nothing_zero_stored(image)
             nonzero += not image.is_zero()
     assert nonzero > 12
+
+
+# --- the point-base kernel of one shape, and the trace as a dot product ----------
+
+_BIG = 2 ** 80
+
+
+@st.composite
+def kernel_operands(draw):
+    """(shape, sign, acc, a, b, b2), each of rows, inner, cols in 1..4: flat
+    integer matrices a (rows x inner), b (inner x cols), acc (rows x cols)
+    and b2 (inner x rows), entries up to 2^80 in size."""
+    rows, inner, cols = shape = draw(st.tuples(*[st.integers(1, 4)] * 3))
+
+    def flat(size):
+        return draw(st.lists(st.integers(-_BIG, _BIG), min_size=size, max_size=size))
+
+    sign = draw(st.sampled_from((1, -1, 2, -2)))
+    return shape, sign, flat(rows * cols), flat(rows * inner), flat(inner * cols), \
+        flat(inner * rows)
+
+
+def _large_operands(n, seed):
+    rng = random.Random(seed)
+
+    def flat(size):
+        return [rng.randint(-_BIG, _BIG) for _ in range(size)]
+
+    return (n, n, n), -2, flat(n * n), flat(n * n), flat(n * n), flat(n * n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_operands())
+@example(_large_operands(9, 9))
+@example(_large_operands(16, 16))
+def test_point_kernel_matches_the_triple_loop(operands):
+    (rows, inner, cols), sign, acc, a, b, b2 = operands
+    before = (list(acc), list(a), list(b), list(b2))
+    kernel = _matmul(rows, inner, cols)
+    assert _matmul(rows, inner, cols) is kernel   # compiled once per shape
+    kernel(acc, sign, a, b)
+    reference = flat_matmul(a, b, rows, inner, cols)
+    assert acc == [n + sign * m for n, m in zip(before[0], reference)]
+    assert (a, b, b2) == before[1:]
+    # tr(a @ b2) is the dot product of a with b2 transposed
+    square = flat_matmul(a, b2, rows, inner, rows)
+    assert sum(map(operator.mul, a, _transpose(b2, rows))) == sum(
+        square[r * rows + r] for r in range(rows))
+    assert _transpose(_transpose(b2, rows), inner) == b2
+
+
+def _stored_lists(form):
+    return {(key, mask): list(flat) for key, entries in form._kernel[1].items()
+            for mask, flat in entries.items()}
+
+
+def assert_point_storage(form):
+    """Each stored point-base matrix is a flat list of rows * cols integers,
+    not all zero, and D and the numerators have gcd 1."""
+    D, view = form._kernel
+    numerators = [D]
+    for (_, l, j), entries in view.items():
+        assert entries
+        for flat in entries.values():
+            assert type(flat) is list and len(flat) == form.dst.rank(j) * form.src.rank(l)
+            assert all(type(n) is int for n in flat) and any(flat)
+            numerators.extend(flat)
+    assert math.gcd(*numerators) == 1
+
+
+def test_point_base_storage_stays_flat_reduced_and_unwritten():
+    # the fused passes of d^End and the curvature add d_A into accumulators
+    # that the products then add into, so they are among the results
+    rng = random.Random(97)
+    a = catalog.solvable5()   # not unimodular: d_A of a 4-form is not zero
+    nonzero = 0
+    for bundle in KERNEL_BUNDLES:
+        for _ in range(6):
+            K = kernel_total_form(rng, (), a.rank, bundle, rng.randint(-1, 2))
+            L = kernel_total_form(rng, (), a.rank, bundle, rng.randint(-1, 2))
+            M = kernel_total_form(rng, (), a.rank, bundle, K.total_degree)
+            conn = random_cuth(rng, a, bundle)
+            omega = conn.omega()
+            operands = [(X, _stored_lists(X)) for X in (K, L, M, omega)]
+            results = [K.wedge(L), K.wedge(K), K.wedge_trace(L), K.wedge_trace(K, graded=True),
+                       gtr(K), tr(L), a.d_total(K), K + M, K - K, M.scale(Fraction(-3, 4)),
+                       conn.d_end(K), conn.curvature()]
+            for result in results:
+                assert_point_storage(result)
+                nonzero += not result.is_zero()
+            for X, stored in operands:
+                assert_point_storage(X)
+                assert _stored_lists(X) == stored
+    assert nonzero > 40
 
 
 @pytest.mark.parametrize("variables", KERNEL_BASES)

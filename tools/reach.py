@@ -149,10 +149,7 @@ def _cli(argv, expected):
     from gradweil import cli
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:   # argparse refuses an argument
-            code = exc.code
+        code = cli.main(argv)
     if code != expected:
         raise EntryPointFailed(f"gradweil {' '.join(argv)}: exit {code}, expected "
                                f"{expected}\n{err.getvalue()}")
