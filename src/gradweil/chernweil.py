@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .connections import LinearConnection, cuth_difference
 from .errors import InternalCheckError, MismatchError, NotClosedError
-from .forms import Form, _indices, _mask, gtr, tr
+from .forms import Form, _combine, _indices, _mask, _width, gtr, tr
 from .linalg import nullspace, pivot_columns, solve, transpose
 from .ring import _total_degree
 
@@ -376,9 +376,9 @@ def is_exact(algebroid, form, bound=None):
     sol = solve(rows, rhs, len(unknowns))
     if sol is None:
         return ExactnessResult("not_exact" if point else "undecided", None)
-    D = form._kernel[0]
     primitive = Form._from_terms(algebroid.variables, algebroid.rank, k - 1,
-                                 {key: val / D for key, val in zip(unknowns, sol) if val})
+                                 {key: val for key, val in zip(unknowns, sol) if val},
+                                 form._kernel[0])
     if algebroid.d(primitive) != form:
         raise InternalCheckError("exactness solver returned a bad primitive")
     return ExactnessResult("exact", primitive)
@@ -427,11 +427,11 @@ def transgression(old, new, index):
                     out[i + j] = term if out[i + j] is None else out[i + j] + term
             power = out
         pieces = [p.wedge_trace(diff, graded=True) for p in power]
+    # sum_j index / (j + 1) * piece_j, in one pass over the stored forms
     total = Form.zero(old.variables, old.algebroid.rank, 2 * index - 1)
-    for j, piece in enumerate(pieces):
-        if not piece.is_zero():
-            total = total + piece.scale(Fraction(index, j + 1))
-    return total
+    return total._same_shape(_combine(
+        [(index, (D * (j + 1), view)) for j, (D, view) in enumerate(p._kernel for p in pieces)
+         if view], total.src, _width(old.variables)))
 
 
 # ----------------------------------------------------------------------

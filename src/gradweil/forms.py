@@ -59,14 +59,16 @@ skipped by `m1 & m2`, and so is a block pair whose form degrees exceed the
 frame rank.  The merge sign of a disjoint pair is one popcount: each right
 bitmask gets, once per pass, its parity word (`_parity_word`, the XOR over
 its bits b of the bits above b), and the sign is -1 exactly when `m1 &
-word` has odd popcount.  On the point base each block pair picks one
-kernel, `_matmul(rows, inner, cols)`: a fully unrolled function whose source
-is built from those three integers alone, compiled once per shape per
-process and cached (0.03-0.15 ms per shape up to 3 x 3 x 3, 1.5 ms at
-8 x 8 x 8 and 11 ms at 16 x 16 x 16 on a 2-CPU Linux VM under Python 3.11),
-and each disjoint mask pair is one call to it.  For a trace each right
-matrix is transposed once per pass, beside its parity word, so the trace
-of a pair's product is one dot product, `sum(map(mul, left, right_t))`.
+word` has odd popcount.  On the point base each block pair is one call to
+one kernel, `_block_kernel(rows, inner, cols, trace, triangle)`, which runs
+the mask-pair loop itself: its source is built from those five values alone,
+every output cell one unrolled line of products, the left matrix unpacked
+once per left mask and the right once per disjoint pair; it is compiled
+once per key per process and cached (0.1-0.35 ms per key up to 3 x 3 x 3,
+3 ms for a product at 8 x 8 x 8 and 24 ms at 16 x 16 x 16, 0.5 and 2.4 ms
+for a trace, on a 2-CPU Linux VM under Python 3.11; the shipped corpus
+compiles 8 kernels).  A trace kernel forms the diagonal of a @ b, the right
+matrix read in its own row-major order, so nothing is transposed.
 On a chart each output matrix is one flat dict keyed by ((row * cols + col)
 << width) + monomial, which `_accumulate` (or `_trace`) fills and
 `_canonical` sorts once and splits back into rows.  `_canonical` divides
@@ -95,7 +97,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import mul
 
 from .errors import MismatchError, ParseError
 from .ring import FIELD, Poly
@@ -121,6 +122,7 @@ def _indices(mask):
     return tuple(out)
 
 
+@cache
 def _parity_word(mask):
     """The parity word of a multi-index bitmask: the XOR over its bits b of
     the bits above b.  For a bitmask `left` disjoint from `mask`, the sign
@@ -225,31 +227,51 @@ def _width(variables):
 
 
 @cache
-def _matmul(rows, inner, cols):
-    """The point-base kernel of one shape: a function (acc, s, a, b) that
-    adds s * (a @ b) into `acc`, for flat row-major integer matrices `a`
-    (rows x inner), `b` (inner x cols) and `acc` (rows x cols).  It is fully
-    unrolled, each output cell one line of products, and its source is
-    built from the three integers alone; compiled once per shape."""
-    rows, inner, cols = int(rows), int(inner), int(cols)
-    left = [f"a{n}" for n in range(rows * inner)]
-    right = [f"b{n}" for n in range(inner * cols)]
-    lines = [f"def matmul(acc, s, a, b):",
-             f"    {', '.join(left)}, = a",
-             f"    {', '.join(right)}, = b"]
-    lines += [f"    acc[{r * cols + c}] += s * ("
-              + " + ".join(f"a{r * inner + k} * b{k * cols + c}" for k in range(inner)) + ")"
-              for r in range(rows) for c in range(cols)]
+def _block_kernel(rows, inner, cols, trace, triangle):
+    """The point-base kernel of one block pair: a function (tgt, koszul,
+    left, right) that runs the pass's loop over mask pairs, for `left`
+    {mask: flat rows x inner matrix} and `right` [(mask, parity word, flat
+    inner x cols matrix)], and adds sign * (a @ b) of each disjoint pair
+    into tgt[mask1 | mask2], the sign koszul times the merge sign.  A new
+    merged mask gets its accumulator list built from its first product.
+    With `trace` a cell is one integer, the diagonal of a @ b; with
+    `triangle` the left mask at position p meets only right[p + 1:].
+    Each matrix is unpacked into locals, the left one once per left mask,
+    and every output cell is one unrolled line of products.  The source is
+    built from the five arguments, cast to int and bool, alone; compiled
+    once per key."""
+    rows, inner, cols, trace, triangle = (int(rows), int(inner), int(cols), bool(trace),
+                                          bool(triangle))
+
+    def cell(r, c):
+        return " + ".join(f"a{r * inner + k} * b{k * cols + c}" for k in range(inner))
+
+    out = [(r * cols + c, f"s * ({cell(r, c)})") for r in range(rows) for c in range(cols)]
+    lines = ["def kernel(tgt, koszul, left, right):",
+             "    get = tgt.get",
+             "    for p, (mask1, a) in enumerate(left.items()):" if triangle
+             else "    for mask1, a in left.items():",
+             f"        {', '.join(f'a{n}' for n in range(rows * inner))}, = a",
+             f"        for mask2, word, b in right{'[p + 1:]' if triangle else ''}:",
+             "            if mask1 & mask2:",
+             "                continue",
+             f"            {', '.join(f'b{n}' for n in range(inner * cols))}, = b",
+             "            s = -koszul if (mask1 & word).bit_count() & 1 else koszul",
+             "            merged = mask1 | mask2"]
+    if trace:
+        lines.append("            tgt[merged] = get(merged, 0) + s * ("
+                     + " + ".join(cell(r, r) for r in range(rows)) + ")")
+    else:
+        lines += ["            acc = get(merged)",
+                  "            if acc is None:",
+                  f"                tgt[merged] = [{', '.join(line for _, line in out)}]",
+                  "            else:"]
+        lines += [f"                acc[{n}] += {line}" for n, line in out]
     namespace: dict = {}
-    exec(compile("\n".join(lines) + "\n", f"<matmul {rows}x{inner}x{cols}>", "exec"),
-         namespace)
-    return namespace["matmul"]
-
-
-def _transpose(flat, cols):
-    """The transpose of a flat row-major integer matrix with `cols` columns,
-    flat row-major again."""
-    return [n for c in range(cols) for n in flat[c::cols]]
+    exec(compile("\n".join(lines) + "\n",
+                 f"<kernel {rows}x{inner}x{cols}{' trace' * trace}{' triangle' * triangle}>",
+                 "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _accumulate(acc, sign, left, right, cols, width):
@@ -367,7 +389,7 @@ def _combine(terms, src, width):
 class GradedBundle:
     """A finite direct sum of constant-rank summands indexed by integer degree."""
 
-    __slots__ = ("summands",)
+    __slots__ = ("summands", "_ranks")
 
     def __init__(self, summands):
         summands = tuple(sorted((int(z), int(r)) for z, r in summands))
@@ -378,16 +400,13 @@ class GradedBundle:
             raise MismatchError(f"summand ranks must be positive: {summands}")
         if not summands:
             raise MismatchError("a graded bundle needs at least one summand")
-        self.summands = summands
+        self.summands, self._ranks = summands, dict(summands)
 
     def degrees(self):
         return tuple(z for z, _ in self.summands)
 
     def rank(self, degree):
-        for z, r in self.summands:
-            if z == degree:
-                return r
-        return 0
+        return self._ranks.get(degree, 0)
 
     def __eq__(self, other):
         return isinstance(other, GradedBundle) and self.summands == other.summands
@@ -585,14 +604,12 @@ class TotalForm:
         halve = (diagonal and right is self._kernel and self.total_degree % 2 == 0
                  and (trace or all(z % 2 == 0 for z in self.src.degrees())))
         # per right block, once it is used: (mask, parity word, matrix) of each
-        # multi-index, the point-base matrix transposed for a trace; the merge
-        # sign of a disjoint pair is the parity of mask1 & word
+        # multi-index; the merge sign of a disjoint pair is the parity of
+        # mask1 & word
         words: dict = {}
-        kernel = not (width or diagonal)   # the point-base product: one _matmul per pair
         for key1, entries1 in left.items():
             i1, m1, j = key1
-            f1, nrows = j - m1, self.dst.rank(j)
-            inner = self.src.rank(m1) if kernel else None
+            f1, nrows, inner = j - m1, self.dst.rank(j), self.src.rank(m1)
             for key2, rights in right_view.items():
                 i2, l, m2 = key2
                 if (m2 != m1 or (diagonal and l != j) or i1 + i2 > self.frame_rank
@@ -601,10 +618,8 @@ class TotalForm:
                 cols = right_src.rank(l)
                 entries2 = words.get(key2)
                 if entries2 is None:
-                    entries2 = words[key2] = [
-                        (mask, _parity_word(mask),
-                         _transpose(rows, cols) if diagonal and not width else rows)
-                        for mask, rows in rights.items()]
+                    entries2 = words[key2] = [(mask, _parity_word(mask), rows)
+                                              for mask, rows in rights.items()]
                 koszul = -scale if (f1 * i2 + (l if trace else 0)) % 2 else scale
                 # a pair and its swap at once; the mask-0 block with itself
                 # once; within any other block, mask pairs in triangular order
@@ -613,28 +628,23 @@ class TotalForm:
                 triangle = halve and key2 == key1 and i1 > 0
                 tgt = cells.setdefault((i1 + i2, 0, 0) if diagonal else (i1 + i2, l, j),
                                        (1, 1, {}) if diagonal else (nrows, cols, {}))[2]
-                matmul = _matmul(nrows, inner, cols) if kernel else None
+                if not width:   # the point base: one generated kernel per block pair
+                    _block_kernel(nrows, inner, cols, diagonal, triangle)(
+                        tgt, koszul, entries1, entries2)
+                    continue
                 for p, (mask1, lrows) in enumerate(entries1.items()):
                     for mask2, word, rrows in (entries2[p + 1:] if triangle else entries2):
                         if mask1 & mask2:
                             continue
                         merged = mask1 | mask2
                         sign = -koszul if (mask1 & word).bit_count() & 1 else koszul
-                        if width:
-                            acc = tgt.get(merged)
-                            if acc is None:
-                                acc = tgt[merged] = {}
-                            if diagonal:
-                                _trace(acc, sign, lrows, rrows)
-                            else:
-                                _accumulate(acc, sign, lrows, rrows, cols, width)
-                        elif diagonal:   # tr(left @ right) = left . right transposed
-                            tgt[merged] = tgt.get(merged, 0) + sign * sum(map(mul, lrows, rrows))
+                        acc = tgt.get(merged)
+                        if acc is None:
+                            acc = tgt[merged] = {}
+                        if diagonal:
+                            _trace(acc, sign, lrows, rrows)
                         else:
-                            acc = tgt.get(merged)
-                            if acc is None:
-                                acc = tgt[merged] = [0] * (nrows * cols)
-                            matmul(acc, sign, lrows, rrows)
+                            _accumulate(acc, sign, lrows, rrows, cols, width)
         if diagonal and not width:   # a cell is the 1 x 1 accumulator [cell]
             for _, _, tgt in cells.values():
                 for mask, cell in tgt.items():
@@ -797,20 +807,21 @@ class Form(TotalForm):
         return cls(variables, frame_rank, 0, 1, {((), 0): poly})
 
     @classmethod
-    def _from_terms(cls, variables, frame_rank, degree, terms):
+    def _from_terms(cls, variables, frame_rank, degree, terms, den=1):
         """A scalar Form on engine-built terms {(bitmask, packed monomial):
-        value}, each value a nonzero int or Fraction, bitmasks of `degree`
-        bits in range, fields below 2^FIELD: stored with no Poly
-        and no check."""
-        D, entries = lcm(*{q.denominator for q in terms.values()}), {}
+        value}, each value a nonzero int or Fraction, taken over the integer
+        `den`, bitmasks of `degree` bits in range, fields below 2^FIELD:
+        stored with no Poly and no check, `den` joined into the stored
+        denominator and the whole reduced by `_canonical`."""
+        D, width, entries = lcm(*{q.denominator for q in terms.values()}), _width(variables), {}
         for (mask, mono), q in sorted(terms.items()):
             n = q.numerator * (D // q.denominator)
-            if variables:
-                entries.setdefault(mask, [[(0, [])]])[0][0][1].append((mono, n))
+            if width:
+                entries.setdefault(mask, {})[mono] = n
             else:
                 entries[mask] = [n]
         return cls._unchecked(variables, frame_rank, _LINE, _LINE, degree,
-                              (D, {(degree, 0, 0): entries} if entries else {}))
+                              _canonical(D * den, {(degree, 0, 0): (1, 1, entries)}, width))
 
     def _numerators(self):
         """The terms {(bitmask, packed monomial): numerator} of a scalar

@@ -9,19 +9,43 @@ from fractions import Fraction
 
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
 from gradweil.errors import MismatchError
-from gradweil.forms import Form, GradedBundle, TotalForm, _indices
+from gradweil.forms import Form, GradedBundle, TotalForm, _indices, gtr
 from gradweil.ring import Poly, _pack, _unpack
 
 
 def flat_matmul(a, b, rows, inner, cols):
     """a @ b for flat row-major integer matrices a (rows x inner) and b
-    (inner x cols), by a plain triple loop: the reference of the point-base
-    kernel `forms._matmul`."""
+    (inner x cols), by a plain triple loop."""
     out = [0] * (rows * cols)
     for r in range(rows):
         for c in range(cols):
             for k in range(inner):
                 out[r * cols + c] += a[r * inner + k] * b[k * cols + c]
+    return out
+
+
+def block_pass(tgt, koszul, left, right, shape, trace, triangle):
+    """The pair loop of one point-base block pair, the reference of
+    `forms._block_kernel`: a new {merged mask: accumulator} with, added to
+    the accumulators of `tgt`, koszul * merge_sign * (a @ b) of every
+    disjoint pair of a left {mask: flat matrix} and a right [(mask, parity
+    word, flat matrix)], the word unread; with `trace` an accumulator is
+    one integer and the product's diagonal sum is added, with `triangle`
+    the left mask at position p meets only right[p + 1:]."""
+    rows, inner, cols = shape
+    out = {mask: acc if trace else list(acc) for mask, acc in tgt.items()}
+    for p, (mask1, a) in enumerate(left.items()):
+        for mask2, _, b in (right[p + 1:] if triangle else right):
+            sign = koszul * merge_sign(mask1, mask2)
+            if not sign:
+                continue
+            product, merged = flat_matmul(a, b, rows, inner, cols), mask1 | mask2
+            if trace:
+                out[merged] = out.get(merged, 0) + sign * sum(
+                    product[r * cols + r] for r in range(rows))
+            else:
+                out[merged] = [n + sign * m for n, m in
+                               zip(out.get(merged, [0] * (rows * cols)), product)]
     return out
 
 
@@ -285,6 +309,27 @@ def curvature_power(conn, power):
     for _ in range(power - 1):
         out = out.wedge(r)
     return out
+
+
+def transgression_by_sums(old, new, index):
+    """The transgression of two connections up to homotopy, index * the
+    integral over t of gtr(R_t^(index - 1) D), from public calls: R_t = R +
+    t d_End D + t^2 D ^ D expanded by public wedge and `+`, each coefficient
+    traced by `gtr` of its full public wedge with D, and the pieces summed
+    one `+` and `scale` at a time, zero pieces included."""
+    diff = new.omega() - old.omega()
+    r_t = [old.curvature(), old.d_end(diff), diff.wedge(diff)]
+    power = [TotalForm.identity(old.variables, old.algebroid.rank, old.bundle)]
+    for _ in range(index - 1):
+        out = [None] * (len(power) + 2)
+        for i, x in enumerate(power):
+            for j, y in enumerate(r_t):
+                out[i + j] = x.wedge(y) if out[i + j] is None else out[i + j] + x.wedge(y)
+        power = out
+    total = Form.zero(old.variables, old.algebroid.rank, 2 * index - 1)
+    for j, p in enumerate(power):
+        total = total + gtr(p.wedge(diff)).scale(Fraction(index, j + 1))
+    return total
 
 
 LINE = GradedBundle([(0, 1)])   # R[0], the source of every element

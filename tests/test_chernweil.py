@@ -35,7 +35,8 @@ from gradweil.problems import run_problem
 from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
 from oracles import (curvature_power, d_sparse_sources_reference, exponent_terms,
-                     radial_primitive, rho_pullback, tangent_line, total_degree)
+                     radial_primitive, rho_pullback, tangent_line, total_degree,
+                     transgression_by_sums)
 from test_algebroid import PRESENTATIONS, koszul_reference, packed_key, tuple_column, tuple_key
 from test_connections import _count_calls, _count_first_curvatures
 
@@ -495,6 +496,25 @@ def test_transgression_starts_its_power_at_the_interpolated_curvature(monkeypatc
     assert counts == {"wedge": 1, "_product": 6}
     monkeypatch.undo()
     assert a.d(T) == sigma_character(new, 2).form - sigma_character(old, 2).form
+
+
+def test_transgression_is_the_sum_of_its_pieces_in_lowest_terms():
+    # the one-pass sum of the scaled pieces stores what summing them one `+`
+    # and `scale` at a time stores, also where pieces vanish: old == new
+    # makes D and every piece zero
+    rng = random.Random(29)
+    zero_pieces = 0
+    for a in (catalog.sl2(), catalog.abelian(4)):
+        for E in (GradedBundle([(0, 1), (1, 1)]), GradedBundle([(0, 2), (1, 1)])):
+            for _ in range(3):
+                old, new = random_cuth(rng, a, E), random_cuth(rng, a, E)
+                for other in (new, old):
+                    for index in (1, 2, 3):
+                        T = transgression(old, other, index)
+                        reference = transgression_by_sums(old, other, index)
+                        assert T == reference and T._kernel == reference._kernel
+                        zero_pieces += T.is_zero()
+    assert zero_pieces
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,11 +20,10 @@ from gradweil.forms import (
     Form,
     GradedBundle,
     TotalForm,
+    _block_kernel,
     _indices,
     _mask,
-    _matmul,
     _parity_word,
-    _transpose,
     extend_total_form,
     gtr,
     ideal_membership,
@@ -37,8 +35,8 @@ from gradweil.forms import (
 )
 from gradweil.randgen import random_cuth, random_form, random_total_form
 from gradweil.ring import EXPONENT_LIMIT, Poly, _pack, _unpack
-from oracles import (LINE, basis_element, curvature_power, element, exponent_terms,
-                     flat_matmul, graded_commutator, hat, merge_sign, poly_add,
+from oracles import (LINE, basis_element, block_pass, curvature_power, element,
+                     exponent_terms, graded_commutator, hat, merge_sign, poly_add,
                      poly_connection_d, poly_d, poly_scale, poly_wedge, sort_with_sign)
 from test_algebroid import PRESENTATIONS, fractional_chart_presentation
 
@@ -607,53 +605,76 @@ def test_kernel_apply_part_matches_the_reference(variables):
     assert nonzero > 12
 
 
-# --- the point-base kernel of one shape, and the trace as a dot product ----------
+# --- the point-base kernel of one block pair, against the plain pair loop --------
 
 _BIG = 2 ** 80
 
 
 @st.composite
-def kernel_operands(draw):
-    """(shape, sign, acc, a, b, b2), each of rows, inner, cols in 1..4: flat
-    integer matrices a (rows x inner), b (inner x cols), acc (rows x cols)
-    and b2 (inner x rows), entries up to 2^80 in size."""
-    rows, inner, cols = shape = draw(st.tuples(*[st.integers(1, 4)] * 3))
+def block_operands(draw):
+    """(key, koszul, tgt, left, right): a block kernel's key (rows, inner,
+    cols, trace, triangle), each size in 1..4, square for a trace and all
+    equal for a triangle, whose right operand is then the left's own
+    matrices; masks of up to 6 frame indices, so pairs overlap; entries up
+    to 2^80 in size; an accumulator per merged mask, or none."""
+    trace = draw(st.booleans())
+    triangle = trace and draw(st.booleans())
+    rows, inner, cols = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    if triangle:
+        inner = cols = rows
+    elif trace:
+        cols = rows
 
     def flat(size):
         return draw(st.lists(st.integers(-_BIG, _BIG), min_size=size, max_size=size))
 
-    sign = draw(st.sampled_from((1, -1, 2, -2)))
-    return shape, sign, flat(rows * cols), flat(rows * inner), flat(inner * cols), \
-        flat(inner * rows)
+    def masks():
+        return draw(st.lists(st.integers(0, 63), min_size=1, max_size=5, unique=True))
+
+    left = {mask: flat(rows * inner) for mask in masks()}
+    right = [(mask, _parity_word(mask), a) for mask, a in left.items()] if triangle else [
+        (mask, _parity_word(mask), flat(inner * cols)) for mask in masks()]
+    tgt = {mask: draw(st.integers(-_BIG, _BIG)) if trace else flat(rows * cols)
+           for mask in draw(st.lists(st.integers(0, 63), max_size=4, unique=True))}
+    return (rows, inner, cols, trace, triangle), draw(st.sampled_from((1, -1, 2, -2))), \
+        tgt, left, right
 
 
-def _large_operands(n, seed):
+def _large_operands(n, trace, seed):
     rng = random.Random(seed)
 
     def flat(size):
         return [rng.randint(-_BIG, _BIG) for _ in range(size)]
 
-    return (n, n, n), -2, flat(n * n), flat(n * n), flat(n * n), flat(n * n)
+    left = {0b011: flat(n * n), 0b100: flat(n * n)}
+    right = [(mask, _parity_word(mask), flat(n * n)) for mask in (0b100, 0b1000, 0b001)]
+    tgt = {0b111: rng.randint(-_BIG, _BIG) if trace else flat(n * n)}
+    return (n, n, n, trace, False), -2, tgt, left, right
 
 
 @settings(max_examples=300, deadline=None)
-@given(kernel_operands())
-@example(_large_operands(9, 9))
-@example(_large_operands(16, 16))
-def test_point_kernel_matches_the_triple_loop(operands):
-    (rows, inner, cols), sign, acc, a, b, b2 = operands
-    before = (list(acc), list(a), list(b), list(b2))
-    kernel = _matmul(rows, inner, cols)
-    assert _matmul(rows, inner, cols) is kernel   # compiled once per shape
-    kernel(acc, sign, a, b)
-    reference = flat_matmul(a, b, rows, inner, cols)
-    assert acc == [n + sign * m for n, m in zip(before[0], reference)]
-    assert (a, b, b2) == before[1:]
-    # tr(a @ b2) is the dot product of a with b2 transposed
-    square = flat_matmul(a, b2, rows, inner, rows)
-    assert sum(map(operator.mul, a, _transpose(b2, rows))) == sum(
-        square[r * rows + r] for r in range(rows))
-    assert _transpose(_transpose(b2, rows), inner) == b2
+@given(block_operands())
+@example(_large_operands(9, False, 9))
+@example(_large_operands(16, False, 16))
+@example(_large_operands(9, True, 10))
+@example(_large_operands(16, True, 17))
+def test_block_kernel_matches_the_pair_loop(operands):
+    key, koszul, tgt, left, right = operands
+    before = ({m: list(a) for m, a in left.items()}, [(m, w, list(b)) for m, w, b in right])
+    reference = block_pass(tgt, koszul, left, right, key[:3], key[3], key[4])
+    misses = _block_kernel.cache_info().misses
+    kernel = _block_kernel(*key)
+    assert _block_kernel(*key) is kernel   # compiled once per key
+    assert _block_kernel.cache_info().misses - misses <= 1
+    existing = {mask: acc for mask, acc in tgt.items() if not key[3]}
+    kernel(tgt, koszul, left, right)
+    assert tgt == reference
+    # an existing accumulator is added into in place, a fresh one is its own
+    # list, and no operand is written
+    assert all(tgt[mask] is acc for mask, acc in existing.items())
+    assert (left, right) == before
+    operand_lists = {id(a) for a in left.values()} | {id(b) for _, _, b in right}
+    assert not any(id(acc) in operand_lists for acc in tgt.values())
 
 
 def _stored_lists(form):
