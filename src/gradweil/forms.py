@@ -59,21 +59,26 @@ skipped by `m1 & m2`, and so is a block pair whose form degrees exceed the
 frame rank.  The merge sign of a disjoint pair is one popcount: each right
 bitmask gets, once per pass, its parity word (`_parity_word`, the XOR over
 its bits b of the bits above b), and the sign is -1 exactly when `m1 &
-word` has odd popcount.  On the point base each block pair is one call to
-one kernel, `_block_kernel(rows, inner, cols, trace, triangle)`, which runs
-the mask-pair loop itself: its source is built from those five values alone,
-every output cell one unrolled line of products, the left matrix unpacked
-once per left mask and the right once per disjoint pair; it is compiled
-once per key per process and cached (0.1-0.35 ms per key up to 3 x 3 x 3,
-3 ms for a product at 8 x 8 x 8 and 24 ms at 16 x 16 x 16, 0.5 and 2.4 ms
-for a trace, on a 2-CPU Linux VM under Python 3.11; the shipped corpus
-compiles 8 kernels).  A trace kernel forms the diagonal of a @ b, the right
-matrix read in its own row-major order, so nothing is transposed.
-On a chart each output matrix is one flat dict keyed by ((row * cols + col)
-<< width) + monomial, which `_accumulate` (or `_trace`) fills and
-`_canonical` sorts once and splits back into rows.  `_canonical` divides
-out the gcd of D and all numerators; a point-base accumulator with gcd 1 is
-stored as it stands.  The trace of a product
+word` has odd popcount.  On both bases each block pair is one call to one
+kernel, `_block_kernel(rows, inner, cols, width, trace, triangle)`, which
+runs the mask-pair loop itself: one template emits the loop, the overlap
+skip, the sign and the merged-mask lookup, and each base its own body; the
+source is built from the key alone, and the key names only what the source
+reads.  On the point base every output cell is one unrolled line of
+products, the left matrix unpacked once per left mask and the right once
+per disjoint pair, and a trace forms the diagonal of a @ b, the right matrix
+read in its own row-major order, so nothing is transposed, into a
+one-element list.  On a chart each output matrix is one flat dict keyed by
+((row * cols + col) << width) + monomial, a trace's by the monomial alone,
+so a chart key names the width and a product's column count, and no row or
+inner count; `_canonical` sorts the dict once and splits it back into rows.
+A kernel is compiled once per key per process and cached (on a 2-CPU Linux
+VM under Python 3.11: 0.1-0.35 ms per point-base key up to 3 x 3 x 3, 3 ms
+for a product at 8 x 8 x 8 and 24 ms at 16 x 16 x 16, 0.5 and 2.4 ms for a
+trace, about 0.3 ms per chart key; the shipped corpus compiles 10 kernels,
+2 of them on charts).  `_canonical` divides out the gcd of D and all
+numerators; a point-base accumulator with gcd 1 is stored as it stands.
+The trace of a product
 (`wedge_trace`, behind `tr` and `gtr`) forms only the diagonal entries of
 the diagonal blocks, summed into 1 x 1 matrices: a stored scalar Form.  A
 trace of X ^ X, the right operand being the left's own stored form, is
@@ -227,85 +232,72 @@ def _width(variables):
 
 
 @cache
-def _block_kernel(rows, inner, cols, trace, triangle):
-    """The point-base kernel of one block pair: a function (tgt, koszul,
-    left, right) that runs the pass's loop over mask pairs, for `left`
-    {mask: flat rows x inner matrix} and `right` [(mask, parity word, flat
-    inner x cols matrix)], and adds sign * (a @ b) of each disjoint pair
-    into tgt[mask1 | mask2], the sign koszul times the merge sign.  A new
-    merged mask gets its accumulator list built from its first product.
-    With `trace` a cell is one integer, the diagonal of a @ b; with
-    `triangle` the left mask at position p meets only right[p + 1:].
-    Each matrix is unpacked into locals, the left one once per left mask,
-    and every output cell is one unrolled line of products.  The source is
-    built from the five arguments, cast to int and bool, alone; compiled
-    once per key."""
-    rows, inner, cols, trace, triangle = (int(rows), int(inner), int(cols), bool(trace),
-                                          bool(triangle))
+def _block_kernel(rows, inner, cols, width, trace, triangle):
+    """The kernel of one block pair: a function (tgt, koszul, left, right)
+    that runs the pass's loop over mask pairs, for `left` {mask: matrix}
+    and `right` [(mask, parity word, matrix)], and adds sign * (a @ b) of
+    each disjoint pair into the accumulator tgt[mask1 | mask2], the sign
+    koszul times the merge sign; with `trace` only the diagonal of a @ b,
+    summed.  With `triangle` the left mask at position p meets only
+    right[p + 1:].  The loop is one template; each base has its own body.
+    On the point base (width 0) a matrix is a flat list: each is unpacked
+    into locals, the left one once per left mask, every output cell is one
+    unrolled line of products, and a merged mask's first product builds its
+    accumulator list (a trace's has one element).  On a chart a matrix is
+    sparse rows, and the accumulator one flat dict: the term x^e1 * x^e2 of
+    cell (r, c) adds into ((r * cols + c) << width) + e1 + e2, a trace's
+    into e1 + e2, so a product of two terms is an integer multiply and two
+    adds; that body reads no row or inner count.  The source is built from
+    the six arguments, cast to int and bool, alone; compiled once per key."""
+    rows, inner, cols, width = int(rows), int(inner), int(cols), int(width)
+    trace, triangle = bool(trace), bool(triangle)
+    if width:
+        unpack_a = unpack_b = []
+        body = ["                acc = tgt[merged] = {}",
+                "            add = acc.get",
+                "            for r, row in enumerate(a):",
+                *([] if trace else [f"                base = r * {cols}"]),
+                "                for k, lterms in row:",
+                "                    for c, rterms in b[k]:",
+                *(["                        if c != r:",
+                   "                            continue"] if trace
+                  else [f"                        cell = (base + c) << {width}"]),
+                "                        for e1, n1 in lterms:",
+                "                            n1 *= s",
+                *([] if trace else ["                            e1 += cell"]),
+                "                            for e2, n2 in rterms:",
+                "                                e = e1 + e2",
+                "                                acc[e] = add(e, 0) + n1 * n2"]
+    else:
+        def cell(r, c):
+            return " + ".join(f"a{r * inner + k} * b{k * cols + c}" for k in range(inner))
 
-    def cell(r, c):
-        return " + ".join(f"a{r * inner + k} * b{k * cols + c}" for k in range(inner))
-
-    out = [(r * cols + c, f"s * ({cell(r, c)})") for r in range(rows) for c in range(cols)]
+        out = ([" + ".join(cell(r, r) for r in range(rows))] if trace
+               else [cell(r, c) for r in range(rows) for c in range(cols)])
+        unpack_a = [f"        {', '.join(f'a{n}' for n in range(rows * inner))}, = a"]
+        unpack_b = [f"            {', '.join(f'b{n}' for n in range(inner * cols))}, = b"]
+        body = [f"                tgt[merged] = [{', '.join(f's * ({line})' for line in out)}]",
+                "            else:",
+                *(f"                acc[{n}] += s * ({line})" for n, line in enumerate(out))]
     lines = ["def kernel(tgt, koszul, left, right):",
              "    get = tgt.get",
              "    for p, (mask1, a) in enumerate(left.items()):" if triangle
              else "    for mask1, a in left.items():",
-             f"        {', '.join(f'a{n}' for n in range(rows * inner))}, = a",
+             *unpack_a,
              f"        for mask2, word, b in right{'[p + 1:]' if triangle else ''}:",
              "            if mask1 & mask2:",
              "                continue",
-             f"            {', '.join(f'b{n}' for n in range(inner * cols))}, = b",
+             *unpack_b,
              "            s = -koszul if (mask1 & word).bit_count() & 1 else koszul",
-             "            merged = mask1 | mask2"]
-    if trace:
-        lines.append("            tgt[merged] = get(merged, 0) + s * ("
-                     + " + ".join(cell(r, r) for r in range(rows)) + ")")
-    else:
-        lines += ["            acc = get(merged)",
-                  "            if acc is None:",
-                  f"                tgt[merged] = [{', '.join(line for _, line in out)}]",
-                  "            else:"]
-        lines += [f"                acc[{n}] += {line}" for n, line in out]
+             "            merged = mask1 | mask2",
+             "            acc = get(merged)",
+             "            if acc is None:",
+             *body]
     namespace: dict = {}
     exec(compile("\n".join(lines) + "\n",
-                 f"<kernel {rows}x{inner}x{cols}{' trace' * trace}{' triangle' * triangle}>",
-                 "exec"), namespace)
+                 f"<kernel {rows}x{inner}x{cols} width {width}{' trace' * trace}"
+                 f"{' triangle' * triangle}>", "exec"), namespace)
     return namespace["kernel"]
-
-
-def _accumulate(acc, sign, left, right, cols, width):
-    """acc += sign * (left @ right) for sparse chart rows `left` and `right`
-    into a flat accumulator: the term x^e1 * x^e2 of cell (r, c) adds into
-    the key ((r * cols + c) << width) + e1 + e2, so a product of two terms
-    is an integer multiply and two adds."""
-    get = acc.get
-    for r, row in enumerate(left):
-        base = r * cols
-        for k, lterms in row:
-            for c, rterms in right[k]:
-                cell = (base + c) << width
-                for e1, n1 in lterms:
-                    n1 *= sign
-                    e1 += cell
-                    for e2, n2 in rterms:
-                        e = e1 + e2
-                        acc[e] = get(e, 0) + n1 * n2
-
-
-def _trace(cell, sign, left, right):
-    """cell += sign * tr(left @ right) for sparse chart rows, forming only
-    the diagonal entries; `cell` is {packed monomial: numerator}."""
-    get = cell.get
-    for r, row in enumerate(left):
-        for k, lterms in row:
-            for c, rterms in right[k]:
-                if c == r:
-                    for e1, n1 in lterms:
-                        n1 *= sign
-                        for e2, n2 in rterms:
-                            e = e1 + e2
-                            cell[e] = get(e, 0) + n1 * n2
 
 
 def _canonical(D, cells, width):
@@ -587,7 +579,9 @@ class TotalForm:
         target of `right`, d_A of `right` is added into the same
         accumulators (`Algebroid._d_into`): d_A Y + hat(self) o hat(Y) in
         one pass, over D_right * lcm(D_left, _d_den), the product's terms
-        scaled by lcm / D_left and d_A's by lcm / _d_den.
+        scaled by lcm / D_left and d_A's by lcm / _d_den.  The pass only
+        schedules block pairs: each is one call of `_block_kernel`, on
+        either base, which runs that pair's loop over mask pairs.
         """
         D1, left = self._kernel
         D2, right_view = right
@@ -628,27 +622,11 @@ class TotalForm:
                 triangle = halve and key2 == key1 and i1 > 0
                 tgt = cells.setdefault((i1 + i2, 0, 0) if diagonal else (i1 + i2, l, j),
                                        (1, 1, {}) if diagonal else (nrows, cols, {}))[2]
-                if not width:   # the point base: one generated kernel per block pair
-                    _block_kernel(nrows, inner, cols, diagonal, triangle)(
-                        tgt, koszul, entries1, entries2)
-                    continue
-                for p, (mask1, lrows) in enumerate(entries1.items()):
-                    for mask2, word, rrows in (entries2[p + 1:] if triangle else entries2):
-                        if mask1 & mask2:
-                            continue
-                        merged = mask1 | mask2
-                        sign = -koszul if (mask1 & word).bit_count() & 1 else koszul
-                        acc = tgt.get(merged)
-                        if acc is None:
-                            acc = tgt[merged] = {}
-                        if diagonal:
-                            _trace(acc, sign, lrows, rrows)
-                        else:
-                            _accumulate(acc, sign, lrows, rrows, cols, width)
-        if diagonal and not width:   # a cell is the 1 x 1 accumulator [cell]
-            for _, _, tgt in cells.values():
-                for mask, cell in tgt.items():
-                    tgt[mask] = [cell]
+                # the key names only what the kernel's source reads: on a
+                # chart the column count of a product, and no row or inner count
+                shape = (0, 0, 0 if diagonal else cols) if width else (nrows, inner, cols)
+                _block_kernel(*shape, width, diagonal, triangle)(
+                    tgt, koszul, entries1, entries2)
         return _canonical(D1 * D2, cells, width)
 
     def _check_composable(self, other):

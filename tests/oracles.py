@@ -29,11 +29,11 @@ def block_pass(tgt, koszul, left, right, shape, trace, triangle):
     `forms._block_kernel`: a new {merged mask: accumulator} with, added to
     the accumulators of `tgt`, koszul * merge_sign * (a @ b) of every
     disjoint pair of a left {mask: flat matrix} and a right [(mask, parity
-    word, flat matrix)], the word unread; with `trace` an accumulator is
-    one integer and the product's diagonal sum is added, with `triangle`
-    the left mask at position p meets only right[p + 1:]."""
+    word, flat matrix)], the word unread; with `trace` an accumulator is a
+    one-element list and the product's diagonal sum is added, with
+    `triangle` the left mask at position p meets only right[p + 1:]."""
     rows, inner, cols = shape
-    out = {mask: acc if trace else list(acc) for mask, acc in tgt.items()}
+    out = {mask: list(acc) for mask, acc in tgt.items()}
     for p, (mask1, a) in enumerate(left.items()):
         for mask2, _, b in (right[p + 1:] if triangle else right):
             sign = koszul * merge_sign(mask1, mask2)
@@ -41,11 +41,64 @@ def block_pass(tgt, koszul, left, right, shape, trace, triangle):
                 continue
             product, merged = flat_matmul(a, b, rows, inner, cols), mask1 | mask2
             if trace:
-                out[merged] = out.get(merged, 0) + sign * sum(
-                    product[r * cols + r] for r in range(rows))
+                product = [sum(product[r * cols + r] for r in range(rows))]
+            out[merged] = [n + sign * m for n, m in
+                           zip(out.get(merged, [0] * len(product)), product)]
+    return out
+
+
+def chart_accumulate(acc, sign, left, right, cols, width):
+    """acc += sign * (left @ right) for sparse chart rows `left` and `right`
+    into a flat accumulator: the term x^e1 * x^e2 of cell (r, c) adds into
+    the key ((r * cols + c) << width) + e1 + e2."""
+    get = acc.get
+    for r, row in enumerate(left):
+        base = r * cols
+        for k, lterms in row:
+            for c, rterms in right[k]:
+                cell = (base + c) << width
+                for e1, n1 in lterms:
+                    n1 *= sign
+                    e1 += cell
+                    for e2, n2 in rterms:
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + n1 * n2
+
+
+def chart_trace(cell, sign, left, right):
+    """cell += sign * tr(left @ right) for sparse chart rows, forming only
+    the diagonal entries; `cell` is {packed monomial: numerator}."""
+    get = cell.get
+    for r, row in enumerate(left):
+        for k, lterms in row:
+            for c, rterms in right[k]:
+                if c == r:
+                    for e1, n1 in lterms:
+                        n1 *= sign
+                        for e2, n2 in rterms:
+                            e = e1 + e2
+                            cell[e] = get(e, 0) + n1 * n2
+
+
+def chart_block_pass(tgt, koszul, left, right, cols, width, trace, triangle):
+    """The pair loop of one chart block pair, the reference of
+    `forms._block_kernel` on a chart: a new {merged mask: accumulator} with,
+    added to copies of the flat dict accumulators of `tgt`, koszul *
+    merge_sign * (a @ b) of every disjoint pair of a left {mask: sparse
+    rows} and a right [(mask, parity word, sparse rows)], the word unread,
+    by `chart_accumulate`, or by `chart_trace` with `trace`; every disjoint
+    pair's merged mask gets an accumulator, an empty one if nothing adds."""
+    out = {mask: dict(acc) for mask, acc in tgt.items()}
+    for p, (mask1, a) in enumerate(left.items()):
+        for mask2, _, b in (right[p + 1:] if triangle else right):
+            sign = koszul * merge_sign(mask1, mask2)
+            if not sign:
+                continue
+            acc = out.setdefault(mask1 | mask2, {})
+            if trace:
+                chart_trace(acc, sign, a, b)
             else:
-                out[merged] = [n + sign * m for n, m in
-                               zip(out.get(merged, [0] * (rows * cols)), product)]
+                chart_accumulate(acc, sign, a, b, cols, width)
     return out
 
 

@@ -7,6 +7,7 @@ import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -909,3 +910,144 @@ def test_default_bound_reads_the_nonzero_terms(name):
         assert default_bound(a, [form]) == reference_bound(a, [form])
     assert default_bound(a, drawn) == reference_bound(a, drawn)
     assert not a._d_table   # nothing is filled for it
+
+
+# --- theorems as oracles: Künneth, Poincaré duality, the flat frame ---------
+
+
+POINT_ALGEBRAS = {
+    "abelian1": lambda: catalog.abelian(1),
+    "aff1": catalog.aff1,
+    "heisenberg3": catalog.heisenberg3,
+    "sl2": catalog.sl2,
+    "aff1_plus_center": catalog.aff1_plus_center,
+    "two_aff1_plus_center": catalog.two_aff1_plus_center,
+    "solvable5": catalog.solvable5,
+}
+
+
+def betti(algebroid):
+    """The Betti numbers b_0..b_n of a Lie algebra of rank n."""
+    ce = ce_cohomology(algebroid)
+    return [ce.dim(k) for k in range(algebroid.rank + 1)]
+
+
+def convolve(left, right):
+    """The Betti numbers of g + h from those of g and h (Künneth)."""
+    out = [0] * (len(left) + len(right) - 1)
+    for p, x in enumerate(left):
+        for q, y in enumerate(right):
+            out[p + q] += x * y
+    return out
+
+
+def direct_sum(summands):
+    """The Lie algebra g_1 + ... + g_n over a point, with block-diagonal
+    brackets: the frame of each summand follows the last one's."""
+    rank = sum(a.rank for a in summands)
+    zero, brackets, offset = Poly.zero(()), {}, 0
+    for a in summands:
+        for i, j in itertools.combinations(range(a.rank), 2):
+            if any(not c.is_zero() for c in a.structure[i][j]):
+                vec = [zero] * rank
+                vec[offset:offset + a.rank] = a.structure[i][j]
+                brackets[(offset + i, offset + j)] = vec
+        offset += a.rank
+    return Algebroid.from_brackets(catalog.POINT, rank, [[] for _ in range(rank)], brackets)
+
+
+def unimodular(algebroid):
+    """Whether tr ad_x = 0 for every x: sum_j c_ij^j = 0 for each i."""
+    return all(sum((algebroid.structure[i][j][j] for j in range(algebroid.rank)),
+                   Poly.zero(())).is_zero() for i in range(algebroid.rank))
+
+
+def shifted(form, offset, rank):
+    """A form of a summand as a form of the direct sum, its frame at `offset`."""
+    return Form((), rank, form.degree, 1, {(tuple(i + offset for i in mi), 0): poly
+                                         for (mi, _), poly in form.coeffs.items()})
+
+
+@pytest.mark.parametrize("maker, summands, numbers", [
+    (catalog.aff1_plus_center, [catalog.aff1, lambda: catalog.abelian(1)], [1, 2, 1, 0]),
+    (catalog.two_aff1_plus_center, [catalog.aff1, catalog.aff1, lambda: catalog.abelian(1)],
+     [1, 3, 3, 1, 0, 0]),
+])
+def test_betti_numbers_of_a_catalog_sum_are_the_convolution(maker, summands, numbers):
+    assert betti(maker()) == reduce(convolve, (betti(make()) for make in summands)) == numbers
+
+
+def test_kunneth_and_poincare_duality_over_random_direct_sums():
+    # Betti(g + h) is the convolution of Betti(g) and Betti(h), and a wedge
+    # of classes of two summands has a nonzero class in the sum; b_n != 0
+    # exactly when the sum is unimodular, and then b_k = b_(n - k).  Sums of
+    # rank at most 8, every other one of unimodular summands only
+    rng = random.Random(61)
+    names, unimodular_sums = sorted(POINT_ALGEBRAS), 0
+    balanced = [name for name in names if unimodular(POINT_ALGEBRAS[name]())]
+    for trial in range(16):
+        summands = []
+        while len(summands) < 2 or rng.random() < 0.5:
+            fits = [name for name in (balanced if trial % 2 else names)
+                    if sum(a.rank for a in summands) + POINT_ALGEBRAS[name]().rank <= 8]
+            if not fits:
+                break
+            summands.append(POINT_ALGEBRAS[rng.choice(fits)]())
+        algebra = direct_sum(summands)
+        numbers = betti(algebra)
+        assert numbers == reduce(convolve, map(betti, summands))
+        assert (numbers[-1] != 0) == unimodular(algebra)
+        if unimodular(algebra):
+            unimodular_sums += 1
+            assert numbers == numbers[::-1]
+        g, h = summands[:2]
+        alphas = [rep for k in range(1, g.rank + 1) for rep in ce_cohomology(g).representatives[k]]
+        betas = [rep for k in range(h.rank + 1) for rep in ce_cohomology(h).representatives[k]]
+        ce = ce_cohomology(algebra)
+        for alpha, beta in itertools.product(alphas[:2], betas[:2]):
+            wedge = shifted(alpha, 0, algebra.rank).wedge(shifted(beta, g.rank, algebra.rank))
+            assert any(ce.class_vector(wedge))
+    assert 8 <= unimodular_sums < 16
+
+
+@pytest.mark.parametrize("maker, numbers", [(catalog.sl2, [1, 0, 0, 1]),
+                                            (catalog.heisenberg3, [1, 2, 2, 1])])
+def test_betti_numbers_of_a_unimodular_algebra_are_palindromic(maker, numbers):
+    a = maker()
+    assert unimodular(a)
+    assert betti(a) == numbers == numbers[::-1]
+
+
+@pytest.mark.parametrize("name", ["aff1", "solvable5", "aff1_plus_center",
+                                  "two_aff1_plus_center"])
+def test_the_top_betti_number_of_a_non_unimodular_algebra_is_zero(name):
+    a = POINT_ALGEBRAS[name]()
+    assert not unimodular(a)
+    assert betti(a)[-1] == 0
+
+
+def test_a_transgression_from_the_flat_frame_is_a_primitive_of_the_character():
+    # where d_A^2 = 0, the zero connection is flat and classes do not depend
+    # on the connection, so T = transgression(0, nabla, k) has d_A T equal to
+    # sigma_k(nabla) exactly, and the class of sigma_k is never nonzero
+    rng = random.Random(67)
+    draws, statuses, not_flat = 0, Counter(), []
+    for name in sorted(PRESENTATIONS):
+        a = PRESENTATIONS[name]()
+        if not a.d_squared_check()[0]:
+            not_flat.append(name)
+            continue
+        for _ in range(3):
+            rank = rng.randint(1, 2)
+            nabla = random_linear_connection(rng, a, rank)
+            for k in range(1, min(3, a.rank // 2) + 1):
+                T = transgression(LinearConnection.zero(a, rank), nabla, k)
+                sigma = sigma_character(nabla, k).form
+                assert a.d(T) == sigma
+                status, _ = class_status(a, sigma)
+                assert status != "nonzero"
+                statuses[status] += 1
+                draws += 1
+    assert not_flat == ["broken_jacobi", "polynomial"]
+    # and the default bound decides every draw
+    assert draws >= 50 and statuses == {"zero": draws}

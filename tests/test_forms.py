@@ -1,5 +1,6 @@
 """Forms and total forms: shuffles, wedge, the hat action, graded trace."""
 
+import copy
 import hashlib
 import itertools
 import json
@@ -34,9 +35,9 @@ from gradweil.forms import (
     tr,
 )
 from gradweil.randgen import random_cuth, random_form, random_total_form
-from gradweil.ring import EXPONENT_LIMIT, Poly, _pack, _unpack
-from oracles import (LINE, basis_element, block_pass, curvature_power, element,
-                     exponent_terms, graded_commutator, hat, merge_sign, poly_add,
+from gradweil.ring import EXPONENT_LIMIT, FIELD, Poly, _pack, _unpack
+from oracles import (LINE, basis_element, block_pass, chart_block_pass, curvature_power,
+                     element, exponent_terms, graded_commutator, hat, merge_sign, poly_add,
                      poly_connection_d, poly_d, poly_scale, poly_wedge, sort_with_sign)
 from test_algebroid import PRESENTATIONS, fractional_chart_presentation
 
@@ -605,18 +606,24 @@ def test_kernel_apply_part_matches_the_reference(variables):
     assert nonzero > 12
 
 
-# --- the point-base kernel of one block pair, against the plain pair loop --------
+# --- the kernel of one block pair, against the plain pair loops ---------------
 
 _BIG = 2 ** 80
+_NUMERATOR = st.integers(-_BIG, _BIG).filter(bool)
+# small exponents make products of different terms meet in one key
+_EXPONENT = st.one_of(st.integers(0, 2), st.integers(0, 2 ** 31 - 1))
 
 
 @st.composite
 def block_operands(draw):
-    """(key, koszul, tgt, left, right): a block kernel's key (rows, inner,
-    cols, trace, triangle), each size in 1..4, square for a trace and all
-    equal for a triangle, whose right operand is then the left's own
-    matrices; masks of up to 6 frame indices, so pairs overlap; entries up
-    to 2^80 in size; an accumulator per merged mask, or none."""
+    """(shape, width, trace, triangle, koszul, tgt, left, right): a block
+    pair's shape (rows, inner, cols), each size in 1..4, square for a trace
+    and all equal for a triangle, whose right operand is then the left's
+    own matrices; width 0 for the point base, whose matrices are flat, or
+    FIELD times 1..3 chart variables, whose matrices are sparse rows of
+    packed monomials, exponents below 2^31 so that no sum of two reaches
+    EXPONENT_LIMIT; masks of up to 6 frame indices, so pairs overlap;
+    numerators up to 2^80 in size; an accumulator per merged mask, or none."""
     trace = draw(st.booleans())
     triangle = trace and draw(st.booleans())
     rows, inner, cols = draw(st.tuples(*[st.integers(1, 4)] * 3))
@@ -624,20 +631,42 @@ def block_operands(draw):
         inner = cols = rows
     elif trace:
         cols = rows
+    nvars = draw(st.integers(0, 3))
+    width = FIELD * nvars
 
-    def flat(size):
-        return draw(st.lists(st.integers(-_BIG, _BIG), min_size=size, max_size=size))
+    def monomial():
+        return _pack(tuple(draw(_EXPONENT) for _ in range(nvars)))
+
+    def entry():
+        return sorted({monomial(): draw(_NUMERATOR)
+                       for _ in range(draw(st.integers(1, 2)))}.items())
+
+    def matrix(nrows, ncols):
+        if not width:
+            return draw(st.lists(st.integers(-_BIG, _BIG), min_size=nrows * ncols,
+                                 max_size=nrows * ncols))
+        return [[(c, entry()) for c in range(ncols) if draw(st.booleans())]
+                for _ in range(nrows)]
+
+    def accumulator():
+        if not width:
+            return draw(st.lists(_NUMERATOR, min_size=1 if trace else rows * cols,
+                                 max_size=1 if trace else rows * cols))
+        cells = [0] if trace else [(r * cols + c) << width for r in range(rows)
+                                   for c in range(cols)]
+        return {draw(st.sampled_from(cells)) + monomial(): draw(_NUMERATOR)
+                for _ in range(draw(st.integers(0, 3)))}
 
     def masks():
         return draw(st.lists(st.integers(0, 63), min_size=1, max_size=5, unique=True))
 
-    left = {mask: flat(rows * inner) for mask in masks()}
+    left = {mask: matrix(rows, inner) for mask in masks()}
     right = [(mask, _parity_word(mask), a) for mask, a in left.items()] if triangle else [
-        (mask, _parity_word(mask), flat(inner * cols)) for mask in masks()]
-    tgt = {mask: draw(st.integers(-_BIG, _BIG)) if trace else flat(rows * cols)
+        (mask, _parity_word(mask), matrix(inner, cols)) for mask in masks()]
+    tgt = {mask: accumulator()
            for mask in draw(st.lists(st.integers(0, 63), max_size=4, unique=True))}
-    return (rows, inner, cols, trace, triangle), draw(st.sampled_from((1, -1, 2, -2))), \
-        tgt, left, right
+    return ((rows, inner, cols), width, trace, triangle, draw(st.sampled_from((1, -1, 2, -2))),
+            tgt, left, right)
 
 
 def _large_operands(n, trace, seed):
@@ -648,8 +677,8 @@ def _large_operands(n, trace, seed):
 
     left = {0b011: flat(n * n), 0b100: flat(n * n)}
     right = [(mask, _parity_word(mask), flat(n * n)) for mask in (0b100, 0b1000, 0b001)]
-    tgt = {0b111: rng.randint(-_BIG, _BIG) if trace else flat(n * n)}
-    return (n, n, n, trace, False), -2, tgt, left, right
+    tgt = {0b111: flat(1 if trace else n * n)}
+    return (n, n, n), 0, trace, False, -2, tgt, left, right
 
 
 @settings(max_examples=300, deadline=None)
@@ -659,22 +688,29 @@ def _large_operands(n, trace, seed):
 @example(_large_operands(9, True, 10))
 @example(_large_operands(16, True, 17))
 def test_block_kernel_matches_the_pair_loop(operands):
-    key, koszul, tgt, left, right = operands
-    before = ({m: list(a) for m, a in left.items()}, [(m, w, list(b)) for m, w, b in right])
-    reference = block_pass(tgt, koszul, left, right, key[:3], key[3], key[4])
+    shape, width, trace, triangle, koszul, tgt, left, right = operands
+    before = copy.deepcopy((left, right))
+    if width:
+        reference = chart_block_pass(tgt, koszul, left, right, shape[2], width, trace, triangle)
+        # a chart kernel reads no row or inner count, a chart trace no
+        # column count either, so its key names none of them
+        key = (0, 0, 0 if trace else shape[2], width, trace, triangle)
+    else:
+        reference = block_pass(tgt, koszul, left, right, shape, trace, triangle)
+        key = (*shape, 0, trace, triangle)
     misses = _block_kernel.cache_info().misses
     kernel = _block_kernel(*key)
     assert _block_kernel(*key) is kernel   # compiled once per key
     assert _block_kernel.cache_info().misses - misses <= 1
-    existing = {mask: acc for mask, acc in tgt.items() if not key[3]}
+    existing = dict(tgt)
     kernel(tgt, koszul, left, right)
     assert tgt == reference
     # an existing accumulator is added into in place, a fresh one is its own
-    # list, and no operand is written
+    # object, and no operand is written
     assert all(tgt[mask] is acc for mask, acc in existing.items())
     assert (left, right) == before
-    operand_lists = {id(a) for a in left.values()} | {id(b) for _, _, b in right}
-    assert not any(id(acc) in operand_lists for acc in tgt.values())
+    operand_ids = {id(a) for a in left.values()} | {id(b) for _, _, b in right}
+    assert not any(id(acc) in operand_ids for acc in tgt.values())
 
 
 def _stored_lists(form):

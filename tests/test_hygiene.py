@@ -2,8 +2,9 @@
 name in the product (whether the product runs it is `tools/reach.py`'s
 check, whose matcher is tested here too), every name a package module
 imports is used there, the export list matches what the package imports, no
-package code writes into the terms of a Poly, and only `ring` names the
-helpers that pack monomials and check exponents."""
+package code writes into the terms of a Poly, only `ring` names the helpers
+that pack monomials and check exponents, and only `forms._block_kernel`
+names the builtins that run generated code."""
 
 import ast
 import importlib.util
@@ -194,6 +195,68 @@ def _pack(expo): pass
 pack, unpacked = 1, _unpack(m, n)
 """
     assert [line for line, _ in sorted(_packing_names(ast.parse(source)))] == [2, 3, 4, 5, 6]
+
+
+# generated code is built and run in one place, the block kernel of forms
+_CODE_BUILTINS = frozenset({"exec", "eval", "compile"})
+_CODE_OWNERS = frozenset({("forms.py", "_block_kernel")})
+
+
+def _code_builtin_names(tree):
+    """(enclosing def, line, name) of each reference to the builtin exec,
+    eval or compile: a bare name, so an attribute such as `re.compile` is
+    not one, or an attribute of the `builtins` module; a call is such a
+    reference, and so is an alias or an import of one."""
+
+    def visit(node, owner):
+        if isinstance(node, ast.Name) and node.id in _CODE_BUILTINS:
+            yield owner, node.lineno, node.id
+        elif (isinstance(node, ast.Attribute) and node.attr in _CODE_BUILTINS
+              and isinstance(node.value, ast.Name) and node.value.id == "builtins"):
+            yield owner, node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "builtins":
+            yield from ((owner, node.lineno, alias.name) for alias in node.names
+                        if alias.name in _CODE_BUILTINS)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    yield from visit(tree, None)
+
+
+def test_only_the_block_kernel_runs_generated_code():
+    names = [f"{path.name}:{line} {name} in {owner or 'the module body'}"
+             for path in sorted((REPO / "src" / "gradweil").glob("*.py"))
+             for owner, line, name in _code_builtin_names(ast.parse(path.read_text()))
+             if (path.name, owner) not in _CODE_OWNERS]
+    assert not names, f"exec, eval or compile outside forms._block_kernel: {names}"
+    owned = [name for owner, _, name in _code_builtin_names(
+        ast.parse((REPO / "src" / "gradweil" / "forms.py").read_text()))
+        if owner == "_block_kernel"]
+    assert sorted(owned) == ["compile", "exec"]
+
+
+def test_the_generated_code_check_sees_each_kind_of_reference():
+    source = """
+exec(source)
+value = eval(text)
+code = compile(source, name, "exec")
+run = exec
+builtins.eval(text)
+from builtins import compile
+def outer():
+    def inner():
+        return exec(code)
+pattern = re.compile(text)
+node.compile()
+execute(source)
+"""
+    found = sorted((line, name, owner) for owner, line, name in _code_builtin_names(
+        ast.parse(source)))
+    assert found == [(2, "exec", None), (3, "eval", None), (4, "compile", None),
+                     (5, "exec", None), (6, "eval", None), (7, "compile", None),
+                     (10, "exec", "inner")]
 
 
 def _reach_tool():
