@@ -261,16 +261,15 @@ class ConnectionUpToHomotopy:
         self._curvature = None   # computed and checked once
 
     @classmethod
-    def from_linear(cls, nabla, degree_label=0):
-        bundle = GradedBundle([(degree_label, nabla.rank)])
-        return cls(nabla.algebroid, bundle, {degree_label: nabla})
+    def from_linear(cls, nabla):
+        return cls(nabla.algebroid, GradedBundle([(0, nabla.rank)]), {0: nabla})
 
     @property
     def variables(self):
         return self.algebroid.variables
 
     def is_normalized(self):
-        return all(i != 1 or l != j for (i, l, j) in self.D.blocks)
+        return all(i != 1 or l != j for (i, l, j) in self.D._kernel[1])
 
     # -- operator ------------------------------------------------------------
 
@@ -360,7 +359,8 @@ def _first_difference(left, right):
     for block in sorted(set(left.blocks) | set(right.blocks)):
         entries = left.block(*block).keys() | right.block(*block).keys()
         for mi in sorted(entries):
-            if left.block_matrix(block, mi) != right.block_matrix(block, mi):
+            # no zero matrix is stored, so a missing one differs from any other
+            if left.block(*block).get(mi) != right.block(*block).get(mi):
                 return block, mi
     return None, None
 

@@ -41,11 +41,15 @@ of products a task builds carries into the next field.  No zero matrix is
 stored, nor a zero entry on a chart, so equality compares stored forms;
 and no code writes into a stored matrix, since every pass fills
 accumulators of its own.  Polys appear only at the boundary: the checked
-constructors (so `from_json`) read Polys, and `blocks` and a Form's
-`coeffs` (each built on first read) and `to_json` are built from the
-integers; the Polys built from one form share one Poly per value on the
-point base, so no code writes into a Poly's terms (a test of the package
-source checks it).
+constructor reads Polys, and `from_json` and `Form`'s constructor, which
+hands it d x 1 columns, go through it; `blocks` and a Form's `coeffs` (each
+built on first read) and `to_json` are built from the integers; the Polys
+built from one form share one Poly per value on the point base, so no code
+writes into a Poly's terms (a test of the package source checks it).  No
+transform of a stored form goes through Polys: `extend_total_form` renames
+the stored bitmasks of a form over a subframe and shares its D and
+matrices, and the restriction to a subframe is zero exactly when no stored
+bitmask lies inside it, which is `ideal_membership(form, indices, 1)`.
 
 `wedge` and `wedge_trace` are one kernel pass, `_product`, which adds
 integers over D_left * D_right and stores the result in lowest terms; `+`,
@@ -527,11 +531,6 @@ class TotalForm:
     def block(self, i, l, j):
         return self.blocks.get((i, l, j), {})
 
-    def block_matrix(self, block, mi):
-        mat = self.block(*block).get(tuple(mi))
-        return mat_zero(self.dst.rank(block[2]), self.src.rank(block[1]),
-                        self.variables) if mat is None else mat
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
@@ -733,37 +732,22 @@ class Form(TotalForm):
     __slots__ = ("_coeffs",)
 
     def __init__(self, variables, frame_rank, degree, fiber_dim, coeffs=None):
-        variables, frame_rank = tuple(variables), int(frame_rank)
-        degree, fiber_dim = int(degree), int(fiber_dim)
+        variables, degree, fiber_dim = tuple(variables), int(degree), int(fiber_dim)
         if degree < 0 or fiber_dim < 1:
             raise MismatchError("degree must be >= 0 and fiber_dim >= 1")
         entries, zero = {}, Poly.zero(variables)
         for (mi, alpha), poly in (coeffs or {}).items():
-            mi = tuple(mi)
-            if len(mi) != degree:
-                raise MismatchError(f"index {mi} has wrong length for degree {degree}")
-            if list(mi) != sorted(set(mi)):
-                raise MismatchError(f"index {mi} is not strictly ascending")
-            if mi and (mi[0] < 0 or mi[-1] >= frame_rank):
-                raise MismatchError(f"index {mi} out of range for rank {frame_rank}")
             if not 0 <= alpha < fiber_dim:
                 raise MismatchError(f"fiber index {alpha} out of range")
             if not isinstance(poly, Poly):
                 poly = Poly.constant(variables, poly)
-            if poly.variables != variables:
-                raise MismatchError("coefficient variables differ from the form's chart")
-            column = entries.get(mi)
-            if column is None:
-                column = entries[mi] = [[zero] for _ in range(fiber_dim)]
+            column = entries.setdefault(tuple(mi), [[zero] for _ in range(fiber_dim)])
             if column[alpha][0].terms:   # the key given twice, as a list and as a tuple
                 poly = poly + column[alpha][0]
             column[alpha][0] = poly
-        entries = {mi: column for mi, column in entries.items()
-                   if any(row[0].terms for row in column)}
-        self.variables, self.frame_rank, self.total_degree = variables, frame_rank, degree
-        self.src, self.dst, self._blocks = _LINE, _fiber(fiber_dim), None
-        self._kernel = (_from_polys({(degree, 0, 0): entries}, _width(variables))
-                        if entries else (1, {}))
+        # the multi-indices, their range and the chart are TotalForm's checks
+        super().__init__(variables, frame_rank, _LINE, _fiber(fiber_dim), degree,
+                         {(degree, 0, 0): entries})
 
     # -- constructors ---------------------------------------------------
 
@@ -920,7 +904,7 @@ def tr(total_form):
 
 
 # ----------------------------------------------------------------------
-# annihilator ideals and adapted-frame restriction
+# annihilator ideals and extension from a subframe
 
 
 def ideal_membership(form, indices, p):
@@ -934,28 +918,21 @@ def ideal_membership(form, indices, p):
                for entries in form._kernel[1].values() for mask in entries)
 
 
-def restrict_total_form(total_form, indices):
-    indices = tuple(sorted(indices))
-    lookup = {g: i for i, g in enumerate(indices)}
-    blocks: dict = {}
-    for key, entries in total_form.blocks.items():
-        kept = {}
-        for mi, mat in entries.items():
-            if all(i in lookup for i in mi):
-                kept[tuple(lookup[i] for i in mi)] = mat
-        if kept:
-            blocks[key] = kept
-    return TotalForm(total_form.variables, len(indices), total_form.src,
-                     total_form.dst, total_form.total_degree, blocks)
-
-
 def extend_total_form(total_form, indices, frame_rank):
+    """`total_form` over a frame of rank `frame_rank` in which its frame
+    sits as the ascending, distinct `indices`: each stored bitmask has bit k
+    renamed to bit indices[k].  The result shares D and the stored matrices,
+    since an injective renaming keeps lowest terms and writes no entry."""
     indices = tuple(sorted(indices))
     if len(indices) != total_form.frame_rank:
         raise MismatchError("subframe size does not match the form's frame rank")
-    blocks: dict = {}
-    for key, entries in total_form.blocks.items():
-        blocks[key] = {tuple(indices[i] for i in mi): mat
-                       for mi, mat in entries.items()}
-    return TotalForm(total_form.variables, frame_rank, total_form.src,
-                     total_form.dst, total_form.total_degree, blocks)
+    if len(set(indices)) != len(indices) or not all(0 <= k < frame_rank for k in indices):
+        raise MismatchError(f"subframe indices {list(indices)} are not distinct "
+                            f"indices below {frame_rank}")
+    D, view = total_form._kernel
+    return TotalForm._unchecked(
+        total_form.variables, int(frame_rank), total_form.src, total_form.dst,
+        total_form.total_degree,
+        (D, {key: {_mask(tuple(indices[k] for k in _indices(mask))): rows
+                   for mask, rows in entries.items()}
+             for key, entries in view.items()}))

@@ -297,6 +297,35 @@ def poly_connection_d(nabla, form):
     return out
 
 
+def restrict_total_form(total_form, indices):
+    """The pullback of a total form along the inclusion of the subframe
+    `indices`, by Poly matrices: the multi-indices inside the subframe,
+    renumbered 0..len - 1, through the checked constructor.  The reference
+    of `ideal_membership(total_form, indices, 1)` as "the restriction is
+    zero"."""
+    indices = tuple(sorted(indices))
+    lookup = {g: i for i, g in enumerate(indices)}
+    blocks = {}
+    for key, entries in total_form.blocks.items():
+        kept = {tuple(lookup[i] for i in mi): mat for mi, mat in entries.items()
+                if all(i in lookup for i in mi)}
+        if kept:
+            blocks[key] = kept
+    return TotalForm(total_form.variables, len(indices), total_form.src,
+                     total_form.dst, total_form.total_degree, blocks)
+
+
+def extend_total_form_by_polys(total_form, indices, frame_rank):
+    """A total form on the subframe `indices` pushed to a frame of rank
+    `frame_rank`, zero off the subframe, by Poly matrices through the
+    checked constructor: the reference of `forms.extend_total_form`."""
+    indices = tuple(sorted(indices))
+    blocks = {key: {tuple(indices[i] for i in mi): mat for mi, mat in entries.items()}
+              for key, entries in total_form.blocks.items()}
+    return TotalForm(total_form.variables, frame_rank, total_form.src,
+                     total_form.dst, total_form.total_degree, blocks)
+
+
 # --- the Poincare lemma: a primitive on TR^n that shares no code with the solver ---
 
 

@@ -1051,3 +1051,31 @@ def test_a_transgression_from_the_flat_frame_is_a_primitive_of_the_character():
     assert not_flat == ["broken_jacobi", "polynomial"]
     # and the default bound decides every draw
     assert draws >= 50 and statuses == {"zero": draws}
+
+
+def test_a_cuth_transgression_from_the_flat_frame_is_a_primitive_of_the_character():
+    # the same over connections up to homotopy: the zero cuth, zero
+    # connections and D = 0, is flat where d_A^2 = 0, so transgression(0, D,
+    # k) is a primitive of sigma_k(D) on R^a[0] + R^b[1], with R[2] or not
+    rng = random.Random(71)
+    draws, nonzero, statuses = 0, 0, Counter()
+    for name in sorted(PRESENTATIONS):
+        a = PRESENTATIONS[name]()
+        if not a.d_squared_check()[0]:
+            continue
+        for extra in ([], [(2, 1)], []):
+            bundle = GradedBundle([(0, rng.randint(1, 2)), (1, rng.randint(1, 2))] + extra)
+            zero = ConnectionUpToHomotopy(a, bundle, {z: LinearConnection.zero(a, r)
+                                                      for z, r in bundle.summands})
+            conn = random_cuth(rng, a, bundle)
+            for k in range(1, 4):
+                T = transgression(zero, conn, k)
+                sigma = sigma_character(conn, k).form
+                assert a.d(T) == sigma
+                status, _ = class_status(a, sigma)
+                statuses[status] += 1
+                nonzero += not sigma.is_zero()
+                draws += 1
+    # the default bound decides every draw, and the class is never nonzero
+    assert draws >= 150 and nonzero >= 40 and statuses == {"zero": draws}, (
+        draws, nonzero, statuses)

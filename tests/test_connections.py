@@ -425,10 +425,11 @@ def test_curvature_matches_the_frame_formula(name):
     rng = random.Random(sum(map(ord, name)) + 2)
     for rank, label in ((1, 0), (2, -1), (3, 2)):
         nab = random_linear_connection(rng, a, rank, max_poly_degree=2)
-        R = ConnectionUpToHomotopy.from_linear(nab, label).curvature()
+        R = ConnectionUpToHomotopy(a, GradedBundle([(label, rank)]), {label: nab}).curvature()
         assert set(R.blocks) <= {(2, label, label)}
+        zero = mat_zero(rank, rank, a.variables)
         for i, j in itertools.combinations(range(a.rank), 2):
-            assert (R.block_matrix((2, label, label), (i, j))
+            assert (R.block(2, label, label).get((i, j), zero)
                     == curvature_matrix_reference(nab, i, j))
 
 
@@ -875,7 +876,7 @@ def test_linear_curvature_is_computed_once_per_label(monkeypatch):
     assert nab.is_flat() is R.is_zero()
     assert counts == {"_d_into": 1, "_product": 2}
     # the same bundle in degree 1 is its own connection up to homotopy
-    conn = ConnectionUpToHomotopy.from_linear(nab, 1)
+    conn = ConnectionUpToHomotopy(a, GradedBundle([(1, 2)]), {1: nab})
     shifted = conn.curvature()
     assert set(shifted.blocks) == {(2, 1, 1)}
     assert conn.curvature() is shifted

@@ -31,14 +31,14 @@ from gradweil.forms import (
     mat_is_zero,
     mat_mul,
     render_form,
-    restrict_total_form,
     tr,
 )
 from gradweil.randgen import random_cuth, random_form, random_total_form
 from gradweil.ring import EXPONENT_LIMIT, FIELD, Poly, _pack, _unpack
 from oracles import (LINE, basis_element, block_pass, chart_block_pass, curvature_power,
-                     element, exponent_terms, graded_commutator, hat, merge_sign, poly_add,
-                     poly_connection_d, poly_d, poly_scale, poly_wedge, sort_with_sign)
+                     element, exponent_terms, extend_total_form_by_polys, graded_commutator,
+                     hat, merge_sign, poly_add, poly_connection_d, poly_d, poly_scale,
+                     poly_wedge, restrict_total_form, sort_with_sign)
 from test_algebroid import PRESENTATIONS, fractional_chart_presentation
 
 VS = ("x",)
@@ -384,6 +384,58 @@ def test_restrict_extend_total_form_roundtrip():
         assert (back + K.scale(-1)).is_zero()
 
 
+def test_restriction_vanishes_exactly_in_the_annihilator_ideal():
+    # the reports read ideal_membership(K, sub, 1) as "K restricts to zero on
+    # the subframe sub"; the Poly restriction is its reference
+    rng = random.Random(59)
+    E = GradedBundle([(0, 1), (1, 2)])
+    outcomes = Counter()
+    for variables in ((), VS, ("x", "y")):
+        for _ in range(60):
+            rank = rng.randint(1, 4)
+            K = random_total_form(rng, variables, rank, E, rng.choice([0, 1, 2]))
+            sub = tuple(sorted(rng.sample(range(rank), rng.randint(0, rank))))
+            vanishes = restrict_total_form(K, sub).is_zero()
+            assert vanishes == ideal_membership(K, sub, 1)
+            outcomes[vanishes] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+@pytest.mark.parametrize("variables", [(), VS], ids=["point", "chart"])
+def test_extend_total_form_renames_the_stored_bitmasks(variables):
+    rng = random.Random(61)
+    E = GradedBundle([(0, 1), (1, 2)])
+    fractional = 0
+    for _ in range(20):
+        K = random_total_form(rng, variables, 3, E, rng.choice([0, 1]))
+        D, view = K._kernel
+        fractional += D > 1
+        stored = copy.deepcopy(K._kernel)
+        ext = extend_total_form(K, (4, 0, 2), 5)
+        assert ext == extend_total_form_by_polys(K, (0, 2, 4), 5)
+        # the same D and the very matrices K stores, under renamed bitmasks
+        assert ext._kernel[0] == D
+        for key, entries in view.items():
+            for mask, rows in entries.items():
+                new = sum(1 << (0, 2, 4)[k] for k in _indices(mask))
+                assert ext._kernel[1][key][new] is rows
+        # nothing the extension or arithmetic on it does writes into them
+        _ = (ext.wedge(ext), ext + ext, ext.scale(3), gtr(ext))
+        assert K._kernel == stored
+    assert fractional
+
+
+def test_extend_total_form_refuses_a_bad_subframe():
+    one = Poly.one(VS)
+    # two 1-forms: with the indices (1, 1) both would land on e^1
+    K = Form(VS, 2, 1, 1, {((0,), 0): one, ((1,), 0): one})
+    with pytest.raises(MismatchError, match="subframe size"):
+        extend_total_form(K, (0, 1, 2), 4)
+    for indices in ((1, 1), (0, 4), (-1, 2)):
+        with pytest.raises(MismatchError, match="not distinct indices below 4"):
+            extend_total_form(K, indices, 4)
+
+
 def test_form_json_roundtrip():
     rng = random.Random(47)
     for _ in range(15):
@@ -416,8 +468,13 @@ def test_degree_mismatch_rejected():
     one = Poly.one(VS)
     with pytest.raises(MismatchError):
         TotalForm(VS, 2, TWO_TERM, TWO_TERM, 1, {(0, 0, 0): {(): [[one]]}})
-    with pytest.raises(MismatchError):
+    # a Form's multi-indices are checked by TotalForm's constructor
+    with pytest.raises(MismatchError, match=r"bad multi-index \(0, 1\) for form degree 1"):
         Form(VS, 2, 1, 1, {((0, 1), 0): one})
+    with pytest.raises(MismatchError, match=r"bad multi-index \(1, 0\) for form degree 2"):
+        Form(VS, 2, 2, 1, {((1, 0), 0): one})
+    with pytest.raises(MismatchError, match=r"index \(2,\) out of range"):
+        Form(VS, 2, 1, 1, {((2,), 0): one})
     # a block of form degree 3 over a rank-2 frame, or -1, is refused, not dropped
     with pytest.raises(MismatchError, match=r"index \(0, 1, 2\) out of range"):
         TotalForm(VS, 2, TWO_TERM, TWO_TERM, 4, {(3, 0, 1): {(0, 1, 2): [[one]]}})

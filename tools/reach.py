@@ -64,7 +64,6 @@ EXEMPT = {
                              "so traced runs need it",
     "connections._first_difference": "builds the exit-3 message of a curvature "
                                      "pass that did not return Omega",
-    "forms.TotalForm.block_matrix": "_first_difference reads it",
     "chernweil._where": "builds the message of an unclosed character (exit 3) "
                         "and of the library's NotClosedError",
 }
