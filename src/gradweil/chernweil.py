@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connections import LinearConnection, cuth_difference
+from .connections import cuth_difference
 from .errors import InternalCheckError, MismatchError, NotClosedError
 from .forms import Form, _combine, _indices, _mask, _width, gtr, tr
 from .linalg import nullspace, pivot_columns, solve, transpose
@@ -406,10 +406,6 @@ def transgression(old, new, index):
     form coefficients, and integrates index * gtr(R_t^(index-1) D) exactly;
     the power starts at R_t and each term is one trace-only product with D.
     """
-    # a linear connection's kept connection up to homotopy, so its Omega
-    # and curvature are built once
-    old, new = (conn._connection() if isinstance(conn, LinearConnection) else conn
-                for conn in (old, new))
     curvature = old.curvature()
     if old.bundle != new.bundle or old.algebroid != new.algebroid:
         raise MismatchError("transgression needs two cuths on the same bundle")

@@ -1,9 +1,4 @@
-"""Linear connections and connections up to homotopy over an algebroid frame.
-
-A `LinearConnection` stores Christoffel data: nabla_{e_i} f_alpha =
-sum_beta Gamma[i][alpha][beta] f_beta.  Internally the per-frame matrices
-are kept target-major (G_i[beta][alpha] = that coefficient) so that a
-covariant derivative acts on coefficient vectors as rho_i + G_i.
+"""Connections up to homotopy over an algebroid frame; a linear connection is one.
 
 A `ConnectionUpToHomotopy` is a family of grading-preserving connections
 (one per summand) plus a total-degree-1 TotalForm D.  Write Gamma =
@@ -19,11 +14,19 @@ with d_A on each matrix entry, added inside a kernel pass (see
 `TotalForm._product`) and skipped on an algebroid without anchor and
 brackets.  An element of the total complex is a one-column total form x
 from R[0] into the bundle, and `apply` is the one kernel pass Omega ^ x
-that adds d_A x into its own accumulators.  A linear connection is the
-one-summand case with D = 0, and its d_nabla is `apply` on a Form.
-`d_end` is two kernel passes, d_A K + Omega ^ K with d_A fused and
-K ^ Omega, summed once.  The Koszul formula on frame elements and the
-operator commutator stay in the tests as the oracles of all three.
+that adds d_A x into its own accumulators.  `d_end` is two kernel passes,
+d_A K + Omega ^ K with d_A fused and K ^ Omega, summed once.  The Koszul
+formula on frame elements and the operator commutator stay in the tests as
+the oracles of all three.
+
+A `LinearConnection` is the connection up to homotopy on R^rank[0] with
+D = 0, an ordinary A-connection: it adds only its Christoffel data,
+nabla_{e_i} f_alpha = sum_beta Gamma[i][alpha][beta] f_beta, kept
+target-major (G_i[beta][alpha] = that coefficient), and its one summand's
+connection is itself.  So its d_nabla on a bundle-valued Form is `apply`,
+and its curvature, `chernweil.transgression` and the square-zero report
+read the one Omega the class builds.  The covariant derivative of a
+section by Polys lives in the tests as the oracle.
 
 The curvature R is the unique total form with hat(R) = cal_D^2, computed
 once per connection in two kernel passes.  The basis sections are the
@@ -36,12 +39,10 @@ d_A of the images added into its own accumulators (see
 squares are R's columns as they stand.  The formula d_A Omega + Omega ^
 Omega stays in the tests as R's oracle, and no curvature calls
 `TotalForm.wedge`, `Algebroid.d_total` or `+`.  Connections do not change
-after construction: a connection up to homotopy builds Omega once, Gamma
-straight from the checked Christoffel matrices, and keeps its checked
-curvature, and a linear connection keeps its one-summand connection up to
-homotopy, so its d_nabla, its curvature and `chernweil.transgression` read
-one Omega.  Powers of the curvature are traced in `chernweil.power_traces`;
-the tests keep the full product R^i as its oracle.
+after construction: each builds Omega once, Gamma straight from the
+checked Christoffel matrices, and keeps its checked curvature.  Powers of
+the curvature are traced in `chernweil.power_traces`; the tests keep the
+full product R^i as its oracle.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .forms import (
     TotalForm,
     _LINE,
     _combine,
+    _fiber,
     _width,
     mat_is_zero,
     mat_mul,  # noqa: F401  perfbench/test_perfbench.py patches it through this module
@@ -60,194 +62,24 @@ from .forms import (
 from .ring import Poly
 
 
-class LinearConnection:
-    """An A-connection on a trivialized bundle, given by Christoffel matrices."""
-
-    __slots__ = ("algebroid", "rank", "mats", "_cuth")
-
-    def __init__(self, algebroid, rank, mats):
-        self.algebroid = algebroid
-        self.rank = int(rank)
-        if self.rank < 1:
-            raise MismatchError("bundle rank must be positive")
-        mats = tuple(tuple(tuple(self._as_poly(p) for p in row) for row in m)
-                     for m in mats)
-        if len(mats) != algebroid.rank:
-            raise MismatchError("one Christoffel matrix per frame element required")
-        for m in mats:
-            if len(m) != self.rank or any(len(row) != self.rank for row in m):
-                raise MismatchError("Christoffel matrices must be rank x rank")
-        self.mats = mats
-        self._cuth = None   # the one-summand cuth, built once
-
-    def _as_poly(self, p):
-        if isinstance(p, Poly):
-            if p.variables != self.algebroid.variables:
-                raise MismatchError("Christoffel entries live on the wrong chart")
-            return p
-        if isinstance(p, str):
-            return Poly.parse(p, self.algebroid.variables)
-        return Poly.constant(self.algebroid.variables, p)
-
-    @classmethod
-    def from_christoffel(cls, algebroid, gamma):
-        """Build from source-major data: gamma[i][alpha][beta].
-
-        nabla_{e_i} f_alpha = sum_beta gamma[i][alpha][beta] f_beta, which is
-        the transpose of the internal target-major storage.
-        """
-        mats = [list(map(list, zip(*m))) for m in gamma]
-        rank = len(gamma[0]) if gamma else 0
-        return cls(algebroid, rank, mats)
-
-    @classmethod
-    def zero(cls, algebroid, rank):
-        z = Poly.zero(algebroid.variables)
-        mats = [[[z for _ in range(rank)] for _ in range(rank)]
-                for _ in range(algebroid.rank)]
-        return cls(algebroid, rank, mats)
-
-    def christoffel(self):
-        """Source-major Christoffel data (the serialization orientation)."""
-        return [list(map(list, zip(*m))) for m in self.mats]
-
-    @property
-    def variables(self):
-        return self.algebroid.variables
-
-    # -- covariant derivative ---------------------------------------------
-
-    def apply(self, i, components):
-        """nabla_{e_i} of a section given by its coefficient vector."""
-        if len(components) != self.rank:
-            raise MismatchError("section has the wrong number of components")
-        g = self.mats[i]
-        out = []
-        for beta in range(self.rank):
-            acc = self.algebroid.anchor_apply(i, components[beta])
-            for alpha in range(self.rank):
-                acc = acc + g[beta][alpha] * components[alpha]
-            out.append(acc)
-        return out
-
-    def apply_section(self, direction, components):
-        """nabla_u for a section direction u given by frame components."""
-        out = [Poly.zero(self.variables) for _ in range(self.rank)]
-        for i, u_i in enumerate(direction):
-            if u_i.is_zero():
-                continue
-            step = self.apply(i, components)
-            out = [acc + u_i * v for acc, v in zip(out, step)]
-        return out
-
-    # -- connection differential -------------------------------------------
-
-    def _connection(self):
-        """The one-summand connection up to homotopy on this bundle in degree
-        0, built once; it keeps its Omega and its curvature."""
-        if self._cuth is None:
-            self._cuth = ConnectionUpToHomotopy.from_linear(self)
-        return self._cuth
-
-    def d(self, form):
-        """d_nabla w = cal_D w for the one-summand cuth on this bundle."""
-        return self._connection().apply(form)
-
-    # -- curvature -----------------------------------------------------------
-
-    def curvature(self):
-        """R_nabla = d_A Gamma + Gamma ^ Gamma, a TotalForm with the block (2, 0, 0).
-
-        The curvature of the one-summand connection up to homotopy on this
-        bundle in degree 0, which keeps it.
-        """
-        return self._connection().curvature()
-
-    def is_flat(self):
-        return self.curvature().is_zero()
-
-    # -- comparison / io --------------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, LinearConnection)
-                and self.algebroid == other.algebroid
-                and self.rank == other.rank
-                and self.mats == other.mats)
-
-    @classmethod
-    def from_json(cls, data, algebroid, rank=None):
-        if rank is not None and data.get("rank", rank) != rank:
-            raise ParseError(f"connection rank {data['rank']} differs from the rank "
-                             f"{rank} of the bundle it connects")
-        rank = rank if rank is not None else data.get("rank")
-        if rank is None:
-            raise MismatchError("connection payload needs a bundle rank")
-        zero = Poly.zero(algebroid.variables)
-        gamma = [[[zero for _ in range(rank)] for _ in range(rank)]
-                 for _ in range(algebroid.rank)]
-        seen = set()
-        for entry in data.get("christoffel", []):
-            i = entry["frame"]
-            if i >= algebroid.rank:
-                raise ParseError(f"christoffel frame {i} is out of range for "
-                                 f"an algebroid of rank {algebroid.rank}")
-            if i in seen:
-                raise ParseError(f"christoffel frame {i} is given twice")
-            seen.add(i)
-            matrix = entry["matrix"]
-            if len(matrix) != rank or any(len(row) != rank for row in matrix):
-                raise MismatchError(f"christoffel matrix at frame {i} has wrong shape")
-            gamma[i] = [[Poly.parse(p, algebroid.variables) for p in row]
-                        for row in matrix]
-        return cls.from_christoffel(algebroid, gamma)
-
-
-def induced_hom_connection(src, dst):
-    """The Hom(E, E') connection of a pair of connections on one algebroid.
-
-    Hom fibers are flattened row-major: phi_{mu alpha} sits at index
-    mu * rank(E) + alpha.  (nabla^Hom phi)(e) = nabla'(phi e) - phi(nabla e),
-    i.e. G^Hom acts as M -> G' M - M G on matrices.
-    """
-    if src.algebroid is not dst.algebroid and src.algebroid != dst.algebroid:
-        raise MismatchError("hom connection needs both factors over one algebroid")
-    A = src.algebroid
-    r_s, r_d = src.rank, dst.rank
-    hom_rank = r_s * r_d
-    zero = Poly.zero(A.variables)
-    mats = []
-    for i in range(A.rank):
-        g = [[zero for _ in range(hom_rank)] for _ in range(hom_rank)]
-        gs, gd = src.mats[i], dst.mats[i]
-        for mu in range(r_d):
-            for alpha in range(r_s):
-                row = mu * r_s + alpha
-                for beta in range(r_d):
-                    g[row][beta * r_s + alpha] = g[row][beta * r_s + alpha] + gd[mu][beta]
-                for delta in range(r_s):
-                    g[row][mu * r_s + delta] = g[row][mu * r_s + delta] - gs[delta][alpha]
-        mats.append(g)
-    return LinearConnection(A, hom_rank, mats)
-
-
 class ConnectionUpToHomotopy:
     """cal_D = d_nabla + hat(D) on forms valued in a graded bundle."""
 
-    __slots__ = ("algebroid", "bundle", "nablas", "D", "_omega", "_curvature")
+    __slots__ = ("algebroid", "bundle", "_nablas", "D", "_omega", "_curvature")
 
     def __init__(self, algebroid, bundle, nablas, D=None):
         self.algebroid = algebroid
         self.bundle = bundle
-        self.nablas = dict(nablas)
+        self._nablas = dict(nablas)
         for z, r in bundle.summands:
-            conn = self.nablas.get(z)
+            conn = self._nablas.get(z)
             if conn is None:
                 raise MismatchError(f"missing connection for summand degree {z}")
             if conn.rank != r:
                 raise MismatchError(f"connection rank mismatch on summand {z}")
             if conn.algebroid != algebroid:
                 raise MismatchError("summand connection over a different algebroid")
-        if set(self.nablas) != set(bundle.degrees()):
+        if set(self._nablas) != set(bundle.degrees()):
             raise MismatchError("connections must match the bundle degrees exactly")
         if D is None:
             D = TotalForm.zero(algebroid.variables, algebroid.rank,
@@ -260,9 +92,10 @@ class ConnectionUpToHomotopy:
         self._omega = None       # Gamma + D, built once
         self._curvature = None   # computed and checked once
 
-    @classmethod
-    def from_linear(cls, nabla):
-        return cls(nabla.algebroid, GradedBundle([(0, nabla.rank)]), {0: nabla})
+    @property
+    def nablas(self):
+        """The linear connection of each summand, by degree."""
+        return self._nablas
 
     @property
     def variables(self):
@@ -352,6 +185,135 @@ class ConnectionUpToHomotopy:
                           bundle, _width(self.variables))
         return TotalForm._unchecked(K.variables, K.frame_rank, bundle, bundle,
                                     K.total_degree + 1, kernel)
+
+
+class LinearConnection(ConnectionUpToHomotopy):
+    """An A-connection on a trivialized bundle, given by Christoffel matrices:
+    the connection up to homotopy on R^rank[0] with D = 0."""
+
+    __slots__ = ("rank", "mats")
+
+    def __init__(self, algebroid, rank, mats):
+        self.algebroid = algebroid
+        self.rank = int(rank)
+        if self.rank < 1:
+            raise MismatchError("bundle rank must be positive")
+        mats = tuple(tuple(tuple(self._as_poly(p) for p in row) for row in m)
+                     for m in mats)
+        if len(mats) != algebroid.rank:
+            raise MismatchError("one Christoffel matrix per frame element required")
+        for m in mats:
+            if len(m) != self.rank or any(len(row) != self.rank for row in m):
+                raise MismatchError("Christoffel matrices must be rank x rank")
+        self.mats = mats
+        self.bundle = _fiber(self.rank)
+        self.D = TotalForm.zero(algebroid.variables, algebroid.rank,
+                                self.bundle, self.bundle, 1)
+        self._omega = None
+        self._curvature = None
+
+    @property
+    def nablas(self):
+        """{0: self}, built on each read: stored, it would make every linear
+        connection a reference cycle."""
+        return {0: self}
+
+    def _as_poly(self, p):
+        if isinstance(p, Poly):
+            if p.variables != self.algebroid.variables:
+                raise MismatchError("Christoffel entries live on the wrong chart")
+            return p
+        if isinstance(p, str):
+            return Poly.parse(p, self.algebroid.variables)
+        return Poly.constant(self.algebroid.variables, p)
+
+    @classmethod
+    def from_christoffel(cls, algebroid, gamma):
+        """Build from source-major data: gamma[i][alpha][beta].
+
+        nabla_{e_i} f_alpha = sum_beta gamma[i][alpha][beta] f_beta, which is
+        the transpose of the internal target-major storage.
+        """
+        mats = [list(map(list, zip(*m))) for m in gamma]
+        rank = len(gamma[0]) if gamma else 0
+        return cls(algebroid, rank, mats)
+
+    @classmethod
+    def zero(cls, algebroid, rank):
+        z = Poly.zero(algebroid.variables)
+        mats = [[[z for _ in range(rank)] for _ in range(rank)]
+                for _ in range(algebroid.rank)]
+        return cls(algebroid, rank, mats)
+
+    def christoffel(self):
+        """Source-major Christoffel data (the serialization orientation)."""
+        return [list(map(list, zip(*m))) for m in self.mats]
+
+    def is_flat(self):
+        return self.curvature().is_zero()
+
+    # -- comparison / io --------------------------------------------------------
+
+    def __eq__(self, other):
+        return (isinstance(other, LinearConnection)
+                and self.algebroid == other.algebroid
+                and self.rank == other.rank
+                and self.mats == other.mats)
+
+    @classmethod
+    def from_json(cls, data, algebroid, rank=None):
+        if rank is not None and data.get("rank", rank) != rank:
+            raise ParseError(f"connection rank {data['rank']} differs from the rank "
+                             f"{rank} of the bundle it connects")
+        rank = rank if rank is not None else data.get("rank")
+        if rank is None:
+            raise MismatchError("connection payload needs a bundle rank")
+        zero = Poly.zero(algebroid.variables)
+        gamma = [[[zero for _ in range(rank)] for _ in range(rank)]
+                 for _ in range(algebroid.rank)]
+        seen = set()
+        for entry in data.get("christoffel", []):
+            i = entry["frame"]
+            if i >= algebroid.rank:
+                raise ParseError(f"christoffel frame {i} is out of range for "
+                                 f"an algebroid of rank {algebroid.rank}")
+            if i in seen:
+                raise ParseError(f"christoffel frame {i} is given twice")
+            seen.add(i)
+            matrix = entry["matrix"]
+            if len(matrix) != rank or any(len(row) != rank for row in matrix):
+                raise MismatchError(f"christoffel matrix at frame {i} has wrong shape")
+            gamma[i] = [[Poly.parse(p, algebroid.variables) for p in row]
+                        for row in matrix]
+        return cls.from_christoffel(algebroid, gamma)
+
+
+def induced_hom_connection(src, dst):
+    """The Hom(E, E') connection of a pair of connections on one algebroid.
+
+    Hom fibers are flattened row-major: phi_{mu alpha} sits at index
+    mu * rank(E) + alpha.  (nabla^Hom phi)(e) = nabla'(phi e) - phi(nabla e),
+    i.e. G^Hom acts as M -> G' M - M G on matrices.
+    """
+    if src.algebroid is not dst.algebroid and src.algebroid != dst.algebroid:
+        raise MismatchError("hom connection needs both factors over one algebroid")
+    A = src.algebroid
+    r_s, r_d = src.rank, dst.rank
+    hom_rank = r_s * r_d
+    zero = Poly.zero(A.variables)
+    mats = []
+    for i in range(A.rank):
+        g = [[zero for _ in range(hom_rank)] for _ in range(hom_rank)]
+        gs, gd = src.mats[i], dst.mats[i]
+        for mu in range(r_d):
+            for alpha in range(r_s):
+                row = mu * r_s + alpha
+                for beta in range(r_d):
+                    g[row][beta * r_s + alpha] = g[row][beta * r_s + alpha] + gd[mu][beta]
+                for delta in range(r_s):
+                    g[row][mu * r_s + delta] = g[row][mu * r_s + delta] - gs[delta][alpha]
+        mats.append(g)
+    return LinearConnection(A, hom_rank, mats)
 
 
 def _first_difference(left, right):

@@ -89,6 +89,21 @@ def _vec_neg(vector):
     return [-p for p in vector]
 
 
+def _covariant(nabla, direction, section):
+    """nabla_u s = sum_i u_i (rho_i(s) + G_i s) for u and s given by frame
+    components, G_i the target-major Christoffel matrix of frame element i."""
+    out = [Poly.zero(nabla.variables)] * nabla.rank
+    for i, u_i in enumerate(direction):
+        if u_i.is_zero():
+            continue
+        for beta, g in enumerate(nabla.mats[i]):
+            acc = nabla.algebroid.anchor_apply(i, section[beta])
+            for coeff, s in zip(g, section):
+                acc = acc + coeff * s
+            out[beta] = out[beta] + u_i * acc
+    return out
+
+
 # ----------------------------------------------------------------------
 # square-zero reports
 
@@ -108,8 +123,6 @@ def square_zero_check(conn):
     flatness condition are reported separately under their usual names;
     other curvature blocks are listed generically.
     """
-    if not isinstance(conn, ConnectionUpToHomotopy):
-        conn = ConnectionUpToHomotopy.from_linear(conn)
     curvature = conn.curvature()
     checks = [_check("square_zero", curvature.is_zero())]
     keys = []
@@ -213,7 +226,7 @@ def morphism_rep(algebroid_b, algebroid_a, partial, nabla):
         for j in range(rb):
             rows.append(_vec_add(
                 algebroid_b.bracket_vector(i, j),
-                nabla.apply_section(partial[j], _basis(variables, rb, i))))
+                _covariant(nabla, partial[j], _basis(variables, rb, i))))
         gamma_b.append(rows)
 
     # nabla^partial on A:  [partial(b_i), e_a] + partial(nabla_{e_a} b_i)
@@ -237,15 +250,14 @@ def morphism_rep(algebroid_b, algebroid_a, partial, nabla):
             for a in range(ra):
                 delta_a = _basis(variables, ra, a)
                 bracket = algebroid_b.bracket_vector(i, j)
-                t1 = _vec_neg(nabla.apply_section(delta_a, bracket))
+                t1 = _vec_neg(_covariant(nabla, delta_a, bracket))
                 t2 = algebroid_b.section_bracket(christoffel[a][i],
                                                  _basis(variables, rb, j))
                 t3 = algebroid_b.section_bracket(_basis(variables, rb, i),
                                                  christoffel[a][j])
-                t4 = nabla.apply_section(gamma_a[j][a],
-                                         _basis(variables, rb, i))
-                t5 = _vec_neg(nabla.apply_section(gamma_a[i][a],
-                                                  _basis(variables, rb, j)))
+                t4 = _covariant(nabla, gamma_a[j][a], _basis(variables, rb, i))
+                t5 = _vec_neg(_covariant(nabla, gamma_a[i][a],
+                                         _basis(variables, rb, j)))
                 vec = _vec_add(t1, t2, t3, t4, t5)
                 for k in range(rb):
                     mat[k][a] = -vec[k]
@@ -276,8 +288,7 @@ def adjoint_rep(algebroid, nabla_tm=None):
         r = algebroid.rank
         gamma = [[list(algebroid.bracket_vector(i, j)) for j in range(r)]
                  for i in range(r)]
-        return ConnectionUpToHomotopy.from_linear(
-            LinearConnection.from_christoffel(algebroid, gamma))
+        return LinearConnection.from_christoffel(algebroid, gamma)
     if nabla_tm is None:
         raise MismatchError("a tangent-frame connection is required over a chart base")
     return morphism_rep(algebroid, tangent_algebroid(algebroid.chart),
@@ -374,7 +385,7 @@ def atiyah_form(algebroid, subframe, nabla_sub, extension=None,
     bott_conn = LinearConnection.from_christoffel(sub_algebroid, gamma_bott)
     end_conn = induced_hom_connection(nabla_sub, nabla_sub)
     hom_conn = induced_hom_connection(bott_conn, end_conn)
-    closed = hom_conn.d(omega).is_zero()
+    closed = hom_conn.apply(omega).is_zero()
 
     zero_form = omega.is_zero()
     if zero_form != ideal_membership(curvature, subframe.indices, 2):

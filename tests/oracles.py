@@ -280,6 +280,46 @@ def poly_d(algebroid, form):
     return out
 
 
+def covariant(nabla, i, components):
+    """nabla_{e_i} of a section given by its coefficient vector, on Polys:
+    rho_i of each component plus G_i times the vector, G_i the target-major
+    Christoffel matrix of frame element i."""
+    if len(components) != nabla.rank:
+        raise MismatchError("section has the wrong number of components")
+    g = nabla.mats[i]
+    out = []
+    for beta in range(nabla.rank):
+        acc = nabla.algebroid.anchor_apply(i, components[beta])
+        for alpha in range(nabla.rank):
+            acc = acc + g[beta][alpha] * components[alpha]
+        out.append(acc)
+    return out
+
+
+def covariant_section(nabla, direction, components):
+    """nabla_u for a section direction u given by frame components."""
+    out = [Poly.zero(nabla.variables) for _ in range(nabla.rank)]
+    for i, u_i in enumerate(direction):
+        if u_i.is_zero():
+            continue
+        step = covariant(nabla, i, components)
+        out = [acc + u_i * v for acc, v in zip(out, step)]
+    return out
+
+
+def interior(x, form):
+    """i_x of a form, x a frame vector of numbers: i_x e^J = sum_t (-1)^t
+    x_(j_t) e^(J without j_t) for J = (j_0 < j_1 < ...)."""
+    coeffs = {}
+    for (mi, alpha), poly in form.coeffs.items():
+        for t, j in enumerate(mi):
+            if x[j]:
+                key = (mi[:t] + mi[t + 1:], alpha)
+                term = poly * (x[j] if t % 2 == 0 else -x[j])
+                coeffs[key] = coeffs[key] + term if key in coeffs else term
+    return Form(form.variables, form.frame_rank, form.degree - 1, form.fiber_dim, coeffs)
+
+
 def poly_connection_d(nabla, form):
     """d_nabla w = d_A w + sum_i e^i ^ (G_i w) on Polys, G_i the target-major
     Christoffel matrix of frame direction i."""

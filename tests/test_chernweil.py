@@ -29,14 +29,15 @@ from gradweil.chernweil import (
     transgression,
 )
 from gradweil.connections import ConnectionUpToHomotopy, LinearConnection
+from gradweil.constructions import square_zero_check
 from gradweil.errors import InternalCheckError, MismatchError, NotClosedError
 from gradweil.forms import Form, GradedBundle, TotalForm, gtr, render_form, tr
 from gradweil.linalg import solve
 from gradweil.problems import run_problem
 from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
-from oracles import (curvature_power, d_sparse_sources_reference, exponent_terms,
-                     radial_primitive, rho_pullback, tangent_line, total_degree,
+from oracles import (covariant, curvature_power, d_sparse_sources_reference, exponent_terms,
+                     interior, radial_primitive, rho_pullback, tangent_line, total_degree,
                      transgression_by_sums)
 from test_algebroid import PRESENTATIONS, koszul_reference, packed_key, tuple_column, tuple_key
 from test_connections import _count_calls, _count_first_curvatures
@@ -88,8 +89,8 @@ def test_characters_of_a_linear_connection_reuse_its_curvature(monkeypatch):
                                   "transgression_sl2_borelmod"])
 def test_transgression_task_computes_each_curvature_once(monkeypatch, name):
     # two connections, so two curvatures and two Omegas: each linear
-    # connection keeps its connection up to homotopy, which its character
-    # and the transgression both read
+    # connection is a connection up to homotopy, whose Omega and curvature
+    # its character and the transgression both read
     counts = {}
     _count_first_curvatures(monkeypatch, counts)
     _count_calls(monkeypatch, ConnectionUpToHomotopy, "connection_form", counts)
@@ -212,7 +213,7 @@ def test_power_traces_by_halves_match_traces_of_the_full_product(monkeypatch, ma
                                                                   summands, fourth):
     rng = random.Random(41)
     if summands is None:
-        conn = ConnectionUpToHomotopy.from_linear(random_linear_connection(rng, maker(), 3))
+        conn = random_linear_connection(rng, maker(), 3)
     else:
         conn = random_cuth(rng, maker(), GradedBundle(summands))
     R = conn.curvature()
@@ -1079,3 +1080,74 @@ def test_a_cuth_transgression_from_the_flat_frame_is_a_primitive_of_the_characte
     # the default bound decides every draw, and the class is never nonzero
     assert draws >= 150 and nonzero >= 40 and statuses == {"zero": draws}, (
         draws, nonzero, statuses)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_a_linear_connection_is_its_one_summand_connection_up_to_homotopy(name):
+    # on a section, the operator is the covariant derivative in each e^i; the
+    # character, the square-zero report and the transgression are those of
+    # the connection up to homotopy built from it on R^n[0]
+    a = PRESENTATIONS[name]()
+    rng = random.Random(f"one type:{name}")
+    for rank in (1, 2, 3):
+        nabla = random_linear_connection(rng, a, rank, max_poly_degree=2)
+        zero = LinearConnection.zero(a, rank)
+        bundle = GradedBundle([(0, rank)])
+        twin = ConnectionUpToHomotopy(a, bundle, {0: nabla})
+        zero_twin = ConnectionUpToHomotopy(a, bundle, {0: zero})
+        section = random_form(rng, a.variables, a.rank, 0, fiber_dim=rank,
+                              max_poly_degree=2, density=3)
+        components = [section.get((), alpha) for alpha in range(rank)]
+        image = nabla.apply(section)
+        for i in range(a.rank):
+            assert [image.get((i,), beta) for beta in range(rank)] == covariant(
+                nabla, i, components)
+        assert square_zero_check(nabla) == square_zero_check(twin)
+        for k in range(1, 4):
+            assert sigma_character(nabla, k) == sigma_character(twin, k)
+            assert transgression(zero, nabla, k) == transgression(zero_twin, twin, k)
+
+
+# frame elements whose ad is diagonal in the frame; x is their sum
+CARTAN_ELEMENTS = {"two_aff1_plus_center": (0, 2), "sl2": (0,), "solvable5": (2,)}
+
+
+def diagonal_weights(algebroid, support):
+    """lambda_b with ad(x) e_b = lambda_b e_b, x the sum of the frame elements
+    in `support`, read off the structure constants of a point-base algebra."""
+    weights = []
+    for b in range(algebroid.rank):
+        image = [sum((algebroid.structure[c][b][m] for c in support), Poly.zero(()))
+                 for m in range(algebroid.rank)]
+        assert all(p.is_zero() for m, p in enumerate(image) if m != b)
+        weights.append(Fraction(str(image[b])))
+    return weights
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN_ELEMENTS))
+def test_cartan_primitives_of_the_nonzero_weight_parts_of_closed_forms(name):
+    # L_x acts on e^J by the weight w(J) = -sum_(j in J) lambda_j and d_A keeps
+    # the weight, so by Cartan's L_x = d i_x + i_x d each closed part omega_w
+    # of weight w != 0 has the primitive i_x omega_w / w
+    a = PRESENTATIONS[name]()
+    support = CARTAN_ELEMENTS[name]
+    weights = diagonal_weights(a, support)
+    assert any(weights)
+    x = [Fraction(int(b in support)) for b in range(a.rank)]
+    rng = random.Random(f"cartan:{name}")
+    closed = [a.d(random_form(rng, (), a.rank, k, density=4))
+              for k in range(a.rank) for _ in range(4)]
+    closed += [sigma_character(random_linear_connection(rng, a, 2), k).form
+               for k in (1, 2) for _ in range(3)]
+    checked = 0
+    for omega in closed:
+        parts = {}
+        for (mi, alpha), poly in omega.coeffs.items():
+            parts.setdefault(-sum(weights[j] for j in mi), {})[(mi, alpha)] = poly
+        for w, coeffs in parts.items():
+            part = Form((), a.rank, omega.degree, 1, coeffs)
+            assert a.d(part).is_zero()
+            if w:
+                assert a.d(interior(x, part).scale(1 / w)) == part
+                checked += 1
+    assert checked >= 10, checked

@@ -1,5 +1,6 @@
 """Connections, twisted differentials, connections up to homotopy."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -27,8 +28,9 @@ from gradweil.randgen import (
     random_total_form,
 )
 from gradweil.ring import Poly
-from oracles import (LINE, basis_element, curvature_formula, curvature_power, element,
-                     flat_borel_module, graded_commutator, hat, sort_with_sign, tangent_line)
+from oracles import (LINE, basis_element, covariant, curvature_formula, curvature_power,
+                     element, flat_borel_module, graded_commutator, hat, sort_with_sign,
+                     tangent_line)
 from test_algebroid import PRESENTATIONS
 from test_forms import apply_part_reference, mat_add, single_block, unhat_from_sections
 
@@ -50,7 +52,7 @@ def basis_section(nab, alpha):
 def test_twisted_differential_on_basis_section():
     nab = scalar_aff1_connection()
     e = basis_section(nab, 0)
-    de = nab.d(e)
+    de = nab.apply(e)
     two, three = Poly.constant((), 2), Poly.constant((), 3)
     assert de == Form((), 2, 1, 1, {((0,), 0): two, ((1,), 0): three})
 
@@ -75,7 +77,7 @@ def test_curvature_is_d_squared():
             R = nab.curvature()
             omega = random_form(rng, a.variables, a.rank,
                                 rng.randint(0, 1), fiber_dim=r)
-            assert nab.d(nab.d(omega)) == hat(R, omega)
+            assert nab.apply(nab.apply(omega)) == hat(R, omega)
 
 
 def test_twisted_differential_leibniz():
@@ -88,9 +90,9 @@ def test_twisted_differential_leibniz():
         alpha = random_form(rng, a.variables, a.rank, p)
         omega = random_form(rng, a.variables, a.rank, rng.randint(0, 1),
                             fiber_dim=r)
-        lhs = nab.d(alpha.wedge(omega))
+        lhs = nab.apply(alpha.wedge(omega))
         sign = -1 if p % 2 else 1
-        rhs = a.d(alpha).wedge(omega) + alpha.wedge(nab.d(omega)).scale(sign)
+        rhs = a.d(alpha).wedge(omega) + alpha.wedge(nab.apply(omega)).scale(sign)
         assert lhs == rhs
 
 
@@ -106,18 +108,33 @@ def test_hom_connection_leibniz():
         s = [p for (p,) in random_matrix(rng, 2, 1, a.variables)]
         for i in range(a.rank):
             # (nabla^Hom phi)(s) + phi(nabla s) == nabla'(phi s)
-            dphi_flat = hom.apply(i, [p for row in phi for p in row])
+            dphi_flat = covariant(hom, i, [p for row in phi for p in row])
             dphi = [dphi_flat[my * 2:(my + 1) * 2] for my in range(2)]
             phi_s = [sum((phi[m][al] * s[al] for al in range(2)),
                          Poly.zero(a.variables)) for m in range(2)]
             lhs = [sum((dphi[m][al] * s[al] for al in range(2)),
                        Poly.zero(a.variables)) for m in range(2)]
-            ds = src.apply(i, s)
-            rhs = dst.apply(i, phi_s)
+            ds = covariant(src, i, s)
+            rhs = covariant(dst, i, phi_s)
             mid = [sum((phi[m][al] * ds[al] for al in range(2)),
                        Poly.zero(a.variables)) for m in range(2)]
             for m in range(2):
                 assert lhs[m] + mid[m] == rhs[m]
+
+
+def test_a_linear_connection_refers_to_itself_nowhere():
+    # its one summand's connection is itself, computed on each read: a stored
+    # self-reference would make every connection a cycle only the GC frees
+    rng = random.Random(17)
+    nab = random_linear_connection(rng, catalog.aff1_action_line(), 2)
+    nab.curvature()
+    assert nab.nablas == {0: nab} and nab.nablas[0] is nab
+    slots = [name for cls in type(nab).__mro__ for name in getattr(cls, "__slots__", ())]
+    assert {"rank", "mats", "D", "_omega", "_curvature"} <= set(slots)
+    for name in slots:
+        value = getattr(nab, name, None)
+        assert value is not nab and nab not in gc.get_referents(value), name
+    assert nab not in gc.get_referents(nab)
 
 
 def test_hom_connection_scalar_is_difference():
@@ -136,7 +153,7 @@ def test_connection_json_source_major():
     ]}
     nab = LinearConnection.from_json(data, a)
     # wire matrix[alpha][beta]: nabla_{e1} s_1 = s_2; internally target-major
-    out = nab.apply(0, [Poly.one(()), Poly.zero(())])
+    out = covariant(nab, 0, [Poly.one(()), Poly.zero(())])
     assert [str(c) for c in out] == ["0", "1"]
     assert nab.mats[0][1][0] == 1
 
@@ -304,7 +321,7 @@ def koszul_linear_d(nabla, form):
             vec = [form.get(rest, a) for a in range(form.fiber_dim)]
             if all(p.is_zero() for p in vec):
                 continue
-            step = nabla.apply(out_idx[t], vec)
+            step = covariant(nabla, out_idx[t], vec)
             if t % 2:
                 step = [-p for p in step]
             acc = [a + s for a, s in zip(acc, step)]
@@ -416,7 +433,7 @@ def test_linear_d_matches_the_koszul_formula(name):
             for _ in range(2):
                 form = random_form(rng, a.variables, a.rank, degree,
                                    fiber_dim=rank, max_poly_degree=2, density=3)
-                assert nab.d(form) == koszul_linear_d(nab, form)
+                assert nab.apply(form) == koszul_linear_d(nab, form)
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
@@ -617,7 +634,6 @@ def test_cuth_apply_makes_one_kernel_pass_per_element(monkeypatch):
     assert len(x.blocks) > 1
     conn.omega()
     _count_calls(monkeypatch, TotalForm, "_product", counts)
-    _count_calls(monkeypatch, LinearConnection, "d", counts)
     image = conn.apply(x)
     assert counts == {"_product": 1}
     assert image == cuth_apply_reference(conn, x)
@@ -643,7 +659,7 @@ def test_the_operator_and_d_end_refuse_an_operand_over_another_frame(frame):
     form = random_form(rng, variables, rank, 1, fiber_dim=2, density=3)
     K = random_total_form(rng, variables, rank, conn.bundle, 1)
     assert not form.is_zero() and not K.is_zero()
-    for call, operand in ((nab.d, form), (conn.apply, element(conn.bundle, form, 1)),
+    for call, operand in ((nab.apply, form), (conn.apply, element(conn.bundle, form, 1)),
                           (conn.d_end, K)):
         with pytest.raises(MismatchError):
             call(operand)
@@ -666,7 +682,7 @@ def test_the_operator_refuses_an_operand_outside_its_total_complex():
         with pytest.raises(MismatchError):
             conn.apply(operand)
     with pytest.raises(MismatchError):
-        nab.d(random_form(rng, variables, rank, 1, fiber_dim=3, density=3))
+        nab.apply(random_form(rng, variables, rank, 1, fiber_dim=3, density=3))
     with pytest.raises(MismatchError):
         conn.d_end(random_total_form(rng, variables, rank, ODD_BUNDLES[1], 1))
 
@@ -778,7 +794,8 @@ def test_linear_curvature_passes_on_charts_match_the_unfused_formula(n, monkeypa
     rng = random.Random(f"passes:TR^{n}")
     for _ in range(3):
         nab = random_linear_connection(rng, a, 2)
-        R = _check_the_two_passes(monkeypatch, ConnectionUpToHomotopy.from_linear(nab))
+        conn = ConnectionUpToHomotopy(a, GradedBundle([(0, 2)]), {0: nab})
+        R = _check_the_two_passes(monkeypatch, conn)
         assert nab.curvature() == R
         assert not R.is_zero()
 
@@ -891,7 +908,7 @@ def test_linear_d_and_curvature_share_one_omega(monkeypatch):
     _count_calls(monkeypatch, ConnectionUpToHomotopy, "connection_form", counts)
     forms = [random_form(rng, a.variables, a.rank, 1, fiber_dim=2, density=3)
              for _ in range(2)]
-    images = [nab.d(form) for form in forms]
+    images = [nab.apply(form) for form in forms]
     assert counts == {"connection_form": 1}
     nab.curvature()
     assert counts == {"connection_form": 1}

@@ -34,7 +34,8 @@ from gradweil.problems import run_problem
 from gradweil.randgen import random_linear_connection
 from gradweil.ring import Poly
 
-from oracles import flat_borel_module, solvable5_module, tangent_line
+from oracles import (covariant, covariant_section, flat_borel_module, solvable5_module,
+                     tangent_line)
 from test_algebroid import polynomial_presentation
 from test_connections import _count_first_curvatures
 from test_forms import mat_neg
@@ -136,7 +137,7 @@ def test_basic_connection_point_base_is_bracket_action():
     assert tm is None
     one, zero = Poly.one(()), Poly.zero(())
     # nabla^bas_h e = [h, e] = 2e
-    assert [str(c) for c in bas.apply(0, [zero, one, zero])] == ["0", "2", "0"]
+    assert [str(c) for c in covariant(bas, 0, [zero, one, zero])] == ["0", "2", "0"]
 
 
 def test_basic_connection_values_on_action_line():
@@ -146,9 +147,9 @@ def test_basic_connection_values_on_action_line():
     bas_a, bas_tm = basic_connections(adjoint_rep(al, ntm))
     one, zero = Poly.one(X), Poly.zero(X)
     # nabla^bas_{e1} e2 = [e1, e2] + 0 = e1
-    assert [str(c) for c in bas_a.apply(0, [zero, one])] == ["1", "0"]
+    assert [str(c) for c in covariant(bas_a, 0, [zero, one])] == ["1", "0"]
     # nabla^bas_{e2} d/dx = [x d/dx, d/dx] = -d/dx
-    assert [str(c) for c in bas_tm.apply(1, [one])] == ["-1"]
+    assert [str(c) for c in covariant(bas_tm, 1, [one])] == ["-1"]
     assert not basic_curvature(adjoint_rep(al, ntm))
 
 
@@ -171,8 +172,8 @@ def test_basic_connection_leibniz_in_direction():
     v = [x, Poly.constant(X, 3)]
     fv = [f * c for c in v]
     for i in range(2):
-        lhs = bas_a.apply(i, fv)
-        step = bas_a.apply(i, v)
+        lhs = covariant(bas_a, i, fv)
+        step = covariant(bas_a, i, v)
         rho_f = al.anchor_apply(i, f)
         rhs = [f * step[k] + rho_f * v[k] for k in range(2)]
         assert lhs == rhs
@@ -214,7 +215,7 @@ def basic_connections_reference(algebroid, nabla_tm):
     variables = algebroid.variables
     r, n = algebroid.rank, algebroid.chart.dim
     gamma_a = [[_add(algebroid.bracket_vector(i, j),
-                     nabla_tm.apply_section(algebroid.anchor[j],
+                     covariant_section(nabla_tm, algebroid.anchor[j],
                                             _unit(variables, r, i)))
                 for j in range(r)] for i in range(r)]
     christoffel = nabla_tm.christoffel()
@@ -242,11 +243,11 @@ def basic_curvature_reference(algebroid, nabla_tm):
         for m in range(n):
             x = _unit(variables, n, m)
             vec = _add(
-                _neg(nabla_tm.apply_section(x, algebroid.section_bracket(a, b))),
-                algebroid.section_bracket(nabla_tm.apply_section(x, a), b),
-                algebroid.section_bracket(a, nabla_tm.apply_section(x, b)),
-                nabla_tm.apply_section(bas_tm.apply_section(b, x), a),
-                _neg(nabla_tm.apply_section(bas_tm.apply_section(a, x), b)))
+                _neg(covariant_section(nabla_tm, x, algebroid.section_bracket(a, b))),
+                algebroid.section_bracket(covariant_section(nabla_tm, x, a), b),
+                algebroid.section_bracket(a, covariant_section(nabla_tm, x, b)),
+                covariant_section(nabla_tm, covariant_section(bas_tm, b, x), a),
+                _neg(covariant_section(nabla_tm, covariant_section(bas_tm, a, x), b)))
             for k in range(r):
                 mat[k][m] = vec[k]
         if not mat_is_zero(mat):

@@ -1350,7 +1350,7 @@ def test_d_and_the_connection_d_match_the_poly_references(name):
         nabla = LinearConnection(a, fiber, [
             [[kernel_poly(rng, variables, rng.choice(ODD_DENOMINATORS))
               for _ in range(fiber)] for _ in range(fiber)] for _ in range(rank)])
-        image = nabla.d(form)
+        image = nabla.apply(form)
         assert image == poly_connection_d(nabla, form)
         nonzero["connection d"] += not image.is_zero()
     assert nonzero["connection d"] >= 3
