@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradweil import catalog
+from gradweil import catalog, constructions
 from gradweil.algebroid import Algebroid, Chart, Subframe, tangent_algebroid
 from gradweil.connections import (ConnectionUpToHomotopy, LinearConnection,
                                   two_term_connection)
@@ -31,7 +31,7 @@ from gradweil.constructions import (
 from gradweil.errors import MismatchError, MorphismError
 from gradweil.forms import GradedBundle, TotalForm, mat_is_zero, render_form
 from gradweil.problems import run_problem
-from gradweil.randgen import random_linear_connection
+from gradweil.randgen import random_linear_connection, random_poly
 from gradweil.ring import Poly
 
 from oracles import (covariant, covariant_section, flat_borel_module, solvable5_module,
@@ -412,6 +412,61 @@ def test_bott_five_dimensional():
     from gradweil.connections import extend_connection
     tilde = extend_connection(a, sub, nab)
     assert not tilde.curvature().is_zero()
+
+
+WIRE_COMPLEMENT_CASES = {
+    # algebroid, bracket-closed subframe, its flat rank-2 module on the wire
+    # (None: random, flat because the subframe has rank 1)
+    "solvable5": (catalog.solvable5, [0, 1, 2, 3],
+                  {"rank": 2, "christoffel": [
+                      {"frame": 0, "matrix": [["1", "0"], ["0", "0"]]},
+                      {"frame": 1, "matrix": [["0", "0"], ["1", "0"]]}]}),
+    "tangent_plane": (catalog.tangent_plane, [0], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_COMPLEMENT_CASES))
+def test_bott_vanishes_for_every_complement_read_source_major(name, monkeypatch):
+    """Bott's vanishing holds for every extension of a flat subframe module,
+    so the bott task passes for random non-symmetric complements; and the
+    extension's Christoffel matrix at a complement frame is the wire matrix
+    read source-major, nabla_{e_c} f_alpha = sum_beta matrix[alpha][beta] f_beta."""
+    make, indices, module = WIRE_COMPLEMENT_CASES[name]
+    algebroid = make()
+    chart = algebroid.chart
+    rng = random.Random(sum(map(ord, name)))
+
+    def wire_matrix():
+        while True:
+            matrix = [[str(random_poly(rng, algebroid.variables)) for _ in range(2)]
+                      for _ in range(2)]
+            if chart.poly(matrix[0][1]) != chart.poly(matrix[1][0]):
+                return matrix
+
+    extensions = []
+    original = constructions.extend_connection
+
+    def spy(*args):
+        extensions.append(original(*args))
+        return extensions[-1]
+
+    monkeypatch.setattr(constructions, "extend_connection", spy)
+    complement = Subframe(algebroid.rank, indices).complement()
+    for _ in range(4):
+        connection = module or {"rank": 2, "christoffel": [
+            {"frame": 0, "matrix": wire_matrix()}]}
+        wire = {str(c): wire_matrix() for c in complement}
+        report = run_problem({"task": "bott", "algebroid": algebroid.to_json(),
+                              "subframe": indices, "connection": connection,
+                              "complement": wire})
+        assert report_passed(report), failing(report)
+        extension = extensions[-1]
+        for key, matrix in wire.items():
+            for alpha in range(2):
+                unit = [Poly.constant(algebroid.variables, int(beta == alpha))
+                        for beta in range(2)]
+                assert covariant(extension, int(key), unit) == [
+                    chart.poly(p) for p in matrix[alpha]]
 
 
 def test_bott_rejects_non_flat_module():

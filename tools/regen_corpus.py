@@ -249,6 +249,24 @@ ENTRIES = [
         "subframe": [0, 1],
         "connection": BOREL_MODULE,
     }),
+    ("atiyah_5dim_complement", {
+        "task": "atiyah",
+        "comment": "the Bott module of bott_5dim on B = span(e1..e4) of the "
+                   "rank-5 solvable algebra, extended by the non-symmetric "
+                   "complement nabla_{e5} f1 = f1 + 2 f2, nabla_{e5} f2 = -f2 "
+                   "(source-major [[1, 2], [0, -1]]); oracle: acting on "
+                   "columns, G1 = diag(1,0), G2 = E12 and G5 = [[1,0],[2,-1]], "
+                   "so R~(e1,e5) = [G1,G5] - G2 - G5 = [[-1,-1],[-4,1]] and "
+                   "R~(e2,e5) = [G2,G5] = [[2,-2],[0,-2]] by hand, the seven "
+                   "pairing terms; read target-major, the same complement "
+                   "gives four, so this golden pins the wire orientation.  "
+                   "R~ restricted to B vanishes and the pairing does not, so "
+                   "the threshold stays 2q.",
+        "algebroid": solvable5().to_json(),
+        "subframe": [0, 1, 2, 3],
+        "connection": SOLVABLE5_MODULE,
+        "complement": {"4": [["1", "2"], ["0", "-1"]]},
+    }),
     ("massey_h3", {
         "task": "massey",
         "comment": "<[eps1],[eps1],[eps2]> on the Heisenberg algebra "
