@@ -78,8 +78,16 @@ class Chart:
     def dim(self):
         return len(self.variables)
 
-    def poly(self, text):
-        return Poly.parse(text, self.variables)
+    def poly(self, value):
+        """`value` as a Poly on this chart: a Poly is checked against the
+        chart, a string is parsed, and anything else is a constant."""
+        if isinstance(value, Poly):
+            if value.variables != self.variables:
+                raise MismatchError("polynomial variables differ from the chart")
+            return value
+        if isinstance(value, str):
+            return Poly.parse(value, self.variables)
+        return Poly.constant(self.variables, value)
 
     def zero(self):
         return Poly.zero(self.variables)
@@ -140,15 +148,14 @@ class Algebroid:
         self.rank = int(rank)
         if self.rank < 1:
             raise MismatchError("frame rank must be positive")
-        variables = chart.variables
-        anchor = tuple(tuple(self._as_poly(p, variables) for p in row) for row in anchor)
+        anchor = tuple(tuple(chart.poly(p) for p in row) for row in anchor)
         if len(anchor) != self.rank or any(len(row) != chart.dim for row in anchor):
             raise MismatchError(
                 f"anchor must be {self.rank} x {chart.dim}, got "
                 f"{len(anchor)} x {[len(r) for r in anchor]}")
         self.anchor = anchor
         structure = tuple(
-            tuple(tuple(self._as_poly(p, variables) for p in vec) for vec in row)
+            tuple(tuple(chart.poly(p) for p in vec) for vec in row)
             for row in structure)
         if (len(structure) != self.rank
                 or any(len(row) != self.rank for row in structure)
@@ -183,16 +190,6 @@ class Algebroid:
         self._d_table = {}
         self._sources = None   # the table of `d_sparse_sources`, built on first use
 
-    @staticmethod
-    def _as_poly(p, variables):
-        if isinstance(p, Poly):
-            if p.variables != variables:
-                raise MismatchError("polynomial variables differ from the chart")
-            return p
-        if isinstance(p, str):
-            return Poly.parse(p, variables)
-        return Poly.constant(variables, p)
-
     @classmethod
     def from_brackets(cls, chart, rank, anchor, brackets):
         """Build from bracket data {(i, j): coefficient list} for i < j.
@@ -211,7 +208,7 @@ class Algebroid:
                 raise MismatchError(f"diagonal bracket ({i},{i}) must be omitted")
             if not 0 <= i < rank or not 0 <= j < rank:
                 raise MismatchError(f"bracket pair ({i},{j}) out of range")
-            vec = [cls._as_poly(c, chart.variables) for c in coeffs]
+            vec = [chart.poly(c) for c in coeffs]
             if len(vec) != rank:
                 raise MismatchError(f"bracket ({i},{j}) needs {rank} coefficients")
             structure[i][j] = [structure[i][j][k] + vec[k] for k in range(rank)]

@@ -120,16 +120,14 @@ def _run(data, err, **options):
         return None, 3
 
 
-def run_file(path, task=None, json_path=None, bound=None, seed=None,
-             out=None):
-    out = out if out is not None else sys.stdout
+def run_file(path, task=None, json_path=None, bound=None, seed=None):
     data = _load_problem(path, _error)
     if data is None:
         return 2
     report, code = _run(data, _error, task=task, bound=bound, seed=seed)
     if report is None:
         return code
-    print(render_report(report), file=out)
+    print(render_report(report))
     if json_path:
         try:
             Path(json_path).write_text(canonical_json(report))
@@ -139,8 +137,7 @@ def run_file(path, task=None, json_path=None, bound=None, seed=None,
     return 0 if report_passed(report) else 1
 
 
-def run_corpus(directory, out=None):
-    out = out if out is not None else sys.stdout
+def run_corpus(directory):
     root = Path(directory)
     if not root.is_dir():
         _error(f"{directory} is not a directory")
@@ -151,10 +148,10 @@ def run_corpus(directory, out=None):
     for path in entries:
         status = _corpus_status(path)
         counts[status] += 1
-        print(f"{status:<5} {path.name}", file=out)
+        print(f"{status:<5} {path.name}")
     total = sum(counts.values())
     print(f"{total} entries: " + ", ".join(
-        f"{counts[k]} {k}" for k in ("ok", "new", "diff", "error")), file=out)
+        f"{counts[k]} {k}" for k in ("ok", "new", "diff", "error")))
     return 1 if counts["diff"] or counts["error"] else 0
 
 

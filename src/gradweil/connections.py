@@ -22,8 +22,9 @@ the oracles of all three.
 A `LinearConnection` is the connection up to homotopy on R^rank[0] with
 D = 0, an ordinary A-connection: it adds only its Christoffel data,
 nabla_{e_i} f_alpha = sum_beta Gamma[i][alpha][beta] f_beta, kept
-target-major (G_i[beta][alpha] = that coefficient), and its one summand's
-connection is itself.  So its d_nabla on a bundle-valued Form is `apply`,
+source-major as the wire carries it, and its one summand's connection is
+itself.  `connection_form` is the one place that transposes it, to G_i with
+the target index as row.  So its d_nabla on a bundle-valued Form is `apply`,
 and its curvature, `chernweil.transgression` and the square-zero report
 read the one Omega the class builds.  The covariant derivative of a
 section by Polys lives in the tests as the oracle.
@@ -123,15 +124,15 @@ class ConnectionUpToHomotopy:
     def connection_form(self):
         """Gamma of every summand's connection, in the diagonal (1, z, z) blocks.
 
-        Built straight from the Christoffel matrices, which `LinearConnection`
-        has checked, keeping those that are not zero.
+        G_i is the transpose of the source-major Christoffel matrix of frame
+        element i, which `LinearConnection` has checked; zero ones are left out.
         """
         blocks = {}
         for z in self.bundle.degrees():
             entries = {}
-            for i, mat in enumerate(self.nablas[z].mats):
+            for i, mat in enumerate(self.nablas[z].christoffel):
                 if any(p.terms for row in mat for p in row):
-                    entries[(i,)] = mat
+                    entries[(i,)] = tuple(zip(*mat))
             if entries:
                 blocks[(1, z, z)] = entries
         return TotalForm._from_mats(self.variables, self.algebroid.rank,
@@ -188,24 +189,27 @@ class ConnectionUpToHomotopy:
 
 
 class LinearConnection(ConnectionUpToHomotopy):
-    """An A-connection on a trivialized bundle, given by Christoffel matrices:
-    the connection up to homotopy on R^rank[0] with D = 0."""
+    """An A-connection on a trivialized bundle, the connection up to homotopy
+    on R^rank[0] with D = 0, given by its Christoffel data: christoffel[i]
+    [alpha][beta] is the e_beta coefficient of nabla_{e_i} f_alpha, and the
+    rank is read off the matrices."""
 
-    __slots__ = ("rank", "mats")
+    __slots__ = ("rank", "christoffel")
 
-    def __init__(self, algebroid, rank, mats):
+    def __init__(self, algebroid, christoffel):
         self.algebroid = algebroid
-        self.rank = int(rank)
+        poly = algebroid.chart.poly
+        christoffel = tuple(tuple(tuple(poly(p) for p in row) for row in m)
+                            for m in christoffel)
+        if len(christoffel) != algebroid.rank:
+            raise MismatchError("one Christoffel matrix per frame element required")
+        self.rank = len(christoffel[0])
         if self.rank < 1:
             raise MismatchError("bundle rank must be positive")
-        mats = tuple(tuple(tuple(self._as_poly(p) for p in row) for row in m)
-                     for m in mats)
-        if len(mats) != algebroid.rank:
-            raise MismatchError("one Christoffel matrix per frame element required")
-        for m in mats:
+        for m in christoffel:
             if len(m) != self.rank or any(len(row) != self.rank for row in m):
                 raise MismatchError("Christoffel matrices must be rank x rank")
-        self.mats = mats
+        self.christoffel = christoffel
         self.bundle = _fiber(self.rank)
         self.D = TotalForm.zero(algebroid.variables, algebroid.rank,
                                 self.bundle, self.bundle, 1)
@@ -218,36 +222,9 @@ class LinearConnection(ConnectionUpToHomotopy):
         connection a reference cycle."""
         return {0: self}
 
-    def _as_poly(self, p):
-        if isinstance(p, Poly):
-            if p.variables != self.algebroid.variables:
-                raise MismatchError("Christoffel entries live on the wrong chart")
-            return p
-        if isinstance(p, str):
-            return Poly.parse(p, self.algebroid.variables)
-        return Poly.constant(self.algebroid.variables, p)
-
-    @classmethod
-    def from_christoffel(cls, algebroid, gamma):
-        """Build from source-major data: gamma[i][alpha][beta].
-
-        nabla_{e_i} f_alpha = sum_beta gamma[i][alpha][beta] f_beta, which is
-        the transpose of the internal target-major storage.
-        """
-        mats = [list(map(list, zip(*m))) for m in gamma]
-        rank = len(gamma[0]) if gamma else 0
-        return cls(algebroid, rank, mats)
-
     @classmethod
     def zero(cls, algebroid, rank):
-        z = Poly.zero(algebroid.variables)
-        mats = [[[z for _ in range(rank)] for _ in range(rank)]
-                for _ in range(algebroid.rank)]
-        return cls(algebroid, rank, mats)
-
-    def christoffel(self):
-        """Source-major Christoffel data (the serialization orientation)."""
-        return [list(map(list, zip(*m))) for m in self.mats]
+        return cls(algebroid, [mat_zero(rank, rank, algebroid.variables)] * algebroid.rank)
 
     def is_flat(self):
         return self.curvature().is_zero()
@@ -257,20 +234,14 @@ class LinearConnection(ConnectionUpToHomotopy):
     def __eq__(self, other):
         return (isinstance(other, LinearConnection)
                 and self.algebroid == other.algebroid
-                and self.rank == other.rank
-                and self.mats == other.mats)
+                and self.christoffel == other.christoffel)
 
     @classmethod
-    def from_json(cls, data, algebroid, rank=None):
-        if rank is not None and data.get("rank", rank) != rank:
+    def from_json(cls, data, algebroid, rank):
+        if data.get("rank", rank) != rank:
             raise ParseError(f"connection rank {data['rank']} differs from the rank "
                              f"{rank} of the bundle it connects")
-        rank = rank if rank is not None else data.get("rank")
-        if rank is None:
-            raise MismatchError("connection payload needs a bundle rank")
-        zero = Poly.zero(algebroid.variables)
-        gamma = [[[zero for _ in range(rank)] for _ in range(rank)]
-                 for _ in range(algebroid.rank)]
+        christoffel = [mat_zero(rank, rank, algebroid.variables)] * algebroid.rank
         seen = set()
         for entry in data.get("christoffel", []):
             i = entry["frame"]
@@ -283,9 +254,9 @@ class LinearConnection(ConnectionUpToHomotopy):
             matrix = entry["matrix"]
             if len(matrix) != rank or any(len(row) != rank for row in matrix):
                 raise MismatchError(f"christoffel matrix at frame {i} has wrong shape")
-            gamma[i] = [[Poly.parse(p, algebroid.variables) for p in row]
-                        for row in matrix]
-        return cls.from_christoffel(algebroid, gamma)
+            christoffel[i] = [[Poly.parse(p, algebroid.variables) for p in row]
+                              for row in matrix]
+        return cls(algebroid, christoffel)
 
 
 def induced_hom_connection(src, dst):
@@ -293,7 +264,8 @@ def induced_hom_connection(src, dst):
 
     Hom fibers are flattened row-major: phi_{mu alpha} sits at index
     mu * rank(E) + alpha.  (nabla^Hom phi)(e) = nabla'(phi e) - phi(nabla e),
-    i.e. G^Hom acts as M -> G' M - M G on matrices.
+    so the source (nu, a) has Gamma'[nu][mu] at the target (mu, a) and
+    -Gamma[b][a] at the target (nu, b).
     """
     if src.algebroid is not dst.algebroid and src.algebroid != dst.algebroid:
         raise MismatchError("hom connection needs both factors over one algebroid")
@@ -301,19 +273,19 @@ def induced_hom_connection(src, dst):
     r_s, r_d = src.rank, dst.rank
     hom_rank = r_s * r_d
     zero = Poly.zero(A.variables)
-    mats = []
+    christoffel = []
     for i in range(A.rank):
-        g = [[zero for _ in range(hom_rank)] for _ in range(hom_rank)]
-        gs, gd = src.mats[i], dst.mats[i]
-        for mu in range(r_d):
-            for alpha in range(r_s):
-                row = mu * r_s + alpha
-                for beta in range(r_d):
-                    g[row][beta * r_s + alpha] = g[row][beta * r_s + alpha] + gd[mu][beta]
-                for delta in range(r_s):
-                    g[row][mu * r_s + delta] = g[row][mu * r_s + delta] - gs[delta][alpha]
-        mats.append(g)
-    return LinearConnection(A, hom_rank, mats)
+        g = [[zero] * hom_rank for _ in range(hom_rank)]
+        gs, gd = src.christoffel[i], dst.christoffel[i]
+        for nu in range(r_d):
+            for a in range(r_s):
+                row = g[nu * r_s + a]
+                for mu in range(r_d):
+                    row[mu * r_s + a] = row[mu * r_s + a] + gd[nu][mu]
+                for b in range(r_s):
+                    row[nu * r_s + b] = row[nu * r_s + b] - gs[b][a]
+        christoffel.append(g)
+    return LinearConnection(A, christoffel)
 
 
 def _first_difference(left, right):
@@ -341,29 +313,23 @@ def cuth_difference(new, old):
 def extend_connection(algebroid, subframe, nabla_sub, complement=None):
     """Extend a connection over a subframe to the whole frame.
 
-    `nabla_sub` lives over algebroid.restrict(subframe); Christoffel
-    matrices for complement frame directions come from `complement`
-    (a map global index -> target-major matrix) and default to zero.
+    `nabla_sub` lives over algebroid.restrict(subframe); the Christoffel
+    matrices of complement frame directions come from `complement` (a map
+    global index -> source-major matrix) and default to zero.
     """
     if nabla_sub.algebroid.rank != subframe.rank:
         raise MismatchError("subframe connection has the wrong frame rank")
-    complement = dict(complement or {})
+    complement = complement or {}
     zero_mat = mat_zero(nabla_sub.rank, nabla_sub.rank, algebroid.variables)
-    mats = []
-    local = {g: i for i, g in enumerate(subframe.indices)}
-    for i in range(algebroid.rank):
-        if i in local:
-            mats.append(nabla_sub.mats[local[i]])
-        else:
-            mats.append(complement.get(i, zero_mat))
-    return LinearConnection(algebroid, nabla_sub.rank, mats)
+    local = dict(zip(subframe.indices, nabla_sub.christoffel))
+    return LinearConnection(algebroid, [local[i] if i in local else complement.get(i, zero_mat)
+                                        for i in range(algebroid.rank)])
 
 
 def restrict_connection(nabla, subframe):
     """Restrict a connection to the frame directions of a bracket-closed subframe."""
     sub_algebroid = nabla.algebroid.restrict(subframe)
-    mats = [nabla.mats[i] for i in subframe.indices]
-    return LinearConnection(sub_algebroid, nabla.rank, mats)
+    return LinearConnection(sub_algebroid, [nabla.christoffel[i] for i in subframe.indices])
 
 
 def two_term_connection(algebroid, nabla0, nabla1, partial_map, omega_block):

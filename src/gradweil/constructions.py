@@ -90,17 +90,17 @@ def _vec_neg(vector):
 
 
 def _covariant(nabla, direction, section):
-    """nabla_u s = sum_i u_i (rho_i(s) + G_i s) for u and s given by frame
-    components, G_i the target-major Christoffel matrix of frame element i."""
+    """nabla_u s = sum_i u_i (rho_i(s) + sum_alpha s_alpha nabla_{e_i} f_alpha)
+    for u and s given by frame components, nabla_{e_i} f_alpha read off row
+    alpha of the source-major Christoffel matrix of frame element i."""
     out = [Poly.zero(nabla.variables)] * nabla.rank
     for i, u_i in enumerate(direction):
         if u_i.is_zero():
             continue
-        for beta, g in enumerate(nabla.mats[i]):
-            acc = nabla.algebroid.anchor_apply(i, section[beta])
-            for coeff, s in zip(g, section):
-                acc = acc + coeff * s
-            out[beta] = out[beta] + u_i * acc
+        step = [nabla.algebroid.anchor_apply(i, s) for s in section]
+        for s, row in zip(section, nabla.christoffel[i]):
+            step = [acc + coeff * s for acc, coeff in zip(step, row)]
+        out = [acc + u_i * v for acc, v in zip(out, step)]
     return out
 
 
@@ -217,7 +217,7 @@ def morphism_rep(algebroid_b, algebroid_a, partial, nabla):
         raise MismatchError("expected a target-frame connection on the source sections")
     variables = algebroid_a.variables
     rb, ra = algebroid_b.rank, algebroid_a.rank
-    christoffel = nabla.christoffel()
+    christoffel = nabla.christoffel
 
     # nabla^partial on B:  [b_i, b_j] + nabla_{partial(b_j)} b_i
     gamma_b = []
@@ -264,8 +264,8 @@ def morphism_rep(algebroid_b, algebroid_a, partial, nabla):
             if not mat_is_zero(mat):
                 omega[(i, j)] = mat
 
-    nabla0 = LinearConnection.from_christoffel(algebroid_b, gamma_b)
-    nabla1 = LinearConnection.from_christoffel(algebroid_b, gamma_a)
+    nabla0 = LinearConnection(algebroid_b, gamma_b)
+    nabla1 = LinearConnection(algebroid_b, gamma_a)
     partial_block = [[partial[i][a] for i in range(rb)] for a in range(ra)]
     return two_term_connection(algebroid_b, nabla0, nabla1,
                                partial_block, omega)
@@ -288,7 +288,7 @@ def adjoint_rep(algebroid, nabla_tm=None):
         r = algebroid.rank
         gamma = [[list(algebroid.bracket_vector(i, j)) for j in range(r)]
                  for i in range(r)]
-        return LinearConnection.from_christoffel(algebroid, gamma)
+        return LinearConnection(algebroid, gamma)
     if nabla_tm is None:
         raise MismatchError("a tangent-frame connection is required over a chart base")
     return morphism_rep(algebroid, tangent_algebroid(algebroid.chart),
@@ -382,7 +382,7 @@ def atiyah_form(algebroid, subframe, nabla_sub, extension=None,
             bracket = algebroid.bracket_vector(b, c)
             rows.append([bracket[c2] for c2 in comp])
         gamma_bott.append(rows)
-    bott_conn = LinearConnection.from_christoffel(sub_algebroid, gamma_bott)
+    bott_conn = LinearConnection(sub_algebroid, gamma_bott)
     end_conn = induced_hom_connection(nabla_sub, nabla_sub)
     hom_conn = induced_hom_connection(bott_conn, end_conn)
     closed = hom_conn.apply(omega).is_zero()
@@ -460,7 +460,7 @@ def _quotient_connection_flat(algebroid, j_sub, fm_sub, nabla_tilde):
     j_comp = j_sub.complement()
     if not j_comp:
         return True
-    christoffel = nabla_tilde.christoffel()
+    christoffel = nabla_tilde.christoffel
     gamma = []
     for m in fm_sub.indices:
         rows = []
@@ -470,7 +470,7 @@ def _quotient_connection_flat(algebroid, j_sub, fm_sub, nabla_tilde):
     tangent = tangent_algebroid(algebroid.chart)
     fm_tangent = tangent.restrict(Subframe(algebroid.chart.dim,
                                            fm_sub.indices))
-    quotient = LinearConnection.from_christoffel(fm_tangent, gamma)
+    quotient = LinearConnection(fm_tangent, gamma)
     return quotient.is_flat()
 
 
@@ -507,7 +507,7 @@ def iis_check(algebroid, j_subframe, fm_subframe, nabla_tilde=None):
     j_set = set(j_subframe.indices)
     fm_set = set(fm_subframe.indices)
     if not point:
-        christoffel = nabla_tilde.christoffel()
+        christoffel = nabla_tilde.christoffel
         for m in fm_subframe.indices:
             for i in j_subframe.indices:
                 for k in range(r):
@@ -516,9 +516,9 @@ def iis_check(algebroid, j_subframe, fm_subframe, nabla_tilde=None):
                             "the tangent-frame connection does not preserve "
                             "the section subframe along the field subframe")
 
-    gamma_a = adjoint.nablas[0].christoffel()
+    gamma_a = adjoint.nablas[0].christoffel
     # over a point the field subframe is empty, so gamma_tm is never read
-    gamma_tm = [] if point else adjoint.nablas[1].christoffel()
+    gamma_tm = [] if point else adjoint.nablas[1].christoffel
     omega = adjoint.D.block(2, 1, 0)
     checks = [
         _first_nonzero("anchor_maps_into_fields", (

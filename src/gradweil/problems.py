@@ -4,7 +4,7 @@ A problem file is a single JSON object selecting a ``task`` and carrying the
 objects the task needs (algebroid, connections, subframes, forms, ...).  All
 frame / summand indices on the wire are 0-based; Christoffel matrices are
 source-major (``matrix[alpha][beta]`` is the e_beta coefficient of the
-covariant derivative of f_alpha), matching `LinearConnection.christoffel`.
+covariant derivative of f_alpha), the orientation a `LinearConnection` keeps.
 
 `run_problem` reads the inputs every task shares once: the ``algebroid``,
 a ``random.Random`` seeded from ``seed`` (default 0) for the connections a
@@ -216,9 +216,7 @@ def _complement_mats(data, algebroid, subframe, rank):
         gamma = [[algebroid.chart.poly(p) for p in row] for row in matrix]
         if len(gamma) != rank or any(len(row) != rank for row in gamma):
             raise MismatchError(f"complement matrix for frame {key} has wrong shape")
-        # internal connection matrices are target-major
-        out[index] = tuple(tuple(gamma[b][a] for b in range(rank))
-                           for a in range(rank))
+        out[index] = gamma
     return out
 
 

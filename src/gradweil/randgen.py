@@ -17,11 +17,11 @@ from .forms import Form, TotalForm
 from .ring import Poly
 
 
-def random_fraction(rng, span=3, max_den=2):
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+def random_fraction(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
 
 
-def random_poly(rng, variables, max_degree=1, terms=2, span=3):
+def random_poly(rng, variables, max_degree=1, terms=2):
     out = Poly.zero(variables)
     n = len(variables)
     for _ in range(terms):
@@ -84,7 +84,7 @@ def random_linear_connection(rng, algebroid, rank, max_poly_degree=1):
     gamma = [random_matrix(rng, rank, rank, algebroid.variables,
                            max_poly_degree)
              for _ in range(algebroid.rank)]
-    return LinearConnection.from_christoffel(algebroid, gamma)
+    return LinearConnection(algebroid, gamma)
 
 
 def random_cuth(rng, algebroid, bundle, max_poly_degree=1):

@@ -80,9 +80,9 @@ def _layout(variables):
             _pack((_FIELD_MASK ^ (EXPONENT_LIMIT - 1),) * len(variables)))
 
 
-def _shown(text, keep=30):
-    """`text` for an error line, its middle left out past 2 * keep characters."""
-    return text if len(text) <= 2 * keep else f"{text[:keep]}...{text[-keep:]}"
+def _shown(text):
+    """`text` for an error line, its middle left out past 60 characters."""
+    return text if len(text) <= 60 else f"{text[:30]}...{text[-30:]}"
 
 
 def _too_large(exponent, where):

@@ -282,18 +282,26 @@ def poly_d(algebroid, form):
 
 def covariant(nabla, i, components):
     """nabla_{e_i} of a section given by its coefficient vector, on Polys:
-    rho_i of each component plus G_i times the vector, G_i the target-major
-    Christoffel matrix of frame element i."""
+    rho_i of each component plus sum_alpha s_alpha nabla_{e_i} f_alpha, where
+    gamma[alpha][beta], gamma the Christoffel matrix of frame element i, is
+    the e_beta coefficient of nabla_{e_i} f_alpha."""
     if len(components) != nabla.rank:
         raise MismatchError("section has the wrong number of components")
-    g = nabla.mats[i]
+    gamma = nabla.christoffel[i]
     out = []
     for beta in range(nabla.rank):
         acc = nabla.algebroid.anchor_apply(i, components[beta])
         for alpha in range(nabla.rank):
-            acc = acc + g[beta][alpha] * components[alpha]
+            acc = acc + gamma[alpha][beta] * components[alpha]
         out.append(acc)
     return out
+
+
+def transposed(matrices):
+    """Each matrix of a list transposed: a connection's Christoffel matrices
+    give its G_i, the matrices with the target index as row that act on
+    column vectors (G_i[beta][alpha] = christoffel[i][alpha][beta]), and back."""
+    return [tuple(zip(*m)) for m in matrices]
 
 
 def covariant_section(nabla, direction, components):
@@ -321,15 +329,15 @@ def interior(x, form):
 
 
 def poly_connection_d(nabla, form):
-    """d_nabla w = d_A w + sum_i e^i ^ (G_i w) on Polys, G_i the target-major
-    Christoffel matrix of frame direction i."""
+    """d_nabla w = d_A w + sum_i e^i ^ (G_i w) on Polys, G_i[beta][alpha] =
+    gamma[alpha][beta], gamma the Christoffel matrix of frame direction i."""
     algebroid = nabla.algebroid
     out = poly_d(algebroid, form)
-    for i, mat in enumerate(nabla.mats):
+    for i, gamma in enumerate(nabla.christoffel):
         moved = {}
         for (mi, alpha), poly in form.coeffs.items():
             for beta in range(nabla.rank):
-                key, prod = (mi, beta), mat[beta][alpha] * poly
+                key, prod = (mi, beta), gamma[alpha][beta] * poly
                 moved[key] = moved[key] + prod if key in moved else prod
         moved = Form(algebroid.variables, algebroid.rank, form.degree, nabla.rank, moved)
         out = poly_add(out, poly_wedge(Form.coframe(algebroid.variables, algebroid.rank, i),
@@ -508,14 +516,14 @@ def solvable5_module():
     """Flat rank-2 Christoffels over the first-four subframe of solvable5.
 
     lambda(e1) = diag(1,0), lambda(e2) = E12; flat since [diag(1,0), E12]
-    = E12 = lambda([e1,e2]).  Source-major tables (for from_christoffel),
-    frames of the restricted subalgebra.
+    = E12 = lambda([e1,e2]).  Christoffel tables of a `LinearConnection`,
+    christoffel[frame][source][target], frames of the restricted subalgebra.
     """
     one = Poly.one(())
     zero = Poly.zero(())
     return [
         [[one, zero], [zero, zero]],   # e1: diag(1,0)
-        [[zero, zero], [one, zero]],   # e2: E12 once transposed to target-major
+        [[zero, zero], [one, zero]],   # e2: nabla f2 = f1, so E12 on columns
         [[zero, zero], [zero, zero]],
         [[zero, zero], [zero, zero]],
     ]

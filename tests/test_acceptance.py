@@ -270,8 +270,7 @@ def test_criterion_09_bott_vanishing():
                      "membership and trace vanishing", 10):
         a = catalog.solvable5()
         sub = Subframe(5, [0, 1, 2, 3])
-        nab = LinearConnection.from_christoffel(a.restrict(sub),
-                                                solvable5_module())
+        nab = LinearConnection(a.restrict(sub), solvable5_module())
         tilde = extend_connection(a, sub, nab)
         R = tilde.curvature()
         assert not R.is_zero()
@@ -302,7 +301,7 @@ def test_criterion_10_atiyah_refinement():
         sl2 = catalog.sl2()
         borel = Subframe(3, [0, 1])
         b = sl2.restrict(borel)
-        nab = LinearConnection(b, 1, flat_borel_module())
+        nab = LinearConnection(b, flat_borel_module())
         form, report = atiyah_form(sl2, borel, nab)
         named = {c["name"]: c["pass"] for c in report["checks"]}
         assert named["pairing_closed"]

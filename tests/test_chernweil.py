@@ -47,8 +47,8 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 def scalar_aff1_connection():
     a = catalog.aff1()
-    return LinearConnection(a, 1, [[[Poly.constant((), 2)]],
-                                   [[Poly.constant((), 3)]]])
+    return LinearConnection(a, [[[Poly.constant((), 2)]],
+                                [[Poly.constant((), 3)]]])
 
 
 def test_sigma_on_aff1_scalar():
@@ -119,7 +119,7 @@ def test_unclosed_character_over_a_broken_algebroid_is_reported():
     # d eps3 = -eps1^eps2 and d_A sigma1 = -2 eps1^eps2^eps3 (hand expansion)
     a = catalog.broken_jacobi()
     one, zero = Poly.one(()), Poly.zero(())
-    nab = LinearConnection(a, 1, [[[zero]], [[zero]], [[one]]])
+    nab = LinearConnection(a, [[[zero]], [[zero]], [[one]]])
     char = sigma_character(nab, 1)
     assert not char.closed
     assert render_form(char.form) == "-1*eps1^eps2"
@@ -435,9 +435,9 @@ def test_anchor_pullback_identity_anchor():
     t = catalog.tangent_plane()
     vs = ("x", "y")
     y = Poly.variable(vs, 1)
-    base = LinearConnection(tangent_algebroid(Chart(vs)), 1, [[[y]], [[Poly.zero(vs)]]])
+    base = LinearConnection(tangent_algebroid(Chart(vs)), [[[y]], [[Poly.zero(vs)]]])
     pulled = rho_pullback(t, sigma_character(base, 1).form)
-    same = LinearConnection(t, 1, [[[y]], [[Poly.zero(vs)]]])
+    same = LinearConnection(t, [[[y]], [[Poly.zero(vs)]]])
     assert pulled == sigma_character(same, 1).form
     assert render_form(pulled) == "-1*eps1^eps2"
 

@@ -28,9 +28,9 @@ from gradweil.randgen import (
     random_total_form,
 )
 from gradweil.ring import Poly
-from oracles import (LINE, basis_element, covariant, curvature_formula, curvature_power,
-                     element, flat_borel_module, graded_commutator, hat, sort_with_sign,
-                     tangent_line)
+from oracles import (LINE, basis_element, covariant, curvature_formula,
+                     curvature_power, element, flat_borel_module, graded_commutator, hat,
+                     sort_with_sign, tangent_line, transposed)
 from test_algebroid import PRESENTATIONS
 from test_forms import apply_part_reference, mat_add, single_block, unhat_from_sections
 
@@ -40,7 +40,7 @@ def scalar_aff1_connection():
     a = catalog.aff1()
     two = Poly.constant((), 2)
     three = Poly.constant((), 3)
-    return LinearConnection(a, 1, [[[two]], [[three]]])
+    return LinearConnection(a, [[[two]], [[three]]])
 
 
 def basis_section(nab, alpha):
@@ -130,7 +130,7 @@ def test_a_linear_connection_refers_to_itself_nowhere():
     nab.curvature()
     assert nab.nablas == {0: nab} and nab.nablas[0] is nab
     slots = [name for cls in type(nab).__mro__ for name in getattr(cls, "__slots__", ())]
-    assert {"rank", "mats", "D", "_omega", "_curvature"} <= set(slots)
+    assert {"rank", "christoffel", "D", "_omega", "_curvature"} <= set(slots)
     for name in slots:
         value = getattr(nab, name, None)
         assert value is not nab and nab not in gc.get_referents(value), name
@@ -142,7 +142,7 @@ def test_hom_connection_scalar_is_difference():
     a = catalog.aff1()
     nab = scalar_aff1_connection()
     hom = induced_hom_connection(nab, nab)
-    assert all(m[0][0].is_zero() for m in hom.mats)
+    assert all(m[0][0].is_zero() for m in hom.christoffel)
     assert hom.is_flat()
 
 
@@ -151,16 +151,35 @@ def test_connection_json_source_major():
     data = {"bundle_degree": 0, "rank": 2, "christoffel": [
         {"frame": 0, "matrix": [["0", "1"], ["0", "0"]]}
     ]}
-    nab = LinearConnection.from_json(data, a)
-    # wire matrix[alpha][beta]: nabla_{e1} s_1 = s_2; internally target-major
+    nab = LinearConnection.from_json(data, a, 2)
+    # wire matrix[alpha][beta]: nabla_{e1} s_1 = s_2, kept as the wire has it
     out = covariant(nab, 0, [Poly.one(()), Poly.zero(())])
     assert [str(c) for c in out] == ["0", "1"]
-    assert nab.mats[0][1][0] == 1
+    assert nab.christoffel[0][0][1] == 1
+
+
+def test_a_linear_connection_reads_its_rank_off_the_source_major_matrices():
+    # an (algebroid, rank, matrices) call fails rather than being read as
+    # matrices of another orientation
+    a = catalog.aff1()
+    with pytest.raises(TypeError):
+        LinearConnection(a, 1, [[[2]]])
+    nab = LinearConnection(a, [[[0, "1/2"], [0, 0]], [[0, 0], [0, 0]]])
+    assert nab.rank == 2
+    assert covariant(nab, 0, [Poly.one(()), Poly.zero(())]) == [Poly.zero(()),
+                                                                  Poly.constant((), "1/2")]
+    # entries coerce as an algebroid's do: a Poly on another chart is refused
+    with pytest.raises(MismatchError, match="differ from the chart"):
+        LinearConnection(a, [[[Poly.one(("x",))]], [[0]]])
+    with pytest.raises(MismatchError, match="one Christoffel matrix per frame"):
+        LinearConnection(a, [[[0]]])
+    with pytest.raises(MismatchError, match="rank x rank"):
+        LinearConnection(a, [[[0]], [[0, 0], [0, 0]]])
 
 
 def test_connection_json_rank_required():
     a = catalog.aff1()
-    with pytest.raises(MismatchError):
+    with pytest.raises(TypeError):
         LinearConnection.from_json({"christoffel": []}, a)
     nab = LinearConnection.from_json({"christoffel": []}, a, rank=2)
     assert nab.rank == 2 and nab.is_flat()
@@ -170,13 +189,13 @@ def test_extend_restrict_connection():
     sl2 = catalog.sl2()
     borel = Subframe(3, [0, 1])
     b = sl2.restrict(borel)
-    nab = LinearConnection(b, 1, flat_borel_module())
+    nab = LinearConnection(b, flat_borel_module())
     ext = extend_connection(sl2, borel, nab)
     assert ext.algebroid is sl2 and ext.rank == nab.rank
     back = restrict_connection(ext, borel)
-    assert back.mats == nab.mats
+    assert back.christoffel == nab.christoffel
     # default extension sets complement Christoffels to zero
-    assert all(all(p.is_zero() for row in ext.mats[2] for p in row)
+    assert all(all(p.is_zero() for row in ext.christoffel[2] for p in row)
                for _ in [0])
 
 
@@ -193,12 +212,13 @@ def test_two_term_connection_block_placement():
 
 
 def shift_connection(nabla, one_form_block):
-    """nabla + B for an End-valued 1-form block {(i,): matrix}."""
-    mats = []
-    for i in range(nabla.algebroid.rank):
+    """nabla + B for an End-valued 1-form block {(i,): matrix}, B's matrices
+    with the target index as row."""
+    christoffel = []
+    for i, gamma in enumerate(nabla.christoffel):
         delta = one_form_block.get((i,))
-        mats.append(nabla.mats[i] if delta is None else mat_add(nabla.mats[i], delta))
-    return LinearConnection(nabla.algebroid, nabla.rank, mats)
+        christoffel.append(gamma if delta is None else mat_add(gamma, tuple(zip(*delta))))
+    return LinearConnection(nabla.algebroid, christoffel)
 
 
 def normalize(conn):
@@ -348,17 +368,17 @@ def koszul_linear_d(nabla, form):
 def curvature_matrix_reference(nabla, i, j):
     """R(e_i, e_j) = rho_i G_j - rho_j G_i + [G_i, G_j] - G_[e_i, e_j], target-major."""
     A = nabla.algebroid
-    gi, gj = nabla.mats[i], nabla.mats[j]
+    gi, gj = nabla.christoffel[i], nabla.christoffel[j]
     out = [[Poly.zero(A.variables) for _ in range(nabla.rank)]
            for _ in range(nabla.rank)]
     for b in range(nabla.rank):
         for a in range(nabla.rank):
-            acc = A.anchor_apply(i, gj[b][a]) - A.anchor_apply(j, gi[b][a])
+            acc = A.anchor_apply(i, gj[a][b]) - A.anchor_apply(j, gi[a][b])
             for m in range(nabla.rank):
-                acc = acc + gi[b][m] * gj[m][a] - gj[b][m] * gi[m][a]
+                acc = acc + gi[m][b] * gj[a][m] - gj[m][b] * gi[a][m]
             for m, c in enumerate(A.structure[i][j]):
                 if not c.is_zero():
-                    acc = acc - c * nabla.mats[m][b][a]
+                    acc = acc - c * nabla.christoffel[m][a][b]
             out[b][a] = acc
     return tuple(tuple(row) for row in out)
 
@@ -374,7 +394,7 @@ def d_hom_reference(total_form, nablas):
     variables = A.variables
     blocks = {}
     for (i, l, j), entries in total_form.blocks.items():
-        g_src, g_dst = nablas[l].mats, nablas[j].mats
+        g_src, g_dst = transposed(nablas[l].christoffel), transposed(nablas[j].christoffel)
         rows, cols = total_form.dst.rank(j), total_form.src.rank(l)
 
         def block_matrix(mi, _entries=entries, _rows=rows, _cols=cols):
@@ -476,12 +496,12 @@ def test_connection_form_is_the_checked_build_of_the_christoffel_matrices(name):
     for bundle in ODD_BUNDLES:
         conn = random_cuth(rng, a, bundle, max_poly_degree=2)
         z0 = bundle.degrees()[0]
-        mats = [list(m) for m in conn.nablas[z0].mats]
-        mats[0] = mat_zero(len(mats[0]), len(mats[0]), a.variables)
-        conn.nablas[z0] = LinearConnection(a, len(mats[0]), mats)
+        christoffel = list(conn.nablas[z0].christoffel)
+        christoffel[0] = mat_zero(len(christoffel[0]), len(christoffel[0]), a.variables)
+        conn.nablas[z0] = LinearConnection(a, christoffel)
         conn.nablas[bundle.degrees()[-1]] = LinearConnection.zero(a, bundle.summands[-1][1])
         gamma = conn.connection_form()
-        blocks = {(1, z, z): {(i,): m for i, m in enumerate(conn.nablas[z].mats)}
+        blocks = {(1, z, z): {(i,): m for i, m in enumerate(transposed(conn.nablas[z].christoffel))}
                   for z in bundle.degrees()}
         assert gamma == TotalForm(a.variables, a.rank, bundle, bundle, 1, blocks)
         assert (1, bundle.degrees()[-1], bundle.degrees()[-1]) not in gamma._kernel[1]
@@ -496,9 +516,9 @@ def test_connection_form_refuses_an_exponent_at_the_limit():
     x = a.variables[0]
     payload = {"rank": 1, "christoffel": [{"frame": 0, "matrix": [[f"{x}^4294967296"]]}]}
     with pytest.raises(ParseError, match=r"4294967296 .* 2\^32"):
-        LinearConnection.from_json(payload, a)
+        LinearConnection.from_json(payload, a, 1)
     with pytest.raises(MismatchError, match=r"4294967296 .* 2\^32"):
-        LinearConnection(a, 1, [[[Poly(a.variables, {(1 << 32,): 1})]]])
+        LinearConnection(a, [[[Poly(a.variables, {(1 << 32,): 1})]]])
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))

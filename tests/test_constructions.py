@@ -46,9 +46,8 @@ X = ("x",)
 
 
 def scalar_aff1_connection():
-    return LinearConnection(catalog.aff1(), 1,
-                            [[[Poly.constant((), 2)]],
-                             [[Poly.constant((), 3)]]])
+    return LinearConnection(catalog.aff1(), [[[Poly.constant((), 2)]],
+                                             [[Poly.constant((), 3)]]])
 
 
 def check_names(report):
@@ -218,13 +217,13 @@ def basic_connections_reference(algebroid, nabla_tm):
                      covariant_section(nabla_tm, algebroid.anchor[j],
                                             _unit(variables, r, i)))
                 for j in range(r)] for i in range(r)]
-    christoffel = nabla_tm.christoffel()
+    christoffel = nabla_tm.christoffel
     gamma_tm = [[_add(algebroid.vector_field_bracket(algebroid.anchor[i],
                                                      _unit(variables, n, m)),
                       _rho(algebroid, christoffel[m][i]))
                  for m in range(n)] for i in range(r)]
-    return (LinearConnection.from_christoffel(algebroid, gamma_a),
-            LinearConnection.from_christoffel(algebroid, gamma_tm))
+    return (LinearConnection(algebroid, gamma_a),
+            LinearConnection(algebroid, gamma_tm))
 
 
 def basic_curvature_reference(algebroid, nabla_tm):
@@ -386,8 +385,7 @@ def test_square_zero_reports_broken_omega():
 def borel_module():
     sl2 = catalog.sl2()
     borel = Subframe(3, [0, 1])
-    return sl2, borel, LinearConnection(sl2.restrict(borel), 1,
-                                        flat_borel_module())
+    return sl2, borel, LinearConnection(sl2.restrict(borel), flat_borel_module())
 
 
 def test_bott_borel():
@@ -402,8 +400,7 @@ def test_bott_borel():
 def test_bott_five_dimensional():
     a = catalog.solvable5()
     sub = Subframe(5, [0, 1, 2, 3])
-    nab = LinearConnection.from_christoffel(a.restrict(sub),
-                                            solvable5_module())
+    nab = LinearConnection(a.restrict(sub), solvable5_module())
     report = bott_report(a, sub, nab)
     assert report_passed(report)
     assert "trace_power_2_vanishes" in check_names(report)
@@ -471,9 +468,8 @@ def test_bott_vanishes_for_every_complement_read_source_major(name, monkeypatch)
 
 def test_bott_rejects_non_flat_module():
     sl2, borel, _ = borel_module()
-    bad = LinearConnection(sl2.restrict(borel), 1,
-                           [[[Poly.constant((), 1)]],
-                            [[Poly.constant((), 1)]]])
+    bad = LinearConnection(sl2.restrict(borel), [[[Poly.constant((), 1)]],
+                                                 [[Poly.constant((), 1)]]])
     assert not bad.is_flat()
     with pytest.raises(MismatchError):
         bott_report(sl2, borel, bad)
@@ -510,8 +506,8 @@ def five_dim_graded_module():
     a = catalog.solvable5()
     sub = Subframe(5, [0, 1, 2, 3])
     b = a.restrict(sub)
-    n0 = LinearConnection.from_christoffel(b, solvable5_module())
-    n1 = LinearConnection.from_christoffel(b, solvable5_module())
+    n0 = LinearConnection(b, solvable5_module())
+    n1 = LinearConnection(b, solvable5_module())
     E = GradedBundle([(0, 2), (1, 2)])
     ident = [[Poly.one(()), Poly.zero(())], [Poly.zero(()), Poly.one(())]]
     D = TotalForm(b.variables, b.rank, E, E, 1, {(0, 0, 1): {(): ident}})
@@ -594,8 +590,8 @@ def test_iis_extension_must_preserve_ideal():
     al = catalog.aff1_action_line()
     t = tangent_algebroid(Chart(X))
     # an extension whose e2-Christoffel pushes e1 out of J = span(e1)
-    bad = LinearConnection(t, 2, [[[Poly.zero(X), Poly.zero(X)],
-                                   [Poly.one(X), Poly.zero(X)]]])
+    bad = LinearConnection(t, [[[Poly.zero(X), Poly.one(X)],
+                                [Poly.zero(X), Poly.zero(X)]]])
     with pytest.raises(MismatchError):
         iis_check(al, Subframe(2, [0]), Subframe(1, [0]), nabla_tilde=bad)
 
@@ -617,7 +613,7 @@ def iis_witness_reference(algebroid, j_subframe, fm_subframe, nabla_tilde):
     if point:
         gamma = [[list(algebroid.bracket_vector(i, j)) for j in range(r)]
                  for i in range(r)]
-        bas_a = LinearConnection.from_christoffel(algebroid, gamma)
+        bas_a = LinearConnection(algebroid, gamma)
     else:
         bas_a, bas_tm = basic_connections_reference(algebroid, nabla_tilde)
     j_set = set(j_subframe.indices)
@@ -635,7 +631,7 @@ def iis_witness_reference(algebroid, j_subframe, fm_subframe, nabla_tilde):
             break
     checks = [("anchor_maps_into_fields", ok1, witness)]
 
-    gamma_a = bas_a.christoffel()
+    gamma_a = bas_a.christoffel
     witness = None
     ok2 = True
     for i in range(r):
@@ -655,7 +651,7 @@ def iis_witness_reference(algebroid, j_subframe, fm_subframe, nabla_tilde):
     witness = None
     ok3 = True
     if not point:
-        gamma_tm = bas_tm.christoffel()
+        gamma_tm = bas_tm.christoffel
         for i in range(r):
             for m in fm_subframe.indices:
                 for p in range(n):
@@ -710,11 +706,11 @@ def _sparse_extensions(algebroid):
                                   itertools.combinations(cells, 2)):
         gamma = [[[x if (m, i, k) in chosen else zero for k in range(r)]
                   for i in range(r)] for m in range(n)]
-        yield LinearConnection.from_christoffel(tangent, gamma)
+        yield LinearConnection(tangent, gamma)
 
 
 def _preserves(nabla_tilde, j_subframe, fm_subframe):
-    christoffel = nabla_tilde.christoffel()
+    christoffel = nabla_tilde.christoffel
     return all(christoffel[m][i][k].is_zero()
                for m in fm_subframe.indices for i in j_subframe.indices
                for k in j_subframe.complement())

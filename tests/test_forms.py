@@ -38,7 +38,7 @@ from gradweil.ring import EXPONENT_LIMIT, FIELD, Poly, _pack, _unpack
 from oracles import (LINE, basis_element, block_pass, chart_block_pass, curvature_power,
                      element, exponent_terms, extend_total_form_by_polys, graded_commutator,
                      hat, merge_sign, poly_add, poly_connection_d, poly_d, poly_scale,
-                     poly_wedge, restrict_total_form, sort_with_sign)
+                     poly_wedge, restrict_total_form, sort_with_sign, transposed)
 from test_algebroid import PRESENTATIONS, fractional_chart_presentation
 
 VS = ("x",)
@@ -986,9 +986,9 @@ DENOMINATOR_BUNDLES = (
 def denominator_cuth(rng, algebroid, bundle, denominators):
     """A connection up to homotopy with Christoffel and D entries over `denominators`."""
     variables, rank = algebroid.variables, algebroid.rank
-    nablas = {z: LinearConnection(algebroid, r, [
+    nablas = {z: LinearConnection(algebroid, transposed([
         [[kernel_poly(rng, variables, denominators) for _ in range(r)] for _ in range(r)]
-        for _ in range(rank)]) for z, r in bundle.summands}
+        for _ in range(rank)])) for z, r in bundle.summands}
     D = kernel_total_form(rng, variables, rank, bundle, 1, denominators)
     return ConnectionUpToHomotopy(algebroid, bundle, nablas, D)
 
@@ -1347,9 +1347,9 @@ def test_d_and_the_connection_d_match_the_poly_references(name):
         image = a.d(form)
         assert image == poly_d(a, form)
         nonzero["d"] += not image.is_zero()
-        nabla = LinearConnection(a, fiber, [
+        nabla = LinearConnection(a, transposed([
             [[kernel_poly(rng, variables, rng.choice(ODD_DENOMINATORS))
-              for _ in range(fiber)] for _ in range(fiber)] for _ in range(rank)])
+              for _ in range(fiber)] for _ in range(fiber)] for _ in range(rank)]))
         image = nabla.apply(form)
         assert image == poly_connection_d(nabla, form)
         nonzero["connection d"] += not image.is_zero()
