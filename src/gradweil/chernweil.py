@@ -167,6 +167,9 @@ def pontryagin_class(nabla, index):
 # cohomology over a point base
 
 
+_ONE = Fraction(1)   # a unit cochain's entry, as `nullspace` builds it
+
+
 class CohomologyBasis:
     """Exact Chevalley-Eilenberg cohomology of a point-base algebroid.
 
@@ -174,11 +177,22 @@ class CohomologyBasis:
     representative cocycles, and enough data to decompose any closed form
     into class coefficients plus an explicit primitive.  `_masks[k]` lists
     the bitmasks of the multi-indices `bases[k]`, the keys of stored forms.
-    `d_cols[k]` holds the image of each basis cochain of `bases[k]`, its
-    `Algebroid._d_column` over `_d_den`, as a {index in bases[k + 1]:
-    Fraction} dict; cochains and representatives are sparse vectors {index
-    in bases[k]: value} of the same kind, read off and stored as a Form's
-    terms with no Poly in between.
+    `d_cols[k]` holds the image of each basis cochain of `bases[k]` as a
+    {index in bases[k + 1]: numerator} dict, the integers of
+    `Algebroid._d_column` over the algebroid's `_d_den`, so no Fraction is
+    built for d; where d_A vanishes no column is read at all.  Cochains and
+    representatives are sparse vectors {index in bases[k]: value} of
+    Fractions, read off and stored as a Form's terms with no Poly in
+    between.
+
+    Scaling the columns by `_d_den` changes no kernel, no pivot and no
+    solution but the primitive's, which `decompose` scales back.  Two
+    eliminations are skipped where they are trivial, each exactly: a d_k
+    with no nonzero column has the unit cochains as its `nullspace` basis,
+    the free-column vectors of a system with no pivot; and with no nonzero
+    boundary column every cocycle is a pivot of [boundaries | cocycles],
+    since the `nullspace` vectors are independent (each is 1 at its own
+    free column and 0 at the others).
     """
 
     def __init__(self, algebroid):
@@ -186,16 +200,19 @@ class CohomologyBasis:
             raise MismatchError("exact cohomology requires a point base; "
                                 "use the bounded exactness solver over charts")
         self.algebroid = algebroid
-        r, den = algebroid.rank, algebroid._d_den
+        r = algebroid.rank
         self.bases = {k: list(itertools.combinations(range(r), k))
                       for k in range(r + 2)}
         self._masks = {k: [_mask(mi) for mi in basis] for k, basis in self.bases.items()}
         self._index = {k: {mask: i for i, mask in enumerate(masks)}
                        for k, masks in self._masks.items()}
-        self.d_cols = {k: [{self._index[k + 1][out]: Fraction(n, den)
-                            for (out, _), n in algebroid._d_column((mask, 0)).items()}
-                           for mask in self._masks[k]]
-                       for k in range(r + 1)}
+        if algebroid.d_vanishes:
+            self.d_cols = {k: [{} for _ in self._masks[k]] for k in range(r + 1)}
+        else:
+            self.d_cols = {k: [{self._index[k + 1][out]: n
+                                for (out, _), n in algebroid._d_column((mask, 0)).items()}
+                               for mask in self._masks[k]]
+                           for k in range(r + 1)}
         self.rep_vectors = {}
         self.representatives = {}
         for k in range(r + 1):
@@ -211,12 +228,18 @@ class CohomologyBasis:
                                 {(masks[i], 0): val for i, val in vec.items() if val})
 
     def _pick_representatives(self, k):
-        n = len(self.bases[k])
-        cocycles = nullspace(transpose(self.d_cols[k], len(self.bases[k + 1])), n)
+        n, d_k = len(self.bases[k]), self.d_cols[k]
+        if any(d_k):
+            cocycles = nullspace(transpose(d_k, len(self.bases[k + 1])), n)
+        else:
+            cocycles = [{i: _ONE} for i in range(n)]
         boundaries = self.d_cols[k - 1] if k > 0 else []
-        columns = boundaries + cocycles
-        pivots = pivot_columns(transpose(columns, n), len(columns))
-        reps = [columns[p] for p in pivots if p >= len(boundaries)]
+        if any(boundaries):
+            columns = boundaries + cocycles
+            pivots = pivot_columns(transpose(columns, n), len(columns))
+            reps = [columns[p] for p in pivots if p >= len(boundaries)]
+        else:
+            reps = cocycles
         self.rep_vectors[k] = reps
         self.representatives[k] = [self.vector_to_form(k, v) for v in reps]
 
@@ -240,7 +263,11 @@ class CohomologyBasis:
         sol = solve(rows, self.form_to_vector(form), len(columns))
         if sol is None:
             raise InternalCheckError("closed form failed to decompose")
-        coeffs, prim_vec = sol[:len(reps)], dict(enumerate(sol[len(reps):]))
+        # the boundary columns are `_d_den` times d, so the primitive is
+        # `_d_den` times their part of the solution
+        den = self.algebroid._d_den
+        coeffs = sol[:len(reps)]
+        prim_vec = {i: v * den for i, v in enumerate(sol[len(reps):])}
         primitive = (self.vector_to_form(k - 1, prim_vec) if k > 0
                      else Form.zero(self.algebroid.variables,
                                     self.algebroid.rank, 0))

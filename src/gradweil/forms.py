@@ -774,7 +774,11 @@ class Form(TotalForm):
         value}, each value a nonzero int or Fraction, taken over the integer
         `den`, bitmasks of `degree` bits in range, fields below 2^FIELD:
         stored with no Poly and no check, `den` joined into the stored
-        denominator and the whole reduced by `_canonical`."""
+        denominator and the whole reduced by `_canonical`.  On the point
+        base with `den` 1 the terms are stored as they are: a prime of D,
+        the lcm of lowest-terms denominators, divides one of them to its
+        full power in D, so it divides neither that value's numerator nor
+        D over its denominator, and D and the numerators have gcd 1."""
         D, width, entries = lcm(*{q.denominator for q in terms.values()}), _width(variables), {}
         for (mask, mono), q in sorted(terms.items()):
             n = q.numerator * (D // q.denominator)
@@ -782,8 +786,11 @@ class Form(TotalForm):
                 entries.setdefault(mask, {})[mono] = n
             else:
                 entries[mask] = [n]
-        return cls._unchecked(variables, frame_rank, _LINE, _LINE, degree,
-                              _canonical(D * den, {(degree, 0, 0): (1, 1, entries)}, width))
+        if width or den != 1:
+            kernel = _canonical(D * den, {(degree, 0, 0): (1, 1, entries)}, width)
+        else:
+            kernel = D, {(degree, 0, 0): entries} if entries else {}
+        return cls._unchecked(variables, frame_rank, _LINE, _LINE, degree, kernel)
 
     def _numerators(self):
         """The terms {(bitmask, packed monomial): numerator} of a scalar

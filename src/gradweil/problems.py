@@ -244,7 +244,15 @@ def _flat_on_subframe(data, task, algebroid):
     """
     sub, restricted, failed = _restricted(data, task, algebroid)
     spec = _need(data, task, "connection")
-    rank = spec.get("rank", sub.rank)
+    # the bundle rank is the connection's `rank`, else the size of its first
+    # Christoffel matrix; the subframe's frame rank is an unrelated number
+    if "rank" in spec:
+        rank = spec["rank"]
+    elif spec.get("christoffel"):
+        rank = len(spec["christoffel"][0]["matrix"])
+    else:
+        raise ParseError(f"task '{task}' requires field 'rank' in its connection, "
+                         "which has no christoffel matrix to read it from")
     complement = _complement_mats(data, algebroid, sub, rank)
     if failed is not None:
         return sub, None, None, failed

@@ -6,10 +6,13 @@ computation that a test compares the engine with, or input data for tests.
 
 import itertools
 from fractions import Fraction
+from math import lcm
+from types import SimpleNamespace
 
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
 from gradweil.errors import MismatchError
-from gradweil.forms import Form, GradedBundle, TotalForm, _indices, gtr
+from gradweil.forms import _LINE, Form, GradedBundle, TotalForm, _canonical, _indices, _mask, gtr
+from gradweil.linalg import nullspace, pivot_columns, solve, transpose
 from gradweil.ring import Poly, _pack, _unpack
 
 
@@ -608,3 +611,68 @@ def dense_nullspace(matrix):
             vec[c] = -reduced[i][free]
         basis.append(vec)
     return basis
+
+
+# --- Chevalley-Eilenberg cohomology in Fractions --------------------------------
+
+
+def stored(form):
+    """A form's stored form (D, view) with the order of its keys, which `==`
+    on forms does not see."""
+    D, view = form._kernel
+    return D, [(key, list(entries.items())) for key, entries in view.items()]
+
+
+def canonical_form(frame_rank, degree, terms):
+    """A point-base scalar Form on nonzero {(bitmask, 0): Fraction} terms,
+    stored over the lcm of their denominators and reduced by `_canonical`:
+    the reference of `Form._from_terms`, which skips that pass there."""
+    D = lcm(*{q.denominator for q in terms.values()})
+    entries = {mask: [q.numerator * (D // q.denominator)] for (mask, _), q in sorted(terms.items())}
+    return Form._unchecked((), frame_rank, _LINE, _LINE, degree,
+                           _canonical(D, {(degree, 0, 0): (1, 1, entries)}, 0))
+
+
+def cohomology_reference(algebroid):
+    """The cohomology of a point-base algebroid built in Fractions, the
+    reference of `CohomologyBasis`: d_cols[k] are the columns of d_k over
+    `_d_den` as Fractions, cocycles[k] the `nullspace` basis of d_k, and
+    rep_vectors[k] the cocycles that are pivots of [boundaries | cocycles],
+    with no degree skipped; representatives are stored through
+    `canonical_form`.  `decompose(form)` solves [reps | boundaries] for a
+    closed form of degree 1..rank as `CohomologyBasis.decompose` does."""
+    r, den = algebroid.rank, algebroid._d_den
+    bases = {k: list(itertools.combinations(range(r), k)) for k in range(r + 2)}
+    masks = {k: [_mask(mi) for mi in basis] for k, basis in bases.items()}
+    index = {k: {mask: i for i, mask in enumerate(ms)} for k, ms in masks.items()}
+    d_cols = {k: [{index[k + 1][out]: Fraction(n, den)
+                   for (out, _), n in algebroid._d_column((mask, 0)).items()}
+                  for mask in masks[k]]
+              for k in range(r + 1)}
+
+    def vector_to_form(k, vec):
+        return canonical_form(r, k, {(masks[k][i], 0): v for i, v in vec.items() if v})
+
+    cocycles, rep_vectors = {}, {}
+    for k in range(r + 1):
+        n = len(bases[k])
+        cocycles[k] = nullspace(transpose(d_cols[k], len(bases[k + 1])), n)
+        boundaries = d_cols[k - 1] if k > 0 else []
+        columns = boundaries + cocycles[k]
+        pivots = pivot_columns(transpose(columns, n), len(columns))
+        rep_vectors[k] = [columns[p] for p in pivots if p >= len(boundaries)]
+
+    def decompose(form):
+        k = form.degree
+        reps = rep_vectors[k]
+        columns = reps + d_cols[k - 1]
+        target = {index[k][mask]: v for (mask, _), v in form._terms().items()}
+        sol = solve(transpose(columns, len(bases[k])), target, len(columns))
+        assert sol is not None, "closed form failed to decompose"
+        return sol[:len(reps)], vector_to_form(k - 1, dict(enumerate(sol[len(reps):])))
+
+    return SimpleNamespace(
+        bases=bases, d_cols=d_cols, cocycles=cocycles, rep_vectors=rep_vectors,
+        representatives={k: [vector_to_form(k, v) for v in reps]
+                         for k, reps in rep_vectors.items()},
+        decompose=decompose)

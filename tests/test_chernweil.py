@@ -36,9 +36,9 @@ from gradweil.linalg import solve
 from gradweil.problems import run_problem
 from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
-from oracles import (covariant, curvature_power, d_sparse_sources_reference, exponent_terms,
-                     interior, radial_primitive, rho_pullback, tangent_line, total_degree,
-                     transgression_by_sums)
+from oracles import (cohomology_reference, covariant, curvature_power,
+                     d_sparse_sources_reference, exponent_terms, interior, radial_primitive,
+                     rho_pullback, stored, tangent_line, total_degree, transgression_by_sums)
 from test_algebroid import PRESENTATIONS, koszul_reference, packed_key, tuple_column, tuple_key
 from test_connections import _count_calls, _count_first_curvatures
 
@@ -845,8 +845,10 @@ def test_closure_of_the_tr5_sigma2_system_is_small():
     assert result.status == "exact" and algebroid.d(result.primitive) == form
 
 
-@pytest.mark.parametrize("maker", [catalog.sl2, catalog.heisenberg3, catalog.solvable5])
+@pytest.mark.parametrize("maker", [catalog.sl2, catalog.heisenberg3, catalog.solvable5,
+                                   PRESENTATIONS["fractional_point"]])
 def test_cohomology_matrices_match_the_koszul_formula(maker):
+    # d_cols are the columns' integer numerators over `_d_den`
     a = maker()
     basis = CohomologyBasis(a)
     for k in range(a.rank + 1):
@@ -854,8 +856,8 @@ def test_cohomology_matrices_match_the_koszul_formula(maker):
         cols = []
         for mi in basis.bases[k]:
             cochain = Form((), a.rank, k, 1, {(mi, 0): Poly.one(())})
-            cols.append({rows[out_mi]: exponent_terms(poly)[()] for (out_mi, _), poly
-                         in koszul_reference(a, cochain).coeffs.items()})
+            cols.append({rows[out_mi]: exponent_terms(poly)[()] * a._d_den
+                         for (out_mi, _), poly in koszul_reference(a, cochain).coeffs.items()})
         assert basis.d_cols[k] == cols
 
 
@@ -1025,6 +1027,72 @@ def test_the_top_betti_number_of_a_non_unimodular_algebra_is_zero(name):
     a = POINT_ALGEBRAS[name]()
     assert not unimodular(a)
     assert betti(a)[-1] == 0
+
+
+# --- the integer cohomology against the Fraction build ---------------------------
+
+
+COHOMOLOGY_ALGEBRAS = {
+    **{name: make for name, make in sorted(PRESENTATIONS.items()) if make().chart.dim == 0},
+    **{f"abelian{r}": (lambda r=r: catalog.abelian(r)) for r in range(1, 9)},
+}
+
+
+def random_cocycle(rng, cocycles):
+    """A random rational combination of cocycle vectors, as a sparse vector."""
+    out = {}
+    for vec in cocycles:
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for i, v in vec.items():
+            out[i] = out.get(i, 0) + c * v
+    return {i: v for i, v in out.items() if v}
+
+
+def assert_cohomology_matches_the_fraction_build(a, rng):
+    """`CohomologyBasis` of `a` against `oracles.cohomology_reference`: equal
+    bases, integer d_cols equal to the Fraction ones times `_d_den`, the same
+    representative vectors (values, types and order), dims and stored
+    representatives, and equal decompositions of random closed forms."""
+    ce, ref = CohomologyBasis(a), cohomology_reference(a)
+    assert ce.bases == ref.bases
+    assert ce.d_cols == {k: [{i: v * a._d_den for i, v in col.items()} for col in cols]
+                         for k, cols in ref.d_cols.items()}
+    assert all(type(v) is int for cols in ce.d_cols.values() for col in cols
+               for v in col.values())
+    assert repr(ce.rep_vectors) == repr(ref.rep_vectors)
+    assert [ce.dim(k) for k in range(a.rank + 2)] == [
+        len(ref.rep_vectors.get(k, ())) for k in range(a.rank + 2)]
+    assert {k: [stored(f) for f in reps] for k, reps in ce.representatives.items()} == {
+        k: [stored(f) for f in reps] for k, reps in ref.representatives.items()}
+    for k in range(1, a.rank + 1):
+        for _ in range(3):
+            vec = random_cocycle(rng, ref.cocycles[k])
+            form = Form((), a.rank, k, 1, {(ref.bases[k][i], 0): v for i, v in vec.items()})
+            coeffs, primitive = ce.decompose(form)
+            ref_coeffs, ref_primitive = ref.decompose(form)
+            assert coeffs == ref_coeffs and stored(primitive) == stored(ref_primitive)
+
+
+@pytest.mark.parametrize("name", sorted(COHOMOLOGY_ALGEBRAS))
+def test_cohomology_matches_the_fraction_build(name):
+    # the point-base presentations include fractional_point (`_d_den` 210)
+    # and broken_jacobi (d_A^2 != 0); abelian(r) skips every elimination
+    assert_cohomology_matches_the_fraction_build(COHOMOLOGY_ALGEBRAS[name](),
+                                                 random.Random(sum(map(ord, name))))
+
+
+def test_cohomology_of_random_direct_sums_matches_the_fraction_build():
+    rng = random.Random(71)
+    names = sorted(POINT_ALGEBRAS)
+    for _ in range(8):
+        summands = []
+        while len(summands) < 2 or rng.random() < 0.5:
+            fits = [name for name in names
+                    if sum(a.rank for a in summands) + POINT_ALGEBRAS[name]().rank <= 8]
+            if not fits:
+                break
+            summands.append(POINT_ALGEBRAS[rng.choice(fits)]())
+        assert_cohomology_matches_the_fraction_build(direct_sum(summands), rng)
 
 
 def test_a_transgression_from_the_flat_frame_is_a_primitive_of_the_character():

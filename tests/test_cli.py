@@ -263,9 +263,10 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     assert tool.main(["--seeds", "1", "--repeats", "1"]) == 0
     rows = capsys.readouterr().out.splitlines()
     algebras = ["sl2", "solvable5", "abelian(8)", "TR^4"]
+    lie_algebras = ["sl2", "solvable5", "two_aff1_plus_center", "abelian(8)"]
     assert [row.split()[:2] for row in rows] == [["route", "algebra"]] + [
         [route, name] for route in ("curvature", "power_traces", "square_trace")
-        for name in algebras]
+        for name in algebras] + [["cohomology", name] for name in lie_algebras]
     original = ConnectionUpToHomotopy.curvature
     monkeypatch.setattr(ConnectionUpToHomotopy, "curvature",
                         lambda self: original(self).scale(2))
@@ -292,6 +293,23 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     assert [name for name in algebras if f"square_trace, {name}, seed 0: the engine and "
             "the formula disagree" in out] == ["solvable5", "TR^4"]
     assert "curvature, " not in out
+    monkeypatch.undo()
+    # coboundary columns at twice their numerators, as a second `_d_den`
+    # scale would give; abelian(8) has no nonzero column to differ
+    cohomology = tool.ce_cohomology
+
+    def doubled(algebroid):
+        basis = cohomology(algebroid)
+        basis.d_cols = {k: [{i: 2 * v for i, v in col.items()} for col in cols]
+                        for k, cols in basis.d_cols.items()}
+        return basis
+
+    monkeypatch.setattr(tool, "ce_cohomology", doubled)
+    assert tool.main(["--seeds", "1", "--repeats", "1"]) == 1
+    out = capsys.readouterr().out
+    assert [name for name in lie_algebras if f"cohomology, {name}: the engine and the "
+            "reference disagree" in out] == ["sl2", "solvable5", "two_aff1_plus_center"]
+    assert "seed 0: the engine and the formula disagree" not in out
 
 
 # --- out-of-range indices ------------------------------------------------------
@@ -667,6 +685,29 @@ def test_complement_key_outside_the_subframe_is_used(tmp_path, capsys, monkeypat
     [complement] = seen
     assert list(complement) == [2]
     assert str(complement[2][0][0]) == "1/2"
+
+
+# --- the bundle rank of a subframe connection -----------------------------------
+
+
+@pytest.mark.parametrize("name", ["bott_sl2_borel", "bott_5dim", "atiyah_sl2_borel",
+                                  "atiyah_aff1_center", "atiyah_5dim_complement"])
+def test_a_subframe_connection_without_rank_reads_it_off_its_christoffels(name):
+    # the module of bott_sl2_borel has rank 1 on a Borel subframe of frame
+    # rank 2, so the frame rank is no stand-in for the bundle rank
+    payload = _corpus_payload(name)
+    del payload["connection"]["rank"]
+    golden = (CORPUS / f"{name}.golden.json").read_bytes()
+    assert canonical_json(run_problem(payload)).encode() == golden
+
+
+def test_a_subframe_connection_without_rank_or_christoffels_exits_two(tmp_path, capsys):
+    payload = _corpus_payload("bott_sl2_borel")
+    del payload["connection"]["rank"], payload["connection"]["christoffel"]
+    assert main([write_problem(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err == (
+        "error: task 'bott' requires field 'rank' in its connection, which has no "
+        "christoffel matrix to read it from\n")
 
 
 # --- the exit-code contract under one mutated field -----------------------------

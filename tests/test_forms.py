@@ -35,10 +35,11 @@ from gradweil.forms import (
 )
 from gradweil.randgen import random_cuth, random_form, random_total_form
 from gradweil.ring import EXPONENT_LIMIT, FIELD, Poly, _pack, _unpack
-from oracles import (LINE, basis_element, block_pass, chart_block_pass, curvature_power,
-                     element, exponent_terms, extend_total_form_by_polys, graded_commutator,
-                     hat, merge_sign, poly_add, poly_connection_d, poly_d, poly_scale,
-                     poly_wedge, restrict_total_form, sort_with_sign, transposed)
+from oracles import (LINE, basis_element, block_pass, canonical_form, chart_block_pass,
+                     curvature_power, element, exponent_terms, extend_total_form_by_polys,
+                     graded_commutator, hat, merge_sign, poly_add, poly_connection_d, poly_d,
+                     poly_scale, poly_wedge, restrict_total_form, sort_with_sign, stored,
+                     transposed)
 from test_algebroid import PRESENTATIONS, fractional_chart_presentation
 
 VS = ("x",)
@@ -813,6 +814,27 @@ def test_point_base_storage_stays_flat_reduced_and_unwritten():
                 assert_point_storage(X)
                 assert _stored_lists(X) == stored
     assert nonzero > 40
+
+
+def test_point_terms_are_stored_as_the_canonical_route_stores_them():
+    # on the point base with den 1 `Form._from_terms` skips `_canonical`: the
+    # lcm of lowest-terms denominators has no prime in common with every
+    # numerator, so the stored form is already in lowest terms
+    rng = random.Random(101)
+    shared = 0
+    for _ in range(400):
+        rank = rng.randint(1, 6)
+        degree = rng.randint(0, rank)
+        masks = [_mask(mi) for mi in itertools.combinations(range(rank), degree)]
+        terms = {(mask, 0): rng.choice([rng.randint(-9, 9) or 1,
+                                        Fraction(rng.choice([-1, 1]) * rng.randint(1, 60),
+                                                 rng.randint(1, 60))])
+                 for mask in rng.sample(masks, rng.randint(0, len(masks)))}
+        form = Form._from_terms((), rank, degree, terms)
+        assert stored(form) == stored(canonical_form(rank, degree, terms))
+        assert_point_storage(form)
+        shared += form._kernel[0] > 1 and len(terms) > 1
+    assert shared > 100
 
 
 @pytest.mark.parametrize("variables", KERNEL_BASES)

@@ -1,4 +1,4 @@
-"""Time the engine's curvature routes of a connection up to homotopy against their formulas.
+"""Time the engine's curvature routes and its cohomology against their formulas and references.
 
     python tools/route_ratio.py [--seeds 5] [--repeats 5]
 
@@ -24,8 +24,19 @@ Every timed call runs on a fresh copy of the connection and its algebroid
 whose Omega (and, for the power traces, curvature) is built before the clock
 starts; the engine and the formula alternate, and a time for a seed is the
 best of `--repeats` calls.  Prints, per route and algebra, the median over
-the seeds of both times and of their ratio.  Exits 1 if a route and its
-formula ever disagree.
+the seeds of both times and of their ratio.
+
+A last route, cohomology, draws nothing: on sl2, solvable5,
+two_aff1_plus_center and abelian(8) it times `ce_cohomology` (integer
+coboundary columns, the eliminations skipped where d_k or d_(k-1) is zero)
+against `oracles.cohomology_reference` from tests/, the same basis built in
+Fractions with every degree eliminated, each on a fresh algebroid, best of
+`--repeats`, printing the reference's time in the formula column; the two
+must give equal bases, rep_vectors, dims and stored representatives, and
+the engine's columns must be the reference's times `_d_den`.
+
+Exits 1 if a route and its formula, or the cohomology and its reference,
+ever disagree.
 """
 
 from __future__ import annotations
@@ -37,17 +48,22 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from gradweil import catalog
 from gradweil.algebroid import Chart, tangent_algebroid
-from gradweil.chernweil import power_traces
+from gradweil.chernweil import ce_cohomology, power_traces
 from gradweil.forms import GradedBundle, gtr, tr
 from gradweil.randgen import random_cuth
+from oracles import cohomology_reference, stored
 
 ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
             "abelian(8)": lambda: catalog.abelian(8),
             "TR^4": lambda: tangent_algebroid(Chart(("x", "y", "z", "w")))}
+COHOMOLOGY_ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
+                       "two_aff1_plus_center": catalog.two_aff1_plus_center,
+                       "abelian(8)": lambda: catalog.abelian(8)}
 BUNDLE = GradedBundle([(0, 2), (1, 2), (2, 1)])   # R^2[0] + R^2[1] + R[2]
 TOP = 4   # the highest curvature power traced
 
@@ -116,13 +132,37 @@ def best_times(make, seed, repeats, route):
     return best
 
 
+def cohomology_agrees(engine, reference, den):
+    """Whether `ce_cohomology` and the Fraction reference built the same basis."""
+    return (engine.bases == reference.bases
+            and engine.d_cols == {k: [{i: v * den for i, v in col.items()} for col in cols]
+                                  for k, cols in reference.d_cols.items()}
+            and repr(engine.rep_vectors) == repr(reference.rep_vectors)
+            and all(engine.dim(k) == len(reps) for k, reps in reference.rep_vectors.items())
+            and {k: list(map(stored, reps)) for k, reps in engine.representatives.items()}
+            == {k: list(map(stored, reps)) for k, reps in reference.representatives.items()})
+
+
+def cohomology_times(make, repeats):
+    """(best engine seconds, best reference seconds, whether they agree),
+    each call on a fresh algebroid; the two alternate."""
+    best, results = [float("inf")] * 2, [None, None]
+    for _ in range(repeats):
+        for k, call in enumerate((ce_cohomology, cohomology_reference)):
+            algebroid = make()
+            start = time.perf_counter()
+            results[k] = call(algebroid)
+            best[k] = min(time.perf_counter() - start, best[k])
+    return best[0], best[1], cohomology_agrees(*results, algebroid._d_den)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     agree = True
-    print(f"{'route':<14}{'algebra':<12}{'engine ms':>11}{'formula ms':>12}"
+    print(f"{'route':<14}{'algebra':<22}{'engine ms':>11}{'formula ms':>12}"
           f"{'engine/formula':>16}")
     for route in ROUTES:
         for name, make in ALGEBRAS.items():
@@ -135,8 +175,15 @@ def main(argv=None):
                 engine.append(en_s * 1e3)
                 reference.append(fo_s * 1e3)
                 ratio.append(en_s / fo_s)
-            print(f"{route:<14}{name:<12}{statistics.median(engine):>11.2f}"
+            print(f"{route:<14}{name:<22}{statistics.median(engine):>11.2f}"
                   f"{statistics.median(reference):>12.2f}{statistics.median(ratio):>16.2f}")
+    for name, make in COHOMOLOGY_ALGEBRAS.items():
+        en_s, ref_s, same = cohomology_times(make, args.repeats)
+        if not same:
+            print(f"cohomology, {name}: the engine and the reference disagree")
+            agree = False
+        print(f"{'cohomology':<14}{name:<22}{en_s * 1e3:>11.2f}{ref_s * 1e3:>12.2f}"
+              f"{en_s / ref_s:>16.2f}")
     return 0 if agree else 1
 
 
