@@ -148,15 +148,19 @@ class Algebroid:
         self.rank = int(rank)
         if self.rank < 1:
             raise MismatchError("frame rank must be positive")
-        anchor = tuple(tuple(chart.poly(p) for p in row) for row in anchor)
+        # an entry already a Poly on the chart is kept as it is; any other
+        # goes through `Chart.poly`
+        variables, coerce = chart.variables, chart.poly
+        anchor = tuple([tuple([p if type(p) is Poly and p.variables == variables else coerce(p)
+                               for p in row]) for row in anchor])
         if len(anchor) != self.rank or any(len(row) != chart.dim for row in anchor):
             raise MismatchError(
                 f"anchor must be {self.rank} x {chart.dim}, got "
                 f"{len(anchor)} x {[len(r) for r in anchor]}")
         self.anchor = anchor
-        structure = tuple(
-            tuple(tuple(chart.poly(p) for p in vec) for vec in row)
-            for row in structure)
+        structure = tuple([tuple([tuple([p if type(p) is Poly and p.variables == variables
+                                         else coerce(p) for p in vec]) for vec in row])
+                           for row in structure])
         if (len(structure) != self.rank
                 or any(len(row) != self.rank for row in structure)
                 or any(len(vec) != self.rank for row in structure for vec in row)):
@@ -196,13 +200,14 @@ class Algebroid:
 
         Unlisted pairs are zero; the (j, i) entries are filled by
         antisymmetry, so presentations built this way always pass the
-        antisymmetry check.
+        antisymmetry check.  Each vector is placed as given and its negation
+        at the swapped pair; an (i, j) and a (j, i) given together are
+        summed, [e_i, e_j] being the first minus the second.
         """
         if not isinstance(chart, Chart):
             chart = Chart(chart)
-        zero = chart.zero()
-        structure = [[[zero for _ in range(rank)] for _ in range(rank)]
-                     for _ in range(rank)]
+        zeros = [chart.zero()] * rank
+        structure = [[zeros] * rank for _ in range(rank)]
         for (i, j), coeffs in brackets.items():
             if i == j:
                 raise MismatchError(f"diagonal bracket ({i},{i}) must be omitted")
@@ -211,8 +216,11 @@ class Algebroid:
             vec = [chart.poly(c) for c in coeffs]
             if len(vec) != rank:
                 raise MismatchError(f"bracket ({i},{j}) needs {rank} coefficients")
-            structure[i][j] = [structure[i][j][k] + vec[k] for k in range(rank)]
-            structure[j][i] = [structure[j][i][k] - vec[k] for k in range(rank)]
+            if (j, i) in brackets:
+                structure[i][j] = [p + q for p, q in zip(structure[i][j], vec)]
+                structure[j][i] = [p - q for p, q in zip(structure[j][i], vec)]
+            else:
+                structure[i][j], structure[j][i] = vec, [-p for p in vec]
         return cls(chart, rank, anchor, structure)
 
     # -- basic calculus -----------------------------------------------------

@@ -168,6 +168,27 @@ def _connection(spec, algebroid, rank, rng):
     return LinearConnection.from_json(spec, algebroid, rank=rank)
 
 
+def _bundle_rank(data, specs, task, default):
+    """The bundle rank of the connections `specs` ({where: spec}, None for a
+    seeded random one): the first `rank` a spec gives, else the file's
+    `rank`, else the size of the first Christoffel matrix a spec gives.
+    Only when every connection is seeded random may the rank be `default`;
+    a spec with none of the three exits 2 naming its missing `rank`."""
+    given = {where: spec for where, spec in specs.items() if spec is not None}
+    for spec in given.values():
+        if "rank" in spec:
+            return spec["rank"]
+    if "rank" in data:
+        return data["rank"]
+    for spec in given.values():
+        if spec.get("christoffel"):
+            return len(spec["christoffel"][0]["matrix"])
+    if given:
+        raise ParseError(f"task '{task}' requires field 'rank' in its {next(iter(given))}, "
+                         "which has no christoffel matrix to read it from")
+    return default
+
+
 def _tangent_connection(data, algebroid, rng):
     """The file's tangent-frame connection, else a seeded random one.
 
@@ -244,15 +265,7 @@ def _flat_on_subframe(data, task, algebroid):
     """
     sub, restricted, failed = _restricted(data, task, algebroid)
     spec = _need(data, task, "connection")
-    # the bundle rank is the connection's `rank`, else the size of its first
-    # Christoffel matrix; the subframe's frame rank is an unrelated number
-    if "rank" in spec:
-        rank = spec["rank"]
-    elif spec.get("christoffel"):
-        rank = len(spec["christoffel"][0]["matrix"])
-    else:
-        raise ParseError(f"task '{task}' requires field 'rank' in its connection, "
-                         "which has no christoffel matrix to read it from")
+    rank = _bundle_rank(data, {"connection": spec}, task, None)
     complement = _complement_mats(data, algebroid, sub, rank)
     if failed is not None:
         return sub, None, None, failed
@@ -310,7 +323,7 @@ def _task_check_algebroid(data, algebroid, rng, bound):
 
 def _task_pontryagin(data, algebroid, rng, bound):
     spec = data.get("connection")
-    rank = (spec or {}).get("rank", data.get("rank", algebroid.rank))
+    rank = _bundle_rank(data, {"connection": spec}, "pontryagin", algebroid.rank)
     nabla = _connection(spec, algebroid, rank, rng)
     checks = []
     classes = []
@@ -453,7 +466,7 @@ def _task_adjoint(data, algebroid, rng, bound):
 
 def _task_double(data, algebroid, rng, bound):
     spec = data.get("connection")
-    rank = (spec or {}).get("rank", data.get("rank", 1))
+    rank = _bundle_rank(data, {"connection": spec}, "double", 1)
     return square_zero_check(double_rep(_connection(spec, algebroid, rank, rng)))
 
 
@@ -478,7 +491,8 @@ def _task_transgression(data, algebroid, rng, bound):
     specs = _connection_specs(_need(data, "transgression", "connections"),
                               ("old", "new"), "is neither 'old' nor 'new'")
     index = data.get("index", 1)
-    rank = specs.get("old", {}).get("rank", data.get("rank", algebroid.rank))
+    rank = _bundle_rank(data, {f"connection '{key}'": specs.get(key) for key in ("old", "new")},
+                        "transgression", algebroid.rank)
     old, new = (_connection(specs.get(key), algebroid, rank, rng)
                 for key in ("old", "new"))
     t_form = transgression(old, new, index)

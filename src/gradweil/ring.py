@@ -21,6 +21,10 @@ with an integer or `p/q` coefficient, unit exponents omitted, and a bare
 coefficient for constant terms.  A decimal literal longer than the
 interpreter's limit on integer digits is refused with ParseError, leading
 zeros not counted; an exponent of more than ten digits is at or above 2^32.
+A bare literal, `-?digits` or `-?digits/digits` (most entries of a problem
+file), is read by one regular-expression match through the same digit and
+zero-denominator checks, so it gives the grammar's value and error message;
+every other string takes the grammar.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ _FIELD_MASK = (1 << FIELD) - 1
 _LIMIT_DIGITS = len(str(EXPONENT_LIMIT))   # a longer exponent is at or above it
 
 _COEFF_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+_LITERAL_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")   # a bare constant
 VARIABLE_NAME = re.compile(r"[A-Za-z_]\w*", re.ASCII)   # what a Chart accepts
 _VAR_RE = re.compile(rf"({VARIABLE_NAME.pattern})(?:\^([0-9]+))?")
 _SPLIT_WORD_RE = re.compile(r"\w[ \t]+\w")
@@ -144,7 +149,7 @@ class Poly:
 
     @classmethod
     def zero(cls, variables):
-        return cls(variables)
+        return cls._unchecked(tuple(variables), {})
 
     @classmethod
     def constant(cls, variables, value):
@@ -165,8 +170,31 @@ class Poly:
     @classmethod
     def parse(cls, text, variables):
         """Parse the canonical grammar; raises ParseError on bad input,
-        including an exponent at or above EXPONENT_LIMIT."""
+        including an exponent at or above EXPONENT_LIMIT.
+
+        A bare literal, `-?digits` or `-?digits/digits`, is read by one
+        match with the grammar's checks in the grammar's order (numerator
+        digits, denominator digits, zero denominator), so its value and
+        its error message are the grammar's; any other string is
+        `_parse_terms`."""
         variables = tuple(variables)
+        m = _LITERAL_RE.fullmatch(text)
+        if m is None:
+            return cls._parse_terms(text, variables)
+        sign, num, den = m.groups()
+        num = _integer(num, text)
+        if den is None:
+            value = Fraction(-num if sign else num)
+        else:
+            den = _integer(den, text)
+            if not den:
+                raise ParseError(f"zero denominator in {text!r}")
+            value = Fraction(-num if sign else num, den)
+        return cls._unchecked(variables, {0: value} if value else {})
+
+    @classmethod
+    def _parse_terms(cls, text, variables):
+        """`parse` by the grammar, term by term, on a tuple of variables."""
         if _SPLIT_WORD_RE.search(text):
             raise ParseError(f"whitespace inside a number or name in {text!r}")
         compact = text.replace(" ", "").replace("\t", "")
@@ -244,6 +272,10 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:   # a Poly is a value: either operand may be returned
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             acc = terms.get(mono)
@@ -258,6 +290,8 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.terms:
+            return self
         return Poly._unchecked(self.variables, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
@@ -270,6 +304,10 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         terms: dict[int, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

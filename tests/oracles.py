@@ -5,6 +5,7 @@ computation that a test compares the engine with, or input data for tests.
 """
 
 import itertools
+import json
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -676,3 +677,62 @@ def cohomology_reference(algebroid):
         representatives={k: [vector_to_form(k, v) for v in reps]
                          for k, reps in rep_vectors.items()},
         decompose=decompose)
+
+
+# --- the problem boundary: algebroids from bracket data -------------------------
+
+
+def from_brackets_reference(chart, rank, anchor, brackets):
+    """The Algebroid of bracket data {(i, j): coefficient list} built by
+    adding every vector into an r x r x r array of zeros and subtracting it
+    at the swapped pair, the reference of `Algebroid.from_brackets`, which
+    places a vector directly unless both (i, j) and (j, i) are given."""
+    if not isinstance(chart, Chart):
+        chart = Chart(chart)
+    zero = chart.zero()
+    structure = [[[zero for _ in range(rank)] for _ in range(rank)]
+                 for _ in range(rank)]
+    for (i, j), coeffs in brackets.items():
+        if i == j:
+            raise MismatchError(f"diagonal bracket ({i},{i}) must be omitted")
+        if not 0 <= i < rank or not 0 <= j < rank:
+            raise MismatchError(f"bracket pair ({i},{j}) out of range")
+        vec = [chart.poly(c) for c in coeffs]
+        if len(vec) != rank:
+            raise MismatchError(f"bracket ({i},{j}) needs {rank} coefficients")
+        structure[i][j] = [structure[i][j][k] + vec[k] for k in range(rank)]
+        structure[j][i] = [structure[j][i][k] - vec[k] for k in range(rank)]
+    return Algebroid(chart, rank, anchor, structure)
+
+
+def from_json_reference(data):
+    """`Algebroid.from_json` with every entry read by the grammar
+    (`Poly._parse_terms`, no literal shortcut) and built by
+    `from_brackets_reference`."""
+    chart = Chart(data["chart"]["vars"])
+
+    def parse(text):
+        return Poly._parse_terms(text, chart.variables)
+
+    anchor = [[parse(p) for p in row] for row in data["anchor"]]
+    brackets = {}
+    for entry in data.get("brackets", []):
+        key = (entry["i"], entry["j"])
+        if key in brackets or (key[1], key[0]) in brackets:
+            raise MismatchError(f"duplicate bracket pair {key}")
+        brackets[key] = [parse(c) for c in entry["coeffs"]]
+    return from_brackets_reference(chart, data["rank"], anchor, brackets)
+
+
+def corpus_algebroids(corpus):
+    """{file stem/key: algebroid JSON} of every algebroid the problem files
+    of the directory `corpus` carry, goldens left out."""
+    out = {}
+    for path in sorted(corpus.glob("*.json")):
+        if path.name.endswith(".golden.json"):
+            continue
+        data = json.loads(path.read_text())
+        for key in ("algebroid", "source_algebroid"):
+            if key in data:
+                out[f"{path.stem}/{key}"] = data[key]
+    return out

@@ -1,6 +1,7 @@
 """Algebroid presentations: axioms, the differential, subframes."""
 
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -187,6 +188,71 @@ def test_json_roundtrip():
         assert b.to_json() == a.to_json()
         assert b.structure == a.structure
         assert b.anchor == a.anchor
+
+
+# --- the problem boundary against the zero-plus-add build ------------------
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+CORPUS_ALGEBROIDS = oracles.corpus_algebroids(CORPUS)
+
+
+def assert_same_presentation(engine, reference):
+    assert engine.chart == reference.chart and engine.rank == reference.rank
+    assert engine.anchor == reference.anchor and engine.structure == reference.structure
+    for p in itertools.chain(itertools.chain(*engine.anchor),
+                             itertools.chain.from_iterable(itertools.chain(*engine.structure))):
+        assert type(p) is Poly and p.variables == engine.variables
+        assert all(type(c) is Fraction and c for c in p.terms.values())
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_ALGEBROIDS))
+def test_from_json_matches_the_zero_plus_add_build_on_the_corpus(name):
+    data = CORPUS_ALGEBROIDS[name]
+    assert_same_presentation(Algebroid.from_json(data), oracles.from_json_reference(data))
+
+
+def random_brackets(rng, chart, rank):
+    """Bracket data over `chart` whose pairs are given as (i, j), as (j, i)
+    or both, with coefficients as Polys, strings, integers and zeros."""
+    def coefficient():
+        poly = random_poly(rng, chart.variables, max_degree=2)
+        return rng.choice([poly, str(poly), chart.zero(), 0, "0"])
+
+    brackets = {}
+    for i, j in itertools.combinations(range(rank), 2):
+        for key in rng.choice([(), ((i, j),), ((j, i),), ((i, j), (j, i)), ((j, i), (i, j))]):
+            brackets[key] = [coefficient() for _ in range(rank)]
+    return brackets
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_from_brackets_matches_the_zero_plus_add_build_on_random_brackets(seed):
+    rng = random.Random(seed)
+    chart = Chart(("x", "y")[:rng.randint(0, 2)])
+    rank = rng.randint(2, 4)
+    anchor = [[random_poly(rng, chart.variables) for _ in chart.variables] for _ in range(rank)]
+    brackets = random_brackets(rng, chart, rank)
+    engine = Algebroid.from_brackets(chart, rank, anchor, brackets)
+    assert_same_presentation(engine, oracles.from_brackets_reference(chart, rank, anchor,
+                                                                     brackets))
+    both = [(i, j) for i, j in brackets if i < j and (j, i) in brackets]
+    for i, j in both:   # given both ways, [e_i, e_j] is the first minus the second
+        assert engine.structure[i][j] == tuple(
+            chart.poly(p) - chart.poly(q) for p, q in zip(brackets[i, j], brackets[j, i]))
+
+
+def test_the_constructor_parses_strings_and_refuses_a_poly_on_another_chart():
+    a = Algebroid(LINE, 2, [["x"], [0]],
+                  [[["0", "0"], ["1/2*x", "-1"]], [["-1/2*x", "1"], [Fraction(0), "0"]]])
+    assert a.anchor == ((LINE.var(0),), (LINE.zero(),))
+    assert a.structure[0][1] == (Poly.parse("1/2*x", ("x",)), LINE.one() * -1)
+    assert a.structure[1][1] == (LINE.zero(), LINE.zero())
+    with pytest.raises(MismatchError, match="polynomial variables differ from the chart"):
+        Algebroid(LINE, 1, [[Poly.variable(("t",), 0)]], [[["0"]]])
+    with pytest.raises(MismatchError, match="polynomial variables differ from the chart"):
+        Algebroid(LINE, 1, [["x"]], [[[Poly.zero(())]]])
+    with pytest.raises(MismatchError, match="polynomial variables differ from the chart"):
+        Algebroid.from_brackets(LINE, 2, [["x"], ["0"]], {(0, 1): [Poly.one(()), "0"]})
 
 
 # --- the Koszul formula as the oracle for d ---------------------------------

@@ -266,7 +266,8 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     lie_algebras = ["sl2", "solvable5", "two_aff1_plus_center", "abelian(8)"]
     assert [row.split()[:2] for row in rows] == [["route", "algebra"]] + [
         [route, name] for route in ("curvature", "power_traces", "square_trace")
-        for name in algebras] + [["cohomology", name] for name in lie_algebras]
+        for name in algebras] + [["cohomology", name] for name in lie_algebras] + [
+        ["boundary", "corpus"]]
     original = ConnectionUpToHomotopy.curvature
     monkeypatch.setattr(ConnectionUpToHomotopy, "curvature",
                         lambda self: original(self).scale(2))
@@ -310,6 +311,17 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     assert [name for name in lie_algebras if f"cohomology, {name}: the engine and the "
             "reference disagree" in out] == ["sl2", "solvable5", "two_aff1_plus_center"]
     assert "seed 0: the engine and the formula disagree" not in out
+    monkeypatch.undo()
+    # a literal read without its sign, at the boundary only: the reference
+    # reads every entry by the grammar
+    from gradweil.ring import Poly
+
+    parse = Poly.parse
+    monkeypatch.setattr(Poly, "parse", lambda text, variables: parse(text.lstrip("-"), variables))
+    assert tool.main(["--seeds", "1", "--repeats", "1"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "disagree" in line] == [
+        "boundary: from_json and the reference disagree"]
 
 
 # --- out-of-range indices ------------------------------------------------------
@@ -710,6 +722,46 @@ def test_a_subframe_connection_without_rank_or_christoffels_exits_two(tmp_path, 
         "christoffel matrix to read it from\n")
 
 
+# --- the bundle rank of a task's own connection ---------------------------------
+
+
+def _without_ranks(name):
+    """A corpus payload with every connection's `rank` and the file's deleted."""
+    payload = _corpus_payload(name)
+    payload.pop("rank", None)
+    for spec in ([payload["connection"]] if "connection" in payload
+                 else payload["connections"].values()):
+        del spec["rank"]
+    return payload
+
+
+@pytest.mark.parametrize("name", ["transgression_aff1_scalar", "transgression_sl2_borelmod",
+                                  "pontryagin_two_aff1"])
+def test_a_connection_without_rank_reads_it_off_its_christoffels(name):
+    # their modules have rank 1, 1 and 2 on frames of rank 2, 3 and 5, so the
+    # frame rank is no stand-in for the bundle rank
+    golden = (CORPUS / f"{name}.golden.json").read_bytes()
+    assert canonical_json(run_problem(_without_ranks(name))).encode() == golden
+
+
+@pytest.mark.parametrize("name, key, where", [
+    ("pontryagin_two_aff1", None, "connection"),
+    ("transgression_aff1_scalar", "old", "connection 'old'"),
+    ("transgression_sl2_borelmod", "new", "connection 'new'")])
+def test_a_connection_without_rank_or_christoffels_exits_two(tmp_path, capsys, name, key, where):
+    payload = _without_ranks(name)
+    if key is None:
+        del payload["connection"]["christoffel"]
+    else:   # the other connection keeps its matrices, which would fix the rank
+        del payload["connections"]["new" if key == "old" else "old"]
+        del payload["connections"][key]["christoffel"]
+    task = payload["task"]
+    assert main([write_problem(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: task '{task}' requires field 'rank' in its {where}, which has no "
+        "christoffel matrix to read it from\n")
+
+
 # --- the exit-code contract under one mutated field -----------------------------
 
 
@@ -741,7 +793,31 @@ def _run_cli(path, json_path):
     return code, out.getvalue(), err.getvalue(), written
 
 
+# literal edge values at two sites, each with the exit code there and the
+# stderr it gives: a bracket coefficient of check_sl2 ([e_0, e_1] = 2 e_1, so a
+# changed value breaks Jacobi) and a Christoffel entry of a pontryagin payload
+LITERAL_SITES = {"check_sl2": ("algebroid", "brackets", 0, "coeffs", 1),
+                 "pontryagin_two_aff1": ("connection", "christoffel", 0, "matrix", 0, 0)}
+LONG_LITERAL = "7" * 5000
+LITERAL_EDGES = {
+    "-0": (1, 0, ""), "007": (1, 0, ""), "+1": (1, 0, ""), " 1 ": (1, 0, ""),
+    "1/0": (2, 2, "error: zero denominator in '1/0'\n"),
+    "1/-2": (2, 2, "error: bad factor '1/' in '1/-2'\n"),
+    "": (2, 2, "error: empty polynomial string\n"),
+    LONG_LITERAL: (2, 2, f"error: a number of 5000 digits in '{'7' * 29}...{'7' * 29}' is "
+                         f"longer than the {sys.get_int_max_str_digits()} digits this "
+                         "interpreter converts\n")}
+
+
+def _literal_examples(test):
+    for name, path in LITERAL_SITES.items():
+        for value in LITERAL_EDGES:
+            test = example(site=(name, path), value=value)(test)
+    return test
+
+
 @given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(SMALL_VALUES))
+@_literal_examples
 @example(site=("adjoint_action_line_poly",
                ("tangent_connection", "christoffel", 0, "matrix", 0, 1)), value="1/0")
 @example(site=("adjoint_sl2", ("tangent_connection",)), value=POINT_TANGENT_CONNECTION)
@@ -763,6 +839,9 @@ def test_one_mutated_field_keeps_the_exit_code_contract(site, value):
     assert first[0] in (0, 1, 2)
     assert "Traceback" not in first[2]
     assert first == second
+    if LITERAL_SITES.get(name) == path and isinstance(value, str) and value in LITERAL_EDGES:
+        *codes, err = LITERAL_EDGES[value]
+        assert (first[0], first[2]) == (codes[list(LITERAL_SITES).index(name)], err)
 
 
 # --- an integer field holds a JSON integer literal ---------------------------------

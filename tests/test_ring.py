@@ -1,12 +1,14 @@
 """Exact polynomial arithmetic: ring axioms, parsing, differentiation."""
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gradweil.errors import MismatchError
 from gradweil.ring import FIELD, ParseError, Poly
 from oracles import exponent_terms
 
@@ -169,6 +171,85 @@ def test_point_base_arithmetic_is_rational_arithmetic(p, q):
 def test_arithmetic_stores_no_zero_coefficient(p, q):
     for result in (p + q, p - q, p * q, p * (-q), (p + q) * (p - q)):
         assert_clean(result)
+
+
+# --- a bare literal: one match, the grammar's values and errors ---------------
+
+DIGITS = st.integers(1, 60).flatmap(
+    lambda n: st.text("0123456789", min_size=n, max_size=n))
+
+
+@given(sign=st.sampled_from(["", "-"]), num=DIGITS, den=st.none() | DIGITS,
+       variables=st.sampled_from([POINT, ("x", "y", "z")]))
+@example(sign="-", num="0", den=None, variables=POINT)
+@example(sign="", num="007", den="0012", variables=("x", "y", "z"))
+@example(sign="-", num="000", den="5", variables=POINT)
+@example(sign="-", num="3", den="000", variables=POINT)
+@settings(max_examples=150, deadline=None)
+def test_a_bare_literal_parses_to_its_constant(sign, num, den, variables):
+    text = sign + num + ("" if den is None else f"/{den}")
+    if den is not None and not int(den):
+        with pytest.raises(ParseError) as err:
+            Poly.parse(text, variables)
+        assert str(err.value) == f"zero denominator in {text!r}"
+        return
+    value = Fraction(-int(num) if sign else int(num), int(den or 1))
+    parsed = Poly.parse(text, variables)
+    assert_clean(parsed)
+    assert parsed.variables == variables
+    assert parsed == Poly.constant(variables, value)
+    assert all(type(c) is Fraction for c in parsed.terms.values())
+    # the grammar reads the same terms
+    assert parsed.terms == Poly._parse_terms(text, variables).terms
+
+
+@pytest.mark.parametrize("variables", [POINT, ("x", "y", "z")])
+def test_a_bare_literal_keeps_the_grammars_error_messages(variables):
+    with pytest.raises(ParseError, match=re.escape("zero denominator in '1/0'")):
+        Poly.parse("1/0", variables)
+    digits = "7" * 5000
+    for text in (digits, f"-{digits}", f"1/{digits}"):
+        shown = repr(text)
+        message = (f"a number of 5000 digits in {shown[:30]}...{shown[-30:]} is longer than "
+                   f"the {sys.get_int_max_str_digits()} digits this interpreter converts")
+        for parse in (Poly.parse, Poly._parse_terms):
+            with pytest.raises(ParseError) as err:
+                parse(text, variables)
+            assert str(err.value) == message
+
+
+def _loop_sum(p, q):
+    """The terms of p + q by the full merge, with no operand returned."""
+    terms = dict(p.terms)
+    for mono, coeff in q.terms.items():
+        terms[mono] = terms.get(mono, 0) + coeff
+    return {mono: coeff for mono, coeff in terms.items() if coeff}
+
+
+def _loop_product(p, q):
+    """The terms of p * q by the full double loop."""
+    terms = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            terms[m1 + m2] = terms.get(m1 + m2, 0) + c1 * c2
+    return {mono: coeff for mono, coeff in terms.items() if coeff}
+
+
+@given(polys)
+@example(Poly.variable(VARS, 0) * Fraction(-3, 2) + 1)
+@settings(max_examples=60, deadline=None)
+def test_a_zero_operand_gives_the_full_loops_sum_and_product(p):
+    zero = Poly.zero(VARS)
+    for left, right in ((p, zero), (zero, p), (zero, zero)):
+        for result, terms in ((left + right, _loop_sum(left, right)),
+                              (left - right, _loop_sum(left, -right)),
+                              (left * right, _loop_product(left, right))):
+            assert result.variables == VARS and result.terms == terms
+    assert (-zero).terms == {} and (p * 0).terms == {} and (0 * p).terms == {}
+    with pytest.raises(MismatchError):
+        p + Poly.zero(("t",))
+    with pytest.raises(MismatchError):
+        Poly.zero(("t",)) * p
 
 
 # --- the packed Poly against sympy's sparse polynomials ----------------------

@@ -1,4 +1,4 @@
-"""Time the engine's curvature routes and its cohomology against their formulas and references.
+"""Time the engine's curvature routes, cohomology and problem boundary against references.
 
     python tools/route_ratio.py [--seeds 5] [--repeats 5]
 
@@ -35,8 +35,15 @@ Fractions with every degree eliminated, each on a fresh algebroid, best of
 must give equal bases, rep_vectors, dims and stored representatives, and
 the engine's columns must be the reference's times `_d_den`.
 
-Exits 1 if a route and its formula, or the cohomology and its reference,
-ever disagree.
+A boundary row reads every algebroid of the problem files in corpus/ by
+`Algebroid.from_json` (a bare literal read by one match, each bracket vector
+placed directly) against `oracles.from_json_reference` from tests/ (every
+entry read by the grammar, the structure built by adding into an array of
+zeros), all of them per call, best of `--repeats`, printing the reference's
+time in the formula column; the two must give equal anchors and structures.
+
+Exits 1 if a route and its formula, the cohomology and its reference, or
+the boundary and its reference ever disagree.  No time is asserted.
 """
 
 from __future__ import annotations
@@ -52,11 +59,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from gradweil import catalog
-from gradweil.algebroid import Chart, tangent_algebroid
+from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
 from gradweil.chernweil import ce_cohomology, power_traces
 from gradweil.forms import GradedBundle, gtr, tr
 from gradweil.randgen import random_cuth
-from oracles import cohomology_reference, stored
+from oracles import cohomology_reference, corpus_algebroids, from_json_reference, stored
 
 ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
             "abelian(8)": lambda: catalog.abelian(8),
@@ -156,6 +163,20 @@ def cohomology_times(make, repeats):
     return best[0], best[1], cohomology_agrees(*results, algebroid._d_den)
 
 
+def boundary_times(datas, repeats):
+    """(best engine seconds, best reference seconds, whether they agree) of
+    reading all the algebroid JSON `datas` by `Algebroid.from_json` and by
+    `oracles.from_json_reference`; the two alternate."""
+    best, results = [float("inf")] * 2, [None, None]
+    for _ in range(repeats):
+        for k, read in enumerate((Algebroid.from_json, from_json_reference)):
+            start = time.perf_counter()
+            results[k] = [read(data) for data in datas]
+            best[k] = min(time.perf_counter() - start, best[k])
+    same = all(e.anchor == r.anchor and e.structure == r.structure for e, r in zip(*results))
+    return best[0], best[1], same
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=5)
@@ -184,6 +205,14 @@ def main(argv=None):
             agree = False
         print(f"{'cohomology':<14}{name:<22}{en_s * 1e3:>11.2f}{ref_s * 1e3:>12.2f}"
               f"{en_s / ref_s:>16.2f}")
+    datas = list(corpus_algebroids(ROOT / "corpus").values())
+    en_s, ref_s, same = boundary_times(datas, args.repeats)
+    if not same:
+        print("boundary: from_json and the reference disagree")
+        agree = False
+    name = f"corpus ({len(datas)})"
+    print(f"{'boundary':<14}{name:<22}{en_s * 1e3:>11.2f}{ref_s * 1e3:>12.2f}"
+          f"{en_s / ref_s:>16.2f}")
     return 0 if agree else 1
 
 
