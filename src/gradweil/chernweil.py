@@ -25,11 +25,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .connections import cuth_difference
 from .errors import InternalCheckError, MismatchError, NotClosedError
 from .forms import Form, _combine, _indices, _mask, _width, gtr, tr
-from .linalg import nullspace, pivot_columns, solve, transpose
+from .linalg import integer_solution, nullspace, pivot_columns, solve, transpose
 from .ring import _total_degree
 
 # ----------------------------------------------------------------------
@@ -182,8 +183,9 @@ class CohomologyBasis:
     `Algebroid._d_column` over the algebroid's `_d_den`, so no Fraction is
     built for d; where d_A vanishes no column is read at all.  Cochains and
     representatives are sparse vectors {index in bases[k]: value} of
-    Fractions, read off and stored as a Form's terms with no Poly in
-    between.
+    Fractions, read off a Form's terms and stored as its integer numerators
+    over the lcm of their denominators (`Form._from_terms`), with no Poly
+    in between.
 
     Scaling the columns by `_d_den` changes no kernel, no pivot and no
     solution but the primitive's, which `decompose` scales back.  Two
@@ -223,9 +225,12 @@ class CohomologyBasis:
         return {index[mask]: val for (mask, _), val in form._terms().items()}
 
     def vector_to_form(self, k, vec):
-        masks = self._masks[k]
-        return Form._from_terms(self.algebroid.variables, self.algebroid.rank, k,
-                                {(masks[i], 0): val for i, val in vec.items() if val})
+        """The Form of a cochain {index in bases[k]: value}, its values'
+        numerators over the lcm of their denominators."""
+        masks, D = self._masks[k], lcm(*[val.denominator for val in vec.values()])
+        return Form._from_terms(self.algebroid.variables, self.algebroid.rank, k, D,
+                                {(masks[i], 0): val.numerator * (D // val.denominator)
+                                 for i, val in vec.items() if val})
 
     def _pick_representatives(self, k):
         n, d_k = len(self.bases[k]), self.d_cols[k]
@@ -381,7 +386,10 @@ def is_exact(algebroid, form, bound=None):
     closure of the form's terms in the ansatz (see `_exactness_system`), and
     its solution is the free-variables-zero solution of the full ansatz.
     That system is in integers, its unknowns scaled by the form's stored
-    denominator D, so the primitive's coefficients are its solution over D.
+    denominator D, so the primitive's coefficients are its solution over D:
+    `integer_solution` gives each solved unknown as numerator / head, and
+    the primitive is stored as their numerators over lcm(heads) * D, with
+    no Fraction built per unknown.
     The form's closedness is checked first, and d_A of the primitive is
     checked against the form before it is returned.
     """
@@ -400,12 +408,15 @@ def is_exact(algebroid, form, bound=None):
     elif bound is None:
         bound = default_bound(algebroid, [form])
     unknowns, rows, rhs = _exactness_system(algebroid, form, bound)
-    sol = solve(rows, rhs, len(unknowns))
-    if sol is None:
+    solution = integer_solution(rows, rhs, len(unknowns))
+    if solution is None:
         return ExactnessResult("not_exact" if point else "undecided", None)
+    # unknown c is numerator / head over the form's D: every one over
+    # lcm(heads) * D, reduced once
+    L = lcm(*[head for _, _, head in solution])
     primitive = Form._from_terms(algebroid.variables, algebroid.rank, k - 1,
-                                 {key: val for key, val in zip(unknowns, sol) if val},
-                                 form._kernel[0])
+                                 L * form._kernel[0],
+                                 {unknowns[c]: n * (L // head) for c, n, head in solution})
     if algebroid.d(primitive) != form:
         raise InternalCheckError("exactness solver returned a bad primitive")
     return ExactnessResult("exact", primitive)

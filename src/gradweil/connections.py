@@ -24,9 +24,11 @@ D = 0, an ordinary A-connection: it adds only its Christoffel data,
 nabla_{e_i} f_alpha = sum_beta Gamma[i][alpha][beta] f_beta, kept
 source-major as the wire carries it, and its one summand's connection is
 itself.  `connection_form` is the one place that transposes it, to G_i with
-the target index as row.  So its d_nabla on a bundle-valued Form is `apply`,
-and its curvature, `chernweil.transgression` and the square-zero report
-read the one Omega the class builds.  The covariant derivative of a
+the target index as row: it writes Gamma's stored integers in one pass over
+the Christoffel Polys, the transpose done by indexing, with no Poly matrix
+built.  So its d_nabla on a bundle-valued Form is `apply`, and its
+curvature, `chernweil.transgression` and the square-zero report read the
+one Omega the class builds.  The covariant derivative of a
 section by Polys lives in the tests as the oracle.
 
 The curvature R is the unique total form with hat(R) = cal_D^2, computed
@@ -47,6 +49,8 @@ full product R^i as its oracle.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .errors import InternalCheckError, MismatchError, ParseError
 from .forms import (
@@ -125,21 +129,43 @@ class ConnectionUpToHomotopy:
         """Gamma of every summand's connection, in the diagonal (1, z, z) blocks.
 
         G_i is the transpose of the source-major Christoffel matrix of frame
-        element i, which `LinearConnection` has checked; zero ones are left out.
+        element i, which `LinearConnection` has checked, so entry (beta,
+        alpha) of G_i is christoffel[i][alpha][beta]: the stored form is
+        written in one pass over the matrices, the transpose done by
+        indexing, over one D, the lcm of every coefficient's denominator.
+        Those are in lowest terms, so D and the numerators have gcd 1, and
+        nothing is reduced.  Zero entries, zero matrices and empty blocks
+        are left out.
         """
-        blocks = {}
-        for z in self.bundle.degrees():
+        mats = [(z, self.nablas[z].christoffel) for z in self.bundle.degrees()]
+        D = lcm(*{q.denominator for _, christoffel in mats for mat in christoffel
+                  for row in mat for p in row for q in p.terms.values()})
+        chart = bool(self.variables)
+        view = {}
+        for z, christoffel in mats:
             entries = {}
-            for i, mat in enumerate(self.nablas[z].christoffel):
-                if any(p.terms for row in mat for p in row):
-                    entries[(i,)] = tuple(zip(*mat))
+            for i, mat in enumerate(christoffel):
+                span = range(len(mat))
+                if chart:
+                    rows = [[(a, [(m, q.numerator * (D // q.denominator))
+                                  for m, q in sorted(mat[a][b].terms.items())])
+                             for a in span if mat[a][b].terms] for b in span]
+                else:
+                    rows = [q.numerator * (D // q.denominator) if (q := mat[a][b].terms.get(0))
+                            else 0 for b in span for a in span]
+                if any(rows):
+                    entries[1 << i] = rows
             if entries:
-                blocks[(1, z, z)] = entries
-        return TotalForm._from_mats(self.variables, self.algebroid.rank,
-                                    self.bundle, self.bundle, 1, blocks)
+                view[(1, z, z)] = entries
+        return TotalForm._unchecked(self.variables, self.algebroid.rank, self.bundle,
+                                    self.bundle, 1, (D, view))
 
     def omega(self):
-        """Omega = Gamma + D, the degree-1 total form of cal_D; built once and kept."""
+        """Omega = Gamma + D, the degree-1 total form of cal_D; built once and
+        kept.  On the point base, where Gamma's denominator divides D's and
+        the sum needs no reduction, it keeps as they stand, shared, D's
+        matrices outside the (1, z, z) blocks the two have in common (see
+        `forms._combine`)."""
         if self._omega is None:
             self._omega = self.connection_form() + self.D
         return self._omega

@@ -40,9 +40,13 @@ repacked; `ring` alone checks that exponents stay below 2^32, so no chain
 of products a task builds carries into the next field.  No zero matrix is
 stored, nor a zero entry on a chart, so equality compares stored forms;
 and no code writes into a stored matrix, since every pass fills
-accumulators of its own.  Polys appear only at the boundary: the checked
-constructor reads Polys, and `from_json` and `Form`'s constructor, which
-hands it d x 1 columns, go through it; `blocks` and a Form's `coeffs` (each
+accumulators of its own, so a sum keeps as it stands, shared, a point-base
+matrix that one operand alone contributes at scale 1 (`_combine`).  Polys
+appear only at the boundary: the checked constructor reads Polys, and
+`from_json` and `Form`'s constructor, which hands it d x 1 columns, go
+through it; `ConnectionUpToHomotopy.connection_form` writes Gamma's stored
+form straight from the checked Christoffel Polys, and `Form._from_terms`
+stores integer numerators; `blocks` and a Form's `coeffs` (each
 built on first read) and `to_json` are built from the integers; the Polys
 built from one form share one Poly per value on the point base, so no code
 writes into a Poly's terms (a test of the package source checks it).  No
@@ -351,7 +355,9 @@ def _combine(terms, src, width):
     """The stored form of the sum of factor * form over the (factor, (D,
     view)) pairs `terms`, forms from the bundle `src` with monomials `width`
     bits wide, over the lcm of the D's, which need not be in lowest terms.
-    A point-base sum is built in new lists; no stored matrix is written."""
+    A point-base matrix that one operand alone contributes at scale 1 is
+    kept as it stands, shared with that operand; any other point-base sum
+    is built in a new list, so no stored matrix is written."""
     D = lcm(*(d for _, (d, _) in terms))
     cells: dict = {}
     for factor, (d, view) in terms:
@@ -363,7 +369,8 @@ def _combine(terms, src, width):
                     slot = cells[key] = (len(rows), cols, {})
                 acc = slot[2].get(mask)
                 if not width:
-                    slot[2][mask] = ([scale * n for n in rows] if acc is None
+                    slot[2][mask] = ((rows if scale == 1 else [scale * n for n in rows])
+                                     if acc is None
                                      else [m + scale * n for m, n in zip(acc, rows)])
                     continue
                 if acc is None:
@@ -475,14 +482,6 @@ class TotalForm:
         out.src, out.dst, out.total_degree = src, dst, total_degree
         out._kernel, out._blocks = kernel, None
         return out
-
-    @classmethod
-    def _from_mats(cls, variables, frame_rank, src, dst, total_degree, blocks):
-        """A TotalForm on engine-built Poly matrices {(i, l, j): {multi-index:
-        matrix}}, with no zero matrix and no empty block; nothing is
-        checked."""
-        return cls._unchecked(variables, frame_rank, src, dst, total_degree,
-                              _from_polys(blocks, _width(variables)))
 
     def _same_shape(self, kernel):
         """A form of this one's class and shape on the stored form `kernel`."""
@@ -769,28 +768,21 @@ class Form(TotalForm):
         return cls(variables, frame_rank, 0, 1, {((), 0): poly})
 
     @classmethod
-    def _from_terms(cls, variables, frame_rank, degree, terms, den=1):
-        """A scalar Form on engine-built terms {(bitmask, packed monomial):
-        value}, each value a nonzero int or Fraction, taken over the integer
-        `den`, bitmasks of `degree` bits in range, fields below 2^FIELD:
-        stored with no Poly and no check, `den` joined into the stored
-        denominator and the whole reduced by `_canonical`.  On the point
-        base with `den` 1 the terms are stored as they are: a prime of D,
-        the lcm of lowest-terms denominators, divides one of them to its
-        full power in D, so it divides neither that value's numerator nor
-        D over its denominator, and D and the numerators have gcd 1."""
-        D, width, entries = lcm(*{q.denominator for q in terms.values()}), _width(variables), {}
-        for (mask, mono), q in sorted(terms.items()):
-            n = q.numerator * (D // q.denominator)
+    def _from_terms(cls, variables, frame_rank, degree, D, numerators):
+        """A scalar Form on engine-built integer terms {(bitmask, packed
+        monomial): numerator} over the positive integer D, the inverse of
+        `_numerators`: bitmasks of `degree` bits in range, fields below
+        2^FIELD, zero numerators dropped.  Stored with no Poly, no Fraction
+        and no check, keys in (bitmask, monomial) order, and reduced to
+        lowest terms by `_canonical`."""
+        width, entries = _width(variables), {}
+        for (mask, mono), n in sorted(numerators.items()):
             if width:
                 entries.setdefault(mask, {})[mono] = n
             else:
                 entries[mask] = [n]
-        if width or den != 1:
-            kernel = _canonical(D * den, {(degree, 0, 0): (1, 1, entries)}, width)
-        else:
-            kernel = D, {(degree, 0, 0): entries} if entries else {}
-        return cls._unchecked(variables, frame_rank, _LINE, _LINE, degree, kernel)
+        return cls._unchecked(variables, frame_rank, _LINE, _LINE, degree,
+                              _canonical(D, {(degree, 0, 0): (1, 1, entries)}, width))
 
     def _numerators(self):
         """The terms {(bitmask, packed monomial): numerator} of a scalar
@@ -801,7 +793,7 @@ class Form(TotalForm):
 
     def _terms(self):
         """The terms {(bitmask, packed monomial): Fraction} of a scalar Form:
-        the inverse of `_from_terms`."""
+        the Fraction view of `_numerators`."""
         D = self._kernel[0]
         return {key: Fraction(n, D) for key, n in self._numerators().items()}
 

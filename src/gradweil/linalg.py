@@ -18,8 +18,8 @@ The pivot choice changes only the order in which rows are used.  For a fixed
 column order the reduced row echelon form of a matrix is unique, so the
 result equals that of textbook Gauss-Jordan: `rref` returns its pivot
 columns (`pivot_columns` those alone), `nullspace` the kernel vector of
-each free column, and `solve` the one solution with every free variable set
-to zero.
+each free column, and `integer_solution` and `solve` the one solution with
+every free variable set to zero.
 
 The elimination runs fraction-free, in the manner of Bareiss (Math. Comp.
 22, 1968): each row is scaled to primitive integers on entry, a row is
@@ -31,9 +31,13 @@ the Fraction elimination, with the same pivots.  The eliminator returns the
 reduced rows in integers, each with its head, its entry at its pivot
 column; a reduced row of the RREF is an integer row over its head.  Each
 public function builds Fractions only where its result needs them: `rref`
-and `nullspace` divide every reduced entry by its row's head, `solve` only
-each pivot row's entry in the right-hand-side column, and `pivot_columns`
-none at all.
+and `nullspace` divide every reduced entry by its row's head, and
+`pivot_columns` builds none.  `integer_solution` returns the solution as
+it comes out of the elimination, one (column, numerator, head) triple per
+pivot row whose entry in the right-hand-side column is nonzero, and
+`solve` is its Fraction view, numerator / head at each such column; a
+caller that stores integers, as the exactness solve does, takes the triples
+over the lcm of their heads and builds no Fraction at all.
 """
 
 from __future__ import annotations
@@ -144,13 +148,16 @@ def pivot_columns(rows, ncols):
     return _eliminate(rows, ncols)[1]
 
 
-def solve(rows, rhs, ncols):
-    """One exact solution x of rows @ x = rhs, or None if inconsistent.
+def integer_solution(rows, rhs, ncols):
+    """The solution of rows @ x = rhs with every free variable zero, in
+    integers, or None if the system is inconsistent.
 
     `rows` are {column: value} dicts over `ncols` unknowns and `rhs` is a
-    {row index: value} dict; absent entries are zero.  Free variables are
-    set to zero, and x is returned as a list of `ncols` Fractions.  With no
-    rows the system is vacuous and x = 0 is returned.
+    {row index: value} dict, of int or Fraction values; absent entries are
+    zero.  Returns one (column, numerator, head) triple per pivot row whose
+    entry in the right-hand-side column is nonzero, in pivot order: x[column]
+    is numerator / head (head may be negative), and every other unknown is
+    0.  With no rows the system is vacuous and the list is empty.
     """
     augmented = list(rows)
     for i, value in rhs.items():
@@ -159,12 +166,19 @@ def solve(rows, rhs, ncols):
     reduced, pivots = _eliminate(augmented, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return None  # pivot in the augmented column: inconsistent
-    zero = Fraction(0)
-    x = [zero] * ncols
-    for row, c in zip(reduced, pivots):
-        value = row.get(ncols)
-        if value is not None:
-            x[c] = Fraction(value, row[c])
+    return [(c, row[ncols], row[c]) for row, c in zip(reduced, pivots) if ncols in row]
+
+
+def solve(rows, rhs, ncols):
+    """One exact solution x of rows @ x = rhs, or None if inconsistent: the
+    Fraction view of `integer_solution`, a list of `ncols` Fractions with
+    every free variable zero."""
+    triples = integer_solution(rows, rhs, ncols)
+    if triples is None:
+        return None
+    x = [Fraction(0)] * ncols
+    for c, numerator, head in triples:
+        x[c] = Fraction(numerator, head)
     return x
 
 

@@ -11,8 +11,10 @@ from math import lcm
 from types import SimpleNamespace
 
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
-from gradweil.errors import MismatchError
-from gradweil.forms import _LINE, Form, GradedBundle, TotalForm, _canonical, _indices, _mask, gtr
+from gradweil.chernweil import ExactnessResult, _exactness_system, default_bound
+from gradweil.errors import InternalCheckError, MismatchError, NotClosedError
+from gradweil.forms import (_LINE, Form, GradedBundle, TotalForm, _canonical, _from_polys,
+                            _indices, _mask, _width, gtr, mat_is_zero)
 from gradweil.linalg import nullspace, pivot_columns, solve, transpose
 from gradweil.ring import Poly, _pack, _unpack
 
@@ -306,6 +308,46 @@ def transposed(matrices):
     give its G_i, the matrices with the target index as row that act on
     column vectors (G_i[beta][alpha] = christoffel[i][alpha][beta]), and back."""
     return [tuple(zip(*m)) for m in matrices]
+
+
+def from_mats(variables, frame_rank, src, dst, total_degree, blocks):
+    """A TotalForm on Poly matrices {(i, l, j): {multi-index: matrix}}, with
+    no zero matrix and no empty block, stored by `_from_polys` with nothing
+    checked: the Poly-matrix build, the reference of the connection form
+    that `ConnectionUpToHomotopy.connection_form` writes in one pass."""
+    return TotalForm._unchecked(tuple(variables), frame_rank, src, dst, total_degree,
+                                _from_polys(blocks, _width(variables)))
+
+
+def connection_form_reference(conn):
+    """Gamma of a connection up to homotopy by Poly matrices: each summand's
+    Christoffel matrices transposed as Poly tuples, zero ones left out,
+    stored through `from_mats`."""
+    blocks = {}
+    for z in conn.bundle.degrees():
+        entries = {(i,): m for i, m in enumerate(transposed(conn.nablas[z].christoffel))
+                   if not mat_is_zero(m)}
+        if entries:
+            blocks[(1, z, z)] = entries
+    return from_mats(conn.variables, conn.algebroid.rank, conn.bundle, conn.bundle, 1, blocks)
+
+
+def omega_reference(conn):
+    """Omega = Gamma + D by Poly matrices: the blocks of
+    `connection_form_reference` and then those of D, a matrix both have
+    summed entry by entry, zero matrices and empty blocks dropped, stored
+    through `from_mats`."""
+    blocks: dict = {}
+    for part in (connection_form_reference(conn), conn.D):
+        for key, entries in part.blocks.items():
+            out = blocks.setdefault(key, {})
+            for mi, mat in entries.items():
+                have = out.get(mi)
+                out[mi] = mat if have is None else tuple(
+                    tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(have, mat))
+    blocks = {key: kept for key, entries in blocks.items()
+              if (kept := {mi: m for mi, m in entries.items() if not mat_is_zero(m)})}
+    return from_mats(conn.variables, conn.algebroid.rank, conn.bundle, conn.bundle, 1, blocks)
 
 
 def covariant_section(nabla, direction, components):
@@ -624,14 +666,52 @@ def stored(form):
     return D, [(key, list(entries.items())) for key, entries in view.items()]
 
 
-def canonical_form(frame_rank, degree, terms):
-    """A point-base scalar Form on nonzero {(bitmask, 0): Fraction} terms,
-    stored over the lcm of their denominators and reduced by `_canonical`:
-    the reference of `Form._from_terms`, which skips that pass there."""
-    D = lcm(*{q.denominator for q in terms.values()})
-    entries = {mask: [q.numerator * (D // q.denominator)] for (mask, _), q in sorted(terms.items())}
-    return Form._unchecked((), frame_rank, _LINE, _LINE, degree,
-                           _canonical(D, {(degree, 0, 0): (1, 1, entries)}, 0))
+def canonical_form(frame_rank, degree, terms, variables=(), den=1):
+    """A scalar Form on nonzero {(bitmask, packed monomial): Fraction} terms
+    taken over the integer `den`, stored over `den` times the lcm of their
+    denominators and reduced by `_canonical`: the Fraction build, the
+    reference of the integer `Form._from_terms`."""
+    D, width, entries = lcm(*{q.denominator for q in terms.values()}), _width(variables), {}
+    for (mask, mono), q in sorted(terms.items()):
+        n = q.numerator * (D // q.denominator)
+        if width:
+            entries.setdefault(mask, {})[mono] = n
+        else:
+            entries[mask] = [n]
+    return Form._unchecked(tuple(variables), frame_rank, _LINE, _LINE, degree,
+                           _canonical(D * den, {(degree, 0, 0): (1, 1, entries)}, width))
+
+
+def exactness_reference(algebroid, form, bound=None):
+    """`chernweil.is_exact` by the Fraction route: the same integer system
+    (`_exactness_system`) solved by `solve`, a Fraction per solved unknown,
+    and the primitive stored by `canonical_form` over the form's D.  The
+    reference of the primitive `is_exact` stores from the integer triples
+    of `integer_solution`.  It makes both of `is_exact`'s checks, the
+    form's closedness and d_A(primitive) == form."""
+    if form.fiber_dim != 1:
+        raise MismatchError("exactness applies to scalar forms")
+    if not algebroid.d(form).is_zero():
+        raise NotClosedError("is_exact requires a closed form")
+    point, k = algebroid.chart.dim == 0, form.degree
+    if k == 0:
+        if form.is_zero():
+            return ExactnessResult("exact", Form.zero(algebroid.variables, algebroid.rank, 0))
+        return ExactnessResult("not_exact", None)
+    if point:
+        bound = 0
+    elif bound is None:
+        bound = default_bound(algebroid, [form])
+    unknowns, rows, rhs = _exactness_system(algebroid, form, bound)
+    sol = solve(rows, rhs, len(unknowns))
+    if sol is None:
+        return ExactnessResult("not_exact" if point else "undecided", None)
+    primitive = canonical_form(algebroid.rank, k - 1,
+                               {key: val for key, val in zip(unknowns, sol) if val},
+                               algebroid.variables, form._kernel[0])
+    if algebroid.d(primitive) != form:
+        raise InternalCheckError("the Fraction route returned a bad primitive")
+    return ExactnessResult("exact", primitive)
 
 
 def cohomology_reference(algebroid):

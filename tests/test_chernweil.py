@@ -32,13 +32,14 @@ from gradweil.connections import ConnectionUpToHomotopy, LinearConnection
 from gradweil.constructions import square_zero_check
 from gradweil.errors import InternalCheckError, MismatchError, NotClosedError
 from gradweil.forms import Form, GradedBundle, TotalForm, gtr, render_form, tr
-from gradweil.linalg import solve
+from gradweil.linalg import integer_solution, solve
 from gradweil.problems import run_problem
 from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
 from oracles import (cohomology_reference, covariant, curvature_power,
-                     d_sparse_sources_reference, exponent_terms, interior, radial_primitive,
-                     rho_pullback, stored, tangent_line, total_degree, transgression_by_sums)
+                     d_sparse_sources_reference, exactness_reference, exponent_terms, interior,
+                     radial_primitive, rho_pullback, stored, tangent_line, total_degree,
+                     transgression_by_sums)
 from test_algebroid import PRESENTATIONS, koszul_reference, packed_key, tuple_column, tuple_key
 from test_connections import _count_calls, _count_first_curvatures
 
@@ -794,6 +795,60 @@ def test_is_exact_matches_a_solve_of_the_full_system(seed):
                     (name, bound, render_form(form))
                 statuses[status] += 1
     assert set(statuses) == {"exact", "not_exact", "undecided"}
+
+
+def exactness_cases():
+    """(label, algebroid, closed form) for the primitive-storage test: the
+    characters sigma_1..sigma_3 of rank-2 connections of Christoffel degree
+    1 and 2 on TR^3-TR^5, the closed forms `closed_forms` draws on every
+    point-base presentation (fractional_point's `_d_den` is 210), and
+    closed forms with a stored D > 1 on every presentation: drawn ones
+    scaled by 5/6 and coboundaries of forms with denominators up to 6,
+    where they are closed (d_A^2 fails on some presentations)."""
+    for n in (3, 4, 5):
+        a = EXACTNESS_PRESENTATIONS[f"tr{n}"]()
+        rng = random.Random(f"primitive:tr{n}")
+        for degree in (1, 2):
+            connection = random_linear_connection(rng, a, 2, degree)
+            for index in (1, 2, 3):
+                if (n, degree, index) != (5, 2, 2):   # a solve of several seconds
+                    yield (f"tr{n} sigma{index} degree {degree}", a,
+                           sigma_character(connection, index).form)
+    for name in sorted(PRESENTATIONS):
+        a = PRESENTATIONS[name]()
+        rng = random.Random(f"primitive:{name}")
+        drawn = closed_forms(a, rng, tangent=False)
+        if a.chart.dim == 0:
+            yield from ((name, a, form) for form in drawn)
+        yield from ((f"{name} 5/6", a, form.scale(Fraction(5, 6))) for form in drawn[:3])
+        for degree in range(a.rank):
+            w = random_form(rng, a.variables, a.rank, degree, max_poly_degree=1, density=3)
+            form = a.d(w.scale(Fraction(1, 3)))
+            if a.d(form).is_zero():
+                yield f"{name} d(w)", a, form
+
+
+def test_is_exact_stores_the_primitive_of_the_fraction_route():
+    # the primitive is stored from the integer triples of `integer_solution`
+    # over lcm(heads) * D; the Fraction route solves in Fractions and builds
+    # the form from them over D: the two must store the same form, keys in order
+    statuses, shapes = Counter(), Counter()
+    for label, a, form in exactness_cases():
+        result, expected = is_exact(a, form), exactness_reference(a, form)
+        assert result.status == expected.status, label
+        if expected.primitive is not None:
+            assert stored(result.primitive) == stored(expected.primitive), label
+        statuses[result.status] += 1
+        shapes["point" if a.chart.dim == 0 else "chart"] += 1
+        shapes["D > 1"] += form._kernel[0] > 1
+        if form.degree:
+            bound = 0 if a.chart.dim == 0 else default_bound(a, [form])
+            unknowns, rows, rhs = _exactness_system(a, form, bound)
+            heads = {head for _, _, head in integer_solution(rows, rhs, len(unknowns)) or ()}
+            shapes["unequal heads"] += len(heads) > 1
+    assert statuses["exact"] >= 40 and statuses["not_exact"] >= 5
+    assert min(shapes["point"], shapes["chart"], shapes["D > 1"]) >= 20
+    assert shapes["unequal heads"] >= 10
 
 
 @pytest.mark.parametrize("name", ["aff1", "sl2", "solvable5", "broken_jacobi",

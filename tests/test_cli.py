@@ -267,7 +267,7 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     assert [row.split()[:2] for row in rows] == [["route", "algebra"]] + [
         [route, name] for route in ("curvature", "power_traces", "square_trace")
         for name in algebras] + [["cohomology", name] for name in lie_algebras] + [
-        ["boundary", "corpus"]]
+        ["boundary", "corpus"], ["exactness", "TR^4/sigma2"], ["exactness", "TR^4/sigma1/deg2"]]
     original = ConnectionUpToHomotopy.curvature
     monkeypatch.setattr(ConnectionUpToHomotopy, "curvature",
                         lambda self: original(self).scale(2))
@@ -322,6 +322,18 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if "disagree" in line] == [
         "boundary: from_json and the reference disagree"]
+    monkeypatch.undo()
+    # a primitive stored at twice its value, on the exactness rows alone
+    from gradweil.chernweil import ExactnessResult
+
+    solve = tool.is_exact
+    monkeypatch.setattr(tool, "is_exact", lambda algebroid, form: ExactnessResult(
+        "exact", solve(algebroid, form).primitive.scale(2)))
+    assert tool.main(["--seeds", "1", "--repeats", "1"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "disagree" in line] == [
+        f"exactness, {case}, seed 0: is_exact and the reference disagree"
+        for case in ("TR^4/sigma2", "TR^4/sigma1/deg2")]
 
 
 # --- out-of-range indices ------------------------------------------------------

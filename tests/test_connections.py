@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,9 +29,10 @@ from gradweil.randgen import (
     random_total_form,
 )
 from gradweil.ring import Poly
-from oracles import (LINE, basis_element, covariant, curvature_formula,
-                     curvature_power, element, flat_borel_module, graded_commutator, hat,
-                     sort_with_sign, tangent_line, transposed)
+from oracles import (LINE, basis_element, connection_form_reference, covariant,
+                     curvature_formula, curvature_power, element, flat_borel_module,
+                     graded_commutator, hat, omega_reference, sort_with_sign, stored,
+                     tangent_line, transposed)
 from test_algebroid import PRESENTATIONS
 from test_forms import apply_part_reference, mat_add, single_block, unhat_from_sections
 
@@ -507,6 +509,71 @@ def test_connection_form_is_the_checked_build_of_the_christoffel_matrices(name):
         assert (1, bundle.degrees()[-1], bundle.degrees()[-1]) not in gamma._kernel[1]
         assert all(mask != 1 for mask in gamma._kernel[1].get((1, z0, z0), {}))
         assert all(rows for entries in gamma._kernel[1].values() for rows in entries.values())
+
+
+GAMMA_BASES = {"point": catalog.solvable5,
+               **{f"tr{n}": (lambda n=n: tangent_algebroid(Chart(tuple(f"x{i}" for i in range(n)))))
+                  for n in (2, 3, 4)}}
+
+
+@pytest.mark.parametrize("base", sorted(GAMMA_BASES))
+def test_connection_form_is_the_poly_matrix_build(base):
+    # Gamma is written in one pass over the source-major Christoffel data;
+    # the Poly-matrix build, the transposed matrices through
+    # `oracles.from_mats`, must store the same form, keys in order: ranks
+    # 1-3, some frame directions all zero, coefficients over denominators 1
+    # and 2, and the summand connections of random cuths
+    a = GAMMA_BASES[base]()
+    rng = random.Random(f"gamma:{base}")
+    seen = Counter()
+    for rank in (1, 2, 3):
+        for _ in range(4):
+            nab = random_linear_connection(rng, a, rank, max_poly_degree=2)
+            christoffel = list(nab.christoffel)
+            for i in rng.sample(range(a.rank), rng.randint(0, a.rank)):
+                christoffel[i] = mat_zero(rank, rank, a.variables)
+            nab = LinearConnection(a, christoffel)
+            gamma = nab.connection_form()
+            assert stored(gamma) == stored(connection_form_reference(nab))
+            seen["zero frame"] += len(gamma._kernel[1].get((1, 0, 0), {})) < a.rank
+            seen[f"D {gamma._kernel[0]}"] += 1
+    for bundle in ODD_BUNDLES:
+        conn = random_cuth(rng, a, bundle, max_poly_degree=2)
+        assert stored(conn.connection_form()) == stored(connection_form_reference(conn))
+    assert seen["zero frame"] >= 3 and seen["D 1"] and seen["D 2"]
+
+
+@pytest.mark.parametrize("base", sorted(GAMMA_BASES))
+def test_omega_is_gamma_plus_d_by_poly_matrices(base):
+    # Omega = Gamma + D keeps, shared, a point-base matrix that one operand
+    # alone contributes at scale 1; it must store the Poly sum of the two,
+    # for a D with a grading-preserving 1-form part and for its normalized
+    # splitting, whose Gamma absorbs that part
+    a = GAMMA_BASES[base]()
+    rng = random.Random(f"omega:{base}")
+    shared = 0
+    for bundle in ODD_BUNDLES:
+        for _ in range(2):
+            conn = random_cuth(rng, a, bundle)
+            if conn.is_normalized():
+                conn = ConnectionUpToHomotopy(a, bundle, conn.nablas, conn.D + single_block(
+                    a.variables, a.rank, bundle, bundle, (1, bundle.degrees()[0],
+                                                          bundle.degrees()[0]),
+                    {(0,): random_matrix(rng, bundle.summands[0][1], bundle.summands[0][1],
+                                         a.variables)}))
+            for case in (conn, normalize(conn)):
+                assert case.is_normalized() == (case is not conn)
+                omega = case.omega()
+                assert stored(omega) == stored(omega_reference(case))
+                (d_gamma, gamma_view), d_part = case.connection_form()._kernel, case.D._kernel[0]
+                gamma_keys = set(gamma_view)
+                # D's scale is 1 when d_gamma divides its D, and the sum is not
+                # reduced when Omega keeps that D
+                if not a.variables and d_part % d_gamma == 0 and omega._kernel[0] == d_part:
+                    shared += sum(omega._kernel[1][key][mask] is rows
+                                  for key, entries in case.D._kernel[1].items()
+                                  if key not in gamma_keys for mask, rows in entries.items())
+    assert shared or a.variables
 
 
 def test_connection_form_refuses_an_exponent_at_the_limit():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gradweil import catalog
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
+from gradweil.chernweil import transgression
 from gradweil.connections import ConnectionUpToHomotopy, LinearConnection
 from gradweil.errors import MismatchError, ParseError
 from gradweil.forms import (
@@ -792,7 +793,9 @@ def assert_point_storage(form):
 
 def test_point_base_storage_stays_flat_reduced_and_unwritten():
     # the fused passes of d^End and the curvature add d_A into accumulators
-    # that the products then add into, so they are among the results
+    # that the products then add into, so they are among the results; Omega
+    # shares the matrices of D that Gamma does not meet, so D's lists must
+    # come through the curvature, d^End and the transgression unchanged
     rng = random.Random(97)
     a = catalog.solvable5()   # not unimodular: d_A of a 4-form is not zero
     nonzero = 0
@@ -801,12 +804,14 @@ def test_point_base_storage_stays_flat_reduced_and_unwritten():
             K = kernel_total_form(rng, (), a.rank, bundle, rng.randint(-1, 2))
             L = kernel_total_form(rng, (), a.rank, bundle, rng.randint(-1, 2))
             M = kernel_total_form(rng, (), a.rank, bundle, K.total_degree)
-            conn = random_cuth(rng, a, bundle)
+            conn, other = random_cuth(rng, a, bundle), random_cuth(rng, a, bundle)
+            D_lists = _stored_lists(conn.D)
             omega = conn.omega()
-            operands = [(X, _stored_lists(X)) for X in (K, L, M, omega)]
+            operands = [(X, _stored_lists(X)) for X in (K, L, M, omega, conn.D, other.D)]
             results = [K.wedge(L), K.wedge(K), K.wedge_trace(L), K.wedge_trace(K, graded=True),
                        gtr(K), tr(L), a.d_total(K), K + M, K - K, M.scale(Fraction(-3, 4)),
-                       conn.d_end(K), conn.curvature()]
+                       conn.d_end(K), conn.curvature(), transgression(conn, other, 2)]
+            assert _stored_lists(conn.D) == D_lists
             for result in results:
                 assert_point_storage(result)
                 nonzero += not result.is_zero()
@@ -817,11 +822,11 @@ def test_point_base_storage_stays_flat_reduced_and_unwritten():
 
 
 def test_point_terms_are_stored_as_the_canonical_route_stores_them():
-    # on the point base with den 1 `Form._from_terms` skips `_canonical`: the
-    # lcm of lowest-terms denominators has no prime in common with every
-    # numerator, so the stored form is already in lowest terms
+    # `Form._from_terms` takes integer numerators over a D that need not be
+    # in lowest terms, here the lcm of the values' denominators times a
+    # factor, and stores them as the Fraction build does
     rng = random.Random(101)
-    shared = 0
+    shared = reduced = 0
     for _ in range(400):
         rank = rng.randint(1, 6)
         degree = rng.randint(0, rank)
@@ -830,11 +835,14 @@ def test_point_terms_are_stored_as_the_canonical_route_stores_them():
                                         Fraction(rng.choice([-1, 1]) * rng.randint(1, 60),
                                                  rng.randint(1, 60))])
                  for mask in rng.sample(masks, rng.randint(0, len(masks)))}
-        form = Form._from_terms((), rank, degree, terms)
+        D = math.lcm(*[q.denominator for q in terms.values()]) * rng.choice([1, 1, 2, 6, 35])
+        form = Form._from_terms((), rank, degree, D,
+                                {key: int(q * D) for key, q in reversed(terms.items())})
         assert stored(form) == stored(canonical_form(rank, degree, terms))
         assert_point_storage(form)
         shared += form._kernel[0] > 1 and len(terms) > 1
-    assert shared > 100
+        reduced += form._kernel[0] < D
+    assert shared > 100 and reduced > 100
 
 
 @pytest.mark.parametrize("variables", KERNEL_BASES)

@@ -13,7 +13,7 @@ import pytest
 
 from gradweil import chernweil
 from gradweil.algebroid import Chart, tangent_algebroid
-from gradweil.linalg import nullspace, pivot_columns, rref, solve, transpose
+from gradweil.linalg import integer_solution, nullspace, pivot_columns, rref, solve, transpose
 from gradweil.randgen import random_linear_connection
 from oracles import dense_nullspace, dense_rref, dense_solve
 from test_algebroid import tuple_key
@@ -184,8 +184,22 @@ def test_transpose():
 # --- sparse elimination against the dense reference ---------------------------------
 
 
+def from_triples(triples, ncols):
+    """The solution vector of `integer_solution`'s triples, or None."""
+    if triples is None:
+        return None
+    x = [Fraction(0)] * ncols
+    for c, numerator, head in triples:
+        x[c] = Fraction(numerator, head)
+    return x
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sparse_elimination_matches_dense_reference(seed):
+    # the right-hand sides are a consistent one, an arbitrary one (often
+    # inconsistent), the zero one, and on systems with rows an integer one;
+    # `integer_solution`'s triples must give dense_solve's vector exactly
+    kinds = Counter()
     for rng, m in sparse_cases(seed):
         nrows, ncols = shape(m)
         rows = sparse_rows(m)
@@ -201,10 +215,23 @@ def test_sparse_elimination_matches_dense_reference(seed):
                                  for _ in range(ncols)])
         arbitrary = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                      for _ in range(nrows)]
-        for rhs in (consistent, arbitrary):
+        integral = [rng.randint(-3, 3) for _ in range(nrows)]
+        for rhs in (consistent, arbitrary, [0] * nrows, integral):
             sparse_rhs = {i: v for i, v in enumerate(rhs) if v}
-            assert solve(rows, sparse_rhs, ncols) == dense_solve(m, rhs)
+            expected = dense_solve(m, rhs)
+            triples = integer_solution(rows, sparse_rhs, ncols)
+            assert solve(rows, sparse_rhs, ncols) == expected == from_triples(triples, ncols)
+            if triples is not None:
+                # one triple per pivot row with a nonzero right-hand side, in
+                # pivot order, all integers
+                assert [c for c, _, _ in triples] == [c for c in pivots if expected[c]]
+                assert all(type(n) is int and type(h) is int and n and h
+                           for _, n, h in triples)
+            kinds["empty" if not nrows else "tall" if nrows > ncols
+                  else "wide" if nrows < ncols else "square"] += 1
+            kinds["inconsistent" if triples is None else "solved" if triples else "zero"] += 1
         assert dense_solve(m, consistent) is not None
+    assert min(kinds.values()) >= 3 and len(kinds) == 7
 
 
 def test_sparse_cases_cover_the_edge_shapes():

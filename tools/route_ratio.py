@@ -1,4 +1,4 @@
-"""Time the engine's curvature routes, cohomology and problem boundary against references.
+"""Time the engine's curvature routes, cohomology, problem boundary and exactness solve against references.
 
     python tools/route_ratio.py [--seeds 5] [--repeats 5]
 
@@ -42,8 +42,19 @@ entry read by the grammar, the structure built by adding into an array of
 zeros), all of them per call, best of `--repeats`, printing the reference's
 time in the formula column; the two must give equal anchors and structures.
 
-Exits 1 if a route and its formula, the cohomology and its reference, or
-the boundary and its reference ever disagree.  No time is asserted.
+An exactness row per case, TR^4 sigma_2 of a rank-2 connection of
+Christoffel degree 1 and TR^4 sigma_1 of one of degree 2 (the p50 and p90
+classes of the exact_chart benchmark), times `is_exact` (the primitive
+stored from the integer triples of `linalg.integer_solution` over
+lcm(heads) * D) against `oracles.exactness_reference` from tests/ (the same
+system by `solve`, a Fraction per solved unknown, and the Fraction build),
+each call on a fresh algebroid and character, best of `--repeats` per seed,
+printing the medians over the seeds, the reference's time in the formula
+column; the two must give the same status and stored primitive.
+
+Exits 1 if a route and its formula, the cohomology and its reference, the
+boundary and its reference, or an exactness solve and its reference ever
+disagree.  No time is asserted.
 """
 
 from __future__ import annotations
@@ -60,10 +71,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from gradweil import catalog
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
-from gradweil.chernweil import ce_cohomology, power_traces
+from gradweil.chernweil import ce_cohomology, is_exact, power_traces, sigma_character
 from gradweil.forms import GradedBundle, gtr, tr
-from gradweil.randgen import random_cuth
-from oracles import cohomology_reference, corpus_algebroids, from_json_reference, stored
+from gradweil.randgen import random_cuth, random_linear_connection
+from oracles import (cohomology_reference, corpus_algebroids, exactness_reference,
+                     from_json_reference, stored)
 
 ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
             "abelian(8)": lambda: catalog.abelian(8),
@@ -71,6 +83,8 @@ ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
 COHOMOLOGY_ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
                        "two_aff1_plus_center": catalog.two_aff1_plus_center,
                        "abelian(8)": lambda: catalog.abelian(8)}
+# exactness case -> (chart variables, Christoffel degree, character index)
+EXACTNESS_CASES = {"TR^4/sigma2": (4, 1, 2), "TR^4/sigma1/deg2": (4, 2, 1)}
 BUNDLE = GradedBundle([(0, 2), (1, 2), (2, 1)])   # R^2[0] + R^2[1] + R[2]
 TOP = 4   # the highest curvature power traced
 
@@ -177,6 +191,32 @@ def boundary_times(datas, repeats):
     return best[0], best[1], same
 
 
+def exactness_input(case, seed):
+    """A fresh TR^n and the character of the case's connection for the seed."""
+    n, degree, index = EXACTNESS_CASES[case]
+    algebroid = tangent_algebroid(Chart(tuple(f"x{i}" for i in range(n))))
+    connection = random_linear_connection(random.Random(seed), algebroid, 2, degree)
+    return algebroid, sigma_character(connection, index).form
+
+
+def exactness_times(case, seed, repeats):
+    """(best `is_exact` seconds, best reference seconds, whether the two give
+    the same status and stored primitive), each call on a fresh algebroid
+    and character; the two alternate."""
+    best, results = [float("inf")] * 2, [None, None]
+    for _ in range(repeats):
+        for k, solve in enumerate((is_exact, exactness_reference)):
+            algebroid, form = exactness_input(case, seed)
+            start = time.perf_counter()
+            results[k] = solve(algebroid, form)
+            best[k] = min(time.perf_counter() - start, best[k])
+    engine, reference = results
+    same = (engine.status == reference.status
+            and (engine.primitive is None) == (reference.primitive is None)
+            and (engine.primitive is None or stored(engine.primitive) == stored(reference.primitive)))
+    return best[0], best[1], same
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=5)
@@ -213,6 +253,18 @@ def main(argv=None):
     name = f"corpus ({len(datas)})"
     print(f"{'boundary':<14}{name:<22}{en_s * 1e3:>11.2f}{ref_s * 1e3:>12.2f}"
           f"{en_s / ref_s:>16.2f}")
+    for case in EXACTNESS_CASES:
+        engine, reference, ratio = [], [], []
+        for seed in range(args.seeds):
+            en_s, ref_s, same = exactness_times(case, seed, args.repeats)
+            if not same:
+                print(f"exactness, {case}, seed {seed}: is_exact and the reference disagree")
+                agree = False
+            engine.append(en_s * 1e3)
+            reference.append(ref_s * 1e3)
+            ratio.append(en_s / ref_s)
+        print(f"{'exactness':<14}{case:<22}{statistics.median(engine):>11.2f}"
+              f"{statistics.median(reference):>12.2f}{statistics.median(ratio):>16.2f}")
     return 0 if agree else 1
 
 
