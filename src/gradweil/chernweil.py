@@ -29,7 +29,7 @@ from math import lcm
 
 from .connections import cuth_difference
 from .errors import InternalCheckError, MismatchError, NotClosedError
-from .forms import Form, _combine, _indices, _mask, _width, gtr, tr
+from .forms import _LINE, Form, _combine, _indices, _mask, _width, gtr, tr
 from .linalg import integer_solution, nullspace, pivot_columns, solve, transpose
 from .ring import _total_degree
 
@@ -184,17 +184,22 @@ class CohomologyBasis:
     built for d; where d_A vanishes no column is read at all.  Cochains and
     representatives are sparse vectors {index in bases[k]: value} of
     Fractions, read off a Form's terms and stored as its integer numerators
-    over the lcm of their denominators (`Form._from_terms`), with no Poly
-    in between.
+    over the lcm of their denominators (`vector_to_form`, through
+    `Form._from_terms`), with no Poly in between.
 
     Scaling the columns by `_d_den` changes no kernel, no pivot and no
-    solution but the primitive's, which `decompose` scales back.  Two
-    eliminations are skipped where they are trivial, each exactly: a d_k
-    with no nonzero column has the unit cochains as its `nullspace` basis,
-    the free-column vectors of a system with no pivot; and with no nonzero
-    boundary column every cocycle is a pivot of [boundaries | cocycles],
-    since the `nullspace` vectors are independent (each is 1 at its own
-    free column and 0 at the others).
+    solution but the primitive's, which `decompose` scales back: it stores
+    the boundary unknowns of `integer_solution`, numerator / head, as their
+    numerators times `_d_den` over lcm(heads), and the class coefficients
+    are the Fractions numerator / head.  Two eliminations are skipped where
+    they are trivial, each exactly: a d_k with no nonzero column has the
+    unit cochains as its `nullspace` basis, the free-column vectors of a
+    system with no pivot; and with no nonzero boundary column every cocycle
+    is a pivot of [boundaries | cocycles], since the `nullspace` vectors are
+    independent (each is 1 at its own free column and 0 at the others).  A
+    degree where both hold (every degree of an abelian algebra, degree 0,
+    and the top degree of a unimodular one) stores each representative e^J
+    directly as 1 over 1, with no builder.
     """
 
     def __init__(self, algebroid):
@@ -234,15 +239,24 @@ class CohomologyBasis:
 
     def _pick_representatives(self, k):
         n, d_k = len(self.bases[k]), self.d_cols[k]
-        if any(d_k):
-            cocycles = nullspace(transpose(d_k, len(self.bases[k + 1])), n)
-        else:
-            cocycles = [{i: _ONE} for i in range(n)]
         boundaries = self.d_cols[k - 1] if k > 0 else []
+        d_zero = not any(d_k)
+        if d_zero:
+            cocycles = [{i: _ONE} for i in range(n)]
+        else:
+            cocycles = nullspace(transpose(d_k, len(self.bases[k + 1])), n)
         if any(boundaries):
             columns = boundaries + cocycles
             pivots = pivot_columns(transpose(columns, n), len(columns))
             reps = [columns[p] for p in pivots if p >= len(boundaries)]
+        elif d_zero:
+            # every unit cochain e^J represents a class, stored as 1 over 1
+            variables, r = self.algebroid.variables, self.algebroid.rank
+            self.rep_vectors[k] = cocycles
+            self.representatives[k] = [
+                Form._unchecked(variables, r, _LINE, _LINE, k, (1, {(k, 0, 0): {mask: [1]}}))
+                for mask in self._masks[k]]
+            return
         else:
             reps = cocycles
         self.rep_vectors[k] = reps
@@ -262,21 +276,27 @@ class CohomologyBasis:
         if k > self.algebroid.rank:
             return [], Form.zero(self.algebroid.variables, self.algebroid.rank,
                                  max(k - 1, 0))
-        reps = self.rep_vectors[k]
-        columns = reps + (self.d_cols[k - 1] if k > 0 else [])
+        n = len(self.rep_vectors[k])
+        columns = self.rep_vectors[k] + (self.d_cols[k - 1] if k > 0 else [])
         rows = transpose(columns, len(self.bases[k]))
-        sol = solve(rows, self.form_to_vector(form), len(columns))
-        if sol is None:
+        solution = integer_solution(rows, self.form_to_vector(form), len(columns))
+        if solution is None:
             raise InternalCheckError("closed form failed to decompose")
+        coeffs, boundary = [Fraction(0)] * n, []
+        for c, numerator, head in solution:
+            if c < n:
+                coeffs[c] = Fraction(numerator, head)
+            else:
+                boundary.append((c - n, numerator, head))
+        if k == 0:
+            return coeffs, Form.zero(self.algebroid.variables, self.algebroid.rank, 0)
         # the boundary columns are `_d_den` times d, so the primitive is
-        # `_d_den` times their part of the solution
-        den = self.algebroid._d_den
-        coeffs = sol[:len(reps)]
-        prim_vec = {i: v * den for i, v in enumerate(sol[len(reps):])}
-        primitive = (self.vector_to_form(k - 1, prim_vec) if k > 0
-                     else Form.zero(self.algebroid.variables,
-                                    self.algebroid.rank, 0))
-        return coeffs, primitive
+        # `_d_den` times their part of the solution, stored over lcm(heads)
+        den, masks = self.algebroid._d_den, self._masks[k - 1]
+        L = lcm(*[head for _, _, head in boundary])
+        return coeffs, Form._from_terms(self.algebroid.variables, self.algebroid.rank, k - 1, L,
+                                        {(masks[i], 0): m * den * (L // head)
+                                         for i, m, head in boundary})
 
     def class_vector(self, form):
         return self.decompose(form)[0]

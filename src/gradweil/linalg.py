@@ -36,8 +36,9 @@ and `nullspace` divide every reduced entry by its row's head, and
 it comes out of the elimination, one (column, numerator, head) triple per
 pivot row whose entry in the right-hand-side column is nonzero, and
 `solve` is its Fraction view, numerator / head at each such column; a
-caller that stores integers, as the exactness solve does, takes the triples
-over the lcm of their heads and builds no Fraction at all.
+caller that stores integers, as the exactness solve and the cohomology
+decomposition do, takes the triples over the lcm of their heads and builds
+no Fraction for them.
 """
 
 from __future__ import annotations

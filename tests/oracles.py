@@ -558,6 +558,17 @@ def tangent_line():
     return tangent_algebroid(Chart(("x",)))
 
 
+def fractional_point_presentation():
+    """A rank-5 solvable Lie algebra whose structure constants have
+    denominators 2, 3, 5, 6 and 7: [e0, e1] = e1/2, [e0, e2] = e2/3,
+    [e0, e3] = 5/6 e3, [e0, e4] = 2/7 e4 and [e1, e2] = 3/5 e3, so its
+    `_d_den` is 210."""
+    brackets = {(0, 1): [0, Fraction(1, 2), 0, 0, 0], (0, 2): [0, 0, Fraction(1, 3), 0, 0],
+                (0, 3): [0, 0, 0, Fraction(5, 6), 0], (0, 4): [0, 0, 0, 0, Fraction(2, 7)],
+                (1, 2): [0, 0, 0, Fraction(3, 5), 0]}
+    return Algebroid.from_brackets(Chart(()), 5, [[] for _ in range(5)], brackets)
+
+
 def solvable5_module():
     """Flat rank-2 Christoffels over the first-four subframe of solvable5.
 
@@ -712,6 +723,16 @@ def exactness_reference(algebroid, form, bound=None):
     if algebroid.d(primitive) != form:
         raise InternalCheckError("the Fraction route returned a bad primitive")
     return ExactnessResult("exact", primitive)
+
+
+def random_cocycle(rng, cocycles):
+    """A random rational combination of cocycle vectors, as a sparse vector."""
+    out = {}
+    for vec in cocycles:
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for i, v in vec.items():
+            out[i] = out.get(i, 0) + c * v
+    return {i: v for i, v in out.items() if v}
 
 
 def cohomology_reference(algebroid):

@@ -321,16 +321,6 @@ def non_antisymmetric_presentation():
     return Algebroid(POINT, 2, [[], []], c)
 
 
-def fractional_point_presentation():
-    """A rank-5 solvable Lie algebra whose structure constants have
-    denominators 2, 3, 5, 6 and 7: [e0, e1] = e1/2, [e0, e2] = e2/3,
-    [e0, e3] = 5/6 e3, [e0, e4] = 2/7 e4 and [e1, e2] = 3/5 e3."""
-    brackets = {(0, 1): [0, Fraction(1, 2), 0, 0, 0], (0, 2): [0, 0, Fraction(1, 3), 0, 0],
-                (0, 3): [0, 0, 0, Fraction(5, 6), 0], (0, 4): [0, 0, 0, 0, Fraction(2, 7)],
-                (1, 2): [0, 0, 0, Fraction(3, 5), 0]}
-    return Algebroid.from_brackets(POINT, 5, [[] for _ in range(5)], brackets)
-
-
 def fractional_chart_presentation():
     """An action of sl2 on the line times a translation in y, with anchor
     denominators 2, 3, 5 and 7 and structure denominators 3 and 7.
@@ -363,7 +353,7 @@ PRESENTATIONS = {
     "tangent3": lambda: tangent_algebroid(Chart(("x", "y", "z"))),
     "polynomial": polynomial_presentation,
     "non_antisymmetric": non_antisymmetric_presentation,
-    "fractional_point": fractional_point_presentation,
+    "fractional_point": oracles.fractional_point_presentation,
     "fractional_chart": fractional_chart_presentation,
 }
 

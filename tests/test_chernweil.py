@@ -38,8 +38,8 @@ from gradweil.randgen import random_cuth, random_form, random_linear_connection
 from gradweil.ring import Poly
 from oracles import (cohomology_reference, covariant, curvature_power,
                      d_sparse_sources_reference, exactness_reference, exponent_terms, interior,
-                     radial_primitive, rho_pullback, stored, tangent_line, total_degree,
-                     transgression_by_sums)
+                     radial_primitive, random_cocycle, rho_pullback, stored, tangent_line,
+                     total_degree, transgression_by_sums)
 from test_algebroid import PRESENTATIONS, koszul_reference, packed_key, tuple_column, tuple_key
 from test_connections import _count_calls, _count_first_curvatures
 
@@ -1093,16 +1093,6 @@ COHOMOLOGY_ALGEBRAS = {
 }
 
 
-def random_cocycle(rng, cocycles):
-    """A random rational combination of cocycle vectors, as a sparse vector."""
-    out = {}
-    for vec in cocycles:
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        for i, v in vec.items():
-            out[i] = out.get(i, 0) + c * v
-    return {i: v for i, v in out.items() if v}
-
-
 def assert_cohomology_matches_the_fraction_build(a, rng):
     """`CohomologyBasis` of `a` against `oracles.cohomology_reference`: equal
     bases, integer d_cols equal to the Fraction ones times `_d_den`, the same
@@ -1148,6 +1138,28 @@ def test_cohomology_of_random_direct_sums_matches_the_fraction_build():
                 break
             summands.append(POINT_ALGEBRAS[rng.choice(fits)]())
         assert_cohomology_matches_the_fraction_build(direct_sum(summands), rng)
+
+
+@pytest.mark.parametrize("make, built", [(lambda: catalog.abelian(8), []), (catalog.sl2, []),
+                                         (catalog.solvable5, [1, 1, 2]),
+                                         (catalog.heisenberg3, [1, 1, 2, 2])],
+                         ids=["abelian8", "sl2", "solvable5", "heisenberg3"])
+def test_unit_cochain_degrees_store_their_representatives_with_no_build(monkeypatch, make,
+                                                                         built):
+    # a degree whose d_k and d_(k-1) have no nonzero column takes every e^J
+    # as a representative, stored as 1 over 1; every other degree builds
+    # its representatives through `vector_to_form`, listed here by degree
+    degrees, build = [], CohomologyBasis.vector_to_form
+    monkeypatch.setattr(CohomologyBasis, "vector_to_form",
+                        lambda self, k, vec: degrees.append(k) or build(self, k, vec))
+    ce = CohomologyBasis(make())
+    assert degrees == built
+    units = [k for k in range(ce.algebroid.rank + 1)
+             if not any(ce.d_cols[k]) and not (k and any(ce.d_cols[k - 1]))]
+    assert 0 in units and not set(units) & set(built)
+    for k in units:
+        assert [rep._kernel for rep in ce.representatives[k]] == [
+            (1, {(k, 0, 0): {mask: [1]}}) for mask in ce._masks[k]]
 
 
 def test_a_transgression_from_the_flat_frame_is_a_primitive_of_the_character():

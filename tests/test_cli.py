@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -263,7 +264,7 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     assert tool.main(["--seeds", "1", "--repeats", "1"]) == 0
     rows = capsys.readouterr().out.splitlines()
     algebras = ["sl2", "solvable5", "abelian(8)", "TR^4"]
-    lie_algebras = ["sl2", "solvable5", "two_aff1_plus_center", "abelian(8)"]
+    lie_algebras = ["sl2", "solvable5", "two_aff1_plus_center", "abelian(8)", "fractional_point"]
     assert [row.split()[:2] for row in rows] == [["route", "algebra"]] + [
         [route, name] for route in ("curvature", "power_traces", "square_trace")
         for name in algebras] + [["cohomology", name] for name in lie_algebras] + [
@@ -309,8 +310,25 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     assert tool.main(["--seeds", "1", "--repeats", "1"]) == 1
     out = capsys.readouterr().out
     assert [name for name in lie_algebras if f"cohomology, {name}: the engine and the "
-            "reference disagree" in out] == ["sl2", "solvable5", "two_aff1_plus_center"]
+            "reference disagree" in out] == ["sl2", "solvable5", "two_aff1_plus_center",
+                                             "fractional_point"]
     assert "seed 0: the engine and the formula disagree" not in out
+    monkeypatch.undo()
+    # a decompose primitive not scaled by `_d_den`, which only
+    # fractional_point (`_d_den` 210) has above 1
+    from gradweil.chernweil import CohomologyBasis
+
+    decompose = CohomologyBasis.decompose
+
+    def unscaled(basis, form):
+        coeffs, primitive = decompose(basis, form)
+        return coeffs, primitive.scale(Fraction(1, basis.algebroid._d_den))
+
+    monkeypatch.setattr(CohomologyBasis, "decompose", unscaled)
+    assert tool.main(["--seeds", "1", "--repeats", "1"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "disagree" in line] == [
+        "cohomology, fractional_point, seed 0: decompose and the reference disagree"]
     monkeypatch.undo()
     # a literal read without its sign, at the boundary only: the reference
     # reads every entry by the grammar

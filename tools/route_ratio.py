@@ -26,14 +26,20 @@ starts; the engine and the formula alternate, and a time for a seed is the
 best of `--repeats` calls.  Prints, per route and algebra, the median over
 the seeds of both times and of their ratio.
 
-A last route, cohomology, draws nothing: on sl2, solvable5,
-two_aff1_plus_center and abelian(8) it times `ce_cohomology` (integer
-coboundary columns, the eliminations skipped where d_k or d_(k-1) is zero)
-against `oracles.cohomology_reference` from tests/, the same basis built in
-Fractions with every degree eliminated, each on a fresh algebroid, best of
-`--repeats`, printing the reference's time in the formula column; the two
-must give equal bases, rep_vectors, dims and stored representatives, and
-the engine's columns must be the reference's times `_d_den`.
+A last route, cohomology: on sl2, solvable5, two_aff1_plus_center,
+abelian(8) and fractional_point (denominators 2-7, `_d_den` 210) it times
+`ce_cohomology` (integer coboundary columns, the eliminations skipped where
+d_k or d_(k-1) is zero, and each representative of a degree where both are
+zero stored as e^J over 1) against `oracles.cohomology_reference` from
+tests/, the same basis built in Fractions with every degree eliminated, each
+on a fresh algebroid, best of `--repeats`, printing the reference's time in
+the formula column; the two must give equal bases, rep_vectors, dims and
+stored representatives, and the engine's columns must be the reference's
+times `_d_den`.  For each seed it also draws one random closed form in each
+degree 1..rank, a random rational combination of the reference's cocycles,
+and `decompose` (its primitive stored from the integer triples of
+`linalg.integer_solution` times `_d_den`) must give the reference's class
+coefficients and stored primitive.
 
 A boundary row reads every algebroid of the problem files in corpus/ by
 `Algebroid.from_json` (a bare literal read by one match, each bracket vector
@@ -52,9 +58,9 @@ each call on a fresh algebroid and character, best of `--repeats` per seed,
 printing the medians over the seeds, the reference's time in the formula
 column; the two must give the same status and stored primitive.
 
-Exits 1 if a route and its formula, the cohomology and its reference, the
-boundary and its reference, or an exactness solve and its reference ever
-disagree.  No time is asserted.
+Exits 1 if a route and its formula, the cohomology or a decomposition and
+its reference, the boundary and its reference, or an exactness solve and
+its reference ever disagree.  No time is asserted.
 """
 
 from __future__ import annotations
@@ -72,17 +78,19 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from gradweil import catalog
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
 from gradweil.chernweil import ce_cohomology, is_exact, power_traces, sigma_character
-from gradweil.forms import GradedBundle, gtr, tr
+from gradweil.forms import Form, GradedBundle, gtr, tr
 from gradweil.randgen import random_cuth, random_linear_connection
 from oracles import (cohomology_reference, corpus_algebroids, exactness_reference,
-                     from_json_reference, stored)
+                     fractional_point_presentation, from_json_reference, random_cocycle,
+                     stored)
 
 ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
             "abelian(8)": lambda: catalog.abelian(8),
             "TR^4": lambda: tangent_algebroid(Chart(("x", "y", "z", "w")))}
 COHOMOLOGY_ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
                        "two_aff1_plus_center": catalog.two_aff1_plus_center,
-                       "abelian(8)": lambda: catalog.abelian(8)}
+                       "abelian(8)": lambda: catalog.abelian(8),
+                       "fractional_point": fractional_point_presentation}
 # exactness case -> (chart variables, Christoffel degree, character index)
 EXACTNESS_CASES = {"TR^4/sigma2": (4, 1, 2), "TR^4/sigma1/deg2": (4, 2, 1)}
 BUNDLE = GradedBundle([(0, 2), (1, 2), (2, 1)])   # R^2[0] + R^2[1] + R[2]
@@ -165,8 +173,9 @@ def cohomology_agrees(engine, reference, den):
 
 
 def cohomology_times(make, repeats):
-    """(best engine seconds, best reference seconds, whether they agree),
-    each call on a fresh algebroid; the two alternate."""
+    """(best engine seconds, best reference seconds, whether they agree, the
+    last engine basis, the last reference), each call on a fresh algebroid;
+    the two alternate."""
     best, results = [float("inf")] * 2, [None, None]
     for _ in range(repeats):
         for k, call in enumerate((ce_cohomology, cohomology_reference)):
@@ -174,7 +183,23 @@ def cohomology_times(make, repeats):
             start = time.perf_counter()
             results[k] = call(algebroid)
             best[k] = min(time.perf_counter() - start, best[k])
-    return best[0], best[1], cohomology_agrees(*results, algebroid._d_den)
+    return best[0], best[1], cohomology_agrees(*results, algebroid._d_den), *results
+
+
+def decompositions_agree(engine, reference, seed):
+    """Whether `decompose` and the reference's give equal class coefficients
+    and stored primitives on one random closed form of each degree
+    1..rank, drawn from the seed as a combination of the reference's
+    cocycles with coefficients -4..4 over 1..3."""
+    rng, rank = random.Random(seed), engine.algebroid.rank
+    for k in range(1, rank + 1):
+        vec = random_cocycle(rng, reference.cocycles[k])
+        form = Form((), rank, k, 1, {(reference.bases[k][i], 0): v for i, v in vec.items()})
+        (coeffs, primitive), (ref_coeffs, ref_primitive) = (engine.decompose(form),
+                                                            reference.decompose(form))
+        if coeffs != ref_coeffs or stored(primitive) != stored(ref_primitive):
+            return False
+    return True
 
 
 def boundary_times(datas, repeats):
@@ -239,10 +264,14 @@ def main(argv=None):
             print(f"{route:<14}{name:<22}{statistics.median(engine):>11.2f}"
                   f"{statistics.median(reference):>12.2f}{statistics.median(ratio):>16.2f}")
     for name, make in COHOMOLOGY_ALGEBRAS.items():
-        en_s, ref_s, same = cohomology_times(make, args.repeats)
+        en_s, ref_s, same, engine, reference = cohomology_times(make, args.repeats)
         if not same:
             print(f"cohomology, {name}: the engine and the reference disagree")
             agree = False
+        for seed in range(args.seeds):
+            if not decompositions_agree(engine, reference, seed):
+                print(f"cohomology, {name}, seed {seed}: decompose and the reference disagree")
+                agree = False
         print(f"{'cohomology':<14}{name:<22}{en_s * 1e3:>11.2f}{ref_s * 1e3:>12.2f}"
               f"{en_s / ref_s:>16.2f}")
     datas = list(corpus_algebroids(ROOT / "corpus").values())
