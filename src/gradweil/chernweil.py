@@ -197,9 +197,12 @@ class CohomologyBasis:
     system with no pivot; and with no nonzero boundary column every cocycle
     is a pivot of [boundaries | cocycles], since the `nullspace` vectors are
     independent (each is 1 at its own free column and 0 at the others).  A
-    degree where both hold (every degree of an abelian algebra, degree 0,
-    and the top degree of a unimodular one) stores each representative e^J
-    directly as 1 over 1, with no builder.
+    degree whose d_k has no nonzero column (every degree of an abelian
+    algebra, degree 0, the top degree of a unimodular one, and degree 2 of
+    heisenberg3, where `pivot_columns` picks among the unit cochains) has
+    unit cochains as its representatives and stores each e^J directly as 1
+    over 1, with no builder.  The elimination of `decompose` is `_eliminate`,
+    so `class_vector` reads the class coefficients and builds no primitive.
     """
 
     def __init__(self, algebroid):
@@ -249,33 +252,32 @@ class CohomologyBasis:
             columns = boundaries + cocycles
             pivots = pivot_columns(transpose(columns, n), len(columns))
             reps = [columns[p] for p in pivots if p >= len(boundaries)]
-        elif d_zero:
-            # every unit cochain e^J represents a class, stored as 1 over 1
-            variables, r = self.algebroid.variables, self.algebroid.rank
-            self.rep_vectors[k] = cocycles
-            self.representatives[k] = [
-                Form._unchecked(variables, r, _LINE, _LINE, k, (1, {(k, 0, 0): {mask: [1]}}))
-                for mask in self._masks[k]]
-            return
         else:
             reps = cocycles
         self.rep_vectors[k] = reps
-        self.representatives[k] = [self.vector_to_form(k, v) for v in reps]
+        if d_zero:
+            # every representative is a unit cochain e^J, stored as 1 over 1
+            variables, r, masks = self.algebroid.variables, self.algebroid.rank, self._masks[k]
+            self.representatives[k] = [
+                Form._unchecked(variables, r, _LINE, _LINE, k, (1, {(k, 0, 0): {masks[i]: [1]}}))
+                for v in reps for i in v]
+        else:
+            self.representatives[k] = [self.vector_to_form(k, v) for v in reps]
 
     def dim(self, k):
         return len(self.rep_vectors.get(k, []))
 
-    def decompose(self, form):
-        """Write a closed form as sum(c_i rep_i) + d(primitive).
-
-        Returns (coefficients, primitive Form).  Raises NotClosedError on a
-        non-cocycle.
-        """
+    def _eliminate(self, form):
+        """(class coefficients, boundary triples) of a closed form: the
+        coefficients are the Fractions numerator / head of the
+        representative unknowns of `integer_solution`, 0 where none is
+        solved, and the triples (index in bases[k - 1], numerator, head)
+        those of the boundary unknowns; both empty above the rank.  Raises
+        NotClosedError on a non-cocycle."""
         _require_closed(self.algebroid, form, "cannot decompose a non-closed form")
         k = form.degree
         if k > self.algebroid.rank:
-            return [], Form.zero(self.algebroid.variables, self.algebroid.rank,
-                                 max(k - 1, 0))
+            return [], []
         n = len(self.rep_vectors[k])
         columns = self.rep_vectors[k] + (self.d_cols[k - 1] if k > 0 else [])
         rows = transpose(columns, len(self.bases[k]))
@@ -288,18 +290,29 @@ class CohomologyBasis:
                 coeffs[c] = Fraction(numerator, head)
             else:
                 boundary.append((c - n, numerator, head))
-        if k == 0:
-            return coeffs, Form.zero(self.algebroid.variables, self.algebroid.rank, 0)
+        return coeffs, boundary
+
+    def decompose(self, form):
+        """Write a closed form as sum(c_i rep_i) + d(primitive).
+
+        Returns (coefficients, primitive Form).  Raises NotClosedError on a
+        non-cocycle.
+        """
+        coeffs, boundary = self._eliminate(form)
+        k, variables, r = form.degree, self.algebroid.variables, self.algebroid.rank
+        if not boundary:
+            return coeffs, Form.zero(variables, r, max(k - 1, 0))
         # the boundary columns are `_d_den` times d, so the primitive is
         # `_d_den` times their part of the solution, stored over lcm(heads)
         den, masks = self.algebroid._d_den, self._masks[k - 1]
         L = lcm(*[head for _, _, head in boundary])
-        return coeffs, Form._from_terms(self.algebroid.variables, self.algebroid.rank, k - 1, L,
+        return coeffs, Form._from_terms(variables, r, k - 1, L,
                                         {(masks[i], 0): m * den * (L // head)
                                          for i, m, head in boundary})
 
     def class_vector(self, form):
-        return self.decompose(form)[0]
+        """The class coefficients of `decompose`, with no primitive built."""
+        return self._eliminate(form)[0]
 
 
 def ce_cohomology(algebroid):
@@ -461,15 +474,35 @@ def transgression(old, new, index):
 
     Interpolates cal_D_t = cal_D + t hat(D) with D = cal_D' - cal_D, expands
     R_t = R + t (d_End D) + t^2 (D wedge D) as a polynomial in t with total
-    form coefficients, and integrates index * gtr(R_t^(index-1) D) exactly;
-    the power starts at R_t and each term is one trace-only product with D.
+    form coefficients, and integrates index * gtr(R_t^(index-1) D) exactly:
+    T = sum_j index / (j + 1) gtr(P_j D), P_j the coefficient of t^j.
+
+    Index 1 is gtr(D).  Index 2 is the Chern-Simons form
+    2 gtr(R D) + gtr(d_End D D) + 2/3 gtr(D^2 D), with d_End D = d_A D +
+    [Omega, D] = d_A D + Omega D + D Omega since D has total degree 1.  The
+    graded trace is cyclic, gtr(X Y) = (-1)^(|X| |Y|) gtr(Y X) (the Koszul
+    factor of `_product` makes it so), which gives gtr(D Omega D) =
+    gtr(Omega D^2), and so
+
+        T_2 = 2 gtr(R D) + gtr(d_A D D) + 2 gtr(Omega D^2) + 2/3 gtr(D^2 D):
+
+    the one product D^2, one `Algebroid.d_total` and four trace-only
+    products, with no `d_end`.  From index 3 up d_End D enters the powers of
+    R_t more than once, so the power is expanded as it stands, starting at
+    R_t, and each of its coefficients is one trace-only product with D.
     """
     curvature = old.curvature()
     if old.bundle != new.bundle or old.algebroid != new.algebroid:
         raise MismatchError("transgression needs two cuths on the same bundle")
     diff = cuth_difference(new, old)
     if index == 1:
-        pieces = [gtr(diff)]
+        pieces = [(1, 1, gtr(diff))]
+    elif index == 2:
+        square = diff.wedge(diff)
+        pieces = [(2, 1, curvature.wedge_trace(diff, graded=True)),
+                  (1, 1, old.algebroid.d_total(diff).wedge_trace(diff, graded=True)),
+                  (2, 1, old.omega().wedge_trace(square, graded=True)),
+                  (2, 3, square.wedge_trace(diff, graded=True))]
     else:
         r_t = [curvature, old.d_end(diff), diff.wedge(diff)]
         power = r_t
@@ -480,12 +513,13 @@ def transgression(old, new, index):
                     term = x.wedge(y)
                     out[i + j] = term if out[i + j] is None else out[i + j] + term
             power = out
-        pieces = [p.wedge_trace(diff, graded=True) for p in power]
-    # sum_j index / (j + 1) * piece_j, in one pass over the stored forms
+        pieces = [(index, j + 1, p.wedge_trace(diff, graded=True))
+                  for j, p in enumerate(power)]
+    # sum of num / den * piece, in one pass over the stored forms
     total = Form.zero(old.variables, old.algebroid.rank, 2 * index - 1)
     return total._same_shape(_combine(
-        [(index, (D * (j + 1), view)) for j, (D, view) in enumerate(p._kernel for p in pieces)
-         if view], total.src, _width(old.variables)))
+        [(num, (p._kernel[0] * den, p._kernel[1])) for num, den, p in pieces if p._kernel[1]],
+        total.src, _width(old.variables)))
 
 
 # ----------------------------------------------------------------------

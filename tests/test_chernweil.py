@@ -484,9 +484,9 @@ def test_transgression_needs_matching_bundles():
 
 
 def test_transgression_starts_its_power_at_the_interpolated_curvature(monkeypatch):
-    # with the old curvature kept, index 2 wedges only D ^ D; d_End D is two
-    # kernel passes and no wedge, and each of the three integrand terms is
-    # one trace-only product with D
+    # with the old curvature kept, index 2 is the Chern-Simons form: it wedges
+    # only D ^ D, takes d_A D by one `d_total` and no d_End D, and each of its
+    # four pieces is one trace-only product
     rng = random.Random(43)
     a = catalog.sl2()
     E = GradedBundle([(0, 1), (1, 1)])
@@ -495,29 +495,40 @@ def test_transgression_starts_its_power_at_the_interpolated_curvature(monkeypatc
     counts = {}
     _count_calls(monkeypatch, TotalForm, "wedge", counts)
     _count_calls(monkeypatch, TotalForm, "_product", counts)
+    _count_calls(monkeypatch, Algebroid, "d_total", counts)
+    _count_calls(monkeypatch, ConnectionUpToHomotopy, "d_end", counts)
     T = transgression(old, new, 2)
-    assert counts == {"wedge": 1, "_product": 6}
+    assert counts == {"wedge": 1, "_product": 5, "d_total": 1}
     monkeypatch.undo()
     assert a.d(T) == sigma_character(new, 2).form - sigma_character(old, 2).form
 
 
 def test_transgression_is_the_sum_of_its_pieces_in_lowest_terms():
-    # the one-pass sum of the scaled pieces stores what summing them one `+`
-    # and `scale` at a time stores, also where pieces vanish: old == new
-    # makes D and every piece zero
+    # the one-pass sum of the scaled pieces stores what the general expansion,
+    # summed one `+` and `scale` at a time, stores, also where pieces vanish:
+    # old == new makes D and every piece zero.  solvable5 and the chart
+    # algebroids have d_A != 0, so the d_A D piece of index 2 is read, and
+    # R[-1] + R^2[0] + R[1] has a summand of negative degree.  T_index has
+    # degree 2 index - 1, zero on tangent_plane's rank-2 frame from index 2
+    # on, so TR^3 is the chart where the index-2 form is not zero
     rng = random.Random(29)
-    zero_pieces = 0
-    for a in (catalog.sl2(), catalog.abelian(4)):
-        for E in (GradedBundle([(0, 1), (1, 1)]), GradedBundle([(0, 2), (1, 1)])):
+    zero_pieces, d_a_pieces, chart_forms = 0, 0, 0
+    for a in (catalog.sl2(), catalog.abelian(4), catalog.solvable5(), catalog.tangent_plane(),
+              tangent_algebroid(Chart(("x", "y", "z")))):
+        for E in (GradedBundle([(0, 1), (1, 1)]), GradedBundle([(0, 2), (1, 1)]),
+                  GradedBundle([(-1, 1), (0, 2), (1, 1)])):
             for _ in range(3):
                 old, new = random_cuth(rng, a, E), random_cuth(rng, a, E)
+                diff = new.omega() - old.omega()
+                d_a_pieces += not a.d_total(diff).wedge_trace(diff, graded=True).is_zero()
                 for other in (new, old):
                     for index in (1, 2, 3):
                         T = transgression(old, other, index)
                         reference = transgression_by_sums(old, other, index)
                         assert T == reference and T._kernel == reference._kernel
                         zero_pieces += T.is_zero()
-    assert zero_pieces
+                        chart_forms += index == 2 and bool(a.variables) and not T.is_zero()
+    assert zero_pieces and d_a_pieces and chart_forms
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -1142,24 +1153,51 @@ def test_cohomology_of_random_direct_sums_matches_the_fraction_build():
 
 @pytest.mark.parametrize("make, built", [(lambda: catalog.abelian(8), []), (catalog.sl2, []),
                                          (catalog.solvable5, [1, 1, 2]),
-                                         (catalog.heisenberg3, [1, 1, 2, 2])],
+                                         (catalog.heisenberg3, [1, 1])],
                          ids=["abelian8", "sl2", "solvable5", "heisenberg3"])
 def test_unit_cochain_degrees_store_their_representatives_with_no_build(monkeypatch, make,
                                                                          built):
-    # a degree whose d_k and d_(k-1) have no nonzero column takes every e^J
-    # as a representative, stored as 1 over 1; every other degree builds
+    # a degree whose d_k has no nonzero column has unit cochains as its
+    # representatives, all of them or those `pivot_columns` picks against
+    # the boundaries, each stored as e^J over 1; every other degree builds
     # its representatives through `vector_to_form`, listed here by degree
     degrees, build = [], CohomologyBasis.vector_to_form
     monkeypatch.setattr(CohomologyBasis, "vector_to_form",
                         lambda self, k, vec: degrees.append(k) or build(self, k, vec))
     ce = CohomologyBasis(make())
     assert degrees == built
-    units = [k for k in range(ce.algebroid.rank + 1)
-             if not any(ce.d_cols[k]) and not (k and any(ce.d_cols[k - 1]))]
+    units = [k for k in range(ce.algebroid.rank + 1) if not any(ce.d_cols[k])]
     assert 0 in units and not set(units) & set(built)
     for k in units:
+        assert all(vec == {i: 1} for vec in ce.rep_vectors[k] for i in vec)
         assert [rep._kernel for rep in ce.representatives[k]] == [
-            (1, {(k, 0, 0): {mask: [1]}}) for mask in ce._masks[k]]
+            (1, {(k, 0, 0): {ce._masks[k][i]: [1]}}) for vec in ce.rep_vectors[k] for i in vec]
+
+
+@pytest.mark.parametrize("make", [catalog.sl2, catalog.solvable5, catalog.heisenberg3],
+                         ids=["sl2", "solvable5", "heisenberg3"])
+def test_class_vector_reads_the_coefficients_with_no_primitive(monkeypatch, make):
+    # `class_vector` is the coefficients of `decompose`, from the same
+    # elimination, with no primitive stored
+    rng = random.Random(f"class_vector:{make.__name__}")
+    a = make()
+    ce, ref = CohomologyBasis(a), cohomology_reference(a)
+    built = []
+    from_terms = Form._from_terms.__func__
+    monkeypatch.setattr(Form, "_from_terms", classmethod(
+        lambda cls, *args: built.append(args) or from_terms(cls, *args)))
+    forms_seen, nonzero = 0, 0
+    for k in range(a.rank + 2):
+        for _ in range(4):
+            vec = random_cocycle(rng, ref.cocycles[k]) if k <= a.rank else {}
+            form = Form((), a.rank, k, 1, {(ref.bases[k][i], 0): v for i, v in vec.items()})
+            del built[:]
+            coeffs = ce.class_vector(form)
+            assert not built
+            assert coeffs == ce.decompose(form)[0]
+            forms_seen += 1
+            nonzero += any(coeffs)
+    assert forms_seen and nonzero
 
 
 def test_a_transgression_from_the_flat_frame_is_a_primitive_of_the_character():

@@ -268,7 +268,10 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     assert [row.split()[:2] for row in rows] == [["route", "algebra"]] + [
         [route, name] for route in ("curvature", "power_traces", "square_trace")
         for name in algebras] + [["cohomology", name] for name in lie_algebras] + [
-        ["boundary", "corpus"], ["exactness", "TR^4/sigma2"], ["exactness", "TR^4/sigma1/deg2"]]
+        ["boundary", "corpus"], ["exactness", "TR^4/sigma2"], ["exactness", "TR^4/sigma1/deg2"]] + [
+        ["transgression", f"{name}/index{index}"]
+        for name in ("sl2", "solvable5", "abelian(8)", "tangent_plane", "TR^3")
+        for index in (2, 3)]
     original = ConnectionUpToHomotopy.curvature
     monkeypatch.setattr(ConnectionUpToHomotopy, "curvature",
                         lambda self: original(self).scale(2))
@@ -352,6 +355,25 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     assert [line for line in out.splitlines() if "disagree" in line] == [
         f"exactness, {case}, seed 0: is_exact and the reference disagree"
         for case in ("TR^4/sigma2", "TR^4/sigma1/deg2")]
+    monkeypatch.undo()
+    # the index-2 Chern-Simons form with its 2 gtr(Omega ^ D^2) piece taken
+    # once, on the index-2 transgression rows alone; on tangent_plane, of
+    # frame rank 2, that piece is a 3-form and zero
+    engine = tool.transgression
+
+    def once(old, new, index):
+        T = engine(old, new, index)
+        if index != 2:
+            return T
+        diff = new.omega() - old.omega()
+        return T - old.omega().wedge_trace(diff.wedge(diff), graded=True)
+
+    monkeypatch.setattr(tool, "transgression", once)
+    assert tool.main(["--seeds", "1", "--repeats", "1"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "disagree" in line] == [
+        f"transgression, {name}/index2, seed 0: the engine and the reference disagree"
+        for name in ("sl2", "solvable5", "abelian(8)", "TR^3")]
 
 
 # --- out-of-range indices ------------------------------------------------------

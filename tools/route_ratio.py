@@ -1,4 +1,4 @@
-"""Time the engine's curvature routes, cohomology, problem boundary and exactness solve against references.
+"""Time the engine's curvature routes, cohomology, problem boundary, exactness solve and transgression against references.
 
     python tools/route_ratio.py [--seeds 5] [--repeats 5]
 
@@ -58,9 +58,25 @@ each call on a fresh algebroid and character, best of `--repeats` per seed,
 printing the medians over the seeds, the reference's time in the formula
 column; the two must give the same status and stored primitive.
 
+A transgression row per algebra and index 2 and 3, on sl2, solvable5,
+abelian(8), tangent_plane (TM of a two-variable chart) and TR^3, times
+`chernweil.transgression` (index 2 the Chern-Simons form, four trace-only
+products and no d_End; index 3 the expansion of R_t through `d_end`)
+against `oracles.transgression_by_sums` from tests/ (every coefficient of
+R_t^(index - 1) by public wedge and `+`, traced by `gtr` of its full wedge
+with D, summed one `+` and `scale` at a time) on two fresh connections up to
+homotopy on R^2[0] + R^2[1] + R[2] per call, the old curvature and both
+Omegas built before the clock starts, best of `--repeats` per seed, printing
+the medians over the seeds, the reference's time in the formula column; the
+two must store the same form.  T_index is a form of degree 2 index - 1, so
+it vanishes on a frame of lower rank: tangent_plane's rows and sl2's index-3
+row compare zero forms, and TR^3 is the chart whose index-2 form is not
+zero.
+
 Exits 1 if a route and its formula, the cohomology or a decomposition and
-its reference, the boundary and its reference, or an exactness solve and
-its reference ever disagree.  No time is asserted.
+its reference, the boundary and its reference, an exactness solve and its
+reference, or a transgression and its reference ever disagree.  No time is
+asserted.
 """
 
 from __future__ import annotations
@@ -77,12 +93,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from gradweil import catalog
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
-from gradweil.chernweil import ce_cohomology, is_exact, power_traces, sigma_character
+from gradweil.chernweil import (ce_cohomology, is_exact, power_traces, sigma_character,
+                                transgression)
 from gradweil.forms import Form, GradedBundle, gtr, tr
 from gradweil.randgen import random_cuth, random_linear_connection
 from oracles import (cohomology_reference, corpus_algebroids, exactness_reference,
                      fractional_point_presentation, from_json_reference, random_cocycle,
-                     stored)
+                     stored, transgression_by_sums)
 
 ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
             "abelian(8)": lambda: catalog.abelian(8),
@@ -93,6 +110,10 @@ COHOMOLOGY_ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
                        "fractional_point": fractional_point_presentation}
 # exactness case -> (chart variables, Christoffel degree, character index)
 EXACTNESS_CASES = {"TR^4/sigma2": (4, 1, 2), "TR^4/sigma1/deg2": (4, 2, 1)}
+TRANSGRESSION_ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
+                          "abelian(8)": lambda: catalog.abelian(8),
+                          "tangent_plane": catalog.tangent_plane,
+                          "TR^3": lambda: tangent_algebroid(Chart(("x", "y", "z")))}
 BUNDLE = GradedBundle([(0, 2), (1, 2), (2, 1)])   # R^2[0] + R^2[1] + R[2]
 TOP = 4   # the highest curvature power traced
 
@@ -242,6 +263,29 @@ def exactness_times(case, seed, repeats):
     return best[0], best[1], same
 
 
+def transgression_input(make, seed):
+    """Two fresh connections up to homotopy of the seed on a new algebroid,
+    the old one's curvature and both Omegas built."""
+    rng, algebroid = random.Random(seed), make()
+    old, new = random_cuth(rng, algebroid, BUNDLE), random_cuth(rng, algebroid, BUNDLE)
+    old.curvature()
+    new.omega()
+    return old, new
+
+
+def transgression_times(make, index, seed, repeats):
+    """(best `transgression` seconds, best reference seconds, whether the two
+    store the same form), each call on fresh connections; the two alternate."""
+    best, results = [float("inf")] * 2, [None, None]
+    for _ in range(repeats):
+        for k, call in enumerate((transgression, transgression_by_sums)):
+            old, new = transgression_input(make, seed)
+            start = time.perf_counter()
+            results[k] = call(old, new, index)
+            best[k] = min(time.perf_counter() - start, best[k])
+    return best[0], best[1], stored(results[0]) == stored(results[1])
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=5)
@@ -294,6 +338,21 @@ def main(argv=None):
             ratio.append(en_s / ref_s)
         print(f"{'exactness':<14}{case:<22}{statistics.median(engine):>11.2f}"
               f"{statistics.median(reference):>12.2f}{statistics.median(ratio):>16.2f}")
+    for name, make in TRANSGRESSION_ALGEBRAS.items():
+        for index in (2, 3):
+            engine, reference, ratio = [], [], []
+            case = f"{name}/index{index}"
+            for seed in range(args.seeds):
+                en_s, ref_s, same = transgression_times(make, index, seed, args.repeats)
+                if not same:
+                    print(f"transgression, {case}, seed {seed}: the engine and the "
+                          "reference disagree")
+                    agree = False
+                engine.append(en_s * 1e3)
+                reference.append(ref_s * 1e3)
+                ratio.append(en_s / ref_s)
+            print(f"{'transgression':<14}{case:<22}{statistics.median(engine):>11.2f}"
+                  f"{statistics.median(reference):>12.2f}{statistics.median(ratio):>16.2f}")
     return 0 if agree else 1
 
 
