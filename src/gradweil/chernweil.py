@@ -124,7 +124,7 @@ def invariant_polys(curvature, up_to):
         raise MismatchError("invariant polynomials need an ungraded End-valued form")
     variables = curvature.variables
     frame_rank = curvature.frame_rank
-    ones = Form.function(variables, frame_rank, 1)
+    ones = Form._from_terms(variables, frame_rank, 0, 1, {(0, 0): 1})   # 1 over 1
     out = [ones]
     traces = power_traces(curvature, up_to, False)
     for i in range(1, up_to + 1):
@@ -490,10 +490,17 @@ def transgression(old, new, index):
     products, with no `d_end`.  From index 3 up d_End D enters the powers of
     R_t more than once, so the power is expanded as it stands, starting at
     R_t, and each of its coefficients is one trace-only product with D.
+
+    T has degree 2 index - 1, so above the frame rank it is the zero form,
+    returned right after the bundle and algebroid checks, with no
+    curvature, product or trace.
     """
-    curvature = old.curvature()
     if old.bundle != new.bundle or old.algebroid != new.algebroid:
         raise MismatchError("transgression needs two cuths on the same bundle")
+    total = Form.zero(old.variables, old.algebroid.rank, 2 * index - 1)
+    if 2 * index - 1 > old.algebroid.rank:
+        return total
+    curvature = old.curvature()
     diff = cuth_difference(new, old)
     if index == 1:
         pieces = [(1, 1, gtr(diff))]
@@ -516,7 +523,6 @@ def transgression(old, new, index):
         pieces = [(index, j + 1, p.wedge_trace(diff, graded=True))
                   for j, p in enumerate(power)]
     # sum of num / den * piece, in one pass over the stored forms
-    total = Form.zero(old.variables, old.algebroid.rank, 2 * index - 1)
     return total._same_shape(_combine(
         [(num, (p._kernel[0] * den, p._kernel[1])) for num, den, p in pieces if p._kernel[1]],
         total.src, _width(old.variables)))

@@ -31,13 +31,22 @@ curvature, `chernweil.transgression` and the square-zero report read the
 one Omega the class builds.  The covariant derivative of a
 section by Polys lives in the tests as the oracle.
 
+Omega is written once per connection, in one pass: D's stored form with
+Gamma's (1, z, z) matrices added in over the joint denominator, D's other
+blocks kept as D's own dicts, and one gcd pass for lowest terms
+(`_gamma_plus`); it stores what `connection_form() + D` stores, key order
+included.
+
 The curvature R is the unique total form with hat(R) = cal_D^2, computed
 once per connection in two kernel passes.  The basis sections are the
 columns of the identity, so pass 1 is hat(Omega) on all of them at once
 (d_A of a constant 0-form is zero), and it must return Omega's stored form
-exactly: if it does not, InternalCheckError names the first block and
-multi-index where they differ.  Pass 2 is hat(Omega) on those images with
-d_A of the images added into its own accumulators (see
+exactly.  Its accumulators (`TotalForm._accumulate`) are compared with
+Omega's stored numerators as they stand (`_stores`); only if they differ
+are they brought to lowest terms, and if that is not Omega either,
+InternalCheckError names the first block and multi-index where they
+differ.  Pass 2 is hat(Omega) on Omega's stored form, the images pass 1
+checked, with d_A of them added into its own accumulators (see
 `TotalForm._product`); a degree-0 section takes no Koszul sign, so its
 squares are R's columns as they stand.  The formula d_A Omega + Omega ^
 Omega stays in the tests as R's oracle, and no curvature calls
@@ -50,13 +59,14 @@ full product R^i as its oracle.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InternalCheckError, MismatchError, ParseError
 from .forms import (
     GradedBundle,
     TotalForm,
     _LINE,
+    _canonical,
     _combine,
     _fiber,
     _width,
@@ -162,12 +172,20 @@ class ConnectionUpToHomotopy:
 
     def omega(self):
         """Omega = Gamma + D, the degree-1 total form of cal_D; built once and
-        kept.  On the point base, where Gamma's denominator divides D's and
-        the sum needs no reduction, it keeps as they stand, shared, D's
-        matrices outside the (1, z, z) blocks the two have in common (see
-        `forms._combine`)."""
+        kept.
+
+        Gamma comes from `connection_form`, and Omega is D's stored form with
+        Gamma's (1, z, z) matrices added in (`_gamma_plus`), the stored form
+        `connection_form() + D` gives, key order included: D's blocks that
+        Gamma lacks are D's own dicts, shared when D's numerators need no
+        rescale to the joint denominator and the sum no reduction; only the
+        masks the two share are summed.  With D zero, Omega is Gamma.
+        """
         if self._omega is None:
-            self._omega = self.connection_form() + self.D
+            gamma = self.connection_form()
+            self._omega = gamma if self.D.is_zero() else gamma._same_shape(
+                _gamma_plus(gamma._kernel, self.D._kernel, self.bundle,
+                            _width(self.variables)))
         return self._omega
 
     def curvature(self):
@@ -175,26 +193,32 @@ class ConnectionUpToHomotopy:
 
         Section e_(l, alpha) is column alpha of block (0, l, l) of the
         identity, so pass 1, cal_D on all of them, is hat(Omega) on the
-        identity: it must return Omega's stored form, or InternalCheckError
-        names the first block and multi-index where they differ.  Pass 2 is
-        cal_D on those images, with d_A of the images added into its
-        accumulators; column alpha of block (s, l, j) of the result is part
-        (s, j) of cal_D^2 e_(l, alpha), which is R as it stands.  The result
-        is kept on the instance.
+        identity, and it must return Omega's stored form.  Its accumulators
+        (`TotalForm._accumulate`) are compared with Omega's stored
+        numerators over D_Omega * 1 (`_stores`); only when they differ are
+        they brought to lowest terms by `_canonical`, and if that is not
+        Omega either, InternalCheckError names the first block and
+        multi-index where they differ.  Pass 2 is cal_D on those images,
+        Omega's stored form, with d_A of them added into its accumulators;
+        column alpha of block (s, l, j) of the result is part (s, j) of
+        cal_D^2 e_(l, alpha), which is R as it stands.  The result is kept
+        on the instance.
         """
         if self._curvature is None:
             omega, algebroid, bundle = self.omega(), self.algebroid, self.bundle
+            width = _width(self.variables)
             identity = TotalForm.identity(self.variables, algebroid.rank, bundle)
-            images = TotalForm._unchecked(self.variables, algebroid.rank, bundle, bundle, 1,
-                                          omega._product(identity._kernel, bundle))
-            if images != omega:
-                block, mi = _first_difference(images, omega)
-                raise InternalCheckError(
-                    "curvature check failed: cal_D on the basis sections differs from "
-                    f"Omega at block {block}, multi-index {mi}")
+            D, cells = omega._accumulate(identity._kernel, bundle)
+            if not _stores(omega._kernel, D, cells, width):
+                images = omega._same_shape(_canonical(D, cells, width))
+                if images != omega:
+                    block, mi = _first_difference(images, omega)
+                    raise InternalCheckError(
+                        "curvature check failed: cal_D on the basis sections differs "
+                        f"from Omega at block {block}, multi-index {mi}")
             self._curvature = TotalForm._unchecked(
                 self.variables, algebroid.rank, bundle, bundle, 2,
-                omega._product(images._kernel, bundle, d_a=algebroid))
+                omega._product(omega._kernel, bundle, d_a=algebroid))
         return self._curvature
 
     # -- induced End differential ------------------------------------------------
@@ -312,6 +336,110 @@ def induced_hom_connection(src, dst):
                     row[nu * r_s + b] = row[nu * r_s + b] - gs[b][a]
         christoffel.append(g)
     return LinearConnection(A, christoffel)
+
+
+def _gamma_plus(gamma, part, bundle, width):
+    """The stored form of Gamma + D from Gamma's stored form `gamma`, all of
+    whose blocks are (1, z, z), and D's `part`, over lcm(D_Gamma, D_D).
+
+    Each operand is rescaled to the joint denominator, a matrix kept as it
+    stands at scale 1; the masks of a block both have are summed, and a
+    zero sum and an empty block are dropped.  D's blocks that Gamma lacks
+    are D's own dicts at scale 1.  Keys come in the order of `_combine` on
+    the two: Gamma's blocks, then D's others, and within a block Gamma's
+    masks, then D's others.  One gcd pass over the result keeps it in
+    lowest terms; in the rare case the sum reduces, `_combine` divides it.
+    """
+    (d_gamma, gamma_view), (d_part, part_view) = gamma, part
+    D = lcm(d_gamma, d_part)
+    s_gamma, s_part = D // d_gamma, D // d_part
+    view = {}
+    for key, entries in gamma_view.items():
+        theirs, block = part_view.get(key, {}), {}
+        for mask, rows in entries.items():
+            other = theirs.get(mask)
+            rows = (_scaled(rows, s_gamma, width) if other is None
+                    else _summed(rows, s_gamma, other, s_part, width))
+            if any(rows):
+                block[mask] = rows
+        for mask, rows in theirs.items():
+            if mask not in entries:
+                block[mask] = _scaled(rows, s_part, width)
+        if block:
+            view[key] = block
+    for key, entries in part_view.items():
+        if key not in gamma_view:
+            view[key] = entries if s_part == 1 else {
+                mask: _scaled(rows, s_part, width) for mask, rows in entries.items()}
+    g = D
+    for entries in view.values():
+        for rows in entries.values():
+            if g == 1:
+                break
+            g = gcd(g, *(n for row in rows for _, entry in row for _, n in entry)
+                    if width else rows)
+    return (D, view) if g == 1 else _combine([(1, (D, view))], bundle, width)
+
+
+def _scaled(rows, factor, width):
+    """A stored matrix times the integer `factor`: `rows` itself at 1, else new lists."""
+    if factor == 1:
+        return rows
+    if width:
+        return [[(c, [(m, factor * n) for m, n in entry]) for c, entry in row]
+                for row in rows]
+    return [factor * n for n in rows]
+
+
+def _summed(left, s_left, right, s_right, width):
+    """s_left * left + s_right * right of two stored matrices, in new lists;
+    on a chart, sparse rows with entries in (column, monomial) order and
+    zero entries dropped."""
+    if not width:
+        return [s_left * m + s_right * n for m, n in zip(left, right)]
+    out = []
+    for row_left, row_right in zip(left, right):
+        acc: dict = {}
+        for factor, row in ((s_left, row_left), (s_right, row_right)):
+            for c, entry in row:
+                for m, n in entry:
+                    acc[c, m] = acc.get((c, m), 0) + factor * n
+        row, last = [], None
+        for (c, m), n in sorted(acc.items()):
+            if n:
+                if c != last:
+                    last, pairs = c, []
+                    row.append((c, pairs))
+                pairs.append((m, n))
+        out.append(row)
+    return out
+
+
+def _stores(kernel, D, cells, width):
+    """Whether the accumulators `cells` of a kernel pass over D, as
+    `TotalForm._accumulate` returns them, hold the stored form `kernel` as it
+    stands: the same D and, block by block and mask by mask, the same
+    numerators, a chart matrix's sparse rows read into the accumulator's
+    flat keys ((row * cols + col) << width) + monomial.  For `kernel` in
+    lowest terms this implies `_canonical(D, cells, width) == kernel`; the
+    converse fails only on a zero accumulator or a reducible D."""
+    d_kernel, view = kernel
+    if D != d_kernel or len(cells) != len(view):
+        return False
+    for key, (_, cols, tgt) in cells.items():
+        entries = view.get(key)
+        if entries is None:
+            return False
+        if not width:
+            if tgt != entries:
+                return False
+        elif len(tgt) != len(entries) or any(
+                tgt.get(mask) != {((r * cols + c) << width) + m: n
+                                  for r, row in enumerate(rows)
+                                  for c, entry in row for m, n in entry}
+                for mask, rows in entries.items()):
+            return False
+    return True
 
 
 def _first_difference(left, right):

@@ -39,9 +39,12 @@ An entry is a Poly's sorted terms over D and back, with no monomial
 repacked; `ring` alone checks that exponents stay below 2^32, so no chain
 of products a task builds carries into the next field.  No zero matrix is
 stored, nor a zero entry on a chart, so equality compares stored forms;
-and no code writes into a stored matrix, since every pass fills
-accumulators of its own, so a sum keeps as it stands, shared, a point-base
-matrix that one operand alone contributes at scale 1 (`_combine`).  Polys
+and no code writes into a stored matrix or a stored block's dict, since
+every pass fills accumulators of its own, so a sum keeps as it stands,
+shared, a point-base matrix that one operand alone contributes at scale 1
+(`_combine`), and Omega = Gamma + D keeps D's blocks outside (1, z, z) as
+D's own dicts, on both bases, when neither a rescale nor a reduction
+touches them (`connections._gamma_plus`).  Polys
 appear only at the boundary: the checked constructor reads Polys, and
 `from_json` and `Form`'s constructor, which hands it d x 1 columns, go
 through it; `ConnectionUpToHomotopy.connection_form` writes Gamma's stored
@@ -56,7 +59,10 @@ matrices, and the restriction to a subframe is zero exactly when no stored
 bitmask lies inside it, which is `ideal_membership(form, indices, 1)`.
 
 `wedge` and `wedge_trace` are one kernel pass, `_product`, which adds
-integers over D_left * D_right and stores the result in lowest terms; `+`,
+integers over D_left * D_right and stores the result in lowest terms: it is
+`_accumulate`, which fills the accumulators, then `_canonical`, so a caller
+may read a pass's accumulators before `_canonical` (the curvature's pass 1
+compares them with Omega's stored numerators as they stand); `+`,
 `-`, `scale` and `Algebroid.d_total` work on the stored form too.  Given an
 algebroid, `_product` is the fused pass d_A Y + hat(X) o hat(Y) of the
 curvature's last pass, of the connection's operator and of d^End: d_A of the
@@ -357,7 +363,10 @@ def _combine(terms, src, width):
     bits wide, over the lcm of the D's, which need not be in lowest terms.
     A point-base matrix that one operand alone contributes at scale 1 is
     kept as it stands, shared with that operand; any other point-base sum
-    is built in a new list, so no stored matrix is written."""
+    is built in a new list, so no stored matrix is written.  Every block
+    is walked and re-canonicalized; Omega = Gamma + D, whose operands are
+    known to share only (1, z, z) blocks, has a one-pass writer of its own
+    (`connections._gamma_plus`)."""
     D = lcm(*(d for _, (d, _) in terms))
     cells: dict = {}
     for factor, (d, view) in terms:
@@ -563,15 +572,23 @@ class TotalForm:
 
     def _product(self, right, right_src, trace=None, d_a=None):
         """The one kernel pass of hat(self) o hat(right), for a stored form
-        `right` with blocks (i2, l, m) and source bundle `right_src`.
+        `right` with blocks (i2, l, m) and source bundle `right_src`: the
+        stored form of the product, blocks (i1 + i2, l, j), in lowest terms,
+        which is `_canonical` of the accumulators of `_accumulate`."""
+        return _canonical(*self._accumulate(right, right_src, trace, d_a),
+                          _width(self.variables))
 
-        Returns the stored form of the product, blocks (i1 + i2, l, j), in
-        lowest terms.  The sign of a pair is the merge sign times the Koszul
-        factor (-1)^(f1 i2), f1 the fiber degree of the left block.  With
-        `trace` not None only the diagonal entries of the diagonal blocks
-        l == j are formed, times (-1)^l when `trace` is true, and summed
-        into 1 x 1 matrices: the result is the stored block (i1 + i2, 0, 0)
-        of a scalar Form; a trace of X ^ X that the module docstring shows
+    def _accumulate(self, right, right_src, trace=None, d_a=None):
+        """The accumulators of the kernel pass `_product`, before `_canonical`:
+        (D, {key: (rows, cols, {mask: accumulator})}), the cells that
+        `_canonical` reads, D not reduced and zero accumulators kept.
+
+        The sign of a pair is the merge sign times the Koszul factor
+        (-1)^(f1 i2), f1 the fiber degree of the left block.  With `trace`
+        not None only the diagonal entries of the diagonal blocks l == j are
+        formed, times (-1)^l when `trace` is true, and summed into 1 x 1
+        matrices: the cells of the block (i1 + i2, 0, 0) of a scalar Form; a
+        trace of X ^ X that the module docstring shows
         symmetric takes each unordered pair once, doubled.  With an
         algebroid `d_a` whose d_A is not zero, and self End-valued on the
         target of `right`, d_A of `right` is added into the same
@@ -625,7 +642,7 @@ class TotalForm:
                 shape = (0, 0, 0 if diagonal else cols) if width else (nrows, inner, cols)
                 _block_kernel(*shape, width, diagonal, triangle)(
                     tgt, koszul, entries1, entries2)
-        return _canonical(D1 * D2, cells, width)
+        return D1 * D2, cells
 
     def _check_composable(self, other):
         if not isinstance(other, TotalForm):
@@ -752,7 +769,13 @@ class Form(TotalForm):
 
     @classmethod
     def zero(cls, variables, frame_rank, degree, fiber_dim=1):
-        return cls(variables, frame_rank, degree, fiber_dim)
+        """The zero form, stored as (1, {}) with no Poly read; the degree and
+        fiber checks are the constructor's."""
+        degree, fiber_dim = int(degree), int(fiber_dim)
+        if degree < 0 or fiber_dim < 1:
+            raise MismatchError("degree must be >= 0 and fiber_dim >= 1")
+        return cls._unchecked(tuple(variables), int(frame_rank), _LINE, _fiber(fiber_dim),
+                              degree, (1, {}))
 
     @classmethod
     def coframe(cls, variables, frame_rank, index):

@@ -329,6 +329,34 @@ def test_pontryagin_scaling():
     assert p2_candidates[1].two_pi_exponent == -4
 
 
+def test_pontryagin_class_reads_no_poly_at_the_boundary(monkeypatch):
+    # the unit 0-form of the invariant polynomials is written as 1 over 1
+    # and each zero accumulator is stored as (1, {}), so p2, curvature and
+    # all, goes through no checked constructor; the f_i are the Poly build's
+    rng = random.Random(13)
+    nab = random_linear_connection(rng, catalog.abelian(8), 3)
+    calls = []
+    read = forms._from_polys
+    monkeypatch.setattr(forms, "_from_polys", lambda *args: calls.append(args) or read(*args))
+    p2 = pontryagin_class(nab, 2)
+    f = invariant_polys(nab.curvature(), 2)
+    assert calls == []
+    monkeypatch.undo()
+    assert f[0] == Form.function((), 8, 1) and f[0]._kernel == Form.function((), 8, 1)._kernel
+    assert p2.representative == invariant_poly_f(nab.curvature(), 4)
+
+
+def test_form_zero_keeps_the_constructor_checks():
+    for variables in ((), ("x",)):
+        zero = Form.zero(variables, 3, 2, 2)
+        assert zero._kernel == (1, {}) == Form(variables, 3, 2, 2)._kernel
+        assert zero == Form(variables, 3, 2, 2) and zero.fiber_dim == 2
+        with pytest.raises(MismatchError, match="degree must be >= 0 and fiber_dim >= 1"):
+            Form.zero(variables, 3, -1)
+        with pytest.raises(MismatchError, match="degree must be >= 0 and fiber_dim >= 1"):
+            Form.zero(variables, 3, 1, 0)
+
+
 # --- Chevalley-Eilenberg cohomology ----------------------------------------
 
 
@@ -501,6 +529,27 @@ def test_transgression_starts_its_power_at_the_interpolated_curvature(monkeypatc
     assert counts == {"wedge": 1, "_product": 5, "d_total": 1}
     monkeypatch.undo()
     assert a.d(T) == sigma_character(new, 2).form - sigma_character(old, 2).form
+
+
+def test_transgression_above_the_frame_rank_is_zero_with_no_pass(monkeypatch):
+    # T_index has degree 2 index - 1: above the frame rank it is the zero
+    # form, returned with no curvature, product or trace, and equal to the
+    # expansion summed by public calls
+    rng = random.Random(47)
+    E = GradedBundle([(0, 2), (1, 2), (2, 1)])
+    for a, index in ((catalog.sl2(), 3), (catalog.tangent_plane(), 2),
+                     (catalog.tangent_plane(), 3)):
+        old, new = random_cuth(rng, a, E), random_cuth(rng, a, E)
+        counts = {}
+        with monkeypatch.context() as patched:
+            _count_calls(patched, TotalForm, "_product", counts)
+            _count_first_curvatures(patched, counts)
+            T = transgression(old, new, index)
+        assert counts == {}
+        assert T.degree == 2 * index - 1 > a.rank and T._kernel == (1, {})
+        assert stored(T) == stored(transgression_by_sums(old, new, index))
+    with pytest.raises(MismatchError, match="same bundle"):
+        transgression(old, random_cuth(rng, a, GradedBundle([(0, 1)])), 3)
 
 
 def test_transgression_is_the_sum_of_its_pieces_in_lowest_terms():

@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -266,7 +267,7 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     algebras = ["sl2", "solvable5", "abelian(8)", "TR^4"]
     lie_algebras = ["sl2", "solvable5", "two_aff1_plus_center", "abelian(8)", "fractional_point"]
     assert [row.split()[:2] for row in rows] == [["route", "algebra"]] + [
-        [route, name] for route in ("curvature", "power_traces", "square_trace")
+        [route, name] for route in ("omega", "curvature", "power_traces", "square_trace")
         for name in algebras] + [["cohomology", name] for name in lie_algebras] + [
         ["boundary", "corpus"], ["exactness", "TR^4/sigma2"], ["exactness", "TR^4/sigma1/deg2"]] + [
         ["transgression", f"{name}/index{index}"]
@@ -374,6 +375,21 @@ def test_route_ratio_tool_prints_its_table_and_exits_one_on_disagreement(monkeyp
     assert [line for line in out.splitlines() if "disagree" in line] == [
         f"transgression, {name}/index2, seed 0: the engine and the reference disagree"
         for name in ("sl2", "solvable5", "abelian(8)", "TR^3")]
+    monkeypatch.undo()
+    # Omega with D's scale to the joint denominator dropped: D's numerators
+    # read over lcm(D_Gamma, D_D), on the omega rows alone, whose Gamma over
+    # 2 and D over 3 make that lcm 6; every other row reads the same Omega
+    # on both sides
+    def unscaled(conn):
+        gamma = conn.connection_form()
+        D, view = conn.D._kernel
+        return gamma + conn.D._same_shape((math.lcm(gamma._kernel[0], D), view))
+
+    monkeypatch.setattr(ConnectionUpToHomotopy, "omega", unscaled)
+    assert tool.main(["--seeds", "1", "--repeats", "1"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "disagree" in line] == [
+        f"omega, {name}, seed 0: the engine and the reference disagree" for name in algebras]
 
 
 # --- out-of-range indices ------------------------------------------------------

@@ -12,6 +12,7 @@ from gradweil import catalog
 from gradweil.connections import (
     ConnectionUpToHomotopy,
     LinearConnection,
+    _stores,
     cuth_difference,
     extend_connection,
     induced_hom_connection,
@@ -20,7 +21,8 @@ from gradweil.connections import (
 )
 from gradweil.errors import InternalCheckError, MismatchError, ParseError
 from gradweil.algebroid import Chart, Subframe, tangent_algebroid
-from gradweil.forms import Form, GradedBundle, TotalForm, mat_mul, mat_zero
+from gradweil.forms import (Form, GradedBundle, TotalForm, _canonical, _width, mat_mul,
+                            mat_zero)
 from gradweil.randgen import (
     random_cuth,
     random_form,
@@ -31,8 +33,8 @@ from gradweil.randgen import (
 from gradweil.ring import Poly
 from oracles import (LINE, basis_element, connection_form_reference, covariant,
                      curvature_formula, curvature_power, element, flat_borel_module,
-                     graded_commutator, hat, omega_reference, sort_with_sign, stored,
-                     tangent_line, transposed)
+                     fractional_point_presentation, graded_commutator, hat, omega_reference,
+                     sort_with_sign, stored, tangent_line, transposed)
 from test_algebroid import PRESENTATIONS
 from test_forms import apply_part_reference, mat_add, single_block, unhat_from_sections
 
@@ -545,10 +547,13 @@ def test_connection_form_is_the_poly_matrix_build(base):
 
 @pytest.mark.parametrize("base", sorted(GAMMA_BASES))
 def test_omega_is_gamma_plus_d_by_poly_matrices(base):
-    # Omega = Gamma + D keeps, shared, a point-base matrix that one operand
-    # alone contributes at scale 1; it must store the Poly sum of the two,
-    # for a D with a grading-preserving 1-form part and for its normalized
-    # splitting, whose Gamma absorbs that part
+    # Omega is D's stored form with Gamma's (1, z, z) matrices added in; it
+    # must store the Poly sum of the two, keys in order, which is also what
+    # `connection_form() + D` stores, for a D with a grading-preserving
+    # 1-form part and for its normalized splitting, whose Gamma absorbs that
+    # part.  Where Gamma's denominator divides D's and the sum is not
+    # reduced, every block of D that Gamma lacks is D's own dict, on both
+    # bases
     a = GAMMA_BASES[base]()
     rng = random.Random(f"omega:{base}")
     shared = 0
@@ -565,15 +570,38 @@ def test_omega_is_gamma_plus_d_by_poly_matrices(base):
                 assert case.is_normalized() == (case is not conn)
                 omega = case.omega()
                 assert stored(omega) == stored(omega_reference(case))
+                assert stored(omega) == stored(case.connection_form() + case.D)
                 (d_gamma, gamma_view), d_part = case.connection_form()._kernel, case.D._kernel[0]
-                gamma_keys = set(gamma_view)
                 # D's scale is 1 when d_gamma divides its D, and the sum is not
                 # reduced when Omega keeps that D
-                if not a.variables and d_part % d_gamma == 0 and omega._kernel[0] == d_part:
-                    shared += sum(omega._kernel[1][key][mask] is rows
-                                  for key, entries in case.D._kernel[1].items()
-                                  if key not in gamma_keys for mask, rows in entries.items())
-    assert shared or a.variables
+                if d_part % d_gamma == 0 and omega._kernel[0] == d_part:
+                    others = [key for key in case.D._kernel[1] if key not in gamma_view]
+                    assert all(omega._kernel[1][key] is case.D._kernel[1][key]
+                               for key in others)
+                    shared += len(others)
+    assert shared
+
+
+def test_omega_rescales_both_operands_to_the_joint_denominator(monkeypatch):
+    # over fractional_point, Gamma with coefficients over 3 and D over 2, so
+    # both are rescaled to 6: a mask both have, a mask of Gamma's alone and
+    # blocks of D's alone
+    a = fractional_point_presentation()
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    bundle = GradedBundle([(0, 1), (1, 1)])
+    nab0 = LinearConnection(a, [[[Poly.constant((), third * (i + 1))]] for i in range(5)])
+    nab1 = LinearConnection.zero(a, 1)
+    one = Poly.constant((), half)
+    D = TotalForm((), 5, bundle, bundle, 1, {(1, 0, 0): {(0,): [[one]]},
+                                             (0, 0, 1): {(): [[one]]},
+                                             (2, 1, 0): {(0, 1): [[-one]]}})
+    conn = ConnectionUpToHomotopy(a, bundle, {0: nab0, 1: nab1}, D)
+    omega = conn.omega()
+    assert omega._kernel[0] == 6
+    assert stored(omega) == stored(omega_reference(conn))
+    assert stored(omega) == stored(conn.connection_form() + D)
+    assert omega.block(1, 0, 0)[(0,)] == ((Poly.constant((), third + half),),)
+    assert not _check_the_two_passes(monkeypatch, conn).is_zero()
 
 
 def test_connection_form_refuses_an_exponent_at_the_limit():
@@ -817,8 +845,9 @@ def test_batched_operator_squares_match_the_per_section_squares(name, monkeypatc
 
 
 def test_first_curvature_makes_two_kernel_passes(monkeypatch):
-    # one pass of hat(Omega) over all basis sections and one over their
-    # images with d_A fused, whatever the bundle's rank
+    # one pass of hat(Omega) over all basis sections, whose accumulators are
+    # read with no `_canonical`, and one over their images with d_A fused,
+    # the one `_product`, whatever the bundle's rank
     rng = random.Random(101)
     for a in (catalog.sl2(), catalog.aff1_action_line()):
         for bundle in ODD_BUNDLES + D_END_BUNDLES:
@@ -826,19 +855,20 @@ def test_first_curvature_makes_two_kernel_passes(monkeypatch):
             conn.omega()
             counts = {}
             with monkeypatch.context() as patched:
+                _count_calls(patched, TotalForm, "_accumulate", counts)
                 _count_calls(patched, TotalForm, "_product", counts)
                 _count_calls(patched, type(a), "_d_into", counts)
                 R = conn.curvature()
-                assert counts == {"_product": 2, "_d_into": 1}
+                assert counts == {"_accumulate": 2, "_product": 1, "_d_into": 1}
                 assert conn.curvature() is R
-                assert counts == {"_product": 2, "_d_into": 1}
+                assert counts == {"_accumulate": 2, "_product": 1, "_d_into": 1}
 
 
 def _curvature_passes(monkeypatch, conn):
-    """The curvature of `conn` and the (right operand, d_a, result) of each
-    kernel pass it makes."""
+    """The curvature of `conn` and the (right operand, d_a, accumulators) of
+    each kernel pass it makes."""
     passes = []
-    original = TotalForm._product
+    original = TotalForm._accumulate
 
     def record(self, right, right_src, trace=None, d_a=None):
         out = original(self, right, right_src, trace, d_a)
@@ -846,21 +876,28 @@ def _curvature_passes(monkeypatch, conn):
         return out
 
     with monkeypatch.context() as patched:
-        patched.setattr(TotalForm, "_product", record)
+        patched.setattr(TotalForm, "_accumulate", record)
         R = conn.curvature()
     return R, passes
 
 
 def _check_the_two_passes(monkeypatch, conn):
     omega = conn.omega()
+    width = _width(conn.variables)
     identity = TotalForm.identity(conn.variables, conn.algebroid.rank, conn.bundle)
-    R, ((first, d_first, images), (second, d_second, _)) = _curvature_passes(monkeypatch,
-                                                                             conn)
-    # pass 1 is hat(Omega) on the basis sections and returns Omega's stored form
+    R, ((first, d_first, (D, cells)), (second, d_second, _)) = _curvature_passes(
+        monkeypatch, conn)
+    # pass 1 is hat(Omega) on the basis sections; its accumulators, over
+    # D_Omega * 1, none of them zero, are Omega's stored numerators, which
+    # `_stores` reads without `_canonical`
     assert first == identity._kernel and d_first is None
-    assert images == omega._kernel
-    # pass 2 is hat(Omega) on those images with d_A fused
-    assert second is images and d_second is conn.algebroid
+    assert D == omega._kernel[0]
+    assert all(any(acc.values()) if width else any(acc)
+               for _, _, tgt in cells.values() for acc in tgt.values())
+    assert _canonical(D, cells, width) == omega._kernel
+    assert _stores(omega._kernel, D, cells, width)
+    # pass 2 is hat(Omega) on Omega's stored form with d_A fused
+    assert second is omega._kernel and d_second is conn.algebroid
     assert R == curvature_formula(conn)
     return R
 
@@ -951,19 +988,23 @@ def test_cuth_curvature_is_computed_once_per_instance(monkeypatch):
     a = catalog.sl2()
     conn = random_cuth(rng, a, D_END_BUNDLES[0])
     conn.omega()
+    _count_calls(monkeypatch, TotalForm, "_accumulate", counts)
     _count_calls(monkeypatch, TotalForm, "_product", counts)
+    _count_calls(monkeypatch, ConnectionUpToHomotopy, "connection_form", counts)
+    # two kernel passes, the second the one `_product`, on the Omega built
     R = conn.curvature()
-    assert counts == {"_product": 2}
+    assert counts == {"_accumulate": 2, "_product": 1}
     assert conn.curvature() is R
     assert curvature_power(conn, 1) is R
-    assert counts == {"_product": 2}
+    assert counts == {"_accumulate": 2, "_product": 1}
     assert curvature_power(conn, 2) == R.wedge(R)
-    # a second instance with the same data computes, and checks, afresh
+    # a second instance with the same data builds its one Omega and
+    # computes, and checks, afresh
     twin = ConnectionUpToHomotopy(a, conn.bundle, conn.nablas, conn.D)
     counts.clear()
     assert twin.curvature() == R
     assert twin.curvature() == R
-    assert counts == {"_product": 2}
+    assert counts == {"_accumulate": 2, "_product": 1, "connection_form": 1}
 
 
 def test_linear_curvature_is_computed_once_per_label(monkeypatch):
@@ -972,19 +1013,22 @@ def test_linear_curvature_is_computed_once_per_label(monkeypatch):
     a = catalog.aff1_action_line()
     nab = random_linear_connection(rng, a, 2)
     _count_calls(monkeypatch, type(a), "_d_into", counts)
+    _count_calls(monkeypatch, TotalForm, "_accumulate", counts)
     _count_calls(monkeypatch, TotalForm, "_product", counts)
+    _count_calls(monkeypatch, ConnectionUpToHomotopy, "connection_form", counts)
     R = nab.curvature()
-    # two kernel passes, the second with d_A fused
-    assert counts == {"_d_into": 1, "_product": 2}
+    # one Omega and two kernel passes, the second the one `_product`, with
+    # d_A fused
+    assert counts == {"_d_into": 1, "_accumulate": 2, "_product": 1, "connection_form": 1}
     assert nab.curvature() is R
     assert nab.is_flat() is R.is_zero()
-    assert counts == {"_d_into": 1, "_product": 2}
+    assert counts == {"_d_into": 1, "_accumulate": 2, "_product": 1, "connection_form": 1}
     # the same bundle in degree 1 is its own connection up to homotopy
     conn = ConnectionUpToHomotopy(a, GradedBundle([(1, 2)]), {1: nab})
     shifted = conn.curvature()
     assert set(shifted.blocks) == {(2, 1, 1)}
     assert conn.curvature() is shifted
-    assert counts == {"_d_into": 2, "_product": 4}
+    assert counts == {"_d_into": 2, "_accumulate": 4, "_product": 2, "connection_form": 2}
 
 
 def test_linear_d_and_curvature_share_one_omega(monkeypatch):
@@ -1031,3 +1075,49 @@ def test_curvature_disagreement_names_the_block_and_multi_index(monkeypatch):
     assert str(caught.value) == (
         "curvature check failed: cal_D on the basis sections differs from Omega "
         "at block (1, 2, 2), multi-index (0,)")
+
+
+def test_curvature_check_reads_the_denominator_of_pass_one(monkeypatch):
+    # the identity over 2 gives pass-1 accumulators with Omega's numerators
+    # over twice its denominator: hat(Omega) on the basis sections is
+    # Omega / 2, and the first block and multi-index of Omega are named
+    rng = random.Random(89)
+    a = catalog.sl2()
+    conn = random_cuth(rng, a, D_END_BUNDLES[0])
+    block = min(conn.omega().blocks)
+    mi = min(conn.omega().blocks[block])
+    identity = TotalForm.identity
+
+    def halved(cls, variables, frame_rank, bundle):
+        return cls._unchecked(tuple(variables), frame_rank, bundle, bundle, 0,
+                              (2, identity(variables, frame_rank, bundle)._kernel[1]))
+
+    monkeypatch.setattr(TotalForm, "identity", classmethod(halved))
+    with pytest.raises(InternalCheckError) as caught:
+        conn.curvature()
+    assert str(caught.value) == (
+        "curvature check failed: cal_D on the basis sections differs from Omega "
+        f"at block {block}, multi-index {mi}")
+
+
+def test_curvature_check_reads_the_blocks_of_d(monkeypatch):
+    # E_2 has a flat summand connection and no (1, 2, 2) part in D, so a
+    # doubled section of E_2 changes only D's blocks from E_2 in pass 1, and
+    # the first of them is named
+    rng = random.Random(97)
+    a = catalog.sl2()
+    bundle = D_END_BUNDLES[0]
+    drawn = random_total_form(rng, (), a.rank, bundle, 1)
+    D = TotalForm((), a.rank, bundle, bundle, 1,
+                  {key: entries for key, entries in drawn.blocks.items() if key != (1, 2, 2)})
+    nablas = {z: random_linear_connection(rng, a, r) for z, r in bundle.summands}
+    nablas[2] = LinearConnection.zero(a, 1)
+    conn = ConnectionUpToHomotopy(a, bundle, nablas, D)
+    from_e2 = sorted(key for key in conn.omega().blocks if key[1] == 2)
+    assert from_e2 and all(key[0] != 1 for key in from_e2)
+    double_the_identity(monkeypatch, 2)
+    with pytest.raises(InternalCheckError) as caught:
+        conn.curvature()
+    assert str(caught.value) == (
+        "curvature check failed: cal_D on the basis sections differs from Omega "
+        f"at block {from_e2[0]}, multi-index {min(conn.omega().blocks[from_e2[0]])}")

@@ -5,7 +5,19 @@
 The algebras are sl2, solvable5 and abelian(8) over a point, and TR^4, the
 tangent algebroid of a four-variable chart, where the kernel runs on packed
 monomials.  For each algebra and seed it draws a connection up to homotopy on
-R^2[0] + R^2[1] + R[2] and times three routes against their formulas:
+R^2[0] + R^2[1] + R[2].
+
+An omega row per algebra times `omega()` on a fresh connection (D's stored
+form with Gamma's (1, z, z) matrices added in) against
+`oracles.omega_reference` from tests/ (Gamma and D as Poly matrices, summed
+entry by entry, stored by `_from_polys`), each on its own fresh connection,
+best of `--repeats` per seed, printing the reference's time in the formula
+column; the two must store the same form, key order included.  The drawn
+coefficients have denominators 1 and 2, so the row's connection keeps the
+drawn Gamma, over 2, and takes 2/3 D, over 3: the joint denominator is then
+6 and both operands are rescaled to it.
+
+Then it times three routes against their formulas:
 
 * curvature: `curvature()` (two kernel passes: cal_D on the basis sections,
   checked against Omega, and cal_D on their images with d_A fused) against
@@ -73,7 +85,7 @@ it vanishes on a frame of lower rank: tangent_plane's rows and sl2's index-3
 row compare zero forms, and TR^3 is the chart whose index-2 form is not
 zero.
 
-Exits 1 if a route and its formula, the cohomology or a decomposition and
+Exits 1 if Omega and its reference, a route and its formula, the cohomology or a decomposition and
 its reference, the boundary and its reference, an exactness solve and its
 reference, or a transgression and its reference ever disagree.  No time is
 asserted.
@@ -83,6 +95,7 @@ from __future__ import annotations
 
 import argparse
 import random
+from fractions import Fraction
 import statistics
 import sys
 import time
@@ -95,11 +108,12 @@ from gradweil import catalog
 from gradweil.algebroid import Algebroid, Chart, tangent_algebroid
 from gradweil.chernweil import (ce_cohomology, is_exact, power_traces, sigma_character,
                                 transgression)
+from gradweil.connections import ConnectionUpToHomotopy
 from gradweil.forms import Form, GradedBundle, gtr, tr
 from gradweil.randgen import random_cuth, random_linear_connection
 from oracles import (cohomology_reference, corpus_algebroids, exactness_reference,
-                     fractional_point_presentation, from_json_reference, random_cocycle,
-                     stored, transgression_by_sums)
+                     fractional_point_presentation, from_json_reference, omega_reference,
+                     random_cocycle, stored, transgression_by_sums)
 
 ALGEBRAS = {"sl2": catalog.sl2, "solvable5": catalog.solvable5,
             "abelian(8)": lambda: catalog.abelian(8),
@@ -166,6 +180,28 @@ def fresh(make, seed):
     conn = random_cuth(random.Random(seed), make(), BUNDLE)
     conn.omega()
     return conn
+
+
+def omega_input(make, seed):
+    """A fresh connection of the seed with D scaled by 2/3, on a new
+    algebroid, Omega not built."""
+    conn = random_cuth(random.Random(seed), make(), BUNDLE)
+    return ConnectionUpToHomotopy(conn.algebroid, BUNDLE, conn.nablas,
+                                  conn.D.scale(Fraction(2, 3)))
+
+
+def omega_times(make, seed, repeats):
+    """(best `omega()` seconds, best `omega_reference` seconds, whether the
+    two store the same form, key order included), each call on a fresh
+    connection; the two alternate."""
+    best, results = [float("inf")] * 2, [None, None]
+    for _ in range(repeats):
+        for k, call in enumerate((lambda conn: conn.omega(), omega_reference)):
+            conn = omega_input(make, seed)
+            start = time.perf_counter()
+            results[k] = call(conn)
+            best[k] = min(time.perf_counter() - start, best[k])
+    return best[0], best[1], stored(results[0]) == stored(results[1])
 
 
 def best_times(make, seed, repeats, route):
@@ -294,6 +330,18 @@ def main(argv=None):
     agree = True
     print(f"{'route':<14}{'algebra':<22}{'engine ms':>11}{'formula ms':>12}"
           f"{'engine/formula':>16}")
+    for name, make in ALGEBRAS.items():
+        engine, reference, ratio = [], [], []
+        for seed in range(args.seeds):
+            en_s, ref_s, same = omega_times(make, seed, args.repeats)
+            if not same:
+                print(f"omega, {name}, seed {seed}: the engine and the reference disagree")
+                agree = False
+            engine.append(en_s * 1e3)
+            reference.append(ref_s * 1e3)
+            ratio.append(en_s / ref_s)
+        print(f"{'omega':<14}{name:<22}{statistics.median(engine):>11.2f}"
+              f"{statistics.median(reference):>12.2f}{statistics.median(ratio):>16.2f}")
     for route in ROUTES:
         for name, make in ALGEBRAS.items():
             engine, reference, ratio = [], [], []
